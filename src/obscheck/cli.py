@@ -16,6 +16,7 @@ import sys
 import traceback
 from pathlib import Path
 
+from ._files import write_atomic
 from .models import ModelError, load_model
 from .optimize import OptConfig
 from .samples import (
@@ -34,7 +35,6 @@ from .study import (
     report_to_dict,
     report_to_json,
     run_study,
-    write_atomic,
 )
 
 __all__ = ["main", "entry"]

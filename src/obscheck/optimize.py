@@ -226,13 +226,18 @@ def _two_loop(g: np.ndarray, s_hist, y_hist, rho_hist) -> np.ndarray:
 
 
 def check_maximum(ctx, result: MaxResult, cfg: OptConfig = OptConfig()) -> CheckReport:
-    """Run the four validity checks at ``result.omega_hat``."""
+    """Run the four validity checks at ``result.omega_hat``.
+
+    Positive definiteness, the eigenvalue ratio and the local variances all
+    come from one symmetric eigendecomposition of the Hessian, so they
+    cannot disagree: a ridge whose smallest eigenvalue rounds to a tiny
+    positive number yields huge local variances, not a failed inversion.
+    """
     omega = result.omega_hat
     try:
         _, g = ctx.neg2l_grad(omega)
         grad_inf = float(np.max(np.abs(g)))
-        hess = ctx.hessian_neg2l(omega)
-        eigvals = np.linalg.eigvalsh(hess)
+        eigvals, lvar = _curvature(ctx.hessian_neg2l(omega))
     except (InfeasiblePointError, StencilError, np.linalg.LinAlgError) as exc:
         return CheckReport(
             grad_ok=False, hessian_pd=False, eig_ratio_ok=False, lvar_finite=False,
@@ -247,14 +252,10 @@ def check_maximum(ctx, result: MaxResult, cfg: OptConfig = OptConfig()) -> Check
     eig_ratio = lam_min / lam_max if lam_max != 0.0 else float("nan")
     eig_ratio_ok = bool(np.isfinite(eig_ratio) and eig_ratio > cfg.eig_ratio_min)
 
-    local_variances = None
-    lvar_finite = False
-    if hessian_pd:
-        local_variances = 2.0 * np.diag(np.linalg.inv(hess))
-        lvar_finite = bool(
-            np.all(np.isfinite(local_variances))
-            and np.all(local_variances < cfg.lvar_max)
-        )
+    local_variances = lvar if hessian_pd else None
+    lvar_finite = bool(
+        hessian_pd and np.all(np.isfinite(lvar)) and np.all(lvar < cfg.lvar_max)
+    )
     return CheckReport(
         grad_ok=grad_ok,
         hessian_pd=hessian_pd,
@@ -266,15 +267,20 @@ def check_maximum(ctx, result: MaxResult, cfg: OptConfig = OptConfig()) -> Check
     )
 
 
+def _curvature(hess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of the -2L Hessian and the local variances
+    2 * diag(H^{-1}) = 2 * sum_j V_ij^2 / lambda_j from one ``eigh``; a zero
+    eigenvalue (a plateau) makes every local variance +inf."""
+    eigvals, eigvecs = np.linalg.eigh(hess)
+    if np.any(eigvals == 0.0):
+        return eigvals, np.full(len(eigvals), np.inf)
+    return eigvals, 2.0 * (eigvecs * eigvecs) @ (1.0 / eigvals)
+
+
 def local_variance(ctx, omega_hat: np.ndarray) -> np.ndarray:
     """2 * diag(H_{-2L}^{-1}) at the candidate maximum.
 
     A singular Hessian signals a plateau: the result is +inf per parameter
     rather than an exception, so callers can fold it into the checks.
     """
-    hess = ctx.hessian_neg2l(np.asarray(omega_hat, dtype=float))
-    try:
-        inv = np.linalg.inv(hess)
-    except np.linalg.LinAlgError:
-        return np.full(hess.shape[0], np.inf)
-    return 2.0 * np.diag(inv)
+    return _curvature(ctx.hessian_neg2l(np.asarray(omega_hat, dtype=float)))[1]

@@ -25,10 +25,29 @@ The outer integral over b uses fixed-node Gauss-Legendre quadrature.  The
 closed forms are validated against brute-force quadrature of the defining
 double integral in the test suite.
 
-Point symmetry is built into the parameterization: only floor(M/2) points
-are free, their negations complete the set, and an odd M pins one point at
-the origin.  After placement the set is whitened so the sample covariance
-(denominator M, mean is exactly zero) equals the identity.
+The constants c1 = (pi b^2)^(d/2), c2 = (b^2 sqrt(2 pi/(1+2 b^2)))^d and
+T3 depend only on the node and d; they are computed once per configuration.
+
+Point symmetry is built into the parameterization: only n = floor(M/2)
+points f_1..f_n are free, their negations complete the set, and an odd M
+pins one point at the origin: X = [F; -F; 0?].  After placement the set is
+whitened so the sample covariance (denominator M, mean is exactly zero)
+equals the identity.
+
+Placement evaluates the distance from F alone.  Every ordered pair of X has
+one of five squared distances:
+
+    ||f_i - f_j||^2   (f_i, f_j) and (-f_i, -f_j)      2 per (i, j)
+    ||f_i + f_j||^2   (f_i, -f_j) and (-f_i, f_j)      2 per (i, j)
+    4 ||f_i||^2       the i = j case of the line above
+    ||f_i||^2         (0, +-f_i) and (+-f_i, 0)        4 per i, odd M only
+    0                 (x, x)                           M in total
+
+The first two are symmetric in (i, j), so T1 needs the kernel on the i < j
+pairs only: about M^2/4 exponentials per node instead of M^2.  T2 sums
+2 exp(-||f_i||^2 / (2 (1+2 b^2))) over i, plus exp(0) = 1 for the origin.
+The gradient with respect to F (the mirror's contribution chained in)
+comes out of the same node-weighted kernel sums.
 """
 
 from __future__ import annotations
@@ -37,9 +56,13 @@ import hashlib
 import threading
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
+
+from ._files import write_atomic
 
 __all__ = [
     "LcdConfig",
@@ -108,10 +131,35 @@ class DiracMixture:
         return 1.0 / self.count
 
 
-def _quadrature(cfg: LcdConfig) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(cfg.quad_nodes)
-    b = 0.5 * cfg.b_max * (x + 1.0)
-    return b, 0.5 * cfg.b_max * w
+class _Nodes(NamedTuple):
+    """Gauss-Legendre nodes on (0, b_max] with the per-node constants of the
+    closed-form inner integral (see the module docstring)."""
+
+    w: np.ndarray   # quadrature weights
+    b2: np.ndarray  # squared kernel widths b^2
+    c1: np.ndarray  # (pi b^2)^(d/2), the T1 prefactor
+    v: np.ndarray   # 1 + 2 b^2, the T2 width
+    c2: np.ndarray  # (b^2 sqrt(2 pi / v))^d, the T2 prefactor
+    t3: np.ndarray  # T3, which does not depend on the points
+
+
+@lru_cache(maxsize=64)
+def _nodes(b_max: float, quad_nodes: int, d: int) -> _Nodes:
+    x, w = np.polynomial.legendre.leggauss(quad_nodes)
+    b = 0.5 * b_max * (x + 1.0)
+    b2 = b * b
+    v = 1.0 + 2.0 * b2
+    nodes = _Nodes(
+        w=0.5 * b_max * w,
+        b2=b2,
+        c1=(np.pi * b2) ** (0.5 * d),
+        v=v,
+        c2=(b2 * np.sqrt(2.0 * np.pi / v)) ** d,
+        t3=(b2 / (1.0 + b2)) ** d * (np.pi * (1.0 + b2)) ** (0.5 * d),
+    )
+    for arr in nodes:
+        arr.flags.writeable = False
+    return nodes
 
 
 def _points_of(mix) -> np.ndarray:
@@ -150,11 +198,13 @@ def lcd_gradient(mix, cfg: LcdConfig = LcdConfig()) -> np.ndarray:
 
 
 def _distance_impl(points: np.ndarray, cfg: LcdConfig, want_grad: bool):
+    """Distance of an arbitrary (M, d) point set and, if asked, its raw
+    per-point gradient.  Placement uses :func:`_free_kernel` instead."""
     _check_finite(points)
     m_count, d = points.shape
     if m_count < 1 or d < 1:
         raise ValueError("mixture must have at least one point and one dimension")
-    b_nodes, b_weights = _quadrature(cfg)
+    nodes = _nodes(cfg.b_max, cfg.quad_nodes, d)
 
     diff = points[:, None, :] - points[None, :, :]
     dist2 = np.einsum("ijk,ijk->ij", diff, diff)  # (M, M)
@@ -166,20 +216,12 @@ def _distance_impl(points: np.ndarray, cfg: LcdConfig, want_grad: bool):
 
     total = 0.0
     grad = np.zeros_like(points) if want_grad else None
-    for start in range(0, len(b_nodes), chunk):
-        b = b_nodes[start : start + chunk]  # (Q,)
-        w = b_weights[start : start + chunk]
-        b2 = b * b
-        c1 = (np.pi * b2) ** (0.5 * d)  # (Q,)
+    for q in _chunks(cfg.quad_nodes, chunk):
+        w, b2, c1, v, c2, t3 = (arr[q] for arr in nodes)
         kernel = np.exp(dist2[None, :, :] / (-4.0 * b2)[:, None, None])  # (Q, M, M)
         t1 = c1 * kernel.sum(axis=(1, 2)) / (m_count * m_count)
-
-        v = 1.0 + 2.0 * b2
-        c2 = (b2 * np.sqrt(2.0 * np.pi / v)) ** d
         e2 = np.exp(norm2[None, :] / (-2.0 * v)[:, None])  # (Q, M)
         t2 = c2 * e2.sum(axis=1) / m_count
-
-        t3 = (b2 / (1.0 + b2)) ** d * (np.pi * (1.0 + b2)) ** (0.5 * d)
         total += float(np.dot(w, t1 - 2.0 * t2 + t3))
 
         if want_grad:
@@ -195,6 +237,71 @@ def _distance_impl(points: np.ndarray, cfg: LcdConfig, want_grad: bool):
     if not np.isfinite(total):
         raise InvalidMixtureError(f"distance is not finite ({total})")
     return float(total), grad
+
+
+def _chunks(total: int, size: int):
+    return (slice(start, start + size) for start in range(0, total, size))
+
+
+def _free_kernel(free: np.ndarray, m_count: int, cfg: LcdConfig) -> tuple[float, np.ndarray]:
+    """Distance of the symmetric set [free; -free; origin?] and its gradient
+    with respect to the free block, computed from the free block alone.
+
+    Every pair of the full set falls into one of the classes listed in the
+    module docstring, so T1 needs the kernel only on the i < j pairs of
+    ||f_i - f_j||^2 and ||f_i + f_j||^2 plus two (or three) per-point terms:
+    about M^2/4 exponentials per node instead of M^2.
+    """
+    _check_finite(free)
+    n, d = free.shape
+    origin = m_count - 2 * n  # 1 when odd M pins a point at the origin
+    nodes = _nodes(cfg.b_max, cfg.quad_nodes, d)
+
+    norm2 = np.einsum("ik,ik->i", free, free)  # (n,)
+    rows, cols = np.triu_indices(n, 1)
+    sums = norm2[rows] + norm2[cols]
+    cross = 2.0 * (free @ free.T)[rows, cols]
+    # squared distances of each pair class, and how many ordered pairs of
+    # the full set share it; the n + n + origin zero-distance pairs add M
+    dist2 = [np.maximum(sums - cross, 0.0), sums + cross, 4.0 * norm2]
+    mult = [np.full(len(rows), 4.0), np.full(len(rows), 4.0), np.full(n, 2.0)]
+    if origin:
+        dist2.append(norm2)
+        mult.append(np.full(n, 4.0))
+    dist2 = np.concatenate(dist2)
+    mult = np.concatenate(mult)
+
+    chunk = max(1, min(cfg.quad_nodes, int(4_000_000 // max(len(dist2), 1))))
+    total = 0.0
+    wk = np.zeros_like(dist2)  # node-weighted kernel per pair class entry
+    we2 = np.zeros(n)  # node-weighted T2 exponentials per free point
+    for q in _chunks(cfg.quad_nodes, chunk):
+        w, b2, c1, v, c2, t3 = (arr[q] for arr in nodes)
+        kernel = np.multiply.outer(-0.25 / b2, dist2)  # (Q, L)
+        np.exp(kernel, out=kernel)
+        t1 = c1 * (m_count + kernel @ mult) / (m_count * m_count)
+        e2 = np.exp(np.multiply.outer(-0.5 / v, norm2))  # (Q, n)
+        t2 = c2 * (origin + 2.0 * e2.sum(axis=1)) / m_count
+        total += float(np.dot(w, t1 - 2.0 * t2 + t3))
+        wk += (w * c1 / (m_count * m_count * b2)) @ kernel
+        we2 += (w * c2 / (m_count * v)) @ e2
+
+    if not np.isfinite(total):
+        raise InvalidMixtureError(f"distance is not finite ({total})")
+
+    # d/df_k of the T1 sum: -2 [f_k (sum_j A_kj + B_kj + 2 B_kk + C_k)
+    #                          + sum_j (B_kj - A_kj) f_j], j != k
+    p = len(rows)
+    w_minus, w_plus, w_self = wk[:p], wk[p : 2 * p], wk[2 * p : 2 * p + n]
+    coupling = np.zeros((n, n))
+    coupling[rows, cols] = w_plus - w_minus
+    coupling += coupling.T
+    pair_sum = w_minus + w_plus
+    diag = np.bincount(rows, pair_sum, n) + np.bincount(cols, pair_sum, n) + 2.0 * w_self
+    if origin:
+        diag += wk[2 * p + n :]
+    grad = 4.0 * we2[:, None] * free - 2.0 * (diag[:, None] * free + coupling @ free)
+    return total, grad
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +321,17 @@ def symmetric_free_gradient(mix: DiracMixture, cfg: LcdConfig = LcdConfig()) -> 
     """Gradient under the point-symmetric parameterization, scattered back to
     point layout: free rows carry the total derivative (mirror contribution
     chained in), mirror rows its negation, and the pinned origin row is
-    exactly zero."""
-    raw = lcd_gradient(mix, cfg)
+    exactly zero.
+
+    ``mix`` must be in placement layout [free; -free; origin?], as
+    :func:`optimize_mixture` returns it.
+    """
     n_free = mix.count // 2
-    out = np.zeros_like(raw)
-    combined = raw[:n_free] - raw[n_free : 2 * n_free]
-    out[:n_free] = combined
-    out[n_free : 2 * n_free] = -combined
-    return out
+    free = mix.points[:n_free]
+    if not np.array_equal(_assemble(free, mix.count, mix.dim), mix.points):
+        raise ValueError("mixture is not in point-symmetric layout [free; -free; origin?]")
+    _, grad = _free_kernel(free, mix.count, cfg)
+    return _assemble(grad, mix.count, mix.dim)
 
 
 def _initial_free_points(d: int, m_count: int, cfg: LcdConfig) -> np.ndarray:
@@ -298,15 +408,8 @@ def optimize_mixture(d: int, m_count: int, cfg: LcdConfig = LcdConfig()) -> Dira
 
 def _descend(d: int, m_count: int, cfg: LcdConfig) -> tuple[np.ndarray, bool]:
     """Gradient descent on the free block; returns the pre-whitening solution."""
-    n_free = m_count // 2
     free = _initial_free_points(d, m_count, cfg)
-
-    def value_and_grad(block: np.ndarray):
-        full = _assemble(block, m_count, d)
-        value, raw = _distance_impl(full, cfg, want_grad=True)
-        return value, raw[:n_free] - raw[n_free : 2 * n_free]
-
-    f, g = value_and_grad(free)
+    f, g = _free_kernel(free, m_count, cfg)
 
     def small_enough(grad_inf: float, value: float) -> bool:
         # first-order optimality relative to the objective's scale, which
@@ -328,15 +431,16 @@ def _descend(d: int, m_count: int, cfg: LcdConfig) -> tuple[np.ndarray, bool]:
         t = min(max(t, t_accept / 64.0), t_accept * 64.0)
         for _ in range(40):
             trial = free - t * g
-            f_t, _ = _distance_impl(_assemble(trial, m_count, d), cfg, want_grad=False)
-            if f_t <= f - 1e-4 * t * g2:
+            # the gradient comes with every trial, so the accepted one needs
+            # no second evaluation
+            f_new, g_new = _free_kernel(trial, m_count, cfg)
+            if f_new <= f - 1e-4 * t * g2:
                 accepted = True
                 break
             t *= 0.5
         if not accepted:
             break
         t_accept = t
-        f_new, g_new = value_and_grad(trial)
         s = trial - free
         y = g_new - g
         sy = float(np.sum(s * y))
@@ -393,9 +497,7 @@ def design_disturbance_matrix(horizon: int, count: int, cfg: LcdConfig = LcdConf
         return memoized
     points = None
     if cache_path is not None and cache_path.is_file():
-        points, meta = read_sample_csv(cache_path)
-        if not _meta_matches(meta, horizon, count, cfg):
-            points = None
+        points = _load_cached(cache_path, horizon, count, cfg)
     if points is None:
         points = optimize_mixture(horizon, count, cfg).points
         if cache_path is not None:
@@ -408,20 +510,48 @@ def design_disturbance_matrix(horizon: int, count: int, cfg: LcdConfig = LcdConf
     return points
 
 
+# Part of every cache file name.  Bump it whenever a change to placement
+# moves the sets it produces, so that files placed by the old code count as
+# misses and a warm cache reports what a cold one would.
+_PLACEMENT_REVISION = 2
+
+
 def _cache_filename(d: int, m_count: int, cfg: LcdConfig) -> str:
-    tag = f"{cfg.b_max!r}|{cfg.quad_nodes}|{cfg.max_iters}|{cfg.step_tol!r}|{cfg.seed}"
+    tag = (f"{cfg.b_max!r}|{cfg.quad_nodes}|{cfg.max_iters}|{cfg.step_tol!r}|{cfg.seed}"
+           f"|placement{_PLACEMENT_REVISION}")
     digest = hashlib.sha256(tag.encode()).hexdigest()[:12]
     return f"samples_d{d}_M{m_count}_{digest}.csv"
 
 
-def _meta_matches(meta: dict, d: int, m_count: int, cfg: LcdConfig) -> bool:
-    return (
-        meta["dim"] == d
-        and meta["count"] == m_count
-        and meta["b_max"] == cfg.b_max
-        and meta["quad_nodes"] == cfg.quad_nodes
-        and meta["seed"] == cfg.seed
-    )
+def _load_cached(path: Path, d: int, m_count: int, cfg: LcdConfig) -> np.ndarray | None:
+    """The design cached at ``path``, or None after a warning when the file
+    is unreadable or does not hold a whitened point-symmetric set for these
+    settings (a damaged file is then placed afresh and overwritten)."""
+    try:
+        points, meta = read_sample_csv(path)
+    except (OSError, ValueError) as exc:
+        problem = f"unreadable ({exc})"
+    else:
+        problem = _design_problem(points, meta, d, m_count, cfg)
+        if problem is None:
+            return points
+    warnings.warn(f"sample-set cache file {path} is {problem}; placing the set afresh",
+                  stacklevel=3)
+    return None
+
+
+def _design_problem(points: np.ndarray, meta: dict, d: int, m_count: int,
+                    cfg: LcdConfig) -> str | None:
+    expected = {"dim": d, "count": m_count, "b_max": cfg.b_max,
+                "quad_nodes": cfg.quad_nodes, "seed": cfg.seed}
+    if meta != expected:
+        return f"for other settings ({meta})"
+    if not np.array_equal(_assemble(points[: m_count // 2], m_count, d), points):
+        return "not point-symmetric"
+    cov = points.T @ points / m_count
+    if not np.max(np.abs(cov - np.eye(d))) <= 1e-9:
+        return "not of unit covariance"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +560,7 @@ def _meta_matches(meta: dict, d: int, m_count: int, cfg: LcdConfig) -> bool:
 
 
 def write_sample_csv(path: str | Path, mix, cfg: LcdConfig) -> None:
-    """Write a sample set with a metadata comment header.
+    """Write a sample set with a metadata comment header, atomically.
 
     Values use 17 significant digits so the round trip through
     :func:`read_sample_csv` is lossless.
@@ -443,7 +573,7 @@ def write_sample_csv(path: str | Path, mix, cfg: LcdConfig) -> None:
     ]
     for row in points:
         lines.append(",".join(f"{v:.17g}" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_sample_csv(path: str | Path) -> tuple[np.ndarray, dict]:
@@ -456,6 +586,8 @@ def read_sample_csv(path: str | Path) -> tuple[np.ndarray, dict]:
     if len(header) < 2:
         raise ValueError(f"{path}: missing sample-set header")
     fields = header[1].split(",")
+    if len(fields) != 5:
+        raise ValueError(f"{path}: malformed sample-set header")
     meta = {
         "dim": int(fields[0]),
         "count": int(fields[1]),

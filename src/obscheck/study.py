@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -447,11 +446,3 @@ def render_report(data: dict) -> str:
         lines.append("failure reasons seen: " + "; ".join(reasons))
     return "\n".join(lines) + "\n"
 
-
-def write_atomic(path: str | Path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see a
-    partial file."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)

@@ -10,6 +10,7 @@ from obscheck.cli import (
     EXIT_USAGE,
     main,
 )
+from obscheck import samples
 from obscheck.samples import read_sample_csv
 
 DESK_FLAGS = ["--placement-iters", "150"]
@@ -109,6 +110,34 @@ class TestRunCommand:
             assert code == EXIT_OBSERVABLE
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("name", ["product_mean", "additive_mean_pair"])
+    def test_ridge_models_at_desk_scale_exit_three(self, tmp_path, name):
+        # some of the K=200 realizations end on a ridge whose smallest Hessian
+        # eigenvalue rounds to a tiny positive number; those runs must fail
+        # their checks rather than crash the study
+        out = tmp_path / "report.json"
+        code = run_cli(
+            ["run", "--model", name, "--T", "4", "--K", "200", "--out", out,
+             "--cache-dir", tmp_path / "cache"] + DESK_FLAGS
+        )
+        assert code == EXIT_NOT_OBSERVABLE
+        assert json.loads(out.read_text())["verdict"] == "NOT_OBSERVABLE"
+
+    def test_truncated_cache_file_is_placed_afresh(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        args = ["run", "--model", "unknown_variance", "--T", "4", "--K", "10",
+                "--cache-dir", cache] + DESK_FLAGS
+        assert run_cli(args + ["--out", tmp_path / "first.json"]) == EXIT_OBSERVABLE
+        (cached,) = cache.glob("samples_*.csv")
+        text = cached.read_text()
+        cached.write_text(text[: len(text) // 2])
+        monkeypatch.setattr(samples, "_matrix_cache", {})  # force the disk read
+        with pytest.warns(UserWarning, match="placing the set afresh"):
+            code = run_cli(args + ["--out", tmp_path / "second.json"])
+        assert code == EXIT_OBSERVABLE
+        assert (tmp_path / "second.json").read_bytes() == (tmp_path / "first.json").read_bytes()
+        assert cached.read_text() == text  # the damaged file was replaced
 
 
 class TestReportCommand:

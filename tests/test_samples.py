@@ -160,6 +160,55 @@ class TestGradient:
         assert free[2, 0] == 0.0  # pinned origin point carries no free coordinate
 
 
+class TestFreeKernel:
+    """The placement kernel works on the free block F of [F; -F; 0?]; the
+    general kernel on the assembled set is its reference."""
+
+    @pytest.mark.parametrize(
+        "d,m_count",
+        [(1, 2), (1, 3), (1, 12), (1, 13), (2, 8), (2, 9), (4, 24), (4, 25), (20, 60), (20, 61)],
+    )
+    def test_matches_general_kernel(self, d, m_count):
+        from obscheck.samples import _assemble, _distance_impl, _free_kernel
+
+        n_free = m_count // 2
+        free = np.random.default_rng(d * 1000 + m_count).standard_normal((n_free, d))
+        value, grad = _free_kernel(free, m_count, CFG)
+        ref_value, raw = _distance_impl(_assemble(free, m_count, d), CFG, want_grad=True)
+        ref_grad = raw[:n_free] - raw[n_free : 2 * n_free]
+        # odd M: the origin's T2 term exp(0) = 1 moves the value but not the
+        # gradient, so the value is compared on its own
+        assert value == pytest.approx(ref_value, rel=1e-12, abs=0.0)
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+    def test_one_kernel_call_per_line_search_trial(self, monkeypatch):
+        from obscheck import samples as samples_module
+
+        calls = []
+        kernel = samples_module._free_kernel
+
+        def counting(free, m_count, cfg):
+            calls.append(free.tobytes())
+            return kernel(free, m_count, cfg)
+
+        def general(*args, **kwargs):
+            raise AssertionError("placement must not use the general kernel")
+
+        monkeypatch.setattr(samples_module, "_free_kernel", counting)
+        monkeypatch.setattr(samples_module, "_distance_impl", general)
+        free, _ = samples_module._descend(2, 9, LcdConfig(max_iters=25))
+        # the start plus one call per trial; the accepted trial's value and
+        # gradient are reused, so no point is evaluated twice
+        assert len(calls) > 25
+        assert len(set(calls)) == len(calls)
+        assert free.tobytes() in calls
+
+    def test_symmetric_free_gradient_needs_symmetric_layout(self):
+        points = np.array([[1.0], [-0.5]])
+        with pytest.raises(ValueError, match="point-symmetric"):
+            symmetric_free_gradient(DiracMixture(dim=1, count=2, points=points), CFG)
+
+
 class TestOptimize:
     def test_pair_is_plus_minus_one(self):
         mix = optimize_mixture(1, 2, CFG)
@@ -278,6 +327,38 @@ class TestDesignMatrix:
         samples_module._matrix_cache.clear()
         cached = design_disturbance_matrix(2, 6, cfg, cache_dir=tmp_path)
         assert cached.tobytes() == fresh.tobytes()
+
+
+    def test_cache_name_carries_placement_revision(self, monkeypatch):
+        # files placed by an older descent must count as misses
+        from obscheck import samples as samples_module
+
+        name = samples_module._cache_filename(4, 200, CFG)
+        monkeypatch.setattr(samples_module, "_PLACEMENT_REVISION", 1)
+        assert samples_module._cache_filename(4, 200, CFG) != name
+
+    @pytest.mark.parametrize("damage", ["truncate", "asymmetric", "header"])
+    def test_damaged_cache_file_is_placed_afresh(self, tmp_path, monkeypatch, damage):
+        from obscheck import samples as samples_module
+
+        cfg = LcdConfig(max_iters=40, seed=4343)
+        fresh = design_disturbance_matrix(2, 7, cfg, cache_dir=tmp_path)
+        (path,) = tmp_path.glob("samples_*.csv")
+        text = path.read_text()
+        lines = text.splitlines()
+        if damage == "truncate":
+            path.write_text(text[: len(text) - 12])
+        elif damage == "asymmetric":
+            lines[2] = ",".join(str(2.0 * float(v)) for v in lines[2].split(","))
+            path.write_text("\n".join(lines) + "\n")
+        else:
+            path.write_text("\n".join(lines[:1] + ["# 2,7"] + lines[2:]) + "\n")
+        monkeypatch.setattr(samples_module, "_matrix_cache", {})
+        with pytest.warns(UserWarning, match="placing the set afresh"):
+            again = design_disturbance_matrix(2, 7, cfg, cache_dir=tmp_path)
+        assert again.tobytes() == fresh.tobytes()
+        assert path.read_text() == text
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestSampleCsv:
