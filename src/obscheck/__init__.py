@@ -8,13 +8,6 @@ ratio, finite local variance) before estimator statistics are aggregated
 into an observability verdict.
 """
 
-from .closed_form import (
-    OracleResult,
-    UndefinedEstimatorError,
-    mean_and_variance_oracle,
-    reciprocal_mean_oracle,
-    unknown_variance_oracle,
-)
 from .expressions import (
     DomainError,
     Expr,

@@ -4,7 +4,10 @@ Supports real literals, named parameters, the unary functions
 ``sqrt``, ``log``, ``exp``, ``abs``, ``neg`` and the binary operators
 ``+ - * / ^``.  Expressions are parsed into immutable trees that can be
 evaluated in IEEE double precision, either plainly or together with exact
-first partial derivatives (forward-mode dual numbers).
+first partial derivatives (forward-mode dual numbers).  The tree walkers
+:func:`eval_expr` and :func:`eval_grad` serve one-shot evaluation;
+:func:`compile_expr` turns a tree into closures over Python floats for
+repeated evaluation at the same bit-level results.
 
 Precedence is ``^`` > unary minus > ``* /`` > ``+ -``; all binary
 operators associate to the left.
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,6 +33,7 @@ __all__ = [
     "parse_expr",
     "eval_expr",
     "eval_grad",
+    "compile_expr",
     "format_expr",
     "collect_params",
 ]
@@ -453,3 +458,209 @@ def _power_grad(e: Binary, a: _Dual, b: _Dual, value: float) -> np.ndarray:
         raise DomainError("derivative of power undefined at zero base", e)
     # negative base, integer exponent
     return p * a.value ** (p - 1.0) * a.grad
+
+
+# ---------------------------------------------------------------------------
+# Compilation
+# ---------------------------------------------------------------------------
+
+ValueFn = Callable[[Sequence[float]], float]
+DualFn = Callable[[Sequence[float]], tuple[float, tuple[float, ...]]]
+
+
+def compile_expr(e: Expr, order: Sequence[str]) -> tuple[ValueFn, DualFn]:
+    """Compile ``e`` into a value closure and a value-plus-gradient closure.
+
+    Both take the parameter values as a sequence of Python floats laid out
+    like ``order``.  The first returns what :func:`eval_expr` returns; the
+    second returns ``(value, gradient)`` with the gradient a tuple laid out
+    like ``order``.  Each closure performs the tree walkers' floating-point
+    operations in the same order, so values and gradients are bit-identical
+    to :func:`eval_expr` and :func:`eval_grad` (signed zeros included), and
+    every error they raise carries the same message.  A parameter of ``e``
+    missing from ``order`` raises ``KeyError`` at compile time.
+    """
+    index = {name: i for i, name in enumerate(order)}
+    return _compile_value(e, index), _compile_dual(e, index, len(order))
+
+
+def _compile_value(e: Expr, index: dict[str, int]) -> ValueFn:
+    if isinstance(e, Literal):
+        value = e.value
+        return lambda x: value
+    if isinstance(e, Param):
+        i = index[e.name]
+        return lambda x: x[i]
+    if isinstance(e, Unary):
+        arg = _compile_value(e.arg, index)
+        op = e.op
+        if op == "neg":
+            return lambda x: -arg(x)
+        if op == "exp":
+            return lambda x: math.exp(arg(x))
+        if op == "abs":
+            return lambda x: abs(arg(x))
+        if op in ("sqrt", "log"):
+            fn = math.sqrt if op == "sqrt" else math.log
+
+            def checked(x):
+                v = arg(x)
+                if v <= 0.0:
+                    _apply_unary(e, v)  # raises the walker's DomainError
+                return fn(v)
+
+            return checked
+        raise ValueError(f"unknown unary op {op!r}")
+    if isinstance(e, Binary):
+        left = _compile_value(e.left, index)
+        right = _compile_value(e.right, index)
+        op = e.op
+        if op == "+":
+            return lambda x: left(x) + right(x)
+        if op == "-":
+            return lambda x: left(x) - right(x)
+        if op == "*":
+            return lambda x: left(x) * right(x)
+        if op == "/":
+
+            def divide(x):
+                a = left(x)
+                b = right(x)
+                if b == 0.0:
+                    _apply_binary(e, a, b)  # raises the walker's DomainError
+                return a / b
+
+            return divide
+        if op == "^":
+            return lambda x: _power_value(e, left(x), right(x))
+        raise ValueError(f"unknown binary op {op!r}")
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _compile_dual(e: Expr, index: dict[str, int], n: int) -> DualFn:
+    # Each rule below is the matching rule of _eval_dual with the numpy
+    # array operations written out per component.
+    if isinstance(e, Literal):
+        constant = (e.value, (0.0,) * n)
+        return lambda x: constant
+    if isinstance(e, Param):
+        i = index[e.name]
+        unit = tuple(1.0 if j == i else 0.0 for j in range(n))
+        return lambda x: (x[i], unit)
+    if isinstance(e, Unary):
+        return _compile_dual_unary(e, _compile_dual(e.arg, index, n))
+    if isinstance(e, Binary):
+        return _compile_dual_binary(
+            e, _compile_dual(e.left, index, n), _compile_dual(e.right, index, n)
+        )
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _compile_dual_unary(e: Unary, arg: DualFn) -> DualFn:
+    op = e.op
+    if op == "neg":
+
+        def neg(x):
+            v, g = arg(x)
+            return -v, tuple([-p for p in g])
+
+        return neg
+    if op == "sqrt":
+
+        def sqrt(x):
+            v, g = arg(x)
+            if v <= 0.0:
+                _apply_unary(e, v)
+            r = math.sqrt(v)
+            d = 2.0 * r
+            return r, tuple([p / d for p in g])
+
+        return sqrt
+    if op == "log":
+
+        def log(x):
+            v, g = arg(x)
+            if v <= 0.0:
+                _apply_unary(e, v)
+            return math.log(v), tuple([p / v for p in g])
+
+        return log
+    if op == "exp":
+
+        def exp(x):
+            v, g = arg(x)
+            r = math.exp(v)
+            return r, tuple([r * p for p in g])
+
+        return exp
+    if op == "abs":
+
+        def abs_(x):
+            v, g = arg(x)
+            sign = 0.0 if v == 0.0 else math.copysign(1.0, v)
+            return abs(v), tuple([sign * p for p in g])
+
+        return abs_
+    raise ValueError(f"unknown unary op {op!r}")
+
+
+def _compile_dual_binary(e: Binary, left: DualFn, right: DualFn) -> DualFn:
+    op = e.op
+    if op == "+":
+
+        def add(x):
+            a, ga = left(x)
+            b, gb = right(x)
+            return a + b, tuple([p + q for p, q in zip(ga, gb)])
+
+        return add
+    if op == "-":
+
+        def sub(x):
+            a, ga = left(x)
+            b, gb = right(x)
+            return a - b, tuple([p - q for p, q in zip(ga, gb)])
+
+        return sub
+    if op == "*":
+
+        def mul(x):
+            a, ga = left(x)
+            b, gb = right(x)
+            return a * b, tuple([a * q + b * p for p, q in zip(ga, gb)])
+
+        return mul
+    if op == "/":
+
+        def div(x):
+            a, ga = left(x)
+            b, gb = right(x)
+            if b == 0.0:
+                _apply_binary(e, a, b)
+            den = b * b
+            if den == 0.0:
+                # b*b underflowed: numpy divides to +-inf or nan where a
+                # Python float division would raise
+                grad = (np.array(ga) * b - a * np.array(gb)) / den
+                return a / b, tuple(grad.tolist())
+            return a / b, tuple([(p * b - a * q) / den for p, q in zip(ga, gb)])
+
+        return div
+    if op == "^":
+
+        def power(x):
+            a, ga = left(x)
+            b, gb = right(x)
+            value = _power_value(e, a, b)
+            if not a > 0.0:
+                # non-positive base: rare, so the walker's rule runs as is
+                grad = _power_grad(e, _Dual(a, np.array(ga)), _Dual(b, np.array(gb)), value)
+                return value, tuple(grad.tolist())
+            term = [b * p / a for p in ga]
+            if any([q != 0.0 for q in gb]):
+                log_a = math.log(a)
+                term = [t + log_a * q for t, q in zip(term, gb)]
+            return value, tuple([value * t for t in term])
+
+        return power
+    raise ValueError(f"unknown binary op {op!r}")

@@ -9,13 +9,13 @@ The package ships the study models as JSON files under ``obscheck/models``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .expressions import Expr, ParseError, collect_params, eval_expr, eval_grad, parse_expr
+from .expressions import Expr, ParseError, collect_params, compile_expr, eval_expr, parse_expr
 
 __all__ = ["ParamSpec", "ModelSpec", "ModelError", "load_model", "bundled_model_names"]
 
@@ -34,13 +34,20 @@ class ParamSpec:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A validated location-scale model."""
+    """A validated location-scale model.
+
+    The mean, scale and log-prior expressions are compiled once, here, into
+    closures over Python floats (see :func:`~obscheck.expressions.compile_expr`);
+    the evaluation methods below run those closures.
+    """
 
     name: str
     params: tuple[ParamSpec, ...]
     mean_expr: Expr
     scale_expr: Expr
     log_prior_expr: Expr
+    # (value closures, value-and-gradient closures) for mean, scale, log-prior
+    _compiled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = [p.name for p in self.params]
@@ -55,6 +62,11 @@ class ModelSpec:
             unknown = collect_params(expr) - declared
             if unknown:
                 raise ModelError(f"{label} references undeclared parameters {sorted(unknown)}")
+        compiled = [
+            compile_expr(expr, names)
+            for expr in (self.mean_expr, self.scale_expr, self.log_prior_expr)
+        ]
+        object.__setattr__(self, "_compiled", tuple(zip(*compiled)))
         try:
             s = eval_expr(self.scale_expr, self.true_values())
         except Exception as exc:
@@ -79,22 +91,23 @@ class ModelSpec:
             for p in self.params
         ]
 
-    def as_params(self, omega: np.ndarray) -> dict[str, float]:
-        return {name: float(v) for name, v in zip(self.param_names, omega)}
-
     def mean_scale(self, omega: np.ndarray) -> tuple[float, float]:
-        values = self.as_params(omega)
-        return eval_expr(self.mean_expr, values), eval_expr(self.scale_expr, values)
+        x = np.asarray(omega, dtype=float).tolist()
+        mean, scale, _ = self._compiled[0]
+        return mean(x), scale(x)
+
+    def mean_scale_prior(self, omega: np.ndarray) -> tuple[float, float, float]:
+        """Mean, scale and log-prior at ``omega``, evaluated in that order."""
+        x = np.asarray(omega, dtype=float).tolist()
+        mean, scale, prior = self._compiled[0]
+        return mean(x), scale(x), prior(x)
 
     def mean_scale_prior_grad(self, omega: np.ndarray):
-        """(value, gradient) triples for mean, scale and log-prior at ``omega``."""
-        values = self.as_params(omega)
-        names = self.param_names
-        return (
-            eval_grad(self.mean_expr, values, names),
-            eval_grad(self.scale_expr, values, names),
-            eval_grad(self.log_prior_expr, values, names),
-        )
+        """(value, gradient) pairs for mean, scale and log-prior at ``omega``;
+        each gradient is a tuple laid out like :attr:`param_names`."""
+        x = np.asarray(omega, dtype=float).tolist()
+        mean, scale, prior = self._compiled[1]
+        return mean(x), scale(x), prior(x)
 
     def to_dict(self) -> dict:
         return {

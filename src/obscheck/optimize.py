@@ -17,6 +17,7 @@ Local variances are the diagonal of the inverted curvature:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,8 +84,12 @@ class CheckReport:
         return self.grad_ok and self.hessian_pd and self.eig_ratio_ok and self.lvar_finite
 
 
-def _project(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    return np.minimum(np.maximum(x, lower), upper)
+def _project(x: np.ndarray, box) -> np.ndarray:
+    """``x`` clipped to ``box = (lower, upper)``; ``box`` is None when every
+    bound is infinite, and ``x`` comes back as is."""
+    if box is None:
+        return x
+    return np.minimum(np.maximum(x, box[0]), box[1])
 
 
 def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
@@ -101,7 +106,8 @@ def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
     bounds = ctx.bounds()
     lower = np.array([lo for lo, _ in bounds], dtype=float)
     upper = np.array([hi for _, hi in bounds], dtype=float)
-    x = _project(x, lower, upper)
+    box = None if np.all(lower == -np.inf) and np.all(upper == np.inf) else (lower, upper)
+    x = _project(x, box)
     try:
         f, g = ctx.neg2l_grad(x)
     except InfeasiblePointError as exc:
@@ -112,12 +118,12 @@ def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
     rho_hist: list[float] = []
     trace = [f]
     iterations = 0
-    converged = float(np.max(np.abs(g))) < cfg.grad_tol
+    converged = float(np.abs(g).max()) < cfg.grad_tol
 
     while not converged and iterations < cfg.max_iters:
         direction = -_two_loop(g, s_hist, y_hist, rho_hist)
         slope = float(direction @ g)
-        if not np.isfinite(slope) or slope >= 0.0:
+        if not math.isfinite(slope) or slope >= 0.0:
             # not a descent direction: drop the history, fall back to
             # steepest descent
             s_hist.clear(); y_hist.clear(); rho_hist.clear()
@@ -126,12 +132,12 @@ def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
 
         # fresh-start steps are normalized to unit length; with curvature
         # history the natural step is 1
-        step = 1.0 if s_hist else min(1.0, 1.0 / max(float(np.max(np.abs(g))), 1e-300))
+        step = 1.0 if s_hist else min(1.0, 1.0 / max(float(np.abs(g).max()), 1e-300))
         accepted = False
         for _ in range(cfg.max_backtracks):
-            trial = _project(x + step * direction, lower, upper)
+            trial = _project(x + step * direction, box)
             actual = trial - x
-            if not np.any(actual):
+            if not actual.any():
                 break
             try:
                 f_trial = ctx.neg2l(trial)
@@ -146,10 +152,10 @@ def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
             break
 
         f_new, g_new = ctx.neg2l_grad(trial)
-        s = trial - x
+        s = actual  # trial - x of the accepted step
         y = g_new - g
         sy = float(s @ y)
-        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+        if sy > 1e-12 * math.sqrt(float(s @ s)) * math.sqrt(float(y @ y)):
             s_hist.append(s)
             y_hist.append(y)
             rho_hist.append(1.0 / sy)
@@ -162,13 +168,13 @@ def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
         x, f, g = trial, f_new, g_new
         trace.append(f)
         iterations += 1
-        converged = float(np.max(np.abs(g))) < cfg.grad_tol
+        converged = float(np.abs(g).max()) < cfg.grad_tol
 
     if not converged and hasattr(ctx, "hessian_neg2l"):
         # the line search can stall once -2L differences fall below float
         # resolution; Newton steps on the gradient push the gradient down to
         # the target without needing a measurable decrease in -2L
-        x, f, g, converged, polish_trace = _newton_polish(ctx, x, f, g, lower, upper, cfg)
+        x, f, g, converged, polish_trace = _newton_polish(ctx, x, f, g, box, cfg)
         trace.extend(polish_trace)
 
     return MaxResult(
@@ -176,16 +182,16 @@ def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
         param_names=tuple(ctx.param_names),
         converged=bool(converged),
         iterations=iterations,
-        grad_inf_norm=float(np.max(np.abs(g))),
+        grad_inf_norm=float(np.abs(g).max()),
         trace=tuple(trace),
     )
 
 
-def _newton_polish(ctx, x, f, g, lower, upper, cfg: OptConfig):
+def _newton_polish(ctx, x, f, g, box, cfg: OptConfig):
     """Up to three Newton steps accepted only when they reduce both the
     gradient norm and (weakly) -2L; keeps the accepted-value trace monotone."""
     trace = []
-    grad_inf = float(np.max(np.abs(g)))
+    grad_inf = float(np.abs(g).max())
     for _ in range(3):
         if grad_inf < cfg.grad_tol:
             return x, f, g, True, trace
@@ -196,12 +202,12 @@ def _newton_polish(ctx, x, f, g, lower, upper, cfg: OptConfig):
             break
         if not np.all(np.isfinite(step)):
             break
-        trial = _project(x + step, lower, upper)
+        trial = _project(x + step, box)
         try:
             f_new, g_new = ctx.neg2l_grad(trial)
         except InfeasiblePointError:
             break
-        new_inf = float(np.max(np.abs(g_new)))
+        new_inf = float(np.abs(g_new).max())
         if new_inf >= grad_inf or f_new > f:
             break
         x, f, g, grad_inf = trial, f_new, g_new, new_inf
@@ -236,7 +242,7 @@ def check_maximum(ctx, result: MaxResult, cfg: OptConfig = OptConfig()) -> Check
     omega = result.omega_hat
     try:
         _, g = ctx.neg2l_grad(omega)
-        grad_inf = float(np.max(np.abs(g)))
+        grad_inf = float(np.abs(g).max())
         eigvals, lvar = _curvature(ctx.hessian_neg2l(omega))
     except (InfeasiblePointError, StencilError, np.linalg.LinAlgError) as exc:
         return CheckReport(

@@ -8,7 +8,8 @@ constants are dropped and
 
 The optimizer minimizes -2L, so this module exposes -2L with its exact
 gradient (forward-mode through the mean/scale/prior expressions) and a
-finite-difference Hessian of that gradient.
+finite-difference Hessian of that gradient.  Mean, scale and log-prior come
+from the model's compiled expression closures.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expressions import DomainError, eval_expr
+from .expressions import DomainError
 from .models import ModelSpec
 
 __all__ = ["PosteriorContext", "InfeasiblePointError", "StencilError"]
@@ -64,8 +65,7 @@ class PosteriorContext:
     def log_posterior(self, omega: np.ndarray) -> float:
         """L(omega | z) up to an additive constant."""
         try:
-            m, s = self.model.mean_scale(np.asarray(omega, dtype=float))
-            prior = _eval_prior(self.model, omega)
+            m, s, prior = self.model.mean_scale_prior(omega)
         except DomainError as exc:
             raise InfeasiblePointError(str(exc)) from exc
         if not s > 0.0:
@@ -82,7 +82,6 @@ class PosteriorContext:
 
     def neg2l_grad(self, omega: np.ndarray) -> tuple[float, np.ndarray]:
         """Value and exact gradient of -2L."""
-        omega = np.asarray(omega, dtype=float)
         try:
             (m, dm), (s, ds), (prior, dprior) = self.model.mean_scale_prior_grad(omega)
         except DomainError as exc:
@@ -96,14 +95,16 @@ class PosteriorContext:
         value = -self.horizon * math.log(s) - rss / (2.0 * s2) + prior
         if not math.isfinite(value):
             raise InfeasiblePointError(f"log-posterior is not finite ({value})")
-        # dL = -T ds/s + (sum res) dm / s^2 + rss ds / s^3 + dprior
-        grad_l = (
-            (-self.horizon / s) * ds
-            + (sum_res / s2) * dm
-            + (rss / (s2 * s)) * ds
-            + dprior
-        )
-        return -2.0 * value, -2.0 * grad_l
+        # dL = -T ds/s + (sum res) dm / s^2 + rss ds / s^3 + dprior, summed
+        # per component in that order
+        c_ds = -self.horizon / s
+        c_dm = sum_res / s2
+        c_ds3 = rss / (s2 * s)
+        grad = [
+            -2.0 * (c_ds * a + c_dm * b + c_ds3 * a + c)
+            for a, b, c in zip(ds, dm, dprior)
+        ]
+        return -2.0 * value, np.array(grad)
 
     def hessian_neg2l(self, omega: np.ndarray) -> np.ndarray:
         """Symmetric finite-difference Hessian of -2L.
@@ -137,6 +138,3 @@ class PosteriorContext:
         hess = np.column_stack(columns)
         return 0.5 * (hess + hess.T)
 
-
-def _eval_prior(model: ModelSpec, omega: np.ndarray) -> float:
-    return eval_expr(model.log_prior_expr, model.as_params(np.asarray(omega, dtype=float)))

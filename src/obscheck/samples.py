@@ -458,16 +458,28 @@ def _descend(d: int, m_count: int, cfg: LcdConfig) -> tuple[np.ndarray, bool]:
     return free, converged
 
 
-def representative_disturbances(horizon: int, cfg: LcdConfig = LcdConfig()) -> np.ndarray:
-    """The single T-point one-dimensional disturbance vector, sorted ascending."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    mix = optimize_mixture(1, horizon, cfg)
-    return np.sort(mix.points[:, 0])
-
-
 _matrix_cache: dict = {}
 _matrix_lock = threading.Lock()
+
+
+def representative_disturbances(horizon: int, cfg: LcdConfig = LcdConfig()) -> np.ndarray:
+    """The single T-point one-dimensional disturbance vector, sorted ascending.
+
+    Memoized per (T, cfg) like :func:`design_disturbance_matrix`; the result
+    is read-only.
+    """
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    key = ("representative", horizon, cfg)
+    with _matrix_lock:
+        memoized = _matrix_cache.get(key)
+    if memoized is not None:
+        return memoized
+    eps = np.sort(optimize_mixture(1, horizon, cfg).points[:, 0])
+    eps.flags.writeable = False
+    with _matrix_lock:
+        _matrix_cache[key] = eps
+    return eps
 
 
 def design_disturbance_matrix(horizon: int, count: int, cfg: LcdConfig = LcdConfig(),
@@ -510,16 +522,32 @@ def design_disturbance_matrix(horizon: int, count: int, cfg: LcdConfig = LcdConf
     return points
 
 
-# Part of every cache file name.  Bump it whenever a change to placement
-# moves the sets it produces, so that files placed by the old code count as
-# misses and a warm cache reports what a cold one would.
+# Part of every cache key.  Bump it whenever a change to placement moves the
+# sets it produces, so that files placed by the old code count as misses and
+# a warm cache reports what a cold one would.
 _PLACEMENT_REVISION = 2
+
+# The type of each field of a sample set's key, for reading a header back.
+_KEY_FIELDS = {"dim": int, "count": int, "b_max": float, "quad_nodes": int, "seed": int,
+               "max_iters": int, "step_tol": float, "placement": int}
+
+
+def _cache_key(d: int, m_count: int, cfg: LcdConfig) -> dict:
+    """Everything that decides which set placement produces.  The CSV header
+    records it and the cache file name carries its digest, so a file copied
+    under another key's name fails the header check."""
+    return {"dim": d, "count": m_count, "b_max": cfg.b_max, "quad_nodes": cfg.quad_nodes,
+            "seed": cfg.seed, "max_iters": cfg.max_iters, "step_tol": cfg.step_tol,
+            "placement": _PLACEMENT_REVISION}
+
+
+def _key_line(key: dict) -> str:
+    # .17g round-trips every float, so a header read back equals the key
+    return ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in key.values())
 
 
 def _cache_filename(d: int, m_count: int, cfg: LcdConfig) -> str:
-    tag = (f"{cfg.b_max!r}|{cfg.quad_nodes}|{cfg.max_iters}|{cfg.step_tol!r}|{cfg.seed}"
-           f"|placement{_PLACEMENT_REVISION}")
-    digest = hashlib.sha256(tag.encode()).hexdigest()[:12]
+    digest = hashlib.sha256(_key_line(_cache_key(d, m_count, cfg)).encode()).hexdigest()[:12]
     return f"samples_d{d}_M{m_count}_{digest}.csv"
 
 
@@ -542,9 +570,7 @@ def _load_cached(path: Path, d: int, m_count: int, cfg: LcdConfig) -> np.ndarray
 
 def _design_problem(points: np.ndarray, meta: dict, d: int, m_count: int,
                     cfg: LcdConfig) -> str | None:
-    expected = {"dim": d, "count": m_count, "b_max": cfg.b_max,
-                "quad_nodes": cfg.quad_nodes, "seed": cfg.seed}
-    if meta != expected:
+    if meta != _cache_key(d, m_count, cfg):
         return f"for other settings ({meta})"
     if not np.array_equal(_assemble(points[: m_count // 2], m_count, d), points):
         return "not point-symmetric"
@@ -560,17 +586,14 @@ def _design_problem(points: np.ndarray, meta: dict, d: int, m_count: int,
 
 
 def write_sample_csv(path: str | Path, mix, cfg: LcdConfig) -> None:
-    """Write a sample set with a metadata comment header, atomically.
+    """Write a sample set with its cache key as a comment header, atomically.
 
     Values use 17 significant digits so the round trip through
     :func:`read_sample_csv` is lossless.
     """
     points = _points_of(mix)
-    d = points.shape[1]
-    lines = [
-        "# dim,count,b_max,quad_nodes,seed",
-        f"# {d},{points.shape[0]},{cfg.b_max:.17g},{cfg.quad_nodes},{cfg.seed}",
-    ]
+    key = _cache_key(points.shape[1], points.shape[0], cfg)
+    lines = ["# " + ",".join(key), "# " + _key_line(key)]
     for row in points:
         lines.append(",".join(f"{v:.17g}" for v in row))
     write_atomic(path, "\n".join(lines) + "\n")
@@ -579,22 +602,19 @@ def write_sample_csv(path: str | Path, mix, cfg: LcdConfig) -> None:
 def read_sample_csv(path: str | Path) -> tuple[np.ndarray, dict]:
     """Read a sample set written by :func:`write_sample_csv`.
 
-    Returns the (M, d) point array and the header metadata.
+    Returns the (M, d) point array and the header metadata, a dict of the
+    header's fields (``dim`` and ``count`` always among them).
     """
     lines = Path(path).read_text().splitlines()
     header = [ln[1:].strip() for ln in lines if ln.startswith("#")]
     if len(header) < 2:
         raise ValueError(f"{path}: missing sample-set header")
+    names = header[0].split(",")
     fields = header[1].split(",")
-    if len(fields) != 5:
+    if (len(fields) != len(names) or not {"dim", "count"} <= set(names)
+            or not set(names) <= set(_KEY_FIELDS)):
         raise ValueError(f"{path}: malformed sample-set header")
-    meta = {
-        "dim": int(fields[0]),
-        "count": int(fields[1]),
-        "b_max": float(fields[2]),
-        "quad_nodes": int(fields[3]),
-        "seed": int(fields[4]),
-    }
+    meta = {name: _KEY_FIELDS[name](v) for name, v in zip(names, fields)}
     rows = [ln for ln in lines if ln and not ln.startswith("#")]
     points = np.array([[float(v) for v in ln.split(",")] for ln in rows])
     if points.shape != (meta["count"], meta["dim"]):

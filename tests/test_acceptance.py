@@ -21,12 +21,11 @@ from obscheck import (
     load_model,
     local_variance,
     maximize,
-    mean_and_variance_oracle,
     optimize_mixture,
     report_to_json,
     run_study,
-    unknown_variance_oracle,
 )
+from obscheck.closed_form import mean_and_variance_oracle, unknown_variance_oracle
 
 from conftest import DESK_LCD
 

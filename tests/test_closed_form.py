@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from obscheck import (
-    PosteriorContext,
+from obscheck import PosteriorContext, load_model, local_variance, maximize
+from obscheck.closed_form import (
     UndefinedEstimatorError,
-    load_model,
-    local_variance,
-    maximize,
     mean_and_variance_oracle,
     reciprocal_mean_oracle,
     unknown_variance_oracle,

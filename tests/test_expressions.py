@@ -1,7 +1,8 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from obscheck.expressions import (
     Binary,
@@ -11,6 +12,7 @@ from obscheck.expressions import (
     ParseError,
     Unary,
     collect_params,
+    compile_expr,
     eval_expr,
     eval_grad,
     format_expr,
@@ -174,6 +176,52 @@ def _expr_strategy():
 @given(_expr_strategy())
 def test_parse_print_parse_round_trip(expr):
     assert parse_expr(format_expr(expr)) == expr
+
+
+def _outcome(fn):
+    """What ``fn()`` returns as raw bytes, or the type and text of what it raises."""
+    try:
+        value = fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(value, tuple):
+        return np.float64(value[0]).tobytes(), np.asarray(value[1], dtype=float).tobytes()
+    return np.float64(value).tobytes()
+
+
+# signed zeros, values whose square underflows, and points off the domain
+_POINTS = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.sampled_from([0.0, -0.0, 1e-200, -1e-200, 1e200]),
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(_expr_strategy(), st.tuples(_POINTS, _POINTS, _POINTS))
+@settings(max_examples=400)
+def test_compiled_closures_bit_equal_tree_walkers(expr, point):
+    order = ("a", "b", "c")
+    params = dict(zip(order, point))
+    value_fn, dual_fn = compile_expr(expr, order)
+    assert _outcome(lambda: value_fn(point)) == _outcome(lambda: eval_expr(expr, params))
+    assert _outcome(lambda: dual_fn(point)) == _outcome(lambda: eval_grad(expr, params, order))
+
+
+@pytest.mark.parametrize("text", BUNDLED_EXPRESSIONS)
+@given(a=st.floats(0.05, 5.0), b=st.floats(0.05, 5.0))
+def test_compiled_closures_bit_equal_tree_walkers_in_domain(text, a, b):
+    expr = parse_expr(text)
+    params = {"a": a, "b": b}
+    value_fn, dual_fn = compile_expr(expr, ("a", "b"))
+    assert _outcome(lambda: value_fn((a, b))) == _outcome(lambda: eval_expr(expr, params))
+    assert _outcome(lambda: dual_fn((a, b))) == _outcome(
+        lambda: eval_grad(expr, params, ("a", "b"))
+    )
+
+
+def test_compile_requires_every_parameter():
+    with pytest.raises(KeyError):
+        compile_expr(parse_expr("a + d"), ("a", "b"))
 
 
 def test_collect_params():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from obscheck import InfeasiblePointError, PosteriorContext, load_model
+from obscheck import InfeasiblePointError, PosteriorContext, bundled_model_names, load_model
+from obscheck.expressions import DomainError, eval_expr, eval_grad
 from obscheck.posterior import StencilError
 
 VARIANCE_ONLY = load_model("unknown_variance")
@@ -151,3 +152,77 @@ def test_context_is_immutable():
     with pytest.raises(ValueError):
         ctx.obs[0] = 3.0
     assert ctx.horizon == 2
+
+
+class _TreeWalkerContext(PosteriorContext):
+    """-2L and its gradient evaluated by walking the expression trees, as the
+    reference for the compiled closures; the Hessian stencil is inherited."""
+
+    def _values(self, omega):
+        return {name: float(v) for name, v in zip(self.param_names, omega)}
+
+    def log_posterior(self, omega):
+        model, values = self.model, self._values(omega)
+        try:
+            m = eval_expr(model.mean_expr, values)
+            s = eval_expr(model.scale_expr, values)
+            prior = eval_expr(model.log_prior_expr, values)
+        except DomainError as exc:
+            raise InfeasiblePointError(str(exc)) from exc
+        if not s > 0.0:
+            raise InfeasiblePointError(f"scale is not positive ({s})")
+        res = self.obs - m
+        rss = float(res @ res)
+        value = -self.horizon * math.log(s) - rss / (2.0 * s * s) + prior
+        if not math.isfinite(value):
+            raise InfeasiblePointError(f"log-posterior is not finite ({value})")
+        return value
+
+    def neg2l_grad(self, omega):
+        model, values, names = self.model, self._values(omega), self.param_names
+        try:
+            m, dm = eval_grad(model.mean_expr, values, names)
+            s, ds = eval_grad(model.scale_expr, values, names)
+            prior, dprior = eval_grad(model.log_prior_expr, values, names)
+        except DomainError as exc:
+            raise InfeasiblePointError(str(exc)) from exc
+        if not s > 0.0:
+            raise InfeasiblePointError(f"scale is not positive ({s})")
+        res = self.obs - m
+        rss = float(res @ res)
+        sum_res = float(np.sum(res))
+        s2 = s * s
+        value = -self.horizon * math.log(s) - rss / (2.0 * s2) + prior
+        if not math.isfinite(value):
+            raise InfeasiblePointError(f"log-posterior is not finite ({value})")
+        grad_l = (-self.horizon / s) * ds + (sum_res / s2) * dm + (rss / (s2 * s)) * ds + dprior
+        return -2.0 * value, -2.0 * grad_l
+
+
+def _bytes_or_error(fn):
+    try:
+        out = fn()
+    except Exception as exc:  # the same failure, whatever it is, counts as equal
+        return type(exc), str(exc)
+    if isinstance(out, tuple):
+        return np.float64(out[0]).tobytes(), out[1].tobytes()
+    return np.asarray(out, dtype=float).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", bundled_model_names())
+@given(
+    omega=st.lists(st.one_of(st.floats(-1.0, 2.0), st.sampled_from([0.0, -0.0, 1e-9])),
+                   min_size=2, max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+    horizon=st.integers(1, 20),
+)
+def test_compiled_posterior_bit_equals_tree_walkers(name, omega, seed, horizon):
+    model = load_model(name)
+    z = np.random.default_rng(seed).normal(0.6, 0.8, size=horizon)
+    omega = np.array(omega[: len(model.params)])
+    ctx = PosteriorContext(model, z)
+    ref = _TreeWalkerContext(model, z)
+    for method in ("neg2l", "neg2l_grad", "hessian_neg2l"):
+        got = _bytes_or_error(lambda: getattr(ctx, method)(omega))
+        assert got == _bytes_or_error(lambda: getattr(ref, method)(omega)), method

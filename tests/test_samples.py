@@ -337,6 +337,26 @@ class TestDesignMatrix:
         monkeypatch.setattr(samples_module, "_PLACEMENT_REVISION", 1)
         assert samples_module._cache_filename(4, 200, CFG) != name
 
+    def test_file_copied_under_another_settings_name_is_placed_afresh(self, tmp_path,
+                                                                        monkeypatch):
+        # the header carries the whole key: a set placed with another
+        # iteration cap fails the check even under this setting's file name
+        from obscheck import samples as samples_module
+
+        cfg = LcdConfig(max_iters=40, seed=4444)
+        other = LcdConfig(max_iters=41, seed=4444)
+        design_disturbance_matrix(2, 6, other, cache_dir=tmp_path)
+        (placed,) = tmp_path.glob("samples_*.csv")
+        path = tmp_path / samples_module._cache_filename(2, 6, cfg)
+        assert path != placed
+        placed.rename(path)
+        monkeypatch.setattr(samples_module, "_matrix_cache", {})
+        with pytest.warns(UserWarning, match="for other settings.*placing the set afresh"):
+            again = design_disturbance_matrix(2, 6, cfg, cache_dir=tmp_path)
+        assert again.tobytes() == optimize_mixture(2, 6, cfg).points.tobytes()
+        _, meta = read_sample_csv(path)
+        assert meta["max_iters"] == 40
+
     @pytest.mark.parametrize("damage", ["truncate", "asymmetric", "header"])
     def test_damaged_cache_file_is_placed_afresh(self, tmp_path, monkeypatch, damage):
         from obscheck import samples as samples_module
@@ -374,13 +394,16 @@ class TestSampleCsv:
             "b_max": CFG.b_max,
             "quad_nodes": CFG.quad_nodes,
             "seed": CFG.seed,
+            "max_iters": CFG.max_iters,
+            "step_tol": CFG.step_tol,
+            "placement": 2,
         }
 
     def test_header_line(self, tmp_path):
         path = tmp_path / "set.csv"
         write_sample_csv(path, optimize_mixture(1, 2, CFG), CFG)
         first, second = path.read_text().splitlines()[:2]
-        assert first == "# dim,count,b_max,quad_nodes,seed"
+        assert first == "# dim,count,b_max,quad_nodes,seed,max_iters,step_tol,placement"
         assert second.startswith("# 1,2,")
 
 

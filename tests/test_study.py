@@ -1,14 +1,17 @@
+import dataclasses
 import json
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obscheck import (
     NOT_OBSERVABLE,
     OBSERVABLE,
     StudyConfig,
+    bundled_model_names,
     load_model,
     make_design_observations,
     plot_csv,
@@ -81,6 +84,27 @@ class TestPartOne:
         assert result.passed
         assert result.max_result.estimates["w"] == pytest.approx(1.0, abs=1e-9)
 
+    def test_representative_set_is_placed_once(self, monkeypatch):
+        from obscheck import samples as samples_module
+
+        calls = []
+        place = samples_module.optimize_mixture
+
+        def counting(*args):
+            calls.append(args)
+            return place(*args)
+
+        monkeypatch.setattr(samples_module, "_matrix_cache", {})
+        monkeypatch.setattr(samples_module, "optimize_mixture", counting)
+        cfg = small_config(VARIANCE_ONLY)
+        first = run_part1(VARIANCE_ONLY, 6, cfg)
+        second = run_part1(MEAN_AND_VARIANCE, 6, cfg)
+        assert calls == [(1, 6, cfg.lcd)]
+        eps = samples_module.representative_disturbances(6, cfg.lcd)
+        assert not eps.flags.writeable
+        assert first.z_rep.tobytes() == make_design_observations(VARIANCE_ONLY, eps).tobytes()
+        assert second.z_rep.tobytes() == make_design_observations(MEAN_AND_VARIANCE, eps).tobytes()
+
 
 class TestPartTwo:
     def test_variance_model_small_sample(self):
@@ -126,6 +150,30 @@ class TestPartTwo:
         for a, b in zip(base.records, threaded.records):
             assert a.estimates == b.estimates
             assert a.passed == b.passed
+
+
+@pytest.mark.parametrize("name", bundled_model_names())
+@given(data=st.data())
+@settings(max_examples=10)
+def test_part2_tallies_every_design_vector(name, data):
+    # any true values inside the bounds, any short horizon: every design
+    # vector ends as a record, none as an exception
+    model = load_model(name)
+    params = tuple(
+        dataclasses.replace(p, true_value=data.draw(st.floats(
+            0.05 if p.lower is None else max(p.lower, 0.05),
+            3.0 if p.upper is None else min(p.upper, 3.0),
+        ), label=p.name))
+        for p in model.params
+    )
+    model = dataclasses.replace(model, params=params)
+    horizon = data.draw(st.integers(2, 8), label="T")
+    count = 2 * horizon
+    cfg = StudyConfig(model=model, T_list=(horizon,), K=count, lcd=DESK_LCD)
+    result = run_part2(model, horizon, count, cfg)
+    assert [r.k for r in result.records] == list(range(count))
+    assert result.n_passed + result.n_failed == count
+    assert all(r.passed or r.reason for r in result.records)
 
 
 class TestVerdict:
