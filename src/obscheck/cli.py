@@ -76,9 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--plot", type=Path, default=None, help="CSV of per-run estimates")
     p_run.add_argument("--threads", type=int, default=1,
                        help="threads for the Part II fits; the fits hold the GIL, so more "
-                            "threads are slower (mean_and_variance, --T 4,20 --K 200, "
-                            "2 vCPUs: 0.68 s with 1 thread, 1.09 s with 4); reports "
-                            "are identical for every count")
+                            "threads make a run slower, not faster; reports are identical "
+                            "for every count")
     p_run.add_argument("--random-baseline", action="store_true",
                        help="also run plain random observation vectors for comparison")
     p_run.add_argument("--cache-dir", type=Path, default=None,

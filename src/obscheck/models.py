@@ -24,6 +24,14 @@ class ModelError(Exception):
     """A model file or specification is invalid."""
 
 
+def _floats(omega) -> list[float]:
+    """``omega`` as a list of Python floats; a list is converted element by
+    element, which is cheaper than going through an array."""
+    if type(omega) is list:
+        return [float(v) for v in omega]
+    return np.asarray(omega, dtype=float).tolist()
+
+
 @dataclass(frozen=True)
 class ParamSpec:
     name: str
@@ -92,20 +100,20 @@ class ModelSpec:
         ]
 
     def mean_scale(self, omega: np.ndarray) -> tuple[float, float]:
-        x = np.asarray(omega, dtype=float).tolist()
+        x = _floats(omega)
         mean, scale, _ = self._compiled[0]
         return mean(x), scale(x)
 
     def mean_scale_prior(self, omega: np.ndarray) -> tuple[float, float, float]:
         """Mean, scale and log-prior at ``omega``, evaluated in that order."""
-        x = np.asarray(omega, dtype=float).tolist()
+        x = _floats(omega)
         mean, scale, prior = self._compiled[0]
         return mean(x), scale(x), prior(x)
 
     def mean_scale_prior_grad(self, omega: np.ndarray):
         """(value, gradient) pairs for mean, scale and log-prior at ``omega``;
         each gradient is a tuple laid out like :attr:`param_names`."""
-        x = np.asarray(omega, dtype=float).tolist()
+        x = _floats(omega)
         mean, scale, prior = self._compiled[1]
         return mean(x), scale(x), prior(x)
 

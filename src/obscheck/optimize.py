@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -84,12 +85,37 @@ class CheckReport:
         return self.grad_ok and self.hessian_pd and self.eig_ratio_ok and self.lvar_finite
 
 
-def _project(x: np.ndarray, box) -> np.ndarray:
-    """``x`` clipped to ``box = (lower, upper)``; ``box`` is None when every
-    bound is infinite, and ``x`` comes back as is."""
+def _inf_norm(v) -> float:
+    """max |v_i|; NaN when any v_i is NaN, as numpy's ``max`` gives."""
+    norm = 0.0
+    for a in v:
+        a = abs(a)
+        if not a <= norm:
+            if a != a:
+                return a
+            norm = a
+    return norm
+
+
+def _floats(v) -> list[float]:
+    """A point or gradient (array or sequence) as a list of Python floats."""
+    return np.asarray(v, dtype=float).tolist()
+
+
+def _project(x: list[float], box) -> list[float]:
+    """``x`` clipped to ``box = (lower, upper)`` as ``np.minimum(np.maximum(x,
+    lower), upper)`` clips it (a NaN passes through); ``box`` is None when
+    every bound is infinite, and ``x`` comes back as is."""
     if box is None:
         return x
-    return np.minimum(np.maximum(x, box[0]), box[1])
+    out = []
+    for v, lo, hi in zip(x, *box):
+        if v <= lo:
+            v = lo
+        if v >= hi:
+            v = hi
+        out.append(v)
+    return out
 
 
 def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
@@ -97,65 +123,72 @@ def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
 
     ``ctx`` needs ``neg2l_grad(omega) -> (value, gradient)``, ``neg2l``,
     ``param_names`` and ``bounds()``; :class:`~obscheck.posterior.PosteriorContext`
-    provides them.  Trial points are projected onto the declared box bounds
-    and rejected (treated as +inf) when infeasible.  Deterministic given
+    provides them.  ``omega`` is passed as a list of floats; the gradient may
+    be an array or any sequence.  Trial points are projected onto the
+    declared box bounds and rejected (treated as +inf) when infeasible,
+    including when only the gradient is undefined there.  Deterministic given
     identical inputs.  Raises ``ValueError`` if ``x0`` itself is infeasible;
     any later failure returns ``converged=False`` with diagnostics instead.
+
+    The iteration runs on lists of Python floats: its vectors have one entry
+    per parameter, where numpy's per-call overhead would dominate the fit.
     """
-    x = np.asarray(x0, dtype=float).copy()
     bounds = ctx.bounds()
-    lower = np.array([lo for lo, _ in bounds], dtype=float)
-    upper = np.array([hi for _, hi in bounds], dtype=float)
-    box = None if np.all(lower == -np.inf) and np.all(upper == np.inf) else (lower, upper)
-    x = _project(x, box)
+    lower = [float(lo) for lo, _ in bounds]
+    upper = [float(hi) for _, hi in bounds]
+    box = None
+    if any(lo != -math.inf for lo in lower) or any(hi != math.inf for hi in upper):
+        box = (lower, upper)
+    x = _project(_floats(x0), box)
     try:
         f, g = ctx.neg2l_grad(x)
     except InfeasiblePointError as exc:
         raise ValueError(f"infeasible starting point: {exc}") from exc
+    g = _floats(g)
 
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
+    s_hist: list[list[float]] = []
+    y_hist: list[list[float]] = []
     rho_hist: list[float] = []
     trace = [f]
     iterations = 0
-    converged = float(np.abs(g).max()) < cfg.grad_tol
+    grad_inf = _inf_norm(g)
+    converged = grad_inf < cfg.grad_tol
 
     while not converged and iterations < cfg.max_iters:
-        direction = -_two_loop(g, s_hist, y_hist, rho_hist)
-        slope = float(direction @ g)
+        direction = [-a for a in _two_loop(g, s_hist, y_hist, rho_hist)]
+        slope = sum(map(mul, direction, g))
         if not math.isfinite(slope) or slope >= 0.0:
             # not a descent direction: drop the history, fall back to
             # steepest descent
             s_hist.clear(); y_hist.clear(); rho_hist.clear()
-            direction = -g
-            slope = float(direction @ g)
+            direction = [-a for a in g]
 
         # fresh-start steps are normalized to unit length; with curvature
         # history the natural step is 1
-        step = 1.0 if s_hist else min(1.0, 1.0 / max(float(np.abs(g).max()), 1e-300))
+        step = 1.0 if s_hist else min(1.0, 1.0 / max(grad_inf, 1e-300))
         accepted = False
         for _ in range(cfg.max_backtracks):
-            trial = _project(x + step * direction, box)
-            actual = trial - x
-            if not actual.any():
+            trial = _project([a + step * d for a, d in zip(x, direction)], box)
+            actual = [t - a for t, a in zip(trial, x)]
+            if not any(actual):
                 break
             try:
                 f_trial = ctx.neg2l(trial)
+                if f_trial <= f + cfg.armijo_c1 * sum(map(mul, g, actual)):
+                    f_new, g_new = ctx.neg2l_grad(trial)
+                    accepted = True
+                    break
             except InfeasiblePointError:
-                step *= cfg.backtrack_factor
-                continue
-            if f_trial <= f + cfg.armijo_c1 * float(g @ actual):
-                accepted = True
-                break
+                pass
             step *= cfg.backtrack_factor
         if not accepted:
             break
 
-        f_new, g_new = ctx.neg2l_grad(trial)
+        g_new = _floats(g_new)
         s = actual  # trial - x of the accepted step
-        y = g_new - g
-        sy = float(s @ y)
-        if sy > 1e-12 * math.sqrt(float(s @ s)) * math.sqrt(float(y @ y)):
+        y = [b - a for a, b in zip(g, g_new)]
+        sy = sum(map(mul, s, y))
+        if sy > 1e-12 * math.sqrt(sum(map(mul, s, s))) * math.sqrt(sum(map(mul, y, y))):
             s_hist.append(s)
             y_hist.append(y)
             rho_hist.append(1.0 / sy)
@@ -168,108 +201,108 @@ def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
         x, f, g = trial, f_new, g_new
         trace.append(f)
         iterations += 1
-        converged = float(np.abs(g).max()) < cfg.grad_tol
+        grad_inf = _inf_norm(g)
+        converged = grad_inf < cfg.grad_tol
 
     if not converged and hasattr(ctx, "hessian_neg2l"):
         # the line search can stall once -2L differences fall below float
         # resolution; Newton steps on the gradient push the gradient down to
         # the target without needing a measurable decrease in -2L
-        x, f, g, converged, polish_trace = _newton_polish(ctx, x, f, g, box, cfg)
-        trace.extend(polish_trace)
+        x, grad_inf = _newton_polish(ctx, x, f, g, grad_inf, box, cfg, trace)
+        converged = grad_inf < cfg.grad_tol
 
     return MaxResult(
         omega_hat=x,
         param_names=tuple(ctx.param_names),
         converged=bool(converged),
         iterations=iterations,
-        grad_inf_norm=float(np.abs(g).max()),
+        grad_inf_norm=grad_inf,
         trace=tuple(trace),
     )
 
 
-def _newton_polish(ctx, x, f, g, box, cfg: OptConfig):
+def _newton_polish(ctx, x, f, g, grad_inf, box, cfg: OptConfig, trace: list):
     """Up to three Newton steps accepted only when they reduce both the
-    gradient norm and (weakly) -2L; keeps the accepted-value trace monotone."""
-    trace = []
-    grad_inf = float(np.abs(g).max())
+    gradient norm and (weakly) -2L, so the accepted values appended to
+    ``trace`` stay monotone.  Returns the final point and its gradient
+    inf-norm."""
     for _ in range(3):
         if grad_inf < cfg.grad_tol:
-            return x, f, g, True, trace
+            break
         try:
-            hess = ctx.hessian_neg2l(x)
-            step = np.linalg.solve(hess, -g)
+            step = np.linalg.solve(ctx.hessian_neg2l(x), [-a for a in g]).tolist()
         except (InfeasiblePointError, StencilError, np.linalg.LinAlgError):
             break
-        if not np.all(np.isfinite(step)):
+        if not all(map(math.isfinite, step)):
             break
-        trial = _project(x + step, box)
+        trial = _project([a + b for a, b in zip(x, step)], box)
         try:
             f_new, g_new = ctx.neg2l_grad(trial)
         except InfeasiblePointError:
             break
-        new_inf = float(np.abs(g_new).max())
+        g_new = _floats(g_new)
+        new_inf = _inf_norm(g_new)
         if new_inf >= grad_inf or f_new > f:
             break
         x, f, g, grad_inf = trial, f_new, g_new, new_inf
         trace.append(f)
-    return x, f, g, grad_inf < cfg.grad_tol, trace
+    return x, grad_inf
 
 
-def _two_loop(g: np.ndarray, s_hist, y_hist, rho_hist) -> np.ndarray:
-    q = g.copy()
+def _two_loop(g: list[float], s_hist, y_hist, rho_hist) -> list[float]:
+    """The L-BFGS inverse-Hessian product H g by Nocedal's two-loop recursion
+    over the stored pairs (oldest first), scaled by s'y / y'y of the newest."""
+    q = g
     alphas = []
     for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
-        a = rho * float(s @ q)
+        a = rho * sum(map(mul, s, q))
         alphas.append(a)
-        q -= a * y
+        q = [qi - a * yi for qi, yi in zip(q, y)]
     if s_hist:
-        gamma = float(s_hist[-1] @ y_hist[-1]) / float(y_hist[-1] @ y_hist[-1])
-        q *= gamma
+        s, y = s_hist[-1], y_hist[-1]
+        gamma = sum(map(mul, s, y)) / sum(map(mul, y, y))
+        q = [qi * gamma for qi in q]
     for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
-        beta = rho * float(y @ q)
-        q += (a - beta) * s
+        beta = rho * sum(map(mul, y, q))
+        q = [qi + (a - beta) * si for qi, si in zip(q, s)]
     return q
 
 
 def check_maximum(ctx, result: MaxResult, cfg: OptConfig = OptConfig()) -> CheckReport:
     """Run the four validity checks at ``result.omega_hat``.
 
+    The gradient check reads ``result.grad_inf_norm``, which :func:`maximize`
+    computed at ``omega_hat``, so the gradient is not evaluated again.
     Positive definiteness, the eigenvalue ratio and the local variances all
     come from one symmetric eigendecomposition of the Hessian, so they
     cannot disagree: a ridge whose smallest eigenvalue rounds to a tiny
     positive number yields huge local variances, not a failed inversion.
     """
-    omega = result.omega_hat
+    grad_inf = float(result.grad_inf_norm)
     try:
-        _, g = ctx.neg2l_grad(omega)
-        grad_inf = float(np.abs(g).max())
-        eigvals, lvar = _curvature(ctx.hessian_neg2l(omega))
+        eigvals, lvar = _curvature(ctx.hessian_neg2l(result.omega_hat))
     except (InfeasiblePointError, StencilError, np.linalg.LinAlgError) as exc:
         return CheckReport(
             grad_ok=False, hessian_pd=False, eig_ratio_ok=False, lvar_finite=False,
-            grad_inf_norm=float(result.grad_inf_norm), eig_ratio=float("nan"),
+            grad_inf_norm=grad_inf, eig_ratio=float("nan"),
             local_variances=None, note=f"curvature evaluation failed: {exc}",
         )
 
-    grad_ok = grad_inf < cfg.grad_check
     lam_min = float(eigvals[0])
     lam_max = float(eigvals[-1])
     hessian_pd = lam_min > 0.0
     eig_ratio = lam_min / lam_max if lam_max != 0.0 else float("nan")
-    eig_ratio_ok = bool(np.isfinite(eig_ratio) and eig_ratio > cfg.eig_ratio_min)
-
-    local_variances = lvar if hessian_pd else None
-    lvar_finite = bool(
-        hessian_pd and np.all(np.isfinite(lvar)) and np.all(lvar < cfg.lvar_max)
+    lvar_finite = hessian_pd and all(
+        math.isfinite(v) and v < cfg.lvar_max for v in lvar.tolist()
     )
     return CheckReport(
-        grad_ok=grad_ok,
+        grad_ok=grad_inf < cfg.grad_check,
         hessian_pd=hessian_pd,
-        eig_ratio_ok=eig_ratio_ok,
+        eig_ratio_ok=math.isfinite(eig_ratio) and eig_ratio > cfg.eig_ratio_min,
         lvar_finite=lvar_finite,
         grad_inf_norm=grad_inf,
         eig_ratio=eig_ratio,
-        local_variances=local_variances,
+        local_variances=lvar if hessian_pd else None,
     )
 
 

@@ -72,7 +72,10 @@ class PosteriorContext:
             raise InfeasiblePointError(f"scale is not positive ({s})")
         res = self.obs - m
         rss = float(res @ res)
-        value = -self.horizon * math.log(s) - rss / (2.0 * s * s) + prior
+        denom = 2.0 * s * s
+        if denom == 0.0:
+            raise InfeasiblePointError(f"scale {s} is too small: its square underflows")
+        value = -self.horizon * math.log(s) - rss / denom + prior
         if not math.isfinite(value):
             raise InfeasiblePointError(f"log-posterior is not finite ({value})")
         return value
@@ -90,8 +93,11 @@ class PosteriorContext:
             raise InfeasiblePointError(f"scale is not positive ({s})")
         res = self.obs - m
         rss = float(res @ res)
-        sum_res = float(np.sum(res))
+        sum_res = float(res.sum())
         s2 = s * s
+        s3 = s2 * s
+        if s3 == 0.0:
+            raise InfeasiblePointError(f"scale {s} is too small: its cube underflows")
         value = -self.horizon * math.log(s) - rss / (2.0 * s2) + prior
         if not math.isfinite(value):
             raise InfeasiblePointError(f"log-posterior is not finite ({value})")
@@ -99,7 +105,7 @@ class PosteriorContext:
         # per component in that order
         c_ds = -self.horizon / s
         c_dm = sum_res / s2
-        c_ds3 = rss / (s2 * s)
+        c_ds3 = rss / s3
         grad = [
             -2.0 * (c_ds * a + c_dm * b + c_ds3 * a + c)
             for a, b, c in zip(ds, dm, dprior)

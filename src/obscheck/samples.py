@@ -462,23 +462,21 @@ _matrix_cache: dict = {}
 _matrix_lock = threading.Lock()
 
 
-def representative_disturbances(horizon: int, cfg: LcdConfig = LcdConfig()) -> np.ndarray:
+def representative_disturbances(horizon: int, cfg: LcdConfig = LcdConfig(),
+                                cache_dir: str | Path | None = None) -> np.ndarray:
     """The single T-point one-dimensional disturbance vector, sorted ascending.
 
-    Memoized per (T, cfg) like :func:`design_disturbance_matrix`; the result
-    is read-only.
+    The d = 1, M = T set is memoized and cached like
+    :func:`design_disturbance_matrix`'s sets, in the ``representative``
+    subdirectory of ``cache_dir`` so that the top level holds only the
+    (T, K) designs; the result is read-only.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    key = ("representative", horizon, cfg)
-    with _matrix_lock:
-        memoized = _matrix_cache.get(key)
-    if memoized is not None:
-        return memoized
-    eps = np.sort(optimize_mixture(1, horizon, cfg).points[:, 0])
+    if cache_dir is not None:
+        cache_dir = Path(cache_dir) / "representative"
+    eps = np.sort(_sample_set(1, horizon, cfg, cache_dir)[:, 0])
     eps.flags.writeable = False
-    with _matrix_lock:
-        _matrix_cache[key] = eps
     return eps
 
 
@@ -496,10 +494,17 @@ def design_disturbance_matrix(horizon: int, count: int, cfg: LcdConfig = LcdConf
         raise ValueError(
             f"need at least 2 design vectors to probe estimator variance, got {count}"
         )
-    key = (horizon, count, cfg)
+    return _sample_set(horizon, count, cfg, cache_dir)
+
+
+def _sample_set(d: int, m_count: int, cfg: LcdConfig, cache_dir) -> np.ndarray:
+    """The points of the (d, M) set, read-only: from the in-process memo, else
+    from its CSV under ``cache_dir``, else placed afresh and written there.
+    The origin-only set (M = 1) needs no placement and is never written."""
+    key = (d, m_count, cfg)
     cache_path = None
-    if cache_dir is not None:
-        cache_path = Path(cache_dir) / _cache_filename(horizon, count, cfg)
+    if cache_dir is not None and m_count > 1:
+        cache_path = Path(cache_dir) / _cache_filename(d, m_count, cfg)
     with _matrix_lock:
         memoized = _matrix_cache.get(key)
     if memoized is not None:
@@ -509,9 +514,9 @@ def design_disturbance_matrix(horizon: int, count: int, cfg: LcdConfig = LcdConf
         return memoized
     points = None
     if cache_path is not None and cache_path.is_file():
-        points = _load_cached(cache_path, horizon, count, cfg)
+        points = _load_cached(cache_path, d, m_count, cfg)
     if points is None:
-        points = optimize_mixture(horizon, count, cfg).points
+        points = optimize_mixture(d, m_count, cfg).points
         if cache_path is not None:
             cache_path.parent.mkdir(parents=True, exist_ok=True)
             write_sample_csv(cache_path, points, cfg)
@@ -564,7 +569,7 @@ def _load_cached(path: Path, d: int, m_count: int, cfg: LcdConfig) -> np.ndarray
         if problem is None:
             return points
     warnings.warn(f"sample-set cache file {path} is {problem}; placing the set afresh",
-                  stacklevel=3)
+                  stacklevel=4)
     return None
 
 

@@ -138,7 +138,7 @@ def _lvar_dict(model: ModelSpec, check: CheckReport) -> dict[str, float] | None:
 
 def run_part1(model: ModelSpec, horizon: int, cfg: StudyConfig) -> PartIResult:
     """Maximize against the representative design observation vector."""
-    eps = representative_disturbances(horizon, cfg.lcd)
+    eps = representative_disturbances(horizon, cfg.lcd, cache_dir=cfg.cache_dir)
     z_rep = make_design_observations(model, eps)
     ctx = PosteriorContext(model, z_rep)
     result = maximize(ctx, model.true_vector(), cfg.opt)

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from obscheck import (
+    InfeasiblePointError,
     OptConfig,
     PosteriorContext,
+    bundled_model_names,
     check_maximum,
     load_model,
     local_variance,
     maximize,
 )
+from obscheck.optimize import _two_loop
 from obscheck.samples import representative_disturbances
 from obscheck.study import make_design_observations
 
@@ -96,6 +99,55 @@ class TestMaximize:
         assert r1.omega_hat.tobytes() == r2.omega_hat.tobytes()
         assert r1.trace == r2.trace
 
+    def test_undefined_gradient_at_accepted_point_backtracks(self):
+        # -2L is finite beyond x = 2.5 but its gradient is not: the line
+        # search must treat those trial points as infeasible, not crash
+        class Cliff(QuadraticContext):
+            def neg2l_grad(self, x):
+                if x[0] > 2.5:
+                    raise InfeasiblePointError("gradient undefined")
+                return super().neg2l_grad(x)
+
+        result = maximize(Cliff([3.0]), np.array([0.0]))
+        assert 2.0 < result.omega_hat[0] <= 2.5
+        assert not result.converged
+
+
+def _two_loop_numpy(g, s_hist, y_hist, rho_hist):
+    """The two-loop recursion on numpy vectors, as the reference."""
+    q = np.array(g, dtype=float)
+    alphas = []
+    for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
+        a = rho * float(s @ q)
+        alphas.append(a)
+        q -= a * y
+    if s_hist:
+        q *= float(s_hist[-1] @ y_hist[-1]) / float(y_hist[-1] @ y_hist[-1])
+    for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
+        beta = rho * float(y @ q)
+        q += (a - beta) * s
+    return q
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("length", range(11))
+def test_two_loop_matches_numpy_reference(n, length):
+    rng = np.random.default_rng([n, length])
+    for _ in range(20):
+        g = rng.normal(size=n)
+        s_hist, y_hist = [], []
+        while len(s_hist) < length:
+            s, y = rng.normal(size=n), rng.normal(size=n)
+            if s @ y > 0.0:  # the curvature condition maximize stores pairs under
+                s_hist.append(s)
+                y_hist.append(y)
+        rho_hist = [1.0 / float(s @ y) for s, y in zip(s_hist, y_hist)]
+        got = _two_loop(g.tolist(), [s.tolist() for s in s_hist],
+                        [y.tolist() for y in y_hist], rho_hist)
+        want = _two_loop_numpy(g, s_hist, y_hist, rho_hist)
+        assert isinstance(got, list) and all(type(v) is float for v in got)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
 
 class TestCheckMaximum:
     def _converged_result(self, ctx, x0):
@@ -154,6 +206,18 @@ class TestCheckMaximum:
         tight = check_maximum(ctx, result, OptConfig(grad_check=1e-8, eig_ratio_min=0.5))
         assert result.omega_hat.tobytes() == result.omega_hat.tobytes()
         assert loose.grad_inf_norm == tight.grad_inf_norm
+
+    @pytest.mark.parametrize("name", bundled_model_names())
+    def test_gradient_check_reuses_the_fit_gradient(self, name):
+        # check_maximum does not evaluate the gradient at omega_hat; the norm
+        # maximize hands over must be the one evaluating it would give.  On
+        # this draw the ratio_mean_scale_sqrt_a fit ends in Newton polish steps.
+        model = load_model(name)
+        eps = np.random.default_rng(5).standard_normal(20)
+        ctx = PosteriorContext(model, make_design_observations(model, eps))
+        result = maximize(ctx, model.true_vector())
+        _, grad = ctx.neg2l_grad(result.omega_hat)
+        assert check_maximum(ctx, result).grad_inf_norm == float(np.max(np.abs(grad)))
 
     def test_second_order_sufficiency_on_pass(self):
         eps = representative_disturbances(12, DESK_LCD)

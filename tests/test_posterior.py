@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from obscheck import InfeasiblePointError, PosteriorContext, bundled_model_names, load_model
 from obscheck.expressions import DomainError, eval_expr, eval_grad
+from obscheck.models import model_from_dict
 from obscheck.posterior import StencilError
 
 VARIANCE_ONLY = load_model("unknown_variance")
@@ -92,6 +93,27 @@ class TestGradient:
             assert grad[j] == pytest.approx(fd, rel=2e-6, abs=1e-7)
 
 
+class TestScaleUnderflow:
+    # a scale whose square or cube underflows to zero makes the point
+    # infeasible rather than raising ZeroDivisionError
+
+    def test_cube_underflow_makes_gradient_infeasible(self):
+        ctx = PosteriorContext(load_model("ratio_mean_scale_sqrt_a"), np.array([0.70]))
+        omega = [3.6e-221, 1.0]
+        assert ctx.neg2l(omega) == pytest.approx(1.36e220, rel=0.01)
+        with pytest.raises(InfeasiblePointError, match="cube underflows"):
+            ctx.neg2l_grad(omega)
+
+    def test_square_underflow_is_infeasible(self):
+        model = model_from_dict({"parameters": [{"name": "s", "true_value": 1.0}],
+                                 "mean": "0", "scale": "s"})
+        ctx = PosteriorContext(model, np.array([0.5, -0.5]))
+        with pytest.raises(InfeasiblePointError, match="square underflows"):
+            ctx.neg2l([1e-170])
+        with pytest.raises(InfeasiblePointError):
+            ctx.neg2l_grad([1e-170])
+
+
 class TestHessian:
     def test_variance_only_curvature(self):
         # -2L'' at the mode is T / bhat^2 (local variance (2/T) bhat^2)
@@ -173,6 +195,8 @@ class _TreeWalkerContext(PosteriorContext):
             raise InfeasiblePointError(f"scale is not positive ({s})")
         res = self.obs - m
         rss = float(res @ res)
+        if 2.0 * s * s == 0.0:
+            raise InfeasiblePointError(f"scale {s} is too small: its square underflows")
         value = -self.horizon * math.log(s) - rss / (2.0 * s * s) + prior
         if not math.isfinite(value):
             raise InfeasiblePointError(f"log-posterior is not finite ({value})")
@@ -192,6 +216,8 @@ class _TreeWalkerContext(PosteriorContext):
         rss = float(res @ res)
         sum_res = float(np.sum(res))
         s2 = s * s
+        if s2 * s == 0.0:
+            raise InfeasiblePointError(f"scale {s} is too small: its cube underflows")
         value = -self.horizon * math.log(s) - rss / (2.0 * s2) + prior
         if not math.isfinite(value):
             raise InfeasiblePointError(f"log-posterior is not finite ({value})")

@@ -292,6 +292,45 @@ class TestRepresentative:
         assert np.mean(eps**2) == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(eps) > 0)
 
+    def test_disk_cache_round_trip(self, tmp_path, monkeypatch):
+        from obscheck import samples as samples_module
+
+        cfg = LcdConfig(max_iters=40, seed=4141)
+        monkeypatch.setattr(samples_module, "_matrix_cache", {})
+        fresh = representative_disturbances(5, cfg, cache_dir=tmp_path)
+        (path,) = (tmp_path / "representative").glob("samples_*.csv")
+        assert path.name == samples_module._cache_filename(1, 5, cfg)
+        assert not list(tmp_path.glob("*.csv"))  # the top level holds designs only
+
+        def no_placement(*args):
+            raise AssertionError("placed again instead of reading the cache")
+
+        monkeypatch.setattr(samples_module, "_matrix_cache", {})
+        monkeypatch.setattr(samples_module, "optimize_mixture", no_placement)
+        cached = representative_disturbances(5, cfg, cache_dir=tmp_path)
+        assert cached.tobytes() == fresh.tobytes()
+        assert not cached.flags.writeable
+
+    def test_damaged_cache_file_is_placed_afresh(self, tmp_path, monkeypatch):
+        from obscheck import samples as samples_module
+
+        cfg = LcdConfig(max_iters=40, seed=4141)
+        monkeypatch.setattr(samples_module, "_matrix_cache", {})
+        fresh = representative_disturbances(4, cfg, cache_dir=tmp_path)
+        (path,) = (tmp_path / "representative").glob("samples_*.csv")
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        monkeypatch.setattr(samples_module, "_matrix_cache", {})
+        with pytest.warns(UserWarning, match="placing the set afresh"):
+            again = representative_disturbances(4, cfg, cache_dir=tmp_path)
+        assert again.tobytes() == fresh.tobytes()
+        assert path.read_text() == text
+
+    def test_single_step_writes_no_file(self, tmp_path):
+        # the origin-only set is not placed, so there is nothing to cache
+        assert representative_disturbances(1, CFG, cache_dir=tmp_path) == pytest.approx([0.0])
+        assert not list(tmp_path.rglob("*"))
+
 
 class TestDesignMatrix:
     def test_rejects_single_vector(self):

@@ -21,6 +21,7 @@ from obscheck import (
     run_part2,
     run_study,
 )
+from obscheck.models import model_from_dict
 from obscheck.study import _aggregate, render_report, report_to_dict
 
 from conftest import DESK_LCD
@@ -123,6 +124,17 @@ class TestPartTwo:
         assert result.n_passed + result.n_failed == 5
         reasons = {r.reason for r in result.records if not r.passed}
         assert any("checks failed" in r for r in reasons)
+
+    def test_gradient_underflow_at_start_is_tallied_not_fatal(self):
+        # at these true values s^3 underflows while -2L is finite, so the
+        # gradient at the starting point is undefined
+        data = load_model("ratio_mean_scale_sqrt_a").to_dict()
+        data["parameters"][0]["true_value"] = 3.6e-221
+        data["parameters"][1]["true_value"] = 1.0
+        model = model_from_dict(data)
+        result = run_part2(model, 2, 4, small_config(model, K=4))
+        assert result.n_failed == 4
+        assert all(r.reason.startswith("infeasible start") for r in result.records)
 
     def test_statistics_only_over_passing_runs(self):
         cfg = small_config(VARIANCE_ONLY, K=5)
