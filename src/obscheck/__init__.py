@@ -31,7 +31,6 @@ from .samples import (
     optimize_mixture,
     read_sample_csv,
     representative_disturbances,
-    symmetric_free_gradient,
     write_sample_csv,
 )
 from .study import (

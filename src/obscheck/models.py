@@ -9,13 +9,14 @@ The package ships the study models as JSON files under ``obscheck/models``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .expressions import Expr, ParseError, collect_params, compile_expr, eval_expr, parse_expr
+from .expressions import DomainError, Expr, ParseError, collect_params, compile_expr, parse_expr
 
 __all__ = ["ParamSpec", "ModelSpec", "ModelError", "load_model", "bundled_model_names"]
 
@@ -75,12 +76,20 @@ class ModelSpec:
             for expr in (self.mean_expr, self.scale_expr, self.log_prior_expr)
         ]
         object.__setattr__(self, "_compiled", tuple(zip(*compiled)))
-        try:
-            s = eval_expr(self.scale_expr, self.true_values())
-        except Exception as exc:
-            raise ModelError(f"scale is not evaluable at the true values: {exc}") from exc
-        if not s > 0.0:
-            raise ModelError(f"scale must be strictly positive at the true values, got {s}")
+        # every study starts at the true values: the design observations are
+        # generated there and each fit starts there
+        x = [float(p.true_value) for p in self.params]
+        for label, fn in zip(("mean", "scale", "log_prior"), self._compiled[0]):
+            try:
+                value = fn(x)
+            except (DomainError, OverflowError) as exc:
+                raise ModelError(f"{label} is not evaluable at the true values: {exc}") from exc
+            if label == "scale" and not value > 0.0:
+                raise ModelError(
+                    f"scale must be strictly positive at the true values, got {value}"
+                )
+            if not math.isfinite(value):
+                raise ModelError(f"{label} is not finite at the true values: {value}")
 
     @property
     def param_names(self) -> tuple[str, ...]:

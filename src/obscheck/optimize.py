@@ -27,15 +27,21 @@ from .posterior import InfeasiblePointError, StencilError
 
 __all__ = ["OptConfig", "MaxResult", "CheckReport", "maximize", "check_maximum", "local_variance"]
 
+# L-BFGS history length, iteration cap, Armijo constant and backtracking
+# (Nocedal & Wright, Numerical Optimization, 2nd ed., sections 3.1 and 7.2)
+_MEMORY = 10
+_MAX_ITERS = 500
+_ARMIJO_C1 = 1e-4
+_BACKTRACK_FACTOR = 0.5
+_MAX_BACKTRACKS = 60
+
 
 @dataclass(frozen=True)
 class OptConfig:
-    memory: int = 10
-    max_iters: int = 500
+    """The convergence target of :func:`maximize` and the three thresholds
+    of :func:`check_maximum`."""
+
     grad_tol: float = 1e-9
-    armijo_c1: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 60
     grad_check: float = 1e-5
     eig_ratio_min: float = 1e-5
     lvar_max: float = 1e8
@@ -97,11 +103,6 @@ def _inf_norm(v) -> float:
     return norm
 
 
-def _floats(v) -> list[float]:
-    """A point or gradient (array or sequence) as a list of Python floats."""
-    return np.asarray(v, dtype=float).tolist()
-
-
 def _project(x: list[float], box) -> list[float]:
     """``x`` clipped to ``box = (lower, upper)`` as ``np.minimum(np.maximum(x,
     lower), upper)`` clips it (a NaN passes through); ``box`` is None when
@@ -121,10 +122,12 @@ def _project(x: list[float], box) -> list[float]:
 def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
     """Maximize the log-posterior of ``ctx`` starting from ``x0``.
 
-    ``ctx`` needs ``neg2l_grad(omega) -> (value, gradient)``, ``neg2l``,
-    ``param_names`` and ``bounds()``; :class:`~obscheck.posterior.PosteriorContext`
-    provides them.  ``omega`` is passed as a list of floats; the gradient may
-    be an array or any sequence.  Trial points are projected onto the
+    ``ctx`` needs ``neg2l(omega)``, ``neg2l_grad(omega) -> (value, gradient)``,
+    ``hessian_neg2l(omega)``, ``param_names`` and ``bounds()``;
+    :class:`~obscheck.posterior.PosteriorContext` provides them.  ``omega``
+    is passed as a list of Python floats, and the gradient may be any
+    sequence of floats.  The Hessian drives the Newton polish that follows
+    an unconverged line search.  Trial points are projected onto the
     declared box bounds and rejected (treated as +inf) when infeasible,
     including when only the gradient is undefined there.  Deterministic given
     identical inputs.  Raises ``ValueError`` if ``x0`` itself is infeasible;
@@ -139,12 +142,11 @@ def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
     box = None
     if any(lo != -math.inf for lo in lower) or any(hi != math.inf for hi in upper):
         box = (lower, upper)
-    x = _project(_floats(x0), box)
+    x = _project([float(v) for v in x0], box)
     try:
         f, g = ctx.neg2l_grad(x)
     except InfeasiblePointError as exc:
         raise ValueError(f"infeasible starting point: {exc}") from exc
-    g = _floats(g)
 
     s_hist: list[list[float]] = []
     y_hist: list[list[float]] = []
@@ -154,7 +156,7 @@ def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
     grad_inf = _inf_norm(g)
     converged = grad_inf < cfg.grad_tol
 
-    while not converged and iterations < cfg.max_iters:
+    while not converged and iterations < _MAX_ITERS:
         direction = [-a for a in _two_loop(g, s_hist, y_hist, rho_hist)]
         slope = sum(map(mul, direction, g))
         if not math.isfinite(slope) or slope >= 0.0:
@@ -167,24 +169,23 @@ def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
         # history the natural step is 1
         step = 1.0 if s_hist else min(1.0, 1.0 / max(grad_inf, 1e-300))
         accepted = False
-        for _ in range(cfg.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             trial = _project([a + step * d for a, d in zip(x, direction)], box)
             actual = [t - a for t, a in zip(trial, x)]
             if not any(actual):
                 break
             try:
                 f_trial = ctx.neg2l(trial)
-                if f_trial <= f + cfg.armijo_c1 * sum(map(mul, g, actual)):
+                if f_trial <= f + _ARMIJO_C1 * sum(map(mul, g, actual)):
                     f_new, g_new = ctx.neg2l_grad(trial)
                     accepted = True
                     break
             except InfeasiblePointError:
                 pass
-            step *= cfg.backtrack_factor
+            step *= _BACKTRACK_FACTOR
         if not accepted:
             break
 
-        g_new = _floats(g_new)
         s = actual  # trial - x of the accepted step
         y = [b - a for a, b in zip(g, g_new)]
         sy = sum(map(mul, s, y))
@@ -192,7 +193,7 @@ def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
             s_hist.append(s)
             y_hist.append(y)
             rho_hist.append(1.0 / sy)
-            if len(s_hist) > cfg.memory:
+            if len(s_hist) > _MEMORY:
                 s_hist.pop(0); y_hist.pop(0); rho_hist.pop(0)
         else:
             # negative-curvature stretch: the stored quadratic model is
@@ -204,7 +205,7 @@ def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
         grad_inf = _inf_norm(g)
         converged = grad_inf < cfg.grad_tol
 
-    if not converged and hasattr(ctx, "hessian_neg2l"):
+    if not converged:
         # the line search can stall once -2L differences fall below float
         # resolution; Newton steps on the gradient push the gradient down to
         # the target without needing a measurable decrease in -2L
@@ -240,7 +241,6 @@ def _newton_polish(ctx, x, f, g, grad_inf, box, cfg: OptConfig, trace: list):
             f_new, g_new = ctx.neg2l_grad(trial)
         except InfeasiblePointError:
             break
-        g_new = _floats(g_new)
         new_inf = _inf_norm(g_new)
         if new_inf >= grad_inf or f_new > f:
             break
@@ -322,4 +322,4 @@ def local_variance(ctx, omega_hat: np.ndarray) -> np.ndarray:
     A singular Hessian signals a plateau: the result is +inf per parameter
     rather than an exception, so callers can fold it into the checks.
     """
-    return _curvature(ctx.hessian_neg2l(np.asarray(omega_hat, dtype=float)))[1]
+    return _curvature(ctx.hessian_neg2l(omega_hat))[1]

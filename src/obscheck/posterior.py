@@ -83,8 +83,9 @@ class PosteriorContext:
     def neg2l(self, omega: np.ndarray) -> float:
         return -2.0 * self.log_posterior(omega)
 
-    def neg2l_grad(self, omega: np.ndarray) -> tuple[float, np.ndarray]:
-        """Value and exact gradient of -2L."""
+    def neg2l_grad(self, omega: np.ndarray) -> tuple[float, list[float]]:
+        """Value and exact gradient of -2L; the gradient is a list of floats
+        laid out like :attr:`param_names`."""
         try:
             (m, dm), (s, ds), (prior, dprior) = self.model.mean_scale_prior_grad(omega)
         except DomainError as exc:
@@ -110,7 +111,7 @@ class PosteriorContext:
             -2.0 * (c_ds * a + c_dm * b + c_ds3 * a + c)
             for a, b, c in zip(ds, dm, dprior)
         ]
-        return -2.0 * value, np.array(grad)
+        return -2.0 * value, grad
 
     def hessian_neg2l(self, omega: np.ndarray) -> np.ndarray:
         """Symmetric finite-difference Hessian of -2L.
@@ -119,11 +120,10 @@ class PosteriorContext:
         eps^(1/3) * max(1, |omega_j|); an infeasible stencil point shrinks
         the step once by 10x before giving up with :class:`StencilError`.
         """
-        omega = np.asarray(omega, dtype=float)
-        n = omega.size
+        omega = [float(v) for v in omega]
         columns = []
-        for j in range(n):
-            h = _FD_STEP * max(1.0, abs(float(omega[j])))
+        for j in range(len(omega)):
+            h = _FD_STEP * max(1.0, abs(omega[j]))
             for attempt in range(2):
                 try:
                     plus = omega.copy()
@@ -132,7 +132,7 @@ class PosteriorContext:
                     minus[j] -= h
                     _, gp = self.neg2l_grad(plus)
                     _, gm = self.neg2l_grad(minus)
-                    columns.append((gp - gm) / (2.0 * h))
+                    columns.append([(p - m) / (2.0 * h) for p, m in zip(gp, gm)])
                     break
                 except InfeasiblePointError:
                     if attempt == 1:
@@ -141,6 +141,6 @@ class PosteriorContext:
                             f"'{self.param_names[j]}' near {omega[j]!r}"
                         ) from None
                     h /= 10.0
-        hess = np.column_stack(columns)
+        hess = np.array(columns).T
         return 0.5 * (hess + hess.T)
 

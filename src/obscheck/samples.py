@@ -70,7 +70,6 @@ __all__ = [
     "InvalidMixtureError",
     "lcd_distance",
     "lcd_gradient",
-    "symmetric_free_gradient",
     "optimize_mixture",
     "representative_disturbances",
     "design_disturbance_matrix",
@@ -190,8 +189,8 @@ def lcd_gradient(mix, cfg: LcdConfig = LcdConfig()) -> np.ndarray:
     """Partial derivatives of :func:`lcd_distance` with respect to every
     point coordinate, as an (M, d) matrix.
 
-    These are raw per-point partials; the symmetry parameterization used
-    during placement combines them via :func:`symmetric_free_gradient`.
+    These are raw per-point partials; placement differentiates the free
+    block of its point-symmetric layout with :func:`_free_kernel` instead.
     """
     _, grad = _distance_impl(_points_of(mix), cfg, want_grad=True)
     return grad
@@ -315,23 +314,6 @@ def _assemble(free: np.ndarray, m_count: int, d: int) -> np.ndarray:
     if m_count % 2 == 1:
         blocks.append(np.zeros((1, d)))
     return np.concatenate(blocks, axis=0)
-
-
-def symmetric_free_gradient(mix: DiracMixture, cfg: LcdConfig = LcdConfig()) -> np.ndarray:
-    """Gradient under the point-symmetric parameterization, scattered back to
-    point layout: free rows carry the total derivative (mirror contribution
-    chained in), mirror rows its negation, and the pinned origin row is
-    exactly zero.
-
-    ``mix`` must be in placement layout [free; -free; origin?], as
-    :func:`optimize_mixture` returns it.
-    """
-    n_free = mix.count // 2
-    free = mix.points[:n_free]
-    if not np.array_equal(_assemble(free, mix.count, mix.dim), mix.points):
-        raise ValueError("mixture is not in point-symmetric layout [free; -free; origin?]")
-    _, grad = _free_kernel(free, mix.count, cfg)
-    return _assemble(grad, mix.count, mix.dim)
 
 
 def _initial_free_points(d: int, m_count: int, cfg: LcdConfig) -> np.ndarray:

@@ -111,7 +111,6 @@ class StudyReport:
     T_list: tuple[int, ...]
     K: int
     seed: int
-    verdict: str
     part1: tuple[PartIResult, ...]
     part2: tuple[PartIIResult, ...]
     consistency: dict[str, dict[str, bool]]
@@ -120,6 +119,10 @@ class StudyReport:
     @property
     def n_passing_total(self) -> int:
         return sum(1 for p in self.part1 if p.passed) + sum(p.n_passed for p in self.part2)
+
+    @property
+    def verdict(self) -> str:
+        return OBSERVABLE if self.n_passing_total > 0 else NOT_OBSERVABLE
 
 
 def make_design_observations(model: ModelSpec, disturbances: np.ndarray) -> np.ndarray:
@@ -262,14 +265,11 @@ def run_study(cfg: StudyConfig) -> StudyReport:
         part2.append(run_part2(cfg.model, horizon, cfg.K, cfg))
         if baseline is not None:
             baseline.append(_baseline_part2(cfg.model, horizon, cfg))
-    n_passing = sum(1 for p in part1 if p.passed) + sum(p.n_passed for p in part2)
-    verdict = OBSERVABLE if n_passing > 0 else NOT_OBSERVABLE
     return StudyReport(
         model=cfg.model,
         T_list=tuple(cfg.T_list),
         K=cfg.K,
         seed=cfg.lcd.seed,
-        verdict=verdict,
         part1=tuple(part1),
         part2=tuple(part2),
         consistency=_consistency_trend(cfg.model, part2),

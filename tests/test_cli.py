@@ -84,6 +84,25 @@ class TestRunCommand:
         assert code == EXIT_USAGE
         assert "offset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,text,true_value", [
+        ("mean", "sqrt(a)", -1.0),
+        ("log_prior", "log(a - 1)", 0.4),
+    ])
+    def test_model_undefined_at_true_values_exit_one(self, tmp_path, capsys, field,
+                                                     text, true_value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "parameters": [{"name": "a", "true_value": true_value}],
+            "mean": "a", "scale": "1", field: text,
+        }))
+        code = run_cli(["run", "--model", bad, "--T", "4", "--K", "8",
+                        "--out", tmp_path / "r.json", "--cache-dir", tmp_path / "cache"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {field} is not evaluable at the true values")
+
     def test_bad_horizon_list(self, tmp_path, capsys):
         code = run_cli(["run", "--model", "unknown_variance", "--T", "four",
                         "--out", tmp_path / "r.json"])

@@ -85,3 +85,24 @@ def test_scale_must_be_evaluable_at_true_values():
         model_from_dict(
             {"parameters": [{"name": "a", "true_value": -1.0}], "mean": "0", "scale": "sqrt(a)"}
         )
+
+
+@pytest.mark.parametrize(
+    "field,params,text",
+    [
+        ("mean", [{"name": "a", "true_value": -1.0}], "sqrt(a)"),
+        ("log_prior", [{"name": "b", "true_value": 0.4}], "log(b - 1)"),
+        ("mean", [{"name": "a", "true_value": 1000.0}], "exp(a)"),
+    ],
+)
+def test_mean_and_log_prior_must_be_evaluable_at_true_values(field, params, text):
+    spec = {"parameters": params, "mean": "0", "scale": "1", field: text}
+    with pytest.raises(ModelError, match=f"{field} is not evaluable"):
+        model_from_dict(spec)
+
+
+def test_mean_must_be_finite_at_true_values():
+    with pytest.raises(ModelError, match="mean is not finite"):
+        model_from_dict(
+            {"parameters": [{"name": "a", "true_value": 1e308}], "mean": "a * 10", "scale": "1"}
+        )

@@ -3,6 +3,7 @@ import pytest
 
 from obscheck import (
     InfeasiblePointError,
+    MaxResult,
     OptConfig,
     PosteriorContext,
     bundled_model_names,
@@ -40,6 +41,9 @@ class QuadraticContext:
     def neg2l_grad(self, x):
         d = np.asarray(x, float) - self.center
         return float(d @ d), 2.0 * d
+
+    def hessian_neg2l(self, x):
+        return 2.0 * np.eye(self.center.size)
 
 
 class TestMaximize:
@@ -174,16 +178,10 @@ class TestCheckMaximum:
         assert not report.passed
 
     def test_gradient_threshold_boundary(self):
-        class Offset(QuadraticContext):
-            def neg2l_grad(self, x):
-                value, grad = super().neg2l_grad(x)
-                return value, grad + 2e-5  # candidate held off the optimum
-
-            def hessian_neg2l(self, x):
-                return 2.0 * np.eye(self.center.size)
-
-        ctx = Offset([0.0])
-        result = maximize(ctx, np.array([0.0]), OptConfig(max_iters=0))
+        ctx = QuadraticContext([0.0])
+        # a candidate held off the optimum, as an unconverged fit hands it over
+        result = MaxResult(omega_hat=[0.0], param_names=ctx.param_names, converged=False,
+                           iterations=0, grad_inf_norm=2e-5, trace=(0.0,))
         report = check_maximum(ctx, result)
         assert not report.grad_ok
 

@@ -231,7 +231,7 @@ def _bytes_or_error(fn):
     except Exception as exc:  # the same failure, whatever it is, counts as equal
         return type(exc), str(exc)
     if isinstance(out, tuple):
-        return np.float64(out[0]).tobytes(), out[1].tobytes()
+        return np.float64(out[0]).tobytes(), np.asarray(out[1], dtype=float).tobytes()
     return np.asarray(out, dtype=float).tobytes()
 
 

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from obscheck.samples import (
-    DiracMixture,
     InvalidMixtureError,
     LcdConfig,
     design_disturbance_matrix,
@@ -13,7 +12,6 @@ from obscheck.samples import (
     optimize_mixture,
     read_sample_csv,
     representative_disturbances,
-    symmetric_free_gradient,
     write_sample_csv,
 )
 
@@ -145,19 +143,12 @@ class TestGradient:
                 assert grad[i, k] == pytest.approx(fd, rel=1e-4, abs=1e-10)
 
     def test_converged_pair_has_tiny_free_gradient(self):
-        from obscheck.samples import _assemble, _descend
+        from obscheck.samples import _descend, _free_kernel
 
         free, converged = _descend(1, 2, CFG)
         assert converged
-        grad = symmetric_free_gradient(
-            DiracMixture(dim=1, count=2, points=_assemble(free, 2, 1)), CFG
-        )
-        assert np.max(np.abs(grad[0])) < CFG.step_tol
-
-    def test_origin_row_gradient_is_exactly_zero(self):
-        mix = optimize_mixture(1, 3, CFG)
-        free = symmetric_free_gradient(mix, CFG)
-        assert free[2, 0] == 0.0  # pinned origin point carries no free coordinate
+        _, grad = _free_kernel(free, 2, CFG)
+        assert np.max(np.abs(grad)) < CFG.step_tol
 
 
 class TestFreeKernel:
@@ -202,11 +193,6 @@ class TestFreeKernel:
         assert len(calls) > 25
         assert len(set(calls)) == len(calls)
         assert free.tobytes() in calls
-
-    def test_symmetric_free_gradient_needs_symmetric_layout(self):
-        points = np.array([[1.0], [-0.5]])
-        with pytest.raises(ValueError, match="point-symmetric"):
-            symmetric_free_gradient(DiracMixture(dim=1, count=2, points=points), CFG)
 
 
 class TestOptimize:
