@@ -21,7 +21,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--full", action="store_true", help="K=2000 instead of 200")
     parser.add_argument("--cache-dir", default=None)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     warnings.filterwarnings("ignore", message="sample placement")
@@ -34,7 +33,6 @@ def main() -> int:
             T_list=(4, 12, 20),
             K=count,
             lcd=lcd,
-            threads=args.threads,
             cache_dir=args.cache_dir,
         )
         start = time.time()

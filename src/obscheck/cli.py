@@ -75,9 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", type=Path, default=Path("report.json"))
     p_run.add_argument("--plot", type=Path, default=None, help="CSV of per-run estimates")
     p_run.add_argument("--threads", type=int, default=1,
-                       help="threads for the Part II fits; the fits hold the GIL, so more "
-                            "threads make a run slower, not faster; reports are identical "
-                            "for every count")
+                       help="accepted for existing command lines; has no effect")
     p_run.add_argument("--random-baseline", action="store_true",
                        help="also run plain random observation vectors for comparison")
     p_run.add_argument("--cache-dir", type=Path, default=None,
@@ -151,7 +149,6 @@ def _cmd_run(args) -> int:
                 eig_ratio_min=args.eig_ratio_min,
                 lvar_max=args.lvar_max,
             ),
-            threads=max(1, args.threads),
             cache_dir=str(cache_dir) if cache_dir is not None else None,
             random_baseline=args.random_baseline,
         )

@@ -29,8 +29,8 @@ _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 class InfeasiblePointError(Exception):
     """The parameter point leaves the model's admissible domain (domain error
-    in an expression or non-positive scale).  Recoverable: the optimizer's
-    line search treats it as +inf."""
+    or float overflow in an expression, or non-positive scale).  Recoverable:
+    the optimizer's line search treats it as +inf."""
 
 
 class StencilError(Exception):
@@ -66,7 +66,7 @@ class PosteriorContext:
         """L(omega | z) up to an additive constant."""
         try:
             m, s, prior = self.model.mean_scale_prior(omega)
-        except DomainError as exc:
+        except (DomainError, OverflowError) as exc:
             raise InfeasiblePointError(str(exc)) from exc
         if not s > 0.0:
             raise InfeasiblePointError(f"scale is not positive ({s})")
@@ -88,7 +88,7 @@ class PosteriorContext:
         laid out like :attr:`param_names`."""
         try:
             (m, dm), (s, ds), (prior, dprior) = self.model.mean_scale_prior_grad(omega)
-        except DomainError as exc:
+        except (DomainError, OverflowError) as exc:
             raise InfeasiblePointError(str(exc)) from exc
         if not s > 0.0:
             raise InfeasiblePointError(f"scale is not positive ({s})")

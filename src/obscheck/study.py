@@ -12,13 +12,12 @@ runs across both parts means not observable.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .models import ModelSpec
-from .optimize import CheckReport, MaxResult, OptConfig, check_maximum, maximize
+from .optimize import CheckReport, OptConfig, check_maximum, maximize
 from .posterior import PosteriorContext
 from .samples import LcdConfig, design_disturbance_matrix, representative_disturbances
 
@@ -51,7 +50,6 @@ class StudyConfig:
     K: int = 2000
     lcd: LcdConfig = field(default_factory=LcdConfig)
     opt: OptConfig = field(default_factory=OptConfig)
-    threads: int = 1
     cache_dir: str | None = None
     random_baseline: bool = False
 
@@ -66,14 +64,16 @@ class StudyConfig:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One Part II maximization."""
+    """One maximization and its checks; after an infeasible start every fit
+    field is None (``iterations`` 0) and ``reason`` says why."""
 
     k: int
     estimates: dict[str, float] | None
     passed: bool
     reason: str | None
     converged: bool
-    grad_inf_norm: float
+    iterations: int
+    grad_inf_norm: float | None
     checks: CheckReport | None
     local_variances: dict[str, float] | None
 
@@ -82,15 +82,13 @@ class RunRecord:
 class PartIResult:
     horizon: int
     z_rep: np.ndarray
-    max_result: MaxResult
-    check_report: CheckReport
-    local_variances: dict[str, float] | None
+    run: RunRecord
 
     @property
     def passed(self) -> bool:
         # the four checks decide validity; the optimizer's tighter internal
         # gradient target stays a diagnostic
-        return self.check_report.passed
+        return self.run.passed
 
 
 @dataclass(frozen=True)
@@ -133,36 +131,24 @@ def make_design_observations(model: ModelSpec, disturbances: np.ndarray) -> np.n
     return m + s * np.asarray(disturbances, dtype=float)
 
 
-def _lvar_dict(model: ModelSpec, check: CheckReport) -> dict[str, float] | None:
-    if check.local_variances is None:
-        return None
-    return {name: float(v) for name, v in zip(model.param_names, check.local_variances)}
-
-
 def run_part1(model: ModelSpec, horizon: int, cfg: StudyConfig) -> PartIResult:
     """Maximize against the representative design observation vector."""
     eps = representative_disturbances(horizon, cfg.lcd, cache_dir=cfg.cache_dir)
     z_rep = make_design_observations(model, eps)
-    ctx = PosteriorContext(model, z_rep)
-    result = maximize(ctx, model.true_vector(), cfg.opt)
-    check = check_maximum(ctx, result, cfg.opt)
-    return PartIResult(
-        horizon=horizon,
-        z_rep=z_rep,
-        max_result=result,
-        check_report=check,
-        local_variances=_lvar_dict(model, check),
-    )
+    return PartIResult(horizon=horizon, z_rep=z_rep, run=_run_single(model, z_rep, cfg, 0))
 
 
 def _run_single(model: ModelSpec, z: np.ndarray, cfg: StudyConfig, k: int) -> RunRecord:
+    """Fit one design observation vector from the true values and check the
+    maximum; an infeasible start ends as a failed record, never an exception."""
     ctx = PosteriorContext(model, z)
     try:
         result = maximize(ctx, model.true_vector(), cfg.opt)
     except ValueError as exc:  # infeasible starting point for this realization
         return RunRecord(
             k=k, estimates=None, passed=False, reason=f"infeasible start: {exc}",
-            converged=False, grad_inf_norm=float("nan"), checks=None, local_variances=None,
+            converged=False, iterations=0, grad_inf_norm=None, checks=None,
+            local_variances=None,
         )
     check = check_maximum(ctx, result, cfg.opt)
     passed = check.passed
@@ -187,9 +173,13 @@ def _run_single(model: ModelSpec, z: np.ndarray, cfg: StudyConfig, k: int) -> Ru
         passed=passed,
         reason=reason,
         converged=result.converged,
+        iterations=result.iterations,
         grad_inf_norm=result.grad_inf_norm,
         checks=check,
-        local_variances=_lvar_dict(model, check),
+        local_variances=(
+            None if check.local_variances is None
+            else {n: float(v) for n, v in zip(model.param_names, check.local_variances)}
+        ),
     )
 
 
@@ -225,33 +215,22 @@ def run_part2(model: ModelSpec, horizon: int, count: int, cfg: StudyConfig) -> P
     """Maximize against K design observation vectors and aggregate statistics.
 
     Individual failures (non-convergence, failed checks, estimator undefined
-    for a realization) are tallied, never fatal.  Aggregation order is fixed
-    by k, so reports are identical across thread counts.
+    for a realization) are tallied, never fatal.  Records and aggregation
+    follow k order.
     """
     eps = design_disturbance_matrix(horizon, count, cfg.lcd, cache_dir=cfg.cache_dir)
-    observations = make_design_observations(model, eps)
-    records = _run_batch(model, observations, cfg)
-    return _aggregate(model, horizon, records)
-
-
-def _run_batch(model: ModelSpec, observations: np.ndarray, cfg: StudyConfig) -> list[RunRecord]:
-    ks = range(observations.shape[0])
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            records = list(
-                pool.map(lambda k: _run_single(model, observations[k], cfg, k), ks)
-            )
-    else:
-        records = [_run_single(model, observations[k], cfg, k) for k in ks]
-    return records
+    return _fit_rows(model, horizon, eps, cfg)
 
 
 def _baseline_part2(model: ModelSpec, horizon: int, cfg: StudyConfig) -> PartIIResult:
     # optional comparison against plain random observation vectors
     rng = np.random.default_rng([cfg.lcd.seed, 0xBA5E, horizon, cfg.K])
-    eps = rng.standard_normal((cfg.K, horizon))
+    return _fit_rows(model, horizon, rng.standard_normal((cfg.K, horizon)), cfg)
+
+
+def _fit_rows(model: ModelSpec, horizon: int, eps: np.ndarray, cfg: StudyConfig) -> PartIIResult:
     observations = make_design_observations(model, eps)
-    records = _run_batch(model, observations, cfg)
+    records = [_run_single(model, z, cfg, k) for k, z in enumerate(observations)]
     return _aggregate(model, horizon, records)
 
 
@@ -348,12 +327,12 @@ def report_to_dict(report: StudyReport) -> dict:
             {
                 "T": p.horizon,
                 "z_rep": [float(v) for v in p.z_rep],
-                "estimate": p.max_result.estimates,
-                "converged": p.max_result.converged,
-                "iterations": p.max_result.iterations,
-                "grad_inf_norm": p.max_result.grad_inf_norm,
-                "checks": _check_dict(p.check_report),
-                "local_variance": p.local_variances,
+                "estimate": p.run.estimates,
+                "converged": p.run.converged,
+                "iterations": p.run.iterations,
+                "grad_inf_norm": p.run.grad_inf_norm,
+                "checks": _check_dict(p.run.checks),
+                "local_variance": p.run.local_variances,
                 "passed": p.passed,
             }
             for p in report.part1

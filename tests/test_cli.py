@@ -130,6 +130,33 @@ class TestRunCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("params,mean,scale,message", [
+        ([{"name": "a", "true_value": 0.0, "lower": 0.0}], "a^0.5", "1",
+         "derivative of power undefined at zero base"),
+        ([{"name": "b", "true_value": 1e-120}], "0", "b", "its cube underflows"),
+    ])
+    def test_infeasible_start_everywhere_exit_three(self, tmp_path, capsys, params, mean,
+                                                    scale, message):
+        # the gradient is undefined at the true values, so every fit, Part I
+        # included, starts infeasible and ends as a failed record
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"parameters": params, "mean": mean, "scale": scale}))
+        out = tmp_path / "report.json"
+        code = run_cli(["run", "--model", model, "--T", "4", "--K", "8", "--out", out,
+                        "--cache-dir", tmp_path / "cache"] + DESK_FLAGS)
+        assert code == EXIT_NOT_OBSERVABLE
+        assert "Traceback" not in capsys.readouterr().err
+        text = out.read_text()
+        assert "NaN" not in text
+        data = json.loads(text)
+        part1 = data["part1"][0]
+        assert part1["passed"] is False and part1["converged"] is False
+        assert part1["estimate"] is None and part1["checks"] is None
+        assert part1["local_variance"] is None and part1["grad_inf_norm"] is None
+        reasons = data["part2"][0]["failure_reasons"]
+        assert data["part2"][0]["n_passed"] == 0 and reasons
+        assert all(r.startswith("infeasible start:") and message in r for r in reasons)
+
     @pytest.mark.parametrize("name", ["product_mean", "additive_mean_pair"])
     def test_ridge_models_at_desk_scale_exit_three(self, tmp_path, name):
         # some of the K=200 realizations end on a ridge whose smallest Hessian

@@ -114,6 +114,23 @@ class TestScaleUnderflow:
             ctx.neg2l_grad([1e-170])
 
 
+@pytest.mark.parametrize("mean,a", [("exp(a)", 800.0), ("a^2", 1e200)])
+def test_float_overflow_is_infeasible(mean, a):
+    # a compiled exp above ~709 and a float power both raise OverflowError
+    model = model_from_dict({
+        "parameters": [{"name": "a", "true_value": 0.0},
+                       {"name": "b", "true_value": 1.0, "lower": 0.0}],
+        "mean": mean, "scale": "sqrt(b)",
+    })
+    ctx = PosteriorContext(model, np.array([1.0, 2.0]))
+    with pytest.raises(InfeasiblePointError):
+        ctx.neg2l([a, 1.0])
+    with pytest.raises(InfeasiblePointError):
+        ctx.neg2l_grad([a, 1.0])
+    with pytest.raises(StencilError):
+        ctx.hessian_neg2l([a, 1.0])
+
+
 class TestHessian:
     def test_variance_only_curvature(self):
         # -2L'' at the mode is T / bhat^2 (local variance (2/T) bhat^2)

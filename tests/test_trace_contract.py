@@ -1,12 +1,16 @@
 """The benchmark's traced run patches obscheck callables by name; a renamed
 or moved one would only show when that run crashes, so the names are
-checked here."""
+checked here, and so are the ``obscheck run`` flags it passes."""
 
+import argparse
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from obscheck.cli import _build_parser
 
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 
@@ -25,3 +29,31 @@ def test_traced_name_resolves(name, where, attr):
     if class_name:
         owner = getattr(owner, class_name)
     assert callable(getattr(owner, attr, None)), f"{name}: {where}.{attr} is missing"
+
+
+def _benchmark_run_flags() -> set[str]:
+    """Every ``--flag`` constant in the ``args = [...]`` list of the
+    benchmark's ``invoke``, which it passes to ``obscheck run``."""
+    tree = ast.parse((CHILD.parent / "run.py").read_text())
+    flags = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name == "invoke":
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Assign) and isinstance(node.value, ast.List)
+                        and any(isinstance(t, ast.Name) and t.id == "args"
+                                for t in node.targets)):
+                    flags.update(
+                        c.value for c in ast.walk(node.value)
+                        if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                        and c.value.startswith("--")
+                    )
+    return flags
+
+
+def test_benchmark_run_flags_are_run_options():
+    parser = _build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = subparsers.choices["run"]._option_string_actions
+    flags = _benchmark_run_flags()
+    assert "--threads" in flags and "--cache-dir" in flags
+    assert sorted(f for f in flags if f not in options) == []
