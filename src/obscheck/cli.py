@@ -57,7 +57,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=LcdConfig.seed,
                        help="seed for the deterministic sample initializer")
         p.add_argument("--b-max", type=float, default=LcdConfig.b_max)
-        p.add_argument("--quad-nodes", type=int, default=LcdConfig.quad_nodes)
+        p.add_argument("--quad-nodes", type=int, default=LcdConfig.quad_nodes,
+                       help="width-quadrature nodes for every dimension (default: 128 "
+                            "for d <= 3, 64 for 4 <= d <= 7, 32 for d >= 8)")
         p.add_argument("--placement-iters", type=int, default=LcdConfig.max_iters)
         p.add_argument("--step-tol", type=float, default=LcdConfig.step_tol)
 
@@ -93,13 +95,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _lcd_from_args(args) -> LcdConfig:
-    return LcdConfig(
-        b_max=args.b_max,
-        quad_nodes=args.quad_nodes,
-        max_iters=args.placement_iters,
-        step_tol=args.step_tol,
-        seed=args.seed,
-    )
+    try:
+        return LcdConfig(
+            b_max=args.b_max,
+            quad_nodes=args.quad_nodes,
+            max_iters=args.placement_iters,
+            step_tol=args.step_tol,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
 
 
 def _cmd_samples(args) -> int:

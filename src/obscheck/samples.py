@@ -21,12 +21,26 @@ The inner integral over m has the closed form T1(b) - 2 T2(b) + T3(b):
                         * exp(-||x_i||^2 / (2 (1+2 b^2)))
     T3 = (b^2/(1+b^2))^d * (pi (1+b^2))^(d/2)
 
-The outer integral over b uses fixed-node Gauss-Legendre quadrature.  The
-closed forms are validated against brute-force quadrature of the defining
-double integral in the test suite.
+The closed forms are validated against brute-force quadrature of the
+defining double integral in the test suite.
+
+The outer integral over b is Gauss-Legendre quadrature in t on (0, 1] with
+b = b_max t^2, so db = 2 b_max t dt and node j carries the weight
+b_max t_j w_j (w_j the Legendre weight on [-1, 1]).  The map crowds nodes
+towards small widths, where the kernel of a close pair changes fastest.
+The node count depends on d (:meth:`LcdConfig.nodes_for`).
 
 The constants c1 = (pi b^2)^(d/2), c2 = (b^2 sqrt(2 pi/(1+2 b^2)))^d and
 T3 depend only on the node and d; they are computed once per configuration.
+At wide kernels every exponential is close to 1 and T1, 2 T2 and T3 nearly
+cancel, so the kernels sum deviations from 1 instead.  With the M^2 ordered
+pairs of T1 and the M points of T2, per node
+
+    T1 - 2 T2 + T3 = (c1 - 2 c2 + T3)
+                     + (c1/M^2) sum_pairs (e - 1) - (2 c2/M) sum_i (e2_i - 1)
+
+where e and e2 are the T1 and T2 exponentials, evaluated as expm1.  The
+gradient weights sum u_q (e - 1) over nodes q and add sum_q u_q back.
 
 Point symmetry is built into the parameterization: only n = floor(M/2)
 points f_1..f_n are free, their negations complete the set, and an odd M
@@ -88,7 +102,8 @@ class LcdConfig:
     """Discretization and placement settings for sample-set generation.
 
     b_max:      upper kernel-width bound of the outer integral.
-    quad_nodes: Gauss-Legendre node count on (0, b_max].
+    quad_nodes: Gauss-Legendre node count of the width integral; None picks
+                it per dimension (see :meth:`nodes_for`).
     max_iters:  iteration cap for the placement descent.
     step_tol:   convergence tolerance; placement stops once the inf-norm of
                 the free-coordinate gradient falls below it.
@@ -96,7 +111,7 @@ class LcdConfig:
     """
 
     b_max: float = 10.0
-    quad_nodes: int = 128
+    quad_nodes: int | None = None
     max_iters: int = 600
     step_tol: float = 1e-8
     seed: int = 12345
@@ -104,8 +119,17 @@ class LcdConfig:
     def __post_init__(self):
         if not self.b_max > 0.0:
             raise ValueError(f"b_max must be positive, got {self.b_max}")
-        if self.quad_nodes < 2:
+        if self.quad_nodes is not None and self.quad_nodes < 2:
             raise ValueError(f"quad_nodes must be >= 2, got {self.quad_nodes}")
+
+    def nodes_for(self, d: int) -> int:
+        """The width-quadrature node count in d dimensions: ``quad_nodes``
+        when set, else 128 for d <= 3, 64 for 4 <= d <= 7 and 32 for d >= 8.
+        On placed sets each tier keeps the placement gradient within 1e-9
+        relative of a 1024-node reference."""
+        if self.quad_nodes is not None:
+            return self.quad_nodes
+        return 128 if d <= 3 else 64 if d <= 7 else 32
 
 
 @dataclass(frozen=True)
@@ -131,31 +155,28 @@ class DiracMixture:
 
 
 class _Nodes(NamedTuple):
-    """Gauss-Legendre nodes on (0, b_max] with the per-node constants of the
-    closed-form inner integral (see the module docstring)."""
+    """Width-quadrature nodes on (0, b_max] with the per-node constants of
+    the closed-form inner integral (see the module docstring)."""
 
     w: np.ndarray   # quadrature weights
     b2: np.ndarray  # squared kernel widths b^2
     c1: np.ndarray  # (pi b^2)^(d/2), the T1 prefactor
     v: np.ndarray   # 1 + 2 b^2, the T2 width
     c2: np.ndarray  # (b^2 sqrt(2 pi / v))^d, the T2 prefactor
-    t3: np.ndarray  # T3, which does not depend on the points
+    d0: np.ndarray  # c1 - 2 c2 + T3, the inner integral with every point at 0
 
 
 @lru_cache(maxsize=64)
 def _nodes(b_max: float, quad_nodes: int, d: int) -> _Nodes:
     x, w = np.polynomial.legendre.leggauss(quad_nodes)
-    b = 0.5 * b_max * (x + 1.0)
+    t = 0.5 * (x + 1.0)
+    b = b_max * t * t
     b2 = b * b
     v = 1.0 + 2.0 * b2
-    nodes = _Nodes(
-        w=0.5 * b_max * w,
-        b2=b2,
-        c1=(np.pi * b2) ** (0.5 * d),
-        v=v,
-        c2=(b2 * np.sqrt(2.0 * np.pi / v)) ** d,
-        t3=(b2 / (1.0 + b2)) ** d * (np.pi * (1.0 + b2)) ** (0.5 * d),
-    )
+    c1 = (np.pi * b2) ** (0.5 * d)
+    c2 = (b2 * np.sqrt(2.0 * np.pi / v)) ** d
+    t3 = (b2 / (1.0 + b2)) ** d * (np.pi * (1.0 + b2)) ** (0.5 * d)
+    nodes = _Nodes(w=b_max * t * w, b2=b2, c1=c1, v=v, c2=c2, d0=c1 - 2.0 * c2 + t3)
     for arr in nodes:
         arr.flags.writeable = False
     return nodes
@@ -203,7 +224,8 @@ def _distance_impl(points: np.ndarray, cfg: LcdConfig, want_grad: bool):
     m_count, d = points.shape
     if m_count < 1 or d < 1:
         raise ValueError("mixture must have at least one point and one dimension")
-    nodes = _nodes(cfg.b_max, cfg.quad_nodes, d)
+    n_nodes = cfg.nodes_for(d)
+    nodes = _nodes(cfg.b_max, n_nodes, d)
 
     diff = points[:, None, :] - points[None, :, :]
     dist2 = np.einsum("ijk,ijk->ij", diff, diff)  # (M, M)
@@ -211,26 +233,27 @@ def _distance_impl(points: np.ndarray, cfg: LcdConfig, want_grad: bool):
 
     # quadrature nodes are processed in fixed-size chunks: bounded memory,
     # deterministic accumulation order
-    chunk = max(1, min(cfg.quad_nodes, int(4_000_000 // (m_count * m_count)) or 1))
+    chunk = max(1, min(n_nodes, int(4_000_000 // (m_count * m_count)) or 1))
 
     total = 0.0
     grad = np.zeros_like(points) if want_grad else None
-    for q in _chunks(cfg.quad_nodes, chunk):
-        w, b2, c1, v, c2, t3 = (arr[q] for arr in nodes)
-        kernel = np.exp(dist2[None, :, :] / (-4.0 * b2)[:, None, None])  # (Q, M, M)
-        t1 = c1 * kernel.sum(axis=(1, 2)) / (m_count * m_count)
-        e2 = np.exp(norm2[None, :] / (-2.0 * v)[:, None])  # (Q, M)
-        t2 = c2 * e2.sum(axis=1) / m_count
-        total += float(np.dot(w, t1 - 2.0 * t2 + t3))
+    for q in _chunks(n_nodes, chunk):
+        w, b2, c1, v, c2, d0 = (arr[q] for arr in nodes)
+        # kernels as deviations from 1 (see the module docstring)
+        kernel = np.expm1(dist2[None, :, :] / (-4.0 * b2)[:, None, None])  # (Q, M, M)
+        e2 = np.expm1(norm2[None, :] / (-2.0 * v)[:, None])  # (Q, M)
+        dev = (c1 * kernel.sum(axis=(1, 2)) / (m_count * m_count)
+               - 2.0 * c2 * e2.sum(axis=1) / m_count)
+        total += float(np.dot(w, d0 + dev))
 
         if want_grad:
             # dT1/dx_i = -(c1 / (M^2 b^2)) sum_q kernel_iq (x_i - x_q)
             u1 = w * c1 / (m_count * m_count * b2)  # (Q,)
-            wk = np.einsum("q,qij->ij", u1, kernel)  # (M, M)
+            wk = np.einsum("q,qij->ij", u1, kernel) + u1.sum()  # (M, M)
             g1 = wk @ points - points * wk.sum(axis=1)[:, None]
             # dT2/dx_i = -(c2 / (M v)) e2_i x_i
             u2 = w * c2 / (m_count * v)  # (Q,)
-            g2 = points * (u2 @ e2)[:, None]
+            g2 = points * (u2 @ e2 + u2.sum())[:, None]
             grad += g1 + 2.0 * g2
 
     if not np.isfinite(total):
@@ -242,6 +265,11 @@ def _chunks(total: int, size: int):
     return (slice(start, start + size) for start in range(0, total, size))
 
 
+# pair-class entries per block of the placement kernel; a (Q, 4096) block
+# of floats is 4 MB at 128 nodes
+_PAIR_BLOCK = 4096
+
+
 def _free_kernel(free: np.ndarray, m_count: int, cfg: LcdConfig) -> tuple[float, np.ndarray]:
     """Distance of the symmetric set [free; -free; origin?] and its gradient
     with respect to the free block, computed from the free block alone.
@@ -249,12 +277,14 @@ def _free_kernel(free: np.ndarray, m_count: int, cfg: LcdConfig) -> tuple[float,
     Every pair of the full set falls into one of the classes listed in the
     module docstring, so T1 needs the kernel only on the i < j pairs of
     ||f_i - f_j||^2 and ||f_i + f_j||^2 plus two (or three) per-point terms:
-    about M^2/4 exponentials per node instead of M^2.
+    about M^2/4 exponentials per node instead of M^2.  The pair-class entries
+    are walked in fixed blocks, each with every node, and the block sums are
+    added in block order, so the result is deterministic.
     """
     _check_finite(free)
     n, d = free.shape
     origin = m_count - 2 * n  # 1 when odd M pins a point at the origin
-    nodes = _nodes(cfg.b_max, cfg.quad_nodes, d)
+    w, b2, c1, v, c2, d0 = _nodes(cfg.b_max, cfg.nodes_for(d), d)
 
     norm2 = np.einsum("ik,ik->i", free, free)  # (n,)
     rows, cols = np.triu_indices(n, 1)
@@ -270,20 +300,27 @@ def _free_kernel(free: np.ndarray, m_count: int, cfg: LcdConfig) -> tuple[float,
     dist2 = np.concatenate(dist2)
     mult = np.concatenate(mult)
 
-    chunk = max(1, min(cfg.quad_nodes, int(4_000_000 // max(len(dist2), 1))))
-    total = 0.0
-    wk = np.zeros_like(dist2)  # node-weighted kernel per pair class entry
-    we2 = np.zeros(n)  # node-weighted T2 exponentials per free point
-    for q in _chunks(cfg.quad_nodes, chunk):
-        w, b2, c1, v, c2, t3 = (arr[q] for arr in nodes)
-        kernel = np.multiply.outer(-0.25 / b2, dist2)  # (Q, L)
-        np.exp(kernel, out=kernel)
-        t1 = c1 * (m_count + kernel @ mult) / (m_count * m_count)
-        e2 = np.exp(np.multiply.outer(-0.5 / v, norm2))  # (Q, n)
-        t2 = c2 * (origin + 2.0 * e2.sum(axis=1)) / m_count
-        total += float(np.dot(w, t1 - 2.0 * t2 + t3))
-        wk += (w * c1 / (m_count * m_count * b2)) @ kernel
-        we2 += (w * c2 / (m_count * v)) @ e2
+    # kernels as deviations from 1: the M zero-distance pairs and the
+    # origin's T2 term have deviation 0, and D sums d0 plus small terms
+    scale1 = -0.25 / b2
+    u1 = w * c1 / (m_count * m_count * b2)
+    t1 = np.zeros(len(w))  # per node: sum over pairs of mult * (kernel - 1)
+    wk = np.empty_like(dist2)  # node-weighted kernel per pair class entry
+    # one buffer for every block, so no block pays for fresh pages
+    buf = np.empty((len(w), min(len(dist2), _PAIR_BLOCK)))
+    for blk in _chunks(len(dist2), _PAIR_BLOCK):
+        seg = dist2[blk]
+        kernel = buf[:, : len(seg)]
+        np.multiply.outer(scale1, seg, out=kernel)
+        np.expm1(kernel, out=kernel)
+        t1 += kernel @ mult[blk]
+        wk[blk] = u1 @ kernel
+    wk += u1.sum()
+    e2 = np.expm1(np.multiply.outer(-0.5 / v, norm2))  # (Q, n)
+    total = float(np.dot(w, d0 + c1 * t1 / (m_count * m_count)
+                         - 4.0 * c2 * e2.sum(axis=1) / m_count))
+    u2 = w * c2 / (m_count * v)
+    we2 = u2 @ e2 + u2.sum()  # node-weighted T2 exponentials per free point
 
     if not np.isfinite(total):
         raise InvalidMixtureError(f"distance is not finite ({total})")
@@ -512,7 +549,7 @@ def _sample_set(d: int, m_count: int, cfg: LcdConfig, cache_dir) -> np.ndarray:
 # Part of every cache key.  Bump it whenever a change to placement moves the
 # sets it produces, so that files placed by the old code count as misses and
 # a warm cache reports what a cold one would.
-_PLACEMENT_REVISION = 2
+_PLACEMENT_REVISION = 3
 
 # The type of each field of a sample set's key, for reading a header back.
 _KEY_FIELDS = {"dim": int, "count": int, "b_max": float, "quad_nodes": int, "seed": int,
@@ -522,8 +559,9 @@ _KEY_FIELDS = {"dim": int, "count": int, "b_max": float, "quad_nodes": int, "see
 def _cache_key(d: int, m_count: int, cfg: LcdConfig) -> dict:
     """Everything that decides which set placement produces.  The CSV header
     records it and the cache file name carries its digest, so a file copied
-    under another key's name fails the header check."""
-    return {"dim": d, "count": m_count, "b_max": cfg.b_max, "quad_nodes": cfg.quad_nodes,
+    under another key's name fails the header check.  The node count is the
+    one resolved for d, so a default and an explicit equal count share files."""
+    return {"dim": d, "count": m_count, "b_max": cfg.b_max, "quad_nodes": cfg.nodes_for(d),
             "seed": cfg.seed, "max_iters": cfg.max_iters, "step_tol": cfg.step_tol,
             "placement": _PLACEMENT_REVISION}
 

@@ -145,8 +145,10 @@ def _run_single(model: ModelSpec, z: np.ndarray, cfg: StudyConfig, k: int) -> Ru
     try:
         result = maximize(ctx, model.true_vector(), cfg.opt)
     except ValueError as exc:  # infeasible starting point for this realization
+        # the posterior's own message, without maximize's prefix
         return RunRecord(
-            k=k, estimates=None, passed=False, reason=f"infeasible start: {exc}",
+            k=k, estimates=None, passed=False,
+            reason=f"infeasible start: {exc.__cause__ or exc}",
             converged=False, iterations=0, grad_inf_norm=None, checks=None,
             local_variances=None,
         )
@@ -334,6 +336,7 @@ def report_to_dict(report: StudyReport) -> dict:
                 "checks": _check_dict(p.run.checks),
                 "local_variance": p.run.local_variances,
                 "passed": p.passed,
+                "reason": p.run.reason,
             }
             for p in report.part1
         ],
@@ -419,7 +422,8 @@ def render_report(data: dict) -> str:
         row += " ".join(_fmt(var.get(n)) for n in names) + " "
         row += " ".join(_fmt(mlv.get(n)) for n in names)
         lines.append(row)
-    reasons = sorted({r for p in data["part2"] for r in p.get("failure_reasons", [])})
+    reasons = sorted({p["reason"] for p in data["part1"] if p.get("reason")}
+                     | {r for p in data["part2"] for r in p.get("failure_reasons", [])})
     if reasons:
         lines.append("")
         lines.append("failure reasons seen: " + "; ".join(reasons))

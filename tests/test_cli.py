@@ -12,6 +12,7 @@ from obscheck.cli import (
 )
 from obscheck import samples
 from obscheck.samples import read_sample_csv
+from obscheck.study import render_report
 
 DESK_FLAGS = ["--placement-iters", "150"]
 
@@ -44,6 +45,18 @@ class TestSamplesCommand:
         code = run_cli(["samples", "--dim", 1, "--count", 0, "--out", tmp_path / "x.csv"])
         assert code == EXIT_USAGE
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--quad-nodes", "1", "quad_nodes must be >= 2, got 1"),
+        ("--b-max", "0", "b_max must be positive, got 0.0"),
+    ])
+    def test_invalid_placement_setting_is_usage_error(self, tmp_path, capsys, flag, value,
+                                                      message):
+        out = tmp_path / "x.csv"
+        code = run_cli(["samples", "--dim", 2, "--count", 4, flag, value, "--out", out])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
 
 
 class TestRunCommand:
@@ -145,7 +158,8 @@ class TestRunCommand:
         code = run_cli(["run", "--model", model, "--T", "4", "--K", "8", "--out", out,
                         "--cache-dir", tmp_path / "cache"] + DESK_FLAGS)
         assert code == EXIT_NOT_OBSERVABLE
-        assert "Traceback" not in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
         text = out.read_text()
         assert "NaN" not in text
         data = json.loads(text)
@@ -155,7 +169,13 @@ class TestRunCommand:
         assert part1["local_variance"] is None and part1["grad_inf_norm"] is None
         reasons = data["part2"][0]["failure_reasons"]
         assert data["part2"][0]["n_passed"] == 0 and reasons
-        assert all(r.startswith("infeasible start:") and message in r for r in reasons)
+        for reason in reasons + [part1["reason"]]:
+            assert reason.startswith("infeasible start:") and message in reason
+            assert reason.count("infeasible start") == 1  # one prefix, not two
+        assert part1["reason"] in captured.out
+        # the Part I reason is rendered even when Part II lists none
+        data["part2"][0]["failure_reasons"] = []
+        assert f"failure reasons seen: {part1['reason']}" in render_report(data)
 
     @pytest.mark.parametrize("name", ["product_mean", "additive_mean_pair"])
     def test_ridge_models_at_desk_scale_exit_three(self, tmp_path, name):

@@ -195,6 +195,62 @@ class TestFreeKernel:
         assert free.tobytes() in calls
 
 
+class TestNodeRule:
+    """Without ``quad_nodes`` the width quadrature takes 128 nodes for
+    d <= 3, 64 for 4 <= d <= 7 and 32 for d >= 8."""
+
+    def test_tiers_and_override(self):
+        dims = (1, 3, 4, 7, 8, 20)
+        assert [CFG.nodes_for(d) for d in dims] == [128, 128, 64, 64, 32, 32]
+        assert [LcdConfig(quad_nodes=40).nodes_for(d) for d in dims] == [40] * len(dims)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 6, 8, 20])
+    def test_gradient_matches_fine_reference(self, d):
+        from obscheck.samples import _free_kernel
+
+        m_count = 2 * d + 8
+        free = optimize_mixture(d, m_count, LcdConfig(max_iters=40, seed=d)).points
+        free = free[: m_count // 2]
+        _, grad = _free_kernel(free, m_count, CFG)
+        _, ref = _free_kernel(free, m_count, LcdConfig(quad_nodes=1024))
+        assert np.max(np.abs(grad - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    def test_cache_key_holds_resolved_count(self):
+        from obscheck import samples as samples_module
+
+        assert samples_module._cache_key(4, 200, CFG)["quad_nodes"] == 64
+        name = samples_module._cache_filename(4, 200, CFG)
+        assert name == samples_module._cache_filename(4, 200, LcdConfig(quad_nodes=64))
+        assert name != samples_module._cache_filename(4, 200, LcdConfig(quad_nodes=128))
+
+    def test_revision_two_file_is_a_miss(self, tmp_path, monkeypatch):
+        from obscheck import samples as samples_module
+
+        # a set placed before the width map and the node rule came in
+        cfg = LcdConfig(max_iters=40, seed=4545)
+        revision = samples_module._PLACEMENT_REVISION
+        monkeypatch.setattr(samples_module, "_matrix_cache", {})
+        monkeypatch.setattr(samples_module, "_PLACEMENT_REVISION", 2)
+        design_disturbance_matrix(2, 6, cfg, cache_dir=tmp_path)
+        (old,) = tmp_path.glob("samples_*.csv")
+
+        placed = []
+        place = samples_module.optimize_mixture
+
+        def counting(*args):
+            placed.append(args)
+            return place(*args)
+
+        monkeypatch.setattr(samples_module, "_matrix_cache", {})
+        monkeypatch.setattr(samples_module, "_PLACEMENT_REVISION", revision)
+        monkeypatch.setattr(samples_module, "optimize_mixture", counting)
+        design_disturbance_matrix(2, 6, cfg, cache_dir=tmp_path)
+        assert placed == [(2, 6, cfg)]
+        (new,) = set(tmp_path.glob("samples_*.csv")) - {old}
+        assert read_sample_csv(old)[1]["placement"] == 2
+        assert read_sample_csv(new)[1]["placement"] == 3
+
+
 class TestOptimize:
     def test_pair_is_plus_minus_one(self):
         mix = optimize_mixture(1, 2, CFG)
@@ -417,11 +473,11 @@ class TestSampleCsv:
             "dim": 2,
             "count": 5,
             "b_max": CFG.b_max,
-            "quad_nodes": CFG.quad_nodes,
+            "quad_nodes": CFG.nodes_for(2),
             "seed": CFG.seed,
             "max_iters": CFG.max_iters,
             "step_tol": CFG.step_tol,
-            "placement": 2,
+            "placement": 3,
         }
 
     def test_header_line(self, tmp_path):
