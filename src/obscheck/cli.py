@@ -107,12 +107,22 @@ def _lcd_from_args(args) -> LcdConfig:
         raise _CliError(str(exc)) from exc
 
 
+def _check_output(path: Path | None) -> None:
+    """Reject an output path that names a directory or lies in none, before
+    placement or a study runs rather than after it."""
+    if path is not None and not path.parent.is_dir():
+        raise _CliError(f"cannot write {path}: {path.parent} is not a directory")
+    if path is not None and path.is_dir():
+        raise _CliError(f"cannot write {path}: it is a directory")
+
+
 def _cmd_samples(args) -> int:
     if args.dim < 1 or args.count < 1:
         raise _CliError("--dim and --count must be positive")
     cfg = _lcd_from_args(args)
-    mix = optimize_mixture(args.dim, args.count, cfg)
     out = args.out or Path(f"samples-dim{args.dim}-count{args.count}.csv")
+    _check_output(out)
+    mix = optimize_mixture(args.dim, args.count, cfg)
     write_sample_csv(out, mix, cfg)
     print(f"wrote {mix.count} points to {out}")
     print(f"lcd_distance = {lcd_distance(mix, cfg):.12g}")
@@ -159,6 +169,13 @@ def _cmd_run(args) -> int:
         )
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
+    _check_output(args.out)
+    _check_output(args.plot)
+    if cache_dir is not None:
+        try:
+            cache_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise _CliError(f"cannot use cache directory {cache_dir}: {exc.strerror}") from exc
 
     report = run_study(cfg)
     write_atomic(args.out, report_to_json(report))

@@ -42,6 +42,12 @@ pairs of T1 and the M points of T2, per node
 where e and e2 are the T1 and T2 exponentials, evaluated as expm1.  The
 gradient weights sum u_q (e - 1) over nodes q and add sum_q u_q back.
 
+Both kernels walk pair entries in fixed blocks with every node
+(:func:`_kernel_sums`).  The reference kernel behind :func:`lcd_distance`
+and :func:`lcd_gradient` takes the i < j pairs of an arbitrary set, with
+squared distances from exact differences; placement takes the pair classes
+of its symmetric layout below.
+
 Point symmetry is built into the parameterization: only n = floor(M/2)
 points f_1..f_n are free, their negations complete the set, and an odd M
 pins one point at the origin: X = [F; -F; 0?].  After placement the set is
@@ -202,7 +208,7 @@ def lcd_distance(mix, cfg: LcdConfig = LcdConfig()) -> float:
     Accepts a :class:`DiracMixture` or a plain (M, d) array; a 1-D array is
     treated as M points in one dimension.
     """
-    value, _ = _distance_impl(_points_of(mix), cfg, want_grad=False)
+    value, _ = _distance_impl(_points_of(mix), cfg)
     return value
 
 
@@ -210,64 +216,85 @@ def lcd_gradient(mix, cfg: LcdConfig = LcdConfig()) -> np.ndarray:
     """Partial derivatives of :func:`lcd_distance` with respect to every
     point coordinate, as an (M, d) matrix.
 
-    These are raw per-point partials; placement differentiates the free
-    block of its point-symmetric layout with :func:`_free_kernel` instead.
+    These are raw per-point partials, computed with the distance in one walk
+    over the i < j pairs; placement differentiates the free block of its
+    point-symmetric layout with :func:`_free_kernel` instead.
     """
-    _, grad = _distance_impl(_points_of(mix), cfg, want_grad=True)
+    _, grad = _distance_impl(_points_of(mix), cfg)
     return grad
 
 
-def _distance_impl(points: np.ndarray, cfg: LcdConfig, want_grad: bool):
-    """Distance of an arbitrary (M, d) point set and, if asked, its raw
-    per-point gradient.  Placement uses :func:`_free_kernel` instead."""
+def _distance_impl(points: np.ndarray, cfg: LcdConfig) -> tuple[float, np.ndarray]:
+    """Distance of an arbitrary (M, d) point set and its raw per-point
+    gradient.  Placement uses :func:`_free_kernel` instead."""
     _check_finite(points)
     m_count, d = points.shape
     if m_count < 1 or d < 1:
         raise ValueError("mixture must have at least one point and one dimension")
-    n_nodes = cfg.nodes_for(d)
-    nodes = _nodes(cfg.b_max, n_nodes, d)
 
-    diff = points[:, None, :] - points[None, :, :]
-    dist2 = np.einsum("ijk,ijk->ij", diff, diff)  # (M, M)
-    norm2 = np.einsum("ik,ik->i", points, points)  # (M,)
+    # the i < j pairs from exact differences, one row at a time; each stands
+    # for two ordered pairs, and the M pairs (x, x) have deviation 0
+    dist2 = np.concatenate([np.einsum("jk,jk->j", diff, diff)
+                            for diff in (points[i + 1 :] - points[i] for i in range(m_count))])
+    norm2 = np.einsum("ik,ik->i", points, points)
+    total, wk, we2 = _kernel_sums(dist2, np.full(len(dist2), 2.0), norm2, 1.0, m_count,
+                                  _nodes(cfg.b_max, cfg.nodes_for(d), d))
 
-    # quadrature nodes are processed in fixed-size chunks: bounded memory,
-    # deterministic accumulation order
-    chunk = max(1, min(n_nodes, int(4_000_000 // (m_count * m_count)) or 1))
+    # dD/dx_i = sum_j W_ij (x_j - x_i) + 2 we2_i x_i, W the symmetric coupling
+    coupling = np.zeros((m_count, m_count))
+    coupling[np.triu_indices(m_count, 1)] = wk
+    coupling += coupling.T
+    return total, coupling @ points + (2.0 * we2 - coupling.sum(axis=1))[:, None] * points
 
-    total = 0.0
-    grad = np.zeros_like(points) if want_grad else None
-    for q in _chunks(n_nodes, chunk):
-        w, b2, c1, v, c2, d0 = (arr[q] for arr in nodes)
-        # kernels as deviations from 1 (see the module docstring)
-        kernel = np.expm1(dist2[None, :, :] / (-4.0 * b2)[:, None, None])  # (Q, M, M)
-        e2 = np.expm1(norm2[None, :] / (-2.0 * v)[:, None])  # (Q, M)
-        dev = (c1 * kernel.sum(axis=(1, 2)) / (m_count * m_count)
-               - 2.0 * c2 * e2.sum(axis=1) / m_count)
-        total += float(np.dot(w, d0 + dev))
 
-        if want_grad:
-            # dT1/dx_i = -(c1 / (M^2 b^2)) sum_q kernel_iq (x_i - x_q)
-            u1 = w * c1 / (m_count * m_count * b2)  # (Q,)
-            wk = np.einsum("q,qij->ij", u1, kernel) + u1.sum()  # (M, M)
-            g1 = wk @ points - points * wk.sum(axis=1)[:, None]
-            # dT2/dx_i = -(c2 / (M v)) e2_i x_i
-            u2 = w * c2 / (m_count * v)  # (Q,)
-            g2 = points * (u2 @ e2 + u2.sum())[:, None]
-            grad += g1 + 2.0 * g2
+# pair entries per block of the kernel walk; a (Q, 4096) block of floats is
+# 4 MB at 128 nodes
+_PAIR_BLOCK = 4096
 
+
+def _kernel_sums(dist2: np.ndarray, mult: np.ndarray, norm2: np.ndarray, t2_mult: float,
+                 m_count: int, nodes: _Nodes) -> tuple[float, np.ndarray, np.ndarray]:
+    """D of an M-point set from its T1 pair entries (squared distances
+    ``dist2``, each ``mult`` ordered pairs) and T2 points (squared norms
+    ``norm2``, each ``t2_mult`` points); left-out pairs have deviation 0.
+    Also returns the node-weighted kernel per entry and the node-weighted T2
+    exponential per point.  Entries are walked in fixed blocks with every
+    node, and block sums are added in block order, so D is deterministic."""
+    w, b2, c1, v, c2, d0 = nodes
+    scale1 = -0.25 / b2
+    u1 = w * c1 / (m_count * m_count * b2)
+    t1 = np.zeros(len(w))  # per node: sum over entries of mult * (kernel - 1)
+    wk = np.empty_like(dist2)
+    # one buffer for every block, so no block pays for fresh pages
+    buf = np.empty((len(w), min(len(dist2), _PAIR_BLOCK)))
+    for start in range(0, len(dist2), _PAIR_BLOCK):
+        blk = slice(start, start + _PAIR_BLOCK)
+        seg = dist2[blk]
+        kernel = buf[:, : len(seg)]
+        np.multiply.outer(scale1, seg, out=kernel)
+        np.expm1(kernel, out=kernel)
+        t1 += kernel @ mult[blk]
+        wk[blk] = u1 @ kernel
+    wk += u1.sum()
+    e2 = np.expm1(np.multiply.outer(-0.5 / v, norm2))  # (Q, points)
+    total = float(np.dot(w, d0 + c1 * t1 / (m_count * m_count)
+                         - 2.0 * t2_mult * c2 * e2.sum(axis=1) / m_count))
     if not np.isfinite(total):
         raise InvalidMixtureError(f"distance is not finite ({total})")
-    return float(total), grad
+    u2 = w * c2 / (m_count * v)
+    return total, wk, u2 @ e2 + u2.sum()
 
 
-def _chunks(total: int, size: int):
-    return (slice(start, start + size) for start in range(0, total, size))
-
-
-# pair-class entries per block of the placement kernel; a (Q, 4096) block
-# of floats is 4 MB at 128 nodes
-_PAIR_BLOCK = 4096
+@lru_cache(maxsize=16)
+def _pair_layout(n: int, origin: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The i < j pairs of an n-point free block and the multiplicity of each
+    pair-class entry of :func:`_free_kernel`, read-only."""
+    rows, cols = np.triu_indices(n, 1)
+    mult = [np.full(2 * len(rows), 4.0), np.full(n, 2.0), np.full(origin * n, 4.0)]
+    layout = (rows, cols, np.concatenate(mult))
+    for arr in layout:
+        arr.flags.writeable = False
+    return layout
 
 
 def _free_kernel(free: np.ndarray, m_count: int, cfg: LcdConfig) -> tuple[float, np.ndarray]:
@@ -277,53 +304,24 @@ def _free_kernel(free: np.ndarray, m_count: int, cfg: LcdConfig) -> tuple[float,
     Every pair of the full set falls into one of the classes listed in the
     module docstring, so T1 needs the kernel only on the i < j pairs of
     ||f_i - f_j||^2 and ||f_i + f_j||^2 plus two (or three) per-point terms:
-    about M^2/4 exponentials per node instead of M^2.  The pair-class entries
-    are walked in fixed blocks, each with every node, and the block sums are
-    added in block order, so the result is deterministic.
+    about M^2/4 exponentials per node instead of M^2.
     """
     _check_finite(free)
     n, d = free.shape
     origin = m_count - 2 * n  # 1 when odd M pins a point at the origin
-    w, b2, c1, v, c2, d0 = _nodes(cfg.b_max, cfg.nodes_for(d), d)
+    rows, cols, mult = _pair_layout(n, origin)
 
     norm2 = np.einsum("ik,ik->i", free, free)  # (n,)
-    rows, cols = np.triu_indices(n, 1)
     sums = norm2[rows] + norm2[cols]
     cross = 2.0 * (free @ free.T)[rows, cols]
-    # squared distances of each pair class, and how many ordered pairs of
-    # the full set share it; the n + n + origin zero-distance pairs add M
+    # squared distances of each pair class, each shared by mult ordered pairs
+    # of the full set; the M zero-distance pairs and the origin's T2 term
+    # have deviation 0, and each free point stands for two T2 points
     dist2 = [np.maximum(sums - cross, 0.0), sums + cross, 4.0 * norm2]
-    mult = [np.full(len(rows), 4.0), np.full(len(rows), 4.0), np.full(n, 2.0)]
     if origin:
         dist2.append(norm2)
-        mult.append(np.full(n, 4.0))
-    dist2 = np.concatenate(dist2)
-    mult = np.concatenate(mult)
-
-    # kernels as deviations from 1: the M zero-distance pairs and the
-    # origin's T2 term have deviation 0, and D sums d0 plus small terms
-    scale1 = -0.25 / b2
-    u1 = w * c1 / (m_count * m_count * b2)
-    t1 = np.zeros(len(w))  # per node: sum over pairs of mult * (kernel - 1)
-    wk = np.empty_like(dist2)  # node-weighted kernel per pair class entry
-    # one buffer for every block, so no block pays for fresh pages
-    buf = np.empty((len(w), min(len(dist2), _PAIR_BLOCK)))
-    for blk in _chunks(len(dist2), _PAIR_BLOCK):
-        seg = dist2[blk]
-        kernel = buf[:, : len(seg)]
-        np.multiply.outer(scale1, seg, out=kernel)
-        np.expm1(kernel, out=kernel)
-        t1 += kernel @ mult[blk]
-        wk[blk] = u1 @ kernel
-    wk += u1.sum()
-    e2 = np.expm1(np.multiply.outer(-0.5 / v, norm2))  # (Q, n)
-    total = float(np.dot(w, d0 + c1 * t1 / (m_count * m_count)
-                         - 4.0 * c2 * e2.sum(axis=1) / m_count))
-    u2 = w * c2 / (m_count * v)
-    we2 = u2 @ e2 + u2.sum()  # node-weighted T2 exponentials per free point
-
-    if not np.isfinite(total):
-        raise InvalidMixtureError(f"distance is not finite ({total})")
+    total, wk, we2 = _kernel_sums(np.concatenate(dist2), mult, norm2, 2.0, m_count,
+                                  _nodes(cfg.b_max, cfg.nodes_for(d), d))
 
     # d/df_k of the T1 sum: -2 [f_k (sum_j A_kj + B_kj + 2 B_kk + C_k)
     #                          + sum_j (B_kj - A_kj) f_j], j != k

@@ -243,5 +243,33 @@ def test_internal_failure_exit_two(tmp_path, monkeypatch, capsys):
     assert "boom" in capsys.readouterr().err
 
 
+RUN_SMALL = ["run", "--model", "unknown_variance", "--T", "4", "--K", "8"]
+
+
+@pytest.mark.parametrize("args,given", [
+    (RUN_SMALL + ["--out", "{missing}/r.json", "--no-cache"], "{missing}/r.json"),
+    (RUN_SMALL + ["--out", "{tmp}/r.json", "--plot", "{missing}/p.csv", "--no-cache"],
+     "{missing}/p.csv"),
+    (["samples", "--dim", "1", "--count", "2", "--out", "{missing}/s.csv"], "{missing}/s.csv"),
+    (RUN_SMALL + ["--out", "{tmp}/r.json", "--cache-dir", "{tmp}/a_file"], "{tmp}/a_file"),
+    (RUN_SMALL + ["--out", "{tmp}", "--no-cache"], "{tmp}"),
+], ids=["run-out", "run-plot", "samples-out", "run-cache-dir-is-file", "run-out-is-dir"])
+def test_unwritable_path_is_usage_error(tmp_path, monkeypatch, capsys, args, given):
+    import obscheck.cli as cli_module
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the path is checked before any placement or study")
+
+    monkeypatch.setattr(cli_module, "run_study", unreachable)
+    monkeypatch.setattr(cli_module, "optimize_mixture", unreachable)
+    (tmp_path / "a_file").write_text("")
+    fill = {"tmp": tmp_path, "missing": tmp_path / "missing_dir"}
+    code = run_cli([a.format(**fill) for a in args])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == EXIT_USAGE
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert given.format(**fill) in lines[0]
+
+
 def test_exit_codes_are_distinct():
     assert len({EXIT_OBSERVABLE, EXIT_USAGE, EXIT_INTERNAL, EXIT_NOT_OBSERVABLE}) == 4

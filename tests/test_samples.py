@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,7 +159,8 @@ class TestFreeKernel:
 
     @pytest.mark.parametrize(
         "d,m_count",
-        [(1, 2), (1, 3), (1, 12), (1, 13), (2, 8), (2, 9), (4, 24), (4, 25), (20, 60), (20, 61)],
+        [(1, 2), (1, 3), (1, 12), (1, 13), (2, 8), (2, 9), (4, 24), (4, 25), (20, 60), (20, 61),
+         (4, 200)],
     )
     def test_matches_general_kernel(self, d, m_count):
         from obscheck.samples import _assemble, _distance_impl, _free_kernel
@@ -165,7 +168,7 @@ class TestFreeKernel:
         n_free = m_count // 2
         free = np.random.default_rng(d * 1000 + m_count).standard_normal((n_free, d))
         value, grad = _free_kernel(free, m_count, CFG)
-        ref_value, raw = _distance_impl(_assemble(free, m_count, d), CFG, want_grad=True)
+        ref_value, raw = _distance_impl(_assemble(free, m_count, d), CFG)
         ref_grad = raw[:n_free] - raw[n_free : 2 * n_free]
         # odd M: the origin's T2 term exp(0) = 1 moves the value but not the
         # gradient, so the value is compared on its own
@@ -193,6 +196,53 @@ class TestFreeKernel:
         assert len(calls) > 25
         assert len(set(calls)) == len(calls)
         assert free.tobytes() in calls
+
+
+def _dense_reference(points: np.ndarray, cfg: LcdConfig) -> tuple[float, np.ndarray]:
+    """The distance and raw gradient with expm1 over the full (M, M) matrix
+    of every node at once, the arithmetic of the reference kernel before it
+    shared the pair-block walk with placement."""
+    from obscheck.samples import _nodes
+
+    m_count, d = points.shape
+    w, b2, c1, v, c2, d0 = _nodes(cfg.b_max, cfg.nodes_for(d), d)
+    diff = points[:, None, :] - points[None, :, :]
+    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
+    norm2 = np.einsum("ik,ik->i", points, points)
+    kernel = np.expm1(dist2[None, :, :] / (-4.0 * b2)[:, None, None])  # (Q, M, M)
+    e2 = np.expm1(norm2[None, :] / (-2.0 * v)[:, None])  # (Q, M)
+    value = float(np.dot(w, d0 + c1 * kernel.sum(axis=(1, 2)) / (m_count * m_count)
+                         - 2.0 * c2 * e2.sum(axis=1) / m_count))
+    u1 = w * c1 / (m_count * m_count * b2)
+    wk = np.einsum("q,qij->ij", u1, kernel) + u1.sum()
+    u2 = w * c2 / (m_count * v)
+    grad = (wk @ points - points * wk.sum(axis=1)[:, None]
+            + 2.0 * points * (u2 @ e2 + u2.sum())[:, None])
+    return value, grad
+
+
+class TestReferenceKernel:
+    """``lcd_distance`` and ``lcd_gradient`` walk the i < j pairs in blocks;
+    a dense evaluation is their reference."""
+
+    def test_matches_dense_evaluation_over_two_blocks(self):
+        # 7,140 pairs: one full 4096-entry block and a partial one
+        points = np.random.default_rng(2120).standard_normal((120, 2))
+        ref_value, ref_grad = _dense_reference(points, CFG)
+        assert lcd_distance(points, CFG) == pytest.approx(ref_value, rel=1e-12, abs=0.0)
+        grad = lcd_gradient(points, CFG)
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+    def test_gradient_memory_is_bounded(self):
+        # no (M, M, d) difference tensor and no (Q, M, M) kernel array
+        points = np.random.default_rng(201000).standard_normal((1000, 20))
+        tracemalloc.start()
+        try:
+            lcd_gradient(points, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
 
 class TestNodeRule:

@@ -1,6 +1,7 @@
 """The benchmark's traced run patches obscheck callables by name; a renamed
 or moved one would only show when that run crashes, so the names are
-checked here, and so are the ``obscheck run`` flags it passes."""
+checked here, and so are the ``obscheck run`` flags it passes and every
+obscheck name that the benchmark and the scripts import."""
 
 import argparse
 import ast
@@ -57,3 +58,24 @@ def test_benchmark_run_flags_are_run_options():
     flags = _benchmark_run_flags()
     assert "--threads" in flags and "--cache-dir" in flags
     assert sorted(f for f in flags if f not in options) == []
+
+
+def _obscheck_imports() -> list[tuple[str, str, str]]:
+    """(file, module, name) of every ``from obscheck... import name`` in the
+    benchmark and the scripts, most of them inside functions."""
+    root = CHILD.parent.parent
+    found = []
+    for path in sorted([*root.glob("perfbench/*.py"), *root.glob("scripts/*.py")]):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "obscheck":
+                found += [(path.name, node.module, alias.name) for alias in node.names]
+    return sorted(set(found))
+
+
+@pytest.mark.parametrize("where,module_name,name", _obscheck_imports())
+def test_imported_name_resolves(where, module_name, name):
+    module = importlib.import_module(module_name)
+    # a name may be an attribute or a submodule of the package
+    assert (hasattr(module, name)
+            or importlib.util.find_spec(f"{module_name}.{name}") is not None), (
+        f"{where}: from {module_name} import {name} fails")
