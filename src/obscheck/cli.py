@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 import traceback
+import warnings
 from pathlib import Path
 
 from ._files import write_atomic
@@ -169,6 +170,10 @@ def _cmd_run(args) -> int:
         )
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
+    largest = max(horizons)
+    if args.K < 2 * largest:
+        raise _CliError(f"--K {args.K} is too small for T = {largest}: "
+                        f"run needs K >= 2T = {2 * largest}")
     _check_output(args.out)
     _check_output(args.plot)
     if cache_dir is not None:
@@ -195,7 +200,22 @@ def _cmd_report(args) -> int:
     return EXIT_OBSERVABLE
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv: list[str] | None = None) -> int:
+    # a warning prints as one line, without the source location that
+    # warnings.formatwarning would add
+    previous = warnings.formatwarning
+    warnings.formatwarning = _format_warning
+    try:
+        return _main(argv)
+    finally:
+        warnings.formatwarning = previous
+
+
+def _main(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -6,8 +6,8 @@ Supports real literals, named parameters, the unary functions
 evaluated in IEEE double precision, either plainly or together with exact
 first partial derivatives (forward-mode dual numbers).  The tree walkers
 :func:`eval_expr` and :func:`eval_grad` serve one-shot evaluation;
-:func:`compile_expr` turns a tree into closures over Python floats for
-repeated evaluation at the same bit-level results.
+:func:`compile_expr` turns a tree into one value-and-gradient closure over
+Python floats for repeated evaluation at the same bit-level results.
 
 Precedence is ``^`` > unary minus > ``* /`` > ``+ -``; all binary
 operators associate to the left.
@@ -464,77 +464,22 @@ def _power_grad(e: Binary, a: _Dual, b: _Dual, value: float) -> np.ndarray:
 # Compilation
 # ---------------------------------------------------------------------------
 
-ValueFn = Callable[[Sequence[float]], float]
 DualFn = Callable[[Sequence[float]], tuple[float, tuple[float, ...]]]
 
 
-def compile_expr(e: Expr, order: Sequence[str]) -> tuple[ValueFn, DualFn]:
-    """Compile ``e`` into a value closure and a value-plus-gradient closure.
+def compile_expr(e: Expr, order: Sequence[str]) -> DualFn:
+    """Compile ``e`` into one value-plus-gradient closure.
 
-    Both take the parameter values as a sequence of Python floats laid out
-    like ``order``.  The first returns what :func:`eval_expr` returns; the
-    second returns ``(value, gradient)`` with the gradient a tuple laid out
-    like ``order``.  Each closure performs the tree walkers' floating-point
-    operations in the same order, so values and gradients are bit-identical
-    to :func:`eval_expr` and :func:`eval_grad` (signed zeros included), and
-    every error they raise carries the same message.  A parameter of ``e``
-    missing from ``order`` raises ``KeyError`` at compile time.
+    The closure takes the parameter values as a sequence of Python floats
+    laid out like ``order`` and returns ``(value, gradient)``, the gradient
+    a tuple laid out like ``order``.  It performs :func:`eval_grad`'s
+    floating-point operations in the same order, so value and gradient are
+    bit-identical to :func:`eval_grad`'s (signed zeros included; the value
+    is :func:`eval_expr`'s), and it raises :func:`eval_grad`'s errors with
+    the same messages.  A parameter of ``e`` missing from ``order`` raises
+    ``KeyError`` at compile time.
     """
-    index = {name: i for i, name in enumerate(order)}
-    return _compile_value(e, index), _compile_dual(e, index, len(order))
-
-
-def _compile_value(e: Expr, index: dict[str, int]) -> ValueFn:
-    if isinstance(e, Literal):
-        value = e.value
-        return lambda x: value
-    if isinstance(e, Param):
-        i = index[e.name]
-        return lambda x: x[i]
-    if isinstance(e, Unary):
-        arg = _compile_value(e.arg, index)
-        op = e.op
-        if op == "neg":
-            return lambda x: -arg(x)
-        if op == "exp":
-            return lambda x: math.exp(arg(x))
-        if op == "abs":
-            return lambda x: abs(arg(x))
-        if op in ("sqrt", "log"):
-            fn = math.sqrt if op == "sqrt" else math.log
-
-            def checked(x):
-                v = arg(x)
-                if v <= 0.0:
-                    _apply_unary(e, v)  # raises the walker's DomainError
-                return fn(v)
-
-            return checked
-        raise ValueError(f"unknown unary op {op!r}")
-    if isinstance(e, Binary):
-        left = _compile_value(e.left, index)
-        right = _compile_value(e.right, index)
-        op = e.op
-        if op == "+":
-            return lambda x: left(x) + right(x)
-        if op == "-":
-            return lambda x: left(x) - right(x)
-        if op == "*":
-            return lambda x: left(x) * right(x)
-        if op == "/":
-
-            def divide(x):
-                a = left(x)
-                b = right(x)
-                if b == 0.0:
-                    _apply_binary(e, a, b)  # raises the walker's DomainError
-                return a / b
-
-            return divide
-        if op == "^":
-            return lambda x: _power_value(e, left(x), right(x))
-        raise ValueError(f"unknown binary op {op!r}")
-    raise TypeError(f"not an expression node: {e!r}")
+    return _compile_dual(e, {name: i for i, name in enumerate(order)}, len(order))
 
 
 def _compile_dual(e: Expr, index: dict[str, int], n: int) -> DualFn:

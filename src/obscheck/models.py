@@ -3,7 +3,11 @@
 A model declares named parameters with true values and optional box bounds,
 plus three expressions: the mean ``m``, the scale ``s`` and the log-prior,
 defining observations ``Z_t = m + s * eps_t`` with standard normal ``eps_t``.
-The package ships the study models as JSON files under ``obscheck/models``.
+The three expressions compile once into value-and-gradient closures that the
+fit evaluates at every point it visits; one-shot values (the check at the
+true values, the design observations, a direct log-posterior) walk the
+expression trees.  The package ships the study models as JSON files under
+``obscheck/models``.
 """
 
 from __future__ import annotations
@@ -16,7 +20,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .expressions import DomainError, Expr, ParseError, collect_params, compile_expr, parse_expr
+from .expressions import (
+    DomainError,
+    Expr,
+    ParseError,
+    collect_params,
+    compile_expr,
+    eval_expr,
+    parse_expr,
+)
 
 __all__ = ["ParamSpec", "ModelSpec", "ModelError", "load_model", "bundled_model_names"]
 
@@ -46,8 +58,9 @@ class ModelSpec:
     """A validated location-scale model.
 
     The mean, scale and log-prior expressions are compiled once, here, into
-    closures over Python floats (see :func:`~obscheck.expressions.compile_expr`);
-    the evaluation methods below run those closures.
+    value-and-gradient closures over Python floats (see
+    :func:`~obscheck.expressions.compile_expr`), which
+    :meth:`mean_scale_prior_grad` runs; the value-only methods walk the trees.
     """
 
     name: str
@@ -55,7 +68,7 @@ class ModelSpec:
     mean_expr: Expr
     scale_expr: Expr
     log_prior_expr: Expr
-    # (value closures, value-and-gradient closures) for mean, scale, log-prior
+    # value-and-gradient closures for mean, scale, log-prior
     _compiled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -71,17 +84,14 @@ class ModelSpec:
             unknown = collect_params(expr) - declared
             if unknown:
                 raise ModelError(f"{label} references undeclared parameters {sorted(unknown)}")
-        compiled = [
-            compile_expr(expr, names)
-            for expr in (self.mean_expr, self.scale_expr, self.log_prior_expr)
-        ]
-        object.__setattr__(self, "_compiled", tuple(zip(*compiled)))
+        exprs = (self.mean_expr, self.scale_expr, self.log_prior_expr)
+        object.__setattr__(self, "_compiled", tuple(compile_expr(e, names) for e in exprs))
         # every study starts at the true values: the design observations are
         # generated there and each fit starts there
-        x = [float(p.true_value) for p in self.params]
-        for label, fn in zip(("mean", "scale", "log_prior"), self._compiled[0]):
+        values = {p.name: float(p.true_value) for p in self.params}
+        for label, expr in zip(("mean", "scale", "log_prior"), exprs):
             try:
-                value = fn(x)
+                value = eval_expr(expr, values)
             except (DomainError, OverflowError) as exc:
                 raise ModelError(f"{label} is not evaluable at the true values: {exc}") from exc
             if label == "scale" and not value > 0.0:
@@ -109,21 +119,20 @@ class ModelSpec:
         ]
 
     def mean_scale(self, omega: np.ndarray) -> tuple[float, float]:
-        x = _floats(omega)
-        mean, scale, _ = self._compiled[0]
-        return mean(x), scale(x)
+        values = dict(zip(self.param_names, _floats(omega)))
+        return eval_expr(self.mean_expr, values), eval_expr(self.scale_expr, values)
 
     def mean_scale_prior(self, omega: np.ndarray) -> tuple[float, float, float]:
         """Mean, scale and log-prior at ``omega``, evaluated in that order."""
-        x = _floats(omega)
-        mean, scale, prior = self._compiled[0]
-        return mean(x), scale(x), prior(x)
+        values = dict(zip(self.param_names, _floats(omega)))
+        return (eval_expr(self.mean_expr, values), eval_expr(self.scale_expr, values),
+                eval_expr(self.log_prior_expr, values))
 
     def mean_scale_prior_grad(self, omega: np.ndarray):
         """(value, gradient) pairs for mean, scale and log-prior at ``omega``;
         each gradient is a tuple laid out like :attr:`param_names`."""
         x = _floats(omega)
-        mean, scale, prior = self._compiled[1]
+        mean, scale, prior = self._compiled
         return mean(x), scale(x), prior(x)
 
     def to_dict(self) -> dict:

@@ -122,11 +122,13 @@ def _project(x: list[float], box) -> list[float]:
 def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
     """Maximize the log-posterior of ``ctx`` starting from ``x0``.
 
-    ``ctx`` needs ``neg2l(omega)``, ``neg2l_grad(omega) -> (value, gradient)``,
+    ``ctx`` needs ``neg2l_grad(omega) -> (value, gradient)``,
     ``hessian_neg2l(omega)``, ``param_names`` and ``bounds()``;
     :class:`~obscheck.posterior.PosteriorContext` provides them.  ``omega``
     is passed as a list of Python floats, and the gradient may be any
-    sequence of floats.  The Hessian drives the Newton polish that follows
+    sequence of floats.  Each line-search trial is evaluated once, by
+    ``neg2l_grad``: the Armijo test reads its value, and an accepted trial
+    keeps its gradient.  The Hessian drives the Newton polish that follows
     an unconverged line search.  Trial points are projected onto the
     declared box bounds and rejected (treated as +inf) when infeasible,
     including when only the gradient is undefined there.  Deterministic given
@@ -169,15 +171,20 @@ def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
         # history the natural step is 1
         step = 1.0 if s_hist else min(1.0, 1.0 / max(grad_inf, 1e-300))
         accepted = False
+        trial = None
         for _ in range(_MAX_BACKTRACKS):
+            previous = trial
             trial = _project([a + step * d for a, d in zip(x, direction)], box)
             actual = [t - a for t, a in zip(trial, x)]
             if not any(actual):
                 break
+            if trial == previous:
+                # the halved step rounded onto the trial just rejected
+                step *= _BACKTRACK_FACTOR
+                continue
             try:
-                f_trial = ctx.neg2l(trial)
-                if f_trial <= f + _ARMIJO_C1 * sum(map(mul, g, actual)):
-                    f_new, g_new = ctx.neg2l_grad(trial)
+                f_new, g_new = ctx.neg2l_grad(trial)
+                if f_new <= f + _ARMIJO_C1 * sum(map(mul, g, actual)):
                     accepted = True
                     break
             except InfeasiblePointError:

@@ -8,8 +8,10 @@ constants are dropped and
 
 The optimizer minimizes -2L, so this module exposes -2L with its exact
 gradient (forward-mode through the mean/scale/prior expressions) and a
-finite-difference Hessian of that gradient.  Mean, scale and log-prior come
-from the model's compiled expression closures.
+finite-difference Hessian of that gradient.  :meth:`PosteriorContext.neg2l_grad`,
+which the optimizer evaluates at every point, runs the model's compiled
+expression closures; the one-shot :meth:`~PosteriorContext.log_posterior` and
+:meth:`~PosteriorContext.neg2l` walk the expression trees.
 """
 
 from __future__ import annotations

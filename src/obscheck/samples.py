@@ -73,6 +73,7 @@ comes out of the same node-weighted kernel sums.
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 import warnings
 from dataclasses import dataclass
@@ -125,8 +126,16 @@ class LcdConfig:
     def __post_init__(self):
         if not self.b_max > 0.0:
             raise ValueError(f"b_max must be positive, got {self.b_max}")
+        if not math.isfinite(self.b_max):
+            raise ValueError(f"b_max must be finite, got {self.b_max}")
         if self.quad_nodes is not None and self.quad_nodes < 2:
             raise ValueError(f"quad_nodes must be >= 2, got {self.quad_nodes}")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        if not (math.isfinite(self.step_tol) and self.step_tol > 0.0):
+            raise ValueError(f"step_tol must be finite and positive, got {self.step_tol}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def nodes_for(self, d: int) -> int:
         """The width-quadrature node count in d dimensions: ``quad_nodes``

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import obscheck
 from obscheck.cli import (
     EXIT_INTERNAL,
     EXIT_NOT_OBSERVABLE,
@@ -49,6 +54,10 @@ class TestSamplesCommand:
     @pytest.mark.parametrize("flag,value,message", [
         ("--quad-nodes", "1", "quad_nodes must be >= 2, got 1"),
         ("--b-max", "0", "b_max must be positive, got 0.0"),
+        ("--b-max", "inf", "b_max must be finite, got inf"),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+        ("--placement-iters", "-5", "max_iters must be >= 0, got -5"),
+        ("--step-tol", "nan", "step_tol must be finite and positive, got nan"),
     ])
     def test_invalid_placement_setting_is_usage_error(self, tmp_path, capsys, flag, value,
                                                       message):
@@ -269,6 +278,41 @@ def test_unwritable_path_is_usage_error(tmp_path, monkeypatch, capsys, args, giv
     assert code == EXIT_USAGE
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert given.format(**fill) in lines[0]
+
+
+def test_too_few_design_vectors_is_usage_error(tmp_path, monkeypatch, capsys):
+    import obscheck.cli as cli_module
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("K is checked before any placement or study")
+
+    monkeypatch.setattr(cli_module, "run_study", unreachable)
+    monkeypatch.setattr(cli_module, "optimize_mixture", unreachable)
+    cache = tmp_path / "cache"
+    code = run_cli(["run", "--model", "unknown_variance", "--T", "4,20", "--K", "30",
+                    "--out", tmp_path / "r.json", "--cache-dir", cache])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == EXIT_USAGE
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "--K 30" in lines[0] and "T = 20" in lines[0]
+    assert not any(cache.rglob("*"))
+
+
+def test_warning_prints_as_one_line(tmp_path):
+    # the in-process filter in pyproject.toml hides placement warnings, so
+    # run a cold placement in a fresh interpreter with the default filters
+    src = Path(obscheck.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONWARNINGS": "default"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "obscheck", "samples", "--dim", "2", "--count", "6",
+         "--placement-iters", "1", "--out", str(tmp_path / "s.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_OBSERVABLE
+    lines = proc.stderr.splitlines()
+    assert any("stopped at max_iters=1" in line for line in lines)
+    for line in lines:
+        assert line.startswith("warning: ") and ".py:" not in line
 
 
 def test_exit_codes_are_distinct():

@@ -13,7 +13,7 @@ from obscheck import (
     maximize,
 )
 from obscheck.optimize import _two_loop
-from obscheck.samples import representative_disturbances
+from obscheck.samples import design_disturbance_matrix, representative_disturbances
 from obscheck.study import make_design_observations
 
 from conftest import DESK_LCD
@@ -115,6 +115,43 @@ class TestMaximize:
         result = maximize(Cliff([3.0]), np.array([0.0]))
         assert 2.0 < result.omega_hat[0] <= 2.5
         assert not result.converged
+
+
+class _CountingContext(PosteriorContext):
+    """Records the points at which -2L is evaluated, up to the first Hessian."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "calls", {"neg2l": 0, "grad_points": [], "polish": False})
+
+    def neg2l(self, omega):
+        self.calls["neg2l"] += 1
+        return super().neg2l(omega)
+
+    def neg2l_grad(self, omega):
+        if not self.calls["polish"]:
+            self.calls["grad_points"].append(tuple(omega))
+        return super().neg2l_grad(omega)
+
+    def hessian_neg2l(self, omega):
+        self.calls["polish"] = True
+        return super().hessian_neg2l(omega)
+
+
+@pytest.mark.parametrize("name", bundled_model_names())
+def test_one_evaluation_per_line_search_trial(name):
+    # the Armijo test reads the value of the trial's one neg2l_grad call, an
+    # accepted trial keeps that call's gradient, and a step that rounds onto
+    # the trial just rejected is not evaluated again: no point is evaluated
+    # twice in a row.  Trials from different iterates may still meet.
+    model = load_model(name)
+    eps = design_disturbance_matrix(4, 20, DESK_LCD)[0]
+    ctx = _CountingContext(model, make_design_observations(model, eps))
+    maximize(ctx, model.true_vector())
+    points = ctx.calls["grad_points"]
+    assert ctx.calls["neg2l"] == 0
+    assert len(points) > 2  # the start and at least two trials
+    assert all(a != b for a, b in zip(points, points[1:]))
 
 
 def _two_loop_numpy(g, s_hist, y_hist, rho_hist):
