@@ -6,6 +6,14 @@ constants are dropped and
 
     L(omega | z) = -T log s - sum_t (z_t - m)^2 / (2 s^2) + log_prior(omega).
 
+The likelihood sees z only through its mean zbar and its centred sum of
+squares Q = sum_t (z_t - zbar)^2.  A context computes both once; every
+evaluation then takes
+
+    sum_t (z_t - m)^2 = Q + T (zbar - m)^2,    sum_t (z_t - m) = T (zbar - m),
+
+so its cost does not grow with T and it makes no numpy call.
+
 The optimizer minimizes -2L, so this module exposes -2L with its exact
 gradient (forward-mode through the mean/scale/prior expressions) and a
 finite-difference Hessian of that gradient.  :meth:`PosteriorContext.neg2l_grad`,
@@ -46,6 +54,8 @@ class PosteriorContext:
     model: ModelSpec
     obs: np.ndarray
     horizon: int = field(init=False)
+    obs_mean: float = field(init=False)  # zbar
+    obs_css: float = field(init=False)  # Q = sum_t (z_t - zbar)^2
 
     def __post_init__(self):
         obs = np.asarray(self.obs, dtype=float).ravel().copy()
@@ -56,6 +66,10 @@ class PosteriorContext:
         obs.flags.writeable = False
         object.__setattr__(self, "obs", obs)
         object.__setattr__(self, "horizon", int(obs.size))
+        zbar = float(obs.mean())
+        dev = obs - zbar
+        object.__setattr__(self, "obs_mean", zbar)
+        object.__setattr__(self, "obs_css", float(dev @ dev))
 
     @property
     def param_names(self) -> tuple[str, ...]:
@@ -72,8 +86,8 @@ class PosteriorContext:
             raise InfeasiblePointError(str(exc)) from exc
         if not s > 0.0:
             raise InfeasiblePointError(f"scale is not positive ({s})")
-        res = self.obs - m
-        rss = float(res @ res)
+        d = self.obs_mean - m
+        rss = self.obs_css + self.horizon * d * d
         denom = 2.0 * s * s
         if denom == 0.0:
             raise InfeasiblePointError(f"scale {s} is too small: its square underflows")
@@ -94,9 +108,9 @@ class PosteriorContext:
             raise InfeasiblePointError(str(exc)) from exc
         if not s > 0.0:
             raise InfeasiblePointError(f"scale is not positive ({s})")
-        res = self.obs - m
-        rss = float(res @ res)
-        sum_res = float(res.sum())
+        d = self.obs_mean - m
+        sum_res = self.horizon * d
+        rss = self.obs_css + sum_res * d
         s2 = s * s
         s3 = s2 * s
         if s3 == 0.0:

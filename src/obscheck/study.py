@@ -200,7 +200,10 @@ def _aggregate(model: ModelSpec, horizon: int, records: list[RunRecord]) -> Part
             variance = {n: float(v) for n, v in zip(names, var)}
         lvar = np.array([[r.local_variances[n] for n in names] for r in passing])
         mean_lvar = {n: float(v) for n, v in zip(names, lvar.mean(axis=0))}
-        median_grad = float(np.median([r.grad_inf_norm for r in passing]))
+        # by hand: np.median imports numpy.ma, ~15 ms of every run
+        norms = sorted(r.grad_inf_norm for r in passing)
+        mid = n_passed // 2
+        median_grad = float(norms[mid] if n_passed % 2 else (norms[mid - 1] + norms[mid]) / 2.0)
     return PartIIResult(
         horizon=horizon,
         records=tuple(records),

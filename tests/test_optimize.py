@@ -1,3 +1,6 @@
+import random
+import struct
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ from obscheck import (
     local_variance,
     maximize,
 )
-from obscheck.optimize import _two_loop
+from obscheck.optimize import _WOLFE_EPS, _acceptable, _two_loop
 from obscheck.samples import design_disturbance_matrix, representative_disturbances
 from obscheck.study import make_design_observations
 
@@ -154,6 +157,65 @@ def test_one_evaluation_per_line_search_trial(name):
     assert all(a != b for a, b in zip(points, points[1:]))
 
 
+class _JitteredQuartic:
+    """-2L = 1 + (x - 1)^4 + (y + 0.5)^2, optionally plus a value jitter of up
+    to 1e-13 drawn from the bits of the point: rounding noise in -2L, far
+    below the gradient's resolution.  Counts its evaluations."""
+
+    param_names = ("x", "y")
+
+    def __init__(self, jitter):
+        self.jitter = jitter
+        self.calls = 0
+
+    def bounds(self):
+        return [(-np.inf, np.inf)] * 2
+
+    def neg2l_grad(self, omega):
+        self.calls += 1
+        x, y = omega
+        value = 1.0 + (x - 1.0) ** 4 + (y + 0.5) ** 2
+        if self.jitter:
+            value += random.Random(struct.pack("<2d", x, y)).uniform(-1e-13, 1e-13)
+        return value, [4.0 * (x - 1.0) ** 3, 2.0 * (y + 0.5)]
+
+    def hessian_neg2l(self, omega):
+        return np.diag([12.0 * (omega[0] - 1.0) ** 2, 2.0])
+
+
+def test_rounding_noise_in_the_value_costs_no_evaluations():
+    # once -2L differences are noise, the approximate Wolfe conditions
+    # accept on the slopes instead of backtracking on the noise
+    calls = []
+    for jitter in (False, True):
+        ctx = _JitteredQuartic(jitter)
+        result = maximize(ctx, [0.3, 0.7])
+        assert result.converged
+        calls.append(ctx.calls)
+    assert calls[1] <= calls[0]
+
+
+@pytest.mark.parametrize("f", [1.0, -250.0, 3e7])
+def test_approximate_wolfe_bounds_the_rise(f):
+    g, s = [-2.0, 1.0], [0.5, -0.25]  # slope g's = -1.25 along the step
+    inside = [0.0, 0.0]  # slope 0, within [sigma, 2 delta - 1] * g's
+    allowed = _WOLFE_EPS * abs(f)
+    assert _acceptable(f, g, f + 0.5 * allowed, inside, s)
+    assert not _acceptable(f, g, f + 2.0 * allowed, inside, s)
+    # slopes outside the bounds are rejected however small the rise
+    for g_new in ([2.4, 0.0], [-2.4, 0.0]):  # slopes 1.2 and -1.2
+        assert not _acceptable(f, g, f, g_new, s)
+
+
+@pytest.mark.parametrize("name", bundled_model_names())
+def test_trace_rises_by_at_most_eps_relative(name):
+    model = load_model(name)
+    eps = design_disturbance_matrix(4, 20, DESK_LCD)[0]
+    ctx = PosteriorContext(model, make_design_observations(model, eps))
+    trace = maximize(ctx, model.true_vector()).trace
+    assert all(b - a <= _WOLFE_EPS * abs(a) for a, b in zip(trace, trace[1:]))
+
+
 def _two_loop_numpy(g, s_hist, y_hist, rho_hist):
     """The two-loop recursion on numpy vectors, as the reference."""
     q = np.array(g, dtype=float)
@@ -245,8 +307,7 @@ class TestCheckMaximum:
     @pytest.mark.parametrize("name", bundled_model_names())
     def test_gradient_check_reuses_the_fit_gradient(self, name):
         # check_maximum does not evaluate the gradient at omega_hat; the norm
-        # maximize hands over must be the one evaluating it would give.  On
-        # this draw the ratio_mean_scale_sqrt_a fit ends in Newton polish steps.
+        # maximize hands over must be the one evaluating it would give.
         model = load_model(name)
         eps = np.random.default_rng(5).standard_normal(20)
         ctx = PosteriorContext(model, make_design_observations(model, eps))

@@ -210,8 +210,8 @@ class _TreeWalkerContext(PosteriorContext):
             raise InfeasiblePointError(str(exc)) from exc
         if not s > 0.0:
             raise InfeasiblePointError(f"scale is not positive ({s})")
-        res = self.obs - m
-        rss = float(res @ res)
+        d = self.obs_mean - m
+        rss = self.obs_css + self.horizon * d * d
         if 2.0 * s * s == 0.0:
             raise InfeasiblePointError(f"scale {s} is too small: its square underflows")
         value = -self.horizon * math.log(s) - rss / (2.0 * s * s) + prior
@@ -229,9 +229,9 @@ class _TreeWalkerContext(PosteriorContext):
             raise InfeasiblePointError(str(exc)) from exc
         if not s > 0.0:
             raise InfeasiblePointError(f"scale is not positive ({s})")
-        res = self.obs - m
-        rss = float(res @ res)
-        sum_res = float(np.sum(res))
+        d = self.obs_mean - m
+        sum_res = self.horizon * d
+        rss = self.obs_css + sum_res * d
         s2 = s * s
         if s2 * s == 0.0:
             raise InfeasiblePointError(f"scale {s} is too small: its cube underflows")
@@ -269,3 +269,51 @@ def test_compiled_posterior_bit_equals_tree_walkers(name, omega, seed, horizon):
     for method in ("neg2l", "neg2l_grad", "hessian_neg2l"):
         got = _bytes_or_error(lambda: getattr(ctx, method)(omega))
         assert got == _bytes_or_error(lambda: getattr(ref, method)(omega)), method
+
+
+def _direct_neg2l_grad(model, z, omega):
+    """-2L and its gradient from the residuals z_t - m, with the magnitude of
+    the terms each one sums.  Rounding in zbar, Q and z_t - m is relative to
+    |z_t| + |m|, not to the residuals, so the magnitudes are taken from those."""
+    (m, dm), (s, ds), (prior, dprior) = model.mean_scale_prior_grad(omega)
+    res = z - m
+    rss = float(res @ res)
+    sum_res = float(res.sum())
+    size = np.abs(z) + abs(m)
+    rss_mag = float(size @ size)
+    res_mag = float(size.sum())
+    horizon = z.size
+    value = 2.0 * horizon * math.log(s) + rss / (s * s) - 2.0 * prior
+    value_mag = abs(2.0 * horizon * math.log(s)) + rss_mag / (s * s) + abs(2.0 * prior)
+    grad, grad_mag = [], []
+    for a, b, c in zip(ds, dm, dprior):
+        terms = (2.0 * horizon * a / s, -2.0 * sum_res * b / s**2, -2.0 * rss * a / s**3, -2.0 * c)
+        grad.append(sum(terms))
+        grad_mag.append(2.0 * (horizon * abs(a) / s + res_mag * abs(b) / s**2
+                               + rss_mag * abs(a) / s**3 + abs(c)))
+    return (value, value_mag), list(zip(grad, grad_mag))
+
+
+@pytest.mark.parametrize("name", bundled_model_names())
+@given(
+    omega=st.lists(st.floats(0.05, 2.0), min_size=2, max_size=2),
+    loc=st.floats(-5.0, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+    horizon=st.integers(1, 20),
+)
+def test_sufficient_statistics_match_residual_sums(name, omega, loc, seed, horizon):
+    # neg2l and neg2l_grad read rss = Q + T (zbar - m)^2 and sum of residuals
+    # = T (zbar - m); the oracle sums the residuals themselves
+    model = load_model(name)
+    z = np.random.default_rng(seed).normal(loc, 0.8, size=horizon)
+    omega = omega[: len(model.params)]
+    ctx = PosteriorContext(model, z)
+    try:
+        value, grad = ctx.neg2l_grad(omega)
+    except InfeasiblePointError:
+        return
+    (want, mag), grad_want = _direct_neg2l_grad(model, z, omega)
+    assert abs(value - want) <= 1e-12 * mag
+    assert abs(ctx.neg2l(omega) - want) <= 1e-12 * mag
+    for got, (want, mag) in zip(grad, grad_want):
+        assert abs(got - want) <= 1e-12 * mag

@@ -1,12 +1,17 @@
 import dataclasses
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import obscheck
 from obscheck import (
     NOT_OBSERVABLE,
     OBSERVABLE,
@@ -164,6 +169,31 @@ class TestPartTwo:
         again = _aggregate(VARIANCE_ONLY, 4, records)
         assert again.empirical_mean == result.empirical_mean
         assert again.empirical_variance == result.empirical_variance
+
+    def test_median_gradient_norm_equals_numpy_median(self):
+        cfg = small_config(MEAN_AND_VARIANCE, K=12)
+        records = run_part2(MEAN_AND_VARIANCE, 4, 12, cfg).records
+        for n in range(1, len(records) + 1):  # odd and even counts of passing runs
+            norms = [r.grad_inf_norm for r in records[:n] if r.passed]
+            got = _aggregate(MEAN_AND_VARIANCE, 4, list(records[:n])).median_grad_inf_norm
+            assert got == (float(np.median(norms)) if norms else None)
+
+
+def test_study_does_not_import_numpy_ma(tmp_path):
+    # np.median imports numpy.ma, ~15 ms of start-up for one median
+    code = (
+        "import sys\n"
+        "from obscheck import LcdConfig, StudyConfig, load_model, run_study\n"
+        "cfg = StudyConfig(model=load_model('unknown_variance'), T_list=(2,), K=6,\n"
+        f"                  lcd=LcdConfig(max_iters=5), cache_dir={str(tmp_path)!r})\n"
+        "assert run_study(cfg).part2[0].n_passed > 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = Path(obscheck.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 @pytest.mark.parametrize("name", bundled_model_names())
