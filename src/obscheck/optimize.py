@@ -133,8 +133,8 @@ def _project(x: list[float], box) -> list[float]:
 def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
     """Maximize the log-posterior of ``ctx`` starting from ``x0``.
 
-    ``ctx`` needs ``neg2l_grad(omega) -> (value, gradient)``,
-    ``hessian_neg2l(omega)``, ``param_names`` and ``bounds()``;
+    ``ctx`` needs only ``neg2l_grad(omega) -> (value, gradient)``,
+    ``param_names`` and ``bounds()``;
     :class:`~obscheck.posterior.PosteriorContext` provides them.  ``omega``
     is passed as a list of Python floats, and the gradient may be any
     sequence of floats.  Each line-search trial is evaluated once, by
@@ -142,12 +142,12 @@ def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
     test its value and gradient, and an accepted trial keeps its gradient.
     Each entry of the returned ``trace`` is at most ``eps * |previous|``
     above the one before it (``eps`` = 1e-12); a step Armijo accepts
-    always lowers -2L.  The Hessian drives the Newton polish that follows
-    an unconverged line search.  Trial points are projected onto the
-    declared box bounds and rejected (treated as +inf) when infeasible,
-    including when only the gradient is undefined there.  Deterministic given
-    identical inputs.  Raises ``ValueError`` if ``x0`` itself is infeasible;
-    any later failure returns ``converged=False`` with diagnostics instead.
+    always lowers -2L.  Trial points are projected onto the declared box
+    bounds and rejected (treated as +inf) when infeasible, including when
+    only the gradient is undefined there.  Deterministic given identical
+    inputs.  Raises ``ValueError`` if ``x0`` itself is infeasible; a line
+    search that finds no acceptable step, or the iteration cap, ends the fit
+    with ``converged=False`` at the last accepted point.
 
     The iteration runs on lists of Python floats: its vectors have one entry
     per parameter, where numpy's per-call overhead would dominate the fit.
@@ -226,13 +226,6 @@ def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
         grad_inf = _inf_norm(g)
         converged = grad_inf < cfg.grad_tol
 
-    if not converged:
-        # the line search can stall once -2L differences fall below float
-        # resolution; Newton steps on the gradient push the gradient down to
-        # the target without needing a measurable decrease in -2L
-        x, grad_inf = _newton_polish(ctx, x, f, g, grad_inf, box, cfg, trace)
-        converged = grad_inf < cfg.grad_tol
-
     return MaxResult(
         omega_hat=x,
         param_names=tuple(ctx.param_names),
@@ -253,38 +246,6 @@ def _acceptable(f: float, g: list[float], f_new: float, g_new, s: list[float]) -
     return f_new - f <= _WOLFE_EPS * abs(f) and (
         _WOLFE_SIGMA * gs <= sum(map(mul, g_new, s)) <= (2.0 * _WOLFE_DELTA - 1.0) * gs
     )
-
-
-def _newton_polish(ctx, x, f, g, grad_inf, box, cfg: OptConfig, trace: list):
-    """Up to three Newton steps accepted only when they reduce both the
-    gradient norm and (weakly) -2L, so the accepted values appended to
-    ``trace`` do not rise.  Returns the final point and its gradient
-    inf-norm.
-
-    Since the line search also accepts on the approximate Wolfe conditions,
-    no Part II fit of the bundled models at T = 4 and 20 (K = 200, 150
-    placement iterations) reaches this polish: their line searches
-    converge."""
-    for _ in range(3):
-        if grad_inf < cfg.grad_tol:
-            break
-        try:
-            step = np.linalg.solve(ctx.hessian_neg2l(x), [-a for a in g]).tolist()
-        except (InfeasiblePointError, StencilError, np.linalg.LinAlgError):
-            break
-        if not all(map(math.isfinite, step)):
-            break
-        trial = _project([a + b for a, b in zip(x, step)], box)
-        try:
-            f_new, g_new = ctx.neg2l_grad(trial)
-        except InfeasiblePointError:
-            break
-        new_inf = _inf_norm(g_new)
-        if new_inf >= grad_inf or f_new > f:
-            break
-        x, f, g, grad_inf = trial, f_new, g_new, new_inf
-        trace.append(f)
-    return x, grad_inf
 
 
 def _two_loop(g: list[float], s_hist, y_hist, rho_hist) -> list[float]:

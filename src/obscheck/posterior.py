@@ -19,7 +19,9 @@ gradient (forward-mode through the mean/scale/prior expressions) and a
 finite-difference Hessian of that gradient.  :meth:`PosteriorContext.neg2l_grad`,
 which the optimizer evaluates at every point, runs the model's compiled
 expression closures; the one-shot :meth:`~PosteriorContext.log_posterior` and
-:meth:`~PosteriorContext.neg2l` walk the expression trees.
+:meth:`~PosteriorContext.neg2l` walk the expression trees.  The Hessian
+serves only the validity checks and local variances of a candidate maximum;
+the fit itself never asks for curvature.
 """
 
 from __future__ import annotations

@@ -357,9 +357,16 @@ def report_to_json(report: StudyReport) -> str:
 
 
 def report_from_json(text: str) -> dict:
+    """The report dictionary in ``text``; ``ValueError`` unless it is a JSON
+    object of schema ``obscheck-report/1`` with every top-level field
+    :func:`render_report` reads."""
     data = json.loads(text)
-    if data.get("schema") != "obscheck-report/1":
+    if not isinstance(data, dict) or data.get("schema") != "obscheck-report/1":
         raise ValueError("not an obscheck report file")
+    missing = [k for k in ("model", "verdict", "n_passing_total", "part1", "part2")
+               if k not in data]
+    if missing:
+        raise ValueError(f"report lacks field(s): {', '.join(missing)}")
     return data
 
 

@@ -226,9 +226,10 @@ class TestReportCommand:
         rendered = capsys.readouterr().out
         assert "Part I" in rendered and "verdict" in rendered
 
-    def test_malformed_report_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", ["{not json", "[1]", '{"schema": "obscheck-report/1"}'])
+    def test_malformed_report_file(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
+        bad.write_text(text)
         assert run_cli(["report", bad]) == EXIT_USAGE
 
     def test_missing_report_file(self, tmp_path):

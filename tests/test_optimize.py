@@ -27,7 +27,8 @@ RATIO_RIDGE = load_model("ratio_mean_scale_sqrt_ratio")
 
 
 class QuadraticContext:
-    """Synthetic context with -2L = sum (x_j - c_j)^2."""
+    """Synthetic context with -2L = sum (x_j - c_j)^2, offering only what
+    :func:`maximize` needs."""
 
     def __init__(self, center, bounds=None):
         self.center = np.asarray(center, dtype=float)
@@ -37,13 +38,13 @@ class QuadraticContext:
     def bounds(self):
         return self._bounds
 
-    def neg2l(self, x):
-        d = np.asarray(x, float) - self.center
-        return float(d @ d)
-
     def neg2l_grad(self, x):
         d = np.asarray(x, float) - self.center
         return float(d @ d), 2.0 * d
+
+
+class CurvedQuadraticContext(QuadraticContext):
+    """:class:`QuadraticContext` with the Hessian :func:`check_maximum` reads."""
 
     def hessian_neg2l(self, x):
         return 2.0 * np.eye(self.center.size)
@@ -121,23 +122,22 @@ class TestMaximize:
 
 
 class _CountingContext(PosteriorContext):
-    """Records the points at which -2L is evaluated, up to the first Hessian."""
+    """Records the points at which -2L is evaluated and counts Hessians."""
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "calls", {"neg2l": 0, "grad_points": [], "polish": False})
+        object.__setattr__(self, "calls", {"neg2l": 0, "grad_points": [], "hessian": 0})
 
     def neg2l(self, omega):
         self.calls["neg2l"] += 1
         return super().neg2l(omega)
 
     def neg2l_grad(self, omega):
-        if not self.calls["polish"]:
-            self.calls["grad_points"].append(tuple(omega))
+        self.calls["grad_points"].append(tuple(omega))
         return super().neg2l_grad(omega)
 
     def hessian_neg2l(self, omega):
-        self.calls["polish"] = True
+        self.calls["hessian"] += 1
         return super().hessian_neg2l(omega)
 
 
@@ -153,6 +153,7 @@ def test_one_evaluation_per_line_search_trial(name):
     maximize(ctx, model.true_vector())
     points = ctx.calls["grad_points"]
     assert ctx.calls["neg2l"] == 0
+    assert ctx.calls["hessian"] == 0  # the fit asks for no curvature
     assert len(points) > 2  # the start and at least two trials
     assert all(a != b for a, b in zip(points, points[1:]))
 
@@ -178,9 +179,6 @@ class _JitteredQuartic:
         if self.jitter:
             value += random.Random(struct.pack("<2d", x, y)).uniform(-1e-13, 1e-13)
         return value, [4.0 * (x - 1.0) ** 3, 2.0 * (y + 0.5)]
-
-    def hessian_neg2l(self, omega):
-        return np.diag([12.0 * (omega[0] - 1.0) ** 2, 2.0])
 
 
 def test_rounding_noise_in_the_value_costs_no_evaluations():
@@ -277,7 +275,7 @@ class TestCheckMaximum:
         assert not report.passed
 
     def test_gradient_threshold_boundary(self):
-        ctx = QuadraticContext([0.0])
+        ctx = CurvedQuadraticContext([0.0])
         # a candidate held off the optimum, as an unconverged fit hands it over
         result = MaxResult(omega_hat=[0.0], param_names=ctx.param_names, converged=False,
                            iterations=0, grad_inf_norm=2e-5, trace=(0.0,))
