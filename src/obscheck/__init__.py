@@ -14,13 +14,12 @@ from .expressions import (
     ExprError,
     ParseError,
     eval_expr,
-    eval_grad,
     format_expr,
     parse_expr,
 )
 from .models import ModelError, ModelSpec, ParamSpec, bundled_model_names, load_model
 from .optimize import CheckReport, MaxResult, OptConfig, check_maximum, local_variance, maximize
-from .posterior import InfeasiblePointError, PosteriorContext, StencilError
+from .posterior import InfeasiblePointError, PosteriorContext
 from .samples import (
     DiracMixture,
     InvalidMixtureError,

@@ -193,10 +193,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_report(args) -> int:
     try:
-        data = report_from_json(Path(args.path).read_text())
+        text = render_report(report_from_json(Path(args.path).read_text()))
     except (OSError, ValueError) as exc:
         raise _CliError(f"cannot read report: {exc}") from exc
-    print(render_report(data), end="")
+    except (KeyError, TypeError, AttributeError) as exc:  # a malformed nested field
+        raise _CliError(f"cannot read report: {type(exc).__name__}: {exc}") from exc
+    print(text, end="")
     return EXIT_OBSERVABLE
 
 

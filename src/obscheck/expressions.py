@@ -3,11 +3,12 @@
 Supports real literals, named parameters, the unary functions
 ``sqrt``, ``log``, ``exp``, ``abs``, ``neg`` and the binary operators
 ``+ - * / ^``.  Expressions are parsed into immutable trees that can be
-evaluated in IEEE double precision, either plainly or together with exact
-first partial derivatives (forward-mode dual numbers).  The tree walkers
-:func:`eval_expr` and :func:`eval_grad` serve one-shot evaluation;
-:func:`compile_expr` turns a tree into one value-and-gradient closure over
-Python floats for repeated evaluation at the same bit-level results.
+evaluated in IEEE double precision, either plainly or together with their
+exact first and second partial derivatives (second-order forward mode).
+The tree walkers :func:`eval_expr` and :func:`eval_hessian` serve one-shot
+evaluation; :func:`compile_expr` turns a tree into one value-and-gradient
+closure over Python floats for repeated evaluation, with the walker's
+value and gradient bit for bit.
 
 Precedence is ``^`` > unary minus > ``* /`` > ``+ -``; all binary
 operators associate to the left.
@@ -18,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-import numpy as np
 
 __all__ = [
     "Expr",
@@ -32,7 +31,7 @@ __all__ = [
     "DomainError",
     "parse_expr",
     "eval_expr",
-    "eval_grad",
+    "eval_hessian",
     "compile_expr",
     "format_expr",
     "collect_params",
@@ -364,100 +363,120 @@ def _power_value(e: Binary, base: float, exponent: float) -> float:
     )
 
 
-class _Dual:
-    """Value plus gradient vector for forward-mode differentiation.
+def eval_hessian(
+    e: Expr, params: dict[str, float], order: Sequence[str]
+) -> tuple[float, tuple[float, ...], list[list[float]]]:
+    """Evaluate ``e`` with its exact gradient and Hessian by second-order
+    forward mode (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008).
 
-    Arithmetic mirrors :func:`eval_expr` operation for operation so the value
-    component is bit-identical to a plain evaluation.
+    ``order`` lays out the gradient and the Hessian's rows and columns.  Value
+    and gradient are bit-identical to :func:`compile_expr`'s, and so are the
+    errors; the Hessian, exactly symmetric, raises none of its own.  The
+    derivatives of ``abs`` at 0 are defined as 0.
     """
-
-    __slots__ = ("value", "grad")
-
-    def __init__(self, value: float, grad: np.ndarray):
-        self.value = value
-        self.grad = grad
+    return _jet(e, params, {name: i for i, name in enumerate(order)}, len(order))
 
 
-def eval_grad(
-    e: Expr, params: dict[str, float], order: tuple[str, ...] | list[str]
-) -> tuple[float, np.ndarray]:
-    """Evaluate ``e`` and its exact first partial derivatives.
-
-    ``order`` fixes the layout of the returned gradient vector.  The value
-    component equals :func:`eval_expr` bit for bit.  The derivative of
-    ``abs`` at 0 is defined as 0.
-    """
-    index = {name: i for i, name in enumerate(order)}
-    out = _eval_dual(e, params, index, len(order))
-    return out.value, out.grad
+def _sym(n: int, entry: Callable[[int, int], float]) -> list[list[float]]:
+    """The symmetric n x n matrix with ``entry(i, j)`` at (i, j) and (j, i), i <= j."""
+    h = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            h[i][j] = h[j][i] = entry(i, j)
+    return h
 
 
-def _eval_dual(
-    e: Expr, params: dict[str, float], index: dict[str, int], n: int
-) -> _Dual:
+def _jet(e: Expr, params: dict[str, float], index: dict[str, int], n: int):
     if isinstance(e, Literal):
-        return _Dual(e.value, np.zeros(n))
+        return e.value, (0.0,) * n, _sym(n, lambda i, j: 0.0)
     if isinstance(e, Param):
-        g = np.zeros(n)
-        if e.name in index:
-            g[index[e.name]] = 1.0
-        return _Dual(params[e.name], g)
+        k = index[e.name]
+        unit = tuple(1.0 if j == k else 0.0 for j in range(n))
+        return params[e.name], unit, _sym(n, lambda i, j: 0.0)
     if isinstance(e, Unary):
-        x = _eval_dual(e.arg, params, index, n)
-        value = _apply_unary(e, x.value)
+        v, g, h = _jet(e.arg, params, index, n)
+        r = _apply_unary(e, v)
         op = e.op
         if op == "neg":
-            return _Dual(value, -x.grad)
+            return r, tuple([-p for p in g]), _sym(n, lambda i, j: -h[i][j])
         if op == "sqrt":
-            return _Dual(value, x.grad / (2.0 * value))
+            d = 2.0 * r
+            dr = tuple([p / d for p in g])
+            return r, dr, _sym(n, lambda i, j: (h[i][j] - 2.0 * (dr[i] * dr[j])) / d)
         if op == "log":
-            return _Dual(value, x.grad / x.value)
+            dr = tuple([p / v for p in g])
+            return r, dr, _sym(n, lambda i, j: h[i][j] / v - dr[i] * dr[j])
         if op == "exp":
-            return _Dual(value, value * x.grad)
+            return r, tuple([r * p for p in g]), _sym(n, lambda i, j: r * (h[i][j] + g[i] * g[j]))
         if op == "abs":
-            sign = 0.0 if x.value == 0.0 else math.copysign(1.0, x.value)
-            return _Dual(value, sign * x.grad)
+            sign = 0.0 if v == 0.0 else math.copysign(1.0, v)
+            return r, tuple([sign * p for p in g]), _sym(n, lambda i, j: sign * h[i][j])
         raise ValueError(f"unknown unary op {op!r}")
     if isinstance(e, Binary):
-        a = _eval_dual(e.left, params, index, n)
-        b = _eval_dual(e.right, params, index, n)
-        value = _apply_binary(e, a.value, b.value)
+        a, ga, ha = _jet(e.left, params, index, n)
+        b, gb, hb = _jet(e.right, params, index, n)
+        value = _apply_binary(e, a, b)
         op = e.op
         if op == "+":
-            return _Dual(value, a.grad + b.grad)
+            grad = tuple([p + q for p, q in zip(ga, gb)])
+            return value, grad, _sym(n, lambda i, j: ha[i][j] + hb[i][j])
         if op == "-":
-            return _Dual(value, a.grad - b.grad)
+            grad = tuple([p - q for p, q in zip(ga, gb)])
+            return value, grad, _sym(n, lambda i, j: ha[i][j] - hb[i][j])
         if op == "*":
-            return _Dual(value, a.value * b.grad + b.value * a.grad)
+            grad = tuple([a * q + b * p for p, q in zip(ga, gb)])
+            return value, grad, _sym(n, lambda i, j: (
+                a * hb[i][j] + b * ha[i][j] + (ga[i] * gb[j] + ga[j] * gb[i])))
         if op == "/":
-            return _Dual(value, (a.grad * b.value - a.value * b.grad) / (b.value * b.value))
+            # with f = a/b: f_ij = (a_ij - f b_ij - (f_i b_j + f_j b_i)) / b
+            grad = _quotient_grad(a, ga, b, gb)
+            return value, grad, _sym(n, lambda i, j: (
+                ha[i][j] - value * hb[i][j] - (grad[i] * gb[j] + grad[j] * gb[i])) / b)
         if op == "^":
-            return _Dual(value, _power_grad(e, a, b, value))
+            return (value, *_power_rule(e, a, ga, ha, b, gb, hb, value))
         raise ValueError(f"unknown binary op {op!r}")
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _power_grad(e: Binary, a: _Dual, b: _Dual, value: float) -> np.ndarray:
-    exponent_varies = bool(np.any(b.grad != 0.0))
-    if a.value > 0.0:
-        # d(u^v) = u^v * (v' ln u + v u'/u)
-        term = b.value * a.grad / a.value
+def _quotient_grad(a: float, ga, b: float, gb) -> tuple[float, ...]:
+    """The gradient of a / b, b != 0; where b*b underflows to zero, each
+    component is +-inf or nan, as a numpy division gives, not an error."""
+    den = b * b
+    if den == 0.0:
+        return tuple([(p * b - a * q) * math.inf for p, q in zip(ga, gb)])
+    return tuple([(p * b - a * q) / den for p, q in zip(ga, gb)])
+
+
+def _power_rule(e: Binary, a: float, ga, ha, b: float, gb, hb, value: float):
+    """Gradient and Hessian of ``value = a ^ b`` from the derivatives of the
+    base ``a`` and the exponent ``b``; the Hessian is None when ``ha`` is."""
+    n = len(ga)
+    sym = (lambda entry: None) if ha is None else (lambda entry: _sym(n, entry))
+    exponent_varies = any([q != 0.0 for q in gb])
+    if a > 0.0:
+        # a^b = exp(u), u = b log a: d(a^b) = a^b du, d2(a^b) = a^b (d2u + du du')
+        du = [b * p / a for p in ga]
         if exponent_varies:
-            term = term + math.log(a.value) * b.grad
-        return value * term
+            log_a = math.log(a)
+            du = [t + log_a * q for t, q in zip(du, gb)]
+        return tuple([value * t for t in du]), sym(lambda i, j: value * (
+            (b * (ha[i][j] - ga[i] * ga[j] / a) + (ga[i] * gb[j] + ga[j] * gb[i])) / a
+            + math.log(a) * hb[i][j] + du[i] * du[j]))
     if exponent_varies:
-        raise DomainError(
-            f"non-positive base {a.value!r} with parameter-dependent exponent", e
-        )
-    p = b.value
-    if a.value == 0.0:
-        if p > 1.0:
-            return np.zeros_like(a.grad)
-        if p == 1.0:
-            return a.grad.copy()
+        raise DomainError(f"non-positive base {a!r} with parameter-dependent exponent", e)
+    if a == 0.0:
+        if b == 1.0:
+            return tuple(ga), ha
+        if b > 1.0:
+            # b (b - 1) a^(b - 2) at a = 0: 2 at b = 2, 0 above, unbounded below
+            k = 2.0 if b == 2.0 else 0.0 if b > 2.0 else math.inf
+            return (0.0,) * n, sym(lambda i, j: k * (ga[i] * ga[j]))
         raise DomainError("derivative of power undefined at zero base", e)
-    # negative base, integer exponent
-    return p * a.value ** (p - 1.0) * a.grad
+    # negative base, integer exponent; a^(b - 2) is taken as a^(b - 1) / a,
+    # which cannot overflow where the gradient does not
+    c = a ** (b - 1.0)
+    return tuple([b * c * p for p in ga]), sym(lambda i, j: b * (
+        (b - 1.0) * c / a * (ga[i] * ga[j]) + c * ha[i][j]))
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +491,10 @@ def compile_expr(e: Expr, order: Sequence[str]) -> DualFn:
 
     The closure takes the parameter values as a sequence of Python floats
     laid out like ``order`` and returns ``(value, gradient)``, the gradient
-    a tuple laid out like ``order``.  It performs :func:`eval_grad`'s
-    floating-point operations in the same order, so value and gradient are
-    bit-identical to :func:`eval_grad`'s (signed zeros included; the value
-    is :func:`eval_expr`'s), and it raises :func:`eval_grad`'s errors with
+    a tuple laid out like ``order``.  It performs the value and gradient
+    operations of :func:`eval_hessian` in the same order, so value and
+    gradient are bit-identical to that walker's (signed zeros included; the
+    value is :func:`eval_expr`'s), and it raises the walker's errors with
     the same messages.  A parameter of ``e`` missing from ``order`` raises
     ``KeyError`` at compile time.
     """
@@ -483,8 +502,8 @@ def compile_expr(e: Expr, order: Sequence[str]) -> DualFn:
 
 
 def _compile_dual(e: Expr, index: dict[str, int], n: int) -> DualFn:
-    # Each rule below is the matching rule of _eval_dual with the numpy
-    # array operations written out per component.
+    # Each rule below is the value-and-gradient part of the matching rule
+    # of _jet.
     if isinstance(e, Literal):
         constant = (e.value, (0.0,) * n)
         return lambda x: constant
@@ -582,13 +601,7 @@ def _compile_dual_binary(e: Binary, left: DualFn, right: DualFn) -> DualFn:
             b, gb = right(x)
             if b == 0.0:
                 _apply_binary(e, a, b)
-            den = b * b
-            if den == 0.0:
-                # b*b underflowed: numpy divides to +-inf or nan where a
-                # Python float division would raise
-                grad = (np.array(ga) * b - a * np.array(gb)) / den
-                return a / b, tuple(grad.tolist())
-            return a / b, tuple([(p * b - a * q) / den for p, q in zip(ga, gb)])
+            return a / b, _quotient_grad(a, ga, b, gb)
 
         return div
     if op == "^":
@@ -597,15 +610,7 @@ def _compile_dual_binary(e: Binary, left: DualFn, right: DualFn) -> DualFn:
             a, ga = left(x)
             b, gb = right(x)
             value = _power_value(e, a, b)
-            if not a > 0.0:
-                # non-positive base: rare, so the walker's rule runs as is
-                grad = _power_grad(e, _Dual(a, np.array(ga)), _Dual(b, np.array(gb)), value)
-                return value, tuple(grad.tolist())
-            term = [b * p / a for p in ga]
-            if any([q != 0.0 for q in gb]):
-                log_a = math.log(a)
-                term = [t + log_a * q for t, q in zip(term, gb)]
-            return value, tuple([value * t for t in term])
+            return value, _power_rule(e, a, ga, None, b, gb, None, value)[0]
 
         return power
     raise ValueError(f"unknown binary op {op!r}")

@@ -12,14 +12,14 @@ of -2L may therefore rise by up to eps * |f| per step.  A candidate
 maximum then passes four checks before it counts:
 
   1. the inf-norm of grad(-2L) is below ``grad_check``,
-  2. the Hessian of -2L is positive definite,
+  2. the exact Hessian of -2L is positive definite,
   3. the eigenvalue ratio lambda_min/lambda_max exceeds ``eig_ratio_min``
      (a tiny ratio means a ridge),
   4. all local variances are finite and below ``lvar_max``
      (an infinite local variance means a plateau).
 
-Local variances are the diagonal of the inverted curvature:
-2 * diag(H_{-2L}^{-1}), equal to -1/L'' in one dimension.
+Local variances are the diagonal of the inverted curvature, 2 * diag(H^{-1})
+for the Hessian H of -2L (no step size), equal to -1/L'' in one dimension.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from operator import mul
 
 import numpy as np
 
-from .posterior import InfeasiblePointError, StencilError
+from .posterior import InfeasiblePointError
 
 __all__ = ["OptConfig", "MaxResult", "CheckReport", "maximize", "check_maximum", "local_variance"]
 
@@ -280,7 +280,7 @@ def check_maximum(ctx, result: MaxResult, cfg: OptConfig = OptConfig()) -> Check
     grad_inf = float(result.grad_inf_norm)
     try:
         eigvals, lvar = _curvature(ctx.hessian_neg2l(result.omega_hat))
-    except (InfeasiblePointError, StencilError, np.linalg.LinAlgError) as exc:
+    except (InfeasiblePointError, np.linalg.LinAlgError) as exc:
         return CheckReport(
             grad_ok=False, hessian_pd=False, eig_ratio_ok=False, lvar_finite=False,
             grad_inf_norm=grad_inf, eig_ratio=float("nan"),

@@ -15,13 +15,14 @@ evaluation then takes
 so its cost does not grow with T and it makes no numpy call.
 
 The optimizer minimizes -2L, so this module exposes -2L with its exact
-gradient (forward-mode through the mean/scale/prior expressions) and a
-finite-difference Hessian of that gradient.  :meth:`PosteriorContext.neg2l_grad`,
-which the optimizer evaluates at every point, runs the model's compiled
-expression closures; the one-shot :meth:`~PosteriorContext.log_posterior` and
-:meth:`~PosteriorContext.neg2l` walk the expression trees.  The Hessian
-serves only the validity checks and local variances of a candidate maximum;
-the fit itself never asks for curvature.
+gradient and its exact Hessian, both by forward mode through the
+mean/scale/prior expressions.  :meth:`PosteriorContext.neg2l_grad`, which the
+optimizer evaluates at every point, runs the model's compiled expression
+closures; the one-shot :meth:`~PosteriorContext.log_posterior`,
+:meth:`~PosteriorContext.neg2l` and :meth:`~PosteriorContext.hessian_neg2l`
+walk the expression trees.  The Hessian serves only the validity checks and
+local variances of a candidate maximum; the fit itself never asks for
+curvature.
 """
 
 from __future__ import annotations
@@ -31,22 +32,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expressions import DomainError
+from .expressions import DomainError, eval_hessian
 from .models import ModelSpec
 
-__all__ = ["PosteriorContext", "InfeasiblePointError", "StencilError"]
-
-_FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
+__all__ = ["PosteriorContext", "InfeasiblePointError"]
 
 
 class InfeasiblePointError(Exception):
     """The parameter point leaves the model's admissible domain (domain error
     or float overflow in an expression, or non-positive scale).  Recoverable:
     the optimizer's line search treats it as +inf."""
-
-
-class StencilError(Exception):
-    """A finite-difference stencil point is infeasible even after shrinking."""
 
 
 @dataclass(frozen=True)
@@ -132,33 +127,30 @@ class PosteriorContext:
         return -2.0 * value, grad
 
     def hessian_neg2l(self, omega: np.ndarray) -> np.ndarray:
-        """Symmetric finite-difference Hessian of -2L.
-
-        Central differences of the exact gradient with per-coordinate step
-        eps^(1/3) * max(1, |omega_j|); an infeasible stencil point shrinks
-        the step once by 10x before giving up with :class:`StencilError`.
-        """
-        omega = [float(v) for v in omega]
-        columns = []
-        for j in range(len(omega)):
-            h = _FD_STEP * max(1.0, abs(omega[j]))
-            for attempt in range(2):
-                try:
-                    plus = omega.copy()
-                    plus[j] += h
-                    minus = omega.copy()
-                    minus[j] -= h
-                    _, gp = self.neg2l_grad(plus)
-                    _, gm = self.neg2l_grad(minus)
-                    columns.append([(p - m) / (2.0 * h) for p, m in zip(gp, gm)])
-                    break
-                except InfeasiblePointError:
-                    if attempt == 1:
-                        raise StencilError(
-                            f"Hessian stencil infeasible for parameter "
-                            f"'{self.param_names[j]}' near {omega[j]!r}"
-                        ) from None
-                    h /= 10.0
-        hess = np.array(columns).T
-        return 0.5 * (hess + hess.T)
-
+        """Exact Hessian of -2L = phi(m, s) - 2 log p(omega), where
+        phi = 2T log s + (Q + T (zbar - m)^2) / s^2, by the chain rule through
+        the gradients and Hessians of the mean, the scale and the log-prior."""
+        names = self.param_names
+        values = dict(zip(names, [float(v) for v in omega]))
+        exprs = (self.model.mean_expr, self.model.scale_expr, self.model.log_prior_expr)
+        try:
+            (m, dm, hm), (s, ds, hs), (_, _, hp) = [eval_hessian(e, values, names) for e in exprs]
+        except (DomainError, OverflowError) as exc:
+            raise InfeasiblePointError(str(exc)) from exc
+        if not s > 0.0:
+            raise InfeasiblePointError(f"scale is not positive ({s})")
+        t, d = self.horizon, self.obs_mean - m
+        s2 = s * s
+        s4 = s2 * s2
+        if s4 == 0.0:
+            raise InfeasiblePointError(f"scale {s} is too small: its fourth power underflows")
+        rss = self.obs_css + t * d * d
+        phi_m, phi_s = -2.0 * t * d / s2, 2.0 * t / s - 2.0 * rss / (s2 * s)
+        phi_mm, phi_ms, phi_ss = 2.0 * t / s2, 4.0 * t * d / (s2 * s), 6.0 * rss / s4 - 2.0 * t / s2
+        # every term is symmetric in (i, j) bit for bit, so the matrix is too
+        return np.array([
+            [phi_m * hm[i][j] + phi_s * hs[i][j] + phi_mm * (dm[i] * dm[j])
+             + phi_ms * (dm[i] * ds[j] + ds[i] * dm[j]) + phi_ss * (ds[i] * ds[j]) - 2.0 * hp[i][j]
+             for j in range(len(dm))]
+            for i in range(len(dm))
+        ])

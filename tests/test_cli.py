@@ -226,11 +226,19 @@ class TestReportCommand:
         rendered = capsys.readouterr().out
         assert "Part I" in rendered and "verdict" in rendered
 
-    @pytest.mark.parametrize("text", ["{not json", "[1]", '{"schema": "obscheck-report/1"}'])
+    @pytest.mark.parametrize("text", [
+        "{not json", "[1]", '{"schema": "obscheck-report/1"}',
+        '{"schema": "obscheck-report/1", "model": {}, "verdict": "x", "n_passing_total": 0,'
+        ' "part1": [], "part2": []}',
+        '{"schema": "obscheck-report/1", "model": {"parameters": []}, "verdict": "x",'
+        ' "n_passing_total": 0, "part1": [1], "part2": []}',
+    ])
     def test_malformed_report_file(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         assert run_cli(["report", bad]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read report: ") and err.count("\n") == 1
 
     def test_missing_report_file(self, tmp_path):
         assert run_cli(["report", tmp_path / "none.json"]) == EXIT_USAGE

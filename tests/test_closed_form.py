@@ -11,6 +11,10 @@ from obscheck.closed_form import (
     reciprocal_mean_oracle,
     unknown_variance_oracle,
 )
+from obscheck.samples import design_disturbance_matrix, representative_disturbances
+from obscheck.study import make_design_observations
+
+from conftest import DESK_LCD
 
 VARIANCE_ONLY = load_model("unknown_variance")
 MEAN_AND_VARIANCE = load_model("mean_and_variance")
@@ -44,11 +48,6 @@ class TestMeanAndVariance:
         assert result.expected_values["a"] == pytest.approx(0.6)
 
     def test_representative_design_vector(self):
-        from obscheck.samples import representative_disturbances
-        from obscheck.study import make_design_observations
-
-        from conftest import DESK_LCD
-
         z = make_design_observations(
             MEAN_AND_VARIANCE, representative_disturbances(4, DESK_LCD)
         )
@@ -89,9 +88,7 @@ def test_numeric_maximization_matches_variance_oracle(seed, horizon):
     result = maximize(ctx, np.array([0.8]))
     assert result.omega_hat[0] == pytest.approx(oracle.estimates["b"], abs=1e-6)
     lvar = local_variance(ctx, result.omega_hat)
-    # the finite-difference step eps^(1/3) max(1, |omega|) bounds relative
-    # accuracy when bhat is far below 1, so small values match absolutely
-    assert lvar[0] == pytest.approx(oracle.local_variances["b"], rel=1e-6, abs=1e-6)
+    assert lvar[0] == pytest.approx(oracle.local_variances["b"], rel=1e-6)
 
 
 @given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(2, 30))
@@ -105,5 +102,29 @@ def test_numeric_maximization_matches_mean_variance_oracle(seed, horizon):
     assert result.estimates["a"] == pytest.approx(oracle.estimates["a"], abs=1e-6)
     assert result.estimates["b"] == pytest.approx(oracle.estimates["b"], abs=1e-6)
     lvar = local_variance(ctx, result.omega_hat)
-    assert lvar[0] == pytest.approx(oracle.local_variances["a"], rel=1e-6, abs=1e-6)
-    assert lvar[1] == pytest.approx(oracle.local_variances["b"], rel=1e-6, abs=1e-6)
+    assert lvar[0] == pytest.approx(oracle.local_variances["a"], rel=1e-6)
+    assert lvar[1] == pytest.approx(oracle.local_variances["b"], rel=1e-6)
+
+
+@pytest.mark.parametrize("name,oracle", [
+    ("unknown_variance", unknown_variance_oracle),
+    ("mean_and_variance", mean_and_variance_oracle),
+])
+def test_exact_curvature_gives_oracle_local_variances(name, oracle):
+    # at the closed-form estimates, the local variances from the exact -2L
+    # Hessian are the closed-form ones up to rounding
+    model = load_model(name)
+    rng = np.random.default_rng(12)
+    rows = []
+    for horizon in range(2, 21):
+        rows.extend(rng.standard_normal((20, horizon)))
+        rows.append(representative_disturbances(horizon, DESK_LCD))
+    for horizon in (4, 12, 20):
+        rows.extend(design_disturbance_matrix(horizon, 200, DESK_LCD))
+    for eps in rows:
+        z = make_design_observations(model, eps)
+        result = oracle(z)
+        omega = [result.estimates[name] for name in model.param_names]
+        want = [result.local_variances[name] for name in model.param_names]
+        lvar = local_variance(PosteriorContext(model, z), omega)
+        assert lvar.tolist() == pytest.approx(want, rel=1e-12, abs=0.0)

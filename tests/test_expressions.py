@@ -14,10 +14,12 @@ from obscheck.expressions import (
     collect_params,
     compile_expr,
     eval_expr,
-    eval_grad,
+    eval_hessian,
     format_expr,
     parse_expr,
 )
+
+from conftest import central_difference_hessian
 
 
 class TestParsing:
@@ -98,23 +100,36 @@ class TestEval:
 
 class TestGradient:
     def test_sqrt_derivative(self):
-        value, grad = eval_grad(parse_expr("sqrt(b)"), {"b": 0.64}, ("b",))
+        value, grad, hess = eval_hessian(parse_expr("sqrt(b)"), {"b": 0.64}, ("b",))
         assert value == pytest.approx(0.8)
         assert grad[0] == pytest.approx(0.625)  # 1/(2 sqrt(b))
+        assert hess[0][0] == pytest.approx(-1.0 / (4.0 * 0.512))  # -1/(4 b^(3/2))
 
     def test_product_gradient(self):
-        _, grad = eval_grad(parse_expr("a*b"), {"a": 0.6, "b": 0.4}, ("a", "b"))
+        _, grad, hess = eval_hessian(parse_expr("a*b"), {"a": 0.6, "b": 0.4}, ("a", "b"))
         assert grad == pytest.approx([0.4, 0.6])
+        assert hess == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_abs_derivative_at_zero(self):
-        _, grad = eval_grad(parse_expr("abs(a)"), {"a": 0.0}, ("a",))
+        _, grad, hess = eval_hessian(parse_expr("abs(a)"), {"a": 0.0}, ("a",))
         assert grad[0] == 0.0
+        assert hess[0][0] == 0.0
 
     def test_power_with_param_exponent(self):
-        value, grad = eval_grad(parse_expr("a^b"), {"a": 2.0, "b": 3.0}, ("a", "b"))
+        value, grad, hess = eval_hessian(parse_expr("a^b"), {"a": 2.0, "b": 3.0}, ("a", "b"))
+        log2 = math.log(2.0)
         assert value == pytest.approx(8.0)
         assert grad[0] == pytest.approx(12.0)  # b a^(b-1)
-        assert grad[1] == pytest.approx(8.0 * math.log(2.0))
+        assert grad[1] == pytest.approx(8.0 * log2)
+        assert hess[0][0] == pytest.approx(12.0)  # b (b-1) a^(b-2)
+        assert hess[0][1] == pytest.approx(4.0 * (1.0 + 3.0 * log2))  # a^(b-1) (1 + b log a)
+        assert hess[1][1] == pytest.approx(8.0 * log2**2)
+
+    @pytest.mark.parametrize("text,base,hess", [
+        ("a^3", -2.0, -12.0), ("a^1", 0.0, 0.0), ("a^2", 0.0, 2.0), ("a^3", 0.0, 0.0),
+    ])
+    def test_power_of_non_positive_base(self, text, base, hess):
+        assert eval_hessian(parse_expr(text), {"a": base}, ("a",))[2] == [[hess]]
 
 
 BUNDLED_EXPRESSIONS = [
@@ -136,7 +151,7 @@ def test_gradient_matches_finite_differences(text, a, b):
     expr = parse_expr(text)
     params = {"a": a, "b": b}
     order = ("a", "b")
-    _, grad = eval_grad(expr, params, order)
+    _, grad, _ = eval_hessian(expr, params, order)
     for j, name in enumerate(order):
         h = 1e-6 * max(1.0, abs(params[name]))
         up = dict(params, **{name: params[name] + h})
@@ -150,7 +165,7 @@ def test_gradient_matches_finite_differences(text, a, b):
 def test_eval_grad_value_bit_equals_eval(text, a, b):
     expr = parse_expr(text)
     params = {"a": a, "b": b}
-    value, _ = eval_grad(expr, params, ("a", "b"))
+    value, _, _ = eval_hessian(expr, params, ("a", "b"))
     assert value == eval_expr(expr, params)
 
 
@@ -179,7 +194,8 @@ def test_parse_print_parse_round_trip(expr):
 
 
 def _outcome(fn):
-    """What ``fn()`` returns as raw bytes, or the type and text of what it raises."""
+    """What ``fn()`` returns as raw bytes, or the type and text of what it
+    raises; of a (value, gradient, ...) tuple, only value and gradient count."""
     try:
         value = fn()
     except Exception as exc:
@@ -203,7 +219,7 @@ def test_compiled_closures_bit_equal_tree_walkers(expr, point):
     order = ("a", "b", "c")
     params = dict(zip(order, point))
     dual_fn = compile_expr(expr, order)
-    assert _outcome(lambda: dual_fn(point)) == _outcome(lambda: eval_grad(expr, params, order))
+    assert _outcome(lambda: dual_fn(point)) == _outcome(lambda: eval_hessian(expr, params, order))
 
 
 @pytest.mark.parametrize("text", BUNDLED_EXPRESSIONS)
@@ -213,8 +229,30 @@ def test_compiled_closures_bit_equal_tree_walkers_in_domain(text, a, b):
     params = {"a": a, "b": b}
     dual_fn = compile_expr(expr, ("a", "b"))
     assert _outcome(lambda: dual_fn((a, b))) == _outcome(
-        lambda: eval_grad(expr, params, ("a", "b"))
+        lambda: eval_hessian(expr, params, ("a", "b"))
     )
+
+
+@pytest.mark.parametrize("text", BUNDLED_EXPRESSIONS)
+@given(a=st.floats(0.1, 3.0), b=st.floats(0.1, 3.0))
+def test_hessian_matches_central_differences(text, a, b):
+    expr = parse_expr(text)
+    order = ("a", "b")
+    compiled = compile_expr(expr, order)
+    hess = np.array(eval_hessian(expr, {"a": a, "b": b}, order)[2])
+    assert np.array_equal(hess, hess.T)
+    fd = central_difference_hessian(lambda x: compiled(x)[1], [a, b])
+    assert np.max(np.abs(hess - fd)) <= 1e-6 * max(1.0, np.max(np.abs(hess)))
+
+
+@given(_expr_strategy(), st.tuples(_POINTS, _POINTS, _POINTS))
+def test_hessian_is_exactly_symmetric(expr, point):
+    try:
+        _, _, hess = eval_hessian(expr, dict(zip("abc", point)), ("a", "b", "c"))
+    except (DomainError, OverflowError):
+        return
+    hess = np.array(hess)
+    assert hess.tobytes() == hess.T.tobytes()
 
 
 def test_compile_requires_every_parameter():

@@ -274,6 +274,14 @@ class TestCheckMaximum:
         assert not report.eig_ratio_ok
         assert not report.passed
 
+    def test_straight_ridge_has_no_positive_definite_hessian(self):
+        # the additive pair sees only m1 + m2: its exact Hessian is singular
+        # at every candidate, never positive definite by rounding
+        model = load_model("additive_mean_pair")
+        for eps in design_disturbance_matrix(4, 200, DESK_LCD):
+            ctx = PosteriorContext(model, make_design_observations(model, eps))
+            assert not check_maximum(ctx, maximize(ctx, model.true_vector())).hessian_pd
+
     def test_gradient_threshold_boundary(self):
         ctx = CurvedQuadraticContext([0.0])
         # a candidate held off the optimum, as an unconverged fit hands it over

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from obscheck import InfeasiblePointError, PosteriorContext, bundled_model_names, load_model
-from obscheck.expressions import DomainError, eval_expr, eval_grad
+from obscheck.expressions import DomainError, eval_expr, eval_hessian
 from obscheck.models import model_from_dict
-from obscheck.posterior import StencilError
+
+from conftest import central_difference_hessian
 
 VARIANCE_ONLY = load_model("unknown_variance")
 MEAN_AND_VARIANCE = load_model("mean_and_variance")
@@ -94,8 +95,8 @@ class TestGradient:
 
 
 class TestScaleUnderflow:
-    # a scale whose square or cube underflows to zero makes the point
-    # infeasible rather than raising ZeroDivisionError
+    # a scale whose square, cube or fourth power underflows to zero makes the
+    # point infeasible rather than raising ZeroDivisionError
 
     def test_cube_underflow_makes_gradient_infeasible(self):
         ctx = PosteriorContext(load_model("ratio_mean_scale_sqrt_a"), np.array([0.70]))
@@ -113,6 +114,12 @@ class TestScaleUnderflow:
         with pytest.raises(InfeasiblePointError):
             ctx.neg2l_grad([1e-170])
 
+    def test_fourth_power_underflow_makes_hessian_infeasible(self):
+        ctx = PosteriorContext(VARIANCE_ONLY, np.array([1.0, -0.5]))
+        ctx.neg2l_grad([1e-165])  # s^3 is still representable
+        with pytest.raises(InfeasiblePointError, match="fourth power underflows"):
+            ctx.hessian_neg2l([1e-165])
+
 
 @pytest.mark.parametrize("mean,a", [("exp(a)", 800.0), ("a^2", 1e200)])
 def test_float_overflow_is_infeasible(mean, a):
@@ -127,7 +134,7 @@ def test_float_overflow_is_infeasible(mean, a):
         ctx.neg2l([a, 1.0])
     with pytest.raises(InfeasiblePointError):
         ctx.neg2l_grad([a, 1.0])
-    with pytest.raises(StencilError):
+    with pytest.raises(InfeasiblePointError):
         ctx.hessian_neg2l([a, 1.0])
 
 
@@ -138,7 +145,7 @@ class TestHessian:
         b_hat = float(np.mean(z * z))
         ctx = PosteriorContext(VARIANCE_ONLY, z)
         hess = ctx.hessian_neg2l(np.array([b_hat]))
-        assert hess[0, 0] == pytest.approx(4.0 / b_hat**2, rel=1e-7)
+        assert hess[0, 0] == pytest.approx(4.0 / b_hat**2, rel=1e-12)
 
     def test_mean_variance_decouple_at_mode(self):
         rng = np.random.default_rng(5)
@@ -148,9 +155,9 @@ class TestHessian:
         ctx = PosteriorContext(MEAN_AND_VARIANCE, z)
         hess = ctx.hessian_neg2l(np.array([a_hat, b_hat]))
         # off-diagonal is proportional to sum(z - ahat) = 0 at the mode
-        assert abs(hess[0, 1]) < 1e-6 * abs(hess[0, 0])
-        assert hess[0, 0] == pytest.approx(2 * 10 / b_hat, rel=1e-7)
-        assert hess[1, 1] == pytest.approx(10 / b_hat**2, rel=1e-7)
+        assert hess[0, 1] == 0.0
+        assert hess[0, 0] == pytest.approx(2 * 10 / b_hat, rel=1e-12)
+        assert hess[1, 1] == pytest.approx(10 / b_hat**2, rel=1e-12)
 
     def test_product_mean_ridge_has_singular_hessian(self):
         # candidates satisfy sum(z - a b) = 0: the curvature is rank one
@@ -167,11 +174,13 @@ class TestHessian:
         hess = ctx.hessian_neg2l(np.array([0.5, 0.35]))
         assert np.array_equal(hess, hess.T)
 
-    def test_infeasible_stencil_raises_stencil_error(self):
+    def test_exact_curvature_next_to_the_boundary(self):
+        # -2L = T log b + S/b with S = sum z^2, so -2L'' = -T/b^2 + 2S/b^3;
+        # no finite-difference step fits between b = 1e-9 and the bound b > 0
         ctx = PosteriorContext(VARIANCE_ONLY, np.array([1.0, -0.5]))
-        # so close to the boundary that even the shrunken step leaves b > 0
-        with pytest.raises(StencilError):
-            ctx.hessian_neg2l(np.array([1e-9]))
+        b = 1e-9
+        hess = ctx.hessian_neg2l(np.array([b]))
+        assert hess[0, 0] == pytest.approx(-2.0 / b**2 + 2.0 * 1.25 / b**3, rel=1e-12)
 
     def test_strict_concavity_near_mode(self):
         z = np.array([0.9, -0.7, 0.2, 1.1])
@@ -195,7 +204,7 @@ def test_context_is_immutable():
 
 class _TreeWalkerContext(PosteriorContext):
     """-2L and its gradient evaluated by walking the expression trees, as the
-    reference for the compiled closures; the Hessian stencil is inherited."""
+    reference for the compiled closures."""
 
     def _values(self, omega):
         return {name: float(v) for name, v in zip(self.param_names, omega)}
@@ -222,9 +231,9 @@ class _TreeWalkerContext(PosteriorContext):
     def neg2l_grad(self, omega):
         model, values, names = self.model, self._values(omega), self.param_names
         try:
-            m, dm = eval_grad(model.mean_expr, values, names)
-            s, ds = eval_grad(model.scale_expr, values, names)
-            prior, dprior = eval_grad(model.log_prior_expr, values, names)
+            m, dm, _ = eval_hessian(model.mean_expr, values, names)
+            s, ds, _ = eval_hessian(model.scale_expr, values, names)
+            prior, dprior, _ = eval_hessian(model.log_prior_expr, values, names)
         except DomainError as exc:
             raise InfeasiblePointError(str(exc)) from exc
         if not s > 0.0:
@@ -238,6 +247,7 @@ class _TreeWalkerContext(PosteriorContext):
         value = -self.horizon * math.log(s) - rss / (2.0 * s2) + prior
         if not math.isfinite(value):
             raise InfeasiblePointError(f"log-posterior is not finite ({value})")
+        dm, ds, dprior = np.array(dm), np.array(ds), np.array(dprior)
         grad_l = (-self.horizon / s) * ds + (sum_res / s2) * dm + (rss / (s2 * s)) * ds + dprior
         return -2.0 * value, -2.0 * grad_l
 
@@ -266,7 +276,7 @@ def test_compiled_posterior_bit_equals_tree_walkers(name, omega, seed, horizon):
     omega = np.array(omega[: len(model.params)])
     ctx = PosteriorContext(model, z)
     ref = _TreeWalkerContext(model, z)
-    for method in ("neg2l", "neg2l_grad", "hessian_neg2l"):
+    for method in ("neg2l", "neg2l_grad"):
         got = _bytes_or_error(lambda: getattr(ctx, method)(omega))
         assert got == _bytes_or_error(lambda: getattr(ref, method)(omega)), method
 
@@ -317,3 +327,22 @@ def test_sufficient_statistics_match_residual_sums(name, omega, loc, seed, horiz
     assert abs(ctx.neg2l(omega) - want) <= 1e-12 * mag
     for got, (want, mag) in zip(grad, grad_want):
         assert abs(got - want) <= 1e-12 * mag
+
+
+@pytest.mark.parametrize("name", bundled_model_names())
+@given(
+    omega=st.lists(st.floats(0.05, 2.0), min_size=2, max_size=2),
+    loc=st.floats(-5.0, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+    horizon=st.integers(1, 20),
+)
+def test_hessian_matches_central_differences(name, omega, loc, seed, horizon):
+    # the exact Hessian against central differences of the compiled gradient
+    model = load_model(name)
+    z = np.random.default_rng(seed).normal(loc, 0.8, size=horizon)
+    omega = omega[: len(model.params)]
+    ctx = PosteriorContext(model, z)
+    hess = ctx.hessian_neg2l(omega)
+    assert np.array_equal(hess, hess.T)
+    fd = central_difference_hessian(lambda x: ctx.neg2l_grad(x)[1], omega)
+    assert np.max(np.abs(hess - fd)) <= 1e-6 * np.max(np.abs(hess))
