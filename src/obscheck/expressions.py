@@ -7,8 +7,9 @@ evaluated in IEEE double precision, either plainly or together with their
 exact first and second partial derivatives (second-order forward mode).
 The tree walkers :func:`eval_expr` and :func:`eval_hessian` serve one-shot
 evaluation; :func:`compile_expr` turns a tree into one value-and-gradient
-closure over Python floats for repeated evaluation, with the walker's
-value and gradient bit for bit.
+closure over a (k, n) array of points for repeated evaluation, which gives
+each point the walker's value and gradient bit for bit and marks the
+points where the walker raises.
 
 Precedence is ``^`` > unary minus > ``* /`` > ``+ -``; all binary
 operators associate to the left.
@@ -19,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 __all__ = [
     "Expr",
@@ -370,9 +373,10 @@ def eval_hessian(
     forward mode (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008).
 
     ``order`` lays out the gradient and the Hessian's rows and columns.  Value
-    and gradient are bit-identical to :func:`compile_expr`'s, and so are the
-    errors; the Hessian, exactly symmetric, raises none of its own.  The
-    derivatives of ``abs`` at 0 are defined as 0.
+    and gradient are bit-identical to :func:`compile_expr`'s, which marks a
+    point infeasible exactly where this raises; the Hessian, exactly
+    symmetric, raises no error of its own.  The derivatives of ``abs`` at 0
+    are defined as 0.
     """
     return _jet(e, params, {name: i for i, name in enumerate(order)}, len(order))
 
@@ -483,134 +487,172 @@ def _power_rule(e: Binary, a: float, ga, ha, b: float, gb, hb, value: float):
 # Compilation
 # ---------------------------------------------------------------------------
 
-DualFn = Callable[[Sequence[float]], tuple[float, tuple[float, ...]]]
+RowsFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
+# a compiled node: (points, infeasible) -> (values, gradients); it marks the
+# rows where the walker would raise in ``infeasible``, in place
+_NodeFn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-def compile_expr(e: Expr, order: Sequence[str]) -> DualFn:
-    """Compile ``e`` into one value-plus-gradient closure.
+def compile_expr(e: Expr, order: Sequence[str]) -> RowsFn:
+    """Compile ``e`` into one value-plus-gradient closure over many points.
 
-    The closure takes the parameter values as a sequence of Python floats
-    laid out like ``order`` and returns ``(value, gradient)``, the gradient
-    a tuple laid out like ``order``.  It performs the value and gradient
-    operations of :func:`eval_hessian` in the same order, so value and
-    gradient are bit-identical to that walker's (signed zeros included; the
-    value is :func:`eval_expr`'s), and it raises the walker's errors with
-    the same messages.  A parameter of ``e`` missing from ``order`` raises
-    ``KeyError`` at compile time.
+    The closure takes a (k, n) array, one point per row laid out like
+    ``order``, and returns ``(values, gradients, feasible)``: values (k,),
+    gradients (k, n) and a boolean mask (k,).  Row by row it performs the
+    value and gradient operations of :func:`eval_hessian` in the same order,
+    so a feasible row's value and gradient are bit-identical to that
+    walker's (signed zeros included; the value is :func:`eval_expr`'s).  A
+    row is infeasible exactly where the walker raises :class:`DomainError`
+    or ``OverflowError``, which then gives the reason; the row's value and
+    gradient mean nothing.  A parameter of ``e`` missing from ``order``
+    raises ``KeyError`` at compile time.
+
+    Literals, parameters, ``neg``, ``abs``, ``sqrt`` and ``+ - * /`` are
+    numpy array operations, which IEEE 754 rounds as Python's float
+    arithmetic does.  ``log``, ``exp`` and ``^`` run per row through the
+    walker's scalar rules: numpy's ``log``, ``exp`` and ``power`` may differ
+    from ``math``'s in the last bit.
     """
-    return _compile_dual(e, {name: i for i, name in enumerate(order)}, len(order))
+    node = _compile(e, {name: i for i, name in enumerate(order)}, len(order))
+
+    def rows(points):
+        points = np.asarray(points, dtype=float)
+        infeasible = np.zeros(len(points), dtype=bool)
+        with np.errstate(all="ignore"):  # infeasible rows compute garbage
+            values, grads = node(points, infeasible)
+        return values, grads, ~infeasible
+
+    return rows
 
 
-def _compile_dual(e: Expr, index: dict[str, int], n: int) -> DualFn:
+def _compile(e: Expr, index: dict[str, int], n: int) -> _NodeFn:
     # Each rule below is the value-and-gradient part of the matching rule
-    # of _jet.
+    # of _jet, applied to every row.
     if isinstance(e, Literal):
-        constant = (e.value, (0.0,) * n)
-        return lambda x: constant
+        value = e.value
+        return lambda x, bad: (np.full(len(x), value), np.zeros((len(x), n)))
     if isinstance(e, Param):
         i = index[e.name]
-        unit = tuple(1.0 if j == i else 0.0 for j in range(n))
-        return lambda x: (x[i], unit)
+
+        def param(x, bad):
+            unit = np.zeros((len(x), n))
+            unit[:, i] = 1.0
+            return x[:, i], unit
+
+        return param
     if isinstance(e, Unary):
-        return _compile_dual_unary(e, _compile_dual(e.arg, index, n))
+        return _compile_unary(e, _compile(e.arg, index, n))
     if isinstance(e, Binary):
-        return _compile_dual_binary(
-            e, _compile_dual(e.left, index, n), _compile_dual(e.right, index, n)
-        )
+        return _compile_binary(e, _compile(e.left, index, n), _compile(e.right, index, n))
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _compile_dual_unary(e: Unary, arg: DualFn) -> DualFn:
+def _scalar_rows(e: Unary, v: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    """``_apply_unary(e, .)`` on each feasible entry of ``v``; an entry where it
+    raises marks its row infeasible."""
+    out = np.full(len(v), math.nan)
+    for i, (a, skip) in enumerate(zip(v.tolist(), bad.tolist())):
+        if not skip:
+            try:
+                out[i] = _apply_unary(e, a)
+            except (DomainError, OverflowError):
+                bad[i] = True
+    return out
+
+
+def _compile_unary(e: Unary, arg: _NodeFn) -> _NodeFn:
     op = e.op
     if op == "neg":
 
-        def neg(x):
-            v, g = arg(x)
-            return -v, tuple([-p for p in g])
+        def neg(x, bad):
+            v, g = arg(x, bad)
+            return -v, -g
 
         return neg
     if op == "sqrt":
 
-        def sqrt(x):
-            v, g = arg(x)
-            if v <= 0.0:
-                _apply_unary(e, v)
-            r = math.sqrt(v)
-            d = 2.0 * r
-            return r, tuple([p / d for p in g])
+        def sqrt(x, bad):
+            v, g = arg(x, bad)
+            bad |= v <= 0.0
+            r = np.sqrt(v)
+            return r, g / (2.0 * r)[:, None]
 
         return sqrt
     if op == "log":
 
-        def log(x):
-            v, g = arg(x)
-            if v <= 0.0:
-                _apply_unary(e, v)
-            return math.log(v), tuple([p / v for p in g])
+        def log(x, bad):
+            v, g = arg(x, bad)
+            return _scalar_rows(e, v, bad), g / v[:, None]
 
         return log
     if op == "exp":
 
-        def exp(x):
-            v, g = arg(x)
-            r = math.exp(v)
-            return r, tuple([r * p for p in g])
+        def exp(x, bad):
+            v, g = arg(x, bad)
+            r = _scalar_rows(e, v, bad)
+            return r, r[:, None] * g
 
         return exp
     if op == "abs":
 
-        def abs_(x):
-            v, g = arg(x)
-            sign = 0.0 if v == 0.0 else math.copysign(1.0, v)
-            return abs(v), tuple([sign * p for p in g])
+        def abs_(x, bad):
+            v, g = arg(x, bad)
+            sign = np.where(v == 0.0, 0.0, np.copysign(1.0, v))
+            return np.abs(v), sign[:, None] * g
 
         return abs_
     raise ValueError(f"unknown unary op {op!r}")
 
 
-def _compile_dual_binary(e: Binary, left: DualFn, right: DualFn) -> DualFn:
+def _compile_binary(e: Binary, left: _NodeFn, right: _NodeFn) -> _NodeFn:
     op = e.op
     if op == "+":
 
-        def add(x):
-            a, ga = left(x)
-            b, gb = right(x)
-            return a + b, tuple([p + q for p, q in zip(ga, gb)])
+        def add(x, bad):
+            (a, ga), (b, gb) = left(x, bad), right(x, bad)
+            return a + b, ga + gb
 
         return add
     if op == "-":
 
-        def sub(x):
-            a, ga = left(x)
-            b, gb = right(x)
-            return a - b, tuple([p - q for p, q in zip(ga, gb)])
+        def sub(x, bad):
+            (a, ga), (b, gb) = left(x, bad), right(x, bad)
+            return a - b, ga - gb
 
         return sub
     if op == "*":
 
-        def mul(x):
-            a, ga = left(x)
-            b, gb = right(x)
-            return a * b, tuple([a * q + b * p for p, q in zip(ga, gb)])
+        def mul(x, bad):
+            (a, ga), (b, gb) = left(x, bad), right(x, bad)
+            return a * b, a[:, None] * gb + b[:, None] * ga
 
         return mul
     if op == "/":
 
-        def div(x):
-            a, ga = left(x)
-            b, gb = right(x)
-            if b == 0.0:
-                _apply_binary(e, a, b)
-            return a / b, _quotient_grad(a, ga, b, gb)
+        def div(x, bad):
+            (a, ga), (b, gb) = left(x, bad), right(x, bad)
+            bad |= b == 0.0
+            # _quotient_grad, row by row
+            den = b * b
+            num = ga * b[:, None] - a[:, None] * gb
+            return a / b, np.where((den == 0.0)[:, None], num * math.inf, num / den[:, None])
 
         return div
     if op == "^":
 
-        def power(x):
-            a, ga = left(x)
-            b, gb = right(x)
-            value = _power_value(e, a, b)
-            return value, _power_rule(e, a, ga, None, b, gb, None, value)[0]
+        def power(x, bad):
+            (a, ga), (b, gb) = left(x, bad), right(x, bad)
+            value, grad = np.full(len(a), math.nan), np.full(ga.shape, math.nan)
+            rows = zip(a.tolist(), ga.tolist(), b.tolist(), gb.tolist(), bad.tolist())
+            for i, (ai, gai, bi, gbi, skip) in enumerate(rows):
+                if skip:
+                    continue
+                try:
+                    value[i] = vi = _power_value(e, ai, bi)
+                    grad[i] = _power_rule(e, ai, gai, None, bi, gbi, None, vi)[0]
+                except (DomainError, OverflowError):
+                    bad[i] = True
+            return value, grad
 
         return power
     raise ValueError(f"unknown binary op {op!r}")

@@ -3,11 +3,11 @@
 A model declares named parameters with true values and optional box bounds,
 plus three expressions: the mean ``m``, the scale ``s`` and the log-prior,
 defining observations ``Z_t = m + s * eps_t`` with standard normal ``eps_t``.
-The three expressions compile once into value-and-gradient closures that the
-fit evaluates at every point it visits; one-shot values (the check at the
-true values, the design observations, a direct log-posterior) walk the
-expression trees.  The package ships the study models as JSON files under
-``obscheck/models``.
+The three expressions compile once into value-and-gradient closures over
+many points, which the fit evaluates at every point it visits, one point per
+design row; one-shot values (the check at the true values, the design
+observations, a direct log-posterior) walk the expression trees.  The
+package ships the study models as JSON files under ``obscheck/models``.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class ModelSpec:
     """A validated location-scale model.
 
     The mean, scale and log-prior expressions are compiled once, here, into
-    value-and-gradient closures over Python floats (see
+    value-and-gradient closures over a (k, n) array of points (see
     :func:`~obscheck.expressions.compile_expr`), which
     :meth:`mean_scale_prior_grad` runs; the value-only methods walk the trees.
     """
@@ -128,12 +128,13 @@ class ModelSpec:
         return (eval_expr(self.mean_expr, values), eval_expr(self.scale_expr, values),
                 eval_expr(self.log_prior_expr, values))
 
-    def mean_scale_prior_grad(self, omega: np.ndarray):
-        """(value, gradient) pairs for mean, scale and log-prior at ``omega``;
-        each gradient is a tuple laid out like :attr:`param_names`."""
-        x = _floats(omega)
+    def mean_scale_prior_grad(self, points: np.ndarray):
+        """(values, gradients, feasible) triples for mean, scale and log-prior
+        at each row of the (k, n) array ``points``, the columns laid out like
+        :attr:`param_names`: values (k,), gradients (k, n) and a mask (k,) of
+        the rows where the expression and its gradient are defined."""
         mean, scale, prior = self._compiled
-        return mean(x), scale(x), prior(x)
+        return mean(points), scale(points), prior(points)
 
     def to_dict(self) -> dict:
         return {

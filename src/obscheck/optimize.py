@@ -1,15 +1,19 @@
 """Numerical maximization of the log-posterior and validation of maxima.
 
 Maximization runs limited-memory BFGS on -2L with Armijo backtracking;
-infeasible trial points are rejected by the line search.  Near a maximum,
--2L differences fall to rounding noise and Armijo's test decides on that
-noise, so a feasible trial that Armijo rejects is accepted anyway when it
-meets the approximate Wolfe conditions of Hager & Zhang ("A new conjugate
-gradient method with guaranteed descent and an efficient line search",
-SIAM J. Optim. 16, 2005): -2L rose by at most eps * |f| and the slope along
-the step s satisfies sigma g's <= g_new's <= (2 delta - 1) g's.  The trace
-of -2L may therefore rise by up to eps * |f| per step.  A candidate
-maximum then passes four checks before it counts:
+infeasible trial points are rejected by the line search.  One loop fits
+every design row of a horizon in lock-step, over numpy arrays with one row
+per fit, and gives each row the result a fit on its own would; a single
+fit is a batch of one.
+
+Near a maximum, -2L differences fall to rounding noise and Armijo's test
+decides on that noise, so a feasible trial that Armijo rejects is accepted
+anyway when it meets the approximate Wolfe conditions of Hager & Zhang ("A
+new conjugate gradient method with guaranteed descent and an efficient line
+search", SIAM J. Optim. 16, 2005): -2L rose by at most eps * |f| and the
+slope along the step s satisfies sigma g's <= g_new's <= (2 delta - 1) g's.
+The trace of -2L may therefore rise by up to eps * |f| per step.  A
+candidate maximum then passes four checks before it counts:
 
   1. the inf-norm of grad(-2L) is below ``grad_check``,
   2. the exact Hessian of -2L is positive definite,
@@ -26,13 +30,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
 from .posterior import InfeasiblePointError
 
-__all__ = ["OptConfig", "MaxResult", "CheckReport", "maximize", "check_maximum", "local_variance"]
+__all__ = [
+    "OptConfig", "MaxResult", "CheckReport", "maximize", "maximize_rows", "check_maximum",
+    "local_variance",
+]
 
 # L-BFGS history length, iteration cap, Armijo constant and backtracking
 # (Nocedal & Wright, Numerical Optimization, 2nd ed., sections 3.1 and 7.2)
@@ -102,34 +108,6 @@ class CheckReport:
         return self.grad_ok and self.hessian_pd and self.eig_ratio_ok and self.lvar_finite
 
 
-def _inf_norm(v) -> float:
-    """max |v_i|; NaN when any v_i is NaN, as numpy's ``max`` gives."""
-    norm = 0.0
-    for a in v:
-        a = abs(a)
-        if not a <= norm:
-            if a != a:
-                return a
-            norm = a
-    return norm
-
-
-def _project(x: list[float], box) -> list[float]:
-    """``x`` clipped to ``box = (lower, upper)`` as ``np.minimum(np.maximum(x,
-    lower), upper)`` clips it (a NaN passes through); ``box`` is None when
-    every bound is infinite, and ``x`` comes back as is."""
-    if box is None:
-        return x
-    out = []
-    for v, lo, hi in zip(x, *box):
-        if v <= lo:
-            v = lo
-        if v >= hi:
-            v = hi
-        out.append(v)
-    return out
-
-
 def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
     """Maximize the log-posterior of ``ctx`` starting from ``x0``.
 
@@ -137,133 +115,255 @@ def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
     ``param_names`` and ``bounds()``;
     :class:`~obscheck.posterior.PosteriorContext` provides them.  ``omega``
     is passed as a list of Python floats, and the gradient may be any
-    sequence of floats.  Each line-search trial is evaluated once, by
-    ``neg2l_grad``: the Armijo test reads its value, the approximate Wolfe
-    test its value and gradient, and an accepted trial keeps its gradient.
-    Each entry of the returned ``trace`` is at most ``eps * |previous|``
-    above the one before it (``eps`` = 1e-12); a step Armijo accepts
-    always lowers -2L.  Trial points are projected onto the declared box
-    bounds and rejected (treated as +inf) when infeasible, including when
-    only the gradient is undefined there.  Deterministic given identical
-    inputs.  Raises ``ValueError`` if ``x0`` itself is infeasible; a line
-    search that finds no acceptable step, or the iteration cap, ends the fit
-    with ``converged=False`` at the last accepted point.
-
-    The iteration runs on lists of Python floats: its vectors have one entry
-    per parameter, where numpy's per-call overhead would dominate the fit.
+    sequence of floats.  A context that also offers ``neg2l_grad_rows``, as
+    :class:`~obscheck.posterior.PosteriorContext` does, is evaluated
+    through it as a batch of one (see :func:`maximize_rows`), and
+    ``neg2l_grad`` then only says why an infeasible start is infeasible.
+    Each line-search trial is evaluated once: the Armijo test reads its
+    value, the approximate Wolfe test its value and gradient, and an
+    accepted trial keeps its gradient.  Each entry of the returned
+    ``trace`` is at most ``eps * |previous|`` above the one before it
+    (``eps`` = 1e-12); a step Armijo accepts always lowers -2L.  Trial
+    points are projected onto the declared box bounds and rejected (treated
+    as +inf) when infeasible, including when only the gradient is undefined
+    there.  Deterministic given identical inputs.  Raises ``ValueError`` if
+    ``x0`` itself is infeasible; a line search that finds no acceptable
+    step, or the iteration cap, ends the fit with ``converged=False`` at the
+    last accepted point.
     """
-    bounds = ctx.bounds()
-    lower = [float(lo) for lo, _ in bounds]
-    upper = [float(hi) for _, hi in bounds]
-    box = None
-    if any(lo != -math.inf for lo in lower) or any(hi != math.inf for hi in upper):
-        box = (lower, upper)
-    x = _project([float(v) for v in x0], box)
+    evaluate = getattr(ctx, "neg2l_grad_rows", None) or _one_by_one(ctx)
+    (result,) = _lockstep(evaluate, 1, ctx, x0, cfg)
+    if result is not None:
+        return result
+    start = _project(np.array([x0], dtype=float), _box(ctx.bounds()))[0].tolist()
     try:
-        f, g = ctx.neg2l_grad(x)
+        ctx.neg2l_grad(start)
     except InfeasiblePointError as exc:
         raise ValueError(f"infeasible starting point: {exc}") from exc
+    raise ValueError("infeasible starting point")
 
-    s_hist: list[list[float]] = []
-    y_hist: list[list[float]] = []
-    rho_hist: list[float] = []
-    trace = [f]
-    iterations = 0
-    grad_inf = _inf_norm(g)
-    converged = grad_inf < cfg.grad_tol
 
-    while not converged and iterations < _MAX_ITERS:
-        direction = [-a for a in _two_loop(g, s_hist, y_hist, rho_hist)]
-        slope = sum(map(mul, direction, g))
-        if not math.isfinite(slope) or slope >= 0.0:
-            # not a descent direction: drop the history, fall back to
-            # steepest descent
-            s_hist.clear(); y_hist.clear(); rho_hist.clear()
-            direction = [-a for a in g]
+def maximize_rows(ctx, x0, cfg: OptConfig = OptConfig()) -> list[MaxResult | None]:
+    """Maximize the log-posterior of every row of ``ctx`` from ``x0``.
 
-        # fresh-start steps are normalized to unit length; with curvature
-        # history the natural step is 1
-        step = 1.0 if s_hist else min(1.0, 1.0 / max(grad_inf, 1e-300))
-        accepted = False
-        trial = None
-        for _ in range(_MAX_BACKTRACKS):
-            previous = trial
-            trial = _project([a + step * d for a, d in zip(x, direction)], box)
-            actual = [t - a for t, a in zip(trial, x)]
-            if not any(actual):
-                break
-            if trial == previous:
-                # the halved step rounded onto the trial just rejected
-                step *= _BACKTRACK_FACTOR
-                continue
+    ``ctx`` has ``len(ctx)`` rows, ``param_names``, ``bounds()`` and
+    ``neg2l_grad_rows(rows, points) -> (values, gradients, feasible)``, which
+    evaluates -2L for row ``rows[i]`` at ``points[i]``;
+    :class:`~obscheck.posterior.PosteriorRows` provides them.  Every row is
+    fitted as :func:`maximize` fits it alone, bit for bit; the entry of a row
+    whose start is infeasible is None.
+
+    The rows advance in lock-step: in each round every unfinished row
+    evaluates exactly one trial, the first step of a new iteration or a
+    backtrack, and all of them go to ``neg2l_grad_rows`` in one call.  Each
+    row keeps its own step, history and stopping state, and its arithmetic
+    is that of a fit on its own: dot products sum left to right from 0.0,
+    as Python's ``sum`` sums floats (through 3.11).
+    """
+    return _lockstep(ctx.neg2l_grad_rows, len(ctx), ctx, x0, cfg)
+
+
+def _one_by_one(ctx):
+    """``neg2l_grad_rows`` for a context that offers only ``neg2l_grad``."""
+
+    def evaluate(rows, points):
+        values, grads = np.zeros(len(points)), np.zeros(points.shape)
+        feasible = np.zeros(len(points), dtype=bool)
+        for i, point in enumerate(points.tolist()):
             try:
-                f_new, g_new = ctx.neg2l_grad(trial)
-                if _acceptable(f, g, f_new, g_new, actual):
-                    accepted = True
-                    break
+                values[i], grads[i] = ctx.neg2l_grad(point)
             except InfeasiblePointError:
-                pass
-            step *= _BACKTRACK_FACTOR
-        if not accepted:
-            break
+                continue
+            feasible[i] = True
+        return values, grads, feasible
 
-        s = actual  # trial - x of the accepted step
-        y = [b - a for a, b in zip(g, g_new)]
-        sy = sum(map(mul, s, y))
-        if sy > 1e-12 * math.sqrt(sum(map(mul, s, s))) * math.sqrt(sum(map(mul, y, y))):
-            s_hist.append(s)
-            y_hist.append(y)
-            rho_hist.append(1.0 / sy)
-            if len(s_hist) > _MEMORY:
-                s_hist.pop(0); y_hist.pop(0); rho_hist.pop(0)
-        else:
-            # negative-curvature stretch: the stored quadratic model is
-            # stale and would shrink steps indefinitely
-            s_hist.clear(); y_hist.clear(); rho_hist.clear()
-        x, f, g = trial, f_new, g_new
-        trace.append(f)
-        iterations += 1
+    return evaluate
+
+
+def _lockstep(evaluate, count: int, ctx, x0, cfg: OptConfig) -> list[MaxResult | None]:
+    """L-BFGS from ``x0`` on ``count`` rows at once; see :func:`maximize_rows`."""
+    names = tuple(ctx.param_names)
+    box = _box(ctx.bounds())
+    with np.errstate(all="ignore"):  # rows that are done or infeasible compute garbage
+        x = _project(np.tile(np.asarray(x0, dtype=float), (count, 1)), box)
+        f, g, started = evaluate(np.arange(count), x)
+        f, g = np.array(f, dtype=float), np.array(g, dtype=float)
+        traces = [[v] for v in f.tolist()]
+        iterations = np.zeros(count, dtype=int)
         grad_inf = _inf_norm(g)
         converged = grad_inf < cfg.grad_tol
+        active = started & ~converged
+        history = _History(count, x.shape[1])
+        # per row, the line search of its current iteration; a row that has
+        # taken no trial yet starts a new iteration
+        direction, step = np.zeros_like(x), np.zeros(count)
+        tries = np.zeros(count, dtype=int)  # trials taken, evaluated or not
+        trial = np.zeros_like(x)  # the latest
+        while True:
+            new = np.flatnonzero(active & (tries == 0))
+            if new.size:
+                direction[new], step[new] = _search_direction(history, new, g[new], grad_inf[new])
 
-    return MaxResult(
-        omega_hat=x,
-        param_names=tuple(ctx.param_names),
-        converged=bool(converged),
-        iterations=iterations,
-        grad_inf_norm=grad_inf,
-        trace=tuple(trace),
+            # each row's next trial that needs an evaluation; a row whose step
+            # no longer moves it, or whose backtracks run out, is done
+            pending, ready = np.flatnonzero(active), [np.zeros(0, dtype=np.intp)]
+            while pending.size:
+                exhausted = tries[pending] >= _MAX_BACKTRACKS
+                active[pending[exhausted]] = False
+                pending = pending[~exhausted]
+                tries[pending] += 1
+                t = _project(x[pending] + step[pending, None] * direction[pending], box)
+                moves = np.any(t - x[pending] != 0.0, axis=1)
+                # the halved step rounded onto the trial just taken
+                repeat = moves & (tries[pending] > 1) & np.all(t == trial[pending], axis=1)
+                trial[pending] = t
+                active[pending[~moves]] = False
+                ready.append(pending[moves & ~repeat])
+                pending = pending[repeat]
+                step[pending] *= _BACKTRACK_FACTOR
+            ready = np.concatenate(ready)
+            if not ready.size:
+                break
+
+            f_new, g_new, feasible = evaluate(ready, trial[ready])
+            moved = trial[ready] - x[ready]
+            accept = feasible & _acceptable(f[ready], g[ready], f_new, g_new, moved)
+            step[ready[~accept]] *= _BACKTRACK_FACTOR
+            stepped = ready[accept]
+            f_new, g_new = f_new[accept], g_new[accept]
+            history.update(stepped, moved[accept], g_new - g[stepped])
+            x[stepped], f[stepped], g[stepped] = trial[stepped], f_new, g_new
+            for i, v in zip(stepped.tolist(), f_new.tolist()):
+                traces[i].append(v)
+            iterations[stepped] += 1
+            grad_inf[stepped] = _inf_norm(g_new)
+            converged[stepped] = grad_inf[stepped] < cfg.grad_tol
+            active[stepped] = ~converged[stepped] & (iterations[stepped] < _MAX_ITERS)
+            tries[stepped] = 0
+
+    return [
+        MaxResult(omega_hat=x[i], param_names=names, converged=bool(converged[i]),
+                  iterations=int(iterations[i]), grad_inf_norm=float(grad_inf[i]),
+                  trace=tuple(traces[i]))
+        if started[i] else None
+        for i in range(count)
+    ]
+
+
+def _box(bounds):
+    """(lower, upper) arrays of ``bounds``, or None when every bound is
+    infinite."""
+    lower = np.array([float(lo) for lo, _ in bounds])
+    upper = np.array([float(hi) for _, hi in bounds])
+    if np.all(lower == -np.inf) and np.all(upper == np.inf):
+        return None
+    return lower, upper
+
+
+def _project(x: np.ndarray, box) -> np.ndarray:
+    """Each row of ``x`` clipped to ``box``: an entry at or below its lower
+    bound becomes that bound, then one at or above its upper bound becomes
+    that (a NaN passes through, -0.0 at a bound 0.0 becomes 0.0)."""
+    if box is None:
+        return x
+    lower, upper = box
+    x = np.where(x <= lower, lower, x)
+    return np.where(x >= upper, upper, x)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products summed left to right from 0.0."""
+    products = a * b
+    total = np.zeros(len(a))
+    for j in range(products.shape[1]):
+        total = total + products[:, j]
+    return total
+
+
+def _inf_norm(g: np.ndarray) -> np.ndarray:
+    """max_i |g_i| per row (0.0 for no parameters); NaN where any g_i is."""
+    return np.max(np.abs(g), axis=1, initial=0.0)
+
+
+def _acceptable(f, g, f_new, g_new, s) -> np.ndarray:
+    """Per row, whether the step ``s`` from (``f``, ``g``) to (``f_new``,
+    ``g_new``) meets Armijo's sufficient decrease or, failing that, the
+    approximate Wolfe conditions of the module docstring."""
+    gs = _dot(g, s)
+    gs_new = _dot(g_new, s)
+    return (f_new <= f + _ARMIJO_C1 * gs) | (
+        (f_new - f <= _WOLFE_EPS * np.abs(f))
+        & (_WOLFE_SIGMA * gs <= gs_new) & (gs_new <= (2.0 * _WOLFE_DELTA - 1.0) * gs)
     )
 
 
-def _acceptable(f: float, g: list[float], f_new: float, g_new, s: list[float]) -> bool:
-    """Whether the step ``s`` from (``f``, ``g``) to (``f_new``, ``g_new``)
-    meets Armijo's sufficient decrease or, failing that, the approximate
-    Wolfe conditions of the module docstring."""
-    gs = sum(map(mul, g, s))
-    if f_new <= f + _ARMIJO_C1 * gs:
-        return True
-    return f_new - f <= _WOLFE_EPS * abs(f) and (
-        _WOLFE_SIGMA * gs <= sum(map(mul, g_new, s)) <= (2.0 * _WOLFE_DELTA - 1.0) * gs
-    )
+def _search_direction(history: _History, rows: np.ndarray, g: np.ndarray, grad_inf: np.ndarray):
+    """Direction and first step of a new iteration for ``rows``.  A row whose
+    L-BFGS direction is not a descent direction drops its history and falls
+    back to steepest descent.  Fresh-start steps are normalized to unit
+    length; with curvature history the natural step is 1."""
+    direction = -history.two_loop(rows, g)
+    slope = _dot(direction, g)
+    reset = ~np.isfinite(slope) | (slope >= 0.0)
+    history.length[rows[reset]] = 0
+    direction[reset] = -g[reset]
+    # min(1.0, 1.0 / max(grad_inf, 1e-300)) as Python takes it: 1.0 at a NaN
+    inverse = 1.0 / np.where(1e-300 > grad_inf, 1e-300, grad_inf)
+    step = np.where(history.length[rows] > 0, 1.0, np.where(inverse < 1.0, inverse, 1.0))
+    return direction, step
 
 
-def _two_loop(g: list[float], s_hist, y_hist, rho_hist) -> list[float]:
-    """The L-BFGS inverse-Hessian product H g by Nocedal's two-loop recursion
-    over the stored pairs (oldest first), scaled by s'y / y'y of the newest."""
+class _History:
+    """Each row's L-BFGS pairs (s, y) and rho = 1 / s'y, oldest first, at
+    most ``_MEMORY`` of them."""
+
+    def __init__(self, count: int, n: int):
+        self.s = np.zeros((count, _MEMORY, n))
+        self.y = np.zeros((count, _MEMORY, n))
+        self.rho = np.zeros((count, _MEMORY))
+        self.length = np.zeros(count, dtype=int)
+
+    def update(self, rows: np.ndarray, s: np.ndarray, y: np.ndarray) -> None:
+        """Store the accepted step ``s`` and gradient change ``y`` of each of
+        ``rows`` when they meet the curvature condition; otherwise the row is
+        in a negative-curvature stretch, where the stored quadratic model is
+        stale and would shrink steps indefinitely, and its history goes."""
+        sy = _dot(s, y)
+        keep = sy > 1e-12 * np.sqrt(_dot(s, s)) * np.sqrt(_dot(y, y))
+        self.length[rows[~keep]] = 0
+        rows, s, y, sy = rows[keep], s[keep], y[keep], sy[keep]
+        full = rows[self.length[rows] == _MEMORY]
+        for pairs in (self.s, self.y, self.rho):  # drop the oldest pair
+            pairs[full, :-1] = pairs[full, 1:]
+        slot = np.minimum(self.length[rows], _MEMORY - 1)
+        self.s[rows, slot], self.y[rows, slot], self.rho[rows, slot] = s, y, 1.0 / sy
+        self.length[rows] = slot + 1
+
+    def two_loop(self, rows: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """The L-BFGS inverse-Hessian product H g for each of ``rows`` by
+        Nocedal's two-loop recursion over its stored pairs, scaled by
+        s'y / y'y of the newest."""
+        return _two_loop(g, self.s[rows], self.y[rows], self.rho[rows], self.length[rows])
+
+
+def _two_loop(g, s, y, rho, length) -> np.ndarray:
+    """The two-loop recursion for each row of ``g`` over the first
+    ``length`` pairs of its row of ``s``, ``y`` and ``rho``."""
     q = g
-    alphas = []
-    for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
-        a = rho * sum(map(mul, s, q))
-        alphas.append(a)
-        q = [qi - a * yi for qi, yi in zip(q, y)]
-    if s_hist:
-        s, y = s_hist[-1], y_hist[-1]
-        gamma = sum(map(mul, s, y)) / sum(map(mul, y, y))
-        q = [qi * gamma for qi in q]
-    for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
-        beta = rho * sum(map(mul, y, q))
-        q = [qi + (a - beta) * si for qi, si in zip(q, s)]
+    alphas = np.zeros_like(rho)
+    deepest = int(length.max(initial=0))
+    stored = length[:, None, None] > np.arange(deepest)[:, None]  # (rows, pair, 1)
+    for j in reversed(range(deepest)):
+        a = rho[:, j] * _dot(s[:, j], q)
+        alphas[:, j] = a
+        q = np.where(stored[:, j], q - a[:, None] * y[:, j], q)
+    if deepest:
+        newest = np.arange(len(q)), np.maximum(length - 1, 0)
+        gamma = _dot(s[newest], y[newest]) / _dot(y[newest], y[newest])
+        q = np.where(stored[:, 0], q * gamma[:, None], q)
+    for j in range(deepest):
+        beta = rho[:, j] * _dot(y[:, j], q)
+        q = np.where(stored[:, j], q + (alphas[:, j] - beta)[:, None] * s[:, j], q)
     return q
 
 

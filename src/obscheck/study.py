@@ -3,10 +3,11 @@
 Part I builds one representative design observation vector from the T-point
 one-dimensional sample set, maximizes the log-posterior from the true
 values, and validates the maximum.  Part II repeats this for K design
-observation vectors built from the rows of the (T, K) sample matrix and
-aggregates estimator statistics over the runs that pass all checks.  A model
-is judged observable when at least one run anywhere passes; zero passing
-runs across both parts means not observable.
+observation vectors built from the rows of the (T, K) sample matrix, all K
+fits of a horizon in one lock-step run, then checks each maximum on its own
+and aggregates estimator statistics over the runs that pass all checks.  A
+model is judged observable when at least one run anywhere passes; zero
+passing runs across both parts means not observable.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import ModelSpec
-from .optimize import CheckReport, OptConfig, check_maximum, maximize
-from .posterior import PosteriorContext
+from .optimize import CheckReport, MaxResult, OptConfig, check_maximum, maximize, maximize_rows
+from .posterior import PosteriorContext, PosteriorRows
 from .samples import LcdConfig, design_disturbance_matrix, representative_disturbances
 
 __all__ = [
@@ -128,7 +129,8 @@ def make_design_observations(model: ModelSpec, disturbances: np.ndarray) -> np.n
     z = m(omega*) + s(omega*) * eps, elementwise."""
     omega = model.true_vector()
     m, s = model.mean_scale(omega)
-    return m + s * np.asarray(disturbances, dtype=float)
+    with np.errstate(over="ignore"):  # an overflowing vector fails its fit, not the run
+        return m + s * np.asarray(disturbances, dtype=float)
 
 
 def run_part1(model: ModelSpec, horizon: int, cfg: StudyConfig) -> PartIResult:
@@ -141,8 +143,8 @@ def run_part1(model: ModelSpec, horizon: int, cfg: StudyConfig) -> PartIResult:
 def _run_single(model: ModelSpec, z: np.ndarray, cfg: StudyConfig, k: int) -> RunRecord:
     """Fit one design observation vector from the true values and check the
     maximum; an infeasible start ends as a failed record, never an exception."""
-    ctx = PosteriorContext(model, z)
     try:
+        ctx = PosteriorContext(model, z)
         result = maximize(ctx, model.true_vector(), cfg.opt)
     except ValueError as exc:  # infeasible starting point for this realization
         # the posterior's own message, without maximize's prefix
@@ -152,6 +154,12 @@ def _run_single(model: ModelSpec, z: np.ndarray, cfg: StudyConfig, k: int) -> Ru
             converged=False, iterations=0, grad_inf_norm=None, checks=None,
             local_variances=None,
         )
+    return _checked(model, ctx, result, cfg, k)
+
+
+def _checked(model: ModelSpec, ctx: PosteriorContext, result: MaxResult, cfg: StudyConfig,
+             k: int) -> RunRecord:
+    """The record of a fit whose maximum passes or fails the four checks."""
     check = check_maximum(ctx, result, cfg.opt)
     passed = check.passed
     reason = None
@@ -234,8 +242,17 @@ def _baseline_part2(model: ModelSpec, horizon: int, cfg: StudyConfig) -> PartIIR
 
 
 def _fit_rows(model: ModelSpec, horizon: int, eps: np.ndarray, cfg: StudyConfig) -> PartIIResult:
+    """Fit every row of ``eps``'s design observations in one lock-step run,
+    then check each maximum on its own.  A row whose start is infeasible goes
+    through :func:`_run_single`, whose fit on its own says why."""
     observations = make_design_observations(model, eps)
-    records = [_run_single(model, z, cfg, k) for k, z in enumerate(observations)]
+    ctx = PosteriorRows(model, observations)
+    results = maximize_rows(ctx, model.true_vector(), cfg.opt)
+    records = [
+        _run_single(model, observations[k], cfg, k) if result is None
+        else _checked(model, ctx.row(k), result, cfg, k)
+        for k, result in enumerate(results)
+    ]
     return _aggregate(model, horizon, records)
 
 

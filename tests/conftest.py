@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from obscheck import LcdConfig
+from obscheck import InfeasiblePointError, LcdConfig, PosteriorContext
+from obscheck.expressions import DomainError, eval_expr, eval_hessian
 
 settings.register_profile(
     "default",
@@ -31,3 +34,53 @@ def central_difference_hessian(grad, x):
         dn[j] -= h
         columns.append([(p - q) / (2.0 * h) for p, q in zip(grad(up), grad(dn))])
     return np.array(columns).T
+
+
+class _TreeWalkerContext(PosteriorContext):
+    """-2L and its gradient evaluated by walking the expression trees, as the
+    reference for the compiled closures."""
+
+    def _values(self, omega):
+        return {name: float(v) for name, v in zip(self.param_names, omega)}
+
+    def log_posterior(self, omega):
+        model, values = self.model, self._values(omega)
+        try:
+            m = eval_expr(model.mean_expr, values)
+            s = eval_expr(model.scale_expr, values)
+            prior = eval_expr(model.log_prior_expr, values)
+        except (DomainError, OverflowError) as exc:
+            raise InfeasiblePointError(str(exc)) from exc
+        if not s > 0.0:
+            raise InfeasiblePointError(f"scale is not positive ({s})")
+        d = self.obs_mean - m
+        rss = self.obs_css + self.horizon * d * d
+        if 2.0 * s * s == 0.0:
+            raise InfeasiblePointError(f"scale {s} is too small: its square underflows")
+        value = -self.horizon * math.log(s) - rss / (2.0 * s * s) + prior
+        if not math.isfinite(value):
+            raise InfeasiblePointError(f"log-posterior is not finite ({value})")
+        return value
+
+    def neg2l_grad(self, omega):
+        model, values, names = self.model, self._values(omega), self.param_names
+        try:
+            m, dm, _ = eval_hessian(model.mean_expr, values, names)
+            s, ds, _ = eval_hessian(model.scale_expr, values, names)
+            prior, dprior, _ = eval_hessian(model.log_prior_expr, values, names)
+        except (DomainError, OverflowError) as exc:
+            raise InfeasiblePointError(str(exc)) from exc
+        if not s > 0.0:
+            raise InfeasiblePointError(f"scale is not positive ({s})")
+        d = self.obs_mean - m
+        sum_res = self.horizon * d
+        rss = self.obs_css + sum_res * d
+        s2 = s * s
+        if s2 * s == 0.0:
+            raise InfeasiblePointError(f"scale {s} is too small: its cube underflows")
+        value = -self.horizon * math.log(s) - rss / (2.0 * s2) + prior
+        if not math.isfinite(value):
+            raise InfeasiblePointError(f"log-posterior is not finite ({value})")
+        dm, ds, dprior = np.array(dm), np.array(ds), np.array(dprior)
+        grad_l = (-self.horizon / s) * ds + (sum_res / s2) * dm + (rss / (s2 * s)) * ds + dprior
+        return -2.0 * value, -2.0 * grad_l

@@ -156,11 +156,14 @@ class TestRunCommand:
         ([{"name": "a", "true_value": 0.0, "lower": 0.0}], "a^0.5", "1",
          "derivative of power undefined at zero base"),
         ([{"name": "b", "true_value": 1e-120}], "0", "b", "its cube underflows"),
+        ([{"name": "b", "true_value": 1e308}], "0", "b * 1.6",
+         "observation vector must be finite"),
     ])
     def test_infeasible_start_everywhere_exit_three(self, tmp_path, capsys, params, mean,
                                                     scale, message):
-        # the gradient is undefined at the true values, so every fit, Part I
-        # included, starts infeasible and ends as a failed record
+        # the gradient is undefined at the true values, or every design
+        # observation vector overflows, so every fit, Part I included, starts
+        # infeasible and ends as a failed record
         model = tmp_path / "model.json"
         model.write_text(json.dumps({"parameters": params, "mean": mean, "scale": scale}))
         out = tmp_path / "report.json"
@@ -169,6 +172,9 @@ class TestRunCommand:
         assert code == EXIT_NOT_OBSERVABLE
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
+        # no numpy warning; placement may warn that it hit its iteration cap
+        assert all(line.startswith("warning: sample placement")
+                   for line in captured.err.splitlines())
         text = out.read_text()
         assert "NaN" not in text
         data = json.loads(text)

@@ -193,16 +193,25 @@ def test_parse_print_parse_round_trip(expr):
     assert parse_expr(format_expr(expr)) == expr
 
 
-def _outcome(fn):
-    """What ``fn()`` returns as raw bytes, or the type and text of what it
-    raises; of a (value, gradient, ...) tuple, only value and gradient count."""
+def _walker_outcome(expr, point, order):
+    """Value and gradient of the walker at ``point`` as raw bytes, or
+    "infeasible" where it raises the errors that mark a point infeasible."""
     try:
-        value = fn()
-    except Exception as exc:
-        return type(exc), str(exc)
-    if isinstance(value, tuple):
-        return np.float64(value[0]).tobytes(), np.asarray(value[1], dtype=float).tobytes()
-    return np.float64(value).tobytes()
+        value, grad, _ = eval_hessian(expr, dict(zip(order, point)), order)
+    except (DomainError, OverflowError):
+        return "infeasible"
+    return np.float64(value).tobytes(), np.asarray(grad, dtype=float).tobytes()
+
+
+def _compiled_outcomes(expr, points, order):
+    """:func:`_walker_outcome` of each point, from one compiled evaluation of
+    all of them."""
+    values, grads, feasible = compile_expr(expr, order)(np.array(points, dtype=float))
+    assert values.shape == (len(points),) and grads.shape == (len(points), len(order))
+    return [
+        (values[i].tobytes(), grads[i].tobytes()) if feasible[i] else "infeasible"
+        for i in range(len(points))
+    ]
 
 
 # signed zeros, values whose square underflows, and points off the domain
@@ -212,25 +221,25 @@ _POINTS = st.one_of(
 )
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@given(_expr_strategy(), st.tuples(_POINTS, _POINTS, _POINTS))
+@given(_expr_strategy(), st.lists(st.tuples(_POINTS, _POINTS, _POINTS), min_size=1, max_size=4))
 @settings(max_examples=400)
-def test_compiled_closures_bit_equal_tree_walkers(expr, point):
+def test_compiled_closures_bit_equal_tree_walkers(expr, points):
+    # several points in one evaluation: a row the walker rejects must not
+    # disturb the others
     order = ("a", "b", "c")
-    params = dict(zip(order, point))
-    dual_fn = compile_expr(expr, order)
-    assert _outcome(lambda: dual_fn(point)) == _outcome(lambda: eval_hessian(expr, params, order))
+    assert _compiled_outcomes(expr, points, order) == [
+        _walker_outcome(expr, point, order) for point in points
+    ]
 
 
 @pytest.mark.parametrize("text", BUNDLED_EXPRESSIONS)
-@given(a=st.floats(0.05, 5.0), b=st.floats(0.05, 5.0))
-def test_compiled_closures_bit_equal_tree_walkers_in_domain(text, a, b):
+@given(st.lists(st.tuples(st.floats(0.05, 5.0), st.floats(0.05, 5.0)), min_size=1, max_size=4))
+def test_compiled_closures_bit_equal_tree_walkers_in_domain(text, points):
     expr = parse_expr(text)
-    params = {"a": a, "b": b}
-    dual_fn = compile_expr(expr, ("a", "b"))
-    assert _outcome(lambda: dual_fn((a, b))) == _outcome(
-        lambda: eval_hessian(expr, params, ("a", "b"))
-    )
+    order = ("a", "b")
+    assert _compiled_outcomes(expr, points, order) == [
+        _walker_outcome(expr, point, order) for point in points
+    ]
 
 
 @pytest.mark.parametrize("text", BUNDLED_EXPRESSIONS)
@@ -241,7 +250,7 @@ def test_hessian_matches_central_differences(text, a, b):
     compiled = compile_expr(expr, order)
     hess = np.array(eval_hessian(expr, {"a": a, "b": b}, order)[2])
     assert np.array_equal(hess, hess.T)
-    fd = central_difference_hessian(lambda x: compiled(x)[1], [a, b])
+    fd = central_difference_hessian(lambda x: compiled(np.array([x]))[1][0], [a, b])
     assert np.max(np.abs(hess - fd)) <= 1e-6 * max(1.0, np.max(np.abs(hess)))
 
 

@@ -15,7 +15,7 @@ from obscheck import (
     local_variance,
     maximize,
 )
-from obscheck.optimize import _WOLFE_EPS, _acceptable, _two_loop
+from obscheck.optimize import _MEMORY, _WOLFE_EPS, _acceptable, _two_loop
 from obscheck.samples import design_disturbance_matrix, representative_disturbances
 from obscheck.study import make_design_observations
 
@@ -132,9 +132,9 @@ class _CountingContext(PosteriorContext):
         self.calls["neg2l"] += 1
         return super().neg2l(omega)
 
-    def neg2l_grad(self, omega):
-        self.calls["grad_points"].append(tuple(omega))
-        return super().neg2l_grad(omega)
+    def neg2l_grad_rows(self, rows, points):
+        self.calls["grad_points"].extend(map(tuple, points.tolist()))
+        return super().neg2l_grad_rows(rows, points)
 
     def hessian_neg2l(self, omega):
         self.calls["hessian"] += 1
@@ -143,8 +143,8 @@ class _CountingContext(PosteriorContext):
 
 @pytest.mark.parametrize("name", bundled_model_names())
 def test_one_evaluation_per_line_search_trial(name):
-    # the Armijo test reads the value of the trial's one neg2l_grad call, an
-    # accepted trial keeps that call's gradient, and a step that rounds onto
+    # the Armijo test reads the value of the trial's one evaluation, an
+    # accepted trial keeps that evaluation's gradient, and a step that rounds onto
     # the trial just rejected is not evaluated again: no point is evaluated
     # twice in a row.  Trials from different iterates may still meet.
     model = load_model(name)
@@ -195,14 +195,22 @@ def test_rounding_noise_in_the_value_costs_no_evaluations():
 
 @pytest.mark.parametrize("f", [1.0, -250.0, 3e7])
 def test_approximate_wolfe_bounds_the_rise(f):
+    # one row per case, all tested at once
     g, s = [-2.0, 1.0], [0.5, -0.25]  # slope g's = -1.25 along the step
     inside = [0.0, 0.0]  # slope 0, within [sigma, 2 delta - 1] * g's
     allowed = _WOLFE_EPS * abs(f)
-    assert _acceptable(f, g, f + 0.5 * allowed, inside, s)
-    assert not _acceptable(f, g, f + 2.0 * allowed, inside, s)
-    # slopes outside the bounds are rejected however small the rise
-    for g_new in ([2.4, 0.0], [-2.4, 0.0]):  # slopes 1.2 and -1.2
-        assert not _acceptable(f, g, f, g_new, s)
+    cases = [  # (f_new, g_new, acceptable)
+        (f + 0.5 * allowed, inside, True),
+        (f + 2.0 * allowed, inside, False),
+        # slopes outside the bounds are rejected however small the rise
+        (f, [2.4, 0.0], False),  # slope 1.2
+        (f, [-2.4, 0.0], False),  # slope -1.2
+    ]
+    rows = len(cases)
+    got = _acceptable(np.full(rows, f), np.array([g] * rows),
+                      np.array([c[0] for c in cases]), np.array([c[1] for c in cases]),
+                      np.array([s] * rows))
+    assert got.tolist() == [c[2] for c in cases]
 
 
 @pytest.mark.parametrize("name", bundled_model_names())
@@ -233,9 +241,15 @@ def _two_loop_numpy(g, s_hist, y_hist, rho_hist):
 @pytest.mark.parametrize("n", [1, 2, 5])
 @pytest.mark.parametrize("length", range(11))
 def test_two_loop_matches_numpy_reference(n, length):
+    # 20 histories of ``length`` pairs, one row each, in one batch
     rng = np.random.default_rng([n, length])
-    for _ in range(20):
-        g = rng.normal(size=n)
+    rows = 20
+    g = np.zeros((rows, n))
+    s_all, y_all = np.zeros((rows, _MEMORY, n)), np.zeros((rows, _MEMORY, n))
+    rho_all = np.zeros((rows, _MEMORY))
+    want = []
+    for row in range(rows):
+        g[row] = rng.normal(size=n)
         s_hist, y_hist = [], []
         while len(s_hist) < length:
             s, y = rng.normal(size=n), rng.normal(size=n)
@@ -243,11 +257,13 @@ def test_two_loop_matches_numpy_reference(n, length):
                 s_hist.append(s)
                 y_hist.append(y)
         rho_hist = [1.0 / float(s @ y) for s, y in zip(s_hist, y_hist)]
-        got = _two_loop(g.tolist(), [s.tolist() for s in s_hist],
-                        [y.tolist() for y in y_hist], rho_hist)
-        want = _two_loop_numpy(g, s_hist, y_hist, rho_hist)
-        assert isinstance(got, list) and all(type(v) is float for v in got)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        s_all[row, :length] = np.reshape(s_hist, (length, n))
+        y_all[row, :length] = np.reshape(y_hist, (length, n))
+        rho_all[row, :length] = rho_hist
+        want.append(_two_loop_numpy(g[row], s_hist, y_hist, rho_hist))
+    with np.errstate(invalid="ignore"):  # without history, s'y / y'y is 0 / 0, unused
+        got = _two_loop(g, s_all, y_all, rho_all, np.full(rows, length))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 class TestCheckMaximum:

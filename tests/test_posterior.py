@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from obscheck import InfeasiblePointError, PosteriorContext, bundled_model_names, load_model
-from obscheck.expressions import DomainError, eval_expr, eval_hessian
+from obscheck.posterior import PosteriorRows
 from obscheck.models import model_from_dict
 
-from conftest import central_difference_hessian
+from conftest import _TreeWalkerContext, central_difference_hessian
 
 VARIANCE_ONLY = load_model("unknown_variance")
 MEAN_AND_VARIANCE = load_model("mean_and_variance")
@@ -202,56 +202,6 @@ def test_context_is_immutable():
     assert ctx.horizon == 2
 
 
-class _TreeWalkerContext(PosteriorContext):
-    """-2L and its gradient evaluated by walking the expression trees, as the
-    reference for the compiled closures."""
-
-    def _values(self, omega):
-        return {name: float(v) for name, v in zip(self.param_names, omega)}
-
-    def log_posterior(self, omega):
-        model, values = self.model, self._values(omega)
-        try:
-            m = eval_expr(model.mean_expr, values)
-            s = eval_expr(model.scale_expr, values)
-            prior = eval_expr(model.log_prior_expr, values)
-        except DomainError as exc:
-            raise InfeasiblePointError(str(exc)) from exc
-        if not s > 0.0:
-            raise InfeasiblePointError(f"scale is not positive ({s})")
-        d = self.obs_mean - m
-        rss = self.obs_css + self.horizon * d * d
-        if 2.0 * s * s == 0.0:
-            raise InfeasiblePointError(f"scale {s} is too small: its square underflows")
-        value = -self.horizon * math.log(s) - rss / (2.0 * s * s) + prior
-        if not math.isfinite(value):
-            raise InfeasiblePointError(f"log-posterior is not finite ({value})")
-        return value
-
-    def neg2l_grad(self, omega):
-        model, values, names = self.model, self._values(omega), self.param_names
-        try:
-            m, dm, _ = eval_hessian(model.mean_expr, values, names)
-            s, ds, _ = eval_hessian(model.scale_expr, values, names)
-            prior, dprior, _ = eval_hessian(model.log_prior_expr, values, names)
-        except DomainError as exc:
-            raise InfeasiblePointError(str(exc)) from exc
-        if not s > 0.0:
-            raise InfeasiblePointError(f"scale is not positive ({s})")
-        d = self.obs_mean - m
-        sum_res = self.horizon * d
-        rss = self.obs_css + sum_res * d
-        s2 = s * s
-        if s2 * s == 0.0:
-            raise InfeasiblePointError(f"scale {s} is too small: its cube underflows")
-        value = -self.horizon * math.log(s) - rss / (2.0 * s2) + prior
-        if not math.isfinite(value):
-            raise InfeasiblePointError(f"log-posterior is not finite ({value})")
-        dm, ds, dprior = np.array(dm), np.array(ds), np.array(dprior)
-        grad_l = (-self.horizon / s) * ds + (sum_res / s2) * dm + (rss / (s2 * s)) * ds + dprior
-        return -2.0 * value, -2.0 * grad_l
-
-
 def _bytes_or_error(fn):
     try:
         out = fn()
@@ -265,27 +215,40 @@ def _bytes_or_error(fn):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("name", bundled_model_names())
 @given(
-    omega=st.lists(st.one_of(st.floats(-1.0, 2.0), st.sampled_from([0.0, -0.0, 1e-9])),
-                   min_size=2, max_size=2),
+    omegas=st.lists(
+        st.lists(st.one_of(st.floats(-1.0, 2.0), st.sampled_from([0.0, -0.0, 1e-9])),
+                 min_size=2, max_size=2),
+        min_size=1, max_size=4),
     seed=st.integers(0, 2**32 - 1),
     horizon=st.integers(1, 20),
 )
-def test_compiled_posterior_bit_equals_tree_walkers(name, omega, seed, horizon):
+def test_compiled_posterior_bit_equals_tree_walkers(name, omegas, seed, horizon):
+    # one observation vector and one point per row, all rows evaluated at
+    # once; a row is infeasible exactly where the walker raises
     model = load_model(name)
-    z = np.random.default_rng(seed).normal(0.6, 0.8, size=horizon)
-    omega = np.array(omega[: len(model.params)])
-    ctx = PosteriorContext(model, z)
-    ref = _TreeWalkerContext(model, z)
-    for method in ("neg2l", "neg2l_grad"):
-        got = _bytes_or_error(lambda: getattr(ctx, method)(omega))
-        assert got == _bytes_or_error(lambda: getattr(ref, method)(omega)), method
+    z = np.random.default_rng(seed).normal(0.6, 0.8, size=(len(omegas), horizon))
+    points = np.array([omega[: len(model.params)] for omega in omegas])
+    values, grads, feasible = PosteriorRows(model, z).neg2l_grad_rows(
+        np.arange(len(points)), points)
+    for k, omega in enumerate(points):
+        ctx = PosteriorContext(model, z[k])
+        ref = _TreeWalkerContext(model, z[k])
+        want = _bytes_or_error(lambda: ref.neg2l_grad(omega))
+        if feasible[k]:
+            assert (values[k].tobytes(), grads[k].tobytes()) == want
+        else:
+            assert want[0] is InfeasiblePointError
+        for method in ("neg2l", "neg2l_grad"):
+            got = _bytes_or_error(lambda: getattr(ctx, method)(omega))
+            assert got == _bytes_or_error(lambda: getattr(ref, method)(omega)), method
 
 
 def _direct_neg2l_grad(model, z, omega):
     """-2L and its gradient from the residuals z_t - m, with the magnitude of
     the terms each one sums.  Rounding in zbar, Q and z_t - m is relative to
     |z_t| + |m|, not to the residuals, so the magnitudes are taken from those."""
-    (m, dm), (s, ds), (prior, dprior) = model.mean_scale_prior_grad(omega)
+    (m, dm, _), (s, ds, _), (prior, dprior, _) = [
+        (float(v[0]), g[0].tolist(), ok[0]) for v, g, ok in model.mean_scale_prior_grad([omega])]
     res = z - m
     rss = float(res @ res)
     sum_res = float(res.sum())

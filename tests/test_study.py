@@ -220,6 +220,29 @@ def test_part2_tallies_every_design_vector(name, data):
     assert all(r.passed or r.reason for r in result.records)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("horizon", [4, 20])
+@pytest.mark.parametrize("name", bundled_model_names())
+def test_study_emits_no_numpy_warning(name, horizon):
+    # finished and infeasible rows of a lock-step fit compute garbage; none of
+    # it may surface as a warning, which the command line prints
+    model = load_model(name)
+    cfg = StudyConfig(model=model, T_list=(horizon,), K=200, lcd=DESK_LCD)
+    run_part1(model, horizon, cfg)
+    run_part2(model, horizon, cfg.K, cfg)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_statistics_fail_without_numpy_warning():
+    # every observation vector is finite, but its mean or its sum of squares
+    # overflows
+    model = model_from_dict({"parameters": [{"name": "b", "true_value": 1e308}],
+                             "mean": "0", "scale": "b"})
+    cfg = small_config(model, T_list=(2,), K=8)
+    runs = [run_part1(model, 2, cfg).run, *run_part2(model, 2, 8, cfg).records]
+    assert {r.reason for r in runs} == {"infeasible start: log-posterior is not finite (nan)"}
+
+
 class TestVerdict:
     def test_observable_model(self):
         report = run_study(small_config(VARIANCE_ONLY, T_list=(4,), K=10))
