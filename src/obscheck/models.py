@@ -75,6 +75,19 @@ class ModelSpec:
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
             raise ModelError(f"duplicate parameter names in {names}")
+        # every fit starts at the true values; outside the bounds it would
+        # start on a bound face
+        for p, (lower, upper) in zip(self.params, self.bounds()):
+            if not math.isfinite(p.true_value):
+                raise ModelError(f"true value of {p.name} must be finite, got {p.true_value}")
+            if math.isnan(lower) or math.isnan(upper):
+                raise ModelError(f"bounds of {p.name} must not be NaN")
+            if not lower < upper:
+                raise ModelError(f"lower bound of {p.name} must be below its upper bound, "
+                                 f"got [{lower}, {upper}]")
+            if not lower <= p.true_value <= upper:
+                raise ModelError(f"true value of {p.name} ({p.true_value}) lies outside its "
+                                 f"bounds [{lower}, {upper}]")
         declared = set(names)
         for label, expr in (
             ("mean", self.mean_expr),
@@ -151,7 +164,25 @@ class ModelSpec:
         }
 
 
+def _param(entry) -> ParamSpec:
+    """The parameter a model file's ``parameters`` entry declares."""
+    if not isinstance(entry, dict) or "name" not in entry or "true_value" not in entry:
+        raise ModelError(f"each parameter must be an object with a name and a true_value, "
+                         f"got {entry!r}")
+    try:
+        return ParamSpec(
+            name=str(entry["name"]),
+            true_value=float(entry["true_value"]),
+            lower=float(entry["lower"]) if entry.get("lower") is not None else None,
+            upper=float(entry["upper"]) if entry.get("upper") is not None else None,
+        )
+    except (TypeError, ValueError) as exc:  # a value that is not a number
+        raise ModelError(f"parameter {entry['name']!r}: {exc}") from exc
+
+
 def model_from_dict(data: dict, name: str = "") -> ModelSpec:
+    if not isinstance(data, dict):
+        raise ModelError(f"a model must be a JSON object, got {type(data).__name__}")
     try:
         raw_params = data["parameters"]
         mean_text = data["mean"]
@@ -159,17 +190,13 @@ def model_from_dict(data: dict, name: str = "") -> ModelSpec:
     except KeyError as exc:
         raise ModelError(f"model file missing field {exc}") from exc
     prior_text = data.get("log_prior", "0")
-    params = tuple(
-        ParamSpec(
-            name=str(p["name"]),
-            true_value=float(p["true_value"]),
-            lower=float(p["lower"]) if p.get("lower") is not None else None,
-            upper=float(p["upper"]) if p.get("upper") is not None else None,
-        )
-        for p in raw_params
-    )
+    if not isinstance(raw_params, list):
+        raise ModelError(f"parameters must be a list, got {type(raw_params).__name__}")
+    params = tuple(_param(p) for p in raw_params)
 
     def parse_field(label: str, text: str) -> Expr:
+        if not isinstance(text, str):
+            raise ModelError(f"{label} must be an expression string, got {type(text).__name__}")
         try:
             return parse_expr(text)
         except ParseError as exc:
@@ -205,6 +232,8 @@ def load_model(source: str | Path) -> ModelSpec:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelError(f"invalid JSON in model file {source}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ModelError(f"model file {source} must hold a JSON object, got {type(data).__name__}")
     return model_from_dict(data, name=data.get("name", default_name))
 
 

@@ -1,10 +1,12 @@
 """Numerical maximization of the log-posterior and validation of maxima.
 
 Maximization runs limited-memory BFGS on -2L with Armijo backtracking;
-infeasible trial points are rejected by the line search.  One loop fits
-every design row of a horizon in lock-step, over numpy arrays with one row
-per fit, and gives each row the result a fit on its own would; a single
-fit is a batch of one.
+infeasible trial points are rejected by the line search.  One loop,
+:func:`maximize_rows`, fits every row of a posterior context in lock-step,
+over numpy arrays with one row per fit, and gives each row the result a fit
+on its own would; :func:`maximize` is that loop on a one-row context.  The
+fit asks the context for one thing, -2L and its gradient for many rows at
+once (``neg2l_grad_rows``); the checks ask for the Hessian of one row.
 
 Near a maximum, -2L differences fall to rounding noise and Armijo's test
 decides on that noise, so a feasible trial that Armijo rejects is accepted
@@ -36,8 +38,8 @@ import numpy as np
 from .posterior import InfeasiblePointError
 
 __all__ = [
-    "OptConfig", "MaxResult", "CheckReport", "maximize", "maximize_rows", "check_maximum",
-    "local_variance",
+    "OptConfig", "MaxResult", "CheckReport", "maximize", "maximize_rows", "start_error",
+    "check_maximum", "local_variance",
 ]
 
 # L-BFGS history length, iteration cap, Armijo constant and backtracking
@@ -109,16 +111,9 @@ class CheckReport:
 
 
 def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
-    """Maximize the log-posterior of ``ctx`` starting from ``x0``.
+    """Maximize the log-posterior of the one row of ``ctx`` from ``x0``:
+    :func:`maximize_rows` on a one-row context.
 
-    ``ctx`` needs only ``neg2l_grad(omega) -> (value, gradient)``,
-    ``param_names`` and ``bounds()``;
-    :class:`~obscheck.posterior.PosteriorContext` provides them.  ``omega``
-    is passed as a list of Python floats, and the gradient may be any
-    sequence of floats.  A context that also offers ``neg2l_grad_rows``, as
-    :class:`~obscheck.posterior.PosteriorContext` does, is evaluated
-    through it as a batch of one (see :func:`maximize_rows`), and
-    ``neg2l_grad`` then only says why an infeasible start is infeasible.
     Each line-search trial is evaluated once: the Armijo test reads its
     value, the approximate Wolfe test its value and gradient, and an
     accepted trial keeps its gradient.  Each entry of the returned
@@ -127,31 +122,26 @@ def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
     points are projected onto the declared box bounds and rejected (treated
     as +inf) when infeasible, including when only the gradient is undefined
     there.  Deterministic given identical inputs.  Raises ``ValueError`` if
-    ``x0`` itself is infeasible; a line search that finds no acceptable
-    step, or the iteration cap, ends the fit with ``converged=False`` at the
-    last accepted point.
+    ``x0`` itself is infeasible, chained from the context's
+    ``InfeasiblePointError`` (see :func:`start_error`); a line search that
+    finds no acceptable step, or the iteration cap, ends the fit with
+    ``converged=False`` at the last accepted point.
     """
-    evaluate = getattr(ctx, "neg2l_grad_rows", None) or _one_by_one(ctx)
-    (result,) = _lockstep(evaluate, 1, ctx, x0, cfg)
-    if result is not None:
-        return result
-    start = _project(np.array([x0], dtype=float), _box(ctx.bounds()))[0].tolist()
-    try:
-        ctx.neg2l_grad(start)
-    except InfeasiblePointError as exc:
-        raise ValueError(f"infeasible starting point: {exc}") from exc
-    raise ValueError("infeasible starting point")
+    (result,) = maximize_rows(ctx, x0, cfg)
+    if result is None:
+        error = start_error(ctx, x0)
+        raise ValueError(f"infeasible starting point: {error}") from error
+    return result
 
 
 def maximize_rows(ctx, x0, cfg: OptConfig = OptConfig()) -> list[MaxResult | None]:
     """Maximize the log-posterior of every row of ``ctx`` from ``x0``.
 
-    ``ctx`` has ``len(ctx)`` rows, ``param_names``, ``bounds()`` and
-    ``neg2l_grad_rows(rows, points) -> (values, gradients, feasible)``, which
-    evaluates -2L for row ``rows[i]`` at ``points[i]``;
-    :class:`~obscheck.posterior.PosteriorRows` provides them.  Every row is
-    fitted as :func:`maximize` fits it alone, bit for bit; the entry of a row
-    whose start is infeasible is None.
+    This is the one fit contract.  ``ctx`` has ``len(ctx)`` rows,
+    ``param_names``, ``bounds()`` and ``neg2l_grad_rows(rows, points) ->
+    (values, gradients, feasible)``, which evaluates -2L for row ``rows[i]``
+    at ``points[i]``; :class:`~obscheck.posterior.PosteriorContext` provides
+    them.  The entry of a row whose start is infeasible is None.
 
     The rows advance in lock-step: in each round every unfinished row
     evaluates exactly one trial, the first step of a new iteration or a
@@ -160,33 +150,12 @@ def maximize_rows(ctx, x0, cfg: OptConfig = OptConfig()) -> list[MaxResult | Non
     is that of a fit on its own: dot products sum left to right from 0.0,
     as Python's ``sum`` sums floats (through 3.11).
     """
-    return _lockstep(ctx.neg2l_grad_rows, len(ctx), ctx, x0, cfg)
-
-
-def _one_by_one(ctx):
-    """``neg2l_grad_rows`` for a context that offers only ``neg2l_grad``."""
-
-    def evaluate(rows, points):
-        values, grads = np.zeros(len(points)), np.zeros(points.shape)
-        feasible = np.zeros(len(points), dtype=bool)
-        for i, point in enumerate(points.tolist()):
-            try:
-                values[i], grads[i] = ctx.neg2l_grad(point)
-            except InfeasiblePointError:
-                continue
-            feasible[i] = True
-        return values, grads, feasible
-
-    return evaluate
-
-
-def _lockstep(evaluate, count: int, ctx, x0, cfg: OptConfig) -> list[MaxResult | None]:
-    """L-BFGS from ``x0`` on ``count`` rows at once; see :func:`maximize_rows`."""
+    count = len(ctx)
     names = tuple(ctx.param_names)
     box = _box(ctx.bounds())
     with np.errstate(all="ignore"):  # rows that are done or infeasible compute garbage
         x = _project(np.tile(np.asarray(x0, dtype=float), (count, 1)), box)
-        f, g, started = evaluate(np.arange(count), x)
+        f, g, started = ctx.neg2l_grad_rows(np.arange(count), x)
         f, g = np.array(f, dtype=float), np.array(g, dtype=float)
         traces = [[v] for v in f.tolist()]
         iterations = np.zeros(count, dtype=int)
@@ -225,7 +194,7 @@ def _lockstep(evaluate, count: int, ctx, x0, cfg: OptConfig) -> list[MaxResult |
             if not ready.size:
                 break
 
-            f_new, g_new, feasible = evaluate(ready, trial[ready])
+            f_new, g_new, feasible = ctx.neg2l_grad_rows(ready, trial[ready])
             moved = trial[ready] - x[ready]
             accept = feasible & _acceptable(f[ready], g[ready], f_new, g_new, moved)
             step[ready[~accept]] *= _BACKTRACK_FACTOR
@@ -248,6 +217,19 @@ def _lockstep(evaluate, count: int, ctx, x0, cfg: OptConfig) -> list[MaxResult |
         if started[i] else None
         for i in range(count)
     ]
+
+
+def start_error(ctx, x0, k: int = 0) -> InfeasiblePointError | None:
+    """Why row ``k`` of ``ctx`` cannot start a fit at ``x0``: the
+    ``InfeasiblePointError`` that ``ctx.neg2l_grad(start, k)`` raises at the
+    start :func:`maximize_rows` takes, ``x0`` projected onto the bounds; None
+    where the start is feasible."""
+    start = _project(np.array([x0], dtype=float), _box(ctx.bounds()))[0].tolist()
+    try:
+        ctx.neg2l_grad(start, k)
+    except InfeasiblePointError as exc:
+        return exc
+    return None
 
 
 def _box(bounds):
@@ -367,8 +349,10 @@ def _two_loop(g, s, y, rho, length) -> np.ndarray:
     return q
 
 
-def check_maximum(ctx, result: MaxResult, cfg: OptConfig = OptConfig()) -> CheckReport:
-    """Run the four validity checks at ``result.omega_hat``.
+def check_maximum(ctx, result: MaxResult, cfg: OptConfig = OptConfig(),
+                  k: int = 0) -> CheckReport:
+    """Run the four validity checks at ``result.omega_hat``, the maximum of
+    row ``k`` of ``ctx``.
 
     The gradient check reads ``result.grad_inf_norm``, which :func:`maximize`
     computed at ``omega_hat``, so the gradient is not evaluated again.
@@ -379,7 +363,7 @@ def check_maximum(ctx, result: MaxResult, cfg: OptConfig = OptConfig()) -> Check
     """
     grad_inf = float(result.grad_inf_norm)
     try:
-        eigvals, lvar = _curvature(ctx.hessian_neg2l(result.omega_hat))
+        eigvals, lvar = _curvature(ctx.hessian_neg2l(result.omega_hat, k))
     except (InfeasiblePointError, np.linalg.LinAlgError) as exc:
         return CheckReport(
             grad_ok=False, hessian_pd=False, eig_ratio_ok=False, lvar_finite=False,
@@ -415,10 +399,10 @@ def _curvature(hess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigvals, 2.0 * (eigvecs * eigvecs) @ (1.0 / eigvals)
 
 
-def local_variance(ctx, omega_hat: np.ndarray) -> np.ndarray:
-    """2 * diag(H_{-2L}^{-1}) at the candidate maximum.
+def local_variance(ctx, omega_hat: np.ndarray, k: int = 0) -> np.ndarray:
+    """2 * diag(H_{-2L}^{-1}) at the candidate maximum of row ``k``.
 
     A singular Hessian signals a plateau: the result is +inf per parameter
     rather than an exception, so callers can fold it into the checks.
     """
-    return _curvature(ctx.hessian_neg2l(omega_hat))[1]
+    return _curvature(ctx.hessian_neg2l(omega_hat, k))[1]

@@ -5,9 +5,10 @@ one-dimensional sample set, maximizes the log-posterior from the true
 values, and validates the maximum.  Part II repeats this for K design
 observation vectors built from the rows of the (T, K) sample matrix, all K
 fits of a horizon in one lock-step run, then checks each maximum on its own
-and aggregates estimator statistics over the runs that pass all checks.  A
-model is judged observable when at least one run anywhere passes; zero
-passing runs across both parts means not observable.
+and aggregates estimator statistics over the runs that pass all checks; one
+record builder serves both parts.  A model is judged observable when at
+least one run anywhere passes; zero passing runs across both parts means
+not observable.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import ModelSpec
-from .optimize import CheckReport, MaxResult, OptConfig, check_maximum, maximize, maximize_rows
-from .posterior import PosteriorContext, PosteriorRows
+from .optimize import (
+    CheckReport, MaxResult, OptConfig, check_maximum, maximize, maximize_rows, start_error,
+)
+from .posterior import InfeasiblePointError, PosteriorContext
 from .samples import LcdConfig, design_disturbance_matrix, representative_disturbances
 
 __all__ = [
@@ -59,6 +62,8 @@ class StudyConfig:
             raise ValueError("T_list must not be empty")
         if any(t < 1 for t in self.T_list):
             raise ValueError("every horizon must be >= 1")
+        if len(set(self.T_list)) != len(self.T_list):
+            raise ValueError(f"T_list lists a horizon twice: {list(self.T_list)}")
         if self.K < 2:
             raise ValueError("K must be >= 2")
 
@@ -137,30 +142,26 @@ def run_part1(model: ModelSpec, horizon: int, cfg: StudyConfig) -> PartIResult:
     """Maximize against the representative design observation vector."""
     eps = representative_disturbances(horizon, cfg.lcd, cache_dir=cfg.cache_dir)
     z_rep = make_design_observations(model, eps)
-    return PartIResult(horizon=horizon, z_rep=z_rep, run=_run_single(model, z_rep, cfg, 0))
-
-
-def _run_single(model: ModelSpec, z: np.ndarray, cfg: StudyConfig, k: int) -> RunRecord:
-    """Fit one design observation vector from the true values and check the
-    maximum; an infeasible start ends as a failed record, never an exception."""
+    ctx = PosteriorContext(model, z_rep)
     try:
-        ctx = PosteriorContext(model, z)
-        result = maximize(ctx, model.true_vector(), cfg.opt)
-    except ValueError as exc:  # infeasible starting point for this realization
-        # the posterior's own message, without maximize's prefix
+        fit = maximize(ctx, model.true_vector(), cfg.opt)
+    except ValueError as exc:  # an infeasible start, chained from the posterior's error
+        fit = exc.__cause__
+    return PartIResult(horizon=horizon, z_rep=z_rep, run=_record(ctx, 0, fit, cfg))
+
+
+def _record(ctx: PosteriorContext, k: int, fit: MaxResult | InfeasiblePointError,
+            cfg: StudyConfig) -> RunRecord:
+    """The record of row ``k``'s fit: a maximum that passes or fails the four
+    checks, or the error of an infeasible start, which ends as a failed
+    record with the posterior's reason, never an exception."""
+    if isinstance(fit, InfeasiblePointError):
         return RunRecord(
-            k=k, estimates=None, passed=False,
-            reason=f"infeasible start: {exc.__cause__ or exc}",
+            k=k, estimates=None, passed=False, reason=f"infeasible start: {fit}",
             converged=False, iterations=0, grad_inf_norm=None, checks=None,
             local_variances=None,
         )
-    return _checked(model, ctx, result, cfg, k)
-
-
-def _checked(model: ModelSpec, ctx: PosteriorContext, result: MaxResult, cfg: StudyConfig,
-             k: int) -> RunRecord:
-    """The record of a fit whose maximum passes or fails the four checks."""
-    check = check_maximum(ctx, result, cfg.opt)
+    check = check_maximum(ctx, fit, cfg.opt, k)
     passed = check.passed
     reason = None
     if not passed:
@@ -175,20 +176,20 @@ def _checked(model: ModelSpec, ctx: PosteriorContext, result: MaxResult, cfg: St
             if not ok
         ]
         reason = "checks failed: " + ",".join(failed)
-        if not result.converged:
+        if not fit.converged:
             reason += " (optimizer did not converge)"
     return RunRecord(
         k=k,
-        estimates=result.estimates,
+        estimates=fit.estimates,
         passed=passed,
         reason=reason,
-        converged=result.converged,
-        iterations=result.iterations,
-        grad_inf_norm=result.grad_inf_norm,
+        converged=fit.converged,
+        iterations=fit.iterations,
+        grad_inf_norm=fit.grad_inf_norm,
         checks=check,
         local_variances=(
             None if check.local_variances is None
-            else {n: float(v) for n, v in zip(model.param_names, check.local_variances)}
+            else {n: float(v) for n, v in zip(ctx.param_names, check.local_variances)}
         ),
     )
 
@@ -243,14 +244,13 @@ def _baseline_part2(model: ModelSpec, horizon: int, cfg: StudyConfig) -> PartIIR
 
 def _fit_rows(model: ModelSpec, horizon: int, eps: np.ndarray, cfg: StudyConfig) -> PartIIResult:
     """Fit every row of ``eps``'s design observations in one lock-step run,
-    then check each maximum on its own.  A row whose start is infeasible goes
-    through :func:`_run_single`, whose fit on its own says why."""
-    observations = make_design_observations(model, eps)
-    ctx = PosteriorRows(model, observations)
-    results = maximize_rows(ctx, model.true_vector(), cfg.opt)
+    then check each maximum on its own; a row whose start is infeasible fails
+    with the reason the posterior gives for that row."""
+    ctx = PosteriorContext(model, make_design_observations(model, eps))
+    x0 = model.true_vector()
+    results = maximize_rows(ctx, x0, cfg.opt)
     records = [
-        _run_single(model, observations[k], cfg, k) if result is None
-        else _checked(model, ctx.row(k), result, cfg, k)
+        _record(ctx, k, start_error(ctx, x0, k) if result is None else result, cfg)
         for k, result in enumerate(results)
     ]
     return _aggregate(model, horizon, records)

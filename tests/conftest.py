@@ -43,7 +43,7 @@ class _TreeWalkerContext(PosteriorContext):
     def _values(self, omega):
         return {name: float(v) for name, v in zip(self.param_names, omega)}
 
-    def log_posterior(self, omega):
+    def log_posterior(self, omega, k=0):
         model, values = self.model, self._values(omega)
         try:
             m = eval_expr(model.mean_expr, values)
@@ -53,8 +53,8 @@ class _TreeWalkerContext(PosteriorContext):
             raise InfeasiblePointError(str(exc)) from exc
         if not s > 0.0:
             raise InfeasiblePointError(f"scale is not positive ({s})")
-        d = self.obs_mean - m
-        rss = self.obs_css + self.horizon * d * d
+        d = float(self.obs_mean[k]) - m
+        rss = float(self.obs_css[k]) + self.horizon * d * d
         if 2.0 * s * s == 0.0:
             raise InfeasiblePointError(f"scale {s} is too small: its square underflows")
         value = -self.horizon * math.log(s) - rss / (2.0 * s * s) + prior
@@ -62,7 +62,7 @@ class _TreeWalkerContext(PosteriorContext):
             raise InfeasiblePointError(f"log-posterior is not finite ({value})")
         return value
 
-    def neg2l_grad(self, omega):
+    def neg2l_grad(self, omega, k=0):
         model, values, names = self.model, self._values(omega), self.param_names
         try:
             m, dm, _ = eval_hessian(model.mean_expr, values, names)
@@ -72,9 +72,9 @@ class _TreeWalkerContext(PosteriorContext):
             raise InfeasiblePointError(str(exc)) from exc
         if not s > 0.0:
             raise InfeasiblePointError(f"scale is not positive ({s})")
-        d = self.obs_mean - m
+        d = float(self.obs_mean[k]) - m
         sum_res = self.horizon * d
-        rss = self.obs_css + sum_res * d
+        rss = float(self.obs_css[k]) + sum_res * d
         s2 = s * s
         if s2 * s == 0.0:
             raise InfeasiblePointError(f"scale {s} is too small: its cube underflows")

@@ -125,6 +125,35 @@ class TestRunCommand:
         assert len(lines) == 1
         assert lines[0].startswith(f"error: {field} is not evaluable at the true values")
 
+    @pytest.mark.parametrize("data", [
+        [1],
+        {"parameters": 5, "mean": "a", "scale": "1"},
+        {"parameters": [{"true_value": 0.6}], "mean": "0", "scale": "1"},
+        {"parameters": [{"name": "a", "true_value": "abc"}], "mean": "a", "scale": "1"},
+        {"parameters": [{"name": "a", "true_value": 0.6}], "mean": 5, "scale": "1"},
+        {"parameters": [{"name": "b", "true_value": 0.5, "lower": 2, "upper": 1}],
+         "mean": "0", "scale": "b"},
+        {"parameters": [{"name": "b", "true_value": 0.8, "lower": 1.0}],
+         "mean": "0", "scale": "b"},
+        {"parameters": [{"name": "b", "true_value": 0.8, "lower": "NaN"}],
+         "mean": "0", "scale": "b"},
+    ])
+    def test_malformed_model_file_exit_one(self, tmp_path, capsys, data):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code = run_cli(["run", "--model", bad, "--T", "2", "--K", "4",
+                        "--out", tmp_path / "r.json", "--cache-dir", tmp_path / "cache"])
+        assert code == EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_repeated_horizon_exit_one(self, tmp_path, capsys):
+        code = run_cli(["run", "--model", "unknown_variance", "--T", "4,4", "--K", "8",
+                        "--out", tmp_path / "r.json", "--cache-dir", tmp_path / "cache"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            "error: T_list lists a horizon twice: [4, 4]"]
+
     def test_bad_horizon_list(self, tmp_path, capsys):
         code = run_cli(["run", "--model", "unknown_variance", "--T", "four",
                         "--out", tmp_path / "r.json"])

@@ -18,7 +18,7 @@ from obscheck.optimize import (
     _ARMIJO_C1, _BACKTRACK_FACTOR, _MAX_BACKTRACKS, _MAX_ITERS, _MEMORY, _WOLFE_DELTA,
     _WOLFE_EPS, _WOLFE_SIGMA, OptConfig, maximize_rows,
 )
-from obscheck.posterior import PosteriorRows
+from obscheck.posterior import PosteriorContext
 from obscheck.samples import design_disturbance_matrix
 from obscheck.study import StudyConfig, _fit_rows, make_design_observations
 
@@ -156,7 +156,7 @@ def _assert_rows_equal_reference(model, eps, cfg=OptConfig()):
     row whose start is infeasible fails with the reference's message."""
     observations = make_design_observations(model, eps)
     x0 = model.true_vector()
-    results = maximize_rows(PosteriorRows(model, observations), x0, cfg)
+    results = maximize_rows(PosteriorContext(model, observations), x0, cfg)
     want = [_reference_maximize(_TreeWalkerContext(model, z), x0, cfg) for z in observations]
     infeasible = [k for k, w in enumerate(want) if isinstance(w, str)]
     assert [_outcome(r) for r in results] == [None if k in infeasible else w

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -106,3 +107,55 @@ def test_mean_must_be_finite_at_true_values():
         model_from_dict(
             {"parameters": [{"name": "a", "true_value": 1e308}], "mean": "a * 10", "scale": "1"}
         )
+
+
+_VALID = {"parameters": [{"name": "a", "true_value": 0.6}], "mean": "a", "scale": "1"}
+
+
+@pytest.mark.parametrize("data,message", [
+    ([1], "must hold a JSON object, got list"),
+    ({**_VALID, "parameters": 5}, "parameters must be a list, got int"),
+    ({**_VALID, "parameters": [{"true_value": 0.6}]}, "with a name and a true_value"),
+    ({**_VALID, "parameters": [{"name": "a", "true_value": "abc"}]},
+     "parameter 'a': could not convert string to float: 'abc'"),
+    ({**_VALID, "mean": 5}, "mean must be an expression string, got int"),
+])
+def test_malformed_model_file_raises_model_error(tmp_path, data, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ModelError) as raised:
+        load_model(path)
+    assert message in str(raised.value)
+    with pytest.raises(ModelError):
+        model_from_dict(data)
+
+
+@pytest.mark.parametrize("param,message", [
+    ({"true_value": math.inf}, "true value of a must be finite, got inf"),
+    ({"true_value": math.nan}, "true value of a must be finite, got nan"),
+    ({"lower": math.nan}, "bounds of a must not be NaN"),
+    ({"upper": math.nan}, "bounds of a must not be NaN"),
+    ({"lower": 2.0, "upper": 1.0}, "must be below its upper bound, got [2.0, 1.0]"),
+    ({"lower": 0.6, "upper": 0.6}, "must be below its upper bound, got [0.6, 0.6]"),
+    ({"lower": 1.0}, "true value of a (0.6) lies outside its bounds [1.0, inf]"),
+    ({"upper": 0.5}, "true value of a (0.6) lies outside its bounds [-inf, 0.5]"),
+])
+def test_parameter_values_that_make_the_verdict_meaningless_are_rejected(param, message):
+    # the expressions do not use a, so only the parameter checks can reject it
+    data = {"parameters": [{"name": "a", "true_value": 0.6, **param}],
+            "mean": "0", "scale": "1"}
+    with pytest.raises(ModelError) as raised:
+        model_from_dict(data)
+    assert message in str(raised.value)
+
+
+@pytest.mark.parametrize("param", [
+    {"lower": 0.6},  # a true value on its bound
+    {"upper": 0.6},
+    {"lower": -math.inf, "upper": math.inf},
+    {"lower": 0.0, "upper": 1.0},
+])
+def test_valid_parameter_values_are_accepted(param):
+    data = {"parameters": [{"name": "a", "true_value": 0.6, **param}],
+            "mean": "a", "scale": "1"}
+    assert model_from_dict(data).true_values() == {"a": 0.6}

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from obscheck import (
-    InfeasiblePointError,
     MaxResult,
     OptConfig,
     PosteriorContext,
@@ -27,26 +26,29 @@ RATIO_RIDGE = load_model("ratio_mean_scale_sqrt_ratio")
 
 
 class QuadraticContext:
-    """Synthetic context with -2L = sum (x_j - c_j)^2, offering only what
-    :func:`maximize` needs."""
+    """Synthetic one-row context with -2L = sum (x_j - c_j)^2, offering only
+    what the fit contract asks for."""
 
     def __init__(self, center, bounds=None):
         self.center = np.asarray(center, dtype=float)
         self.param_names = tuple(f"x{j}" for j in range(self.center.size))
         self._bounds = bounds or [(-np.inf, np.inf)] * self.center.size
 
+    def __len__(self):
+        return 1
+
     def bounds(self):
         return self._bounds
 
-    def neg2l_grad(self, x):
-        d = np.asarray(x, float) - self.center
-        return float(d @ d), 2.0 * d
+    def neg2l_grad_rows(self, rows, points):
+        d = points - self.center
+        return np.sum(d * d, axis=1), 2.0 * d, np.ones(len(points), dtype=bool)
 
 
 class CurvedQuadraticContext(QuadraticContext):
     """:class:`QuadraticContext` with the Hessian :func:`check_maximum` reads."""
 
-    def hessian_neg2l(self, x):
+    def hessian_neg2l(self, x, k=0):
         return 2.0 * np.eye(self.center.size)
 
 
@@ -111,10 +113,9 @@ class TestMaximize:
         # -2L is finite beyond x = 2.5 but its gradient is not: the line
         # search must treat those trial points as infeasible, not crash
         class Cliff(QuadraticContext):
-            def neg2l_grad(self, x):
-                if x[0] > 2.5:
-                    raise InfeasiblePointError("gradient undefined")
-                return super().neg2l_grad(x)
+            def neg2l_grad_rows(self, rows, points):
+                values, grads, feasible = super().neg2l_grad_rows(rows, points)
+                return values, grads, feasible & (points[:, 0] <= 2.5)
 
         result = maximize(Cliff([3.0]), np.array([0.0]))
         assert 2.0 < result.omega_hat[0] <= 2.5
@@ -169,16 +170,22 @@ class _JitteredQuartic:
         self.jitter = jitter
         self.calls = 0
 
+    def __len__(self):
+        return 1
+
     def bounds(self):
         return [(-np.inf, np.inf)] * 2
 
-    def neg2l_grad(self, omega):
-        self.calls += 1
-        x, y = omega
-        value = 1.0 + (x - 1.0) ** 4 + (y + 0.5) ** 2
-        if self.jitter:
-            value += random.Random(struct.pack("<2d", x, y)).uniform(-1e-13, 1e-13)
-        return value, [4.0 * (x - 1.0) ** 3, 2.0 * (y + 0.5)]
+    def neg2l_grad_rows(self, rows, points):
+        values, grads = [], []
+        for x, y in points.tolist():
+            self.calls += 1
+            value = 1.0 + (x - 1.0) ** 4 + (y + 0.5) ** 2
+            if self.jitter:
+                value += random.Random(struct.pack("<2d", x, y)).uniform(-1e-13, 1e-13)
+            values.append(value)
+            grads.append([4.0 * (x - 1.0) ** 3, 2.0 * (y + 0.5)])
+        return np.array(values), np.array(grads), np.ones(len(points), dtype=bool)
 
 
 def test_rounding_noise_in_the_value_costs_no_evaluations():
@@ -379,7 +386,7 @@ class TestLocalVariance:
             def bounds(self):
                 return [(-np.inf, np.inf)]
 
-            def hessian_neg2l(self, x):
+            def hessian_neg2l(self, x, k=0):
                 return np.zeros((1, 1))
 
         assert np.isinf(local_variance(Flat(), np.array([0.0]))[0])

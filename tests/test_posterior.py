@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from obscheck import InfeasiblePointError, PosteriorContext, bundled_model_names, load_model
-from obscheck.posterior import PosteriorRows
 from obscheck.models import model_from_dict
 
 from conftest import _TreeWalkerContext, central_difference_hessian
@@ -191,8 +190,10 @@ class TestHessian:
 
 
 def test_observation_vector_must_be_finite():
-    with pytest.raises(ValueError):
-        PosteriorContext(VARIANCE_ONLY, np.array([1.0, np.inf]))
+    ctx = PosteriorContext(VARIANCE_ONLY, np.array([1.0, np.inf]))
+    for method in (ctx.log_posterior, ctx.neg2l, ctx.neg2l_grad, ctx.hessian_neg2l):
+        with pytest.raises(InfeasiblePointError, match="observation vector must be finite"):
+            method([0.8])
 
 
 def test_context_is_immutable():
@@ -228,7 +229,7 @@ def test_compiled_posterior_bit_equals_tree_walkers(name, omegas, seed, horizon)
     model = load_model(name)
     z = np.random.default_rng(seed).normal(0.6, 0.8, size=(len(omegas), horizon))
     points = np.array([omega[: len(model.params)] for omega in omegas])
-    values, grads, feasible = PosteriorRows(model, z).neg2l_grad_rows(
+    values, grads, feasible = PosteriorContext(model, z).neg2l_grad_rows(
         np.arange(len(points)), points)
     for k, omega in enumerate(points):
         ctx = PosteriorContext(model, z[k])
@@ -241,6 +242,28 @@ def test_compiled_posterior_bit_equals_tree_walkers(name, omegas, seed, horizon)
         for method in ("neg2l", "neg2l_grad"):
             got = _bytes_or_error(lambda: getattr(ctx, method)(omega))
             assert got == _bytes_or_error(lambda: getattr(ref, method)(omega)), method
+
+
+@pytest.mark.parametrize("name", bundled_model_names())
+def test_row_k_equals_a_one_row_context(name):
+    # every one-shot method at row k of a K-row context is byte-equal to the
+    # same method on a one-row context of that row, errors and messages
+    # included; rows 2 and 3 are not finite
+    model = load_model(name)
+    z = np.random.default_rng(4).normal(0.6, 0.8, size=(5, 4))
+    z[2, 1], z[3, 0] = np.inf, np.nan
+    z[4] *= 1e154  # finite, but Q overflows
+    ctx = PosteriorContext(model, z)
+    assert len(ctx) == 5
+    for omega in ([0.55, 0.3], [0.7, -0.2], [1e-170, 1e-170], [0.6, 0.4]):
+        omega = omega[: len(model.params)]
+        for k in range(len(z)):
+            one = PosteriorContext(model, z[k])
+            for method in ("log_posterior", "neg2l", "neg2l_grad", "hessian_neg2l"):
+                got = _bytes_or_error(lambda: getattr(ctx, method)(omega, k))
+                assert got == _bytes_or_error(lambda: getattr(one, method)(omega)), (method, k)
+                if k in (2, 3):
+                    assert got == (InfeasiblePointError, "observation vector must be finite")
 
 
 def _direct_neg2l_grad(model, z, omega):

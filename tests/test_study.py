@@ -27,7 +27,7 @@ from obscheck import (
     run_study,
 )
 from obscheck.models import model_from_dict
-from obscheck.study import _aggregate, render_report, report_to_dict
+from obscheck.study import _aggregate, _fit_rows, render_report, report_to_dict
 
 from conftest import DESK_LCD
 
@@ -241,6 +241,24 @@ def test_overflowing_statistics_fail_without_numpy_warning():
     cfg = small_config(model, T_list=(2,), K=8)
     runs = [run_part1(model, 2, cfg).run, *run_part2(model, 2, 8, cfg).records]
     assert {r.reason for r in runs} == {"infeasible start: log-posterior is not finite (nan)"}
+
+
+def test_infeasible_rows_are_not_fitted_again(monkeypatch):
+    # a row whose start is infeasible takes its reason from the lock-step
+    # run's own context; no row is fitted a second time on its own
+    def refit(*args, **kwargs):
+        raise AssertionError("an infeasible row was fitted again")
+
+    monkeypatch.setattr(obscheck.study, "maximize", refit)
+    eps = np.array([[1.0, -1.0], [np.inf, 0.0], [1e200, -1e200], [0.5, -0.5]])
+    cfg = small_config(VARIANCE_ONLY, T_list=(2,), K=4)
+    records = _fit_rows(VARIANCE_ONLY, 2, eps, cfg).records
+    assert [r.passed for r in records] == [True, False, False, True]
+    assert [r.reason for r in records[1:3]] == [
+        "infeasible start: observation vector must be finite",
+        "infeasible start: log-posterior is not finite (-inf)",
+    ]
+    assert records[1].estimates is None and records[1].iterations == 0
 
 
 class TestVerdict:
