@@ -6,10 +6,10 @@ Supports real literals, named parameters, the unary functions
 evaluated in IEEE double precision, either plainly or together with their
 exact first and second partial derivatives (second-order forward mode).
 The tree walkers :func:`eval_expr` and :func:`eval_hessian` serve one-shot
-evaluation; :func:`compile_expr` turns a tree into one value-and-gradient
-closure over a (k, n) array of points for repeated evaluation, which gives
-each point the walker's value and gradient bit for bit and marks the
-points where the walker raises.
+evaluation; :func:`compile_expr` turns a tree into one closure over a (k, n)
+array of points for repeated evaluation, which gives each point the
+walker's value, gradient and, when asked, Hessian bit for bit and marks
+the points where the walker raises.
 
 Precedence is ``^`` > unary minus > ``* /`` > ``+ -``; all binary
 operators associate to the left.
@@ -372,11 +372,11 @@ def eval_hessian(
     """Evaluate ``e`` with its exact gradient and Hessian by second-order
     forward mode (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008).
 
-    ``order`` lays out the gradient and the Hessian's rows and columns.  Value
-    and gradient are bit-identical to :func:`compile_expr`'s, which marks a
-    point infeasible exactly where this raises; the Hessian, exactly
-    symmetric, raises no error of its own.  The derivatives of ``abs`` at 0
-    are defined as 0.
+    ``order`` lays out the gradient and the Hessian's rows and columns.
+    Value, gradient and Hessian are bit-identical to :func:`compile_expr`'s,
+    which marks a point infeasible exactly where this raises; the Hessian,
+    exactly symmetric, raises no error of its own.  The derivatives of
+    ``abs`` at 0 are defined as 0.
     """
     return _jet(e, params, {name: i for i, name in enumerate(order)}, len(order))
 
@@ -487,57 +487,76 @@ def _power_rule(e: Binary, a: float, ga, ha, b: float, gb, hb, value: float):
 # Compilation
 # ---------------------------------------------------------------------------
 
-RowsFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
-# a compiled node: (points, infeasible) -> (values, gradients); it marks the
-# rows where the walker would raise in ``infeasible``, in place
-_NodeFn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+RowsFn = Callable[..., tuple]
+# a compiled node: (points, infeasible, hessian) -> (values, gradients,
+# Hessians); it marks the rows where the walker would raise in
+# ``infeasible``, in place, and its Hessians are None unless ``hessian``
+_NodeFn = Callable[[np.ndarray, np.ndarray, bool], tuple]
 
 
 def compile_expr(e: Expr, order: Sequence[str]) -> RowsFn:
-    """Compile ``e`` into one value-plus-gradient closure over many points.
+    """Compile ``e`` into one closure over many points, with gradients and,
+    when asked, Hessians.
 
     The closure takes a (k, n) array, one point per row laid out like
     ``order``, and returns ``(values, gradients, feasible)``: values (k,),
-    gradients (k, n) and a boolean mask (k,).  Row by row it performs the
-    value and gradient operations of :func:`eval_hessian` in the same order,
-    so a feasible row's value and gradient are bit-identical to that
-    walker's (signed zeros included; the value is :func:`eval_expr`'s).  A
-    row is infeasible exactly where the walker raises :class:`DomainError`
-    or ``OverflowError``, which then gives the reason; the row's value and
-    gradient mean nothing.  A parameter of ``e`` missing from ``order``
-    raises ``KeyError`` at compile time.
+    gradients (k, n) and a boolean mask (k,); with ``hessian=True`` it
+    returns ``(values, gradients, hessians, feasible)`` with Hessians
+    (k, n, n).  Row by row it performs the operations of
+    :func:`eval_hessian` in the same order, so a feasible row's value,
+    gradient and Hessian are bit-identical to that walker's (signed zeros
+    included; the value is :func:`eval_expr`'s).  A row is infeasible
+    exactly where the walker raises :class:`DomainError` or
+    ``OverflowError``, which then gives the reason; the row's results mean
+    nothing.  A parameter of ``e`` missing from ``order`` raises
+    ``KeyError`` at compile time.
 
     Literals, parameters, ``neg``, ``abs``, ``sqrt`` and ``+ - * /`` are
     numpy array operations, which IEEE 754 rounds as Python's float
-    arithmetic does.  ``log``, ``exp`` and ``^`` run per row through the
-    walker's scalar rules: numpy's ``log``, ``exp`` and ``power`` may differ
-    from ``math``'s in the last bit.
+    arithmetic does; entry (i, j) of a Hessian takes the walker's operations
+    for (i, j) or, below the diagonal, for (j, i), which differ only in the
+    order of a product's or a sum's two terms.  The values of ``log`` and
+    ``exp`` and everything of ``^`` run per row through the walker's scalar
+    rules: numpy's ``log``, ``exp`` and ``power`` may differ from
+    ``math``'s in the last bit.
     """
     node = _compile(e, {name: i for i, name in enumerate(order)}, len(order))
 
-    def rows(points):
+    def rows(points, hessian=False):
         points = np.asarray(points, dtype=float)
         infeasible = np.zeros(len(points), dtype=bool)
         with np.errstate(all="ignore"):  # infeasible rows compute garbage
-            values, grads = node(points, infeasible)
+            values, grads, hessians = node(points, infeasible, hessian)
+        if hessian:
+            return values, grads, hessians, ~infeasible
         return values, grads, ~infeasible
 
     return rows
 
 
+def _outer(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """p_i * q_j at (i, j) of each row's n x n matrix."""
+    return p[:, :, None] * q[:, None, :]
+
+
 def _compile(e: Expr, index: dict[str, int], n: int) -> _NodeFn:
-    # Each rule below is the value-and-gradient part of the matching rule
-    # of _jet, applied to every row.
+    # Each rule below is the matching rule of _jet, applied to every row; the
+    # Hessian is computed only when asked (h is None otherwise).
     if isinstance(e, Literal):
         value = e.value
-        return lambda x, bad: (np.full(len(x), value), np.zeros((len(x), n)))
+
+        def literal(x, bad, hessian):
+            k = len(x)
+            return np.full(k, value), np.zeros((k, n)), np.zeros((k, n, n)) if hessian else None
+
+        return literal
     if isinstance(e, Param):
         i = index[e.name]
 
-        def param(x, bad):
+        def param(x, bad, hessian):
             unit = np.zeros((len(x), n))
             unit[:, i] = 1.0
-            return x[:, i], unit
+            return x[:, i], unit, np.zeros((len(x), n, n)) if hessian else None
 
         return param
     if isinstance(e, Unary):
@@ -564,41 +583,50 @@ def _compile_unary(e: Unary, arg: _NodeFn) -> _NodeFn:
     op = e.op
     if op == "neg":
 
-        def neg(x, bad):
-            v, g = arg(x, bad)
-            return -v, -g
+        def neg(x, bad, hessian):
+            v, g, h = arg(x, bad, hessian)
+            return -v, -g, None if h is None else -h
 
         return neg
     if op == "sqrt":
 
-        def sqrt(x, bad):
-            v, g = arg(x, bad)
+        def sqrt(x, bad, hessian):
+            v, g, h = arg(x, bad, hessian)
             bad |= v <= 0.0
             r = np.sqrt(v)
-            return r, g / (2.0 * r)[:, None]
+            d = 2.0 * r
+            dr = g / d[:, None]
+            if h is not None:
+                h = (h - 2.0 * _outer(dr, dr)) / d[:, None, None]
+            return r, dr, h
 
         return sqrt
     if op == "log":
 
-        def log(x, bad):
-            v, g = arg(x, bad)
-            return _scalar_rows(e, v, bad), g / v[:, None]
+        def log(x, bad, hessian):
+            v, g, h = arg(x, bad, hessian)
+            dr = g / v[:, None]
+            if h is not None:
+                h = h / v[:, None, None] - _outer(dr, dr)
+            return _scalar_rows(e, v, bad), dr, h
 
         return log
     if op == "exp":
 
-        def exp(x, bad):
-            v, g = arg(x, bad)
+        def exp(x, bad, hessian):
+            v, g, h = arg(x, bad, hessian)
             r = _scalar_rows(e, v, bad)
-            return r, r[:, None] * g
+            if h is not None:
+                h = r[:, None, None] * (h + _outer(g, g))
+            return r, r[:, None] * g, h
 
         return exp
     if op == "abs":
 
-        def abs_(x, bad):
-            v, g = arg(x, bad)
+        def abs_(x, bad, hessian):
+            v, g, h = arg(x, bad, hessian)
             sign = np.where(v == 0.0, 0.0, np.copysign(1.0, v))
-            return np.abs(v), sign[:, None] * g
+            return np.abs(v), sign[:, None] * g, None if h is None else sign[:, None, None] * h
 
         return abs_
     raise ValueError(f"unknown unary op {op!r}")
@@ -608,51 +636,64 @@ def _compile_binary(e: Binary, left: _NodeFn, right: _NodeFn) -> _NodeFn:
     op = e.op
     if op == "+":
 
-        def add(x, bad):
-            (a, ga), (b, gb) = left(x, bad), right(x, bad)
-            return a + b, ga + gb
+        def add(x, bad, hessian):
+            (a, ga, ha), (b, gb, hb) = left(x, bad, hessian), right(x, bad, hessian)
+            return a + b, ga + gb, None if ha is None else ha + hb
 
         return add
     if op == "-":
 
-        def sub(x, bad):
-            (a, ga), (b, gb) = left(x, bad), right(x, bad)
-            return a - b, ga - gb
+        def sub(x, bad, hessian):
+            (a, ga, ha), (b, gb, hb) = left(x, bad, hessian), right(x, bad, hessian)
+            return a - b, ga - gb, None if ha is None else ha - hb
 
         return sub
     if op == "*":
 
-        def mul(x, bad):
-            (a, ga), (b, gb) = left(x, bad), right(x, bad)
-            return a * b, a[:, None] * gb + b[:, None] * ga
+        def mul(x, bad, hessian):
+            (a, ga, ha), (b, gb, hb) = left(x, bad, hessian), right(x, bad, hessian)
+            if ha is not None:
+                ha = (a[:, None, None] * hb + b[:, None, None] * ha
+                      + (_outer(ga, gb) + _outer(gb, ga)))
+            return a * b, a[:, None] * gb + b[:, None] * ga, ha
 
         return mul
     if op == "/":
 
-        def div(x, bad):
-            (a, ga), (b, gb) = left(x, bad), right(x, bad)
+        def div(x, bad, hessian):
+            (a, ga, ha), (b, gb, hb) = left(x, bad, hessian), right(x, bad, hessian)
             bad |= b == 0.0
+            value = a / b
             # _quotient_grad, row by row
             den = b * b
             num = ga * b[:, None] - a[:, None] * gb
-            return a / b, np.where((den == 0.0)[:, None], num * math.inf, num / den[:, None])
+            grad = np.where((den == 0.0)[:, None], num * math.inf, num / den[:, None])
+            if ha is not None:
+                ha = (ha - value[:, None, None] * hb
+                      - (_outer(grad, gb) + _outer(gb, grad))) / b[:, None, None]
+            return value, grad, ha
 
         return div
     if op == "^":
 
-        def power(x, bad):
-            (a, ga), (b, gb) = left(x, bad), right(x, bad)
+        def power(x, bad, hessian):
+            (a, ga, ha), (b, gb, hb) = left(x, bad, hessian), right(x, bad, hessian)
             value, grad = np.full(len(a), math.nan), np.full(ga.shape, math.nan)
+            hess = np.full(ha.shape, math.nan) if hessian else None
             rows = zip(a.tolist(), ga.tolist(), b.tolist(), gb.tolist(), bad.tolist())
             for i, (ai, gai, bi, gbi, skip) in enumerate(rows):
                 if skip:
                     continue
                 try:
                     value[i] = vi = _power_value(e, ai, bi)
-                    grad[i] = _power_rule(e, ai, gai, None, bi, gbi, None, vi)[0]
+                    if hessian:
+                        grad[i], hess[i] = _power_rule(
+                            e, ai, gai, ha[i].tolist(), bi, gbi, hb[i].tolist(), vi)
+                    else:
+                        grad[i] = _power_rule(e, ai, gai, None, bi, gbi, None, vi)[0]
                 except (DomainError, OverflowError):
                     bad[i] = True
-            return value, grad
+            return value, grad, hess
 
         return power
     raise ValueError(f"unknown binary op {op!r}")

@@ -3,9 +3,9 @@
 A model declares named parameters with true values and optional box bounds,
 plus three expressions: the mean ``m``, the scale ``s`` and the log-prior,
 defining observations ``Z_t = m + s * eps_t`` with standard normal ``eps_t``.
-The three expressions compile once into value-and-gradient closures over
-many points, which the fit evaluates at every point it visits, one point per
-design row; one-shot values (the check at the true values, the design
+The three expressions compile once into closures over many points, which
+give values and gradients for the fit, one point per design row, and
+Hessians as well for the checks; one-shot values (the check at the true values, the design
 observations, a direct log-posterior) walk the expression trees.  The
 package ships the study models as JSON files under ``obscheck/models``.
 """
@@ -58,9 +58,10 @@ class ModelSpec:
     """A validated location-scale model.
 
     The mean, scale and log-prior expressions are compiled once, here, into
-    value-and-gradient closures over a (k, n) array of points (see
+    closures over a (k, n) array of points (see
     :func:`~obscheck.expressions.compile_expr`), which
-    :meth:`mean_scale_prior_grad` runs; the value-only methods walk the trees.
+    :meth:`mean_scale_prior_grad` and :meth:`mean_scale_prior_hessian` run;
+    the value-only methods walk the trees.
     """
 
     name: str
@@ -68,11 +69,13 @@ class ModelSpec:
     mean_expr: Expr
     scale_expr: Expr
     log_prior_expr: Expr
-    # value-and-gradient closures for mean, scale, log-prior
+    # compiled closures for mean, scale, log-prior
     _compiled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = [p.name for p in self.params]
+        if not names:
+            raise ModelError("a model must declare at least one parameter")
         if len(set(names)) != len(names):
             raise ModelError(f"duplicate parameter names in {names}")
         # every fit starts at the true values; outside the bounds it would
@@ -148,6 +151,13 @@ class ModelSpec:
         the rows where the expression and its gradient are defined."""
         mean, scale, prior = self._compiled
         return mean(points), scale(points), prior(points)
+
+    def mean_scale_prior_hessian(self, points: np.ndarray):
+        """(values, gradients, Hessians, feasible) for mean, scale and
+        log-prior at each row of ``points``, as :meth:`mean_scale_prior_grad`
+        with the Hessians (k, n, n) as well."""
+        mean, scale, prior = self._compiled
+        return mean(points, hessian=True), scale(points, hessian=True), prior(points, hessian=True)
 
     def to_dict(self) -> dict:
         return {

@@ -6,7 +6,10 @@ infeasible trial points are rejected by the line search.  One loop,
 over numpy arrays with one row per fit, and gives each row the result a fit
 on its own would; :func:`maximize` is that loop on a one-row context.  The
 fit asks the context for one thing, -2L and its gradient for many rows at
-once (``neg2l_grad_rows``); the checks ask for the Hessian of one row.
+once (``neg2l_grad_rows``).  :func:`check_rows` checks many maxima at once:
+it asks for all their Hessians in one call (``hessian_neg2l_rows``) and
+decomposes the stack with one ``eigh``; :func:`check_maximum` and
+:func:`local_variance` are that on one maximum.
 
 Near a maximum, -2L differences fall to rounding noise and Armijo's test
 decides on that noise, so a feasible trial that Armijo rejects is accepted
@@ -39,7 +42,7 @@ from .posterior import InfeasiblePointError
 
 __all__ = [
     "OptConfig", "MaxResult", "CheckReport", "maximize", "maximize_rows", "start_error",
-    "check_maximum", "local_variance",
+    "check_maximum", "check_rows", "local_variance",
 ]
 
 # L-BFGS history length, iteration cap, Armijo constant and backtracking
@@ -125,8 +128,12 @@ def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
     ``x0`` itself is infeasible, chained from the context's
     ``InfeasiblePointError`` (see :func:`start_error`); a line search that
     finds no acceptable step, or the iteration cap, ends the fit with
-    ``converged=False`` at the last accepted point.
+    ``converged=False`` at the last accepted point.  A context with more
+    than one row is a ``ValueError``: :func:`maximize_rows` fits those.
     """
+    if len(ctx) != 1:
+        raise ValueError(f"maximize fits a one-row context, not {len(ctx)} rows; "
+                         f"fit them with maximize_rows")
     (result,) = maximize_rows(ctx, x0, cfg)
     if result is None:
         error = start_error(ctx, x0)
@@ -352,25 +359,72 @@ def _two_loop(g, s, y, rho, length) -> np.ndarray:
 def check_maximum(ctx, result: MaxResult, cfg: OptConfig = OptConfig(),
                   k: int = 0) -> CheckReport:
     """Run the four validity checks at ``result.omega_hat``, the maximum of
-    row ``k`` of ``ctx``.
+    row ``k`` of ``ctx``: :func:`check_rows` on that one maximum."""
+    (report,) = check_rows(ctx, [k], [result], cfg)
+    return report
 
-    The gradient check reads ``result.grad_inf_norm``, which :func:`maximize`
+
+def check_rows(ctx, rows, results: list[MaxResult],
+               cfg: OptConfig = OptConfig()) -> list[CheckReport]:
+    """Run the four validity checks at each ``results[i].omega_hat``, the
+    maximum of row ``rows[i]`` of ``ctx``.
+
+    The context provides ``hessian_neg2l_rows(rows, points) -> (hessians,
+    feasible)``, the (k, n, n) Hessians of -2L, and, for a point where it is
+    infeasible, ``hessian_neg2l(omega, k)``, which raises the reason.  The
+    gradient check reads ``grad_inf_norm``, which :func:`maximize_rows`
     computed at ``omega_hat``, so the gradient is not evaluated again.
     Positive definiteness, the eigenvalue ratio and the local variances all
-    come from one symmetric eigendecomposition of the Hessian, so they
+    come from one symmetric eigendecomposition of each Hessian, so they
     cannot disagree: a ridge whose smallest eigenvalue rounds to a tiny
-    positive number yields huge local variances, not a failed inversion.
+    positive number yields huge local variances, not a failed inversion.  A
+    maximum whose Hessian is infeasible or cannot be decomposed fails every
+    check with a note that says why.
     """
+    points = np.array([r.omega_hat for r in results], dtype=float)
+    points = points.reshape(len(results), len(ctx.param_names))
+    return [_report(result, curvature, cfg)
+            for result, curvature in zip(results, _curvatures(ctx, rows, points))]
+
+
+def _curvatures(ctx, rows, points: np.ndarray) -> list:
+    """Per point, the ascending eigenvalues and the local variances of the
+    -2L Hessian of row ``rows[i]`` at ``points[i]``, or the error that makes
+    them undefined.  The finite Hessians go to ``eigh`` as one stack; as one
+    matrix that does not converge makes the whole stack raise, the stack
+    then goes matrix by matrix, as does every Hessian that is not finite."""
+    hess, feasible = ctx.hessian_neg2l_rows(rows, points)
+    out = [None] * len(points)
+    stack = np.flatnonzero(feasible & np.isfinite(hess).all(axis=(1, 2)))
+    if stack.size:
+        try:
+            eigvals, lvar = _curvature(hess[stack])
+            for i, e, v in zip(stack.tolist(), eigvals, lvar):
+                out[i] = e, v
+        except np.linalg.LinAlgError:
+            pass
+    for i in [i for i, c in enumerate(out) if c is None]:
+        try:
+            if not feasible[i]:
+                ctx.hessian_neg2l(points[i], rows[i])  # raises the reason
+            eigvals, lvar = _curvature(hess[i:i + 1])
+            out[i] = eigvals[0], lvar[0]
+        except (InfeasiblePointError, np.linalg.LinAlgError) as exc:
+            out[i] = exc
+    return out
+
+
+def _report(result: MaxResult, curvature, cfg: OptConfig) -> CheckReport:
+    """The checks of ``result`` from its (eigenvalues, local variances) or
+    from the error that left them undefined."""
     grad_inf = float(result.grad_inf_norm)
-    try:
-        eigvals, lvar = _curvature(ctx.hessian_neg2l(result.omega_hat, k))
-    except (InfeasiblePointError, np.linalg.LinAlgError) as exc:
+    if isinstance(curvature, Exception):
         return CheckReport(
             grad_ok=False, hessian_pd=False, eig_ratio_ok=False, lvar_finite=False,
             grad_inf_norm=grad_inf, eig_ratio=float("nan"),
-            local_variances=None, note=f"curvature evaluation failed: {exc}",
+            local_variances=None, note=f"curvature evaluation failed: {curvature}",
         )
-
+    eigvals, lvar = curvature
     lam_min = float(eigvals[0])
     lam_max = float(eigvals[-1])
     hessian_pd = lam_min > 0.0
@@ -390,13 +444,16 @@ def check_maximum(ctx, result: MaxResult, cfg: OptConfig = OptConfig(),
 
 
 def _curvature(hess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of the -2L Hessian and the local variances
-    2 * diag(H^{-1}) = 2 * sum_j V_ij^2 / lambda_j from one ``eigh``; a zero
-    eigenvalue (a plateau) makes every local variance +inf."""
+    """Ascending eigenvalues of each -2L Hessian of the (k, n, n) stack and
+    its local variances 2 * diag(H^{-1}) = 2 * sum_j V_ij^2 / lambda_j, from
+    one ``eigh``; a zero eigenvalue (a plateau) makes every local variance of
+    its matrix +inf."""
     eigvals, eigvecs = np.linalg.eigh(hess)
-    if np.any(eigvals == 0.0):
-        return eigvals, np.full(len(eigvals), np.inf)
-    return eigvals, 2.0 * (eigvecs * eigvecs) @ (1.0 / eigvals)
+    plateau = np.any(eigvals == 0.0, axis=1)
+    inverse = 1.0 / np.where(plateau[:, None], 1.0, eigvals)
+    lvar = np.matmul(2.0 * (eigvecs * eigvecs), inverse[:, :, None])[:, :, 0]
+    lvar[plateau] = np.inf
+    return eigvals, lvar
 
 
 def local_variance(ctx, omega_hat: np.ndarray, k: int = 0) -> np.ndarray:
@@ -405,4 +462,7 @@ def local_variance(ctx, omega_hat: np.ndarray, k: int = 0) -> np.ndarray:
     A singular Hessian signals a plateau: the result is +inf per parameter
     rather than an exception, so callers can fold it into the checks.
     """
-    return _curvature(ctx.hessian_neg2l(omega_hat, k))[1]
+    (curvature,) = _curvatures(ctx, [k], np.asarray(omega_hat, dtype=float).reshape(1, -1))
+    if isinstance(curvature, Exception):
+        raise curvature
+    return curvature[1]

@@ -17,15 +17,17 @@ so its cost does not grow with T.
 The optimizer minimizes -2L, so this module exposes -2L with its exact
 gradient and its exact Hessian, both by forward mode through the
 mean/scale/prior expressions.  :class:`PosteriorContext` binds a model to
-K >= 1 observation vectors, the rows of a (K, T) array.  The fit calls only
-:meth:`~PosteriorContext.neg2l_grad_rows`, which evaluates -2L and its
-gradient for many rows at once through the model's compiled closures, each
-row with the operations of a one-row evaluation.  The one-shot methods
-:meth:`~PosteriorContext.neg2l_grad` (that evaluation for one point),
-:meth:`~PosteriorContext.log_posterior`, :meth:`~PosteriorContext.neg2l`
-and :meth:`~PosteriorContext.hessian_neg2l` take a row index ``k``; all
-but the first walk the expression trees.  The Hessian serves only the
-validity checks and local variances of a candidate maximum; the fit itself
+K >= 1 observation vectors, given as one block, the rows of a (K, T) array,
+or as several blocks whose T may differ; it keeps T, zbar and Q per row, so
+one context holds every vector of a study.  The fit calls
+:meth:`~PosteriorContext.neg2l_grad_rows` and the checks
+:meth:`~PosteriorContext.hessian_neg2l_rows`; both evaluate many rows at
+once through the model's compiled closures, each row with the operations
+of a one-row evaluation.  The one-shot methods
+:meth:`~PosteriorContext.neg2l_grad` and
+:meth:`~PosteriorContext.hessian_neg2l` are those two for one point;
+:meth:`~PosteriorContext.log_posterior` and :meth:`~PosteriorContext.neg2l`
+walk the expression trees.  All take a row index ``k``.  The fit itself
 never asks for curvature.
 """
 
@@ -63,28 +65,51 @@ def _statistics(obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return zbar, css
 
 
+def _blocks(obs) -> list[np.ndarray]:
+    """The blocks of ``obs`` as 2-D arrays: a list or tuple that holds
+    vectors or matrices is a sequence of blocks, anything else is one."""
+    if isinstance(obs, (list, tuple)) and any(np.ndim(b) for b in obs):
+        blocks = [np.array(b, dtype=float, ndmin=2) for b in obs]
+    else:
+        blocks = [np.array(obs, dtype=float, ndmin=2)]
+    if any(b.ndim != 2 or b.size < 1 for b in blocks):
+        raise ValueError("observations must be a vector or a (K, T) matrix, K, T >= 1, "
+                         "or a sequence of these")
+    return blocks
+
+
 @dataclass(frozen=True)
 class PosteriorContext:
-    """A model bound to K >= 1 observation vectors, the rows of a (K, T)
-    array; a 1-D vector is one row.  A row that is not finite is kept, and
-    every point is infeasible for it."""
+    """A model bound to K >= 1 observation vectors.  ``obs`` is one block, a
+    vector (one row) or a (K, T) array, or a list of blocks whose T may
+    differ, stacked in order.  A row that is not finite is kept, and every
+    point is infeasible for it.
+
+    The ``obs`` attribute is a read-only array with one row per vector:
+    row ``k`` holds its ``horizon[k]`` observations, padded with NaN to the
+    longest horizon.
+    """
 
     model: ModelSpec
     obs: np.ndarray
-    horizon: int = field(init=False)
+    horizon: np.ndarray = field(init=False)  # T per row
     obs_mean: np.ndarray = field(init=False)  # zbar per row
     obs_css: np.ndarray = field(init=False)  # Q = sum_t (z_t - zbar)^2 per row
 
     def __post_init__(self):
-        obs = np.array(self.obs, dtype=float, ndmin=2)
-        if obs.ndim != 2 or obs.size < 1:
-            raise ValueError("observations must be a vector or a (K, T) matrix, K, T >= 1")
+        blocks = _blocks(self.obs)
+        obs = np.full((sum(len(b) for b in blocks), max(b.shape[1] for b in blocks)), np.nan)
+        start = 0
+        for b in blocks:
+            obs[start:start + len(b), :b.shape[1]] = b
+            start += len(b)
         obs.flags.writeable = False
-        zbar, css = _statistics(obs)
+        stats = [_statistics(b) for b in blocks]
         object.__setattr__(self, "obs", obs)
-        object.__setattr__(self, "horizon", int(obs.shape[1]))
-        object.__setattr__(self, "obs_mean", zbar)
-        object.__setattr__(self, "obs_css", css)
+        object.__setattr__(self, "horizon",
+                           np.concatenate([np.full(len(b), b.shape[1]) for b in blocks]))
+        object.__setattr__(self, "obs_mean", np.concatenate([zbar for zbar, _ in stats]))
+        object.__setattr__(self, "obs_css", np.concatenate([css for _, css in stats]))
 
     def __len__(self) -> int:
         return len(self.obs)
@@ -96,18 +121,26 @@ class PosteriorContext:
     def bounds(self) -> list[tuple[float, float]]:
         return self.model.bounds()
 
-    def _stats(self, k: int) -> tuple[float, float]:
-        """zbar and Q of row ``k``; ``InfeasiblePointError`` if the row is not
-        finite.  A row that is not finite has no finite zbar, so the row
-        itself is read only when its statistics are not finite."""
-        zbar, css = float(self.obs_mean[k]), float(self.obs_css[k])
-        if not (math.isfinite(zbar) and math.isfinite(css)) and not np.isfinite(self.obs[k]).all():
+    def _finite(self, rows: np.ndarray) -> np.ndarray:
+        """Whether each of ``rows`` is a finite vector.  A row that is not
+        finite has no finite zbar, so a row is read only when its statistics
+        are not finite."""
+        finite = np.isfinite(self.obs_mean[rows]) & np.isfinite(self.obs_css[rows])
+        for i in np.flatnonzero(~finite).tolist():
+            k = rows[i]
+            finite[i] = np.isfinite(self.obs[k, :self.horizon[k]]).all()
+        return finite
+
+    def _stats(self, k: int) -> tuple[int, float, float]:
+        """T, zbar and Q of row ``k``; ``InfeasiblePointError`` if the row is
+        not finite."""
+        if not self._finite(np.array([k]))[0]:
             raise InfeasiblePointError("observation vector must be finite")
-        return zbar, css
+        return int(self.horizon[k]), float(self.obs_mean[k]), float(self.obs_css[k])
 
     def log_posterior(self, omega: np.ndarray, k: int = 0) -> float:
         """L(omega | z) for row ``k`` up to an additive constant."""
-        zbar, css = self._stats(k)
+        t, zbar, css = self._stats(k)
         try:
             m, s, prior = self.model.mean_scale_prior(omega)
         except (DomainError, OverflowError) as exc:
@@ -115,11 +148,11 @@ class PosteriorContext:
         if not s > 0.0:
             raise InfeasiblePointError(f"scale is not positive ({s})")
         d = zbar - m
-        rss = css + self.horizon * d * d
+        rss = css + t * d * d
         denom = 2.0 * s * s
         if denom == 0.0:
             raise InfeasiblePointError(f"scale {s} is too small: its square underflows")
-        value = -self.horizon * math.log(s) - rss / denom + prior
+        value = -t * math.log(s) - rss / denom + prior
         if not math.isfinite(value):
             raise InfeasiblePointError(f"log-posterior is not finite ({value})")
         return value
@@ -130,7 +163,7 @@ class PosteriorContext:
     def neg2l_grad_rows(self, rows, points: np.ndarray):
         """-2L and its gradient at ``points[i]`` given row ``rows[i]``: values
         (k,), gradients (k, n) and the mask (k,) of the feasible points."""
-        horizon = self.horizon
+        horizon = self.horizon[rows]
         (m, dm, ok_m), (s, ds, ok_s), (prior, dprior, ok_p) = \
             self.model.mean_scale_prior_grad(points)
         with np.errstate(all="ignore"):  # infeasible rows compute garbage
@@ -161,11 +194,52 @@ class PosteriorContext:
             raise InfeasiblePointError(self._infeasibility(point[0].tolist(), k))
         return float(value[0]), grad[0].tolist()
 
-    def _infeasibility(self, omega: list[float], k: int) -> str:
-        """Why -2L or its gradient is undefined at ``omega`` for row ``k``: the
-        error the expression walker raises, or the first test of -2L that
-        fails.  A row that is not finite raises its own error instead."""
-        zbar, css = self._stats(k)
+    def hessian_neg2l_rows(self, rows, points: np.ndarray):
+        """Exact Hessians of -2L at ``points[i]`` given row ``rows[i]``: a
+        (k, n, n) array and the mask (k,) of the feasible points.
+
+        -2L = phi(m, s) - 2 log p(omega), where phi = 2T log s
+        + (Q + T (zbar - m)^2) / s^2, so the Hessian follows by the chain rule
+        from the gradients and Hessians of the mean, the scale and the
+        log-prior.  A point is infeasible where an expression is undefined,
+        the scale is not positive or its fourth power underflows, or for a
+        row that is not finite.  Every entry is a sum of terms symmetric in
+        (i, j) bit for bit, so each matrix is too.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        t = self.horizon[rows]
+        (m, dm, hm, ok_m), (s, ds, hs, ok_s), (_, _, hp, ok_p) = \
+            self.model.mean_scale_prior_hessian(points)
+        with np.errstate(all="ignore"):  # infeasible rows compute garbage
+            d = self.obs_mean[rows] - m
+            s2 = s * s
+            s3 = s2 * s
+            s4 = s2 * s2
+            rss = self.obs_css[rows] + t * d * d
+            phi_m, phi_s, phi_mm, phi_ms, phi_ss = (c[:, None, None] for c in (
+                -2.0 * t * d / s2, 2.0 * t / s - 2.0 * rss / s3,
+                2.0 * t / s2, 4.0 * t * d / s3, 6.0 * rss / s4 - 2.0 * t / s2))
+            dm_i, dm_j, ds_i, ds_j = dm[:, :, None], dm[:, None, :], ds[:, :, None], ds[:, None, :]
+            hess = (phi_m * hm + phi_s * hs + phi_mm * (dm_i * dm_j)
+                    + phi_ms * (dm_i * ds_j + ds_i * dm_j) + phi_ss * (ds_i * ds_j) - 2.0 * hp)
+        ok = ok_m & ok_s & ok_p & (s > 0.0) & (s4 != 0.0) & self._finite(rows)
+        return hess, ok
+
+    def hessian_neg2l(self, omega: np.ndarray, k: int = 0) -> np.ndarray:
+        """Exact Hessian of -2L for row ``k``, bit for bit what
+        :meth:`hessian_neg2l_rows` gives."""
+        point = np.asarray(omega, dtype=float).reshape(1, -1)
+        hess, ok = self.hessian_neg2l_rows([k], point)
+        if not ok[0]:
+            raise InfeasiblePointError(self._infeasibility(point[0].tolist(), k, hessian=True))
+        return hess[0]
+
+    def _infeasibility(self, omega: list[float], k: int, hessian: bool = False) -> str:
+        """Why -2L and its gradient, or its Hessian, are undefined at
+        ``omega`` for row ``k``: the error the expression walker raises, or
+        the first test that fails.  A row that is not finite raises its own
+        error instead."""
+        t, zbar, css = self._stats(k)
         names = self.param_names
         values = dict(zip(names, omega))
         exprs = (self.model.mean_expr, self.model.scale_expr, self.model.log_prior_expr)
@@ -176,39 +250,11 @@ class PosteriorContext:
         if not s > 0.0:
             return f"scale is not positive ({s})"
         s2 = s * s
+        if hessian:  # the one test of the Hessian left
+            return f"scale {s} is too small: its fourth power underflows"
         if s2 * s == 0.0:
             return f"scale {s} is too small: its cube underflows"
         d = zbar - m
-        rss = css + self.horizon * d * d
-        value = -self.horizon * math.log(s) - rss / (2.0 * s2) + prior
-        return f"log-posterior is not finite ({value})"
-
-    def hessian_neg2l(self, omega: np.ndarray, k: int = 0) -> np.ndarray:
-        """Exact Hessian of -2L for row ``k``: -2L = phi(m, s) - 2 log p(omega), where
-        phi = 2T log s + (Q + T (zbar - m)^2) / s^2, by the chain rule through
-        the gradients and Hessians of the mean, the scale and the log-prior."""
-        zbar, css = self._stats(k)
-        names = self.param_names
-        values = dict(zip(names, [float(v) for v in omega]))
-        exprs = (self.model.mean_expr, self.model.scale_expr, self.model.log_prior_expr)
-        try:
-            (m, dm, hm), (s, ds, hs), (_, _, hp) = [eval_hessian(e, values, names) for e in exprs]
-        except (DomainError, OverflowError) as exc:
-            raise InfeasiblePointError(str(exc)) from exc
-        if not s > 0.0:
-            raise InfeasiblePointError(f"scale is not positive ({s})")
-        t, d = self.horizon, zbar - m
-        s2 = s * s
-        s4 = s2 * s2
-        if s4 == 0.0:
-            raise InfeasiblePointError(f"scale {s} is too small: its fourth power underflows")
         rss = css + t * d * d
-        phi_m, phi_s = -2.0 * t * d / s2, 2.0 * t / s - 2.0 * rss / (s2 * s)
-        phi_mm, phi_ms, phi_ss = 2.0 * t / s2, 4.0 * t * d / (s2 * s), 6.0 * rss / s4 - 2.0 * t / s2
-        # every term is symmetric in (i, j) bit for bit, so the matrix is too
-        return np.array([
-            [phi_m * hm[i][j] + phi_s * hs[i][j] + phi_mm * (dm[i] * dm[j])
-             + phi_ms * (dm[i] * ds[j] + ds[i] * dm[j]) + phi_ss * (ds[i] * ds[j]) - 2.0 * hp[i][j]
-             for j in range(len(dm))]
-            for i in range(len(dm))
-        ])
+        value = -t * math.log(s) - rss / (2.0 * s2) + prior
+        return f"log-posterior is not finite ({value})"

@@ -3,12 +3,15 @@
 Part I builds one representative design observation vector from the T-point
 one-dimensional sample set, maximizes the log-posterior from the true
 values, and validates the maximum.  Part II repeats this for K design
-observation vectors built from the rows of the (T, K) sample matrix, all K
-fits of a horizon in one lock-step run, then checks each maximum on its own
-and aggregates estimator statistics over the runs that pass all checks; one
-record builder serves both parts.  A model is judged observable when at
-least one run anywhere passes; zero passing runs across both parts means
-not observable.
+observation vectors built from the rows of the (T, K) sample matrix and
+aggregates estimator statistics over the runs that pass all checks.  A study
+is one batch: every vector it fits, Part I's and Part II's (and the random
+baseline's) at every horizon, goes into one posterior context, all fits run
+in one lock-step pass and all maxima are checked in one batched pass; one
+record builder serves every part.  :func:`run_part1` and :func:`run_part2`
+run the same block fitter on their one block.  A model is judged observable
+when at least one run anywhere passes; zero passing runs across both parts
+means not observable.
 """
 
 from __future__ import annotations
@@ -19,8 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import ModelSpec
-from .optimize import (
-    CheckReport, MaxResult, OptConfig, check_maximum, maximize, maximize_rows, start_error,
+# check_maximum and maximize are looked up here by perfbench/child.py, which
+# traces them by name
+from .optimize import (  # noqa: F401
+    CheckReport, MaxResult, OptConfig, check_maximum, check_rows, maximize, maximize_rows,
+    start_error,
 )
 from .posterior import InfeasiblePointError, PosteriorContext
 from .samples import LcdConfig, design_disturbance_matrix, representative_disturbances
@@ -140,28 +146,100 @@ def make_design_observations(model: ModelSpec, disturbances: np.ndarray) -> np.n
 
 def run_part1(model: ModelSpec, horizon: int, cfg: StudyConfig) -> PartIResult:
     """Maximize against the representative design observation vector."""
+    z_rep = _representative(model, horizon, cfg)
+    ((run,),) = _fit_blocks(model, [z_rep], cfg)
+    return PartIResult(horizon=horizon, z_rep=z_rep, run=run)
+
+
+def run_part2(model: ModelSpec, horizon: int, count: int, cfg: StudyConfig) -> PartIIResult:
+    """Maximize against K design observation vectors and aggregate statistics.
+
+    Individual failures (non-convergence, failed checks, estimator undefined
+    for a realization) are tallied, never fatal.  Records and aggregation
+    follow k order.
+    """
+    (records,) = _fit_blocks(model, [_design(model, horizon, count, cfg)], cfg)
+    return _aggregate(model, horizon, records)
+
+
+def run_study(cfg: StudyConfig) -> StudyReport:
+    """Run Part I and Part II for every horizon in one batch and assemble the
+    verdict."""
+    model = cfg.model
+    # per horizon: Part I's vector, the K design vectors, the baseline's
+    groups = [
+        [_representative(model, horizon, cfg), _design(model, horizon, cfg.K, cfg)]
+        + ([_baseline(model, horizon, cfg)] if cfg.random_baseline else [])
+        for horizon in cfg.T_list
+    ]
+    records = iter(_fit_blocks(model, [block for group in groups for block in group], cfg))
+    part1, part2, baseline = [], [], []
+    for horizon, (z_rep, *_) in zip(cfg.T_list, groups):
+        (run,) = next(records)
+        part1.append(PartIResult(horizon=horizon, z_rep=z_rep, run=run))
+        part2.append(_aggregate(model, horizon, next(records)))
+        if cfg.random_baseline:
+            baseline.append(_aggregate(model, horizon, next(records)))
+    return StudyReport(
+        model=model,
+        T_list=tuple(cfg.T_list),
+        K=cfg.K,
+        seed=cfg.lcd.seed,
+        part1=tuple(part1),
+        part2=tuple(part2),
+        consistency=_consistency_trend(model, part2),
+        baseline=tuple(baseline) if cfg.random_baseline else None,
+    )
+
+
+def _representative(model: ModelSpec, horizon: int, cfg: StudyConfig) -> np.ndarray:
     eps = representative_disturbances(horizon, cfg.lcd, cache_dir=cfg.cache_dir)
-    z_rep = make_design_observations(model, eps)
-    ctx = PosteriorContext(model, z_rep)
-    try:
-        fit = maximize(ctx, model.true_vector(), cfg.opt)
-    except ValueError as exc:  # an infeasible start, chained from the posterior's error
-        fit = exc.__cause__
-    return PartIResult(horizon=horizon, z_rep=z_rep, run=_record(ctx, 0, fit, cfg))
+    return make_design_observations(model, eps)
 
 
-def _record(ctx: PosteriorContext, k: int, fit: MaxResult | InfeasiblePointError,
-            cfg: StudyConfig) -> RunRecord:
-    """The record of row ``k``'s fit: a maximum that passes or fails the four
-    checks, or the error of an infeasible start, which ends as a failed
-    record with the posterior's reason, never an exception."""
+def _design(model: ModelSpec, horizon: int, count: int, cfg: StudyConfig) -> np.ndarray:
+    eps = design_disturbance_matrix(horizon, count, cfg.lcd, cache_dir=cfg.cache_dir)
+    return make_design_observations(model, eps)
+
+
+def _baseline(model: ModelSpec, horizon: int, cfg: StudyConfig) -> np.ndarray:
+    # optional comparison against plain random observation vectors
+    rng = np.random.default_rng([cfg.lcd.seed, 0xBA5E, horizon, cfg.K])
+    return make_design_observations(model, rng.standard_normal((cfg.K, horizon)))
+
+
+def _fit_blocks(model: ModelSpec, blocks: list[np.ndarray],
+                cfg: StudyConfig) -> list[list[RunRecord]]:
+    """Fit every row of every block of observation vectors (a vector is one
+    row) in one lock-step run and check every maximum in one batched pass;
+    the records of each block, in row order.  A row whose start is
+    infeasible fails with the reason the posterior gives for that row."""
+    ctx = PosteriorContext(model, blocks)
+    x0 = model.true_vector()
+    results = maximize_rows(ctx, x0, cfg.opt)
+    fitted = [i for i, r in enumerate(results) if r is not None]
+    checks = dict(zip(fitted, check_rows(ctx, fitted, [results[i] for i in fitted], cfg.opt)))
+    fits = [start_error(ctx, x0, i) if r is None else r for i, r in enumerate(results)]
+    records, start = [], 0
+    for block in blocks:
+        count = 1 if np.ndim(block) == 1 else len(block)
+        records.append([_record(k, fits[start + k], checks.get(start + k), model.param_names)
+                        for k in range(count)])
+        start += count
+    return records
+
+
+def _record(k: int, fit: MaxResult | InfeasiblePointError, check: CheckReport | None,
+            names: tuple[str, ...]) -> RunRecord:
+    """The record of fit ``k`` of a block: a maximum that passes or fails its
+    four checks ``check``, or the error of an infeasible start, which ends as
+    a failed record with the posterior's reason, never an exception."""
     if isinstance(fit, InfeasiblePointError):
         return RunRecord(
             k=k, estimates=None, passed=False, reason=f"infeasible start: {fit}",
             converged=False, iterations=0, grad_inf_norm=None, checks=None,
             local_variances=None,
         )
-    check = check_maximum(ctx, fit, cfg.opt, k)
     passed = check.passed
     reason = None
     if not passed:
@@ -189,7 +267,7 @@ def _record(ctx: PosteriorContext, k: int, fit: MaxResult | InfeasiblePointError
         checks=check,
         local_variances=(
             None if check.local_variances is None
-            else {n: float(v) for n, v in zip(ctx.param_names, check.local_variances)}
+            else {n: float(v) for n, v in zip(names, check.local_variances)}
         ),
     )
 
@@ -222,59 +300,6 @@ def _aggregate(model: ModelSpec, horizon: int, records: list[RunRecord]) -> Part
         empirical_variance=variance,
         mean_local_variance=mean_lvar,
         median_grad_inf_norm=median_grad,
-    )
-
-
-def run_part2(model: ModelSpec, horizon: int, count: int, cfg: StudyConfig) -> PartIIResult:
-    """Maximize against K design observation vectors and aggregate statistics.
-
-    Individual failures (non-convergence, failed checks, estimator undefined
-    for a realization) are tallied, never fatal.  Records and aggregation
-    follow k order.
-    """
-    eps = design_disturbance_matrix(horizon, count, cfg.lcd, cache_dir=cfg.cache_dir)
-    return _fit_rows(model, horizon, eps, cfg)
-
-
-def _baseline_part2(model: ModelSpec, horizon: int, cfg: StudyConfig) -> PartIIResult:
-    # optional comparison against plain random observation vectors
-    rng = np.random.default_rng([cfg.lcd.seed, 0xBA5E, horizon, cfg.K])
-    return _fit_rows(model, horizon, rng.standard_normal((cfg.K, horizon)), cfg)
-
-
-def _fit_rows(model: ModelSpec, horizon: int, eps: np.ndarray, cfg: StudyConfig) -> PartIIResult:
-    """Fit every row of ``eps``'s design observations in one lock-step run,
-    then check each maximum on its own; a row whose start is infeasible fails
-    with the reason the posterior gives for that row."""
-    ctx = PosteriorContext(model, make_design_observations(model, eps))
-    x0 = model.true_vector()
-    results = maximize_rows(ctx, x0, cfg.opt)
-    records = [
-        _record(ctx, k, start_error(ctx, x0, k) if result is None else result, cfg)
-        for k, result in enumerate(results)
-    ]
-    return _aggregate(model, horizon, records)
-
-
-def run_study(cfg: StudyConfig) -> StudyReport:
-    """Run Part I and Part II for every horizon and assemble the verdict."""
-    part1 = []
-    part2 = []
-    baseline = [] if cfg.random_baseline else None
-    for horizon in cfg.T_list:
-        part1.append(run_part1(cfg.model, horizon, cfg))
-        part2.append(run_part2(cfg.model, horizon, cfg.K, cfg))
-        if baseline is not None:
-            baseline.append(_baseline_part2(cfg.model, horizon, cfg))
-    return StudyReport(
-        model=cfg.model,
-        T_list=tuple(cfg.T_list),
-        K=cfg.K,
-        seed=cfg.lcd.seed,
-        part1=tuple(part1),
-        part2=tuple(part2),
-        consistency=_consistency_trend(cfg.model, part2),
-        baseline=tuple(baseline) if baseline is not None else None,
     )
 
 

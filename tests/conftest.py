@@ -53,11 +53,12 @@ class _TreeWalkerContext(PosteriorContext):
             raise InfeasiblePointError(str(exc)) from exc
         if not s > 0.0:
             raise InfeasiblePointError(f"scale is not positive ({s})")
+        t = int(self.horizon[k])
         d = float(self.obs_mean[k]) - m
-        rss = float(self.obs_css[k]) + self.horizon * d * d
+        rss = float(self.obs_css[k]) + t * d * d
         if 2.0 * s * s == 0.0:
             raise InfeasiblePointError(f"scale {s} is too small: its square underflows")
-        value = -self.horizon * math.log(s) - rss / (2.0 * s * s) + prior
+        value = -t * math.log(s) - rss / (2.0 * s * s) + prior
         if not math.isfinite(value):
             raise InfeasiblePointError(f"log-posterior is not finite ({value})")
         return value
@@ -72,15 +73,16 @@ class _TreeWalkerContext(PosteriorContext):
             raise InfeasiblePointError(str(exc)) from exc
         if not s > 0.0:
             raise InfeasiblePointError(f"scale is not positive ({s})")
+        t = int(self.horizon[k])
         d = float(self.obs_mean[k]) - m
-        sum_res = self.horizon * d
+        sum_res = t * d
         rss = float(self.obs_css[k]) + sum_res * d
         s2 = s * s
         if s2 * s == 0.0:
             raise InfeasiblePointError(f"scale {s} is too small: its cube underflows")
-        value = -self.horizon * math.log(s) - rss / (2.0 * s2) + prior
+        value = -t * math.log(s) - rss / (2.0 * s2) + prior
         if not math.isfinite(value):
             raise InfeasiblePointError(f"log-posterior is not finite ({value})")
         dm, ds, dprior = np.array(dm), np.array(ds), np.array(dprior)
-        grad_l = (-self.horizon / s) * ds + (sum_res / s2) * dm + (rss / (s2 * s)) * ds + dprior
+        grad_l = (-t / s) * ds + (sum_res / s2) * dm + (rss / (s2 * s)) * ds + dprior
         return -2.0 * value, -2.0 * grad_l

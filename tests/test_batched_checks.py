@@ -1,0 +1,315 @@
+"""The batched Hessians and checks against the one-row code they replaced.
+
+``_reference_hessian`` is the Hessian of -2L for one row by the chain rule
+through the tree walker :func:`eval_hessian`, and ``_reference_check`` the
+four checks of one maximum from one ``eigh`` of that matrix.  Every row of
+:meth:`PosteriorContext.hessian_neg2l_rows` and :func:`check_rows` must equal
+them bit for bit, notes and error messages included.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+from obscheck import InfeasiblePointError, bundled_model_names, load_model
+from obscheck.expressions import DomainError, eval_hessian
+from obscheck.models import ModelError, ModelSpec, ParamSpec, model_from_dict
+from obscheck.optimize import (
+    MaxResult, OptConfig, check_maximum, check_rows, local_variance, maximize_rows,
+)
+from obscheck.posterior import PosteriorContext
+from obscheck.samples import design_disturbance_matrix
+from obscheck.study import (
+    StudyConfig, _aggregate, _baseline, _fit_blocks, make_design_observations, run_part1,
+    run_part2, run_study,
+)
+
+from conftest import DESK_LCD
+from test_expressions import _POINTS, _expr_strategy
+
+THREE_PARAMETERS = model_from_dict({
+    "parameters": [{"name": "a", "true_value": 0.5}, {"name": "b", "true_value": 1.2},
+                   {"name": "c", "true_value": 0.8, "lower": 0.0}],
+    "mean": "a * b + c", "scale": "sqrt(b * c) + a^2", "log_prior": "log(c) - a * b / 2",
+}, name="three_parameters")
+
+
+def _reference_hessian(ctx, omega, k=0):
+    t, zbar, css = int(ctx.horizon[k]), float(ctx.obs_mean[k]), float(ctx.obs_css[k])
+    if not (math.isfinite(zbar) and math.isfinite(css)) and not np.isfinite(ctx.obs[k, :t]).all():
+        raise InfeasiblePointError("observation vector must be finite")
+    names = ctx.param_names
+    values = dict(zip(names, [float(v) for v in omega]))
+    model = ctx.model
+    exprs = (model.mean_expr, model.scale_expr, model.log_prior_expr)
+    try:
+        (m, dm, hm), (s, ds, hs), (_, _, hp) = [eval_hessian(e, values, names) for e in exprs]
+    except (DomainError, OverflowError) as exc:
+        raise InfeasiblePointError(str(exc)) from exc
+    if not s > 0.0:
+        raise InfeasiblePointError(f"scale is not positive ({s})")
+    d = zbar - m
+    s2 = s * s
+    s4 = s2 * s2
+    if s4 == 0.0:
+        raise InfeasiblePointError(f"scale {s} is too small: its fourth power underflows")
+    rss = css + t * d * d
+    phi_m, phi_s = -2.0 * t * d / s2, 2.0 * t / s - 2.0 * rss / (s2 * s)
+    phi_mm, phi_ms, phi_ss = 2.0 * t / s2, 4.0 * t * d / (s2 * s), 6.0 * rss / s4 - 2.0 * t / s2
+    return np.array([
+        [phi_m * hm[i][j] + phi_s * hs[i][j] + phi_mm * (dm[i] * dm[j])
+         + phi_ms * (dm[i] * ds[j] + ds[i] * dm[j]) + phi_ss * (ds[i] * ds[j]) - 2.0 * hp[i][j]
+         for j in range(len(dm))]
+        for i in range(len(dm))
+    ])
+
+
+def _reference_check_of(hessian, result, cfg=OptConfig()):
+    """The checks of ``result`` from its Hessian, or from the error raised
+    in its place, by one ``eigh`` of that one matrix."""
+    grad_inf = float(result.grad_inf_norm)
+    try:
+        if isinstance(hessian, Exception):
+            raise hessian
+        eigvals, eigvecs = np.linalg.eigh(hessian)
+        if np.any(eigvals == 0.0):
+            lvar = np.full(len(eigvals), np.inf)
+        else:
+            lvar = 2.0 * (eigvecs * eigvecs) @ (1.0 / eigvals)
+    except (InfeasiblePointError, np.linalg.LinAlgError) as exc:
+        return (False, False, False, False, np.float64(grad_inf).tobytes(),
+                np.float64(np.nan).tobytes(), None, f"curvature evaluation failed: {exc}")
+    lam_min, lam_max = float(eigvals[0]), float(eigvals[-1])
+    hessian_pd = lam_min > 0.0
+    eig_ratio = lam_min / lam_max if lam_max != 0.0 else float("nan")
+    lvar_finite = hessian_pd and all(math.isfinite(v) and v < cfg.lvar_max for v in lvar.tolist())
+    return (grad_inf < cfg.grad_check, hessian_pd,
+            math.isfinite(eig_ratio) and eig_ratio > cfg.eig_ratio_min, lvar_finite,
+            np.float64(grad_inf).tobytes(), np.float64(eig_ratio).tobytes(),
+            lvar.tobytes() if hessian_pd else None, None)
+
+
+def _reference_check(ctx, result, k, cfg=OptConfig()):
+    try:
+        hessian = _reference_hessian(ctx, result.omega_hat, k)
+    except InfeasiblePointError as exc:
+        hessian = exc
+    return _reference_check_of(hessian, result, cfg)
+
+
+def _check_key(report):
+    lvar = report.local_variances
+    return (report.grad_ok, report.hessian_pd, report.eig_ratio_ok, report.lvar_finite,
+            np.float64(report.grad_inf_norm).tobytes(), np.float64(report.eig_ratio).tobytes(),
+            None if lvar is None else np.asarray(lvar, dtype=float).tobytes(), report.note)
+
+
+def _hessian_or_error(fn):
+    try:
+        return fn().tobytes()
+    except InfeasiblePointError as exc:
+        return "infeasible", str(exc)
+
+
+def _assert_hessians_equal_reference(ctx, rows, points):
+    hess, feasible = ctx.hessian_neg2l_rows(rows, points)
+    assert hess.shape == (len(rows),) + (len(ctx.param_names),) * 2
+    for i, (k, omega) in enumerate(zip(rows, points)):
+        want = _hessian_or_error(lambda: _reference_hessian(ctx, omega, k))
+        assert feasible[i] == (not isinstance(want, tuple))
+        if feasible[i]:
+            assert hess[i].tobytes() == want
+        assert _hessian_or_error(lambda: ctx.hessian_neg2l(omega, k)) == want
+
+
+def _fitted_design(model, horizon, count=200):
+    ctx = PosteriorContext(model, make_design_observations(
+        model, design_disturbance_matrix(horizon, count, DESK_LCD)))
+    results = maximize_rows(ctx, model.true_vector())
+    rows = [k for k, r in enumerate(results) if r is not None]
+    return ctx, rows, [results[k] for k in rows]
+
+
+@pytest.mark.parametrize("horizon", [4, 20])
+@pytest.mark.parametrize("name", bundled_model_names())
+def test_hessian_rows_equal_reference_at_fitted_maxima(name, horizon):
+    ctx, rows, results = _fitted_design(load_model(name), horizon)
+    _assert_hessians_equal_reference(ctx, rows, np.array([r.omega_hat for r in results]))
+
+
+def test_hessian_rows_equal_reference_with_three_parameters():
+    ctx, rows, results = _fitted_design(THREE_PARAMETERS, 4, 50)
+    points = np.array([r.omega_hat for r in results])
+    _assert_hessians_equal_reference(ctx, rows, points)
+    # and away from the maxima, where a and c go out of the domain
+    rng = np.random.default_rng(3)
+    _assert_hessians_equal_reference(ctx, rows, points + rng.normal(0.0, 1.0, points.shape))
+
+
+@settings(suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(_expr_strategy(), _expr_strategy(), _expr_strategy(),
+       st.lists(st.tuples(_POINTS, _POINTS, _POINTS), min_size=1, max_size=4),
+       st.integers(0, 2**32 - 1))
+def test_hessian_rows_equal_reference_on_expression_trees(mean, scale, prior, points, seed):
+    # log, exp and ^ anywhere, points off the domain and scales that are not
+    # positive there
+    params = (ParamSpec("a", 0.7), ParamSpec("b", 1.3), ParamSpec("c", 0.4))
+    try:
+        model = ModelSpec(name="tree", params=params, mean_expr=mean,
+                          scale_expr=scale, log_prior_expr=prior)
+    except ModelError:
+        assume(False)
+    z = np.random.default_rng(seed).normal(0.6, 0.8, size=(len(points), 3))
+    ctx = PosteriorContext(model, z)
+    _assert_hessians_equal_reference(ctx, list(range(len(points))), np.array(points))
+
+
+@pytest.mark.parametrize("name", [*bundled_model_names(), "three_parameters"])
+def test_check_rows_equal_reference_over_a_design(name):
+    model = THREE_PARAMETERS if name == "three_parameters" else load_model(name)
+    ctx, rows, results = _fitted_design(model, 4)
+    reports = check_rows(ctx, rows, results)
+    assert [_check_key(r) for r in reports] == [
+        _reference_check(ctx, result, k) for k, result in zip(rows, results)]
+    assert [_check_key(check_maximum(ctx, result, k=k)) for k, result in zip(rows, results)] \
+        == [_check_key(r) for r in reports]
+    if name == "additive_mean_pair":
+        # a straight ridge: every Hessian has an exact zero eigenvalue, and
+        # every local variance is infinite
+        assert all(r.eig_ratio == 0.0 and not r.hessian_pd for r in reports)
+        assert np.isinf(local_variance(ctx, results[0].omega_hat, rows[0])).all()
+
+
+def test_check_rows_keep_the_one_row_records_of_failing_rows():
+    # fitted rows, a row that is not finite, a row whose Q overflows (its
+    # Hessian is not finite), a point where the scale's fourth power
+    # underflows and a point off the domain
+    model = load_model("unknown_variance")
+    design = make_design_observations(model, design_disturbance_matrix(4, 20, DESK_LCD))
+    blocks = [design, np.array([1.0, np.inf, 0.0, 2.0]), np.array([1e200, -1e200, 0.0, 1.0])]
+    ctx = PosteriorContext(model, blocks)
+    fitted = maximize_rows(ctx, model.true_vector())
+    results = [r for r in fitted if r is not None]
+    rows = [k for k, r in enumerate(fitted) if r is not None]
+    assert rows == list(range(20))
+
+    def at(omega):
+        return MaxResult(omega_hat=[omega], param_names=("b",), converged=False, iterations=0,
+                         grad_inf_norm=1e-3, trace=(0.0,))
+
+    rows += [20, 21, 3, 4]
+    results += [at(0.8), at(0.8), at(1e-180), at(-1.0)]
+    reports = check_rows(ctx, rows, results)
+    assert [_check_key(r) for r in reports] == [
+        _reference_check(ctx, result, k) for k, result in zip(rows, results)]
+    notes = [r.note for r in reports[20:]]
+    assert notes[0] == "curvature evaluation failed: observation vector must be finite"
+    assert notes[2] == ("curvature evaluation failed: scale 1e-90 is too small: "
+                        "its fourth power underflows")
+    assert notes[3].startswith("curvature evaluation failed: sqrt of non-positive value")
+    assert all(r.note is None for r in reports[:20]) and all(r.passed for r in reports[:20])
+
+
+class _Stack:
+    """A synthetic two-parameter context whose Hessians are given matrices."""
+
+    param_names = ("x", "y")
+
+    def __init__(self, matrices):
+        self.matrices = np.array(matrices, dtype=float)
+
+    def __len__(self):
+        return len(self.matrices)
+
+    def bounds(self):
+        return [(-np.inf, np.inf)] * 2
+
+    def hessian_neg2l_rows(self, rows, points):
+        return self.matrices[rows], np.ones(len(rows), dtype=bool)
+
+
+def _results(count):
+    return [MaxResult(omega_hat=[0.0, 0.0], param_names=("x", "y"), converged=True,
+                      iterations=1, grad_inf_norm=1e-7, trace=(0.0,)) for _ in range(count)]
+
+
+MATRICES = [[[2.0, 0.5], [0.5, 1.0]], [[np.nan, 0.0], [0.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]],
+            [[4.0, 0.0], [0.0, 1e-9]], [[1.0, 0.0], [0.0, -1.0]], [[np.inf, 0.0], [0.0, 1.0]]]
+
+
+def test_a_stack_with_one_nan_matrix_checks_every_other_row():
+    ctx = _Stack(MATRICES)
+    reports = check_rows(ctx, list(range(len(MATRICES))), _results(len(MATRICES)))
+    assert [_check_key(r) for r in reports] == [
+        _reference_check_of(np.array(h), r) for h, r in zip(MATRICES, _results(len(MATRICES)))]
+    assert reports[0].passed and not reports[1].passed
+
+
+def test_a_stack_that_fails_to_converge_goes_matrix_by_matrix(monkeypatch):
+    eigh = np.linalg.eigh
+
+    def fails_on_stacks(a):
+        if a.ndim == 3 and len(a) > 1:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", fails_on_stacks)
+    ctx = _Stack(MATRICES)
+    reports = check_rows(ctx, list(range(len(MATRICES))), _results(len(MATRICES)))
+    monkeypatch.undo()
+    assert [_check_key(r) for r in reports] == [
+        _reference_check_of(np.array(h), r) for h, r in zip(MATRICES, _results(len(MATRICES)))]
+
+
+def _record_key(record):
+    def floats(d):
+        return None if d is None else {n: np.float64(v).tobytes() for n, v in d.items()}
+
+    return (record.k, floats(record.estimates), record.passed, record.reason, record.converged,
+            record.iterations, record.grad_inf_norm,
+            None if record.checks is None else _check_key(record.checks),
+            floats(record.local_variances))
+
+
+def _part2_key(part):
+    return (part.horizon, [_record_key(r) for r in part.records], part.n_passed, part.n_failed,
+            part.empirical_mean, part.empirical_variance, part.mean_local_variance,
+            part.median_grad_inf_norm)
+
+
+@pytest.mark.parametrize("random_baseline", [False, True])
+@pytest.mark.parametrize("name", ["mean_and_variance", "product_mean"])
+def test_study_equals_its_parts_run_one_by_one(name, random_baseline):
+    model = load_model(name)
+    cfg = StudyConfig(model=model, T_list=(4, 20), K=200, lcd=DESK_LCD,
+                      random_baseline=random_baseline)
+    report = run_study(cfg)
+    for horizon, part1, part2 in zip(cfg.T_list, report.part1, report.part2):
+        alone = run_part1(model, horizon, cfg)
+        assert part1.z_rep.tobytes() == alone.z_rep.tobytes()
+        assert _record_key(part1.run) == _record_key(alone.run)
+        assert _part2_key(part2) == _part2_key(run_part2(model, horizon, cfg.K, cfg))
+    if random_baseline:
+        for horizon, part in zip(cfg.T_list, report.baseline):
+            (records,) = _fit_blocks(model, [_baseline(model, horizon, cfg)], cfg)
+            assert _part2_key(part) == _part2_key(_aggregate(model, horizon, records))
+    else:
+        assert report.baseline is None
+
+
+def test_one_context_holds_blocks_of_different_horizons():
+    model = load_model("mean_and_variance")
+    z4, z20 = np.arange(4.0) / 4.0, np.arange(40.0).reshape(2, 20) / 40.0
+    ctx = PosteriorContext(model, [z4, z20])
+    assert len(ctx) == 3 and ctx.horizon.tolist() == [4, 20, 20]
+    assert np.isnan(ctx.obs[0, 4:]).all() and not ctx.obs.flags.writeable
+    for k, one in enumerate([PosteriorContext(model, z4), PosteriorContext(model, z20[0]),
+                             PosteriorContext(model, z20[1])]):
+        for omega in ([0.5, 0.3], [0.6, 0.4]):
+            assert ctx.neg2l_grad(omega, k) == one.neg2l_grad(omega)
+            assert ctx.hessian_neg2l(omega, k).tobytes() == one.hessian_neg2l(omega).tobytes()
+            assert ctx.log_posterior(omega, k) == one.log_posterior(omega)
+    with pytest.raises(ValueError, match="observations must be"):
+        PosteriorContext(model, [z4, np.zeros((2, 2, 2))])

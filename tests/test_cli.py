@@ -137,6 +137,7 @@ class TestRunCommand:
          "mean": "0", "scale": "b"},
         {"parameters": [{"name": "b", "true_value": 0.8, "lower": "NaN"}],
          "mean": "0", "scale": "b"},
+        {"parameters": [], "mean": "0", "scale": "1"},
     ])
     def test_malformed_model_file_exit_one(self, tmp_path, capsys, data):
         bad = tmp_path / "bad.json"

@@ -232,6 +232,28 @@ def test_compiled_closures_bit_equal_tree_walkers(expr, points):
     ]
 
 
+@given(_expr_strategy(), st.lists(st.tuples(_POINTS, _POINTS, _POINTS), min_size=1, max_size=4))
+@settings(max_examples=400)
+def test_compiled_hessians_bit_equal_tree_walkers(expr, points):
+    # the closure asked for Hessians gives the walker's value, gradient and
+    # Hessian, and the value, gradient and mask of the closure not asked
+    order = ("a", "b", "c")
+    values, grads, hessians, feasible = compile_expr(expr, order)(
+        np.array(points, dtype=float), hessian=True)
+    assert hessians.shape == (len(points), 3, 3)
+    want = []
+    for point in points:
+        try:
+            want.append(np.asarray(eval_hessian(expr, dict(zip(order, point)), order)[2]).tobytes())
+        except (DomainError, OverflowError):
+            want.append("infeasible")
+    assert [hessians[i].tobytes() if feasible[i] else "infeasible"
+            for i in range(len(points))] == want
+    got = [(values[i].tobytes(), grads[i].tobytes()) if feasible[i] else "infeasible"
+           for i in range(len(points))]
+    assert got == _compiled_outcomes(expr, points, order)
+
+
 @pytest.mark.parametrize("text", BUNDLED_EXPRESSIONS)
 @given(st.lists(st.tuples(st.floats(0.05, 5.0), st.floats(0.05, 5.0)), min_size=1, max_size=4))
 def test_compiled_closures_bit_equal_tree_walkers_in_domain(text, points):

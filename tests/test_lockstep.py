@@ -20,7 +20,7 @@ from obscheck.optimize import (
 )
 from obscheck.posterior import PosteriorContext
 from obscheck.samples import design_disturbance_matrix
-from obscheck.study import StudyConfig, _fit_rows, make_design_observations
+from obscheck.study import StudyConfig, _fit_blocks, make_design_observations
 
 from conftest import DESK_LCD, _TreeWalkerContext
 
@@ -163,7 +163,7 @@ def _assert_rows_equal_reference(model, eps, cfg=OptConfig()):
                                              for k, w in enumerate(want)]
     if infeasible:
         study_cfg = StudyConfig(model=model, T_list=(eps.shape[1],), opt=cfg)
-        records = _fit_rows(model, eps.shape[1], eps[infeasible], study_cfg).records
+        (records,) = _fit_blocks(model, [observations[infeasible]], study_cfg)
         assert [r.reason for r in records] == [f"infeasible start: {want[k]}" for k in infeasible]
     return results
 

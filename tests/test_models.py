@@ -119,6 +119,7 @@ _VALID = {"parameters": [{"name": "a", "true_value": 0.6}], "mean": "a", "scale"
     ({**_VALID, "parameters": [{"name": "a", "true_value": "abc"}]},
      "parameter 'a': could not convert string to float: 'abc'"),
     ({**_VALID, "mean": 5}, "mean must be an expression string, got int"),
+    ({**_VALID, "parameters": [], "mean": "0"}, "a model must declare at least one parameter"),
 ])
 def test_malformed_model_file_raises_model_error(tmp_path, data, message):
     path = tmp_path / "model.json"

@@ -46,10 +46,12 @@ class QuadraticContext:
 
 
 class CurvedQuadraticContext(QuadraticContext):
-    """:class:`QuadraticContext` with the Hessian :func:`check_maximum` reads."""
+    """:class:`QuadraticContext` with the Hessians :func:`check_maximum` reads."""
 
-    def hessian_neg2l(self, x, k=0):
-        return 2.0 * np.eye(self.center.size)
+    def hessian_neg2l_rows(self, rows, points):
+        n = self.center.size
+        hess = np.broadcast_to(2.0 * np.eye(n), (len(points), n, n))
+        return hess, np.ones(len(points), dtype=bool)
 
 
 class TestMaximize:
@@ -140,6 +142,10 @@ class _CountingContext(PosteriorContext):
     def hessian_neg2l(self, omega):
         self.calls["hessian"] += 1
         return super().hessian_neg2l(omega)
+
+    def hessian_neg2l_rows(self, rows, points):
+        self.calls["hessian"] += 1
+        return super().hessian_neg2l_rows(rows, points)
 
 
 @pytest.mark.parametrize("name", bundled_model_names())
@@ -386,10 +392,16 @@ class TestLocalVariance:
             def bounds(self):
                 return [(-np.inf, np.inf)]
 
-            def hessian_neg2l(self, x, k=0):
-                return np.zeros((1, 1))
+            def hessian_neg2l_rows(self, rows, points):
+                return np.zeros((len(points), 1, 1)), np.ones(len(points), dtype=bool)
 
         assert np.isinf(local_variance(Flat(), np.array([0.0]))[0])
+
+
+def test_maximize_refuses_a_context_of_several_rows():
+    ctx = PosteriorContext(VARIANCE_ONLY, np.ones((2, 3)))
+    with pytest.raises(ValueError, match="not 2 rows; fit them with maximize_rows"):
+        maximize(ctx, [0.8])
 
 
 def test_opt_config_rejects_nonpositive_thresholds():

@@ -200,7 +200,7 @@ def test_context_is_immutable():
     ctx = PosteriorContext(VARIANCE_ONLY, np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         ctx.obs[0] = 3.0
-    assert ctx.horizon == 2
+    assert ctx.horizon.tolist() == [2]
 
 
 def _bytes_or_error(fn):

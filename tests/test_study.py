@@ -27,7 +27,7 @@ from obscheck import (
     run_study,
 )
 from obscheck.models import model_from_dict
-from obscheck.study import _aggregate, _fit_rows, render_report, report_to_dict
+from obscheck.study import _aggregate, _fit_blocks, render_report, report_to_dict
 
 from conftest import DESK_LCD
 
@@ -252,7 +252,7 @@ def test_infeasible_rows_are_not_fitted_again(monkeypatch):
     monkeypatch.setattr(obscheck.study, "maximize", refit)
     eps = np.array([[1.0, -1.0], [np.inf, 0.0], [1e200, -1e200], [0.5, -0.5]])
     cfg = small_config(VARIANCE_ONLY, T_list=(2,), K=4)
-    records = _fit_rows(VARIANCE_ONLY, 2, eps, cfg).records
+    (records,) = _fit_blocks(VARIANCE_ONLY, [make_design_observations(VARIANCE_ONLY, eps)], cfg)
     assert [r.passed for r in records] == [True, False, False, True]
     assert [r.reason for r in records[1:3]] == [
         "infeasible start: observation vector must be finite",
