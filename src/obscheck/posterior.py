@@ -8,7 +8,7 @@ constants are dropped and
 
 The likelihood sees z only through its mean zbar and its centred sum of
 squares Q = sum_t (z_t - zbar)^2.  A context computes both once per
-observation vector; every evaluation then takes
+observation vector and keeps no observations; every evaluation then takes
 
     sum_t (z_t - m)^2 = Q + T (zbar - m)^2,    sum_t (z_t - m) = T (zbar - m),
 
@@ -18,8 +18,9 @@ The optimizer minimizes -2L, so this module exposes -2L with its exact
 gradient and its exact Hessian, both by forward mode through the
 mean/scale/prior expressions.  :class:`PosteriorContext` binds a model to
 K >= 1 observation vectors, given as one block, the rows of a (K, T) array,
-or as several blocks whose T may differ; it keeps T, zbar and Q per row, so
-one context holds every vector of a study.  The fit calls
+or as several blocks whose T may differ; its only per-row state is T, zbar,
+Q and whether the row is finite, all read-only, so one context holds every
+vector of a study.  The fit calls
 :meth:`~PosteriorContext.neg2l_grad_rows` and the checks
 :meth:`~PosteriorContext.hessian_neg2l_rows`; both evaluate many rows at
 once through the model's compiled closures, each row with the operations
@@ -34,7 +35,7 @@ never asks for curvature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -51,18 +52,17 @@ class InfeasiblePointError(Exception):
     search treats it as +inf."""
 
 
-def _statistics(obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """zbar and Q of each row of the (K, T) array ``obs``.  Each row is
-    reduced on its own, as ``row.mean()`` and ``dev @ dev``: a reduction along
-    axis 1 may sum in another order.  A row too large to sum overflows to a
-    non-finite statistic, which makes every point infeasible for it."""
-    zbar, css = np.empty(len(obs)), np.empty(len(obs))
+def _statistics(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """zbar, Q and finiteness of each row of the (K, T) array ``block``.
+    ``mean(axis=1)`` and the stacked ``matmul`` sum each row as ``row.mean()``
+    and ``dev @ dev`` do, bit for bit (``einsum`` does not).  A row too large
+    to sum overflows to a non-finite statistic, which makes every point
+    infeasible for it."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, row in enumerate(obs):
-            zbar[k] = row.mean()
-            dev = row - zbar[k]
-            css[k] = dev @ dev
-    return zbar, css
+        zbar = block.mean(axis=1)
+        dev = block - zbar[:, None]
+        css = np.matmul(dev[:, None, :], dev[:, :, None])[:, 0, 0]
+    return zbar, css, np.isfinite(block).all(axis=1)
 
 
 def _blocks(obs) -> list[np.ndarray]:
@@ -85,34 +85,27 @@ class PosteriorContext:
     differ, stacked in order.  A row that is not finite is kept, and every
     point is infeasible for it.
 
-    The ``obs`` attribute is a read-only array with one row per vector:
-    row ``k`` holds its ``horizon[k]`` observations, padded with NaN to the
-    longest horizon.
+    The context stores no observations: its only per-row state is four
+    read-only arrays, ``horizon``, ``obs_mean``, ``obs_css`` and ``finite``.
     """
 
     model: ModelSpec
-    obs: np.ndarray
+    obs: InitVar[object]
     horizon: np.ndarray = field(init=False)  # T per row
     obs_mean: np.ndarray = field(init=False)  # zbar per row
     obs_css: np.ndarray = field(init=False)  # Q = sum_t (z_t - zbar)^2 per row
+    finite: np.ndarray = field(init=False)  # whether the row is a finite vector
 
-    def __post_init__(self):
-        blocks = _blocks(self.obs)
-        obs = np.full((sum(len(b) for b in blocks), max(b.shape[1] for b in blocks)), np.nan)
-        start = 0
-        for b in blocks:
-            obs[start:start + len(b), :b.shape[1]] = b
-            start += len(b)
-        obs.flags.writeable = False
-        stats = [_statistics(b) for b in blocks]
-        object.__setattr__(self, "obs", obs)
-        object.__setattr__(self, "horizon",
-                           np.concatenate([np.full(len(b), b.shape[1]) for b in blocks]))
-        object.__setattr__(self, "obs_mean", np.concatenate([zbar for zbar, _ in stats]))
-        object.__setattr__(self, "obs_css", np.concatenate([css for _, css in stats]))
+    def __post_init__(self, obs):
+        blocks = _blocks(obs)
+        columns = zip(*[(np.full(len(b), b.shape[1]), *_statistics(b)) for b in blocks])
+        for name, column in zip(("horizon", "obs_mean", "obs_css", "finite"), columns):
+            values = np.concatenate(column)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
     def __len__(self) -> int:
-        return len(self.obs)
+        return len(self.horizon)
 
     @property
     def param_names(self) -> tuple[str, ...]:
@@ -121,20 +114,10 @@ class PosteriorContext:
     def bounds(self) -> list[tuple[float, float]]:
         return self.model.bounds()
 
-    def _finite(self, rows: np.ndarray) -> np.ndarray:
-        """Whether each of ``rows`` is a finite vector.  A row that is not
-        finite has no finite zbar, so a row is read only when its statistics
-        are not finite."""
-        finite = np.isfinite(self.obs_mean[rows]) & np.isfinite(self.obs_css[rows])
-        for i in np.flatnonzero(~finite).tolist():
-            k = rows[i]
-            finite[i] = np.isfinite(self.obs[k, :self.horizon[k]]).all()
-        return finite
-
     def _stats(self, k: int) -> tuple[int, float, float]:
         """T, zbar and Q of row ``k``; ``InfeasiblePointError`` if the row is
         not finite."""
-        if not self._finite(np.array([k]))[0]:
+        if not self.finite[k]:
             raise InfeasiblePointError("observation vector must be finite")
         return int(self.horizon[k]), float(self.obs_mean[k]), float(self.obs_css[k])
 
@@ -222,7 +205,7 @@ class PosteriorContext:
             dm_i, dm_j, ds_i, ds_j = dm[:, :, None], dm[:, None, :], ds[:, :, None], ds[:, None, :]
             hess = (phi_m * hm + phi_s * hs + phi_mm * (dm_i * dm_j)
                     + phi_ms * (dm_i * ds_j + ds_i * dm_j) + phi_ss * (ds_i * ds_j) - 2.0 * hp)
-        ok = ok_m & ok_s & ok_p & (s > 0.0) & (s4 != 0.0) & self._finite(rows)
+        ok = ok_m & ok_s & ok_p & (s > 0.0) & (s4 != 0.0) & self.finite[rows]
         return hess, ok
 
     def hessian_neg2l(self, omega: np.ndarray, k: int = 0) -> np.ndarray:

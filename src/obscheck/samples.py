@@ -648,7 +648,7 @@ def read_sample_csv(path: str | Path) -> tuple[np.ndarray, dict]:
         raise ValueError(f"{path}: malformed sample-set header")
     meta = {name: _KEY_FIELDS[name](v) for name, v in zip(names, fields)}
     rows = [ln for ln in lines if ln and not ln.startswith("#")]
-    points = np.array([[float(v) for v in ln.split(",")] for ln in rows])
+    points = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2) if rows else np.empty((0, 0))
     if points.shape != (meta["count"], meta["dim"]):
         raise ValueError(f"{path}: point block does not match header counts")
     return points, meta

@@ -197,10 +197,40 @@ def test_observation_vector_must_be_finite():
 
 
 def test_context_is_immutable():
-    ctx = PosteriorContext(VARIANCE_ONLY, np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        ctx.obs[0] = 3.0
-    assert ctx.horizon.tolist() == [2]
+    # the context keeps no observations, and its statistics are read-only:
+    # a write would silently move -2L
+    ctx = PosteriorContext(VARIANCE_ONLY, np.array([0.9, -0.7, 0.2, 1.1]))
+    before = ctx.neg2l([0.8])
+    for name in ("horizon", "obs_mean", "obs_css", "finite"):
+        with pytest.raises(ValueError):
+            getattr(ctx, name)[0] = 100.0
+    assert not hasattr(ctx, "obs")
+    assert ctx.horizon.tolist() == [4] and ctx.neg2l([0.8]) == before
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("horizon", [1, 2, 4, 8, 12, 20, 33, 129])
+def test_statistics_bit_equal_the_per_row_reduction(horizon):
+    # the reference reduces each row on its own, as row.mean() and dev @ dev;
+    # rows 1-3 hold an inf, a nan and a finite sum that overflows
+    z = np.random.default_rng(horizon).normal(0.6, 0.8, size=(5, horizon))
+    z[1, -1], z[2, 0], z[3] = np.inf, np.nan, 1e308
+    ctx = PosteriorContext(VARIANCE_ONLY, [z[:2], z[2:]])
+    zbar, css, finite = [], [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row in z:
+            zbar.append(row.mean())
+            dev = row - zbar[-1]
+            css.append(dev @ dev)
+            finite.append(bool(np.isfinite(row).all()))
+    assert ctx.obs_mean.tobytes() == np.array(zbar).tobytes()
+    assert ctx.obs_css.tobytes() == np.array(css).tobytes()
+    assert ctx.finite.tolist() == finite
+    for k in (1, 2):
+        with pytest.raises(InfeasiblePointError, match="observation vector must be finite"):
+            ctx.neg2l_grad([0.8], k)
+    with pytest.raises(InfeasiblePointError, match=r"log-posterior is not finite \("):
+        ctx.neg2l_grad([0.8], 3)
 
 
 def _bytes_or_error(fn):

@@ -488,7 +488,8 @@ class TestDesignMatrix:
         _, meta = read_sample_csv(path)
         assert meta["max_iters"] == 40
 
-    @pytest.mark.parametrize("damage", ["truncate", "asymmetric", "header"])
+    @pytest.mark.parametrize("damage", ["truncate", "asymmetric", "header", "garbled", "ragged",
+                                        "empty"])
     def test_damaged_cache_file_is_placed_afresh(self, tmp_path, monkeypatch, damage):
         from obscheck import samples as samples_module
 
@@ -502,11 +503,17 @@ class TestDesignMatrix:
         elif damage == "asymmetric":
             lines[2] = ",".join(str(2.0 * float(v)) for v in lines[2].split(","))
             path.write_text("\n".join(lines) + "\n")
-        else:
+        elif damage == "header":
             path.write_text("\n".join(lines[:1] + ["# 2,7"] + lines[2:]) + "\n")
+        elif damage == "empty":
+            path.write_text("\n".join(lines[:2]) + "\n")
+        else:  # one non-numeric field, or one row with an extra value
+            lines[3] = "x" + lines[3] if damage == "garbled" else lines[3] + ",0.5"
+            path.write_text("\n".join(lines) + "\n")
         monkeypatch.setattr(samples_module, "_matrix_cache", {})
-        with pytest.warns(UserWarning, match="placing the set afresh"):
+        with pytest.warns(UserWarning, match="placing the set afresh") as seen:
             again = design_disturbance_matrix(2, 7, cfg, cache_dir=tmp_path)
+        assert not [w for w in seen if "loadtxt" in str(w.message)]  # one notice, no parser noise
         assert again.tobytes() == fresh.tobytes()
         assert path.read_text() == text
         assert not list(tmp_path.glob("*.tmp"))
