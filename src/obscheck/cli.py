@@ -183,10 +183,11 @@ def _cmd_run(args) -> int:
             raise _CliError(f"cannot use cache directory {cache_dir}: {exc.strerror}") from exc
 
     report = run_study(cfg)
-    write_atomic(args.out, report_to_json(report))
+    data = report_to_dict(report)
+    write_atomic(args.out, report_to_json(data))
     if args.plot is not None:
         write_atomic(args.plot, plot_csv(report))
-    print(render_report(report_to_dict(report)), end="")
+    print(render_report(data), end="")
     print(f"report written to {args.out}")
     return EXIT_OBSERVABLE if report.verdict != NOT_OBSERVABLE else EXIT_NOT_OBSERVABLE
 

@@ -2,14 +2,14 @@
 
 Supports real literals, named parameters, the unary functions
 ``sqrt``, ``log``, ``exp``, ``abs``, ``neg`` and the binary operators
-``+ - * / ^``.  Expressions are parsed into immutable trees that can be
-evaluated in IEEE double precision, either plainly or together with their
-exact first and second partial derivatives (second-order forward mode).
-The tree walkers :func:`eval_expr` and :func:`eval_hessian` serve one-shot
-evaluation; :func:`compile_expr` turns a tree into one closure over a (k, n)
-array of points for repeated evaluation, which gives each point the
-walker's value, gradient and, when asked, Hessian bit for bit and marks
-the points where the walker raises.
+``+ - * / ^``.  Expressions are parsed into immutable trees.  The tree
+walker :func:`eval_expr` gives the value of one point in IEEE double
+precision, and defines the language's values and domain errors;
+:func:`compile_expr` turns a tree into one closure over a (k, n) array of
+points that gives each point that value with its exact first and, when
+asked, second partial derivatives (second-order forward mode), marks the
+points where the value or a derivative is undefined and, when asked, names
+the reason.
 
 Precedence is ``^`` > unary minus > ``* /`` > ``+ -``; all binary
 operators associate to the left.
@@ -34,7 +34,6 @@ __all__ = [
     "DomainError",
     "parse_expr",
     "eval_expr",
-    "eval_hessian",
     "compile_expr",
     "format_expr",
     "collect_params",
@@ -366,21 +365,6 @@ def _power_value(e: Binary, base: float, exponent: float) -> float:
     )
 
 
-def eval_hessian(
-    e: Expr, params: dict[str, float], order: Sequence[str]
-) -> tuple[float, tuple[float, ...], list[list[float]]]:
-    """Evaluate ``e`` with its exact gradient and Hessian by second-order
-    forward mode (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008).
-
-    ``order`` lays out the gradient and the Hessian's rows and columns.
-    Value, gradient and Hessian are bit-identical to :func:`compile_expr`'s,
-    which marks a point infeasible exactly where this raises; the Hessian,
-    exactly symmetric, raises no error of its own.  The derivatives of
-    ``abs`` at 0 are defined as 0.
-    """
-    return _jet(e, params, {name: i for i, name in enumerate(order)}, len(order))
-
-
 def _sym(n: int, entry: Callable[[int, int], float]) -> list[list[float]]:
     """The symmetric n x n matrix with ``entry(i, j)`` at (i, j) and (j, i), i <= j."""
     h = [[0.0] * n for _ in range(n)]
@@ -388,67 +372,6 @@ def _sym(n: int, entry: Callable[[int, int], float]) -> list[list[float]]:
         for j in range(i, n):
             h[i][j] = h[j][i] = entry(i, j)
     return h
-
-
-def _jet(e: Expr, params: dict[str, float], index: dict[str, int], n: int):
-    if isinstance(e, Literal):
-        return e.value, (0.0,) * n, _sym(n, lambda i, j: 0.0)
-    if isinstance(e, Param):
-        k = index[e.name]
-        unit = tuple(1.0 if j == k else 0.0 for j in range(n))
-        return params[e.name], unit, _sym(n, lambda i, j: 0.0)
-    if isinstance(e, Unary):
-        v, g, h = _jet(e.arg, params, index, n)
-        r = _apply_unary(e, v)
-        op = e.op
-        if op == "neg":
-            return r, tuple([-p for p in g]), _sym(n, lambda i, j: -h[i][j])
-        if op == "sqrt":
-            d = 2.0 * r
-            dr = tuple([p / d for p in g])
-            return r, dr, _sym(n, lambda i, j: (h[i][j] - 2.0 * (dr[i] * dr[j])) / d)
-        if op == "log":
-            dr = tuple([p / v for p in g])
-            return r, dr, _sym(n, lambda i, j: h[i][j] / v - dr[i] * dr[j])
-        if op == "exp":
-            return r, tuple([r * p for p in g]), _sym(n, lambda i, j: r * (h[i][j] + g[i] * g[j]))
-        if op == "abs":
-            sign = 0.0 if v == 0.0 else math.copysign(1.0, v)
-            return r, tuple([sign * p for p in g]), _sym(n, lambda i, j: sign * h[i][j])
-        raise ValueError(f"unknown unary op {op!r}")
-    if isinstance(e, Binary):
-        a, ga, ha = _jet(e.left, params, index, n)
-        b, gb, hb = _jet(e.right, params, index, n)
-        value = _apply_binary(e, a, b)
-        op = e.op
-        if op == "+":
-            grad = tuple([p + q for p, q in zip(ga, gb)])
-            return value, grad, _sym(n, lambda i, j: ha[i][j] + hb[i][j])
-        if op == "-":
-            grad = tuple([p - q for p, q in zip(ga, gb)])
-            return value, grad, _sym(n, lambda i, j: ha[i][j] - hb[i][j])
-        if op == "*":
-            grad = tuple([a * q + b * p for p, q in zip(ga, gb)])
-            return value, grad, _sym(n, lambda i, j: (
-                a * hb[i][j] + b * ha[i][j] + (ga[i] * gb[j] + ga[j] * gb[i])))
-        if op == "/":
-            # with f = a/b: f_ij = (a_ij - f b_ij - (f_i b_j + f_j b_i)) / b
-            grad = _quotient_grad(a, ga, b, gb)
-            return value, grad, _sym(n, lambda i, j: (
-                ha[i][j] - value * hb[i][j] - (grad[i] * gb[j] + grad[j] * gb[i])) / b)
-        if op == "^":
-            return (value, *_power_rule(e, a, ga, ha, b, gb, hb, value))
-        raise ValueError(f"unknown binary op {op!r}")
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _quotient_grad(a: float, ga, b: float, gb) -> tuple[float, ...]:
-    """The gradient of a / b, b != 0; where b*b underflows to zero, each
-    component is +-inf or nan, as a numpy division gives, not an error."""
-    den = b * b
-    if den == 0.0:
-        return tuple([(p * b - a * q) * math.inf for p, q in zip(ga, gb)])
-    return tuple([(p * b - a * q) / den for p, q in zip(ga, gb)])
 
 
 def _power_rule(e: Binary, a: float, ga, ha, b: float, gb, hb, value: float):
@@ -488,48 +411,58 @@ def _power_rule(e: Binary, a: float, ga, ha, b: float, gb, hb, value: float):
 # ---------------------------------------------------------------------------
 
 RowsFn = Callable[..., tuple]
-# a compiled node: (points, infeasible, hessian) -> (values, gradients,
-# Hessians); it marks the rows where the walker would raise in
-# ``infeasible``, in place, and its Hessians are None unless ``hessian``
-_NodeFn = Callable[[np.ndarray, np.ndarray, bool], tuple]
+# a compiled node: (points, infeasible, hessian, reasons) -> (values,
+# gradients, Hessians); it marks the rows where its value or a derivative
+# is undefined in ``infeasible``, in place, and, when ``reasons`` is a list,
+# puts the error message at each row it is the first to mark; its Hessians
+# are None unless ``hessian``
+_NodeFn = Callable[[np.ndarray, np.ndarray, bool, "list | None"], tuple]
 
 
 def compile_expr(e: Expr, order: Sequence[str]) -> RowsFn:
     """Compile ``e`` into one closure over many points, with gradients and,
-    when asked, Hessians.
+    when asked, Hessians and the reasons why points are infeasible.
 
     The closure takes a (k, n) array, one point per row laid out like
     ``order``, and returns ``(values, gradients, feasible)``: values (k,),
-    gradients (k, n) and a boolean mask (k,); with ``hessian=True`` it
-    returns ``(values, gradients, hessians, feasible)`` with Hessians
-    (k, n, n).  Row by row it performs the operations of
-    :func:`eval_hessian` in the same order, so a feasible row's value,
-    gradient and Hessian are bit-identical to that walker's (signed zeros
-    included; the value is :func:`eval_expr`'s).  A row is infeasible
-    exactly where the walker raises :class:`DomainError` or
-    ``OverflowError``, which then gives the reason; the row's results mean
-    nothing.  A parameter of ``e`` missing from ``order`` raises
+    gradients (k, n) and a boolean mask (k,).  With ``hessian=True`` the
+    Hessians (k, n, n) come before the mask.  With ``reasons=True`` a list
+    follows the mask: for each infeasible row the message of the
+    :class:`DomainError` or ``OverflowError`` that says why, None for each
+    feasible row.  A parameter of ``e`` missing from ``order`` raises
     ``KeyError`` at compile time.
+
+    Each row is second-order forward mode (Griewank & Walther, *Evaluating
+    Derivatives*, 2nd ed., 2008): a node takes its value, gradient and
+    Hessian from its operands' by the chain rule, so a row's value is
+    :func:`eval_expr`'s bit for bit (signed zeros included).  The
+    derivatives of ``abs`` at 0 are 0.  A row is infeasible where a node's
+    value is undefined, which is where :func:`eval_expr` raises, or its
+    derivative is (``^`` at a base that is not positive, see
+    ``_power_rule``); the row's other results then mean nothing.  Nodes run
+    left operand, right operand, node, and a row's reason is that of the
+    first node that marks it: the error a walk of the tree by these rules
+    raises first.
 
     Literals, parameters, ``neg``, ``abs``, ``sqrt`` and ``+ - * /`` are
     numpy array operations, which IEEE 754 rounds as Python's float
-    arithmetic does; entry (i, j) of a Hessian takes the walker's operations
-    for (i, j) or, below the diagonal, for (j, i), which differ only in the
-    order of a product's or a sum's two terms.  The values of ``log`` and
-    ``exp`` and everything of ``^`` run per row through the walker's scalar
-    rules: numpy's ``log``, ``exp`` and ``power`` may differ from
-    ``math``'s in the last bit.
+    arithmetic does; entries (i, j) and (j, i) of a Hessian differ only in
+    the order of a product's or a sum's two terms, so each matrix is exactly
+    symmetric.  The values of ``log`` and ``exp`` and everything of ``^``
+    run per row through the scalar rules of :func:`eval_expr`: numpy's
+    ``log``, ``exp`` and ``power`` may differ from ``math``'s in the last
+    bit.
     """
     node = _compile(e, {name: i for i, name in enumerate(order)}, len(order))
 
-    def rows(points, hessian=False):
+    def rows(points, hessian=False, reasons=False):
         points = np.asarray(points, dtype=float)
         infeasible = np.zeros(len(points), dtype=bool)
+        why = [None] * len(points) if reasons else None
         with np.errstate(all="ignore"):  # infeasible rows compute garbage
-            values, grads, hessians = node(points, infeasible, hessian)
-        if hessian:
-            return values, grads, hessians, ~infeasible
-        return values, grads, ~infeasible
+            values, grads, hessians = node(points, infeasible, hessian, why)
+        out = (values, grads, hessians) if hessian else (values, grads)
+        return (*out, ~infeasible, why) if reasons else (*out, ~infeasible)
 
     return rows
 
@@ -540,12 +473,12 @@ def _outer(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _compile(e: Expr, index: dict[str, int], n: int) -> _NodeFn:
-    # Each rule below is the matching rule of _jet, applied to every row; the
+    # Each rule below is a node's forward-mode rule applied to every row; the
     # Hessian is computed only when asked (h is None otherwise).
     if isinstance(e, Literal):
         value = e.value
 
-        def literal(x, bad, hessian):
+        def literal(x, bad, hessian, why):
             k = len(x)
             return np.full(k, value), np.zeros((k, n)), np.zeros((k, n, n)) if hessian else None
 
@@ -553,7 +486,7 @@ def _compile(e: Expr, index: dict[str, int], n: int) -> _NodeFn:
     if isinstance(e, Param):
         i = index[e.name]
 
-        def param(x, bad, hessian):
+        def param(x, bad, hessian, why):
             unit = np.zeros((len(x), n))
             unit[:, i] = 1.0
             return x[:, i], unit, np.zeros((len(x), n, n)) if hessian else None
@@ -566,16 +499,31 @@ def _compile(e: Expr, index: dict[str, int], n: int) -> _NodeFn:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _scalar_rows(e: Unary, v: np.ndarray, bad: np.ndarray) -> np.ndarray:
+def _mark(bad: np.ndarray, fails: np.ndarray, why: list | None, rule: Callable) -> None:
+    """Mark the rows of the mask ``fails`` infeasible.  With ``why`` a list,
+    each row that no earlier node has marked gets the message of the error
+    that ``rule(i)``, the node's scalar rule at row i, raises."""
+    if why is not None:
+        for i in np.flatnonzero(fails & ~bad).tolist():
+            try:
+                rule(i)
+            except (DomainError, OverflowError) as exc:
+                why[i] = str(exc)
+    bad |= fails
+
+
+def _scalar_rows(e: Unary, v: np.ndarray, bad: np.ndarray, why: list | None) -> np.ndarray:
     """``_apply_unary(e, .)`` on each feasible entry of ``v``; an entry where it
-    raises marks its row infeasible."""
+    raises marks its row infeasible, with the error's message in ``why``."""
     out = np.full(len(v), math.nan)
     for i, (a, skip) in enumerate(zip(v.tolist(), bad.tolist())):
         if not skip:
             try:
                 out[i] = _apply_unary(e, a)
-            except (DomainError, OverflowError):
+            except (DomainError, OverflowError) as exc:
                 bad[i] = True
+                if why is not None:
+                    why[i] = str(exc)
     return out
 
 
@@ -583,16 +531,16 @@ def _compile_unary(e: Unary, arg: _NodeFn) -> _NodeFn:
     op = e.op
     if op == "neg":
 
-        def neg(x, bad, hessian):
-            v, g, h = arg(x, bad, hessian)
+        def neg(x, bad, hessian, why):
+            v, g, h = arg(x, bad, hessian, why)
             return -v, -g, None if h is None else -h
 
         return neg
     if op == "sqrt":
 
-        def sqrt(x, bad, hessian):
-            v, g, h = arg(x, bad, hessian)
-            bad |= v <= 0.0
+        def sqrt(x, bad, hessian, why):
+            v, g, h = arg(x, bad, hessian, why)
+            _mark(bad, v <= 0.0, why, lambda i: _apply_unary(e, v[i].item()))
             r = np.sqrt(v)
             d = 2.0 * r
             dr = g / d[:, None]
@@ -603,19 +551,19 @@ def _compile_unary(e: Unary, arg: _NodeFn) -> _NodeFn:
         return sqrt
     if op == "log":
 
-        def log(x, bad, hessian):
-            v, g, h = arg(x, bad, hessian)
+        def log(x, bad, hessian, why):
+            v, g, h = arg(x, bad, hessian, why)
             dr = g / v[:, None]
             if h is not None:
                 h = h / v[:, None, None] - _outer(dr, dr)
-            return _scalar_rows(e, v, bad), dr, h
+            return _scalar_rows(e, v, bad, why), dr, h
 
         return log
     if op == "exp":
 
-        def exp(x, bad, hessian):
-            v, g, h = arg(x, bad, hessian)
-            r = _scalar_rows(e, v, bad)
+        def exp(x, bad, hessian, why):
+            v, g, h = arg(x, bad, hessian, why)
+            r = _scalar_rows(e, v, bad, why)
             if h is not None:
                 h = r[:, None, None] * (h + _outer(g, g))
             return r, r[:, None] * g, h
@@ -623,8 +571,8 @@ def _compile_unary(e: Unary, arg: _NodeFn) -> _NodeFn:
         return exp
     if op == "abs":
 
-        def abs_(x, bad, hessian):
-            v, g, h = arg(x, bad, hessian)
+        def abs_(x, bad, hessian, why):
+            v, g, h = arg(x, bad, hessian, why)
             sign = np.where(v == 0.0, 0.0, np.copysign(1.0, v))
             return np.abs(v), sign[:, None] * g, None if h is None else sign[:, None, None] * h
 
@@ -636,22 +584,22 @@ def _compile_binary(e: Binary, left: _NodeFn, right: _NodeFn) -> _NodeFn:
     op = e.op
     if op == "+":
 
-        def add(x, bad, hessian):
-            (a, ga, ha), (b, gb, hb) = left(x, bad, hessian), right(x, bad, hessian)
+        def add(x, bad, hessian, why):
+            (a, ga, ha), (b, gb, hb) = left(x, bad, hessian, why), right(x, bad, hessian, why)
             return a + b, ga + gb, None if ha is None else ha + hb
 
         return add
     if op == "-":
 
-        def sub(x, bad, hessian):
-            (a, ga, ha), (b, gb, hb) = left(x, bad, hessian), right(x, bad, hessian)
+        def sub(x, bad, hessian, why):
+            (a, ga, ha), (b, gb, hb) = left(x, bad, hessian, why), right(x, bad, hessian, why)
             return a - b, ga - gb, None if ha is None else ha - hb
 
         return sub
     if op == "*":
 
-        def mul(x, bad, hessian):
-            (a, ga, ha), (b, gb, hb) = left(x, bad, hessian), right(x, bad, hessian)
+        def mul(x, bad, hessian, why):
+            (a, ga, ha), (b, gb, hb) = left(x, bad, hessian, why), right(x, bad, hessian, why)
             if ha is not None:
                 ha = (a[:, None, None] * hb + b[:, None, None] * ha
                       + (_outer(ga, gb) + _outer(gb, ga)))
@@ -660,15 +608,17 @@ def _compile_binary(e: Binary, left: _NodeFn, right: _NodeFn) -> _NodeFn:
         return mul
     if op == "/":
 
-        def div(x, bad, hessian):
-            (a, ga, ha), (b, gb, hb) = left(x, bad, hessian), right(x, bad, hessian)
-            bad |= b == 0.0
+        def div(x, bad, hessian, why):
+            (a, ga, ha), (b, gb, hb) = left(x, bad, hessian, why), right(x, bad, hessian, why)
+            _mark(bad, b == 0.0, why, lambda i: _apply_binary(e, a[i].item(), b[i].item()))
             value = a / b
-            # _quotient_grad, row by row
+            # with f = a/b: f_i = (a_i b - a b_i) / b^2, which is +-inf or nan
+            # where b^2 underflows to zero
             den = b * b
             num = ga * b[:, None] - a[:, None] * gb
             grad = np.where((den == 0.0)[:, None], num * math.inf, num / den[:, None])
             if ha is not None:
+                # f_ij = (a_ij - f b_ij - (f_i b_j + f_j b_i)) / b
                 ha = (ha - value[:, None, None] * hb
                       - (_outer(grad, gb) + _outer(gb, grad))) / b[:, None, None]
             return value, grad, ha
@@ -676,8 +626,8 @@ def _compile_binary(e: Binary, left: _NodeFn, right: _NodeFn) -> _NodeFn:
         return div
     if op == "^":
 
-        def power(x, bad, hessian):
-            (a, ga, ha), (b, gb, hb) = left(x, bad, hessian), right(x, bad, hessian)
+        def power(x, bad, hessian, why):
+            (a, ga, ha), (b, gb, hb) = left(x, bad, hessian, why), right(x, bad, hessian, why)
             value, grad = np.full(len(a), math.nan), np.full(ga.shape, math.nan)
             hess = np.full(ha.shape, math.nan) if hessian else None
             rows = zip(a.tolist(), ga.tolist(), b.tolist(), gb.tolist(), bad.tolist())
@@ -691,8 +641,10 @@ def _compile_binary(e: Binary, left: _NodeFn, right: _NodeFn) -> _NodeFn:
                             e, ai, gai, ha[i].tolist(), bi, gbi, hb[i].tolist(), vi)
                     else:
                         grad[i] = _power_rule(e, ai, gai, None, bi, gbi, None, vi)[0]
-                except (DomainError, OverflowError):
+                except (DomainError, OverflowError) as exc:
                     bad[i] = True
+                    if why is not None:
+                        why[i] = str(exc)
             return value, grad, hess
 
         return power

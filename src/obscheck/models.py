@@ -5,9 +5,9 @@ plus three expressions: the mean ``m``, the scale ``s`` and the log-prior,
 defining observations ``Z_t = m + s * eps_t`` with standard normal ``eps_t``.
 The three expressions compile once into closures over many points, which
 give values and gradients for the fit, one point per design row, and
-Hessians as well for the checks; one-shot values (the check at the true values, the design
-observations, a direct log-posterior) walk the expression trees.  The
-package ships the study models as JSON files under ``obscheck/models``.
+Hessians as well for the checks; the check at the true values and the
+design observations walk the expression trees.  The package ships the
+study models as JSON files under ``obscheck/models``.
 """
 
 from __future__ import annotations
@@ -60,8 +60,10 @@ class ModelSpec:
     The mean, scale and log-prior expressions are compiled once, here, into
     closures over a (k, n) array of points (see
     :func:`~obscheck.expressions.compile_expr`), which
-    :meth:`mean_scale_prior_grad` and :meth:`mean_scale_prior_hessian` run;
-    the value-only methods walk the trees.
+    :meth:`mean_scale_prior_grad` and :meth:`mean_scale_prior_hessian` run
+    for every posterior evaluation.  Only :meth:`mean_scale`, which makes
+    the design observations, and the check at the true values here walk the
+    trees with :func:`~obscheck.expressions.eval_expr`.
     """
 
     name: str
@@ -138,19 +140,16 @@ class ModelSpec:
         values = dict(zip(self.param_names, _floats(omega)))
         return eval_expr(self.mean_expr, values), eval_expr(self.scale_expr, values)
 
-    def mean_scale_prior(self, omega: np.ndarray) -> tuple[float, float, float]:
-        """Mean, scale and log-prior at ``omega``, evaluated in that order."""
-        values = dict(zip(self.param_names, _floats(omega)))
-        return (eval_expr(self.mean_expr, values), eval_expr(self.scale_expr, values),
-                eval_expr(self.log_prior_expr, values))
-
-    def mean_scale_prior_grad(self, points: np.ndarray):
+    def mean_scale_prior_grad(self, points: np.ndarray, reasons: bool = False):
         """(values, gradients, feasible) triples for mean, scale and log-prior
         at each row of the (k, n) array ``points``, the columns laid out like
         :attr:`param_names`: values (k,), gradients (k, n) and a mask (k,) of
-        the rows where the expression and its gradient are defined."""
+        the rows where the expression and its gradient are defined.  With
+        ``reasons=True`` each triple carries a fourth item, the list that
+        names why each infeasible row is (None for a feasible one)."""
         mean, scale, prior = self._compiled
-        return mean(points), scale(points), prior(points)
+        return (mean(points, reasons=reasons), scale(points, reasons=reasons),
+                prior(points, reasons=reasons))
 
     def mean_scale_prior_hessian(self, points: np.ndarray):
         """(values, gradients, Hessians, feasible) for mean, scale and

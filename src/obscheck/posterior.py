@@ -20,16 +20,20 @@ mean/scale/prior expressions.  :class:`PosteriorContext` binds a model to
 K >= 1 observation vectors, given as one block, the rows of a (K, T) array,
 or as several blocks whose T may differ; its only per-row state is T, zbar,
 Q and whether the row is finite, all read-only, so one context holds every
-vector of a study.  The fit calls
+vector of a study.
+
+There is one path and one feasibility rule.  The fit calls
 :meth:`~PosteriorContext.neg2l_grad_rows` and the checks
 :meth:`~PosteriorContext.hessian_neg2l_rows`; both evaluate many rows at
-once through the model's compiled closures, each row with the operations
-of a one-row evaluation.  The one-shot methods
-:meth:`~PosteriorContext.neg2l_grad` and
-:meth:`~PosteriorContext.hessian_neg2l` are those two for one point;
-:meth:`~PosteriorContext.log_posterior` and :meth:`~PosteriorContext.neg2l`
-walk the expression trees.  All take a row index ``k``.  The fit itself
-never asks for curvature.
+once through the model's compiled closures and mark the points where the
+value is undefined.  Every one-shot method is one of them on one point:
+:meth:`~PosteriorContext.neg2l_grad`, :meth:`~PosteriorContext.neg2l` and
+:meth:`~PosteriorContext.log_posterior` are the first, so they raise
+wherever the gradient is undefined, and
+:meth:`~PosteriorContext.hessian_neg2l` is the second.  They raise
+:class:`InfeasiblePointError` with the first test of that path that fails,
+and an expression's reason is the one its compiled closure names.  All
+take a row index ``k``.  The fit itself never asks for curvature.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .expressions import DomainError, eval_hessian
 from .models import ModelSpec
 
 __all__ = ["PosteriorContext", "InfeasiblePointError"]
@@ -78,7 +81,7 @@ def _blocks(obs) -> list[np.ndarray]:
     return blocks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PosteriorContext:
     """A model bound to K >= 1 observation vectors.  ``obs`` is one block, a
     vector (one row) or a (K, T) array, or a list of blocks whose T may
@@ -87,6 +90,8 @@ class PosteriorContext:
 
     The context stores no observations: its only per-row state is four
     read-only arrays, ``horizon``, ``obs_mean``, ``obs_css`` and ``finite``.
+    Two contexts are equal only when they are the same object, and a context
+    hashes by identity.
     """
 
     model: ModelSpec
@@ -114,34 +119,15 @@ class PosteriorContext:
     def bounds(self) -> list[tuple[float, float]]:
         return self.model.bounds()
 
-    def _stats(self, k: int) -> tuple[int, float, float]:
-        """T, zbar and Q of row ``k``; ``InfeasiblePointError`` if the row is
-        not finite."""
-        if not self.finite[k]:
-            raise InfeasiblePointError("observation vector must be finite")
-        return int(self.horizon[k]), float(self.obs_mean[k]), float(self.obs_css[k])
-
     def log_posterior(self, omega: np.ndarray, k: int = 0) -> float:
-        """L(omega | z) for row ``k`` up to an additive constant."""
-        t, zbar, css = self._stats(k)
-        try:
-            m, s, prior = self.model.mean_scale_prior(omega)
-        except (DomainError, OverflowError) as exc:
-            raise InfeasiblePointError(str(exc)) from exc
-        if not s > 0.0:
-            raise InfeasiblePointError(f"scale is not positive ({s})")
-        d = zbar - m
-        rss = css + t * d * d
-        denom = 2.0 * s * s
-        if denom == 0.0:
-            raise InfeasiblePointError(f"scale {s} is too small: its square underflows")
-        value = -t * math.log(s) - rss / denom + prior
-        if not math.isfinite(value):
-            raise InfeasiblePointError(f"log-posterior is not finite ({value})")
-        return value
+        """L(omega | z) for row ``k`` up to an additive constant: -1/2
+        :meth:`neg2l`."""
+        return -0.5 * self.neg2l(omega, k)
 
     def neg2l(self, omega: np.ndarray, k: int = 0) -> float:
-        return -2.0 * self.log_posterior(omega, k)
+        """-2L for row ``k``: the value :meth:`neg2l_grad` gives, which raises
+        wherever the gradient is undefined."""
+        return self.neg2l_grad(omega, k)[0]
 
     def neg2l_grad_rows(self, rows, points: np.ndarray):
         """-2L and its gradient at ``points[i]`` given row ``rows[i]``: values
@@ -174,7 +160,7 @@ class PosteriorContext:
         point = np.asarray(omega, dtype=float).reshape(1, -1)
         value, grad, ok = self.neg2l_grad_rows([k], point)
         if not ok[0]:
-            raise InfeasiblePointError(self._infeasibility(point[0].tolist(), k))
+            raise InfeasiblePointError(self._infeasibility(point, k, value[0]))
         return float(value[0]), grad[0].tolist()
 
     def hessian_neg2l_rows(self, rows, points: np.ndarray):
@@ -214,30 +200,29 @@ class PosteriorContext:
         point = np.asarray(omega, dtype=float).reshape(1, -1)
         hess, ok = self.hessian_neg2l_rows([k], point)
         if not ok[0]:
-            raise InfeasiblePointError(self._infeasibility(point[0].tolist(), k, hessian=True))
+            raise InfeasiblePointError(self._infeasibility(point, k))
         return hess[0]
 
-    def _infeasibility(self, omega: list[float], k: int, hessian: bool = False) -> str:
-        """Why -2L and its gradient, or its Hessian, are undefined at
-        ``omega`` for row ``k``: the error the expression walker raises, or
-        the first test that fails.  A row that is not finite raises its own
-        error instead."""
-        t, zbar, css = self._stats(k)
-        names = self.param_names
-        values = dict(zip(names, omega))
-        exprs = (self.model.mean_expr, self.model.scale_expr, self.model.log_prior_expr)
-        try:
-            m, s, prior = [eval_hessian(e, values, names)[0] for e in exprs]
-        except (DomainError, OverflowError) as exc:
-            return str(exc)
+    def _infeasibility(self, point: np.ndarray, k: int, neg2l: float | None = None) -> str:
+        """Why -2L and its gradient are undefined at the one point ``point``
+        (a (1, n) array) for row ``k``, where :meth:`neg2l_grad_rows` gave
+        -2L = ``neg2l``, or why the Hessian is when ``neg2l`` is None.  The
+        reason is the first of these tests that fails: the row is not
+        finite; an expression is undefined (the reason its compiled closure
+        names); the scale is not positive; its fourth power (Hessian) or its
+        cube underflows; -2L is not finite."""
+        if not self.finite[k]:
+            return "observation vector must be finite"
+        (_, _, _, why_m), (s, _, _, why_s), (_, _, _, why_p) = \
+            self.model.mean_scale_prior_grad(point, reasons=True)
+        why = why_m[0] or why_s[0] or why_p[0]
+        if why is not None:
+            return why
+        s = s.item()
         if not s > 0.0:
             return f"scale is not positive ({s})"
-        s2 = s * s
-        if hessian:  # the one test of the Hessian left
+        if neg2l is None:  # the one test of the Hessian left
             return f"scale {s} is too small: its fourth power underflows"
-        if s2 * s == 0.0:
+        if s * s * s == 0.0:
             return f"scale {s} is too small: its cube underflows"
-        d = zbar - m
-        rss = css + t * d * d
-        value = -t * math.log(s) - rss / (2.0 * s2) + prior
-        return f"log-posterior is not finite ({value})"
+        return f"log-posterior is not finite ({-0.5 * float(neg2l)})"

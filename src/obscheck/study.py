@@ -394,8 +394,12 @@ def report_to_dict(report: StudyReport) -> dict:
     }
 
 
-def report_to_json(report: StudyReport) -> str:
-    return json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
+def report_to_json(report: StudyReport | dict) -> str:
+    """The report file's text: the dictionary of ``report`` (see
+    :func:`report_to_dict`), or ``report`` itself when it is that
+    dictionary, as JSON with sorted keys and an indent of 2."""
+    data = report if isinstance(report, dict) else report_to_dict(report)
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
 def report_from_json(text: str) -> dict:

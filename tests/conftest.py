@@ -4,7 +4,9 @@ import numpy as np
 from hypothesis import HealthCheck, settings
 
 from obscheck import InfeasiblePointError, LcdConfig, PosteriorContext
-from obscheck.expressions import DomainError, eval_expr, eval_hessian
+from obscheck.expressions import DomainError, eval_expr
+
+from tree_walker import eval_hessian
 
 settings.register_profile(
     "default",
@@ -36,47 +38,78 @@ def central_difference_hessian(grad, x):
     return np.array(columns).T
 
 
-class _TreeWalkerContext(PosteriorContext):
-    """-2L and its gradient evaluated by walking the expression trees, as the
-    reference for the compiled closures."""
+def _walker_row(ctx, k):
+    if not ctx.finite[k]:
+        raise InfeasiblePointError("observation vector must be finite")
+    return int(ctx.horizon[k]), float(ctx.obs_mean[k]), float(ctx.obs_css[k])
 
-    def _values(self, omega):
-        return {name: float(v) for name, v in zip(self.param_names, omega)}
+
+def _walker_jets(ctx, omega):
+    """Value, gradient and Hessian of the mean, the scale and the log-prior."""
+    names, model = ctx.param_names, ctx.model
+    values = dict(zip(names, [float(v) for v in omega]))
+    exprs = (model.mean_expr, model.scale_expr, model.log_prior_expr)
+    try:
+        jets = [eval_hessian(e, values, names) for e in exprs]
+    except (DomainError, OverflowError) as exc:
+        raise InfeasiblePointError(str(exc)) from exc
+    s = jets[1][0]
+    if not s > 0.0:
+        raise InfeasiblePointError(f"scale is not positive ({s})")
+    return jets
+
+
+def reference_hessian(ctx, omega, k=0):
+    """The Hessian of -2L for row ``k`` of ``ctx``: the chain rule of
+    phi(m, s) = 2T log s + (Q + T (zbar - m)^2) / s^2 through the walker's
+    Hessians of the mean, the scale and the log-prior."""
+    t, zbar, css = _walker_row(ctx, k)
+    (m, dm, hm), (s, ds, hs), (_, _, hp) = _walker_jets(ctx, omega)
+    d = zbar - m
+    s2 = s * s
+    s4 = s2 * s2
+    if s4 == 0.0:
+        raise InfeasiblePointError(f"scale {s} is too small: its fourth power underflows")
+    rss = css + t * d * d
+    phi_m, phi_s = -2.0 * t * d / s2, 2.0 * t / s - 2.0 * rss / (s2 * s)
+    phi_mm, phi_ms, phi_ss = 2.0 * t / s2, 4.0 * t * d / (s2 * s), 6.0 * rss / s4 - 2.0 * t / s2
+    return np.array([
+        [phi_m * hm[i][j] + phi_s * hs[i][j] + phi_mm * (dm[i] * dm[j])
+         + phi_ms * (dm[i] * ds[j] + ds[i] * dm[j]) + phi_ss * (ds[i] * ds[j]) - 2.0 * hp[i][j]
+         for j in range(len(dm))]
+        for i in range(len(dm))
+    ])
+
+
+class _TreeWalkerContext(PosteriorContext):
+    """-2L with its gradient and its Hessian evaluated by walking the
+    expression trees, as the reference for the compiled closures.  Each
+    raises the reason of the first test that fails, in this order: the row
+    is not finite, an expression raises, the scale is not positive, its
+    fourth power (Hessian) or its cube underflows, and L is not finite;
+    :meth:`log_posterior` and :meth:`neg2l` raise where the gradient does."""
 
     def log_posterior(self, omega, k=0):
-        model, values = self.model, self._values(omega)
-        try:
-            m = eval_expr(model.mean_expr, values)
-            s = eval_expr(model.scale_expr, values)
-            prior = eval_expr(model.log_prior_expr, values)
-        except (DomainError, OverflowError) as exc:
-            raise InfeasiblePointError(str(exc)) from exc
-        if not s > 0.0:
-            raise InfeasiblePointError(f"scale is not positive ({s})")
-        t = int(self.horizon[k])
-        d = float(self.obs_mean[k]) - m
-        rss = float(self.obs_css[k]) + t * d * d
-        if 2.0 * s * s == 0.0:
-            raise InfeasiblePointError(f"scale {s} is too small: its square underflows")
-        value = -t * math.log(s) - rss / (2.0 * s * s) + prior
-        if not math.isfinite(value):
-            raise InfeasiblePointError(f"log-posterior is not finite ({value})")
-        return value
+        self.neg2l_grad(omega, k)
+        t, zbar, css = _walker_row(self, k)
+        model = self.model
+        values = dict(zip(self.param_names, [float(v) for v in omega]))
+        m = eval_expr(model.mean_expr, values)
+        s = eval_expr(model.scale_expr, values)
+        prior = eval_expr(model.log_prior_expr, values)
+        d = zbar - m
+        rss = css + t * d * d
+        return -t * math.log(s) - rss / (2.0 * s * s) + prior
+
+    def neg2l(self, omega, k=0):
+        return -2.0 * self.log_posterior(omega, k)
 
     def neg2l_grad(self, omega, k=0):
-        model, values, names = self.model, self._values(omega), self.param_names
-        try:
-            m, dm, _ = eval_hessian(model.mean_expr, values, names)
-            s, ds, _ = eval_hessian(model.scale_expr, values, names)
-            prior, dprior, _ = eval_hessian(model.log_prior_expr, values, names)
-        except (DomainError, OverflowError) as exc:
-            raise InfeasiblePointError(str(exc)) from exc
-        if not s > 0.0:
-            raise InfeasiblePointError(f"scale is not positive ({s})")
-        t = int(self.horizon[k])
-        d = float(self.obs_mean[k]) - m
+        t, zbar, css = _walker_row(self, k)
+        (m, dm, _), (s, ds, _), (prior, dprior, _) = _walker_jets(self, omega)
+        d = zbar - m
         sum_res = t * d
-        rss = float(self.obs_css[k]) + sum_res * d
+        rss = css + sum_res * d
         s2 = s * s
         if s2 * s == 0.0:
             raise InfeasiblePointError(f"scale {s} is too small: its cube underflows")
@@ -86,3 +119,6 @@ class _TreeWalkerContext(PosteriorContext):
         dm, ds, dprior = np.array(dm), np.array(ds), np.array(dprior)
         grad_l = (-t / s) * ds + (sum_res / s2) * dm + (rss / (s2 * s)) * ds + dprior
         return -2.0 * value, -2.0 * grad_l
+
+    def hessian_neg2l(self, omega, k=0):
+        return reference_hessian(self, omega, k)

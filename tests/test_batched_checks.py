@@ -1,8 +1,9 @@
 """The batched Hessians and checks against the one-row code they replaced.
 
-``_reference_hessian`` is the Hessian of -2L for one row by the chain rule
-through the tree walker :func:`eval_hessian`, and ``_reference_check`` the
-four checks of one maximum from one ``eigh`` of that matrix.  Every row of
+``reference_hessian`` (conftest) is the Hessian of -2L for one row by the
+chain rule through the tree walker ``tree_walker.eval_hessian``, and
+``_reference_check`` the four checks of one maximum from one ``eigh`` of
+that matrix.  Every row of
 :meth:`PosteriorContext.hessian_neg2l_rows` and :func:`check_rows` must equal
 them bit for bit, notes and error messages included.
 """
@@ -14,7 +15,6 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from obscheck import InfeasiblePointError, bundled_model_names, load_model
-from obscheck.expressions import DomainError, eval_hessian
 from obscheck.models import ModelError, ModelSpec, ParamSpec, model_from_dict
 from obscheck.optimize import (
     MaxResult, OptConfig, check_maximum, check_rows, local_variance, maximize_rows,
@@ -26,7 +26,7 @@ from obscheck.study import (
     run_part2, run_study,
 )
 
-from conftest import DESK_LCD
+from conftest import DESK_LCD, reference_hessian
 from test_expressions import _POINTS, _expr_strategy
 
 THREE_PARAMETERS = model_from_dict({
@@ -34,36 +34,6 @@ THREE_PARAMETERS = model_from_dict({
                    {"name": "c", "true_value": 0.8, "lower": 0.0}],
     "mean": "a * b + c", "scale": "sqrt(b * c) + a^2", "log_prior": "log(c) - a * b / 2",
 }, name="three_parameters")
-
-
-def _reference_hessian(ctx, omega, k=0):
-    t, zbar, css = int(ctx.horizon[k]), float(ctx.obs_mean[k]), float(ctx.obs_css[k])
-    if not ctx.finite[k]:
-        raise InfeasiblePointError("observation vector must be finite")
-    names = ctx.param_names
-    values = dict(zip(names, [float(v) for v in omega]))
-    model = ctx.model
-    exprs = (model.mean_expr, model.scale_expr, model.log_prior_expr)
-    try:
-        (m, dm, hm), (s, ds, hs), (_, _, hp) = [eval_hessian(e, values, names) for e in exprs]
-    except (DomainError, OverflowError) as exc:
-        raise InfeasiblePointError(str(exc)) from exc
-    if not s > 0.0:
-        raise InfeasiblePointError(f"scale is not positive ({s})")
-    d = zbar - m
-    s2 = s * s
-    s4 = s2 * s2
-    if s4 == 0.0:
-        raise InfeasiblePointError(f"scale {s} is too small: its fourth power underflows")
-    rss = css + t * d * d
-    phi_m, phi_s = -2.0 * t * d / s2, 2.0 * t / s - 2.0 * rss / (s2 * s)
-    phi_mm, phi_ms, phi_ss = 2.0 * t / s2, 4.0 * t * d / (s2 * s), 6.0 * rss / s4 - 2.0 * t / s2
-    return np.array([
-        [phi_m * hm[i][j] + phi_s * hs[i][j] + phi_mm * (dm[i] * dm[j])
-         + phi_ms * (dm[i] * ds[j] + ds[i] * dm[j]) + phi_ss * (ds[i] * ds[j]) - 2.0 * hp[i][j]
-         for j in range(len(dm))]
-        for i in range(len(dm))
-    ])
 
 
 def _reference_check_of(hessian, result, cfg=OptConfig()):
@@ -93,7 +63,7 @@ def _reference_check_of(hessian, result, cfg=OptConfig()):
 
 def _reference_check(ctx, result, k, cfg=OptConfig()):
     try:
-        hessian = _reference_hessian(ctx, result.omega_hat, k)
+        hessian = reference_hessian(ctx, result.omega_hat, k)
     except InfeasiblePointError as exc:
         hessian = exc
     return _reference_check_of(hessian, result, cfg)
@@ -117,7 +87,7 @@ def _assert_hessians_equal_reference(ctx, rows, points):
     hess, feasible = ctx.hessian_neg2l_rows(rows, points)
     assert hess.shape == (len(rows),) + (len(ctx.param_names),) * 2
     for i, (k, omega) in enumerate(zip(rows, points)):
-        want = _hessian_or_error(lambda: _reference_hessian(ctx, omega, k))
+        want = _hessian_or_error(lambda: reference_hessian(ctx, omega, k))
         assert feasible[i] == (not isinstance(want, tuple))
         if feasible[i]:
             assert hess[i].tobytes() == want

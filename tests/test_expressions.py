@@ -14,12 +14,12 @@ from obscheck.expressions import (
     collect_params,
     compile_expr,
     eval_expr,
-    eval_hessian,
     format_expr,
     parse_expr,
 )
 
 from conftest import central_difference_hessian
+from tree_walker import eval_hessian
 
 
 class TestParsing:
@@ -98,25 +98,34 @@ class TestEval:
             eval_expr(parse_expr("a + b"), {"a": 1.0})
 
 
+def _at_one_point(text, params, order):
+    """Value, gradient and Hessian that the compiled closure of ``text``
+    gives at the one point ``params``, as Python floats and lists."""
+    point = np.array([[params[name] for name in order]])
+    values, grads, hessians, feasible = compile_expr(parse_expr(text), order)(point, hessian=True)
+    assert feasible[0]
+    return values[0].item(), grads[0].tolist(), hessians[0].tolist()
+
+
 class TestGradient:
     def test_sqrt_derivative(self):
-        value, grad, hess = eval_hessian(parse_expr("sqrt(b)"), {"b": 0.64}, ("b",))
+        value, grad, hess = _at_one_point("sqrt(b)", {"b": 0.64}, ("b",))
         assert value == pytest.approx(0.8)
         assert grad[0] == pytest.approx(0.625)  # 1/(2 sqrt(b))
         assert hess[0][0] == pytest.approx(-1.0 / (4.0 * 0.512))  # -1/(4 b^(3/2))
 
     def test_product_gradient(self):
-        _, grad, hess = eval_hessian(parse_expr("a*b"), {"a": 0.6, "b": 0.4}, ("a", "b"))
+        _, grad, hess = _at_one_point("a*b", {"a": 0.6, "b": 0.4}, ("a", "b"))
         assert grad == pytest.approx([0.4, 0.6])
         assert hess == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_abs_derivative_at_zero(self):
-        _, grad, hess = eval_hessian(parse_expr("abs(a)"), {"a": 0.0}, ("a",))
+        _, grad, hess = _at_one_point("abs(a)", {"a": 0.0}, ("a",))
         assert grad[0] == 0.0
         assert hess[0][0] == 0.0
 
     def test_power_with_param_exponent(self):
-        value, grad, hess = eval_hessian(parse_expr("a^b"), {"a": 2.0, "b": 3.0}, ("a", "b"))
+        value, grad, hess = _at_one_point("a^b", {"a": 2.0, "b": 3.0}, ("a", "b"))
         log2 = math.log(2.0)
         assert value == pytest.approx(8.0)
         assert grad[0] == pytest.approx(12.0)  # b a^(b-1)
@@ -129,7 +138,7 @@ class TestGradient:
         ("a^3", -2.0, -12.0), ("a^1", 0.0, 0.0), ("a^2", 0.0, 2.0), ("a^3", 0.0, 0.0),
     ])
     def test_power_of_non_positive_base(self, text, base, hess):
-        assert eval_hessian(parse_expr(text), {"a": base}, ("a",))[2] == [[hess]]
+        assert _at_one_point(text, {"a": base}, ("a",))[2] == [[hess]]
 
 
 BUNDLED_EXPRESSIONS = [
@@ -151,7 +160,7 @@ def test_gradient_matches_finite_differences(text, a, b):
     expr = parse_expr(text)
     params = {"a": a, "b": b}
     order = ("a", "b")
-    _, grad, _ = eval_hessian(expr, params, order)
+    _, grad, _ = _at_one_point(text, params, order)
     for j, name in enumerate(order):
         h = 1e-6 * max(1.0, abs(params[name]))
         up = dict(params, **{name: params[name] + h})
@@ -163,10 +172,9 @@ def test_gradient_matches_finite_differences(text, a, b):
 @pytest.mark.parametrize("text", BUNDLED_EXPRESSIONS)
 @given(a=st.floats(0.05, 5.0), b=st.floats(0.05, 5.0))
 def test_eval_grad_value_bit_equals_eval(text, a, b):
-    expr = parse_expr(text)
     params = {"a": a, "b": b}
-    value, _, _ = eval_hessian(expr, params, ("a", "b"))
-    assert value == eval_expr(expr, params)
+    value, _, _ = _at_one_point(text, params, ("a", "b"))
+    assert value == eval_expr(parse_expr(text), params)
 
 
 def _expr_strategy():
@@ -195,21 +203,27 @@ def test_parse_print_parse_round_trip(expr):
 
 def _walker_outcome(expr, point, order):
     """Value and gradient of the walker at ``point`` as raw bytes, or
-    "infeasible" where it raises the errors that mark a point infeasible."""
+    ("infeasible", message) where it raises the errors that mark a point
+    infeasible."""
     try:
         value, grad, _ = eval_hessian(expr, dict(zip(order, point)), order)
-    except (DomainError, OverflowError):
-        return "infeasible"
+    except (DomainError, OverflowError) as exc:
+        return "infeasible", str(exc)
     return np.float64(value).tobytes(), np.asarray(grad, dtype=float).tobytes()
 
 
 def _compiled_outcomes(expr, points, order):
     """:func:`_walker_outcome` of each point, from one compiled evaluation of
-    all of them."""
-    values, grads, feasible = compile_expr(expr, order)(np.array(points, dtype=float))
+    all of them; the evaluation asked for reasons gives the same values,
+    gradients and mask."""
+    compiled = compile_expr(expr, order)
+    points = np.array(points, dtype=float)
+    values, grads, feasible = compiled(points)
     assert values.shape == (len(points),) and grads.shape == (len(points), len(order))
+    *again, reasons = compiled(points, reasons=True)
+    assert [a.tobytes() for a in again] == [a.tobytes() for a in (values, grads, feasible)]
     return [
-        (values[i].tobytes(), grads[i].tobytes()) if feasible[i] else "infeasible"
+        (values[i].tobytes(), grads[i].tobytes()) if feasible[i] else ("infeasible", reasons[i])
         for i in range(len(points))
     ]
 
@@ -235,21 +249,23 @@ def test_compiled_closures_bit_equal_tree_walkers(expr, points):
 @given(_expr_strategy(), st.lists(st.tuples(_POINTS, _POINTS, _POINTS), min_size=1, max_size=4))
 @settings(max_examples=400)
 def test_compiled_hessians_bit_equal_tree_walkers(expr, points):
-    # the closure asked for Hessians gives the walker's value, gradient and
-    # Hessian, and the value, gradient and mask of the closure not asked
+    # the closure asked for Hessians gives the walker's value, gradient,
+    # Hessian and reason, and the value, gradient, mask and reason of the
+    # closure not asked
     order = ("a", "b", "c")
-    values, grads, hessians, feasible = compile_expr(expr, order)(
-        np.array(points, dtype=float), hessian=True)
+    values, grads, hessians, feasible, reasons = compile_expr(expr, order)(
+        np.array(points, dtype=float), hessian=True, reasons=True)
     assert hessians.shape == (len(points), 3, 3)
     want = []
     for point in points:
         try:
             want.append(np.asarray(eval_hessian(expr, dict(zip(order, point)), order)[2]).tobytes())
-        except (DomainError, OverflowError):
-            want.append("infeasible")
-    assert [hessians[i].tobytes() if feasible[i] else "infeasible"
-            for i in range(len(points))] == want
-    got = [(values[i].tobytes(), grads[i].tobytes()) if feasible[i] else "infeasible"
+        except (DomainError, OverflowError) as exc:
+            want.append(("infeasible", str(exc)))
+    got = [hessians[i].tobytes() if feasible[i] else ("infeasible", reasons[i])
+           for i in range(len(points))]
+    assert got == want
+    got = [(values[i].tobytes(), grads[i].tobytes()) if feasible[i] else ("infeasible", reasons[i])
            for i in range(len(points))]
     assert got == _compiled_outcomes(expr, points, order)
 
@@ -270,7 +286,7 @@ def test_hessian_matches_central_differences(text, a, b):
     expr = parse_expr(text)
     order = ("a", "b")
     compiled = compile_expr(expr, order)
-    hess = np.array(eval_hessian(expr, {"a": a, "b": b}, order)[2])
+    hess = np.array(_at_one_point(text, {"a": a, "b": b}, order)[2])
     assert np.array_equal(hess, hess.T)
     fd = central_difference_hessian(lambda x: compiled(np.array([x]))[1][0], [a, b])
     assert np.max(np.abs(hess - fd)) <= 1e-6 * max(1.0, np.max(np.abs(hess)))
@@ -278,12 +294,9 @@ def test_hessian_matches_central_differences(text, a, b):
 
 @given(_expr_strategy(), st.tuples(_POINTS, _POINTS, _POINTS))
 def test_hessian_is_exactly_symmetric(expr, point):
-    try:
-        _, _, hess = eval_hessian(expr, dict(zip("abc", point)), ("a", "b", "c"))
-    except (DomainError, OverflowError):
-        return
-    hess = np.array(hess)
-    assert hess.tobytes() == hess.T.tobytes()
+    _, _, hessians, feasible = compile_expr(expr, ("a", "b", "c"))(np.array([point]), hessian=True)
+    if feasible[0]:
+        assert hessians[0].tobytes() == hessians[0].T.tobytes()
 
 
 def test_compile_requires_every_parameter():

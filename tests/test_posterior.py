@@ -100,7 +100,8 @@ class TestScaleUnderflow:
     def test_cube_underflow_makes_gradient_infeasible(self):
         ctx = PosteriorContext(load_model("ratio_mean_scale_sqrt_a"), np.array([0.70]))
         omega = [3.6e-221, 1.0]
-        assert ctx.neg2l(omega) == pytest.approx(1.36e220, rel=0.01)
+        with pytest.raises(InfeasiblePointError, match="cube underflows"):
+            ctx.neg2l(omega)
         with pytest.raises(InfeasiblePointError, match="cube underflows"):
             ctx.neg2l_grad(omega)
 
@@ -108,7 +109,7 @@ class TestScaleUnderflow:
         model = model_from_dict({"parameters": [{"name": "s", "true_value": 1.0}],
                                  "mean": "0", "scale": "s"})
         ctx = PosteriorContext(model, np.array([0.5, -0.5]))
-        with pytest.raises(InfeasiblePointError, match="square underflows"):
+        with pytest.raises(InfeasiblePointError, match="cube underflows"):
             ctx.neg2l([1e-170])
         with pytest.raises(InfeasiblePointError):
             ctx.neg2l_grad([1e-170])
@@ -243,22 +244,33 @@ def _bytes_or_error(fn):
     return np.asarray(out, dtype=float).tobytes()
 
 
+# exp, log, ^ and abs, with a scale that underflows and a power whose base
+# is not positive
+SYNTHETIC = model_from_dict({
+    "parameters": [{"name": "a", "true_value": 0.5}, {"name": "b", "true_value": 1.0}],
+    "mean": "exp(a) - log(abs(b))", "scale": "abs(b)^a", "log_prior": "-a^2 / 2",
+}, name="synthetic")
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("name", bundled_model_names())
+@pytest.mark.parametrize("name", [*bundled_model_names(), "synthetic"])
 @given(
     omegas=st.lists(
         st.lists(st.one_of(st.floats(-1.0, 2.0), st.sampled_from([0.0, -0.0, 1e-9])),
                  min_size=2, max_size=2),
         min_size=1, max_size=4),
+    scale=st.sampled_from([1.0, 1e-110, 1e-55, 1e3]),
     seed=st.integers(0, 2**32 - 1),
     horizon=st.integers(1, 20),
 )
-def test_compiled_posterior_bit_equals_tree_walkers(name, omegas, seed, horizon):
+def test_compiled_posterior_bit_equals_tree_walkers(name, omegas, scale, seed, horizon):
     # one observation vector and one point per row, all rows evaluated at
-    # once; a row is infeasible exactly where the walker raises
-    model = load_model(name)
+    # once; a row is infeasible exactly where the walker raises.  -2L and L
+    # are the walker's wherever the gradient is defined, and raise the
+    # gradient's reason elsewhere
+    model = SYNTHETIC if name == "synthetic" else load_model(name)
     z = np.random.default_rng(seed).normal(0.6, 0.8, size=(len(omegas), horizon))
-    points = np.array([omega[: len(model.params)] for omega in omegas])
+    points = scale * np.array([omega[: len(model.params)] for omega in omegas])
     values, grads, feasible = PosteriorContext(model, z).neg2l_grad_rows(
         np.arange(len(points)), points)
     for k, omega in enumerate(points):
@@ -269,9 +281,74 @@ def test_compiled_posterior_bit_equals_tree_walkers(name, omegas, seed, horizon)
             assert (values[k].tobytes(), grads[k].tobytes()) == want
         else:
             assert want[0] is InfeasiblePointError
-        for method in ("neg2l", "neg2l_grad"):
+        for method in ("log_posterior", "neg2l", "neg2l_grad"):
             got = _bytes_or_error(lambda: getattr(ctx, method)(omega))
             assert got == _bytes_or_error(lambda: getattr(ref, method)(omega)), method
+            if not feasible[k]:
+                assert got == want, method
+
+
+# a point for each failure kind, and the text that names the kind
+FAILURE_KINDS = {
+    "sqrt of non-positive value": ("mean_and_variance", [0.5, -1.0]),
+    "log of non-positive value": ("synthetic", [0.5, 0.0]),
+    "division by zero": ("reciprocal_mean", [0.0]),
+    "math range error": ("synthetic", [800.0, 1.0]),  # exp overflows
+    "Numerical result out of range": ("synthetic", [-400.0, 1e-300]),  # a power overflows
+    "with non-integer exponent": ("square_root", [-1.0]),
+    "zero raised to a negative power": ("reciprocal_power", [0.0]),
+    "derivative of power undefined at zero base": ("square_root", [0.0]),
+    "with parameter-dependent exponent": ("self_power", [-1.0]),
+    "scale is not positive": ("signed_scale", [0.0]),
+    "its cube underflows": ("ratio_mean_scale_sqrt_ab", [3.6e-221, 1.0]),
+    "its fourth power underflows": ("unknown_variance", [1e-165]),
+    "log-posterior is not finite": ("unknown_variance", [0.8]),  # row 2: Q overflows
+    "observation vector must be finite": ("product_mean", [0.6, 0.4]),  # row 1
+}
+ONE_PARAMETER = {
+    "square_root": ("a^0.5", "1"), "reciprocal_power": ("a^(-1)", "1"),
+    "self_power": ("a^a", "1"), "signed_scale": ("0", "a"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_reasons_equal_the_tree_walkers():
+    # every one-shot method gives the walker's value or names the reason
+    # that the walker and the posterior's tests give first, on the bundled
+    # models and on synthetic ones, at every point of a grid and at the
+    # points above; each failure kind shows at least once
+    models = {name: load_model(name) for name in bundled_model_names()}
+    models["synthetic"] = SYNTHETIC
+    for name, (mean, scale) in ONE_PARAMETER.items():
+        models[name] = model_from_dict({
+            "parameters": [{"name": "a", "true_value": 1.0}], "mean": mean, "scale": scale})
+    # rows: finite, not finite, and finite with an overflowing Q
+    z = np.array([[0.3, 1.1, -0.4, 0.9], [0.2, np.inf, 0.1, 0.5], [1e200, -1e200, 0.0, 1.0]])
+    grid = [-1.0, -0.0, 0.0, 1e-165, 3.6e-221, 0.5, 800.0]
+    seen = set()
+    for name, model in models.items():
+        ctx, ref = PosteriorContext(model, z), _TreeWalkerContext(model, z)
+        points = [[a] for a in grid] if len(model.params) == 1 else \
+            [[a, b] for a in grid for b in grid]
+        points += [omega for where, omega in FAILURE_KINDS.values() if where == name]
+        for omega in points:
+            for k in range(len(z)):
+                for method in ("log_posterior", "neg2l", "neg2l_grad", "hessian_neg2l"):
+                    got = _bytes_or_error(lambda: getattr(ctx, method)(omega, k))
+                    assert got == _bytes_or_error(lambda: getattr(ref, method)(omega, k)), \
+                        (name, omega, k, method)
+                    if got[0] is InfeasiblePointError:
+                        seen.add(got[1])
+    for kind in FAILURE_KINDS:
+        assert any(kind in reason for reason in seen), kind
+
+
+def test_contexts_compare_and_hash_by_identity():
+    # the fields are numpy arrays, which have no truth value and no hash
+    ctx_a = PosteriorContext(MEAN_AND_VARIANCE, np.ones((2, 3)))
+    ctx_b = PosteriorContext(MEAN_AND_VARIANCE, np.ones((2, 3)))
+    assert ctx_a == ctx_a and ctx_a != ctx_b
+    assert {ctx_a: 1, ctx_b: 2}[ctx_a] == 1 and hash(ctx_a) == hash(ctx_a)
 
 
 @pytest.mark.parametrize("name", bundled_model_names())
