@@ -8,15 +8,7 @@ ratio, finite local variance) before estimator statistics are aggregated
 into an observability verdict.
 """
 
-from .expressions import (
-    DomainError,
-    Expr,
-    ExprError,
-    ParseError,
-    eval_expr,
-    format_expr,
-    parse_expr,
-)
+from .expressions import DomainError, Expr, ExprError, ParseError, format_expr, parse_expr
 from .models import ModelError, ModelSpec, ParamSpec, bundled_model_names, load_model
 from .optimize import CheckReport, MaxResult, OptConfig, check_maximum, local_variance, maximize
 from .posterior import InfeasiblePointError, PosteriorContext

@@ -2,14 +2,14 @@
 
 Supports real literals, named parameters, the unary functions
 ``sqrt``, ``log``, ``exp``, ``abs``, ``neg`` and the binary operators
-``+ - * / ^``.  Expressions are parsed into immutable trees.  The tree
-walker :func:`eval_expr` gives the value of one point in IEEE double
-precision, and defines the language's values and domain errors;
-:func:`compile_expr` turns a tree into one closure over a (k, n) array of
-points that gives each point that value with its exact first and, when
-asked, second partial derivatives (second-order forward mode), marks the
-points where the value or a derivative is undefined and, when asked, names
-the reason.
+``+ - * / ^``.  Expressions are parsed into immutable trees.  The scalar
+rules (``_apply_unary``, ``_apply_binary``, ``_power_value``) define the
+language's values in IEEE double precision and its domain errors.  There is
+one evaluator: :func:`compile_expr` turns a tree into one closure over a
+(k, n) array of points that gives each point its value by those rules with
+its exact first and, when asked, second partial derivatives (second-order
+forward mode), marks the points where the value or a derivative is
+undefined and, when asked, names the reason.
 
 Precedence is ``^`` > unary minus > ``* /`` > ``+ -``; all binary
 operators associate to the left.
@@ -33,7 +33,6 @@ __all__ = [
     "ParseError",
     "DomainError",
     "parse_expr",
-    "eval_expr",
     "compile_expr",
     "format_expr",
     "collect_params",
@@ -287,29 +286,9 @@ def collect_params(e: Expr) -> set[str]:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Scalar rules: the value of a node from its operands' values, or the
+# DomainError that says why it has none
 # ---------------------------------------------------------------------------
-
-
-def eval_expr(e: Expr, params: dict[str, float]) -> float:
-    """Evaluate ``e`` at the named parameter values.
-
-    Raises :class:`DomainError` on sqrt/log of a non-positive value, division
-    by zero, or an inadmissible power, and ``KeyError`` for a parameter that
-    is not supplied.
-    """
-    if isinstance(e, Literal):
-        return e.value
-    if isinstance(e, Param):
-        return params[e.name]
-    if isinstance(e, Unary):
-        x = eval_expr(e.arg, params)
-        return _apply_unary(e, x)
-    if isinstance(e, Binary):
-        a = eval_expr(e.left, params)
-        b = eval_expr(e.right, params)
-        return _apply_binary(e, a, b)
-    raise TypeError(f"not an expression node: {e!r}")
 
 
 def _apply_unary(e: Unary, x: float) -> float:
@@ -434,11 +413,11 @@ def compile_expr(e: Expr, order: Sequence[str]) -> RowsFn:
 
     Each row is second-order forward mode (Griewank & Walther, *Evaluating
     Derivatives*, 2nd ed., 2008): a node takes its value, gradient and
-    Hessian from its operands' by the chain rule, so a row's value is
-    :func:`eval_expr`'s bit for bit (signed zeros included).  The
-    derivatives of ``abs`` at 0 are 0.  A row is infeasible where a node's
-    value is undefined, which is where :func:`eval_expr` raises, or its
-    derivative is (``^`` at a base that is not positive, see
+    Hessian from its operands' by the chain rule, and its value is that of
+    the scalar rules bit for bit (signed zeros included).  The derivatives
+    of ``abs`` at 0 are 0.  A row is infeasible where a node's value is
+    undefined, which is where a scalar rule raises, or its derivative is
+    (``^`` at a base that is not positive, see
     ``_power_rule``); the row's other results then mean nothing.  Nodes run
     left operand, right operand, node, and a row's reason is that of the
     first node that marks it: the error a walk of the tree by these rules
@@ -449,7 +428,7 @@ def compile_expr(e: Expr, order: Sequence[str]) -> RowsFn:
     arithmetic does; entries (i, j) and (j, i) of a Hessian differ only in
     the order of a product's or a sum's two terms, so each matrix is exactly
     symmetric.  The values of ``log`` and ``exp`` and everything of ``^``
-    run per row through the scalar rules of :func:`eval_expr`: numpy's
+    run per row through the scalar rules themselves: numpy's
     ``log``, ``exp`` and ``power`` may differ from ``math``'s in the last
     bit.
     """

@@ -3,11 +3,11 @@
 A model declares named parameters with true values and optional box bounds,
 plus three expressions: the mean ``m``, the scale ``s`` and the log-prior,
 defining observations ``Z_t = m + s * eps_t`` with standard normal ``eps_t``.
-The three expressions compile once into closures over many points, which
-give values and gradients for the fit, one point per design row, and
-Hessians as well for the checks; the check at the true values and the
-design observations walk the expression trees.  The package ships the
-study models as JSON files under ``obscheck/models``.
+The three expressions compile once into closures over many points, the
+only evaluator: they give values and gradients for the fit, one point per
+design row, Hessians as well for the checks, and the values at the one true
+point for the check on load and the design observations.  The package ships
+the study models as JSON files under ``obscheck/models``.
 """
 
 from __future__ import annotations
@@ -20,29 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .expressions import (
-    DomainError,
-    Expr,
-    ParseError,
-    collect_params,
-    compile_expr,
-    eval_expr,
-    parse_expr,
-)
+from .expressions import Expr, ParseError, collect_params, compile_expr, parse_expr
 
 __all__ = ["ParamSpec", "ModelSpec", "ModelError", "load_model", "bundled_model_names"]
 
 
 class ModelError(Exception):
     """A model file or specification is invalid."""
-
-
-def _floats(omega) -> list[float]:
-    """``omega`` as a list of Python floats; a list is converted element by
-    element, which is cheaper than going through an array."""
-    if type(omega) is list:
-        return [float(v) for v in omega]
-    return np.asarray(omega, dtype=float).tolist()
 
 
 @dataclass(frozen=True)
@@ -61,9 +45,10 @@ class ModelSpec:
     closures over a (k, n) array of points (see
     :func:`~obscheck.expressions.compile_expr`), which
     :meth:`mean_scale_prior_grad` and :meth:`mean_scale_prior_hessian` run
-    for every posterior evaluation.  Only :meth:`mean_scale`, which makes
-    the design observations, and the check at the true values here walk the
-    trees with :func:`~obscheck.expressions.eval_expr`.
+    for every posterior evaluation, :meth:`mean_scale` runs for the design
+    observations, and the check at the true values here runs on the one true
+    point.  The three expressions, with their gradients, must be defined
+    there, and the scale must be positive.
     """
 
     name: str
@@ -105,13 +90,14 @@ class ModelSpec:
         exprs = (self.mean_expr, self.scale_expr, self.log_prior_expr)
         object.__setattr__(self, "_compiled", tuple(compile_expr(e, names) for e in exprs))
         # every study starts at the true values: the design observations are
-        # generated there and each fit starts there
-        values = {p.name: float(p.true_value) for p in self.params}
-        for label, expr in zip(("mean", "scale", "log_prior"), exprs):
-            try:
-                value = eval_expr(expr, values)
-            except (DomainError, OverflowError) as exc:
-                raise ModelError(f"{label} is not evaluable at the true values: {exc}") from exc
+        # generated there and each fit starts there, so no fit could start
+        # where a value or a gradient is undefined
+        point = self.true_vector().reshape(1, -1)
+        for label, closure in zip(("mean", "scale", "log_prior"), self._compiled):
+            (value,), _, (feasible,), (why,) = closure(point, reasons=True)
+            if not feasible:
+                raise ModelError(f"{label} is not evaluable at the true values: {why}")
+            value = value.item()
             if label == "scale" and not value > 0.0:
                 raise ModelError(
                     f"scale must be strictly positive at the true values, got {value}"
@@ -137,8 +123,15 @@ class ModelSpec:
         ]
 
     def mean_scale(self, omega: np.ndarray) -> tuple[float, float]:
-        values = dict(zip(self.param_names, _floats(omega)))
-        return eval_expr(self.mean_expr, values), eval_expr(self.scale_expr, values)
+        """Mean and scale at the one point ``omega``, as Python floats.  Raises
+        ``ValueError``, with the compiled closure's reason, where either or
+        its gradient is undefined."""
+        point = np.asarray(omega, dtype=float).reshape(1, -1)
+        (m, _, ok_m, why_m), (s, _, ok_s, why_s) = [
+            closure(point, reasons=True) for closure in self._compiled[:2]]
+        if not (ok_m[0] and ok_s[0]):
+            raise ValueError(why_m[0] or why_s[0])
+        return m.item(), s.item()
 
     def mean_scale_prior_grad(self, points: np.ndarray, reasons: bool = False):
         """(values, gradients, feasible) triples for mean, scale and log-prior

@@ -74,9 +74,10 @@ class OptConfig:
                 raise ValueError(f"{name} must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaxResult:
-    """Outcome of one maximization."""
+    """Outcome of one maximization.  It holds an array, so it equals and
+    hashes as itself only."""
 
     omega_hat: np.ndarray
     param_names: tuple[str, ...]
@@ -95,9 +96,10 @@ class MaxResult:
         return {name: float(v) for name, v in zip(self.param_names, self.omega_hat)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CheckReport:
-    """The four validity checks for a candidate maximum."""
+    """The four validity checks for a candidate maximum.  It holds an array,
+    so it equals and hashes as itself only."""
 
     grad_ok: bool
     hessian_pd: bool

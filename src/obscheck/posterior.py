@@ -25,8 +25,9 @@ vector of a study.
 There is one path and one feasibility rule.  The fit calls
 :meth:`~PosteriorContext.neg2l_grad_rows` and the checks
 :meth:`~PosteriorContext.hessian_neg2l_rows`; both evaluate many rows at
-once through the model's compiled closures and mark the points where the
-value is undefined.  Every one-shot method is one of them on one point:
+once through the model's compiled closures, the package's one expression
+evaluator, and mark the points where the value is undefined.  Every
+one-shot method is one of them on one point:
 :meth:`~PosteriorContext.neg2l_grad`, :meth:`~PosteriorContext.neg2l` and
 :meth:`~PosteriorContext.log_posterior` are the first, so they raise
 wherever the gradient is undefined, and
@@ -131,7 +132,9 @@ class PosteriorContext:
 
     def neg2l_grad_rows(self, rows, points: np.ndarray):
         """-2L and its gradient at ``points[i]`` given row ``rows[i]``: values
-        (k,), gradients (k, n) and the mask (k,) of the feasible points."""
+        (k,), gradients (k, n) and the mask (k,) of the feasible points, where
+        the expressions and their gradients are defined, the scale is
+        positive, its cube does not underflow and -2L is finite."""
         horizon = self.horizon[rows]
         (m, dm, ok_m), (s, ds, ok_s), (prior, dprior, ok_p) = \
             self.model.mean_scale_prior_grad(points)
@@ -143,7 +146,7 @@ class PosteriorContext:
             s3 = s2 * s
             # math.log, not np.log, which may differ in the last bit
             log_s = np.array([math.log(v) if v > 0.0 else math.nan for v in s.tolist()])
-            value = -horizon * log_s - rss / (2.0 * s2) + prior
+            value = -2.0 * (-horizon * log_s - rss / (2.0 * s2) + prior)
             # dL = -T ds/s + (sum res) dm / s^2 + rss ds / s^3 + dprior, summed
             # per component in that order
             c_ds = -horizon / s
@@ -151,7 +154,7 @@ class PosteriorContext:
             c_ds3 = rss / s3
             grad = -2.0 * (c_ds[:, None] * ds + c_dm[:, None] * dm + c_ds3[:, None] * ds + dprior)
         ok = ok_m & ok_s & ok_p & (s > 0.0) & (s3 != 0.0) & np.isfinite(value)
-        return -2.0 * value, grad, ok
+        return value, grad, ok
 
     def neg2l_grad(self, omega: np.ndarray, k: int = 0) -> tuple[float, list[float]]:
         """Value and exact gradient of -2L for row ``k``, bit for bit what
@@ -210,7 +213,8 @@ class PosteriorContext:
         reason is the first of these tests that fails: the row is not
         finite; an expression is undefined (the reason its compiled closure
         names); the scale is not positive; its fourth power (Hessian) or its
-        cube underflows; -2L is not finite."""
+        cube underflows; -2L is not finite, which it also is where L is
+        finite but above half the largest float."""
         if not self.finite[k]:
             return "observation vector must be finite"
         (_, _, _, why_m), (s, _, _, why_s), (_, _, _, why_p) = \
@@ -225,4 +229,4 @@ class PosteriorContext:
             return f"scale {s} is too small: its fourth power underflows"
         if s * s * s == 0.0:
             return f"scale {s} is too small: its cube underflows"
-        return f"log-posterior is not finite ({-0.5 * float(neg2l)})"
+        return f"-2 log-posterior is not finite ({float(neg2l)})"

@@ -147,9 +147,10 @@ class LcdConfig:
         return 128 if d <= 3 else 64 if d <= 7 else 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiracMixture:
-    """M equally weighted points (weight exactly 1/M each) in d dimensions."""
+    """M equally weighted points (weight exactly 1/M each) in d dimensions.
+    It holds an array, so it equals and hashes as itself only."""
 
     dim: int
     count: int

@@ -90,8 +90,11 @@ class RunRecord:
     local_variances: dict[str, float] | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartIResult:
+    """The Part I fit of one horizon.  It holds an array, so it equals and
+    hashes as itself only."""
+
     horizon: int
     z_rep: np.ndarray
     run: RunRecord

@@ -1,12 +1,12 @@
 import math
 
 import numpy as np
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, settings, strategies as st
 
 from obscheck import InfeasiblePointError, LcdConfig, PosteriorContext
-from obscheck.expressions import DomainError, eval_expr
+from obscheck.expressions import Binary, DomainError, Literal, Param, Unary
 
-from tree_walker import eval_hessian
+from tree_walker import eval_expr, eval_hessian
 
 settings.register_profile(
     "default",
@@ -22,6 +22,33 @@ settings.load_profile("default")
 # Desk-scale placement budget: quality plateaus well before the default
 # iteration cap, and the studies whiten to exact covariance regardless.
 DESK_LCD = LcdConfig(max_iters=150)
+
+
+def _expr_strategy():
+    """Expression trees in the parameters a, b and c with up to 12 leaves."""
+    leaves = st.one_of(
+        st.floats(0.1, 9.9).map(lambda v: Literal(float(v))),
+        st.sampled_from(["a", "b", "c"]).map(Param),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(st.sampled_from(["sqrt", "log", "exp", "abs", "neg"]), children).map(
+                lambda t: Unary(*t)
+            ),
+            st.tuples(st.sampled_from(["+", "-", "*", "/", "^"]), children, children).map(
+                lambda t: Binary(t[0], t[1], t[2])
+            ),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+# signed zeros, values whose square underflows, and points off the domain
+_POINTS = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.sampled_from([0.0, -0.0, 1e-200, -1e-200, 1e200]),
+)
 
 
 def central_difference_hessian(grad, x):
@@ -86,7 +113,7 @@ class _TreeWalkerContext(PosteriorContext):
     expression trees, as the reference for the compiled closures.  Each
     raises the reason of the first test that fails, in this order: the row
     is not finite, an expression raises, the scale is not positive, its
-    fourth power (Hessian) or its cube underflows, and L is not finite;
+    fourth power (Hessian) or its cube underflows, and -2L is not finite;
     :meth:`log_posterior` and :meth:`neg2l` raise where the gradient does."""
 
     def log_posterior(self, omega, k=0):
@@ -113,12 +140,12 @@ class _TreeWalkerContext(PosteriorContext):
         s2 = s * s
         if s2 * s == 0.0:
             raise InfeasiblePointError(f"scale {s} is too small: its cube underflows")
-        value = -t * math.log(s) - rss / (2.0 * s2) + prior
-        if not math.isfinite(value):
-            raise InfeasiblePointError(f"log-posterior is not finite ({value})")
+        neg2l = -2.0 * (-t * math.log(s) - rss / (2.0 * s2) + prior)
+        if not math.isfinite(neg2l):
+            raise InfeasiblePointError(f"-2 log-posterior is not finite ({neg2l})")
         dm, ds, dprior = np.array(dm), np.array(ds), np.array(dprior)
         grad_l = (-t / s) * ds + (sum_res / s2) * dm + (rss / (s2 * s)) * ds + dprior
-        return -2.0 * value, -2.0 * grad_l
+        return neg2l, -2.0 * grad_l
 
     def hessian_neg2l(self, omega, k=0):
         return reference_hessian(self, omega, k)

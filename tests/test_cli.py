@@ -109,6 +109,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("field,text,true_value", [
         ("mean", "sqrt(a)", -1.0),
         ("log_prior", "log(a - 1)", 0.4),
+        ("mean", "a^0.5", 0.0),  # a value, but no gradient: no fit could start
     ])
     def test_model_undefined_at_true_values_exit_one(self, tmp_path, capsys, field,
                                                      text, true_value):
@@ -183,17 +184,16 @@ class TestRunCommand:
         assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("params,mean,scale,message", [
-        ([{"name": "a", "true_value": 0.0, "lower": 0.0}], "a^0.5", "1",
-         "derivative of power undefined at zero base"),
+        ([{"name": "b", "true_value": 1e200}], "0", "b", "-2 log-posterior is not finite"),
         ([{"name": "b", "true_value": 1e-120}], "0", "b", "its cube underflows"),
         ([{"name": "b", "true_value": 1e308}], "0", "b * 1.6",
          "observation vector must be finite"),
     ])
     def test_infeasible_start_everywhere_exit_three(self, tmp_path, capsys, params, mean,
                                                     scale, message):
-        # the gradient is undefined at the true values, or every design
-        # observation vector overflows, so every fit, Part I included, starts
-        # infeasible and ends as a failed record
+        # the scale's square overflows or its cube underflows at the true
+        # values, or every design observation vector overflows, so every fit,
+        # Part I included, starts infeasible and ends as a failed record
         model = tmp_path / "model.json"
         model.write_text(json.dumps({"parameters": params, "mean": mean, "scale": scale}))
         out = tmp_path / "report.json"

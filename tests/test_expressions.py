@@ -13,13 +13,12 @@ from obscheck.expressions import (
     Unary,
     collect_params,
     compile_expr,
-    eval_expr,
     format_expr,
     parse_expr,
 )
 
-from conftest import central_difference_hessian
-from tree_walker import eval_hessian
+from conftest import _POINTS, _expr_strategy, central_difference_hessian
+from tree_walker import eval_expr, eval_hessian
 
 
 class TestParsing:
@@ -177,25 +176,6 @@ def test_eval_grad_value_bit_equals_eval(text, a, b):
     assert value == eval_expr(parse_expr(text), params)
 
 
-def _expr_strategy():
-    leaves = st.one_of(
-        st.floats(0.1, 9.9).map(lambda v: Literal(float(v))),
-        st.sampled_from(["a", "b", "c"]).map(Param),
-    )
-
-    def extend(children):
-        return st.one_of(
-            st.tuples(st.sampled_from(["sqrt", "log", "exp", "abs", "neg"]), children).map(
-                lambda t: Unary(*t)
-            ),
-            st.tuples(st.sampled_from(["+", "-", "*", "/", "^"]), children, children).map(
-                lambda t: Binary(t[0], t[1], t[2])
-            ),
-        )
-
-    return st.recursive(leaves, extend, max_leaves=12)
-
-
 @given(_expr_strategy())
 def test_parse_print_parse_round_trip(expr):
     assert parse_expr(format_expr(expr)) == expr
@@ -226,13 +206,6 @@ def _compiled_outcomes(expr, points, order):
         (values[i].tobytes(), grads[i].tobytes()) if feasible[i] else ("infeasible", reasons[i])
         for i in range(len(points))
     ]
-
-
-# signed zeros, values whose square underflows, and points off the domain
-_POINTS = st.one_of(
-    st.floats(-4.0, 4.0),
-    st.sampled_from([0.0, -0.0, 1e-200, -1e-200, 1e200]),
-)
 
 
 @given(_expr_strategy(), st.lists(st.tuples(_POINTS, _POINTS, _POINTS), min_size=1, max_size=4))

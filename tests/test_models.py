@@ -1,11 +1,17 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from obscheck import ModelError, bundled_model_names, load_model
+from obscheck import ModelError, ModelSpec, ParamSpec, bundled_model_names, load_model
+from obscheck.expressions import DomainError
 from obscheck.models import model_from_dict
+
+from conftest import _POINTS, _expr_strategy
+from tree_walker import eval_expr, eval_hessian
 
 
 def test_bundled_models_all_load():
@@ -94,6 +100,7 @@ def test_scale_must_be_evaluable_at_true_values():
         ("mean", [{"name": "a", "true_value": -1.0}], "sqrt(a)"),
         ("log_prior", [{"name": "b", "true_value": 0.4}], "log(b - 1)"),
         ("mean", [{"name": "a", "true_value": 1000.0}], "exp(a)"),
+        ("mean", [{"name": "a", "true_value": 0.0}], "a^0.5"),  # a value, but no gradient
     ],
 )
 def test_mean_and_log_prior_must_be_evaluable_at_true_values(field, params, text):
@@ -160,3 +167,57 @@ def test_valid_parameter_values_are_accepted(param):
     data = {"parameters": [{"name": "a", "true_value": 0.6, **param}],
             "mean": "a", "scale": "1"}
     assert model_from_dict(data).true_values() == {"a": 0.6}
+
+
+def _walker_load_error(exprs, values):
+    """The message of the check at the true values ``values`` done by the
+    tree walker, or None where the model loads: mean, scale and log-prior in
+    turn must have a value and a gradient, the scale must be positive and
+    each value finite."""
+    for label, expr in zip(("mean", "scale", "log_prior"), exprs):
+        try:
+            value = eval_hessian(expr, values, list(values))[0]
+        except (DomainError, OverflowError) as exc:
+            return f"{label} is not evaluable at the true values: {exc}"
+        if label == "scale" and not value > 0.0:
+            return f"scale must be strictly positive at the true values, got {value}"
+        if not math.isfinite(value):
+            return f"{label} is not finite at the true values: {value}"
+    return None
+
+
+def _load_error(names, exprs, point):
+    try:
+        ModelSpec("m", tuple(ParamSpec(n, v) for n, v in zip(names, point)), *exprs)
+    except ModelError as exc:
+        return str(exc)
+    return None
+
+
+@given(st.tuples(_expr_strategy(), _expr_strategy(), _expr_strategy()),
+       st.tuples(_POINTS, _POINTS, _POINTS))
+def test_load_check_equals_the_tree_walkers(exprs, point):
+    # a model loads exactly where the walker gives the three values and their
+    # gradients, and is rejected with the walker's message elsewhere
+    names = ("a", "b", "c")
+    assert _load_error(names, exprs, point) == \
+        _walker_load_error(exprs, dict(zip(names, point)))
+
+
+@pytest.mark.parametrize("name", bundled_model_names())
+@given(point=st.tuples(_POINTS, _POINTS))
+def test_bundled_load_check_and_mean_scale_equal_the_tree_walkers(name, point):
+    # at the true values and at other points taken as true values
+    model = load_model(name)
+    exprs = (model.mean_expr, model.scale_expr, model.log_prior_expr)
+    for omega in (model.true_vector().tolist(), list(point[: len(model.params)])):
+        values = dict(zip(model.param_names, omega))
+        assert _load_error(model.param_names, exprs, omega) == _walker_load_error(exprs, values)
+        try:
+            want = [eval_expr(e, values) for e in exprs[:2]]
+        except (DomainError, OverflowError) as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                model.mean_scale(omega)
+            continue
+        assert np.array(model.mean_scale(omega)).tobytes() == np.array(want).tobytes()
+        assert all(type(v) is float for v in model.mean_scale(np.array(omega)))

@@ -230,7 +230,7 @@ def test_statistics_bit_equal_the_per_row_reduction(horizon):
     for k in (1, 2):
         with pytest.raises(InfeasiblePointError, match="observation vector must be finite"):
             ctx.neg2l_grad([0.8], k)
-    with pytest.raises(InfeasiblePointError, match=r"log-posterior is not finite \("):
+    with pytest.raises(InfeasiblePointError, match=r"-2 log-posterior is not finite \("):
         ctx.neg2l_grad([0.8], 3)
 
 
@@ -302,7 +302,7 @@ FAILURE_KINDS = {
     "scale is not positive": ("signed_scale", [0.0]),
     "its cube underflows": ("ratio_mean_scale_sqrt_ab", [3.6e-221, 1.0]),
     "its fourth power underflows": ("unknown_variance", [1e-165]),
-    "log-posterior is not finite": ("unknown_variance", [0.8]),  # row 2: Q overflows
+    "-2 log-posterior is not finite": ("unknown_variance", [0.8]),  # row 2: Q overflows
     "observation vector must be finite": ("product_mean", [0.6, 0.4]),  # row 1
 }
 ONE_PARAMETER = {
@@ -341,6 +341,19 @@ def test_reasons_equal_the_tree_walkers():
                         seen.add(got[1])
     for kind in FAILURE_KINDS:
         assert any(kind in reason for reason in seen), kind
+
+
+def test_neg2l_that_overflows_is_infeasible():
+    # L = exp(709.5), about 1.36e308, is finite, but -2L overflows
+    model = model_from_dict({"parameters": [{"name": "a", "true_value": 0.0}],
+                             "mean": "0", "scale": "1", "log_prior": "exp(a)"})
+    ctx = PosteriorContext(model, np.zeros(2))
+    assert not ctx.neg2l_grad_rows([0], np.array([[709.5]]))[2][0]
+    for method in (ctx.neg2l_grad, ctx.neg2l, ctx.log_posterior):
+        with pytest.raises(InfeasiblePointError) as raised:
+            method([709.5])
+        assert str(raised.value) == "-2 log-posterior is not finite (-inf)"
+    assert ctx.log_posterior([709.0]) == math.exp(709.0)
 
 
 def test_contexts_compare_and_hash_by_identity():

@@ -15,10 +15,15 @@ import obscheck
 from obscheck import (
     NOT_OBSERVABLE,
     OBSERVABLE,
+    DiracMixture,
+    PartIResult,
+    PosteriorContext,
     StudyConfig,
+    check_maximum,
     bundled_model_names,
     load_model,
     make_design_observations,
+    maximize,
     plot_csv,
     report_from_json,
     report_to_json,
@@ -240,7 +245,7 @@ def test_overflowing_statistics_fail_without_numpy_warning():
                              "mean": "0", "scale": "b"})
     cfg = small_config(model, T_list=(2,), K=8)
     runs = [run_part1(model, 2, cfg).run, *run_part2(model, 2, 8, cfg).records]
-    assert {r.reason for r in runs} == {"infeasible start: log-posterior is not finite (nan)"}
+    assert {r.reason for r in runs} == {"infeasible start: -2 log-posterior is not finite (nan)"}
 
 
 def test_infeasible_rows_are_not_fitted_again(monkeypatch):
@@ -256,7 +261,7 @@ def test_infeasible_rows_are_not_fitted_again(monkeypatch):
     assert [r.passed for r in records] == [True, False, False, True]
     assert [r.reason for r in records[1:3]] == [
         "infeasible start: observation vector must be finite",
-        "infeasible start: log-posterior is not finite (-inf)",
+        "infeasible start: -2 log-posterior is not finite (inf)",
     ]
     assert records[1].estimates is None and records[1].iterations == 0
 
@@ -362,3 +367,20 @@ def test_study_config_validation():
         StudyConfig(model=VARIANCE_ONLY, T_list=())
     with pytest.raises(ValueError):
         StudyConfig(model=VARIANCE_ONLY, T_list=(4,), K=1)
+
+
+def test_results_that_hold_arrays_compare_and_hash_by_identity():
+    # generated methods would compare numpy arrays, which have no truth
+    # value, and hash them, which numpy does not allow
+    ctx = PosteriorContext(MEAN_AND_VARIANCE, np.array([0.3, 1.1, -0.4, 0.9]))
+    fits = [maximize(ctx, [0.6, 0.4]) for _ in range(2)]
+    checks = [check_maximum(ctx, fit) for fit in fits]
+    mixtures = [DiracMixture(dim=2, count=2, points=[[1.0, 0.0], [-1.0, 0.0]])
+                for _ in range(2)]
+    (record,) = _fit_blocks(MEAN_AND_VARIANCE, [np.array([0.3, 1.1, -0.4, 0.9])],
+                            small_config(MEAN_AND_VARIANCE))[0]
+    part1 = [PartIResult(horizon=4, z_rep=np.array([0.3, 1.1, -0.4, 0.9]), run=record)
+             for _ in range(2)]
+    for a, b in (fits, checks, mixtures, part1):
+        assert a == a and a != b and not a == b
+        assert {a: 1, b: 2}[a] == 1 and hash(a) == hash(a)

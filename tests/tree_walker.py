@@ -5,7 +5,7 @@ Hessian by second-order forward mode (Griewank & Walther, *Evaluating
 Derivatives*, 2nd ed., 2008), one rule per node on Python floats.  The
 compiled closures must give each point its value, gradient and Hessian bit
 for bit, and must mark a point infeasible exactly where this raises, with
-the message it raises.  It shares the scalar rules of
+the message it raises.  :func:`eval_expr` is its value alone.  It shares the scalar rules of
 :mod:`obscheck.expressions` (``_apply_unary``, ``_apply_binary``,
 ``_power_rule``), which the compiled closures run as well.
 """
@@ -35,6 +35,13 @@ def eval_hessian(
     Hessian, exactly symmetric, raises no error of its own.  The derivatives
     of ``abs`` at 0 are defined as 0."""
     return _jet(e, params, {name: i for i, name in enumerate(order)}, len(order))
+
+
+def eval_expr(e: Expr, params: dict[str, float]) -> float:
+    """The value of ``e`` at the named parameter values, where
+    :func:`eval_hessian` gives one; ``KeyError`` for a parameter of ``e`` that
+    ``params`` lacks."""
+    return eval_hessian(e, params, list(params))[0]
 
 
 def _jet(e: Expr, params: dict[str, float], index: dict[str, int], n: int):
