@@ -144,12 +144,15 @@ class ModelSpec:
         return (mean(points, reasons=reasons), scale(points, reasons=reasons),
                 prior(points, reasons=reasons))
 
-    def mean_scale_prior_hessian(self, points: np.ndarray):
+    def mean_scale_prior_hessian(self, points: np.ndarray, reasons: bool = False):
         """(values, gradients, Hessians, feasible) for mean, scale and
         log-prior at each row of ``points``, as :meth:`mean_scale_prior_grad`
-        with the Hessians (k, n, n) as well."""
+        with the Hessians (k, n, n) as well, and the reasons after the mask
+        with ``reasons=True``."""
         mean, scale, prior = self._compiled
-        return mean(points, hessian=True), scale(points, hessian=True), prior(points, hessian=True)
+        return (mean(points, hessian=True, reasons=reasons),
+                scale(points, hessian=True, reasons=reasons),
+                prior(points, hessian=True, reasons=reasons))
 
     def to_dict(self) -> dict:
         return {

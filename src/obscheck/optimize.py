@@ -6,10 +6,12 @@ infeasible trial points are rejected by the line search.  One loop,
 over numpy arrays with one row per fit, and gives each row the result a fit
 on its own would; :func:`maximize` is that loop on a one-row context.  The
 fit asks the context for one thing, -2L and its gradient for many rows at
-once (``neg2l_grad_rows``).  :func:`check_rows` checks many maxima at once:
-it asks for all their Hessians in one call (``hessian_neg2l_rows``) and
-decomposes the stack with one ``eigh``; :func:`check_maximum` and
-:func:`local_variance` are that on one maximum.
+once (``neg2l_grad_rows``), and once more for the reasons of the
+infeasible starts.  :func:`check_rows` checks many maxima at once: it asks
+for all their Hessians in one call (``hessian_neg2l_rows``), once more for
+the reasons of the infeasible ones, and decomposes the stack with one
+``eigh``; :func:`check_maximum` and :func:`local_variance` are that on one
+maximum.
 
 Near a maximum, -2L differences fall to rounding noise and Armijo's test
 decides on that noise, so a feasible trial that Armijo rejects is accepted
@@ -41,8 +43,8 @@ import numpy as np
 from .posterior import InfeasiblePointError
 
 __all__ = [
-    "OptConfig", "MaxResult", "CheckReport", "maximize", "maximize_rows", "start_error",
-    "check_maximum", "check_rows", "local_variance",
+    "OptConfig", "MaxResult", "CheckReport", "maximize", "maximize_rows", "check_maximum",
+    "check_rows", "local_variance",
 ]
 
 # L-BFGS history length, iteration cap, Armijo constant and backtracking
@@ -127,8 +129,8 @@ def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
     points are projected onto the declared box bounds and rejected (treated
     as +inf) when infeasible, including when only the gradient is undefined
     there.  Deterministic given identical inputs.  Raises ``ValueError`` if
-    ``x0`` itself is infeasible, chained from the context's
-    ``InfeasiblePointError`` (see :func:`start_error`); a line search that
+    ``x0`` itself is infeasible, chained from the ``InfeasiblePointError``
+    that :func:`maximize_rows` gives for the row; a line search that
     finds no acceptable step, or the iteration cap, ends the fit with
     ``converged=False`` at the last accepted point.  A context with more
     than one row is a ``ValueError``: :func:`maximize_rows` fits those.
@@ -137,20 +139,23 @@ def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
         raise ValueError(f"maximize fits a one-row context, not {len(ctx)} rows; "
                          f"fit them with maximize_rows")
     (result,) = maximize_rows(ctx, x0, cfg)
-    if result is None:
-        error = start_error(ctx, x0)
-        raise ValueError(f"infeasible starting point: {error}") from error
+    if isinstance(result, InfeasiblePointError):
+        raise ValueError(f"infeasible starting point: {result}") from result
     return result
 
 
-def maximize_rows(ctx, x0, cfg: OptConfig = OptConfig()) -> list[MaxResult | None]:
+def maximize_rows(ctx, x0, cfg: OptConfig = OptConfig()) -> list:
     """Maximize the log-posterior of every row of ``ctx`` from ``x0``.
 
     This is the one fit contract.  ``ctx`` has ``len(ctx)`` rows,
     ``param_names``, ``bounds()`` and ``neg2l_grad_rows(rows, points) ->
     (values, gradients, feasible)``, which evaluates -2L for row ``rows[i]``
     at ``points[i]``; :class:`~obscheck.posterior.PosteriorContext` provides
-    them.  The entry of a row whose start is infeasible is None.
+    them.  The entry of a row is its ``MaxResult`` or, where the start
+    (``x0`` projected onto the bounds) is infeasible, an
+    ``InfeasiblePointError`` with the reason that one more call,
+    ``neg2l_grad_rows(rows, starts, reasons=True)`` for all those rows,
+    names after the mask.
 
     The rows advance in lock-step: in each round every unfinished row
     evaluates exactly one trial, the first step of a new iteration or a
@@ -219,26 +224,15 @@ def maximize_rows(ctx, x0, cfg: OptConfig = OptConfig()) -> list[MaxResult | Non
             active[stepped] = ~converged[stepped] & (iterations[stepped] < _MAX_ITERS)
             tries[stepped] = 0
 
+    failed = np.flatnonzero(~started)  # these rows never left their start
+    why = iter(ctx.neg2l_grad_rows(failed, x[failed], reasons=True)[-1] if failed.size else ())
     return [
         MaxResult(omega_hat=x[i], param_names=names, converged=bool(converged[i]),
                   iterations=int(iterations[i]), grad_inf_norm=float(grad_inf[i]),
                   trace=tuple(traces[i]))
-        if started[i] else None
+        if started[i] else InfeasiblePointError(next(why))
         for i in range(count)
     ]
-
-
-def start_error(ctx, x0, k: int = 0) -> InfeasiblePointError | None:
-    """Why row ``k`` of ``ctx`` cannot start a fit at ``x0``: the
-    ``InfeasiblePointError`` that ``ctx.neg2l_grad(start, k)`` raises at the
-    start :func:`maximize_rows` takes, ``x0`` projected onto the bounds; None
-    where the start is feasible."""
-    start = _project(np.array([x0], dtype=float), _box(ctx.bounds()))[0].tolist()
-    try:
-        ctx.neg2l_grad(start, k)
-    except InfeasiblePointError as exc:
-        return exc
-    return None
 
 
 def _box(bounds):
@@ -372,9 +366,9 @@ def check_rows(ctx, rows, results: list[MaxResult],
     maximum of row ``rows[i]`` of ``ctx``.
 
     The context provides ``hessian_neg2l_rows(rows, points) -> (hessians,
-    feasible)``, the (k, n, n) Hessians of -2L, and, for a point where it is
-    infeasible, ``hessian_neg2l(omega, k)``, which raises the reason.  The
-    gradient check reads ``grad_inf_norm``, which :func:`maximize_rows`
+    feasible)``, the (k, n, n) Hessians of -2L; one more call with
+    ``reasons=True`` names, after the mask, why the infeasible points are.
+    The gradient check reads ``grad_inf_norm``, which :func:`maximize_rows`
     computed at ``omega_hat``, so the gradient is not evaluated again.
     Positive definiteness, the eigenvalue ratio and the local variances all
     come from one symmetric eigendecomposition of each Hessian, so they
@@ -394,9 +388,15 @@ def _curvatures(ctx, rows, points: np.ndarray) -> list:
     -2L Hessian of row ``rows[i]`` at ``points[i]``, or the error that makes
     them undefined.  The finite Hessians go to ``eigh`` as one stack; as one
     matrix that does not converge makes the whole stack raise, the stack
-    then goes matrix by matrix, as does every Hessian that is not finite."""
+    then goes matrix by matrix, as does every feasible Hessian that is not
+    finite."""
     hess, feasible = ctx.hessian_neg2l_rows(rows, points)
     out = [None] * len(points)
+    failed = np.flatnonzero(~feasible)
+    if failed.size:
+        why = ctx.hessian_neg2l_rows(np.asarray(rows)[failed], points[failed], reasons=True)[-1]
+        for i, reason in zip(failed.tolist(), why):
+            out[i] = InfeasiblePointError(reason)
     stack = np.flatnonzero(feasible & np.isfinite(hess).all(axis=(1, 2)))
     if stack.size:
         try:
@@ -407,11 +407,9 @@ def _curvatures(ctx, rows, points: np.ndarray) -> list:
             pass
     for i in [i for i, c in enumerate(out) if c is None]:
         try:
-            if not feasible[i]:
-                ctx.hessian_neg2l(points[i], rows[i])  # raises the reason
             eigvals, lvar = _curvature(hess[i:i + 1])
             out[i] = eigvals[0], lvar[0]
-        except (InfeasiblePointError, np.linalg.LinAlgError) as exc:
+        except np.linalg.LinAlgError as exc:
             out[i] = exc
     return out
 

@@ -26,15 +26,15 @@ There is one path and one feasibility rule.  The fit calls
 :meth:`~PosteriorContext.neg2l_grad_rows` and the checks
 :meth:`~PosteriorContext.hessian_neg2l_rows`; both evaluate many rows at
 once through the model's compiled closures, the package's one expression
-evaluator, and mark the points where the value is undefined.  Every
-one-shot method is one of them on one point:
+evaluator, and take their mask from one ordered list of tests; with
+``reasons=True`` they name each infeasible point's first failing test.
+Every one-shot method is one of them on one point:
 :meth:`~PosteriorContext.neg2l_grad`, :meth:`~PosteriorContext.neg2l` and
 :meth:`~PosteriorContext.log_posterior` are the first, so they raise
 wherever the gradient is undefined, and
 :meth:`~PosteriorContext.hessian_neg2l` is the second.  They raise
-:class:`InfeasiblePointError` with the first test of that path that fails,
-and an expression's reason is the one its compiled closure names.  All
-take a row index ``k``.  The fit itself never asks for curvature.
+:class:`InfeasiblePointError` with that reason.  All take a row index
+``k``.  The fit itself never asks for curvature.
 """
 
 from __future__ import annotations
@@ -130,14 +130,14 @@ class PosteriorContext:
         wherever the gradient is undefined."""
         return self.neg2l_grad(omega, k)[0]
 
-    def neg2l_grad_rows(self, rows, points: np.ndarray):
+    def neg2l_grad_rows(self, rows, points: np.ndarray, reasons: bool = False):
         """-2L and its gradient at ``points[i]`` given row ``rows[i]``: values
-        (k,), gradients (k, n) and the mask (k,) of the feasible points, where
-        the expressions and their gradients are defined, the scale is
-        positive, its cube does not underflow and -2L is finite."""
+        (k,), gradients (k, n) and the mask (k,) of the feasible points (see
+        :meth:`_feasibility`).  With ``reasons=True`` a list follows the mask
+        that names why each infeasible point is (None for a feasible one)."""
         horizon = self.horizon[rows]
-        (m, dm, ok_m), (s, ds, ok_s), (prior, dprior, ok_p) = \
-            self.model.mean_scale_prior_grad(points)
+        exprs = self.model.mean_scale_prior_grad(points, reasons=reasons)
+        (m, dm, ok_m), (s, ds, ok_s), (prior, dprior, ok_p) = (e[:3] for e in exprs)
         with np.errstate(all="ignore"):  # infeasible rows compute garbage
             d = self.obs_mean[rows] - m
             sum_res = horizon * d
@@ -153,35 +153,35 @@ class PosteriorContext:
             c_dm = sum_res / s2
             c_ds3 = rss / s3
             grad = -2.0 * (c_ds[:, None] * ds + c_dm[:, None] * dm + c_ds3[:, None] * ds + dprior)
-        ok = ok_m & ok_s & ok_p & (s > 0.0) & (s3 != 0.0) & np.isfinite(value)
-        return value, grad, ok
+        return (value, grad,
+                *self._feasibility(rows, exprs, ok_m & ok_s & ok_p, s, s3, value, reasons))
 
     def neg2l_grad(self, omega: np.ndarray, k: int = 0) -> tuple[float, list[float]]:
         """Value and exact gradient of -2L for row ``k``, bit for bit what
         :meth:`neg2l_grad_rows` gives; the gradient is a list of floats laid
         out like :attr:`param_names`."""
         point = np.asarray(omega, dtype=float).reshape(1, -1)
-        value, grad, ok = self.neg2l_grad_rows([k], point)
+        value, grad, ok, why = self.neg2l_grad_rows([k], point, reasons=True)
         if not ok[0]:
-            raise InfeasiblePointError(self._infeasibility(point, k, value[0]))
+            raise InfeasiblePointError(why[0])
         return float(value[0]), grad[0].tolist()
 
-    def hessian_neg2l_rows(self, rows, points: np.ndarray):
+    def hessian_neg2l_rows(self, rows, points: np.ndarray, reasons: bool = False):
         """Exact Hessians of -2L at ``points[i]`` given row ``rows[i]``: a
-        (k, n, n) array and the mask (k,) of the feasible points.
+        (k, n, n) array and the mask (k,) of the feasible points (see
+        :meth:`_feasibility`), followed with ``reasons=True`` by the list
+        that names why each infeasible point is.
 
         -2L = phi(m, s) - 2 log p(omega), where phi = 2T log s
         + (Q + T (zbar - m)^2) / s^2, so the Hessian follows by the chain rule
         from the gradients and Hessians of the mean, the scale and the
-        log-prior.  A point is infeasible where an expression is undefined,
-        the scale is not positive or its fourth power underflows, or for a
-        row that is not finite.  Every entry is a sum of terms symmetric in
-        (i, j) bit for bit, so each matrix is too.
+        log-prior.  Every entry is a sum of terms symmetric in (i, j) bit for
+        bit, so each matrix is too.
         """
         rows = np.asarray(rows, dtype=np.intp)
         t = self.horizon[rows]
-        (m, dm, hm, ok_m), (s, ds, hs, ok_s), (_, _, hp, ok_p) = \
-            self.model.mean_scale_prior_hessian(points)
+        exprs = self.model.mean_scale_prior_hessian(points, reasons=reasons)
+        (m, dm, hm, ok_m), (s, ds, hs, ok_s), (_, _, hp, ok_p) = (e[:4] for e in exprs)
         with np.errstate(all="ignore"):  # infeasible rows compute garbage
             d = self.obs_mean[rows] - m
             s2 = s * s
@@ -194,39 +194,46 @@ class PosteriorContext:
             dm_i, dm_j, ds_i, ds_j = dm[:, :, None], dm[:, None, :], ds[:, :, None], ds[:, None, :]
             hess = (phi_m * hm + phi_s * hs + phi_mm * (dm_i * dm_j)
                     + phi_ms * (dm_i * ds_j + ds_i * dm_j) + phi_ss * (ds_i * ds_j) - 2.0 * hp)
-        ok = ok_m & ok_s & ok_p & (s > 0.0) & (s4 != 0.0) & self.finite[rows]
-        return hess, ok
+        return (hess, *self._feasibility(rows, exprs, ok_m & ok_s & ok_p, s, s4, None, reasons))
 
     def hessian_neg2l(self, omega: np.ndarray, k: int = 0) -> np.ndarray:
         """Exact Hessian of -2L for row ``k``, bit for bit what
         :meth:`hessian_neg2l_rows` gives."""
         point = np.asarray(omega, dtype=float).reshape(1, -1)
-        hess, ok = self.hessian_neg2l_rows([k], point)
+        hess, ok, why = self.hessian_neg2l_rows([k], point, reasons=True)
         if not ok[0]:
-            raise InfeasiblePointError(self._infeasibility(point, k))
+            raise InfeasiblePointError(why[0])
         return hess[0]
 
-    def _infeasibility(self, point: np.ndarray, k: int, neg2l: float | None = None) -> str:
-        """Why -2L and its gradient are undefined at the one point ``point``
-        (a (1, n) array) for row ``k``, where :meth:`neg2l_grad_rows` gave
-        -2L = ``neg2l``, or why the Hessian is when ``neg2l`` is None.  The
-        reason is the first of these tests that fails: the row is not
-        finite; an expression is undefined (the reason its compiled closure
-        names); the scale is not positive; its fourth power (Hessian) or its
-        cube underflows; -2L is not finite, which it also is where L is
-        finite but above half the largest float."""
-        if not self.finite[k]:
-            return "observation vector must be finite"
-        (_, _, _, why_m), (s, _, _, why_s), (_, _, _, why_p) = \
-            self.model.mean_scale_prior_grad(point, reasons=True)
-        why = why_m[0] or why_s[0] or why_p[0]
-        if why is not None:
-            return why
-        s = s.item()
-        if not s > 0.0:
-            return f"scale is not positive ({s})"
-        if neg2l is None:  # the one test of the Hessian left
-            return f"scale {s} is too small: its fourth power underflows"
-        if s * s * s == 0.0:
-            return f"scale {s} is too small: its cube underflows"
-        return f"-2 log-posterior is not finite ({float(neg2l)})"
+    def _feasibility(self, rows, exprs, defined, s, power, neg2l, reasons):
+        """The one feasibility rule at points of rows ``rows``, for -2L and its
+        gradient (``power`` the scale ``s`` cubed, ``neg2l`` -2L) or for the
+        Hessian (``power`` s^4, ``neg2l`` None).  A point is feasible where it
+        passes these tests, in this order: 1. the row is finite; 2. mean,
+        scale and log-prior and their derivatives are defined (``defined``);
+        3. the scale is positive; 4. its cube or fourth power does not
+        underflow; 5. for the gradient, -2L is finite, which it is not where L
+        is finite but above half the largest float.  Returns the mask (k,)
+        and, with ``reasons=True``, the list that names the first test each
+        infeasible point fails (None for a feasible one): for the second, the
+        reason that the closures' outputs ``exprs`` give after their mask."""
+        finite, positive, representable = self.finite[rows], s > 0.0, power != 0.0
+        feasible = finite & defined & positive & representable
+        if neg2l is not None:
+            feasible &= np.isfinite(neg2l)
+        if not reasons:
+            return (feasible,)
+        why = [None] * len(feasible)
+        for i in np.flatnonzero(~feasible).tolist():
+            if not finite[i]:
+                why[i] = "observation vector must be finite"
+            elif not defined[i]:
+                why[i] = next(e[-1][i] for e in exprs if e[-1][i] is not None)
+            elif not positive[i]:
+                why[i] = f"scale is not positive ({float(s[i])})"
+            elif not representable[i]:
+                name = "fourth power" if neg2l is None else "cube"
+                why[i] = f"scale {float(s[i])} is too small: its {name} underflows"
+            else:
+                why[i] = f"-2 log-posterior is not finite ({float(neg2l[i])})"
+        return feasible, why

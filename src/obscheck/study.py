@@ -26,7 +26,6 @@ from .models import ModelSpec
 # traces them by name
 from .optimize import (  # noqa: F401
     CheckReport, MaxResult, OptConfig, check_maximum, check_rows, maximize, maximize_rows,
-    start_error,
 )
 from .posterior import InfeasiblePointError, PosteriorContext
 from .samples import LcdConfig, design_disturbance_matrix, representative_disturbances
@@ -74,10 +73,11 @@ class StudyConfig:
             raise ValueError("K must be >= 2")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunRecord:
-    """One maximization and its checks; after an infeasible start every fit
-    field is None (``iterations`` 0) and ``reason`` says why."""
+    """One maximization and its checks, equal to and hashed as itself only.
+    After an infeasible start every fit field is None (``iterations`` 0) and
+    ``reason`` says why."""
 
     k: int
     estimates: dict[str, float] | None
@@ -106,8 +106,10 @@ class PartIResult:
         return self.run.passed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartIIResult:
+    """The Part II fits of one horizon; it equals and hashes as itself only."""
+
     horizon: int
     records: tuple[RunRecord, ...]
     n_passed: int
@@ -118,8 +120,10 @@ class PartIIResult:
     median_grad_inf_norm: float | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StudyReport:
+    """A study and its verdict; it equals and hashes as itself only."""
+
     model: ModelSpec
     T_list: tuple[int, ...]
     K: int
@@ -216,13 +220,11 @@ def _fit_blocks(model: ModelSpec, blocks: list[np.ndarray],
     """Fit every row of every block of observation vectors (a vector is one
     row) in one lock-step run and check every maximum in one batched pass;
     the records of each block, in row order.  A row whose start is
-    infeasible fails with the reason the posterior gives for that row."""
+    infeasible fails with the error :func:`maximize_rows` returns for it."""
     ctx = PosteriorContext(model, blocks)
-    x0 = model.true_vector()
-    results = maximize_rows(ctx, x0, cfg.opt)
-    fitted = [i for i, r in enumerate(results) if r is not None]
-    checks = dict(zip(fitted, check_rows(ctx, fitted, [results[i] for i in fitted], cfg.opt)))
-    fits = [start_error(ctx, x0, i) if r is None else r for i, r in enumerate(results)]
+    fits = maximize_rows(ctx, model.true_vector(), cfg.opt)
+    fitted = [i for i, r in enumerate(fits) if isinstance(r, MaxResult)]
+    checks = dict(zip(fitted, check_rows(ctx, fitted, [fits[i] for i in fitted], cfg.opt)))
     records, start = [], 0
     for block in blocks:
         count = 1 if np.ndim(block) == 1 else len(block)

@@ -98,7 +98,7 @@ def _fitted_design(model, horizon, count=200):
     ctx = PosteriorContext(model, make_design_observations(
         model, design_disturbance_matrix(horizon, count, DESK_LCD)))
     results = maximize_rows(ctx, model.true_vector())
-    rows = [k for k, r in enumerate(results) if r is not None]
+    rows = [k for k, r in enumerate(results) if isinstance(r, MaxResult)]
     return ctx, rows, [results[k] for k in rows]
 
 
@@ -161,8 +161,8 @@ def test_check_rows_keep_the_one_row_records_of_failing_rows():
     blocks = [design, np.array([1.0, np.inf, 0.0, 2.0]), np.array([1e200, -1e200, 0.0, 1.0])]
     ctx = PosteriorContext(model, blocks)
     fitted = maximize_rows(ctx, model.true_vector())
-    results = [r for r in fitted if r is not None]
-    rows = [k for k, r in enumerate(fitted) if r is not None]
+    results = [r for r in fitted if isinstance(r, MaxResult)]
+    rows = [k for k, r in enumerate(fitted) if isinstance(r, MaxResult)]
     assert rows == list(range(20))
 
     def at(omega):

@@ -145,8 +145,8 @@ def _reference_maximize(ctx, x0, cfg):
 
 
 def _outcome(result):
-    if result is None:
-        return None
+    if isinstance(result, InfeasiblePointError):
+        return str(result)
     return (result.omega_hat.tobytes(), result.iterations, result.converged,
             result.grad_inf_norm, result.trace)
 
@@ -159,8 +159,7 @@ def _assert_rows_equal_reference(model, eps, cfg=OptConfig()):
     results = maximize_rows(PosteriorContext(model, observations), x0, cfg)
     want = [_reference_maximize(_TreeWalkerContext(model, z), x0, cfg) for z in observations]
     infeasible = [k for k, w in enumerate(want) if isinstance(w, str)]
-    assert [_outcome(r) for r in results] == [None if k in infeasible else w
-                                             for k, w in enumerate(want)]
+    assert [_outcome(r) for r in results] == want
     if infeasible:
         study_cfg = StudyConfig(model=model, T_list=(eps.shape[1],), opt=cfg)
         (records,) = _fit_blocks(model, [observations[infeasible]], study_cfg)
@@ -204,4 +203,45 @@ def test_infeasible_starts_equal_per_row_reference():
     model = model_from_dict({"parameters": [{"name": "b", "true_value": 1e154}],
                              "mean": "0", "scale": "b"})
     results = _assert_rows_equal_reference(model, design_disturbance_matrix(4, 200, DESK_LCD))
-    assert 0 < sum(r is None for r in results) < len(results)
+    assert 0 < sum(isinstance(r, InfeasiblePointError) for r in results) < len(results)
+
+
+class _ClippedCliff:
+    """-2L = (x - 3)^2 + 1e-30 y with x at most 0.3, infeasible beyond x = 0.2.
+    From (0, 1) the first trials clip x to its bound while y's step is below
+    rounding, so a halved step can land on the trial just rejected.  Records
+    the points it evaluates."""
+
+    param_names = ("x", "y")
+
+    def __init__(self):
+        self.points = []
+
+    def __len__(self):
+        return 1
+
+    def bounds(self):
+        return [(-np.inf, 0.3), (-np.inf, np.inf)]
+
+    def neg2l_grad_rows(self, rows, points):
+        self.points += [tuple(p) for p in points.tolist()]
+        x, y = points[:, 0], points[:, 1]
+        return ((x - 3.0) ** 2 + 1e-30 * y,
+                np.stack([2.0 * (x - 3.0), np.full(len(x), 1e-30)], axis=1), x <= 0.2)
+
+    def neg2l_grad(self, omega):
+        (value,), (grad,), (feasible,) = self.neg2l_grad_rows([0], np.array([omega]))
+        if not feasible:
+            raise InfeasiblePointError("beyond the cliff")
+        return float(value), grad.tolist()
+
+
+def test_a_halved_step_onto_the_rejected_trial_is_not_evaluated_again():
+    ctx = _ClippedCliff()
+    (result,) = maximize_rows(ctx, [0.0, 1.0])
+    points = ctx.points
+    # the first steps, 1/6 and 1/12, both clip to (0.3, 1.0), which is
+    # evaluated once; the next trial evaluated is the step 1/24
+    assert points[:3] == [(0.0, 1.0), (0.3, 1.0), (0.25, 1.0)]
+    assert all(a != b for a, b in zip(points, points[1:]))
+    assert _outcome(result) == _reference_maximize(_ClippedCliff(), [0.0, 1.0], OptConfig())

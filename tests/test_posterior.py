@@ -316,7 +316,8 @@ def test_reasons_equal_the_tree_walkers():
     # every one-shot method gives the walker's value or names the reason
     # that the walker and the posterior's tests give first, on the bundled
     # models and on synthetic ones, at every point of a grid and at the
-    # points above; each failure kind shows at least once
+    # points above; each failure kind shows at least once.  One rows call of
+    # each kind over all the points of a model names each point's reason too
     models = {name: load_model(name) for name in bundled_model_names()}
     models["synthetic"] = SYNTHETIC
     for name, (mean, scale) in ONE_PARAMETER.items():
@@ -331,14 +332,24 @@ def test_reasons_equal_the_tree_walkers():
         points = [[a] for a in grid] if len(model.params) == 1 else \
             [[a, b] for a in grid for b in grid]
         points += [omega for where, omega in FAILURE_KINDS.values() if where == name]
-        for omega in points:
-            for k in range(len(z)):
-                for method in ("log_posterior", "neg2l", "neg2l_grad", "hessian_neg2l"):
-                    got = _bytes_or_error(lambda: getattr(ctx, method)(omega, k))
-                    assert got == _bytes_or_error(lambda: getattr(ref, method)(omega, k)), \
-                        (name, omega, k, method)
-                    if got[0] is InfeasiblePointError:
-                        seen.add(got[1])
+        cases = [(k, omega) for omega in points for k in range(len(z))]
+        want = {"neg2l_grad": [], "hessian_neg2l": []}
+        for k, omega in cases:
+            for method in ("log_posterior", "neg2l", "neg2l_grad", "hessian_neg2l"):
+                got = _bytes_or_error(lambda: getattr(ctx, method)(omega, k))
+                assert got == _bytes_or_error(lambda: getattr(ref, method)(omega, k)), \
+                    (name, omega, k, method)
+                if got[0] is InfeasiblePointError:
+                    seen.add(got[1])
+                if method in want:
+                    want[method].append(got[1] if got[0] is InfeasiblePointError else None)
+        rows, batch = [k for k, _ in cases], np.array([omega for _, omega in cases])
+        for method, rows_call in (("neg2l_grad", ctx.neg2l_grad_rows),
+                                  ("hessian_neg2l", ctx.hessian_neg2l_rows)):
+            *_, feasible, why = rows_call(rows, batch, reasons=True)
+            assert why == want[method], (name, method)
+            assert feasible.tolist() == [w is None for w in why]
+            assert rows_call(rows, batch)[-1].tolist() == feasible.tolist()
     for kind in FAILURE_KINDS:
         assert any(kind in reason for reason in seen), kind
 

@@ -16,6 +16,7 @@ from obscheck import (
     NOT_OBSERVABLE,
     OBSERVABLE,
     DiracMixture,
+    InfeasiblePointError,
     PartIResult,
     PosteriorContext,
     StudyConfig,
@@ -32,9 +33,9 @@ from obscheck import (
     run_study,
 )
 from obscheck.models import model_from_dict
-from obscheck.study import _aggregate, _fit_blocks, render_report, report_to_dict
+from obscheck.study import StudyReport, _aggregate, _fit_blocks, render_report, report_to_dict
 
-from conftest import DESK_LCD
+from conftest import DESK_LCD, _TreeWalkerContext
 
 VARIANCE_ONLY = load_model("unknown_variance")
 MEAN_AND_VARIANCE = load_model("mean_and_variance")
@@ -266,6 +267,51 @@ def test_infeasible_rows_are_not_fitted_again(monkeypatch):
     assert records[1].estimates is None and records[1].iterations == 0
 
 
+def walker_reason(ctx, method, omega, k=0):
+    """The message of the ``InfeasiblePointError`` that ``method`` of the
+    tree-walker context ``ctx`` raises at ``omega`` for row ``k``, or None."""
+    try:
+        getattr(ctx, method)(omega, k)
+    except InfeasiblePointError as exc:
+        return str(exc)
+    return None
+
+
+def test_fit_blocks_take_every_reason_from_the_batch_calls(monkeypatch):
+    # a row that is not finite, a row whose Q overflows and a row whose fit
+    # ends on the bound b = 1e-90, where the scale's fourth power underflows:
+    # each reason comes from a rows call, none from a one-point call, and
+    # equals the tree walker's
+    model = model_from_dict({"parameters": [{"name": "b", "true_value": 1.0, "lower": 1e-90}],
+                             "mean": "0", "scale": "b"})
+    z = np.array([[1.0, np.inf, 0.0, 2.0], [1e200, -1e200, 0.0, 1.0],
+                  [0.0, 0.0, 0.0, 0.0], [0.3, 1.1, -0.4, 0.9]])
+    walkers = [_TreeWalkerContext(model, row) for row in z]
+
+    def one_point(*args, **kwargs):
+        raise AssertionError("a one-point posterior call")
+
+    for name in ("neg2l", "neg2l_grad", "hessian_neg2l"):
+        monkeypatch.setattr(PosteriorContext, name, one_point)
+    (records,) = _fit_blocks(model, [z], small_config(model))
+    for walker, record in zip(walkers, records):
+        start = walker_reason(walker, "neg2l_grad", model.true_vector())
+        if start is not None:
+            assert record.reason == f"infeasible start: {start}"
+            continue
+        curvature = walker_reason(walker, "hessian_neg2l", [record.estimates["b"]])
+        assert record.checks.note == (
+            None if curvature is None else f"curvature evaluation failed: {curvature}")
+    assert [r.reason for r in records[:2]] == [
+        "infeasible start: observation vector must be finite",
+        "infeasible start: -2 log-posterior is not finite (inf)",
+    ]
+    assert records[2].estimates == {"b": 1e-90}
+    assert records[2].checks.note == ("curvature evaluation failed: "
+                                      "scale 1e-90 is too small: its fourth power underflows")
+    assert records[3].passed
+
+
 class TestVerdict:
     def test_observable_model(self):
         report = run_study(small_config(VARIANCE_ONLY, T_list=(4,), K=10))
@@ -371,7 +417,7 @@ def test_study_config_validation():
 
 def test_results_that_hold_arrays_compare_and_hash_by_identity():
     # generated methods would compare numpy arrays, which have no truth
-    # value, and hash them, which numpy does not allow
+    # value, and hash them or dictionaries, which neither allows
     ctx = PosteriorContext(MEAN_AND_VARIANCE, np.array([0.3, 1.1, -0.4, 0.9]))
     fits = [maximize(ctx, [0.6, 0.4]) for _ in range(2)]
     checks = [check_maximum(ctx, fit) for fit in fits]
@@ -381,6 +427,10 @@ def test_results_that_hold_arrays_compare_and_hash_by_identity():
                             small_config(MEAN_AND_VARIANCE))[0]
     part1 = [PartIResult(horizon=4, z_rep=np.array([0.3, 1.1, -0.4, 0.9]), run=record)
              for _ in range(2)]
-    for a, b in (fits, checks, mixtures, part1):
+    records = [dataclasses.replace(record) for _ in range(2)]
+    part2 = [_aggregate(MEAN_AND_VARIANCE, 4, [record]) for _ in range(2)]
+    reports = [StudyReport(model=MEAN_AND_VARIANCE, T_list=(4,), K=2, seed=0, part1=tuple(part1),
+                           part2=tuple(part2), consistency={}) for _ in range(2)]
+    for a, b in (fits, checks, mixtures, part1, records, part2, reports):
         assert a == a and a != b and not a == b
         assert {a: 1, b: 2}[a] == 1 and hash(a) == hash(a)
