@@ -10,7 +10,7 @@ into an observability verdict.
 
 from .expressions import DomainError, Expr, ExprError, ParseError, format_expr, parse_expr
 from .models import ModelError, ModelSpec, ParamSpec, bundled_model_names, load_model
-from .optimize import CheckReport, MaxResult, OptConfig, check_maximum, local_variance, maximize
+from .optimize import CheckReport, MaxResult, OptConfig
 from .posterior import InfeasiblePointError, PosteriorContext
 from .samples import (
     DiracMixture,
@@ -37,8 +37,6 @@ from .study import (
     render_report,
     report_from_json,
     report_to_json,
-    run_part1,
-    run_part2,
     run_study,
 )
 

@@ -45,10 +45,10 @@ class ModelSpec:
     closures over a (k, n) array of points (see
     :func:`~obscheck.expressions.compile_expr`), which
     :meth:`mean_scale_prior_grad` and :meth:`mean_scale_prior_hessian` run
-    for every posterior evaluation, :meth:`mean_scale` runs for the design
-    observations, and the check at the true values here runs on the one true
-    point.  The three expressions, with their gradients, must be defined
-    there, and the scale must be positive.
+    for every posterior evaluation and, on the one true point, for the design
+    observations; the check at the true values here runs on that point too.
+    The three expressions, with their gradients, must be defined there, and
+    the scale must be positive.
     """
 
     name: str
@@ -121,17 +121,6 @@ class ModelSpec:
              p.upper if p.upper is not None else np.inf)
             for p in self.params
         ]
-
-    def mean_scale(self, omega: np.ndarray) -> tuple[float, float]:
-        """Mean and scale at the one point ``omega``, as Python floats.  Raises
-        ``ValueError``, with the compiled closure's reason, where either or
-        its gradient is undefined."""
-        point = np.asarray(omega, dtype=float).reshape(1, -1)
-        (m, _, ok_m, why_m), (s, _, ok_s, why_s) = [
-            closure(point, reasons=True) for closure in self._compiled[:2]]
-        if not (ok_m[0] and ok_s[0]):
-            raise ValueError(why_m[0] or why_s[0])
-        return m.item(), s.item()
 
     def mean_scale_prior_grad(self, points: np.ndarray, reasons: bool = False):
         """(values, gradients, feasible) triples for mean, scale and log-prior

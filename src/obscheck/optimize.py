@@ -10,8 +10,7 @@ once (``neg2l_grad_rows``), and once more for the reasons of the
 infeasible starts.  :func:`check_rows` checks many maxima at once: it asks
 for all their Hessians in one call (``hessian_neg2l_rows``), once more for
 the reasons of the infeasible ones, and decomposes the stack with one
-``eigh``; :func:`check_maximum` and :func:`local_variance` are that on one
-maximum.
+``eigh``; :func:`check_maximum` is that on one maximum.
 
 Near a maximum, -2L differences fall to rounding noise and Armijo's test
 decides on that noise, so a feasible trial that Armijo rejects is accepted
@@ -42,10 +41,7 @@ import numpy as np
 
 from .posterior import InfeasiblePointError
 
-__all__ = [
-    "OptConfig", "MaxResult", "CheckReport", "maximize", "maximize_rows", "check_maximum",
-    "check_rows", "local_variance",
-]
+__all__ = ["OptConfig", "MaxResult", "CheckReport", "maximize_rows", "check_rows"]
 
 # L-BFGS history length, iteration cap, Armijo constant and backtracking
 # (Nocedal & Wright, Numerical Optimization, 2nd ed., sections 3.1 and 7.2)
@@ -62,8 +58,8 @@ _WOLFE_SIGMA = 0.9
 
 @dataclass(frozen=True)
 class OptConfig:
-    """The convergence target of :func:`maximize` and the three thresholds
-    of :func:`check_maximum`."""
+    """The convergence target of :func:`maximize_rows` and the three
+    thresholds of :func:`check_rows`."""
 
     grad_tol: float = 1e-9
     grad_check: float = 1e-5
@@ -117,6 +113,7 @@ class CheckReport:
         return self.grad_ok and self.hessian_pd and self.eig_ratio_ok and self.lvar_finite
 
 
+# unused in the package; perfbench/child.py traces it by name as study.maximize
 def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
     """Maximize the log-posterior of the one row of ``ctx`` from ``x0``:
     :func:`maximize_rows` on a one-row context.
@@ -352,6 +349,7 @@ def _two_loop(g, s, y, rho, length) -> np.ndarray:
     return q
 
 
+# unused in the package; perfbench/child.py traces it by name as study.check_maximum
 def check_maximum(ctx, result: MaxResult, cfg: OptConfig = OptConfig(),
                   k: int = 0) -> CheckReport:
     """Run the four validity checks at ``result.omega_hat``, the maximum of
@@ -455,14 +453,3 @@ def _curvature(hess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lvar[plateau] = np.inf
     return eigvals, lvar
 
-
-def local_variance(ctx, omega_hat: np.ndarray, k: int = 0) -> np.ndarray:
-    """2 * diag(H_{-2L}^{-1}) at the candidate maximum of row ``k``.
-
-    A singular Hessian signals a plateau: the result is +inf per parameter
-    rather than an exception, so callers can fold it into the checks.
-    """
-    (curvature,) = _curvatures(ctx, [k], np.asarray(omega_hat, dtype=float).reshape(1, -1))
-    if isinstance(curvature, Exception):
-        raise curvature
-    return curvature[1]

@@ -29,12 +29,11 @@ once through the model's compiled closures, the package's one expression
 evaluator, and take their mask from one ordered list of tests; with
 ``reasons=True`` they name each infeasible point's first failing test.
 Every one-shot method is one of them on one point:
-:meth:`~PosteriorContext.neg2l_grad`, :meth:`~PosteriorContext.neg2l` and
-:meth:`~PosteriorContext.log_posterior` are the first, so they raise
-wherever the gradient is undefined, and
+:meth:`~PosteriorContext.neg2l_grad` and :meth:`~PosteriorContext.neg2l`
+are the first, so both raise wherever the gradient is undefined, and
 :meth:`~PosteriorContext.hessian_neg2l` is the second.  They raise
-:class:`InfeasiblePointError` with that reason.  All take a row index
-``k``.  The fit itself never asks for curvature.
+:class:`InfeasiblePointError` with that reason, and take a row index ``k``.
+The fit itself never asks for curvature.
 """
 
 from __future__ import annotations
@@ -120,11 +119,7 @@ class PosteriorContext:
     def bounds(self) -> list[tuple[float, float]]:
         return self.model.bounds()
 
-    def log_posterior(self, omega: np.ndarray, k: int = 0) -> float:
-        """L(omega | z) for row ``k`` up to an additive constant: -1/2
-        :meth:`neg2l`."""
-        return -0.5 * self.neg2l(omega, k)
-
+    # unused in the package; perfbench/child.py traces it by name
     def neg2l(self, omega: np.ndarray, k: int = 0) -> float:
         """-2L for row ``k``: the value :meth:`neg2l_grad` gives, which raises
         wherever the gradient is undefined."""
@@ -156,6 +151,7 @@ class PosteriorContext:
         return (value, grad,
                 *self._feasibility(rows, exprs, ok_m & ok_s & ok_p, s, s3, value, reasons))
 
+    # unused in the package; perfbench/child.py traces it by name
     def neg2l_grad(self, omega: np.ndarray, k: int = 0) -> tuple[float, list[float]]:
         """Value and exact gradient of -2L for row ``k``, bit for bit what
         :meth:`neg2l_grad_rows` gives; the gradient is a list of floats laid
@@ -176,7 +172,8 @@ class PosteriorContext:
         + (Q + T (zbar - m)^2) / s^2, so the Hessian follows by the chain rule
         from the gradients and Hessians of the mean, the scale and the
         log-prior.  Every entry is a sum of terms symmetric in (i, j) bit for
-        bit, so each matrix is too.
+        bit, so each matrix is too.  A NaN entry is ``np.nan``, so a row's
+        matrix does not depend on the other rows of the call.
         """
         rows = np.asarray(rows, dtype=np.intp)
         t = self.horizon[rows]
@@ -194,11 +191,13 @@ class PosteriorContext:
             dm_i, dm_j, ds_i, ds_j = dm[:, :, None], dm[:, None, :], ds[:, :, None], ds[:, None, :]
             hess = (phi_m * hm + phi_s * hs + phi_mm * (dm_i * dm_j)
                     + phi_ms * (dm_i * ds_j + ds_i * dm_j) + phi_ss * (ds_i * ds_j) - 2.0 * hp)
+        hess[np.isnan(hess)] = np.nan  # numpy's NaN sign bit varies with the rows a call holds
         return (hess, *self._feasibility(rows, exprs, ok_m & ok_s & ok_p, s, s4, None, reasons))
 
+    # unused in the package; perfbench/child.py traces it by name
     def hessian_neg2l(self, omega: np.ndarray, k: int = 0) -> np.ndarray:
-        """Exact Hessian of -2L for row ``k``, bit for bit what
-        :meth:`hessian_neg2l_rows` gives."""
+        """Exact Hessian of -2L for row ``k``, bit for bit what a
+        :meth:`hessian_neg2l_rows` call of any size gives for it."""
         point = np.asarray(omega, dtype=float).reshape(1, -1)
         hess, ok, why = self.hessian_neg2l_rows([k], point, reasons=True)
         if not ok[0]:

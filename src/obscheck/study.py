@@ -39,8 +39,6 @@ __all__ = [
     "OBSERVABLE",
     "NOT_OBSERVABLE",
     "make_design_observations",
-    "run_part1",
-    "run_part2",
     "run_study",
     "report_to_json",
     "report_from_json",
@@ -145,12 +143,13 @@ class StudyReport:
 def make_design_observations(model: ModelSpec, disturbances: np.ndarray) -> np.ndarray:
     """Push disturbance values through the model at the true parameters:
     z = m(omega*) + s(omega*) * eps, elementwise."""
-    omega = model.true_vector()
-    m, s = model.mean_scale(omega)
+    # the load check proved m and s defined at the true point, and s positive
+    (m, _, _), (s, _, _), _ = model.mean_scale_prior_grad(model.true_vector().reshape(1, -1))
     with np.errstate(over="ignore"):  # an overflowing vector fails its fit, not the run
-        return m + s * np.asarray(disturbances, dtype=float)
+        return m[0] + s[0] * np.asarray(disturbances, dtype=float)
 
 
+# unused in the package; perfbench/child.py traces it by name
 def run_part1(model: ModelSpec, horizon: int, cfg: StudyConfig) -> PartIResult:
     """Maximize against the representative design observation vector."""
     z_rep = _representative(model, horizon, cfg)
@@ -158,6 +157,7 @@ def run_part1(model: ModelSpec, horizon: int, cfg: StudyConfig) -> PartIResult:
     return PartIResult(horizon=horizon, z_rep=z_rep, run=run)
 
 
+# unused in the package; perfbench/child.py traces it by name
 def run_part2(model: ModelSpec, horizon: int, count: int, cfg: StudyConfig) -> PartIIResult:
     """Maximize against K design observation vectors and aggregate statistics.
 

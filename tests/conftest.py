@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, settings, strategies as st
 
 from obscheck import InfeasiblePointError, LcdConfig, PosteriorContext
 from obscheck.expressions import Binary, DomainError, Literal, Param, Unary
+from obscheck.optimize import _curvatures
 
 from tree_walker import eval_expr, eval_hessian
 
@@ -65,6 +66,13 @@ def central_difference_hessian(grad, x):
     return np.array(columns).T
 
 
+def local_variances_at(ctx, omega, k=0):
+    """The local variances 2 diag(H^{-1}) the checks compute from the -2L
+    Hessian of row ``k`` at ``omega``, a feasible point."""
+    ((_, lvar),) = _curvatures(ctx, [k], np.array([omega], dtype=float))
+    return lvar
+
+
 def _walker_row(ctx, k):
     if not ctx.finite[k]:
         raise InfeasiblePointError("observation vector must be finite")
@@ -89,7 +97,9 @@ def _walker_jets(ctx, omega):
 def reference_hessian(ctx, omega, k=0):
     """The Hessian of -2L for row ``k`` of ``ctx``: the chain rule of
     phi(m, s) = 2T log s + (Q + T (zbar - m)^2) / s^2 through the walker's
-    Hessians of the mean, the scale and the log-prior."""
+    Hessians of the mean, the scale and the log-prior.  Every NaN entry is
+    ``np.nan``, as in ``hessian_neg2l_rows``: the scalar arithmetic here, as
+    numpy's there, may leave either sign bit on a NaN."""
     t, zbar, css = _walker_row(ctx, k)
     (m, dm, hm), (s, ds, hs), (_, _, hp) = _walker_jets(ctx, omega)
     d = zbar - m
@@ -100,12 +110,14 @@ def reference_hessian(ctx, omega, k=0):
     rss = css + t * d * d
     phi_m, phi_s = -2.0 * t * d / s2, 2.0 * t / s - 2.0 * rss / (s2 * s)
     phi_mm, phi_ms, phi_ss = 2.0 * t / s2, 4.0 * t * d / (s2 * s), 6.0 * rss / s4 - 2.0 * t / s2
-    return np.array([
+    hessian = np.array([
         [phi_m * hm[i][j] + phi_s * hs[i][j] + phi_mm * (dm[i] * dm[j])
          + phi_ms * (dm[i] * ds[j] + ds[i] * dm[j]) + phi_ss * (ds[i] * ds[j]) - 2.0 * hp[i][j]
          for j in range(len(dm))]
         for i in range(len(dm))
     ])
+    hessian[np.isnan(hessian)] = np.nan
+    return hessian
 
 
 class _TreeWalkerContext(PosteriorContext):
@@ -114,7 +126,8 @@ class _TreeWalkerContext(PosteriorContext):
     raises the reason of the first test that fails, in this order: the row
     is not finite, an expression raises, the scale is not positive, its
     fourth power (Hessian) or its cube underflows, and -2L is not finite;
-    :meth:`log_posterior` and :meth:`neg2l` raise where the gradient does."""
+    :meth:`log_posterior`, L on its own (the context's L is -1/2
+    :meth:`neg2l`), and :meth:`neg2l` raise where the gradient does."""
 
     def log_posterior(self, omega, k=0):
         self.neg2l_grad(omega, k)

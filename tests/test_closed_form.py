@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from obscheck import PosteriorContext, load_model, local_variance, maximize
+from obscheck import PosteriorContext, load_model
 from obscheck.closed_form import (
     UndefinedEstimatorError,
     mean_and_variance_oracle,
     reciprocal_mean_oracle,
     unknown_variance_oracle,
 )
+from obscheck.optimize import check_maximum, maximize
 from obscheck.samples import design_disturbance_matrix, representative_disturbances
 from obscheck.study import make_design_observations
 
-from conftest import DESK_LCD
+from conftest import DESK_LCD, local_variances_at
 
 VARIANCE_ONLY = load_model("unknown_variance")
 MEAN_AND_VARIANCE = load_model("mean_and_variance")
@@ -87,7 +88,7 @@ def test_numeric_maximization_matches_variance_oracle(seed, horizon):
     ctx = PosteriorContext(VARIANCE_ONLY, z)
     result = maximize(ctx, np.array([0.8]))
     assert result.omega_hat[0] == pytest.approx(oracle.estimates["b"], abs=1e-6)
-    lvar = local_variance(ctx, result.omega_hat)
+    lvar = check_maximum(ctx, result).local_variances
     assert lvar[0] == pytest.approx(oracle.local_variances["b"], rel=1e-6)
 
 
@@ -101,7 +102,7 @@ def test_numeric_maximization_matches_mean_variance_oracle(seed, horizon):
     result = maximize(ctx, np.array([0.6, 0.4]))
     assert result.estimates["a"] == pytest.approx(oracle.estimates["a"], abs=1e-6)
     assert result.estimates["b"] == pytest.approx(oracle.estimates["b"], abs=1e-6)
-    lvar = local_variance(ctx, result.omega_hat)
+    lvar = check_maximum(ctx, result).local_variances
     assert lvar[0] == pytest.approx(oracle.local_variances["a"], rel=1e-6)
     assert lvar[1] == pytest.approx(oracle.local_variances["b"], rel=1e-6)
 
@@ -126,5 +127,5 @@ def test_exact_curvature_gives_oracle_local_variances(name, oracle):
         result = oracle(z)
         omega = [result.estimates[name] for name in model.param_names]
         want = [result.local_variances[name] for name in model.param_names]
-        lvar = local_variance(PosteriorContext(model, z), omega)
+        lvar = local_variances_at(PosteriorContext(model, z), omega)
         assert lvar.tolist() == pytest.approx(want, rel=1e-12, abs=0.0)

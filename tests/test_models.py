@@ -1,6 +1,5 @@
 import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import given, strategies as st
 from obscheck import ModelError, ModelSpec, ParamSpec, bundled_model_names, load_model
 from obscheck.expressions import DomainError
 from obscheck.models import model_from_dict
+from obscheck.study import make_design_observations
 
 from conftest import _POINTS, _expr_strategy
 from tree_walker import eval_expr, eval_hessian
@@ -34,7 +34,8 @@ def test_bundled_models_all_load():
 def test_true_values_of_study_models():
     model = load_model("mean_and_variance")
     assert model.true_values() == {"a": 0.6, "b": 0.4}
-    assert model.mean_scale(model.true_vector()) == pytest.approx([0.6, np.sqrt(0.4)])
+    # eps = 0 and 1 give m and m + s at the true values
+    assert make_design_observations(model, [0.0, 1.0]) == pytest.approx([0.6, 0.6 + np.sqrt(0.4)])
 
 
 def test_load_from_path(tmp_path):
@@ -212,12 +213,14 @@ def test_bundled_load_check_and_mean_scale_equal_the_tree_walkers(name, point):
     exprs = (model.mean_expr, model.scale_expr, model.log_prior_expr)
     for omega in (model.true_vector().tolist(), list(point[: len(model.params)])):
         values = dict(zip(model.param_names, omega))
-        assert _load_error(model.param_names, exprs, omega) == _walker_load_error(exprs, values)
-        try:
-            want = [eval_expr(e, values) for e in exprs[:2]]
-        except (DomainError, OverflowError) as exc:
-            with pytest.raises(ValueError, match=re.escape(str(exc))):
-                model.mean_scale(omega)
+        error = _load_error(model.param_names, exprs, omega)
+        assert error == _walker_load_error(exprs, values)
+        if error is not None:  # the walker's mean or scale raised too
             continue
-        assert np.array(model.mean_scale(omega)).tobytes() == np.array(want).tobytes()
-        assert all(type(v) is float for v in model.mean_scale(np.array(omega)))
+        # with omega as its true values the model pushes eps through
+        # m + s * eps with the walker's m and s
+        at_omega = ModelSpec(model.name, tuple(map(ParamSpec, model.param_names, omega)), *exprs)
+        m, s = (eval_expr(e, values) for e in exprs[:2])
+        eps = np.array([0.0, 1.0, -2.5])
+        got = make_design_observations(at_omega, eps)
+        assert got.dtype == np.float64 and got.tobytes() == (m + s * eps).tobytes()

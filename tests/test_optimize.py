@@ -9,16 +9,15 @@ from obscheck import (
     OptConfig,
     PosteriorContext,
     bundled_model_names,
-    check_maximum,
     load_model,
-    local_variance,
-    maximize,
 )
-from obscheck.optimize import _MEMORY, _WOLFE_EPS, _acceptable, _two_loop
+from obscheck.optimize import (
+    _MEMORY, _WOLFE_EPS, _acceptable, _two_loop, check_maximum, maximize,
+)
 from obscheck.samples import design_disturbance_matrix, representative_disturbances
 from obscheck.study import make_design_observations
 
-from conftest import DESK_LCD
+from conftest import DESK_LCD, local_variances_at
 
 VARIANCE_ONLY = load_model("unknown_variance")
 MEAN_AND_VARIANCE = load_model("mean_and_variance")
@@ -367,14 +366,14 @@ class TestLocalVariance:
             eps = representative_disturbances(horizon, DESK_LCD)
             z = make_design_observations(VARIANCE_ONLY, eps)
             ctx = PosteriorContext(VARIANCE_ONLY, z)
-            lvar = local_variance(ctx, np.array([0.8]))
+            lvar = local_variances_at(ctx, [0.8])
             assert lvar[0] == pytest.approx(expected, abs=1e-6)
 
     def test_table_three_values(self):
         eps = representative_disturbances(12, DESK_LCD)
         z = make_design_observations(MEAN_AND_VARIANCE, eps)
         ctx = PosteriorContext(MEAN_AND_VARIANCE, z)
-        lvar = local_variance(ctx, np.array([0.6, 0.4]))
+        lvar = local_variances_at(ctx, [0.6, 0.4])
         assert lvar == pytest.approx([0.4 / 12, 2 * 0.16 / 12], abs=1e-6)
 
     def test_one_dimensional_formula(self):
@@ -382,7 +381,7 @@ class TestLocalVariance:
         z = np.array([1.2, -0.3, 0.7, -0.9, 0.1])
         b_hat = float(np.mean(z * z))
         ctx = PosteriorContext(VARIANCE_ONLY, z)
-        lvar = local_variance(ctx, np.array([b_hat]))
+        lvar = local_variances_at(ctx, [b_hat])
         assert lvar[0] == pytest.approx(2.0 * b_hat**2 / 5.0, rel=1e-7)
 
     def test_singular_hessian_yields_infinity(self):
@@ -395,7 +394,7 @@ class TestLocalVariance:
             def hessian_neg2l_rows(self, rows, points):
                 return np.zeros((len(points), 1, 1)), np.ones(len(points), dtype=bool)
 
-        assert np.isinf(local_variance(Flat(), np.array([0.0]))[0])
+        assert np.isinf(local_variances_at(Flat(), [0.0])[0])
 
 
 def test_maximize_refuses_a_context_of_several_rows():

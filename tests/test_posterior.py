@@ -19,27 +19,27 @@ class TestLogPosterior:
     def test_variance_only_value(self):
         z = np.array([math.sqrt(0.8), -math.sqrt(0.8)])
         ctx = PosteriorContext(VARIANCE_ONLY, z)
-        assert ctx.log_posterior(np.array([0.8])) == pytest.approx(
+        assert -0.5 * ctx.neg2l(np.array([0.8])) == pytest.approx(
             -1.0 - math.log(0.8), abs=1e-12
         )
 
     def test_zero_residuals_leave_only_scale_term(self):
         ctx = PosteriorContext(MEAN_AND_VARIANCE, np.array([0.6, 0.6]))
-        assert ctx.log_posterior(np.array([0.6, 0.4])) == pytest.approx(
+        assert -0.5 * ctx.neg2l(np.array([0.6, 0.4])) == pytest.approx(
             -math.log(0.4), abs=1e-9
         )
 
     def test_additive_pair_depends_only_on_sum(self):
         ctx = PosteriorContext(ADDITIVE_PAIR, np.array([1.5, 0.5]))
         for delta in (0.1, -0.3, 2.0):
-            assert ctx.log_posterior(np.array([0.6 + delta, 0.4 - delta])) == pytest.approx(
-                ctx.log_posterior(np.array([0.6, 0.4])), rel=1e-12
+            assert -0.5 * ctx.neg2l(np.array([0.6 + delta, 0.4 - delta])) == pytest.approx(
+                -0.5 * ctx.neg2l(np.array([0.6, 0.4])), rel=1e-12
             )
 
     def test_nonpositive_scale_is_infeasible(self):
         ctx = PosteriorContext(VARIANCE_ONLY, np.array([1.0]))
         with pytest.raises(InfeasiblePointError):
-            ctx.log_posterior(np.array([-0.5]))
+            ctx.neg2l(np.array([-0.5]))
 
     def test_translation_invariance_of_location_family(self):
         rng = np.random.default_rng(3)
@@ -47,8 +47,8 @@ class TestLogPosterior:
         ctx = PosteriorContext(MEAN_AND_VARIANCE, z)
         for shift in (0.5, -1.2):
             shifted = PosteriorContext(MEAN_AND_VARIANCE, z + shift)
-            assert shifted.log_posterior(np.array([0.6 + shift, 0.4])) == pytest.approx(
-                ctx.log_posterior(np.array([0.6, 0.4])), rel=1e-9
+            assert -0.5 * shifted.neg2l(np.array([0.6 + shift, 0.4])) == pytest.approx(
+                -0.5 * ctx.neg2l(np.array([0.6, 0.4])), rel=1e-9
             )
 
 
@@ -62,10 +62,11 @@ class TestGradient:
         assert abs(grad[0]) < 1e-12
 
     def test_value_is_minus_two_log_posterior(self):
-        ctx = PosteriorContext(MEAN_AND_VARIANCE, np.array([0.2, 0.9, 0.5]))
+        z = np.array([0.2, 0.9, 0.5])
         omega = np.array([0.55, 0.3])
-        value, _ = ctx.neg2l_grad(omega)
-        assert value == pytest.approx(-2.0 * ctx.log_posterior(omega), rel=1e-14)
+        value, _ = PosteriorContext(MEAN_AND_VARIANCE, z).neg2l_grad(omega)
+        walker = _TreeWalkerContext(MEAN_AND_VARIANCE, z)  # L on its own
+        assert value == pytest.approx(-2.0 * walker.log_posterior(omega), rel=1e-14)
 
     def test_ridge_direction_gradient_component_vanishes(self):
         ctx = PosteriorContext(ADDITIVE_PAIR, np.array([1.5, 0.5]))
@@ -192,7 +193,8 @@ class TestHessian:
 
 def test_observation_vector_must_be_finite():
     ctx = PosteriorContext(VARIANCE_ONLY, np.array([1.0, np.inf]))
-    for method in (ctx.log_posterior, ctx.neg2l, ctx.neg2l_grad, ctx.hessian_neg2l):
+    for method in (lambda omega: -0.5 * ctx.neg2l(omega), ctx.neg2l, ctx.neg2l_grad,
+                   ctx.hessian_neg2l):
         with pytest.raises(InfeasiblePointError, match="observation vector must be finite"):
             method([0.8])
 
@@ -232,6 +234,14 @@ def test_statistics_bit_equal_the_per_row_reduction(horizon):
             ctx.neg2l_grad([0.8], k)
     with pytest.raises(InfeasiblePointError, match=r"-2 log-posterior is not finite \("):
         ctx.neg2l_grad([0.8], 3)
+
+
+def _one_shot(ctx, method, omega, k=0):
+    """``ctx``'s one-shot ``method`` at row ``k``.  A context's L
+    (``"log_posterior"``) is -1/2 :meth:`neg2l`; the walker computes its own."""
+    if method == "log_posterior" and not isinstance(ctx, _TreeWalkerContext):
+        return -0.5 * ctx.neg2l(omega, k)
+    return getattr(ctx, method)(omega, k)
 
 
 def _bytes_or_error(fn):
@@ -282,8 +292,8 @@ def test_compiled_posterior_bit_equals_tree_walkers(name, omegas, scale, seed, h
         else:
             assert want[0] is InfeasiblePointError
         for method in ("log_posterior", "neg2l", "neg2l_grad"):
-            got = _bytes_or_error(lambda: getattr(ctx, method)(omega))
-            assert got == _bytes_or_error(lambda: getattr(ref, method)(omega)), method
+            got = _bytes_or_error(lambda: _one_shot(ctx, method, omega))
+            assert got == _bytes_or_error(lambda: _one_shot(ref, method, omega)), method
             if not feasible[k]:
                 assert got == want, method
 
@@ -336,8 +346,8 @@ def test_reasons_equal_the_tree_walkers():
         want = {"neg2l_grad": [], "hessian_neg2l": []}
         for k, omega in cases:
             for method in ("log_posterior", "neg2l", "neg2l_grad", "hessian_neg2l"):
-                got = _bytes_or_error(lambda: getattr(ctx, method)(omega, k))
-                assert got == _bytes_or_error(lambda: getattr(ref, method)(omega, k)), \
+                got = _bytes_or_error(lambda: _one_shot(ctx, method, omega, k))
+                assert got == _bytes_or_error(lambda: _one_shot(ref, method, omega, k)), \
                     (name, omega, k, method)
                 if got[0] is InfeasiblePointError:
                     seen.add(got[1])
@@ -360,11 +370,11 @@ def test_neg2l_that_overflows_is_infeasible():
                              "mean": "0", "scale": "1", "log_prior": "exp(a)"})
     ctx = PosteriorContext(model, np.zeros(2))
     assert not ctx.neg2l_grad_rows([0], np.array([[709.5]]))[2][0]
-    for method in (ctx.neg2l_grad, ctx.neg2l, ctx.log_posterior):
+    for method in (ctx.neg2l_grad, ctx.neg2l, lambda omega: -0.5 * ctx.neg2l(omega)):
         with pytest.raises(InfeasiblePointError) as raised:
             method([709.5])
         assert str(raised.value) == "-2 log-posterior is not finite (-inf)"
-    assert ctx.log_posterior([709.0]) == math.exp(709.0)
+    assert -0.5 * ctx.neg2l([709.0]) == math.exp(709.0)
 
 
 def test_contexts_compare_and_hash_by_identity():
@@ -391,8 +401,8 @@ def test_row_k_equals_a_one_row_context(name):
         for k in range(len(z)):
             one = PosteriorContext(model, z[k])
             for method in ("log_posterior", "neg2l", "neg2l_grad", "hessian_neg2l"):
-                got = _bytes_or_error(lambda: getattr(ctx, method)(omega, k))
-                assert got == _bytes_or_error(lambda: getattr(one, method)(omega)), (method, k)
+                got = _bytes_or_error(lambda: _one_shot(ctx, method, omega, k))
+                assert got == _bytes_or_error(lambda: _one_shot(one, method, omega)), (method, k)
                 if k in (2, 3):
                     assert got == (InfeasiblePointError, "observation vector must be finite")
 

@@ -20,20 +20,19 @@ from obscheck import (
     PartIResult,
     PosteriorContext,
     StudyConfig,
-    check_maximum,
     bundled_model_names,
     load_model,
     make_design_observations,
-    maximize,
     plot_csv,
     report_from_json,
     report_to_json,
-    run_part1,
-    run_part2,
     run_study,
 )
 from obscheck.models import model_from_dict
-from obscheck.study import StudyReport, _aggregate, _fit_blocks, render_report, report_to_dict
+from obscheck.optimize import check_maximum, maximize
+from obscheck.study import (
+    StudyReport, _aggregate, _fit_blocks, render_report, report_to_dict, run_part1, run_part2,
+)
 
 from conftest import DESK_LCD, _TreeWalkerContext
 
