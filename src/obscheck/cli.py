@@ -11,6 +11,7 @@ Exit codes: 0 observable, 3 not observable, 1 usage or configuration error,
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import traceback
@@ -242,4 +243,8 @@ def _main(argv: list[str] | None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    # the objects left now live until exit: frozen, the collections the
+    # interpreter runs at shutdown skip them
+    gc.freeze()
+    sys.exit(code)

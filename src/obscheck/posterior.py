@@ -148,8 +148,8 @@ class PosteriorContext:
             c_dm = sum_res / s2
             c_ds3 = rss / s3
             grad = -2.0 * (c_ds[:, None] * ds + c_dm[:, None] * dm + c_ds3[:, None] * ds + dprior)
-        return (value, grad,
-                *self._feasibility(rows, exprs, ok_m & ok_s & ok_p, s, s3, value, reasons))
+        return (value, grad, *self._feasibility(rows, exprs, ok_m & ok_s & ok_p, s, s3,
+                                                 value, grad, reasons))
 
     # unused in the package; perfbench/child.py traces it by name
     def neg2l_grad(self, omega: np.ndarray, k: int = 0) -> tuple[float, list[float]]:
@@ -192,7 +192,8 @@ class PosteriorContext:
             hess = (phi_m * hm + phi_s * hs + phi_mm * (dm_i * dm_j)
                     + phi_ms * (dm_i * ds_j + ds_i * dm_j) + phi_ss * (ds_i * ds_j) - 2.0 * hp)
         hess[np.isnan(hess)] = np.nan  # numpy's NaN sign bit varies with the rows a call holds
-        return (hess, *self._feasibility(rows, exprs, ok_m & ok_s & ok_p, s, s4, None, reasons))
+        return (hess, *self._feasibility(rows, exprs, ok_m & ok_s & ok_p, s, s4,
+                                         None, None, reasons))
 
     # unused in the package; perfbench/child.py traces it by name
     def hessian_neg2l(self, omega: np.ndarray, k: int = 0) -> np.ndarray:
@@ -204,22 +205,25 @@ class PosteriorContext:
             raise InfeasiblePointError(why[0])
         return hess[0]
 
-    def _feasibility(self, rows, exprs, defined, s, power, neg2l, reasons):
+    def _feasibility(self, rows, exprs, defined, s, power, neg2l, grad, reasons):
         """The one feasibility rule at points of rows ``rows``, for -2L and its
-        gradient (``power`` the scale ``s`` cubed, ``neg2l`` -2L) or for the
-        Hessian (``power`` s^4, ``neg2l`` None).  A point is feasible where it
-        passes these tests, in this order: 1. the row is finite; 2. mean,
-        scale and log-prior and their derivatives are defined (``defined``);
-        3. the scale is positive; 4. its cube or fourth power does not
-        underflow; 5. for the gradient, -2L is finite, which it is not where L
-        is finite but above half the largest float.  Returns the mask (k,)
-        and, with ``reasons=True``, the list that names the first test each
-        infeasible point fails (None for a feasible one): for the second, the
-        reason that the closures' outputs ``exprs`` give after their mask."""
+        gradient (``power`` the scale ``s`` cubed, ``neg2l`` -2L, ``grad`` its
+        gradient) or for the Hessian (``power`` s^4, ``neg2l`` and ``grad``
+        None).  A point is feasible where it passes these tests, in this
+        order: 1. the row is finite; 2. mean, scale and log-prior and their
+        derivatives are defined (``defined``); 3. the scale is positive; 4.
+        its cube or fourth power does not underflow; 5. for the gradient, -2L
+        is finite, which it is not where L is finite but above half the
+        largest float; 6. for the gradient, the gradient of -2L is finite,
+        which it is not where, say, a derivative of the mean overflows.
+        Returns the mask (k,) and, with ``reasons=True``, the list that names
+        the first test each infeasible point fails (None for a feasible one):
+        for the second, the reason that the closures' outputs ``exprs`` give
+        after their mask."""
         finite, positive, representable = self.finite[rows], s > 0.0, power != 0.0
         feasible = finite & defined & positive & representable
         if neg2l is not None:
-            feasible &= np.isfinite(neg2l)
+            feasible &= np.isfinite(neg2l) & np.isfinite(grad).all(axis=1)
         if not reasons:
             return (feasible,)
         why = [None] * len(feasible)
@@ -233,6 +237,8 @@ class PosteriorContext:
             elif not representable[i]:
                 name = "fourth power" if neg2l is None else "cube"
                 why[i] = f"scale {float(s[i])} is too small: its {name} underflows"
-            else:
+            elif not math.isfinite(neg2l[i]):
                 why[i] = f"-2 log-posterior is not finite ({float(neg2l[i])})"
+            else:
+                why[i] = "gradient of -2 log-posterior is not finite"
         return feasible, why

@@ -125,7 +125,8 @@ class _TreeWalkerContext(PosteriorContext):
     expression trees, as the reference for the compiled closures.  Each
     raises the reason of the first test that fails, in this order: the row
     is not finite, an expression raises, the scale is not positive, its
-    fourth power (Hessian) or its cube underflows, and -2L is not finite;
+    fourth power (Hessian) or its cube underflows, -2L is not finite, and
+    its gradient is not finite;
     :meth:`log_posterior`, L on its own (the context's L is -1/2
     :meth:`neg2l`), and :meth:`neg2l` raise where the gradient does."""
 
@@ -157,8 +158,11 @@ class _TreeWalkerContext(PosteriorContext):
         if not math.isfinite(neg2l):
             raise InfeasiblePointError(f"-2 log-posterior is not finite ({neg2l})")
         dm, ds, dprior = np.array(dm), np.array(ds), np.array(dprior)
-        grad_l = (-t / s) * ds + (sum_res / s2) * dm + (rss / (s2 * s)) * ds + dprior
-        return neg2l, -2.0 * grad_l
+        with np.errstate(all="ignore"):  # a derivative may be inf or NaN
+            grad = -2.0 * ((-t / s) * ds + (sum_res / s2) * dm + (rss / (s2 * s)) * ds + dprior)
+        if not np.isfinite(grad).all():
+            raise InfeasiblePointError("gradient of -2 log-posterior is not finite")
+        return neg2l, grad
 
     def hessian_neg2l(self, omega, k=0):
         return reference_hessian(self, omega, k)

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -358,6 +359,48 @@ def test_warning_prints_as_one_line(tmp_path):
     assert any("stopped at max_iters=1" in line for line in lines)
     for line in lines:
         assert line.startswith("warning: ") and ".py:" not in line
+
+
+RUN_DESK = ["run", "--T", "2", "--K", "8", "--placement-iters", "20",
+            "--out", "{dir}/report.json", "--cache-dir", "{dir}/cache"]
+
+
+@pytest.mark.parametrize("args,want", [
+    (RUN_DESK + ["--model", "unknown_variance"], EXIT_OBSERVABLE),
+    (RUN_DESK + ["--model", "additive_mean_pair"], EXIT_NOT_OBSERVABLE),
+    (RUN_DESK + ["--model", "unknown_variance", "--T", "four"], EXIT_USAGE),
+    (["run", "--help"], EXIT_OBSERVABLE),
+], ids=["observable", "not-observable", "usage-error", "help"])
+def test_command_line_process_equals_main(tmp_path, monkeypatch, capsys, args, want):
+    # python -m obscheck exits through entry(), which freezes the garbage
+    # collector after main() returns: its exit code, stdout and report are
+    # what main() gives in-process, and main() leaves the collector as it was
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    src = Path(obscheck.__file__).resolve().parent.parent
+    runs = {}
+    for side in ("process", "main"):
+        (tmp_path / side).mkdir()
+        argv = [a.format(dir=tmp_path / side) for a in args]
+        if side == "process":
+            proc = subprocess.run([sys.executable, "-m", "obscheck", *argv],
+                                  env={**os.environ, "PYTHONPATH": str(src)},
+                                  capture_output=True, text=True, timeout=120)
+            code, out = proc.returncode, proc.stdout
+        else:
+            frozen = gc.get_freeze_count()
+            code = main(argv)
+            assert gc.get_freeze_count() == frozen
+            out = capsys.readouterr().out
+        report = tmp_path / side / "report.json"
+        runs[side] = code, out.splitlines(), report.read_bytes() if report.exists() else None
+    (code, lines, report), (main_code, main_lines, main_report) = runs["process"], runs["main"]
+    assert code == main_code == want
+    assert report == main_report
+    if report is not None:
+        for side, side_lines in (("process", lines), ("main", main_lines)):
+            assert side_lines.pop() == f"report written to {tmp_path / side / 'report.json'}"
+    assert lines == main_lines
+    assert lines or code == EXIT_USAGE
 
 
 def test_exit_codes_are_distinct():

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from obscheck import InfeasiblePointError, PosteriorContext, bundled_model_names, load_model
-from obscheck.models import model_from_dict
+from obscheck.expressions import parse_expr
+from obscheck.models import ModelError, ModelSpec, ParamSpec, model_from_dict
 
-from conftest import _TreeWalkerContext, central_difference_hessian
+from conftest import _POINTS, _TreeWalkerContext, _expr_strategy, central_difference_hessian
 
 VARIANCE_ONLY = load_model("unknown_variance")
 MEAN_AND_VARIANCE = load_model("mean_and_variance")
@@ -116,7 +117,9 @@ class TestScaleUnderflow:
             ctx.neg2l_grad([1e-170])
 
     def test_fourth_power_underflow_makes_hessian_infeasible(self):
-        ctx = PosteriorContext(VARIANCE_ONLY, np.array([1.0, -0.5]))
+        # zero residuals keep the gradient, 2/b, finite: with any others it
+        # overflows as s^4 underflows, and the gradient's point is infeasible
+        ctx = PosteriorContext(VARIANCE_ONLY, np.array([0.0, 0.0]))
         ctx.neg2l_grad([1e-165])  # s^3 is still representable
         with pytest.raises(InfeasiblePointError, match="fourth power underflows"):
             ctx.hessian_neg2l([1e-165])
@@ -313,6 +316,8 @@ FAILURE_KINDS = {
     "its cube underflows": ("ratio_mean_scale_sqrt_ab", [3.6e-221, 1.0]),
     "its fourth power underflows": ("unknown_variance", [1e-165]),
     "-2 log-posterior is not finite": ("unknown_variance", [0.8]),  # row 2: Q overflows
+    # 1/b and a/b^2 overflow, while a/b is -1
+    "gradient of -2 log-posterior is not finite": ("quotient_mean", [-1e-200, 1e-200]),
     "observation vector must be finite": ("product_mean", [0.6, 0.4]),  # row 1
 }
 ONE_PARAMETER = {
@@ -330,6 +335,9 @@ def test_reasons_equal_the_tree_walkers():
     # each kind over all the points of a model names each point's reason too
     models = {name: load_model(name) for name in bundled_model_names()}
     models["synthetic"] = SYNTHETIC
+    models["quotient_mean"] = model_from_dict({
+        "parameters": [{"name": "a", "true_value": 1.0}, {"name": "b", "true_value": 1.0}],
+        "mean": "3.4270110250347745 + a / b", "scale": "1.0275573311"})
     for name, (mean, scale) in ONE_PARAMETER.items():
         models[name] = model_from_dict({
             "parameters": [{"name": "a", "true_value": 1.0}], "mean": mean, "scale": scale})
@@ -362,6 +370,35 @@ def test_reasons_equal_the_tree_walkers():
             assert rows_call(rows, batch)[-1].tolist() == feasible.tolist()
     for kind in FAILURE_KINDS:
         assert any(kind in reason for reason in seen), kind
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(_expr_strategy(), _expr_strategy(), _expr_strategy(),
+       st.lists(st.tuples(_POINTS, _POINTS, _POINTS), min_size=1, max_size=4),
+       st.integers(0, 2**32 - 1))
+# a drawn point where -2L is finite but the gradient is not: a / b with b's
+# square underflowing gives the mean's derivatives inf and, in c, NaN
+@example(parse_expr("abs(3.427) + a / b"), parse_expr("1"), parse_expr("1"),
+         [(-1e-200, 1e-200, 1e-11)], 0)
+def test_reasons_equal_the_tree_walkers_on_expression_trees(mean, scale, prior, points, seed):
+    # one rows call gives each point the walker's -2L and gradient, or the
+    # reason the walker raises, on models of drawn expressions
+    params = (ParamSpec("a", 0.7), ParamSpec("b", 1.3), ParamSpec("c", 0.4))
+    try:
+        model = ModelSpec(name="tree", params=params, mean_expr=mean,
+                          scale_expr=scale, log_prior_expr=prior)
+    except ModelError:
+        assume(False)
+    z = np.random.default_rng(seed).normal(0.6, 0.8, size=(len(points), 3))
+    ctx, ref = PosteriorContext(model, z), _TreeWalkerContext(model, z)
+    rows, batch = np.arange(len(points)), np.array(points)
+    values, grads, feasible, why = ctx.neg2l_grad_rows(rows, batch, reasons=True)
+    got = [(values[k].tobytes(), grads[k].tobytes()) if feasible[k]
+           else (InfeasiblePointError, why[k]) for k in rows]
+    assert got == [_bytes_or_error(lambda: ref.neg2l_grad(point, k))
+                   for k, point in enumerate(points)]
+    assert ctx.neg2l_grad_rows(rows, batch)[-1].tolist() == feasible.tolist()
 
 
 def test_neg2l_that_overflows_is_infeasible():

@@ -311,6 +311,33 @@ def test_fit_blocks_take_every_reason_from_the_batch_calls(monkeypatch):
     assert records[3].passed
 
 
+def test_a_start_whose_gradient_is_not_finite_is_infeasible(monkeypatch):
+    # at (a, b) = (-1e-200, 1e-200) -2L is finite but 1/b and a/b^2
+    # overflow: each row's start is infeasible, so no fit spends its
+    # backtracks on trials that are all inf or NaN.  One call finds the
+    # starts and one more names why, with the walker's reason
+    model = model_from_dict({
+        "parameters": [{"name": "a", "true_value": -1e-200}, {"name": "b", "true_value": 1e-200}],
+        "mean": "3.4270110250347745 + a / b", "scale": "1.0275573311"})
+    z = make_design_observations(model, np.array([[1.0, -1.0, 0.5, -0.5],
+                                                  [0.3, 1.1, -0.4, -1.0],
+                                                  [-1.2, 0.2, 0.6, 0.4]]))
+    calls = []
+    rows_call = PosteriorContext.neg2l_grad_rows
+
+    def counted(self, rows, points, reasons=False):
+        calls.append(len(rows))
+        return rows_call(self, rows, points, reasons)
+
+    monkeypatch.setattr(PosteriorContext, "neg2l_grad_rows", counted)
+    (records,) = _fit_blocks(model, [z], small_config(model))
+    assert calls == [3, 3]
+    reason = "gradient of -2 log-posterior is not finite"
+    assert [r.reason for r in records] == [f"infeasible start: {reason}"] * 3
+    assert [walker_reason(_TreeWalkerContext(model, row), "neg2l_grad", model.true_vector())
+            for row in z] == [reason] * 3
+
+
 class TestVerdict:
     def test_observable_model(self):
         report = run_study(small_config(VARIANCE_ONLY, T_list=(4,), K=10))
