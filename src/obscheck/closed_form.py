@@ -88,12 +88,16 @@ def mean_and_variance_oracle(
 def reciprocal_mean_oracle(z) -> OracleResult:
     """Model Z_t = 1/w + eps_t.
 
-    The maximum a posteriori estimator is what = T / sum z_t, undefined when
-    the observations sum to zero.
+    Derivation: -2L(w) = sum (z_t - 1/w)^2, whose derivative
+    2 sum (z_t - 1/w) / w^2 vanishes at what = T / sum z_t, undefined when
+    the observations sum to zero.  Its second derivative
+    2 sum [1/w^4 - 2 (z_t - 1/w) / w^3] is 2T / what^4 there, as the sum of
+    residuals vanishes, so the local variance 2 / (-2L)'' = -1/L'' is
+    what^4 / T.
     """
     z = np.asarray(z, dtype=float).ravel()
     total = float(np.sum(z))
     if total == 0.0:
         raise UndefinedEstimatorError("observations sum to zero; estimate undefined")
     w_hat = z.size / total
-    return OracleResult(estimates={"w": w_hat}, local_variances={})
+    return OracleResult(estimates={"w": w_hat}, local_variances={"w": w_hat ** 4 / z.size})

@@ -109,8 +109,16 @@ class CheckReport:
     note: str | None = None
 
     @property
+    def failed(self) -> tuple[str, ...]:
+        """The names of the checks that fail, in check order."""
+        return tuple(name for name, ok in (
+            ("gradient", self.grad_ok), ("hessian_pd", self.hessian_pd),
+            ("eig_ratio", self.eig_ratio_ok), ("local_variance", self.lvar_finite),
+        ) if not ok)
+
+    @property
     def passed(self) -> bool:
-        return self.grad_ok and self.hessian_pd and self.eig_ratio_ok and self.lvar_finite
+        return not self.failed
 
 
 # unused in the package; perfbench/child.py traces it by name as study.maximize

@@ -127,9 +127,11 @@ class PosteriorContext:
 
     def neg2l_grad_rows(self, rows, points: np.ndarray, reasons: bool = False):
         """-2L and its gradient at ``points[i]`` given row ``rows[i]``: values
-        (k,), gradients (k, n) and the mask (k,) of the feasible points (see
-        :meth:`_feasibility`).  With ``reasons=True`` a list follows the mask
-        that names why each infeasible point is (None for a feasible one)."""
+        (k,), gradients (k, n) and the mask (k,) of the points that pass
+        :meth:`_feasibility`'s tests, then 4. the scale's cube does not
+        underflow, 5. -2L is finite (not so where L is above half the largest
+        float) and 6. so is its gradient.  With ``reasons=True`` the list of
+        :func:`_first_failures` follows the mask."""
         horizon = self.horizon[rows]
         exprs = self.model.mean_scale_prior_grad(points, reasons=reasons)
         (m, dm, ok_m), (s, ds, ok_s), (prior, dprior, ok_p) = (e[:3] for e in exprs)
@@ -148,8 +150,12 @@ class PosteriorContext:
             c_dm = sum_res / s2
             c_ds3 = rss / s3
             grad = -2.0 * (c_ds[:, None] * ds + c_dm[:, None] * dm + c_ds3[:, None] * ds + dprior)
-        return (value, grad, *self._feasibility(rows, exprs, ok_m & ok_s & ok_p, s, s3,
-                                                 value, grad, reasons))
+        tests = self._feasibility(rows, exprs, ok_m & ok_s & ok_p, s) + [
+            (s3 != 0.0, lambda i: f"scale {float(s[i])} is too small: its cube underflows"),
+            (np.isfinite(value), lambda i: f"-2 log-posterior is not finite ({float(value[i])})"),
+            (np.isfinite(grad).all(axis=1), lambda i: "gradient of -2 log-posterior is not finite"),
+        ]
+        return (value, grad, *_first_failures(tests, reasons))
 
     # unused in the package; perfbench/child.py traces it by name
     def neg2l_grad(self, omega: np.ndarray, k: int = 0) -> tuple[float, list[float]]:
@@ -164,9 +170,10 @@ class PosteriorContext:
 
     def hessian_neg2l_rows(self, rows, points: np.ndarray, reasons: bool = False):
         """Exact Hessians of -2L at ``points[i]`` given row ``rows[i]``: a
-        (k, n, n) array and the mask (k,) of the feasible points (see
-        :meth:`_feasibility`), followed with ``reasons=True`` by the list
-        that names why each infeasible point is.
+        (k, n, n) array and the mask (k,) of the points that pass
+        :meth:`_feasibility`'s tests, then 4. the scale's fourth power does
+        not underflow; with ``reasons=True`` the list of
+        :func:`_first_failures` follows the mask.
 
         -2L = phi(m, s) - 2 log p(omega), where phi = 2T log s
         + (Q + T (zbar - m)^2) / s^2, so the Hessian follows by the chain rule
@@ -192,8 +199,10 @@ class PosteriorContext:
             hess = (phi_m * hm + phi_s * hs + phi_mm * (dm_i * dm_j)
                     + phi_ms * (dm_i * ds_j + ds_i * dm_j) + phi_ss * (ds_i * ds_j) - 2.0 * hp)
         hess[np.isnan(hess)] = np.nan  # numpy's NaN sign bit varies with the rows a call holds
-        return (hess, *self._feasibility(rows, exprs, ok_m & ok_s & ok_p, s, s4,
-                                         None, None, reasons))
+        tests = self._feasibility(rows, exprs, ok_m & ok_s & ok_p, s) + [
+            (s4 != 0.0, lambda i: f"scale {float(s[i])} is too small: its fourth power underflows"),
+        ]
+        return (hess, *_first_failures(tests, reasons))
 
     # unused in the package; perfbench/child.py traces it by name
     def hessian_neg2l(self, omega: np.ndarray, k: int = 0) -> np.ndarray:
@@ -205,40 +214,30 @@ class PosteriorContext:
             raise InfeasiblePointError(why[0])
         return hess[0]
 
-    def _feasibility(self, rows, exprs, defined, s, power, neg2l, grad, reasons):
-        """The one feasibility rule at points of rows ``rows``, for -2L and its
-        gradient (``power`` the scale ``s`` cubed, ``neg2l`` -2L, ``grad`` its
-        gradient) or for the Hessian (``power`` s^4, ``neg2l`` and ``grad``
-        None).  A point is feasible where it passes these tests, in this
-        order: 1. the row is finite; 2. mean, scale and log-prior and their
-        derivatives are defined (``defined``); 3. the scale is positive; 4.
-        its cube or fourth power does not underflow; 5. for the gradient, -2L
-        is finite, which it is not where L is finite but above half the
-        largest float; 6. for the gradient, the gradient of -2L is finite,
-        which it is not where, say, a derivative of the mean overflows.
-        Returns the mask (k,) and, with ``reasons=True``, the list that names
-        the first test each infeasible point fails (None for a feasible one):
-        for the second, the reason that the closures' outputs ``exprs`` give
-        after their mask."""
-        finite, positive, representable = self.finite[rows], s > 0.0, power != 0.0
-        feasible = finite & defined & positive & representable
-        if neg2l is not None:
-            feasible &= np.isfinite(neg2l) & np.isfinite(grad).all(axis=1)
-        if not reasons:
-            return (feasible,)
-        why = [None] * len(feasible)
-        for i in np.flatnonzero(~feasible).tolist():
-            if not finite[i]:
-                why[i] = "observation vector must be finite"
-            elif not defined[i]:
-                why[i] = next(e[-1][i] for e in exprs if e[-1][i] is not None)
-            elif not positive[i]:
-                why[i] = f"scale is not positive ({float(s[i])})"
-            elif not representable[i]:
-                name = "fourth power" if neg2l is None else "cube"
-                why[i] = f"scale {float(s[i])} is too small: its {name} underflows"
-            elif not math.isfinite(neg2l[i]):
-                why[i] = f"-2 log-posterior is not finite ({float(neg2l[i])})"
-            else:
-                why[i] = "gradient of -2 log-posterior is not finite"
-        return feasible, why
+    def _feasibility(self, rows, exprs, defined, s) -> list:
+        """The first tests of the one feasibility rule at points of rows
+        ``rows``, in order: 1. the row is finite; 2. mean, scale and log-prior
+        and their derivatives are defined (``defined``); 3. the scale ``s`` is
+        positive.  Each test is a pair: the mask (k,) of the points that pass
+        it and a function that names why point ``i`` fails, for the second
+        the reason that the closures' outputs ``exprs`` give after their
+        mask.  Each caller appends its own tests and hands the list to
+        :func:`_first_failures`."""
+        return [
+            (self.finite[rows], lambda i: "observation vector must be finite"),
+            (defined, lambda i: next(e[-1][i] for e in exprs if e[-1][i] is not None)),
+            (s > 0.0, lambda i: f"scale is not positive ({float(s[i])})"),
+        ]
+
+
+def _first_failures(tests: list, reasons: bool):
+    """The mask (k,) of the points that pass every (mask, reason) test of
+    ``tests``, followed with ``reasons=True`` by the list that names the
+    first test each infeasible point fails (None for a feasible one)."""
+    feasible = np.logical_and.reduce([mask for mask, _ in tests])
+    if not reasons:
+        return (feasible,)
+    why = [None] * len(feasible)
+    for i in np.flatnonzero(~feasible).tolist():
+        why[i] = next(reason(i) for mask, reason in tests if not mask[i])
+    return feasible, why

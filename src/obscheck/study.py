@@ -67,8 +67,12 @@ class StudyConfig:
             raise ValueError("every horizon must be >= 1")
         if len(set(self.T_list)) != len(self.T_list):
             raise ValueError(f"T_list lists a horizon twice: {list(self.T_list)}")
-        if self.K < 2:
-            raise ValueError("K must be >= 2")
+        # fewer point-symmetric design vectors cannot have identity sample
+        # covariance in T dimensions
+        largest = max(self.T_list)
+        if self.K < 2 * largest:
+            raise ValueError(f"K = {self.K} is too small for T = {largest}: "
+                             f"a study needs K >= 2T = {2 * largest}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,26 +249,15 @@ def _record(k: int, fit: MaxResult | InfeasiblePointError, check: CheckReport | 
             converged=False, iterations=0, grad_inf_norm=None, checks=None,
             local_variances=None,
         )
-    passed = check.passed
     reason = None
-    if not passed:
-        failed = [
-            name
-            for name, ok in (
-                ("gradient", check.grad_ok),
-                ("hessian_pd", check.hessian_pd),
-                ("eig_ratio", check.eig_ratio_ok),
-                ("local_variance", check.lvar_finite),
-            )
-            if not ok
-        ]
-        reason = "checks failed: " + ",".join(failed)
+    if check.failed:
+        reason = "checks failed: " + ",".join(check.failed)
         if not fit.converged:
             reason += " (optimizer did not converge)"
     return RunRecord(
         k=k,
         estimates=fit.estimates,
-        passed=passed,
+        passed=check.passed,
         reason=reason,
         converged=fit.converged,
         iterations=fit.iterations,

@@ -340,8 +340,25 @@ def test_too_few_design_vectors_is_usage_error(tmp_path, monkeypatch, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert code == EXIT_USAGE
     assert len(lines) == 1 and lines[0].startswith("error:")
-    assert "--K 30" in lines[0] and "T = 20" in lines[0]
+    assert "K = 30" in lines[0] and "T = 20" in lines[0]
     assert not any(cache.rglob("*"))
+
+
+def test_empty_horizon_list_is_usage_error(tmp_path, monkeypatch, capsys):
+    import obscheck.cli as cli_module
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the horizons are checked before any placement or study")
+
+    monkeypatch.setattr(cli_module, "run_study", unreachable)
+    monkeypatch.setattr(cli_module, "optimize_mixture", unreachable)
+    cache = tmp_path / "cache"
+    code = run_cli(["run", "--model", "unknown_variance", "--T", ",", "--K", "30",
+                    "--out", tmp_path / "r.json", "--cache-dir", cache])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == EXIT_USAGE
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert not cache.exists() and not (tmp_path / "r.json").exists()
 
 
 def test_warning_prints_as_one_line(tmp_path):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from obscheck import PosteriorContext, load_model
 from obscheck.closed_form import (
@@ -19,6 +19,7 @@ from conftest import DESK_LCD, local_variances_at
 
 VARIANCE_ONLY = load_model("unknown_variance")
 MEAN_AND_VARIANCE = load_model("mean_and_variance")
+RECIPROCAL_MEAN = load_model("reciprocal_mean")
 
 
 class TestUnknownVariance:
@@ -78,6 +79,11 @@ class TestReciprocalMean:
         with pytest.raises(UndefinedEstimatorError):
             reciprocal_mean_oracle(np.array([1.0, -1.0]))
 
+    def test_local_variance_formula(self):
+        # -2L'' = 2T / what^4 at what = T / sum z, so LVar = what^4 / T
+        result = reciprocal_mean_oracle(np.array([0.5, 0.5, 1.0]))
+        assert result.local_variances["w"] == pytest.approx(1.5 ** 4 / 3)
+
 
 @given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(2, 30))
 @settings(max_examples=40)
@@ -107,9 +113,27 @@ def test_numeric_maximization_matches_mean_variance_oracle(seed, horizon):
     assert lvar[1] == pytest.approx(oracle.local_variances["b"], rel=1e-6)
 
 
+@given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(2, 29))
+@settings(max_examples=40)
+def test_numeric_maximization_matches_reciprocal_mean_oracle(seed, horizon):
+    # away from a zero sum, where what = T / sum z is undefined, every fit
+    # that passes its checks is the closed form's maximum
+    rng = np.random.default_rng(seed)
+    z = rng.normal(1.0, 1.0, size=horizon)
+    assume(abs(z.sum()) >= 0.2 * horizon)
+    oracle = reciprocal_mean_oracle(z)
+    ctx = PosteriorContext(RECIPROCAL_MEAN, z)
+    result = maximize(ctx, RECIPROCAL_MEAN.true_vector())
+    report = check_maximum(ctx, result)
+    assume(report.passed)
+    assert result.omega_hat[0] == pytest.approx(oracle.estimates["w"], rel=1e-6)
+    assert report.local_variances[0] == pytest.approx(oracle.local_variances["w"], rel=1e-6)
+
+
 @pytest.mark.parametrize("name,oracle", [
     ("unknown_variance", unknown_variance_oracle),
     ("mean_and_variance", mean_and_variance_oracle),
+    ("reciprocal_mean", reciprocal_mean_oracle),
 ])
 def test_exact_curvature_gives_oracle_local_variances(name, oracle):
     # at the closed-form estimates, the local variances from the exact -2L

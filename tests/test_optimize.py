@@ -1,3 +1,4 @@
+import itertools
 import random
 import struct
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from obscheck import (
+    CheckReport,
     MaxResult,
     OptConfig,
     PosteriorContext,
@@ -327,6 +329,14 @@ class TestCheckMaximum:
         assert report.passed == (
             report.grad_ok and report.hessian_pd and report.eig_ratio_ok and report.lvar_finite
         )
+
+    def test_failed_names_the_failing_checks_in_check_order(self):
+        names = ("gradient", "hessian_pd", "eig_ratio", "local_variance")
+        for flags in itertools.product([True, False], repeat=4):
+            report = CheckReport(*flags, grad_inf_norm=0.0, eig_ratio=1.0, local_variances=None)
+            assert report.failed == tuple(n for n, ok in zip(names, flags) if not ok)
+            assert report.passed is (report.failed == ())
+            assert report.passed == all(flags)
 
     def test_threshold_scaling_never_changes_estimate(self):
         eps = representative_disturbances(4, DESK_LCD)

@@ -29,9 +29,10 @@ from obscheck import (
     run_study,
 )
 from obscheck.models import model_from_dict
-from obscheck.optimize import check_maximum, maximize
+from obscheck.optimize import CheckReport, MaxResult, check_maximum, maximize
 from obscheck.study import (
-    StudyReport, _aggregate, _fit_blocks, render_report, report_to_dict, run_part1, run_part2,
+    StudyReport, _aggregate, _fit_blocks, _record, render_report, report_to_dict, run_part1,
+    run_part2,
 )
 
 from conftest import DESK_LCD, _TreeWalkerContext
@@ -101,7 +102,7 @@ class TestPartOne:
         data["parameters"][0]["true_value"] = 3.6e-221
         data["parameters"][1]["true_value"] = 1.0
         model = model_from_dict(data)
-        result = run_part1(model, 2, small_config(model, K=4))
+        result = run_part1(model, 2, small_config(model, T_list=(2,), K=4))
         assert not result.passed
         assert result.run.reason.startswith("infeasible start")
         assert result.run.estimates is None and result.run.checks is None
@@ -140,7 +141,7 @@ class TestPartTwo:
     def test_origin_row_is_tallied_not_fatal(self):
         # odd K pins a design vector at the origin; for this model that
         # observation has no maximum (the estimator is undefined there)
-        cfg = small_config(VARIANCE_ONLY, K=5)
+        cfg = small_config(VARIANCE_ONLY, T_list=(2,), K=5)
         result = run_part2(VARIANCE_ONLY, 2, 5, cfg)
         assert result.n_failed >= 1
         assert result.n_passed + result.n_failed == 5
@@ -154,12 +155,12 @@ class TestPartTwo:
         data["parameters"][0]["true_value"] = 3.6e-221
         data["parameters"][1]["true_value"] = 1.0
         model = model_from_dict(data)
-        result = run_part2(model, 2, 4, small_config(model, K=4))
+        result = run_part2(model, 2, 4, small_config(model, T_list=(2,), K=4))
         assert result.n_failed == 4
         assert all(r.reason.startswith("infeasible start") for r in result.records)
 
     def test_statistics_only_over_passing_runs(self):
-        cfg = small_config(VARIANCE_ONLY, K=5)
+        cfg = small_config(VARIANCE_ONLY, T_list=(2,), K=5)
         result = run_part2(VARIANCE_ONLY, 2, 5, cfg)
         passing = [r for r in result.records if r.passed]
         expected = np.mean([r.estimates["b"] for r in passing])
@@ -439,6 +440,37 @@ def test_study_config_validation():
         StudyConfig(model=VARIANCE_ONLY, T_list=())
     with pytest.raises(ValueError):
         StudyConfig(model=VARIANCE_ONLY, T_list=(4,), K=1)
+
+
+def test_study_config_needs_two_design_vectors_per_horizon():
+    # whitening K point-symmetric vectors in T dimensions needs K >= 2T; a
+    # smaller K fails here, not later inside the study's whitening
+    with pytest.raises(ValueError, match=r"^K = 30 is too small for T = 20: "
+                                         r"a study needs K >= 2T = 40$"):
+        StudyConfig(model=VARIANCE_ONLY, T_list=(20, 4), K=30)
+    assert StudyConfig(model=VARIANCE_ONLY, T_list=(20, 4), K=40).K == 40
+
+
+def test_record_reasons_name_the_failed_checks():
+    names = VARIANCE_ONLY.param_names
+
+    def fit(converged):
+        return MaxResult(omega_hat=[0.8], param_names=names, converged=converged,
+                         iterations=3, grad_inf_norm=1e-3, trace=(1.0,))
+
+    check = CheckReport(grad_ok=False, hessian_pd=True, eig_ratio_ok=True, lvar_finite=False,
+                        grad_inf_norm=1e-3, eig_ratio=1.0, local_variances=np.array([1e9]))
+    failed = _record(0, fit(True), check, names)
+    assert not failed.passed
+    assert failed.reason == "checks failed: gradient,local_variance"
+    unconverged = _record(0, fit(False), check, names)
+    assert unconverged.reason == ("checks failed: gradient,local_variance "
+                                  "(optimizer did not converge)")
+    passing = CheckReport(grad_ok=True, hessian_pd=True, eig_ratio_ok=True, lvar_finite=True,
+                          grad_inf_norm=1e-9, eig_ratio=1.0, local_variances=np.array([0.3]))
+    record = _record(0, fit(False), passing, names)
+    assert record.passed and record.reason is None
+    assert record.local_variances == {"b": 0.3}
 
 
 def test_results_that_hold_arrays_compare_and_hash_by_identity():
