@@ -9,7 +9,7 @@ one evaluator: :func:`compile_expr` turns a tree into one closure over a
 (k, n) array of points that gives each point its value by those rules with
 its exact first and, when asked, second partial derivatives (second-order
 forward mode), marks the points where the value or a derivative is
-undefined and, when asked, names the reason.
+undefined and returns, next to that mask, a function that names the reason.
 
 Precedence is ``^`` > unary minus > ``* /`` > ``+ -``; all binary
 operators associate to the left.
@@ -34,6 +34,7 @@ __all__ = [
     "DomainError",
     "parse_expr",
     "compile_expr",
+    "first_failure",
     "format_expr",
     "collect_params",
 ]
@@ -390,26 +391,27 @@ def _power_rule(e: Binary, a: float, ga, ha, b: float, gb, hb, value: float):
 # ---------------------------------------------------------------------------
 
 RowsFn = Callable[..., tuple]
-# a compiled node: (points, infeasible, hessian, reasons) -> (values,
+# a compiled node: (points, infeasible, hessian, tests) -> (values,
 # gradients, Hessians); it marks the rows where its value or a derivative
-# is undefined in ``infeasible``, in place, and, when ``reasons`` is a list,
-# puts the error message at each row it is the first to mark; its Hessians
-# are None unless ``hessian``
-_NodeFn = Callable[[np.ndarray, np.ndarray, bool, "list | None"], tuple]
+# is undefined in ``infeasible``, in place, and appends to ``tests`` a pair:
+# the mask of the rows it leaves feasible and a function that names why row
+# i fails; its Hessians are None unless ``hessian``
+_NodeFn = Callable[[np.ndarray, np.ndarray, bool, list], tuple]
 
 
 def compile_expr(e: Expr, order: Sequence[str]) -> RowsFn:
-    """Compile ``e`` into one closure over many points, with gradients and,
-    when asked, Hessians and the reasons why points are infeasible.
+    """Compile ``e`` into one closure over many points, with gradients,
+    Hessians when asked, and the reasons why points are infeasible.
 
     The closure takes a (k, n) array, one point per row laid out like
-    ``order``, and returns ``(values, gradients, feasible)``: values (k,),
-    gradients (k, n) and a boolean mask (k,).  With ``hessian=True`` the
-    Hessians (k, n, n) come before the mask.  With ``reasons=True`` a list
-    follows the mask: for each infeasible row the message of the
-    :class:`DomainError` or ``OverflowError`` that says why, None for each
-    feasible row.  A parameter of ``e`` missing from ``order`` raises
-    ``KeyError`` at compile time.
+    ``order``, and returns ``(values, gradients, hessians, feasible, why)``:
+    values (k,), gradients (k, n), the Hessians (k, n, n) with
+    ``hessian=True`` and None otherwise, a boolean mask (k,) and a function
+    ``why(i)`` that gives the message of the :class:`DomainError` or
+    ``OverflowError`` that says why row i is infeasible (None for a feasible
+    row).  A reason is worked out only when asked for, from a copy of the
+    points taken by the call.  A parameter of ``e`` missing from ``order``
+    raises ``KeyError`` at compile time.
 
     Each row is second-order forward mode (Griewank & Walther, *Evaluating
     Derivatives*, 2nd ed., 2008): a node takes its value, gradient and
@@ -434,16 +436,22 @@ def compile_expr(e: Expr, order: Sequence[str]) -> RowsFn:
     """
     node = _compile(e, {name: i for i, name in enumerate(order)}, len(order))
 
-    def rows(points, hessian=False, reasons=False):
-        points = np.asarray(points, dtype=float)
+    def rows(points, hessian=False):
+        points = np.array(points, dtype=float)  # the reasons read this copy
         infeasible = np.zeros(len(points), dtype=bool)
-        why = [None] * len(points) if reasons else None
+        tests = []
         with np.errstate(all="ignore"):  # infeasible rows compute garbage
-            values, grads, hessians = node(points, infeasible, hessian, why)
-        out = (values, grads, hessians) if hessian else (values, grads)
-        return (*out, ~infeasible, why) if reasons else (*out, ~infeasible)
+            values, grads, hessians = node(points, infeasible, hessian, tests)
+        return values, grads, hessians, ~infeasible, first_failure(tests)
 
     return rows
+
+
+def first_failure(tests: list) -> Callable[[int], "str | None"]:
+    """The function that names why point i is infeasible: the reason of the
+    first (mask, reason) pair of ``tests`` whose mask is False at i, or None
+    where every mask is True."""
+    return lambda i: next((reason(i) for mask, reason in tests if not mask[i]), None)
 
 
 def _outer(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -457,7 +465,7 @@ def _compile(e: Expr, index: dict[str, int], n: int) -> _NodeFn:
     if isinstance(e, Literal):
         value = e.value
 
-        def literal(x, bad, hessian, why):
+        def literal(x, bad, hessian, tests):
             k = len(x)
             return np.full(k, value), np.zeros((k, n)), np.zeros((k, n, n)) if hessian else None
 
@@ -465,7 +473,7 @@ def _compile(e: Expr, index: dict[str, int], n: int) -> _NodeFn:
     if isinstance(e, Param):
         i = index[e.name]
 
-        def param(x, bad, hessian, why):
+        def param(x, bad, hessian, tests):
             unit = np.zeros((len(x), n))
             unit[:, i] = 1.0
             return x[:, i], unit, np.zeros((len(x), n, n)) if hessian else None
@@ -478,31 +486,32 @@ def _compile(e: Expr, index: dict[str, int], n: int) -> _NodeFn:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _mark(bad: np.ndarray, fails: np.ndarray, why: list | None, rule: Callable) -> None:
-    """Mark the rows of the mask ``fails`` infeasible.  With ``why`` a list,
-    each row that no earlier node has marked gets the message of the error
+def _mark(bad: np.ndarray, tests: list, fails: np.ndarray, rule: Callable) -> None:
+    """Mark the rows of the mask ``fails`` infeasible, each for the error
     that ``rule(i)``, the node's scalar rule at row i, raises."""
-    if why is not None:
-        for i in np.flatnonzero(fails & ~bad).tolist():
-            try:
-                rule(i)
-            except (DomainError, OverflowError) as exc:
-                why[i] = str(exc)
+
+    def reason(i):
+        try:
+            rule(i)
+        except (DomainError, OverflowError) as exc:
+            return str(exc)
+
+    tests.append((~fails, reason))
     bad |= fails
 
 
-def _scalar_rows(e: Unary, v: np.ndarray, bad: np.ndarray, why: list | None) -> np.ndarray:
+def _scalar_rows(e: Unary, v: np.ndarray, bad: np.ndarray, tests: list) -> np.ndarray:
     """``_apply_unary(e, .)`` on each feasible entry of ``v``; an entry where it
-    raises marks its row infeasible, with the error's message in ``why``."""
+    raises marks its row infeasible."""
     out = np.full(len(v), math.nan)
+    fails = np.zeros(len(v), dtype=bool)
     for i, (a, skip) in enumerate(zip(v.tolist(), bad.tolist())):
         if not skip:
             try:
                 out[i] = _apply_unary(e, a)
-            except (DomainError, OverflowError) as exc:
-                bad[i] = True
-                if why is not None:
-                    why[i] = str(exc)
+            except (DomainError, OverflowError):
+                fails[i] = True
+    _mark(bad, tests, fails, lambda i: _apply_unary(e, v[i].item()))
     return out
 
 
@@ -510,16 +519,16 @@ def _compile_unary(e: Unary, arg: _NodeFn) -> _NodeFn:
     op = e.op
     if op == "neg":
 
-        def neg(x, bad, hessian, why):
-            v, g, h = arg(x, bad, hessian, why)
+        def neg(x, bad, hessian, tests):
+            v, g, h = arg(x, bad, hessian, tests)
             return -v, -g, None if h is None else -h
 
         return neg
     if op == "sqrt":
 
-        def sqrt(x, bad, hessian, why):
-            v, g, h = arg(x, bad, hessian, why)
-            _mark(bad, v <= 0.0, why, lambda i: _apply_unary(e, v[i].item()))
+        def sqrt(x, bad, hessian, tests):
+            v, g, h = arg(x, bad, hessian, tests)
+            _mark(bad, tests, v <= 0.0, lambda i: _apply_unary(e, v[i].item()))
             r = np.sqrt(v)
             d = 2.0 * r
             dr = g / d[:, None]
@@ -530,19 +539,19 @@ def _compile_unary(e: Unary, arg: _NodeFn) -> _NodeFn:
         return sqrt
     if op == "log":
 
-        def log(x, bad, hessian, why):
-            v, g, h = arg(x, bad, hessian, why)
+        def log(x, bad, hessian, tests):
+            v, g, h = arg(x, bad, hessian, tests)
             dr = g / v[:, None]
             if h is not None:
                 h = h / v[:, None, None] - _outer(dr, dr)
-            return _scalar_rows(e, v, bad, why), dr, h
+            return _scalar_rows(e, v, bad, tests), dr, h
 
         return log
     if op == "exp":
 
-        def exp(x, bad, hessian, why):
-            v, g, h = arg(x, bad, hessian, why)
-            r = _scalar_rows(e, v, bad, why)
+        def exp(x, bad, hessian, tests):
+            v, g, h = arg(x, bad, hessian, tests)
+            r = _scalar_rows(e, v, bad, tests)
             if h is not None:
                 h = r[:, None, None] * (h + _outer(g, g))
             return r, r[:, None] * g, h
@@ -550,8 +559,8 @@ def _compile_unary(e: Unary, arg: _NodeFn) -> _NodeFn:
         return exp
     if op == "abs":
 
-        def abs_(x, bad, hessian, why):
-            v, g, h = arg(x, bad, hessian, why)
+        def abs_(x, bad, hessian, tests):
+            v, g, h = arg(x, bad, hessian, tests)
             sign = np.where(v == 0.0, 0.0, np.copysign(1.0, v))
             return np.abs(v), sign[:, None] * g, None if h is None else sign[:, None, None] * h
 
@@ -563,22 +572,22 @@ def _compile_binary(e: Binary, left: _NodeFn, right: _NodeFn) -> _NodeFn:
     op = e.op
     if op == "+":
 
-        def add(x, bad, hessian, why):
-            (a, ga, ha), (b, gb, hb) = left(x, bad, hessian, why), right(x, bad, hessian, why)
+        def add(x, bad, hessian, tests):
+            (a, ga, ha), (b, gb, hb) = left(x, bad, hessian, tests), right(x, bad, hessian, tests)
             return a + b, ga + gb, None if ha is None else ha + hb
 
         return add
     if op == "-":
 
-        def sub(x, bad, hessian, why):
-            (a, ga, ha), (b, gb, hb) = left(x, bad, hessian, why), right(x, bad, hessian, why)
+        def sub(x, bad, hessian, tests):
+            (a, ga, ha), (b, gb, hb) = left(x, bad, hessian, tests), right(x, bad, hessian, tests)
             return a - b, ga - gb, None if ha is None else ha - hb
 
         return sub
     if op == "*":
 
-        def mul(x, bad, hessian, why):
-            (a, ga, ha), (b, gb, hb) = left(x, bad, hessian, why), right(x, bad, hessian, why)
+        def mul(x, bad, hessian, tests):
+            (a, ga, ha), (b, gb, hb) = left(x, bad, hessian, tests), right(x, bad, hessian, tests)
             if ha is not None:
                 ha = (a[:, None, None] * hb + b[:, None, None] * ha
                       + (_outer(ga, gb) + _outer(gb, ga)))
@@ -587,9 +596,9 @@ def _compile_binary(e: Binary, left: _NodeFn, right: _NodeFn) -> _NodeFn:
         return mul
     if op == "/":
 
-        def div(x, bad, hessian, why):
-            (a, ga, ha), (b, gb, hb) = left(x, bad, hessian, why), right(x, bad, hessian, why)
-            _mark(bad, b == 0.0, why, lambda i: _apply_binary(e, a[i].item(), b[i].item()))
+        def div(x, bad, hessian, tests):
+            (a, ga, ha), (b, gb, hb) = left(x, bad, hessian, tests), right(x, bad, hessian, tests)
+            _mark(bad, tests, b == 0.0, lambda i: _apply_binary(e, a[i].item(), b[i].item()))
             value = a / b
             # with f = a/b: f_i = (a_i b - a b_i) / b^2, which is +-inf or nan
             # where b^2 underflows to zero
@@ -605,10 +614,11 @@ def _compile_binary(e: Binary, left: _NodeFn, right: _NodeFn) -> _NodeFn:
         return div
     if op == "^":
 
-        def power(x, bad, hessian, why):
-            (a, ga, ha), (b, gb, hb) = left(x, bad, hessian, why), right(x, bad, hessian, why)
+        def power(x, bad, hessian, tests):
+            (a, ga, ha), (b, gb, hb) = left(x, bad, hessian, tests), right(x, bad, hessian, tests)
             value, grad = np.full(len(a), math.nan), np.full(ga.shape, math.nan)
             hess = np.full(ha.shape, math.nan) if hessian else None
+            fails = np.zeros(len(a), dtype=bool)
             rows = zip(a.tolist(), ga.tolist(), b.tolist(), gb.tolist(), bad.tolist())
             for i, (ai, gai, bi, gbi, skip) in enumerate(rows):
                 if skip:
@@ -620,10 +630,14 @@ def _compile_binary(e: Binary, left: _NodeFn, right: _NodeFn) -> _NodeFn:
                             e, ai, gai, ha[i].tolist(), bi, gbi, hb[i].tolist(), vi)
                     else:
                         grad[i] = _power_rule(e, ai, gai, None, bi, gbi, None, vi)[0]
-                except (DomainError, OverflowError) as exc:
-                    bad[i] = True
-                    if why is not None:
-                        why[i] = str(exc)
+                except (DomainError, OverflowError):
+                    fails[i] = True
+
+            def rule(i):  # the Hessian raises where the gradient does
+                ai, gai, bi, gbi = a[i].item(), ga[i].tolist(), b[i].item(), gb[i].tolist()
+                _power_rule(e, ai, gai, None, bi, gbi, None, _power_value(e, ai, bi))
+
+            _mark(bad, tests, fails, rule)
             return value, grad, hess
 
         return power

@@ -94,9 +94,9 @@ class ModelSpec:
         # where a value or a gradient is undefined
         point = self.true_vector().reshape(1, -1)
         for label, closure in zip(("mean", "scale", "log_prior"), self._compiled):
-            (value,), _, (feasible,), (why,) = closure(point, reasons=True)
+            (value,), _, _, (feasible,), why = closure(point)
             if not feasible:
-                raise ModelError(f"{label} is not evaluable at the true values: {why}")
+                raise ModelError(f"{label} is not evaluable at the true values: {why(0)}")
             value = value.item()
             if label == "scale" and not value > 0.0:
                 raise ModelError(
@@ -122,26 +122,18 @@ class ModelSpec:
             for p in self.params
         ]
 
-    def mean_scale_prior_grad(self, points: np.ndarray, reasons: bool = False):
-        """(values, gradients, feasible) triples for mean, scale and log-prior
-        at each row of the (k, n) array ``points``, the columns laid out like
-        :attr:`param_names`: values (k,), gradients (k, n) and a mask (k,) of
-        the rows where the expression and its gradient are defined.  With
-        ``reasons=True`` each triple carries a fourth item, the list that
-        names why each infeasible row is (None for a feasible one)."""
-        mean, scale, prior = self._compiled
-        return (mean(points, reasons=reasons), scale(points, reasons=reasons),
-                prior(points, reasons=reasons))
+    def mean_scale_prior_grad(self, points: np.ndarray):
+        """The compiled closures' (values, gradients, None, feasible, why) for
+        mean, scale and log-prior at each row of the (k, n) array ``points``,
+        the columns laid out like :attr:`param_names`: values (k,), gradients
+        (k, n), a mask (k,) of the rows where the expression and its gradient
+        are defined and the function that names why row i is not."""
+        return tuple([f(points) for f in self._compiled])
 
-    def mean_scale_prior_hessian(self, points: np.ndarray, reasons: bool = False):
-        """(values, gradients, Hessians, feasible) for mean, scale and
-        log-prior at each row of ``points``, as :meth:`mean_scale_prior_grad`
-        with the Hessians (k, n, n) as well, and the reasons after the mask
-        with ``reasons=True``."""
-        mean, scale, prior = self._compiled
-        return (mean(points, hessian=True, reasons=reasons),
-                scale(points, hessian=True, reasons=reasons),
-                prior(points, hessian=True, reasons=reasons))
+    def mean_scale_prior_hessian(self, points: np.ndarray):
+        """As :meth:`mean_scale_prior_grad`, with the Hessians (k, n, n) in
+        place of None."""
+        return tuple([f(points, hessian=True) for f in self._compiled])
 
     def to_dict(self) -> dict:
         return {

@@ -6,11 +6,11 @@ infeasible trial points are rejected by the line search.  One loop,
 over numpy arrays with one row per fit, and gives each row the result a fit
 on its own would; :func:`maximize` is that loop on a one-row context.  The
 fit asks the context for one thing, -2L and its gradient for many rows at
-once (``neg2l_grad_rows``), and once more for the reasons of the
-infeasible starts.  :func:`check_rows` checks many maxima at once: it asks
-for all their Hessians in one call (``hessian_neg2l_rows``), once more for
-the reasons of the infeasible ones, and decomposes the stack with one
-``eigh``; :func:`check_maximum` is that on one maximum.
+once (``neg2l_grad_rows``), with the reasons of the infeasible points next
+to the mask.  :func:`check_rows` checks many maxima at once: it asks for all
+their Hessians, and the reasons of the infeasible ones, in one call
+(``hessian_neg2l_rows``) and decomposes the stack with one ``eigh``;
+:func:`check_maximum` is that on one maximum.
 
 Near a maximum, -2L differences fall to rounding noise and Armijo's test
 decides on that noise, so a feasible trial that Armijo rejects is accepted
@@ -154,13 +154,13 @@ def maximize_rows(ctx, x0, cfg: OptConfig = OptConfig()) -> list:
 
     This is the one fit contract.  ``ctx`` has ``len(ctx)`` rows,
     ``param_names``, ``bounds()`` and ``neg2l_grad_rows(rows, points) ->
-    (values, gradients, feasible)``, which evaluates -2L for row ``rows[i]``
-    at ``points[i]``; :class:`~obscheck.posterior.PosteriorContext` provides
-    them.  The entry of a row is its ``MaxResult`` or, where the start
-    (``x0`` projected onto the bounds) is infeasible, an
-    ``InfeasiblePointError`` with the reason that one more call,
-    ``neg2l_grad_rows(rows, starts, reasons=True)`` for all those rows,
-    names after the mask.
+    (values, gradients, feasible, why)``, which evaluates -2L for row
+    ``rows[i]`` at ``points[i]`` and gives the function ``why(i)`` that names
+    why point i is infeasible; :class:`~obscheck.posterior.PosteriorContext`
+    provides them.  The entry of a row is its ``MaxResult`` or, where the
+    start (``x0`` projected onto the bounds) is infeasible, an
+    ``InfeasiblePointError`` with the reason that the call at the starts
+    names.
 
     The rows advance in lock-step: in each round every unfinished row
     evaluates exactly one trial, the first step of a new iteration or a
@@ -174,7 +174,8 @@ def maximize_rows(ctx, x0, cfg: OptConfig = OptConfig()) -> list:
     box = _box(ctx.bounds())
     with np.errstate(all="ignore"):  # rows that are done or infeasible compute garbage
         x = _project(np.tile(np.asarray(x0, dtype=float), (count, 1)), box)
-        f, g, started = ctx.neg2l_grad_rows(np.arange(count), x)
+        f, g, started, why = ctx.neg2l_grad_rows(np.arange(count), x)
+        failed = {i: InfeasiblePointError(why(i)) for i in np.flatnonzero(~started).tolist()}
         f, g = np.array(f, dtype=float), np.array(g, dtype=float)
         traces = [[v] for v in f.tolist()]
         iterations = np.zeros(count, dtype=int)
@@ -213,7 +214,7 @@ def maximize_rows(ctx, x0, cfg: OptConfig = OptConfig()) -> list:
             if not ready.size:
                 break
 
-            f_new, g_new, feasible = ctx.neg2l_grad_rows(ready, trial[ready])
+            f_new, g_new, feasible, _ = ctx.neg2l_grad_rows(ready, trial[ready])
             moved = trial[ready] - x[ready]
             accept = feasible & _acceptable(f[ready], g[ready], f_new, g_new, moved)
             step[ready[~accept]] *= _BACKTRACK_FACTOR
@@ -229,13 +230,11 @@ def maximize_rows(ctx, x0, cfg: OptConfig = OptConfig()) -> list:
             active[stepped] = ~converged[stepped] & (iterations[stepped] < _MAX_ITERS)
             tries[stepped] = 0
 
-    failed = np.flatnonzero(~started)  # these rows never left their start
-    why = iter(ctx.neg2l_grad_rows(failed, x[failed], reasons=True)[-1] if failed.size else ())
     return [
         MaxResult(omega_hat=x[i], param_names=names, converged=bool(converged[i]),
                   iterations=int(iterations[i]), grad_inf_norm=float(grad_inf[i]),
                   trace=tuple(traces[i]))
-        if started[i] else InfeasiblePointError(next(why))
+        if started[i] else failed[i]
         for i in range(count)
     ]
 
@@ -372,8 +371,8 @@ def check_rows(ctx, rows, results: list[MaxResult],
     maximum of row ``rows[i]`` of ``ctx``.
 
     The context provides ``hessian_neg2l_rows(rows, points) -> (hessians,
-    feasible)``, the (k, n, n) Hessians of -2L; one more call with
-    ``reasons=True`` names, after the mask, why the infeasible points are.
+    feasible, why)``, the (k, n, n) Hessians of -2L, their mask and the
+    function ``why(i)`` that names why point i is infeasible.
     The gradient check reads ``grad_inf_norm``, which :func:`maximize_rows`
     computed at ``omega_hat``, so the gradient is not evaluated again.
     Positive definiteness, the eigenvalue ratio and the local variances all
@@ -396,13 +395,8 @@ def _curvatures(ctx, rows, points: np.ndarray) -> list:
     matrix that does not converge makes the whole stack raise, the stack
     then goes matrix by matrix, as does every feasible Hessian that is not
     finite."""
-    hess, feasible = ctx.hessian_neg2l_rows(rows, points)
-    out = [None] * len(points)
-    failed = np.flatnonzero(~feasible)
-    if failed.size:
-        why = ctx.hessian_neg2l_rows(np.asarray(rows)[failed], points[failed], reasons=True)[-1]
-        for i, reason in zip(failed.tolist(), why):
-            out[i] = InfeasiblePointError(reason)
+    hess, feasible, why = ctx.hessian_neg2l_rows(rows, points)
+    out = [None if ok else InfeasiblePointError(why(i)) for i, ok in enumerate(feasible.tolist())]
     stack = np.flatnonzero(feasible & np.isfinite(hess).all(axis=(1, 2)))
     if stack.size:
         try:

@@ -26,8 +26,8 @@ There is one path and one feasibility rule.  The fit calls
 :meth:`~PosteriorContext.neg2l_grad_rows` and the checks
 :meth:`~PosteriorContext.hessian_neg2l_rows`; both evaluate many rows at
 once through the model's compiled closures, the package's one expression
-evaluator, and take their mask from one ordered list of tests; with
-``reasons=True`` they name each infeasible point's first failing test.
+evaluator, and take their mask from one ordered list of tests; next to the
+mask comes a function that names an infeasible point's first failing test.
 Every one-shot method is one of them on one point:
 :meth:`~PosteriorContext.neg2l_grad` and :meth:`~PosteriorContext.neg2l`
 are the first, so both raise wherever the gradient is undefined, and
@@ -43,6 +43,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
+from .expressions import first_failure
 from .models import ModelSpec
 
 __all__ = ["PosteriorContext", "InfeasiblePointError"]
@@ -125,16 +126,16 @@ class PosteriorContext:
         wherever the gradient is undefined."""
         return self.neg2l_grad(omega, k)[0]
 
-    def neg2l_grad_rows(self, rows, points: np.ndarray, reasons: bool = False):
+    def neg2l_grad_rows(self, rows, points: np.ndarray):
         """-2L and its gradient at ``points[i]`` given row ``rows[i]``: values
-        (k,), gradients (k, n) and the mask (k,) of the points that pass
+        (k,), gradients (k, n), the mask (k,) of the points that pass
         :meth:`_feasibility`'s tests, then 4. the scale's cube does not
         underflow, 5. -2L is finite (not so where L is above half the largest
-        float) and 6. so is its gradient.  With ``reasons=True`` the list of
-        :func:`_first_failures` follows the mask."""
+        float) and 6. so is its gradient, and the function of
+        :func:`_first_failures` that names why point i fails."""
         horizon = self.horizon[rows]
-        exprs = self.model.mean_scale_prior_grad(points, reasons=reasons)
-        (m, dm, ok_m), (s, ds, ok_s), (prior, dprior, ok_p) = (e[:3] for e in exprs)
+        exprs = self.model.mean_scale_prior_grad(points)
+        (m, dm, _, ok_m, _), (s, ds, _, ok_s, _), (prior, dprior, _, ok_p, _) = exprs
         with np.errstate(all="ignore"):  # infeasible rows compute garbage
             d = self.obs_mean[rows] - m
             sum_res = horizon * d
@@ -155,7 +156,7 @@ class PosteriorContext:
             (np.isfinite(value), lambda i: f"-2 log-posterior is not finite ({float(value[i])})"),
             (np.isfinite(grad).all(axis=1), lambda i: "gradient of -2 log-posterior is not finite"),
         ]
-        return (value, grad, *_first_failures(tests, reasons))
+        return (value, grad, *_first_failures(tests))
 
     # unused in the package; perfbench/child.py traces it by name
     def neg2l_grad(self, omega: np.ndarray, k: int = 0) -> tuple[float, list[float]]:
@@ -163,17 +164,17 @@ class PosteriorContext:
         :meth:`neg2l_grad_rows` gives; the gradient is a list of floats laid
         out like :attr:`param_names`."""
         point = np.asarray(omega, dtype=float).reshape(1, -1)
-        value, grad, ok, why = self.neg2l_grad_rows([k], point, reasons=True)
+        value, grad, ok, why = self.neg2l_grad_rows([k], point)
         if not ok[0]:
-            raise InfeasiblePointError(why[0])
+            raise InfeasiblePointError(why(0))
         return float(value[0]), grad[0].tolist()
 
-    def hessian_neg2l_rows(self, rows, points: np.ndarray, reasons: bool = False):
+    def hessian_neg2l_rows(self, rows, points: np.ndarray):
         """Exact Hessians of -2L at ``points[i]`` given row ``rows[i]``: a
-        (k, n, n) array and the mask (k,) of the points that pass
+        (k, n, n) array, the mask (k,) of the points that pass
         :meth:`_feasibility`'s tests, then 4. the scale's fourth power does
-        not underflow; with ``reasons=True`` the list of
-        :func:`_first_failures` follows the mask.
+        not underflow, and the function of :func:`_first_failures` that
+        names why point i fails.
 
         -2L = phi(m, s) - 2 log p(omega), where phi = 2T log s
         + (Q + T (zbar - m)^2) / s^2, so the Hessian follows by the chain rule
@@ -184,8 +185,8 @@ class PosteriorContext:
         """
         rows = np.asarray(rows, dtype=np.intp)
         t = self.horizon[rows]
-        exprs = self.model.mean_scale_prior_hessian(points, reasons=reasons)
-        (m, dm, hm, ok_m), (s, ds, hs, ok_s), (_, _, hp, ok_p) = (e[:4] for e in exprs)
+        exprs = self.model.mean_scale_prior_hessian(points)
+        (m, dm, hm, ok_m, _), (s, ds, hs, ok_s, _), (_, _, hp, ok_p, _) = exprs
         with np.errstate(all="ignore"):  # infeasible rows compute garbage
             d = self.obs_mean[rows] - m
             s2 = s * s
@@ -202,16 +203,16 @@ class PosteriorContext:
         tests = self._feasibility(rows, exprs, ok_m & ok_s & ok_p, s) + [
             (s4 != 0.0, lambda i: f"scale {float(s[i])} is too small: its fourth power underflows"),
         ]
-        return (hess, *_first_failures(tests, reasons))
+        return (hess, *_first_failures(tests))
 
     # unused in the package; perfbench/child.py traces it by name
     def hessian_neg2l(self, omega: np.ndarray, k: int = 0) -> np.ndarray:
         """Exact Hessian of -2L for row ``k``, bit for bit what a
         :meth:`hessian_neg2l_rows` call of any size gives for it."""
         point = np.asarray(omega, dtype=float).reshape(1, -1)
-        hess, ok, why = self.hessian_neg2l_rows([k], point, reasons=True)
+        hess, ok, why = self.hessian_neg2l_rows([k], point)
         if not ok[0]:
-            raise InfeasiblePointError(why[0])
+            raise InfeasiblePointError(why(0))
         return hess[0]
 
     def _feasibility(self, rows, exprs, defined, s) -> list:
@@ -220,24 +221,18 @@ class PosteriorContext:
         and their derivatives are defined (``defined``); 3. the scale ``s`` is
         positive.  Each test is a pair: the mask (k,) of the points that pass
         it and a function that names why point ``i`` fails, for the second
-        the reason that the closures' outputs ``exprs`` give after their
-        mask.  Each caller appends its own tests and hands the list to
-        :func:`_first_failures`."""
+        the reason of the first of the closures' outputs ``exprs`` whose mask
+        fails at ``i``.  Each caller appends its own tests and hands the list
+        to :func:`_first_failures`."""
         return [
             (self.finite[rows], lambda i: "observation vector must be finite"),
-            (defined, lambda i: next(e[-1][i] for e in exprs if e[-1][i] is not None)),
+            (defined, lambda i: next(why(i) for *_, ok, why in exprs if not ok[i])),
             (s > 0.0, lambda i: f"scale is not positive ({float(s[i])})"),
         ]
 
 
-def _first_failures(tests: list, reasons: bool):
+def _first_failures(tests: list):
     """The mask (k,) of the points that pass every (mask, reason) test of
-    ``tests``, followed with ``reasons=True`` by the list that names the
-    first test each infeasible point fails (None for a feasible one)."""
-    feasible = np.logical_and.reduce([mask for mask, _ in tests])
-    if not reasons:
-        return (feasible,)
-    why = [None] * len(feasible)
-    for i in np.flatnonzero(~feasible).tolist():
-        why[i] = next(reason(i) for mask, reason in tests if not mask[i])
-    return feasible, why
+    ``tests`` and the function that names the first test point i fails
+    (None for a feasible point)."""
+    return np.logical_and.reduce([mask for mask, _ in tests]), first_failure(tests)

@@ -74,7 +74,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -486,7 +485,6 @@ def _descend(d: int, m_count: int, cfg: LcdConfig) -> tuple[np.ndarray, bool]:
 
 
 _matrix_cache: dict = {}
-_matrix_lock = threading.Lock()
 
 
 def representative_disturbances(horizon: int, cfg: LcdConfig = LcdConfig(),
@@ -532,8 +530,7 @@ def _sample_set(d: int, m_count: int, cfg: LcdConfig, cache_dir) -> np.ndarray:
     cache_path = None
     if cache_dir is not None and m_count > 1:
         cache_path = Path(cache_dir) / _cache_filename(d, m_count, cfg)
-    with _matrix_lock:
-        memoized = _matrix_cache.get(key)
+    memoized = _matrix_cache.get(key)
     if memoized is not None:
         if cache_path is not None and not cache_path.is_file():
             cache_path.parent.mkdir(parents=True, exist_ok=True)
@@ -549,8 +546,7 @@ def _sample_set(d: int, m_count: int, cfg: LcdConfig, cache_dir) -> np.ndarray:
             write_sample_csv(cache_path, points, cfg)
     points = points.copy()
     points.flags.writeable = False
-    with _matrix_lock:
-        _matrix_cache[key] = points
+    _matrix_cache[key] = points
     return points
 
 

@@ -61,15 +61,17 @@ class StudyConfig:
     random_baseline: bool = False
 
     def __post_init__(self):
-        if not self.T_list:
-            raise ValueError("T_list must not be empty")
-        if any(t < 1 for t in self.T_list):
-            raise ValueError("every horizon must be >= 1")
-        if len(set(self.T_list)) != len(self.T_list):
-            raise ValueError(f"T_list lists a horizon twice: {list(self.T_list)}")
+        horizons = list(self.T_list)
+        if not horizons:
+            raise ValueError("at least one horizon T is needed")
+        if any(t < 1 for t in horizons):
+            raise ValueError(f"every horizon T must be >= 1, got {horizons}")
+        for t in horizons:
+            if horizons.count(t) > 1:
+                raise ValueError(f"horizon T = {t} is listed twice: {horizons}")
         # fewer point-symmetric design vectors cannot have identity sample
         # covariance in T dimensions
-        largest = max(self.T_list)
+        largest = max(horizons)
         if self.K < 2 * largest:
             raise ValueError(f"K = {self.K} is too small for T = {largest}: "
                              f"a study needs K >= 2T = {2 * largest}")
@@ -148,7 +150,7 @@ def make_design_observations(model: ModelSpec, disturbances: np.ndarray) -> np.n
     """Push disturbance values through the model at the true parameters:
     z = m(omega*) + s(omega*) * eps, elementwise."""
     # the load check proved m and s defined at the true point, and s positive
-    (m, _, _), (s, _, _), _ = model.mean_scale_prior_grad(model.true_vector().reshape(1, -1))
+    (m, *_), (s, *_), _ = model.mean_scale_prior_grad(model.true_vector().reshape(1, -1))
     with np.errstate(over="ignore"):  # an overflowing vector fails its fit, not the run
         return m[0] + s[0] * np.asarray(disturbances, dtype=float)
 

@@ -84,7 +84,7 @@ def _hessian_or_error(fn):
 
 
 def _assert_hessians_equal_reference(ctx, rows, points):
-    hess, feasible = ctx.hessian_neg2l_rows(rows, points)
+    hess, feasible, _ = ctx.hessian_neg2l_rows(rows, points)
     assert hess.shape == (len(rows),) + (len(ctx.param_names),) * 2
     for i, (k, omega) in enumerate(zip(rows, points)):
         want = _hessian_or_error(lambda: reference_hessian(ctx, omega, k))
@@ -159,10 +159,11 @@ def test_check_rows_equal_reference_over_a_design(name):
         assert np.isinf(local_variances_at(ctx, results[0].omega_hat, rows[0])).all()
 
 
-def test_check_rows_keep_the_one_row_records_of_failing_rows():
+def test_check_rows_keep_the_one_row_records_of_failing_rows(monkeypatch):
     # fitted rows, a row that is not finite, a row whose Q overflows (its
     # Hessian is not finite), a point where the scale's fourth power
-    # underflows and a point off the domain
+    # underflows and a point off the domain; the one call that gives the
+    # Hessians also names why the infeasible ones are
     model = load_model("unknown_variance")
     design = make_design_observations(model, design_disturbance_matrix(4, 20, DESK_LCD))
     blocks = [design, np.array([1.0, np.inf, 0.0, 2.0]), np.array([1e200, -1e200, 0.0, 1.0])]
@@ -178,7 +179,16 @@ def test_check_rows_keep_the_one_row_records_of_failing_rows():
 
     rows += [20, 21, 3, 4]
     results += [at(0.8), at(0.8), at(1e-180), at(-1.0)]
+    calls = []
+    rows_call = PosteriorContext.hessian_neg2l_rows
+
+    def counted(self, rows, points):
+        calls.append(len(rows))
+        return rows_call(self, rows, points)
+
+    monkeypatch.setattr(PosteriorContext, "hessian_neg2l_rows", counted)
     reports = check_rows(ctx, rows, results)
+    assert calls == [24]
     assert [_check_key(r) for r in reports] == [
         _reference_check(ctx, result, k) for k, result in zip(rows, results)]
     notes = [r.note for r in reports[20:]]
@@ -204,7 +214,7 @@ class _Stack:
         return [(-np.inf, np.inf)] * 2
 
     def hessian_neg2l_rows(self, rows, points):
-        return self.matrices[rows], np.ones(len(rows), dtype=bool)
+        return self.matrices[rows], np.ones(len(rows), dtype=bool), lambda i: None
 
 
 def _results(count):

@@ -155,7 +155,7 @@ class TestRunCommand:
                         "--out", tmp_path / "r.json", "--cache-dir", tmp_path / "cache"])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.splitlines() == [
-            "error: T_list lists a horizon twice: [4, 4]"]
+            "error: horizon T = 4 is listed twice: [4, 4]"]
 
     def test_bad_horizon_list(self, tmp_path, capsys):
         code = run_cli(["run", "--model", "unknown_variance", "--T", "four",
@@ -358,6 +358,7 @@ def test_empty_horizon_list_is_usage_error(tmp_path, monkeypatch, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert code == EXIT_USAGE
     assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "T_list" not in lines[0]
     assert not cache.exists() and not (tmp_path / "r.json").exists()
 
 

@@ -101,7 +101,8 @@ def _at_one_point(text, params, order):
     """Value, gradient and Hessian that the compiled closure of ``text``
     gives at the one point ``params``, as Python floats and lists."""
     point = np.array([[params[name] for name in order]])
-    values, grads, hessians, feasible = compile_expr(parse_expr(text), order)(point, hessian=True)
+    values, grads, hessians, feasible, _ = compile_expr(parse_expr(text), order)(
+        point, hessian=True)
     assert feasible[0]
     return values[0].item(), grads[0].tolist(), hessians[0].tolist()
 
@@ -194,16 +195,14 @@ def _walker_outcome(expr, point, order):
 
 def _compiled_outcomes(expr, points, order):
     """:func:`_walker_outcome` of each point, from one compiled evaluation of
-    all of them; the evaluation asked for reasons gives the same values,
-    gradients and mask."""
+    all of them."""
     compiled = compile_expr(expr, order)
     points = np.array(points, dtype=float)
-    values, grads, feasible = compiled(points)
+    values, grads, hessians, feasible, why = compiled(points)
     assert values.shape == (len(points),) and grads.shape == (len(points), len(order))
-    *again, reasons = compiled(points, reasons=True)
-    assert [a.tobytes() for a in again] == [a.tobytes() for a in (values, grads, feasible)]
+    assert hessians is None
     return [
-        (values[i].tobytes(), grads[i].tobytes()) if feasible[i] else ("infeasible", reasons[i])
+        (values[i].tobytes(), grads[i].tobytes()) if feasible[i] else ("infeasible", why(i))
         for i in range(len(points))
     ]
 
@@ -226,8 +225,8 @@ def test_compiled_hessians_bit_equal_tree_walkers(expr, points):
     # Hessian and reason, and the value, gradient, mask and reason of the
     # closure not asked
     order = ("a", "b", "c")
-    values, grads, hessians, feasible, reasons = compile_expr(expr, order)(
-        np.array(points, dtype=float), hessian=True, reasons=True)
+    values, grads, hessians, feasible, why = compile_expr(expr, order)(
+        np.array(points, dtype=float), hessian=True)
     assert hessians.shape == (len(points), 3, 3)
     want = []
     for point in points:
@@ -235,10 +234,10 @@ def test_compiled_hessians_bit_equal_tree_walkers(expr, points):
             want.append(np.asarray(eval_hessian(expr, dict(zip(order, point)), order)[2]).tobytes())
         except (DomainError, OverflowError) as exc:
             want.append(("infeasible", str(exc)))
-    got = [hessians[i].tobytes() if feasible[i] else ("infeasible", reasons[i])
+    got = [hessians[i].tobytes() if feasible[i] else ("infeasible", why(i))
            for i in range(len(points))]
     assert got == want
-    got = [(values[i].tobytes(), grads[i].tobytes()) if feasible[i] else ("infeasible", reasons[i])
+    got = [(values[i].tobytes(), grads[i].tobytes()) if feasible[i] else ("infeasible", why(i))
            for i in range(len(points))]
     assert got == _compiled_outcomes(expr, points, order)
 
@@ -267,9 +266,24 @@ def test_hessian_matches_central_differences(text, a, b):
 
 @given(_expr_strategy(), st.tuples(_POINTS, _POINTS, _POINTS))
 def test_hessian_is_exactly_symmetric(expr, point):
-    _, _, hessians, feasible = compile_expr(expr, ("a", "b", "c"))(np.array([point]), hessian=True)
+    _, _, hessians, feasible, _ = compile_expr(expr, ("a", "b", "c"))(
+        np.array([point]), hessian=True)
     if feasible[0]:
         assert hessians[0].tobytes() == hessians[0].T.tobytes()
+
+
+def test_a_reason_reads_the_points_of_its_call():
+    # a caller that overwrites the array it passed does not change the
+    # reasons the call gives later
+    compiled = compile_expr(parse_expr("sqrt(a) + log(b) + a ^ b / (a - b)"), ("a", "b"))
+    points = np.array([[-1.0, 1.0], [1.0, -1.0], [-2.0, 0.5], [2.0, 2.0], [2.0, 0.5]])
+    *_, feasible, why = compiled(points)
+    reasons = [why(i) for i in range(len(points))]
+    assert feasible.tolist() == [False, False, False, False, True]
+    assert all(reasons[:4]) and reasons[4] is None
+    assert reasons[3] == "division by zero in 'a ^ b / (a - b)'"
+    points[:] = 3.0
+    assert [why(i) for i in range(len(points))] == reasons
 
 
 def test_compile_requires_every_parameter():

@@ -227,12 +227,13 @@ class _ClippedCliff:
         self.points += [tuple(p) for p in points.tolist()]
         x, y = points[:, 0], points[:, 1]
         return ((x - 3.0) ** 2 + 1e-30 * y,
-                np.stack([2.0 * (x - 3.0), np.full(len(x), 1e-30)], axis=1), x <= 0.2)
+                np.stack([2.0 * (x - 3.0), np.full(len(x), 1e-30)], axis=1), x <= 0.2,
+                lambda i: "beyond the cliff")
 
     def neg2l_grad(self, omega):
-        (value,), (grad,), (feasible,) = self.neg2l_grad_rows([0], np.array([omega]))
+        (value,), (grad,), (feasible,), why = self.neg2l_grad_rows([0], np.array([omega]))
         if not feasible:
-            raise InfeasiblePointError("beyond the cliff")
+            raise InfeasiblePointError(why(0))
         return float(value), grad.tolist()
 
 

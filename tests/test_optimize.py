@@ -43,7 +43,7 @@ class QuadraticContext:
 
     def neg2l_grad_rows(self, rows, points):
         d = points - self.center
-        return np.sum(d * d, axis=1), 2.0 * d, np.ones(len(points), dtype=bool)
+        return np.sum(d * d, axis=1), 2.0 * d, np.ones(len(points), dtype=bool), lambda i: None
 
 
 class CurvedQuadraticContext(QuadraticContext):
@@ -52,7 +52,7 @@ class CurvedQuadraticContext(QuadraticContext):
     def hessian_neg2l_rows(self, rows, points):
         n = self.center.size
         hess = np.broadcast_to(2.0 * np.eye(n), (len(points), n, n))
-        return hess, np.ones(len(points), dtype=bool)
+        return hess, np.ones(len(points), dtype=bool), lambda i: None
 
 
 class TestMaximize:
@@ -117,8 +117,9 @@ class TestMaximize:
         # search must treat those trial points as infeasible, not crash
         class Cliff(QuadraticContext):
             def neg2l_grad_rows(self, rows, points):
-                values, grads, feasible = super().neg2l_grad_rows(rows, points)
-                return values, grads, feasible & (points[:, 0] <= 2.5)
+                values, grads, feasible, _ = super().neg2l_grad_rows(rows, points)
+                return (values, grads, feasible & (points[:, 0] <= 2.5),
+                        lambda i: "beyond the cliff")
 
         result = maximize(Cliff([3.0]), np.array([0.0]))
         assert 2.0 < result.omega_hat[0] <= 2.5
@@ -192,7 +193,8 @@ class _JitteredQuartic:
                 value += random.Random(struct.pack("<2d", x, y)).uniform(-1e-13, 1e-13)
             values.append(value)
             grads.append([4.0 * (x - 1.0) ** 3, 2.0 * (y + 0.5)])
-        return np.array(values), np.array(grads), np.ones(len(points), dtype=bool)
+        return (np.array(values), np.array(grads), np.ones(len(points), dtype=bool),
+                lambda i: None)
 
 
 def test_rounding_noise_in_the_value_costs_no_evaluations():
@@ -402,7 +404,8 @@ class TestLocalVariance:
                 return [(-np.inf, np.inf)]
 
             def hessian_neg2l_rows(self, rows, points):
-                return np.zeros((len(points), 1, 1)), np.ones(len(points), dtype=bool)
+                return (np.zeros((len(points), 1, 1)), np.ones(len(points), dtype=bool),
+                        lambda i: None)
 
         assert np.isinf(local_variances_at(Flat(), [0.0])[0])
 

@@ -284,7 +284,7 @@ def test_compiled_posterior_bit_equals_tree_walkers(name, omegas, scale, seed, h
     model = SYNTHETIC if name == "synthetic" else load_model(name)
     z = np.random.default_rng(seed).normal(0.6, 0.8, size=(len(omegas), horizon))
     points = scale * np.array([omega[: len(model.params)] for omega in omegas])
-    values, grads, feasible = PosteriorContext(model, z).neg2l_grad_rows(
+    values, grads, feasible, _ = PosteriorContext(model, z).neg2l_grad_rows(
         np.arange(len(points)), points)
     for k, omega in enumerate(points):
         ctx = PosteriorContext(model, z[k])
@@ -364,10 +364,10 @@ def test_reasons_equal_the_tree_walkers():
         rows, batch = [k for k, _ in cases], np.array([omega for _, omega in cases])
         for method, rows_call in (("neg2l_grad", ctx.neg2l_grad_rows),
                                   ("hessian_neg2l", ctx.hessian_neg2l_rows)):
-            *_, feasible, why = rows_call(rows, batch, reasons=True)
-            assert why == want[method], (name, method)
-            assert feasible.tolist() == [w is None for w in why]
-            assert rows_call(rows, batch)[-1].tolist() == feasible.tolist()
+            *_, feasible, why = rows_call(rows, batch)
+            reasons = [None if ok else why(i) for i, ok in enumerate(feasible)]
+            assert reasons == want[method], (name, method)
+            assert [why(i) for i in range(len(rows))] == reasons
     for kind in FAILURE_KINDS:
         assert any(kind in reason for reason in seen), kind
 
@@ -393,12 +393,11 @@ def test_reasons_equal_the_tree_walkers_on_expression_trees(mean, scale, prior, 
     z = np.random.default_rng(seed).normal(0.6, 0.8, size=(len(points), 3))
     ctx, ref = PosteriorContext(model, z), _TreeWalkerContext(model, z)
     rows, batch = np.arange(len(points)), np.array(points)
-    values, grads, feasible, why = ctx.neg2l_grad_rows(rows, batch, reasons=True)
+    values, grads, feasible, why = ctx.neg2l_grad_rows(rows, batch)
     got = [(values[k].tobytes(), grads[k].tobytes()) if feasible[k]
-           else (InfeasiblePointError, why[k]) for k in rows]
+           else (InfeasiblePointError, why(k)) for k in rows]
     assert got == [_bytes_or_error(lambda: ref.neg2l_grad(point, k))
                    for k, point in enumerate(points)]
-    assert ctx.neg2l_grad_rows(rows, batch)[-1].tolist() == feasible.tolist()
 
 
 def test_neg2l_that_overflows_is_infeasible():
@@ -448,8 +447,8 @@ def _direct_neg2l_grad(model, z, omega):
     """-2L and its gradient from the residuals z_t - m, with the magnitude of
     the terms each one sums.  Rounding in zbar, Q and z_t - m is relative to
     |z_t| + |m|, not to the residuals, so the magnitudes are taken from those."""
-    (m, dm, _), (s, ds, _), (prior, dprior, _) = [
-        (float(v[0]), g[0].tolist(), ok[0]) for v, g, ok in model.mean_scale_prior_grad([omega])]
+    (m, dm), (s, ds), (prior, dprior) = [
+        (float(v[0]), g[0].tolist()) for v, g, *_ in model.mean_scale_prior_grad([omega])]
     res = z - m
     rss = float(res @ res)
     sum_res = float(res.sum())

@@ -315,8 +315,8 @@ def test_fit_blocks_take_every_reason_from_the_batch_calls(monkeypatch):
 def test_a_start_whose_gradient_is_not_finite_is_infeasible(monkeypatch):
     # at (a, b) = (-1e-200, 1e-200) -2L is finite but 1/b and a/b^2
     # overflow: each row's start is infeasible, so no fit spends its
-    # backtracks on trials that are all inf or NaN.  One call finds the
-    # starts and one more names why, with the walker's reason
+    # backtracks on trials that are all inf or NaN.  The one call at the
+    # starts finds them and names why, with the walker's reason
     model = model_from_dict({
         "parameters": [{"name": "a", "true_value": -1e-200}, {"name": "b", "true_value": 1e-200}],
         "mean": "3.4270110250347745 + a / b", "scale": "1.0275573311"})
@@ -326,13 +326,13 @@ def test_a_start_whose_gradient_is_not_finite_is_infeasible(monkeypatch):
     calls = []
     rows_call = PosteriorContext.neg2l_grad_rows
 
-    def counted(self, rows, points, reasons=False):
+    def counted(self, rows, points):
         calls.append(len(rows))
-        return rows_call(self, rows, points, reasons)
+        return rows_call(self, rows, points)
 
     monkeypatch.setattr(PosteriorContext, "neg2l_grad_rows", counted)
     (records,) = _fit_blocks(model, [z], small_config(model))
-    assert calls == [3, 3]
+    assert calls == [3]
     reason = "gradient of -2 log-posterior is not finite"
     assert [r.reason for r in records] == [f"infeasible start: {reason}"] * 3
     assert [walker_reason(_TreeWalkerContext(model, row), "neg2l_grad", model.true_vector())
@@ -436,8 +436,12 @@ def test_random_baseline_section():
 
 
 def test_study_config_validation():
-    with pytest.raises(ValueError):
-        StudyConfig(model=VARIANCE_ONLY, T_list=())
+    # the horizon messages read the same to a library caller and to a CLI user
+    for horizons, message in (((), r"at least one horizon T is needed"),
+                              ((0, 4), r"every horizon T must be >= 1, got \[0, 4\]"),
+                              ((4, 12, 4), r"horizon T = 4 is listed twice: \[4, 12, 4\]")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            StudyConfig(model=VARIANCE_ONLY, T_list=horizons)
     with pytest.raises(ValueError):
         StudyConfig(model=VARIANCE_ONLY, T_list=(4,), K=1)
 
