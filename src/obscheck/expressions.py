@@ -10,6 +10,8 @@ one evaluator: :func:`compile_expr` turns a tree into one closure over a
 its exact first and, when asked, second partial derivatives (second-order
 forward mode), marks the points where the value or a derivative is
 undefined and returns, next to that mask, a function that names the reason.
+Every node is an array rule; only the scalar values of ``log``, ``exp`` and
+``^`` run per element, through Python's ``math`` and ``**``.
 
 Precedence is ``^`` > unary minus > ``* /`` > ``+ -``; all binary
 operators associate to the left.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -345,45 +348,14 @@ def _power_value(e: Binary, base: float, exponent: float) -> float:
     )
 
 
-def _sym(n: int, entry: Callable[[int, int], float]) -> list[list[float]]:
-    """The symmetric n x n matrix with ``entry(i, j)`` at (i, j) and (j, i), i <= j."""
-    h = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            h[i][j] = h[j][i] = entry(i, j)
-    return h
-
-
-def _power_rule(e: Binary, a: float, ga, ha, b: float, gb, hb, value: float):
-    """Gradient and Hessian of ``value = a ^ b`` from the derivatives of the
-    base ``a`` and the exponent ``b``; the Hessian is None when ``ha`` is."""
-    n = len(ga)
-    sym = (lambda entry: None) if ha is None else (lambda entry: _sym(n, entry))
-    exponent_varies = any([q != 0.0 for q in gb])
-    if a > 0.0:
-        # a^b = exp(u), u = b log a: d(a^b) = a^b du, d2(a^b) = a^b (d2u + du du')
-        du = [b * p / a for p in ga]
-        if exponent_varies:
-            log_a = math.log(a)
-            du = [t + log_a * q for t, q in zip(du, gb)]
-        return tuple([value * t for t in du]), sym(lambda i, j: value * (
-            (b * (ha[i][j] - ga[i] * ga[j] / a) + (ga[i] * gb[j] + ga[j] * gb[i])) / a
-            + math.log(a) * hb[i][j] + du[i] * du[j]))
+def _power_minus_one(e: Binary, base: float, exponent: float, exponent_varies: bool) -> float:
+    """The a^(b - 1) that the derivatives of a^b take at a base a that is not
+    positive, NaN included; raises where those derivatives are undefined."""
     if exponent_varies:
-        raise DomainError(f"non-positive base {a!r} with parameter-dependent exponent", e)
-    if a == 0.0:
-        if b == 1.0:
-            return tuple(ga), ha
-        if b > 1.0:
-            # b (b - 1) a^(b - 2) at a = 0: 2 at b = 2, 0 above, unbounded below
-            k = 2.0 if b == 2.0 else 0.0 if b > 2.0 else math.inf
-            return (0.0,) * n, sym(lambda i, j: k * (ga[i] * ga[j]))
+        raise DomainError(f"non-positive base {base!r} with parameter-dependent exponent", e)
+    if base == 0.0 and exponent < 1.0:
         raise DomainError("derivative of power undefined at zero base", e)
-    # negative base, integer exponent; a^(b - 2) is taken as a^(b - 1) / a,
-    # which cannot overflow where the gradient does not
-    c = a ** (b - 1.0)
-    return tuple([b * c * p for p in ga]), sym(lambda i, j: b * (
-        (b - 1.0) * c / a * (ga[i] * ga[j]) + c * ha[i][j]))
+    return base ** (exponent - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +365,10 @@ def _power_rule(e: Binary, a: float, ga, ha, b: float, gb, hb, value: float):
 RowsFn = Callable[..., tuple]
 # a compiled node: (points, infeasible, hessian, tests) -> (values,
 # gradients, Hessians); it marks the rows where its value or a derivative
-# is undefined in ``infeasible``, in place, and appends to ``tests`` a pair:
-# the mask of the rows it leaves feasible and a function that names why row
-# i fails; its Hessians are None unless ``hessian``
+# is undefined in ``infeasible``, in place, and, where some row fails,
+# appends to ``tests`` a pair: the mask of the rows it leaves feasible and a
+# function that names why row i fails; its Hessians are None unless
+# ``hessian``
 _NodeFn = Callable[[np.ndarray, np.ndarray, bool, list], tuple]
 
 
@@ -419,20 +392,18 @@ def compile_expr(e: Expr, order: Sequence[str]) -> RowsFn:
     the scalar rules bit for bit (signed zeros included).  The derivatives
     of ``abs`` at 0 are 0.  A row is infeasible where a node's value is
     undefined, which is where a scalar rule raises, or its derivative is
-    (``^`` at a base that is not positive, see
-    ``_power_rule``); the row's other results then mean nothing.  Nodes run
-    left operand, right operand, node, and a row's reason is that of the
-    first node that marks it: the error a walk of the tree by these rules
-    raises first.
+    (``^`` at a base that is not positive, see ``_power_minus_one``); the
+    row's other results then mean nothing.  Nodes run left operand, right
+    operand, node, and a row's reason is that of the first node that marks
+    it: the error a walk of the tree by these rules raises first.
 
-    Literals, parameters, ``neg``, ``abs``, ``sqrt`` and ``+ - * /`` are
-    numpy array operations, which IEEE 754 rounds as Python's float
-    arithmetic does; entries (i, j) and (j, i) of a Hessian differ only in
-    the order of a product's or a sum's two terms, so each matrix is exactly
-    symmetric.  The values of ``log`` and ``exp`` and everything of ``^``
-    run per row through the scalar rules themselves: numpy's
-    ``log``, ``exp`` and ``power`` may differ from ``math``'s in the last
-    bit.
+    Every node is numpy array operations, which IEEE 754 rounds as Python's
+    float arithmetic does; entries (i, j) and (j, i) of a Hessian differ
+    only in the order of a product's or a sum's two terms, so each matrix is
+    exactly symmetric.  Only the scalar values run per element, through
+    Python: those of ``log`` and ``exp`` and, for ``^``, a^b, log a and
+    a^(b - 1), because numpy's ``log``, ``exp`` and ``power`` may differ
+    from ``math``'s in the last bit.
     """
     node = _compile(e, {name: i for i, name in enumerate(order)}, len(order))
 
@@ -500,18 +471,24 @@ def _mark(bad: np.ndarray, tests: list, fails: np.ndarray, rule: Callable) -> No
     bad |= fails
 
 
-def _scalar_rows(e: Unary, v: np.ndarray, bad: np.ndarray, tests: list) -> np.ndarray:
-    """``_apply_unary(e, .)`` on each feasible entry of ``v``; an entry where it
-    raises marks its row infeasible."""
-    out = np.full(len(v), math.nan)
-    fails = np.zeros(len(v), dtype=bool)
-    for i, (a, skip) in enumerate(zip(v.tolist(), bad.tolist())):
-        if not skip:
-            try:
-                out[i] = _apply_unary(e, a)
-            except (DomainError, OverflowError):
-                fails[i] = True
-    _mark(bad, tests, fails, lambda i: _apply_unary(e, v[i].item()))
+def _scalar_rows(rows: np.ndarray, bad: np.ndarray, tests: list, rule: Callable,
+                 *operands: np.ndarray) -> np.ndarray:
+    """``rule`` on the operands' entries at each row of the mask ``rows`` that
+    is feasible, NaN elsewhere; a row where it raises is marked infeasible."""
+    out = np.full(len(bad), math.nan)
+    at = np.flatnonzero(rows & ~bad)
+    values, fails = [], []
+    for i, args in zip(at.tolist(), zip(*[v[at].tolist() for v in operands])):
+        try:
+            values.append(rule(*args))
+        except (DomainError, OverflowError):
+            values.append(math.nan)
+            fails.append(i)
+    out[at] = values
+    if fails:
+        mask = np.zeros(len(bad), dtype=bool)
+        mask[fails] = True
+        _mark(bad, tests, mask, lambda i: rule(*[v[i].item() for v in operands]))
     return out
 
 
@@ -544,14 +521,14 @@ def _compile_unary(e: Unary, arg: _NodeFn) -> _NodeFn:
             dr = g / v[:, None]
             if h is not None:
                 h = h / v[:, None, None] - _outer(dr, dr)
-            return _scalar_rows(e, v, bad, tests), dr, h
+            return _scalar_rows(~bad, bad, tests, partial(_apply_unary, e), v), dr, h
 
         return log
     if op == "exp":
 
         def exp(x, bad, hessian, tests):
             v, g, h = arg(x, bad, hessian, tests)
-            r = _scalar_rows(e, v, bad, tests)
+            r = _scalar_rows(~bad, bad, tests, partial(_apply_unary, e), v)
             if h is not None:
                 h = r[:, None, None] * (h + _outer(g, g))
             return r, r[:, None] * g, h
@@ -616,29 +593,31 @@ def _compile_binary(e: Binary, left: _NodeFn, right: _NodeFn) -> _NodeFn:
 
         def power(x, bad, hessian, tests):
             (a, ga, ha), (b, gb, hb) = left(x, bad, hessian, tests), right(x, bad, hessian, tests)
-            value, grad = np.full(len(a), math.nan), np.full(ga.shape, math.nan)
-            hess = np.full(ha.shape, math.nan) if hessian else None
-            fails = np.zeros(len(a), dtype=bool)
-            rows = zip(a.tolist(), ga.tolist(), b.tolist(), gb.tolist(), bad.tolist())
-            for i, (ai, gai, bi, gbi, skip) in enumerate(rows):
-                if skip:
-                    continue
-                try:
-                    value[i] = vi = _power_value(e, ai, bi)
-                    if hessian:
-                        grad[i], hess[i] = _power_rule(
-                            e, ai, gai, ha[i].tolist(), bi, gbi, hb[i].tolist(), vi)
-                    else:
-                        grad[i] = _power_rule(e, ai, gai, None, bi, gbi, None, vi)[0]
-                except (DomainError, OverflowError):
-                    fails[i] = True
-
-            def rule(i):  # the Hessian raises where the gradient does
-                ai, gai, bi, gbi = a[i].item(), ga[i].tolist(), b[i].item(), gb[i].tolist()
-                _power_rule(e, ai, gai, None, bi, gbi, None, _power_value(e, ai, bi))
-
-            _mark(bad, tests, fails, rule)
-            return value, grad, hess
+            value = _scalar_rows(~bad, bad, tests, partial(_power_value, e), a, b)
+            pos, zero, varies = a > 0.0, a == 0.0, (gb != 0.0).any(axis=1)
+            log_a = _scalar_rows(pos, bad, tests, math.log, a)
+            # a <= 0: a^(b - 2) is taken as a^(b - 1) / a, which cannot overflow
+            # where the gradient does not
+            c = _scalar_rows(~pos, bad, tests, partial(_power_minus_one, e), a, b, varies)
+            # a > 0: a^b = exp(u), u = b log a: d(a^b) = a^b du, d2(a^b) = a^b (d2u + du du')
+            du = b[:, None] * ga / a[:, None]
+            du = np.where(varies[:, None], du + log_a[:, None] * gb, du)
+            one = (b == 1.0)[:, None]
+            grad = np.where(pos[:, None], value[:, None] * du, np.where(
+                zero[:, None], np.where(one, ga, 0.0), (b * c)[:, None] * ga))
+            if ha is not None:
+                a3, b3, c3 = a[:, None, None], b[:, None, None], c[:, None, None]
+                gg = _outer(ga, ga)
+                h_pos = value[:, None, None] * (
+                    (b3 * (ha - gg / a3) + (_outer(ga, gb) + _outer(gb, ga))) / a3
+                    + log_a[:, None, None] * hb + _outer(du, du))
+                # a = 0, b >= 1: b (b - 1) a^(b - 2) is 2 at b = 2, 0 above, unbounded below
+                k = np.where(b3 == 2.0, 2.0, np.where(b3 > 2.0, 0.0, math.inf))
+                h_zero = np.where(one[:, :, None], ha, k * gg)
+                h_neg = b3 * ((b3 - 1.0) * c3 / a3 * gg + c3 * ha)
+                ha = np.where(pos[:, None, None], h_pos,
+                              np.where(zero[:, None, None], h_zero, h_neg))
+            return value, grad, ha
 
         return power
     raise ValueError(f"unknown binary op {op!r}")

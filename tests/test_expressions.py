@@ -272,6 +272,41 @@ def test_hessian_is_exactly_symmetric(expr, point):
         assert hessians[0].tobytes() == hessians[0].T.tobytes()
 
 
+def _bits(x):
+    """The bytes of ``x`` with every NaN made the same NaN."""
+    x = np.asarray(x, dtype=float)
+    return np.where(np.isnan(x), math.nan, x).tobytes()
+
+
+_POWER_EDGES = [
+    *[(f"a ^ {k}", (a, 1.0))
+      for a in (0.0, -0.0) for k in ("0", "0.5", "1", "1.5", "2", "3", "(-1)")],
+    *[(text, (-2.0, 1.0)) for text in ("a ^ 2", "a ^ 3", "a ^ 0.5")],
+    ("a ^ (-1)", (-1e-200, 1.0)),  # a finite value, but a^(b - 1) overflows
+    ("a ^ 2", (1e200, 1.0)),
+    *[("a ^ b", point) for point in ((0.0, 2.0), (-1.0, 2.0), (2.0, 3.0))],
+    # the base is NaN, and NaN ^ 0 is 1
+    *[(f"(a * a - b * b) ^ {k}", (1e200, 1e200)) for k in ("1", "2")],
+]
+
+
+@pytest.mark.parametrize("text,point", _POWER_EDGES)
+def test_power_at_its_branch_edges_equals_tree_walker(text, point):
+    # the hypothesis draws above rarely reach a zero, negative or NaN base
+    # with each kind of exponent
+    expr, order = parse_expr(text), ("a", "b")
+    values, grads, hessians, feasible, why = compile_expr(expr, order)(
+        np.array([point]), hessian=True)
+    try:
+        want = eval_hessian(expr, dict(zip(order, point)), order)
+    except (DomainError, OverflowError) as exc:
+        assert not feasible[0]
+        assert why(0) == str(exc)
+        return
+    assert feasible[0] and why(0) is None
+    assert [_bits(values[0]), _bits(grads[0]), _bits(hessians[0])] == [_bits(w) for w in want]
+
+
 def test_a_reason_reads_the_points_of_its_call():
     # a caller that overwrites the array it passed does not change the
     # reasons the call gives later

@@ -5,24 +5,24 @@ Hessian by second-order forward mode (Griewank & Walther, *Evaluating
 Derivatives*, 2nd ed., 2008), one rule per node on Python floats.  The
 compiled closures must give each point its value, gradient and Hessian bit
 for bit, and must mark a point infeasible exactly where this raises, with
-the message it raises.  :func:`eval_expr` is its value alone.  It shares the scalar rules of
-:mod:`obscheck.expressions` (``_apply_unary``, ``_apply_binary``,
-``_power_rule``), which the compiled closures run as well.
+the message it raises.  :func:`eval_expr` is its value alone.  It shares
+only the scalar values of :mod:`obscheck.expressions` (``_apply_unary``,
+``_apply_binary``) with the compiled closures; its derivative rules, the
+second-order rule for ``^`` (``_power_rule``) among them, are its own.
 """
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 from obscheck.expressions import (
     Binary,
+    DomainError,
     Expr,
     Literal,
     Param,
     Unary,
     _apply_binary,
     _apply_unary,
-    _power_rule,
-    _sym,
 )
 
 
@@ -103,3 +103,44 @@ def _quotient_grad(a: float, ga, b: float, gb) -> tuple[float, ...]:
     if den == 0.0:
         return tuple([(p * b - a * q) * math.inf for p, q in zip(ga, gb)])
     return tuple([(p * b - a * q) / den for p, q in zip(ga, gb)])
+
+
+def _sym(n: int, entry: Callable[[int, int], float]) -> list[list[float]]:
+    """The symmetric n x n matrix with ``entry(i, j)`` at (i, j) and (j, i), i <= j."""
+    h = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            h[i][j] = h[j][i] = entry(i, j)
+    return h
+
+
+def _power_rule(e: Binary, a: float, ga, ha, b: float, gb, hb, value: float):
+    """Gradient and Hessian of ``value = a ^ b`` from the derivatives of the
+    base ``a`` and the exponent ``b``; the Hessian is None when ``ha`` is."""
+    n = len(ga)
+    sym = (lambda entry: None) if ha is None else (lambda entry: _sym(n, entry))
+    exponent_varies = any([q != 0.0 for q in gb])
+    if a > 0.0:
+        # a^b = exp(u), u = b log a: d(a^b) = a^b du, d2(a^b) = a^b (d2u + du du')
+        du = [b * p / a for p in ga]
+        if exponent_varies:
+            log_a = math.log(a)
+            du = [t + log_a * q for t, q in zip(du, gb)]
+        return tuple([value * t for t in du]), sym(lambda i, j: value * (
+            (b * (ha[i][j] - ga[i] * ga[j] / a) + (ga[i] * gb[j] + ga[j] * gb[i])) / a
+            + math.log(a) * hb[i][j] + du[i] * du[j]))
+    if exponent_varies:
+        raise DomainError(f"non-positive base {a!r} with parameter-dependent exponent", e)
+    if a == 0.0:
+        if b == 1.0:
+            return tuple(ga), ha
+        if b > 1.0:
+            # b (b - 1) a^(b - 2) at a = 0: 2 at b = 2, 0 above, unbounded below
+            k = 2.0 if b == 2.0 else 0.0 if b > 2.0 else math.inf
+            return (0.0,) * n, sym(lambda i, j: k * (ga[i] * ga[j]))
+        raise DomainError("derivative of power undefined at zero base", e)
+    # negative base, integer exponent; a^(b - 2) is taken as a^(b - 1) / a,
+    # which cannot overflow where the gradient does not
+    c = a ** (b - 1.0)
+    return tuple([b * c * p for p in ga]), sym(lambda i, j: b * (
+        (b - 1.0) * c / a * (ga[i] * ga[j]) + c * ha[i][j]))
