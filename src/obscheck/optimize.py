@@ -5,12 +5,11 @@ infeasible trial points are rejected by the line search.  One loop,
 :func:`maximize_rows`, fits every row of a posterior context in lock-step,
 over numpy arrays with one row per fit, and gives each row the result a fit
 on its own would; :func:`maximize` is that loop on a one-row context.  The
-fit asks the context for one thing, -2L and its gradient for many rows at
-once (``neg2l_grad_rows``), with the reasons of the infeasible points next
-to the mask.  :func:`check_rows` checks many maxima at once: it asks for all
-their Hessians, and the reasons of the infeasible ones, in one call
-(``hessian_neg2l_rows``) and decomposes the stack with one ``eigh``;
-:func:`check_maximum` is that on one maximum.
+fit and the checks ask the context for one thing, ``neg2l_rows``: -2L and
+its gradient for many rows at once, with the reasons of the infeasible
+points next to the mask.  :func:`check_rows` checks many maxima at once: it
+asks for their Hessians as well, in one call, and decomposes the stack with
+one ``eigh``; :func:`check_maximum` is that on one maximum.
 
 Near a maximum, -2L differences fall to rounding noise and Armijo's test
 decides on that noise, so a feasible trial that Armijo rejects is accepted
@@ -153,10 +152,11 @@ def maximize_rows(ctx, x0, cfg: OptConfig = OptConfig()) -> list:
     """Maximize the log-posterior of every row of ``ctx`` from ``x0``.
 
     This is the one fit contract.  ``ctx`` has ``len(ctx)`` rows,
-    ``param_names``, ``bounds()`` and ``neg2l_grad_rows(rows, points) ->
-    (values, gradients, feasible, why)``, which evaluates -2L for row
-    ``rows[i]`` at ``points[i]`` and gives the function ``why(i)`` that names
-    why point i is infeasible; :class:`~obscheck.posterior.PosteriorContext`
+    ``param_names``, ``bounds()`` and ``neg2l_rows(rows, points,
+    hessian=False) -> (values, gradients, hessians or None, feasible, why)``,
+    which evaluates -2L for row ``rows[i]`` at ``points[i]`` and gives the
+    function ``why(i)`` that names why point i is infeasible; the fit never
+    asks for Hessians.  :class:`~obscheck.posterior.PosteriorContext`
     provides them.  The entry of a row is its ``MaxResult`` or, where the
     start (``x0`` projected onto the bounds) is infeasible, an
     ``InfeasiblePointError`` with the reason that the call at the starts
@@ -164,7 +164,7 @@ def maximize_rows(ctx, x0, cfg: OptConfig = OptConfig()) -> list:
 
     The rows advance in lock-step: in each round every unfinished row
     evaluates exactly one trial, the first step of a new iteration or a
-    backtrack, and all of them go to ``neg2l_grad_rows`` in one call.  Each
+    backtrack, and all of them go to ``neg2l_rows`` in one call.  Each
     row keeps its own step, history and stopping state, and its arithmetic
     is that of a fit on its own: dot products sum left to right from 0.0,
     as Python's ``sum`` sums floats (through 3.11).
@@ -174,7 +174,7 @@ def maximize_rows(ctx, x0, cfg: OptConfig = OptConfig()) -> list:
     box = _box(ctx.bounds())
     with np.errstate(all="ignore"):  # rows that are done or infeasible compute garbage
         x = _project(np.tile(np.asarray(x0, dtype=float), (count, 1)), box)
-        f, g, started, why = ctx.neg2l_grad_rows(np.arange(count), x)
+        f, g, _, started, why = ctx.neg2l_rows(np.arange(count), x)
         failed = {i: InfeasiblePointError(why(i)) for i in np.flatnonzero(~started).tolist()}
         f, g = np.array(f, dtype=float), np.array(g, dtype=float)
         traces = [[v] for v in f.tolist()]
@@ -214,7 +214,7 @@ def maximize_rows(ctx, x0, cfg: OptConfig = OptConfig()) -> list:
             if not ready.size:
                 break
 
-            f_new, g_new, feasible, _ = ctx.neg2l_grad_rows(ready, trial[ready])
+            f_new, g_new, _, feasible, _ = ctx.neg2l_rows(ready, trial[ready])
             moved = trial[ready] - x[ready]
             accept = feasible & _acceptable(f[ready], g[ready], f_new, g_new, moved)
             step[ready[~accept]] *= _BACKTRACK_FACTOR
@@ -370,9 +370,10 @@ def check_rows(ctx, rows, results: list[MaxResult],
     """Run the four validity checks at each ``results[i].omega_hat``, the
     maximum of row ``rows[i]`` of ``ctx``.
 
-    The context provides ``hessian_neg2l_rows(rows, points) -> (hessians,
-    feasible, why)``, the (k, n, n) Hessians of -2L, their mask and the
-    function ``why(i)`` that names why point i is infeasible.
+    The context has the fit contract of :func:`maximize_rows`; the checks
+    call ``neg2l_rows(rows, points, hessian=True)`` once, for the (k, n, n)
+    Hessians of -2L, their mask and the function ``why(i)`` that names why
+    point i is infeasible.
     The gradient check reads ``grad_inf_norm``, which :func:`maximize_rows`
     computed at ``omega_hat``, so the gradient is not evaluated again.
     Positive definiteness, the eigenvalue ratio and the local variances all
@@ -395,7 +396,7 @@ def _curvatures(ctx, rows, points: np.ndarray) -> list:
     matrix that does not converge makes the whole stack raise, the stack
     then goes matrix by matrix, as does every feasible Hessian that is not
     finite."""
-    hess, feasible, why = ctx.hessian_neg2l_rows(rows, points)
+    *_, hess, feasible, why = ctx.neg2l_rows(rows, points, hessian=True)
     out = [None if ok else InfeasiblePointError(why(i)) for i, ok in enumerate(feasible.tolist())]
     stack = np.flatnonzero(feasible & np.isfinite(hess).all(axis=(1, 2)))
     if stack.size:

@@ -22,16 +22,15 @@ or as several blocks whose T may differ; its only per-row state is T, zbar,
 Q and whether the row is finite, all read-only, so one context holds every
 vector of a study.
 
-There is one path and one feasibility rule.  The fit calls
-:meth:`~PosteriorContext.neg2l_grad_rows` and the checks
-:meth:`~PosteriorContext.hessian_neg2l_rows`; both evaluate many rows at
+There is one evaluator and one feasibility rule.  The fit and the checks
+both call :meth:`~PosteriorContext.neg2l_rows`, which evaluates many rows at
 once through the model's compiled closures, the package's one expression
-evaluator, and take their mask from one ordered list of tests; next to the
-mask comes a function that names an infeasible point's first failing test.
-Every one-shot method is one of them on one point:
-:meth:`~PosteriorContext.neg2l_grad` and :meth:`~PosteriorContext.neg2l`
-are the first, so both raise wherever the gradient is undefined, and
-:meth:`~PosteriorContext.hessian_neg2l` is the second.  They raise
+evaluator, and gives the Hessians only when asked; its mask is the AND of
+one ordered list of tests, and next to it comes a function that names an
+infeasible point's first failing test.  The one-shot methods
+:meth:`~PosteriorContext.neg2l`, :meth:`~PosteriorContext.neg2l_grad` and
+:meth:`~PosteriorContext.hessian_neg2l` are that call on one point, so all
+three raise wherever the gradient is undefined.  They raise
 :class:`InfeasiblePointError` with that reason, and take a row index ``k``.
 The fit itself never asks for curvature.
 """
@@ -120,119 +119,97 @@ class PosteriorContext:
     def bounds(self) -> list[tuple[float, float]]:
         return self.model.bounds()
 
-    # unused in the package; perfbench/child.py traces it by name
-    def neg2l(self, omega: np.ndarray, k: int = 0) -> float:
-        """-2L for row ``k``: the value :meth:`neg2l_grad` gives, which raises
-        wherever the gradient is undefined."""
-        return self.neg2l_grad(omega, k)[0]
+    def neg2l_rows(self, rows, points: np.ndarray, hessian: bool = False):
+        """-2L, its gradient and, with ``hessian``, its Hessian at
+        ``points[i]`` given row ``rows[i]``: the compiled closures' shape,
+        values (k,), gradients (k, n), Hessians (k, n, n) or None, the mask
+        (k,) of the feasible points and the function that names why point i
+        is not (None for a feasible point).
 
-    def neg2l_grad_rows(self, rows, points: np.ndarray):
-        """-2L and its gradient at ``points[i]`` given row ``rows[i]``: values
-        (k,), gradients (k, n), the mask (k,) of the points that pass
-        :meth:`_feasibility`'s tests, then 4. the scale's cube does not
-        underflow, 5. -2L is finite (not so where L is above half the largest
-        float) and 6. so is its gradient, and the function of
-        :func:`_first_failures` that names why point i fails."""
-        horizon = self.horizon[rows]
-        exprs = self.model.mean_scale_prior_grad(points)
-        (m, dm, _, ok_m, _), (s, ds, _, ok_s, _), (prior, dprior, _, ok_p, _) = exprs
+        A point is feasible where it passes every test of the one rule, and
+        its reason is the first test it fails: 1. the row is finite; 2. mean,
+        scale and log-prior and their derivatives are defined; 3. the scale
+        is positive; 4. its cube does not underflow; 5. -2L is finite (not
+        so where L is above half the largest float); 6. so is its gradient;
+        and, with ``hessian``, 7. the scale's fourth power does not
+        underflow.
+
+        -2L = phi(m, s) - 2 log p(omega), where phi = 2T log s
+        + (Q + T (zbar - m)^2) / s^2, so its derivatives follow by the chain
+        rule from those of the mean, the scale and the log-prior.  Every
+        Hessian entry is a sum of terms symmetric in (i, j) bit for bit, so
+        each matrix is too.  A NaN entry is ``np.nan``, so a row's matrix
+        does not depend on the other rows of the call.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        t = self.horizon[rows]
+        model = self.model
+        exprs = (model.mean_scale_prior_hessian if hessian else model.mean_scale_prior_grad)(points)
+        (m, dm, hm, ok_m, _), (s, ds, hs, ok_s, _), (prior, dprior, hp, ok_p, _) = exprs
+        hess = None
         with np.errstate(all="ignore"):  # infeasible rows compute garbage
             d = self.obs_mean[rows] - m
-            sum_res = horizon * d
+            sum_res = t * d
             rss = self.obs_css[rows] + sum_res * d
             s2 = s * s
             s3 = s2 * s
             # math.log, not np.log, which may differ in the last bit
             log_s = np.array([math.log(v) if v > 0.0 else math.nan for v in s.tolist()])
-            value = -2.0 * (-horizon * log_s - rss / (2.0 * s2) + prior)
+            value = -2.0 * (-t * log_s - rss / (2.0 * s2) + prior)
             # dL = -T ds/s + (sum res) dm / s^2 + rss ds / s^3 + dprior, summed
             # per component in that order
-            c_ds = -horizon / s
+            c_ds = -t / s
             c_dm = sum_res / s2
             c_ds3 = rss / s3
             grad = -2.0 * (c_ds[:, None] * ds + c_dm[:, None] * dm + c_ds3[:, None] * ds + dprior)
-        tests = self._feasibility(rows, exprs, ok_m & ok_s & ok_p, s) + [
+            if hessian:
+                s4 = s2 * s2
+                phi_m, phi_s, phi_mm, phi_ms, phi_ss = (c[:, None, None] for c in (
+                    -2.0 * t * d / s2, 2.0 * t / s - 2.0 * rss / s3,
+                    2.0 * t / s2, 4.0 * t * d / s3, 6.0 * rss / s4 - 2.0 * t / s2))
+                dm_i, dm_j = dm[:, :, None], dm[:, None, :]
+                ds_i, ds_j = ds[:, :, None], ds[:, None, :]
+                hess = (phi_m * hm + phi_s * hs + phi_mm * (dm_i * dm_j)
+                        + phi_ms * (dm_i * ds_j + ds_i * dm_j) + phi_ss * (ds_i * ds_j) - 2.0 * hp)
+                hess[np.isnan(hess)] = np.nan  # numpy's NaN sign bit varies with the rows a call holds
+        tests = [
+            (self.finite[rows], lambda i: "observation vector must be finite"),
+            (ok_m & ok_s & ok_p, lambda i: next(why(i) for *_, ok, why in exprs if not ok[i])),
+            (s > 0.0, lambda i: f"scale is not positive ({float(s[i])})"),
             (s3 != 0.0, lambda i: f"scale {float(s[i])} is too small: its cube underflows"),
             (np.isfinite(value), lambda i: f"-2 log-posterior is not finite ({float(value[i])})"),
             (np.isfinite(grad).all(axis=1), lambda i: "gradient of -2 log-posterior is not finite"),
         ]
-        return (value, grad, *_first_failures(tests))
+        if hessian:
+            tests.append((s4 != 0.0, lambda i: f"scale {float(s[i])} is too small: "
+                                               f"its fourth power underflows"))
+        feasible = np.logical_and.reduce([mask for mask, _ in tests])
+        return value, grad, hess, feasible, first_failure(tests)
 
-    # unused in the package; perfbench/child.py traces it by name
+    # the three one-row shells are unused in the package; perfbench/child.py
+    # traces them by name
+    def neg2l(self, omega: np.ndarray, k: int = 0) -> float:
+        """-2L for row ``k``, which raises wherever the gradient is
+        undefined."""
+        return float(self._at(omega, k)[0])
+
     def neg2l_grad(self, omega: np.ndarray, k: int = 0) -> tuple[float, list[float]]:
-        """Value and exact gradient of -2L for row ``k``, bit for bit what
-        :meth:`neg2l_grad_rows` gives; the gradient is a list of floats laid
-        out like :attr:`param_names`."""
-        point = np.asarray(omega, dtype=float).reshape(1, -1)
-        value, grad, ok, why = self.neg2l_grad_rows([k], point)
-        if not ok[0]:
-            raise InfeasiblePointError(why(0))
-        return float(value[0]), grad[0].tolist()
+        """Value and exact gradient of -2L for row ``k``; the gradient is a
+        list of floats laid out like :attr:`param_names`."""
+        value, grad, _ = self._at(omega, k)
+        return float(value), grad.tolist()
 
-    def hessian_neg2l_rows(self, rows, points: np.ndarray):
-        """Exact Hessians of -2L at ``points[i]`` given row ``rows[i]``: a
-        (k, n, n) array, the mask (k,) of the points that pass
-        :meth:`_feasibility`'s tests, then 4. the scale's fourth power does
-        not underflow, and the function of :func:`_first_failures` that
-        names why point i fails.
-
-        -2L = phi(m, s) - 2 log p(omega), where phi = 2T log s
-        + (Q + T (zbar - m)^2) / s^2, so the Hessian follows by the chain rule
-        from the gradients and Hessians of the mean, the scale and the
-        log-prior.  Every entry is a sum of terms symmetric in (i, j) bit for
-        bit, so each matrix is too.  A NaN entry is ``np.nan``, so a row's
-        matrix does not depend on the other rows of the call.
-        """
-        rows = np.asarray(rows, dtype=np.intp)
-        t = self.horizon[rows]
-        exprs = self.model.mean_scale_prior_hessian(points)
-        (m, dm, hm, ok_m, _), (s, ds, hs, ok_s, _), (_, _, hp, ok_p, _) = exprs
-        with np.errstate(all="ignore"):  # infeasible rows compute garbage
-            d = self.obs_mean[rows] - m
-            s2 = s * s
-            s3 = s2 * s
-            s4 = s2 * s2
-            rss = self.obs_css[rows] + t * d * d
-            phi_m, phi_s, phi_mm, phi_ms, phi_ss = (c[:, None, None] for c in (
-                -2.0 * t * d / s2, 2.0 * t / s - 2.0 * rss / s3,
-                2.0 * t / s2, 4.0 * t * d / s3, 6.0 * rss / s4 - 2.0 * t / s2))
-            dm_i, dm_j, ds_i, ds_j = dm[:, :, None], dm[:, None, :], ds[:, :, None], ds[:, None, :]
-            hess = (phi_m * hm + phi_s * hs + phi_mm * (dm_i * dm_j)
-                    + phi_ms * (dm_i * ds_j + ds_i * dm_j) + phi_ss * (ds_i * ds_j) - 2.0 * hp)
-        hess[np.isnan(hess)] = np.nan  # numpy's NaN sign bit varies with the rows a call holds
-        tests = self._feasibility(rows, exprs, ok_m & ok_s & ok_p, s) + [
-            (s4 != 0.0, lambda i: f"scale {float(s[i])} is too small: its fourth power underflows"),
-        ]
-        return (hess, *_first_failures(tests))
-
-    # unused in the package; perfbench/child.py traces it by name
     def hessian_neg2l(self, omega: np.ndarray, k: int = 0) -> np.ndarray:
-        """Exact Hessian of -2L for row ``k``, bit for bit what a
-        :meth:`hessian_neg2l_rows` call of any size gives for it."""
+        """Exact Hessian of -2L for row ``k``."""
+        return self._at(omega, k, hessian=True)[2]
+
+    def _at(self, omega: np.ndarray, k: int, hessian: bool = False):
+        """Value, gradient and Hessian (or None) of -2L for row ``k`` at the
+        one point ``omega``, bit for bit what a :meth:`neg2l_rows` call of
+        any size gives for it; an infeasible point raises
+        :class:`InfeasiblePointError` with its reason."""
         point = np.asarray(omega, dtype=float).reshape(1, -1)
-        hess, ok, why = self.hessian_neg2l_rows([k], point)
+        value, grad, hess, ok, why = self.neg2l_rows([k], point, hessian)
         if not ok[0]:
             raise InfeasiblePointError(why(0))
-        return hess[0]
-
-    def _feasibility(self, rows, exprs, defined, s) -> list:
-        """The first tests of the one feasibility rule at points of rows
-        ``rows``, in order: 1. the row is finite; 2. mean, scale and log-prior
-        and their derivatives are defined (``defined``); 3. the scale ``s`` is
-        positive.  Each test is a pair: the mask (k,) of the points that pass
-        it and a function that names why point ``i`` fails, for the second
-        the reason of the first of the closures' outputs ``exprs`` whose mask
-        fails at ``i``.  Each caller appends its own tests and hands the list
-        to :func:`_first_failures`."""
-        return [
-            (self.finite[rows], lambda i: "observation vector must be finite"),
-            (defined, lambda i: next(why(i) for *_, ok, why in exprs if not ok[i])),
-            (s > 0.0, lambda i: f"scale is not positive ({float(s[i])})"),
-        ]
-
-
-def _first_failures(tests: list):
-    """The mask (k,) of the points that pass every (mask, reason) test of
-    ``tests`` and the function that names the first test point i fails
-    (None for a feasible point)."""
-    return np.logical_and.reduce([mask for mask, _ in tests]), first_failure(tests)
+        return value[0], grad[0], None if hess is None else hess[0]

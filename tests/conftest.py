@@ -94,12 +94,40 @@ def _walker_jets(ctx, omega):
     return jets
 
 
+def reference_neg2l_grad(ctx, omega, k=0):
+    """-2L and its gradient for row ``k`` of ``ctx`` through the walker's
+    derivatives of the mean, the scale and the log-prior.  Raises the reason
+    of the first test that fails, in this order: the row is not finite, an
+    expression raises, the scale is not positive, its cube underflows, -2L
+    is not finite, and its gradient is not finite."""
+    t, zbar, css = _walker_row(ctx, k)
+    (m, dm, _), (s, ds, _), (prior, dprior, _) = _walker_jets(ctx, omega)
+    d = zbar - m
+    sum_res = t * d
+    rss = css + sum_res * d
+    s2 = s * s
+    if s2 * s == 0.0:
+        raise InfeasiblePointError(f"scale {s} is too small: its cube underflows")
+    neg2l = -2.0 * (-t * math.log(s) - rss / (2.0 * s2) + prior)
+    if not math.isfinite(neg2l):
+        raise InfeasiblePointError(f"-2 log-posterior is not finite ({neg2l})")
+    dm, ds, dprior = np.array(dm), np.array(ds), np.array(dprior)
+    with np.errstate(all="ignore"):  # a derivative may be inf or NaN
+        grad = -2.0 * ((-t / s) * ds + (sum_res / s2) * dm + (rss / (s2 * s)) * ds + dprior)
+    if not np.isfinite(grad).all():
+        raise InfeasiblePointError("gradient of -2 log-posterior is not finite")
+    return neg2l, grad
+
+
 def reference_hessian(ctx, omega, k=0):
     """The Hessian of -2L for row ``k`` of ``ctx``: the chain rule of
     phi(m, s) = 2T log s + (Q + T (zbar - m)^2) / s^2 through the walker's
-    Hessians of the mean, the scale and the log-prior.  Every NaN entry is
-    ``np.nan``, as in ``hessian_neg2l_rows``: the scalar arithmetic here, as
-    numpy's there, may leave either sign bit on a NaN."""
+    Hessians of the mean, the scale and the log-prior.  It raises where
+    :func:`reference_neg2l_grad` does and then where the scale's fourth
+    power underflows.  Every NaN entry is ``np.nan``, as in ``neg2l_rows``:
+    the scalar arithmetic here, as numpy's there, may leave either sign bit
+    on a NaN."""
+    reference_neg2l_grad(ctx, omega, k)
     t, zbar, css = _walker_row(ctx, k)
     (m, dm, hm), (s, ds, hs), (_, _, hp) = _walker_jets(ctx, omega)
     d = zbar - m
@@ -125,8 +153,8 @@ class _TreeWalkerContext(PosteriorContext):
     expression trees, as the reference for the compiled closures.  Each
     raises the reason of the first test that fails, in this order: the row
     is not finite, an expression raises, the scale is not positive, its
-    fourth power (Hessian) or its cube underflows, -2L is not finite, and
-    its gradient is not finite;
+    cube underflows, -2L is not finite, its gradient is not finite, and
+    (Hessian) its fourth power underflows;
     :meth:`log_posterior`, L on its own (the context's L is -1/2
     :meth:`neg2l`), and :meth:`neg2l` raise where the gradient does."""
 
@@ -146,23 +174,7 @@ class _TreeWalkerContext(PosteriorContext):
         return -2.0 * self.log_posterior(omega, k)
 
     def neg2l_grad(self, omega, k=0):
-        t, zbar, css = _walker_row(self, k)
-        (m, dm, _), (s, ds, _), (prior, dprior, _) = _walker_jets(self, omega)
-        d = zbar - m
-        sum_res = t * d
-        rss = css + sum_res * d
-        s2 = s * s
-        if s2 * s == 0.0:
-            raise InfeasiblePointError(f"scale {s} is too small: its cube underflows")
-        neg2l = -2.0 * (-t * math.log(s) - rss / (2.0 * s2) + prior)
-        if not math.isfinite(neg2l):
-            raise InfeasiblePointError(f"-2 log-posterior is not finite ({neg2l})")
-        dm, ds, dprior = np.array(dm), np.array(ds), np.array(dprior)
-        with np.errstate(all="ignore"):  # a derivative may be inf or NaN
-            grad = -2.0 * ((-t / s) * ds + (sum_res / s2) * dm + (rss / (s2 * s)) * ds + dprior)
-        if not np.isfinite(grad).all():
-            raise InfeasiblePointError("gradient of -2 log-posterior is not finite")
-        return neg2l, grad
+        return reference_neg2l_grad(self, omega, k)
 
     def hessian_neg2l(self, omega, k=0):
         return reference_hessian(self, omega, k)

@@ -4,7 +4,7 @@
 chain rule through the tree walker ``tree_walker.eval_hessian``, and
 ``_reference_check`` the four checks of one maximum from one ``eigh`` of
 that matrix.  Every row of
-:meth:`PosteriorContext.hessian_neg2l_rows` and :func:`check_rows` must equal
+:meth:`PosteriorContext.neg2l_rows` and :func:`check_rows` must equal
 them bit for bit, notes and error messages included; both give every NaN
 entry as ``np.nan``.
 """
@@ -84,7 +84,7 @@ def _hessian_or_error(fn):
 
 
 def _assert_hessians_equal_reference(ctx, rows, points):
-    hess, feasible, _ = ctx.hessian_neg2l_rows(rows, points)
+    *_, hess, feasible, _ = ctx.neg2l_rows(rows, points, hessian=True)
     assert hess.shape == (len(rows),) + (len(ctx.param_names),) * 2
     for i, (k, omega) in enumerate(zip(rows, points)):
         want = _hessian_or_error(lambda: reference_hessian(ctx, omega, k))
@@ -122,13 +122,16 @@ def test_hessian_rows_equal_reference_with_three_parameters():
 @given(_expr_strategy(), _expr_strategy(), _expr_strategy(),
        st.lists(st.tuples(_POINTS, _POINTS, _POINTS), min_size=1, max_size=4),
        st.integers(0, 2**32 - 1))
-# drawn examples where m is about 1e200, so Q + T (zbar - m)^2 overflows and
-# every entry of the feasible Hessians is a NaN, whose sign bit numpy sets by
-# the number of rows in the call and by the row
+# drawn examples where m is about 1e200, so Q + T (zbar - m)^2 and -2L
+# overflow: the Hessian call marks them as the gradient call does
 @example(parse_expr("-(1/b)"), parse_expr("1"), parse_expr("1"), [(0.0, 1e-200, 0.0)], 0)
 @example(parse_expr("-(6.0133474049845175/b)"), parse_expr("abs(5.621198822699153)"),
          parse_expr("abs(5.621198822699153)"),
          [(0.5, 9.419479717936017e-177, -2.993279487712422e-263)] * 4, 0)
+# a feasible point whose Hessians hold NaN entries, whose sign bit numpy sets
+# by the number of rows in the call and by the row: at a = 0, a^1.5 has the
+# second derivative inf, times 0 off the diagonal
+@example(parse_expr("a^1.5 + b"), parse_expr("1"), parse_expr("1"), [(0.0, 0.5, 0.5)] * 4, 0)
 def test_hessian_rows_equal_reference_on_expression_trees(mean, scale, prior, points, seed):
     # log, exp and ^ anywhere, points off the domain and scales that are not
     # positive there
@@ -160,15 +163,17 @@ def test_check_rows_equal_reference_over_a_design(name):
 
 
 def test_check_rows_keep_the_one_row_records_of_failing_rows(monkeypatch):
-    # fitted rows, a row that is not finite, a row whose Q overflows (its
-    # Hessian is not finite), a point where the scale's fourth power
-    # underflows and a point off the domain; the one call that gives the
-    # Hessians also names why the infeasible ones are
+    # fitted rows, a row that is not finite, a row whose Q overflows (so
+    # does -2L), a point where the gradient overflows before the scale's
+    # fourth power underflows, one on a row of zeros where only the fourth
+    # power underflows, and a point off the domain; the one call that gives
+    # the Hessians also names why the infeasible ones are
     model = load_model("unknown_variance")
     design = make_design_observations(model, design_disturbance_matrix(4, 20, DESK_LCD))
-    blocks = [design, np.array([1.0, np.inf, 0.0, 2.0]), np.array([1e200, -1e200, 0.0, 1.0])]
+    blocks = [design, np.array([1.0, np.inf, 0.0, 2.0]), np.array([1e200, -1e200, 0.0, 1.0]),
+              np.zeros(4)]
     ctx = PosteriorContext(model, blocks)
-    fitted = maximize_rows(ctx, model.true_vector())
+    fitted = maximize_rows(ctx, model.true_vector())[:22]
     results = [r for r in fitted if isinstance(r, MaxResult)]
     rows = [k for k, r in enumerate(fitted) if isinstance(r, MaxResult)]
     assert rows == list(range(20))
@@ -177,25 +182,27 @@ def test_check_rows_keep_the_one_row_records_of_failing_rows(monkeypatch):
         return MaxResult(omega_hat=[omega], param_names=("b",), converged=False, iterations=0,
                          grad_inf_norm=1e-3, trace=(0.0,))
 
-    rows += [20, 21, 3, 4]
-    results += [at(0.8), at(0.8), at(1e-180), at(-1.0)]
+    rows += [20, 21, 3, 22, 4]
+    results += [at(0.8), at(0.8), at(1e-180), at(1e-180), at(-1.0)]
     calls = []
-    rows_call = PosteriorContext.hessian_neg2l_rows
+    rows_call = PosteriorContext.neg2l_rows
 
-    def counted(self, rows, points):
-        calls.append(len(rows))
-        return rows_call(self, rows, points)
+    def counted(self, rows, points, hessian=False):
+        calls.append((len(rows), hessian))
+        return rows_call(self, rows, points, hessian)
 
-    monkeypatch.setattr(PosteriorContext, "hessian_neg2l_rows", counted)
+    monkeypatch.setattr(PosteriorContext, "neg2l_rows", counted)
     reports = check_rows(ctx, rows, results)
-    assert calls == [24]
+    assert calls == [(25, True)]
     assert [_check_key(r) for r in reports] == [
         _reference_check(ctx, result, k) for k, result in zip(rows, results)]
     notes = [r.note for r in reports[20:]]
     assert notes[0] == "curvature evaluation failed: observation vector must be finite"
-    assert notes[2] == ("curvature evaluation failed: scale 1e-90 is too small: "
+    assert notes[1] == "curvature evaluation failed: -2 log-posterior is not finite (inf)"
+    assert notes[2] == "curvature evaluation failed: gradient of -2 log-posterior is not finite"
+    assert notes[3] == ("curvature evaluation failed: scale 1e-90 is too small: "
                         "its fourth power underflows")
-    assert notes[3].startswith("curvature evaluation failed: sqrt of non-positive value")
+    assert notes[4].startswith("curvature evaluation failed: sqrt of non-positive value")
     assert all(r.note is None for r in reports[:20]) and all(r.passed for r in reports[:20])
 
 
@@ -213,8 +220,10 @@ class _Stack:
     def bounds(self):
         return [(-np.inf, np.inf)] * 2
 
-    def hessian_neg2l_rows(self, rows, points):
-        return self.matrices[rows], np.ones(len(rows), dtype=bool), lambda i: None
+    def neg2l_rows(self, rows, points, hessian=False):
+        return (np.zeros(len(rows)), np.zeros((len(rows), 2)),
+                self.matrices[rows] if hessian else None, np.ones(len(rows), dtype=bool),
+                lambda i: None)
 
 
 def _results(count):

@@ -28,7 +28,7 @@ RATIO_RIDGE = load_model("ratio_mean_scale_sqrt_ratio")
 
 class QuadraticContext:
     """Synthetic one-row context with -2L = sum (x_j - c_j)^2, offering only
-    what the fit contract asks for."""
+    what the fit and the checks ask for."""
 
     def __init__(self, center, bounds=None):
         self.center = np.asarray(center, dtype=float)
@@ -41,18 +41,12 @@ class QuadraticContext:
     def bounds(self):
         return self._bounds
 
-    def neg2l_grad_rows(self, rows, points):
+    def neg2l_rows(self, rows, points, hessian=False):
         d = points - self.center
-        return np.sum(d * d, axis=1), 2.0 * d, np.ones(len(points), dtype=bool), lambda i: None
-
-
-class CurvedQuadraticContext(QuadraticContext):
-    """:class:`QuadraticContext` with the Hessians :func:`check_maximum` reads."""
-
-    def hessian_neg2l_rows(self, rows, points):
         n = self.center.size
-        hess = np.broadcast_to(2.0 * np.eye(n), (len(points), n, n))
-        return hess, np.ones(len(points), dtype=bool), lambda i: None
+        hess = np.broadcast_to(2.0 * np.eye(n), (len(points), n, n)) if hessian else None
+        return (np.sum(d * d, axis=1), 2.0 * d, hess, np.ones(len(points), dtype=bool),
+                lambda i: None)
 
 
 class TestMaximize:
@@ -116,9 +110,9 @@ class TestMaximize:
         # -2L is finite beyond x = 2.5 but its gradient is not: the line
         # search must treat those trial points as infeasible, not crash
         class Cliff(QuadraticContext):
-            def neg2l_grad_rows(self, rows, points):
-                values, grads, feasible, _ = super().neg2l_grad_rows(rows, points)
-                return (values, grads, feasible & (points[:, 0] <= 2.5),
+            def neg2l_rows(self, rows, points, hessian=False):
+                values, grads, hess, feasible, _ = super().neg2l_rows(rows, points, hessian)
+                return (values, grads, hess, feasible & (points[:, 0] <= 2.5),
                         lambda i: "beyond the cliff")
 
         result = maximize(Cliff([3.0]), np.array([0.0]))
@@ -137,17 +131,12 @@ class _CountingContext(PosteriorContext):
         self.calls["neg2l"] += 1
         return super().neg2l(omega)
 
-    def neg2l_grad_rows(self, rows, points):
-        self.calls["grad_points"].extend(map(tuple, points.tolist()))
-        return super().neg2l_grad_rows(rows, points)
-
-    def hessian_neg2l(self, omega):
-        self.calls["hessian"] += 1
-        return super().hessian_neg2l(omega)
-
-    def hessian_neg2l_rows(self, rows, points):
-        self.calls["hessian"] += 1
-        return super().hessian_neg2l_rows(rows, points)
+    def neg2l_rows(self, rows, points, hessian=False):
+        if hessian:
+            self.calls["hessian"] += 1
+        else:
+            self.calls["grad_points"].extend(map(tuple, points.tolist()))
+        return super().neg2l_rows(rows, points, hessian)
 
 
 @pytest.mark.parametrize("name", bundled_model_names())
@@ -184,7 +173,7 @@ class _JitteredQuartic:
     def bounds(self):
         return [(-np.inf, np.inf)] * 2
 
-    def neg2l_grad_rows(self, rows, points):
+    def neg2l_rows(self, rows, points, hessian=False):
         values, grads = [], []
         for x, y in points.tolist():
             self.calls += 1
@@ -193,7 +182,7 @@ class _JitteredQuartic:
                 value += random.Random(struct.pack("<2d", x, y)).uniform(-1e-13, 1e-13)
             values.append(value)
             grads.append([4.0 * (x - 1.0) ** 3, 2.0 * (y + 0.5)])
-        return (np.array(values), np.array(grads), np.ones(len(points), dtype=bool),
+        return (np.array(values), np.array(grads), None, np.ones(len(points), dtype=bool),
                 lambda i: None)
 
 
@@ -315,7 +304,7 @@ class TestCheckMaximum:
             assert not check_maximum(ctx, maximize(ctx, model.true_vector())).hessian_pd
 
     def test_gradient_threshold_boundary(self):
-        ctx = CurvedQuadraticContext([0.0])
+        ctx = QuadraticContext([0.0])
         # a candidate held off the optimum, as an unconverged fit hands it over
         result = MaxResult(omega_hat=[0.0], param_names=ctx.param_names, converged=False,
                            iterations=0, grad_inf_norm=2e-5, trace=(0.0,))
@@ -403,9 +392,10 @@ class TestLocalVariance:
             def bounds(self):
                 return [(-np.inf, np.inf)]
 
-            def hessian_neg2l_rows(self, rows, points):
-                return (np.zeros((len(points), 1, 1)), np.ones(len(points), dtype=bool),
-                        lambda i: None)
+            def neg2l_rows(self, rows, points, hessian=False):
+                return (np.zeros(len(points)), np.zeros((len(points), 1)),
+                        np.zeros((len(points), 1, 1)) if hessian else None,
+                        np.ones(len(points), dtype=bool), lambda i: None)
 
         assert np.isinf(local_variances_at(Flat(), [0.0])[0])
 

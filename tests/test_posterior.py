@@ -284,7 +284,7 @@ def test_compiled_posterior_bit_equals_tree_walkers(name, omegas, scale, seed, h
     model = SYNTHETIC if name == "synthetic" else load_model(name)
     z = np.random.default_rng(seed).normal(0.6, 0.8, size=(len(omegas), horizon))
     points = scale * np.array([omega[: len(model.params)] for omega in omegas])
-    values, grads, feasible, _ = PosteriorContext(model, z).neg2l_grad_rows(
+    values, grads, _, feasible, _ = PosteriorContext(model, z).neg2l_rows(
         np.arange(len(points)), points)
     for k, omega in enumerate(points):
         ctx = PosteriorContext(model, z[k])
@@ -314,7 +314,9 @@ FAILURE_KINDS = {
     "with parameter-dependent exponent": ("self_power", [-1.0]),
     "scale is not positive": ("signed_scale", [0.0]),
     "its cube underflows": ("ratio_mean_scale_sqrt_ab", [3.6e-221, 1.0]),
-    "its fourth power underflows": ("unknown_variance", [1e-165]),
+    # a scale of a, not sqrt(b): the gradient's tests come first, and where
+    # the fourth power of sqrt(b) underflows its gradient overflows
+    "its fourth power underflows": ("signed_scale", [1e-90]),
     "-2 log-posterior is not finite": ("unknown_variance", [0.8]),  # row 2: Q overflows
     # 1/b and a/b^2 overflow, while a/b is -1
     "gradient of -2 log-posterior is not finite": ("quotient_mean", [-1e-200, 1e-200]),
@@ -326,13 +328,10 @@ ONE_PARAMETER = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_reasons_equal_the_tree_walkers():
-    # every one-shot method gives the walker's value or names the reason
-    # that the walker and the posterior's tests give first, on the bundled
-    # models and on synthetic ones, at every point of a grid and at the
-    # points above; each failure kind shows at least once.  One rows call of
-    # each kind over all the points of a model names each point's reason too
+def _grid():
+    """(name, model, observations, cases) of the bundled models and the
+    synthetic ones, where a case (k, omega) pairs a row of the observations
+    with a point of a grid or of :data:`FAILURE_KINDS`."""
     models = {name: load_model(name) for name in bundled_model_names()}
     models["synthetic"] = SYNTHETIC
     models["quotient_mean"] = model_from_dict({
@@ -344,13 +343,23 @@ def test_reasons_equal_the_tree_walkers():
     # rows: finite, not finite, and finite with an overflowing Q
     z = np.array([[0.3, 1.1, -0.4, 0.9], [0.2, np.inf, 0.1, 0.5], [1e200, -1e200, 0.0, 1.0]])
     grid = [-1.0, -0.0, 0.0, 1e-165, 3.6e-221, 0.5, 800.0]
-    seen = set()
     for name, model in models.items():
-        ctx, ref = PosteriorContext(model, z), _TreeWalkerContext(model, z)
         points = [[a] for a in grid] if len(model.params) == 1 else \
             [[a, b] for a in grid for b in grid]
         points += [omega for where, omega in FAILURE_KINDS.values() if where == name]
-        cases = [(k, omega) for omega in points for k in range(len(z))]
+        yield name, model, z, [(k, omega) for omega in points for k in range(len(z))]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_reasons_equal_the_tree_walkers():
+    # every one-shot method gives the walker's value or names the reason
+    # that the walker and the posterior's tests give first, on the bundled
+    # models and on synthetic ones, at every point of a grid and at the
+    # points above; each failure kind shows at least once.  One rows call of
+    # each kind over all the points of a model names each point's reason too
+    seen = set()
+    for name, model, z, cases in _grid():
+        ctx, ref = PosteriorContext(model, z), _TreeWalkerContext(model, z)
         want = {"neg2l_grad": [], "hessian_neg2l": []}
         for k, omega in cases:
             for method in ("log_posterior", "neg2l", "neg2l_grad", "hessian_neg2l"):
@@ -362,9 +371,8 @@ def test_reasons_equal_the_tree_walkers():
                 if method in want:
                     want[method].append(got[1] if got[0] is InfeasiblePointError else None)
         rows, batch = [k for k, _ in cases], np.array([omega for _, omega in cases])
-        for method, rows_call in (("neg2l_grad", ctx.neg2l_grad_rows),
-                                  ("hessian_neg2l", ctx.hessian_neg2l_rows)):
-            *_, feasible, why = rows_call(rows, batch)
+        for method, hessian in (("neg2l_grad", False), ("hessian_neg2l", True)):
+            *_, feasible, why = ctx.neg2l_rows(rows, batch, hessian)
             reasons = [None if ok else why(i) for i, ok in enumerate(feasible)]
             assert reasons == want[method], (name, method)
             assert [why(i) for i in range(len(rows))] == reasons
@@ -393,11 +401,60 @@ def test_reasons_equal_the_tree_walkers_on_expression_trees(mean, scale, prior, 
     z = np.random.default_rng(seed).normal(0.6, 0.8, size=(len(points), 3))
     ctx, ref = PosteriorContext(model, z), _TreeWalkerContext(model, z)
     rows, batch = np.arange(len(points)), np.array(points)
-    values, grads, feasible, why = ctx.neg2l_grad_rows(rows, batch)
+    values, grads, _, feasible, why = ctx.neg2l_rows(rows, batch)
     got = [(values[k].tobytes(), grads[k].tobytes()) if feasible[k]
            else (InfeasiblePointError, why(k)) for k in rows]
     assert got == [_bytes_or_error(lambda: ref.neg2l_grad(point, k))
                    for k, point in enumerate(points)]
+
+
+def _assert_one_rule(ctx, rows, points) -> int:
+    """The Hessian call marks every point that the gradient call marks, with
+    the same reason, and others only where the scale's fourth power
+    underflows; wherever the gradient call keeps a point, both give the same
+    value and gradient bit for bit.  Returns how many points only the
+    Hessian call marks."""
+    values, grads, none, feasible, why = ctx.neg2l_rows(rows, points)
+    values_h, grads_h, hess, feasible_h, why_h = ctx.neg2l_rows(rows, points, hessian=True)
+    assert none is None and hess.shape == (len(rows),) + (len(ctx.param_names),) * 2
+    extra = 0
+    for i in range(len(rows)):
+        if not feasible[i]:
+            assert (feasible_h[i], why_h(i)) == (False, why(i))
+            continue
+        assert (values_h[i].tobytes(), grads_h[i].tobytes()) == \
+            (values[i].tobytes(), grads[i].tobytes())
+        if not feasible_h[i]:
+            assert why_h(i).endswith("is too small: its fourth power underflows")
+            extra += 1
+    return extra
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_the_hessian_call_keeps_the_gradient_calls_rule():
+    extra = 0
+    for _, model, z, cases in _grid():
+        ctx = PosteriorContext(model, z)
+        extra += _assert_one_rule(ctx, [k for k, _ in cases],
+                                  np.array([omega for _, omega in cases]))
+    assert extra > 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(_expr_strategy(), _expr_strategy(), _expr_strategy(),
+       st.lists(st.tuples(_POINTS, _POINTS, _POINTS), min_size=1, max_size=4),
+       st.integers(0, 2**32 - 1))
+def test_the_hessian_call_keeps_the_gradient_calls_rule_on_expression_trees(
+        mean, scale, prior, points, seed):
+    params = (ParamSpec("a", 0.7), ParamSpec("b", 1.3), ParamSpec("c", 0.4))
+    try:
+        model = ModelSpec(name="tree", params=params, mean_expr=mean,
+                          scale_expr=scale, log_prior_expr=prior)
+    except ModelError:
+        assume(False)
+    z = np.random.default_rng(seed).normal(0.6, 0.8, size=(len(points), 3))
+    _assert_one_rule(PosteriorContext(model, z), np.arange(len(points)), np.array(points))
 
 
 def test_neg2l_that_overflows_is_infeasible():
@@ -405,7 +462,7 @@ def test_neg2l_that_overflows_is_infeasible():
     model = model_from_dict({"parameters": [{"name": "a", "true_value": 0.0}],
                              "mean": "0", "scale": "1", "log_prior": "exp(a)"})
     ctx = PosteriorContext(model, np.zeros(2))
-    assert not ctx.neg2l_grad_rows([0], np.array([[709.5]]))[2][0]
+    assert not ctx.neg2l_rows([0], np.array([[709.5]]))[3][0]
     for method in (ctx.neg2l_grad, ctx.neg2l, lambda omega: -0.5 * ctx.neg2l(omega)):
         with pytest.raises(InfeasiblePointError) as raised:
             method([709.5])

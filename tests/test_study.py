@@ -324,15 +324,15 @@ def test_a_start_whose_gradient_is_not_finite_is_infeasible(monkeypatch):
                                                   [0.3, 1.1, -0.4, -1.0],
                                                   [-1.2, 0.2, 0.6, 0.4]]))
     calls = []
-    rows_call = PosteriorContext.neg2l_grad_rows
+    rows_call = PosteriorContext.neg2l_rows
 
-    def counted(self, rows, points):
-        calls.append(len(rows))
-        return rows_call(self, rows, points)
+    def counted(self, rows, points, hessian=False):
+        calls.append((len(rows), hessian))
+        return rows_call(self, rows, points, hessian)
 
-    monkeypatch.setattr(PosteriorContext, "neg2l_grad_rows", counted)
+    monkeypatch.setattr(PosteriorContext, "neg2l_rows", counted)
     (records,) = _fit_blocks(model, [z], small_config(model))
-    assert calls == [3]
+    assert calls == [(3, False), (0, True)]  # the starts, then the checks of no maxima
     reason = "gradient of -2 log-posterior is not finite"
     assert [r.reason for r in records] == [f"infeasible start: {reason}"] * 3
     assert [walker_reason(_TreeWalkerContext(model, row), "neg2l_grad", model.true_vector())
