@@ -14,7 +14,6 @@ import argparse
 import gc
 import os
 import sys
-import traceback
 import warnings
 from pathlib import Path
 
@@ -232,6 +231,8 @@ def _main(argv: list[str] | None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:
+        import traceback  # only here: importing it costs every run ~1 ms
+
         traceback.print_exc()
         return EXIT_INTERNAL
 

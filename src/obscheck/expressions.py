@@ -20,11 +20,12 @@ operators associate to the left.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
+
+from ._value import Value
 
 __all__ = [
     "Expr",
@@ -67,35 +68,39 @@ class DomainError(ExprError):
         self.expr = expr
 
 
-@dataclass(frozen=True)
-class Expr:
+class Expr(Value):
     """Abstract base node."""
 
     def __str__(self) -> str:
         return format_expr(self)
 
 
-@dataclass(frozen=True)
 class Literal(Expr):
-    value: float
+    _fields = ("value",)
+
+    def __init__(self, value: float):
+        self.__dict__["value"] = value
 
 
-@dataclass(frozen=True)
 class Param(Expr):
-    name: str
+    _fields = ("name",)
+
+    def __init__(self, name: str):
+        self.__dict__["name"] = name
 
 
-@dataclass(frozen=True)
 class Unary(Expr):
-    op: str  # sqrt | log | exp | abs | neg
-    arg: Expr
+    _fields = ("op", "arg")
+
+    def __init__(self, op: str, arg: Expr):  # op: sqrt | log | exp | abs | neg
+        self.__dict__.update(op=op, arg=arg)
 
 
-@dataclass(frozen=True)
 class Binary(Expr):
-    op: str  # + - * / ^
-    left: Expr
-    right: Expr
+    _fields = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):  # op: + - * / ^
+        self.__dict__.update(op=op, left=left, right=right)
 
 
 _FUNCTIONS = ("sqrt", "log", "exp", "abs", "neg")

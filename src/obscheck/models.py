@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
+from ._value import Value
 from .expressions import Expr, ParseError, collect_params, compile_expr, parse_expr
 
 __all__ = ["ParamSpec", "ModelSpec", "ModelError", "load_model", "bundled_model_names"]
@@ -29,16 +29,16 @@ class ModelError(Exception):
     """A model file or specification is invalid."""
 
 
-@dataclass(frozen=True)
-class ParamSpec:
-    name: str
-    true_value: float
-    lower: float | None = None
-    upper: float | None = None
+class ParamSpec(Value):
+    lower = upper = None
+    _fields = ("name", "true_value", "lower", "upper")
+
+    def __init__(self, name: str, true_value: float, lower: float | None = lower,
+                 upper: float | None = upper):
+        self.__dict__.update(name=name, true_value=true_value, lower=lower, upper=upper)
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(Value):
     """A validated location-scale model.
 
     The mean, scale and log-prior expressions are compiled once, here, into
@@ -48,18 +48,16 @@ class ModelSpec:
     for every posterior evaluation and, on the one true point, for the design
     observations; the check at the true values here runs on that point too.
     The three expressions, with their gradients, must be defined there, and
-    the scale must be positive.
+    the scale must be positive.  Equality, hashing and repr ignore the
+    compiled closures.
     """
 
-    name: str
-    params: tuple[ParamSpec, ...]
-    mean_expr: Expr
-    scale_expr: Expr
-    log_prior_expr: Expr
-    # compiled closures for mean, scale, log-prior
-    _compiled: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("name", "params", "mean_expr", "scale_expr", "log_prior_expr")
 
-    def __post_init__(self):
+    def __init__(self, name: str, params: tuple[ParamSpec, ...], mean_expr: Expr,
+                 scale_expr: Expr, log_prior_expr: Expr):
+        self.__dict__.update(name=name, params=params, mean_expr=mean_expr,
+                             scale_expr=scale_expr, log_prior_expr=log_prior_expr)
         names = [p.name for p in self.params]
         if not names:
             raise ModelError("a model must declare at least one parameter")
@@ -87,8 +85,9 @@ class ModelSpec:
             unknown = collect_params(expr) - declared
             if unknown:
                 raise ModelError(f"{label} references undeclared parameters {sorted(unknown)}")
-        exprs = (self.mean_expr, self.scale_expr, self.log_prior_expr)
-        object.__setattr__(self, "_compiled", tuple(compile_expr(e, names) for e in exprs))
+        # compiled closures for mean, scale, log-prior
+        exprs = (mean_expr, scale_expr, log_prior_expr)
+        self.__dict__["_compiled"] = tuple(compile_expr(e, names) for e in exprs)
         # every study starts at the true values: the design observations are
         # generated there and each fit starts there, so no fit could start
         # where a value or a gradient is undefined

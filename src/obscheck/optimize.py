@@ -34,10 +34,10 @@ for the Hessian H of -2L (no step size), equal to -1/L'' in one dimension.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._value import Value
 from .posterior import InfeasiblePointError
 
 __all__ = ["OptConfig", "MaxResult", "CheckReport", "maximize_rows", "check_rows"]
@@ -55,57 +55,60 @@ _WOLFE_DELTA = 0.1
 _WOLFE_SIGMA = 0.9
 
 
-@dataclass(frozen=True)
-class OptConfig:
+class OptConfig(Value):
     """The convergence target of :func:`maximize_rows` and the three
     thresholds of :func:`check_rows`."""
 
-    grad_tol: float = 1e-9
-    grad_check: float = 1e-5
-    eig_ratio_min: float = 1e-5
-    lvar_max: float = 1e8
+    grad_tol = 1e-9
+    grad_check = 1e-5
+    eig_ratio_min = 1e-5
+    lvar_max = 1e8
+    _fields = ("grad_tol", "grad_check", "eig_ratio_min", "lvar_max")
 
-    def __post_init__(self):
-        for name in ("grad_tol", "grad_check", "eig_ratio_min", "lvar_max"):
+    def __init__(self, grad_tol: float = grad_tol, grad_check: float = grad_check,
+                 eig_ratio_min: float = eig_ratio_min, lvar_max: float = lvar_max):
+        self.__dict__.update(grad_tol=grad_tol, grad_check=grad_check,
+                             eig_ratio_min=eig_ratio_min, lvar_max=lvar_max)
+        for name in self._fields:
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
 
 
-@dataclass(frozen=True, eq=False)
 class MaxResult:
     """Outcome of one maximization.  It holds an array, so it equals and
     hashes as itself only."""
 
-    omega_hat: np.ndarray
-    param_names: tuple[str, ...]
-    converged: bool
-    iterations: int
-    grad_inf_norm: float
-    trace: tuple[float, ...]  # -2L at the start and after each accepted step
-
-    def __post_init__(self):
-        omega = np.asarray(self.omega_hat, dtype=float).copy()
+    def __init__(self, omega_hat: np.ndarray, param_names: tuple[str, ...], converged: bool,
+                 iterations: int, grad_inf_norm: float, trace: tuple[float, ...]):
+        omega = np.asarray(omega_hat, dtype=float).copy()
         omega.flags.writeable = False
-        object.__setattr__(self, "omega_hat", omega)
+        self.omega_hat = omega
+        self.param_names = param_names
+        self.converged = converged
+        self.iterations = iterations
+        self.grad_inf_norm = grad_inf_norm
+        self.trace = trace  # -2L at the start and after each accepted step
 
     @property
     def estimates(self) -> dict[str, float]:
         return {name: float(v) for name, v in zip(self.param_names, self.omega_hat)}
 
 
-@dataclass(frozen=True, eq=False)
 class CheckReport:
     """The four validity checks for a candidate maximum.  It holds an array,
     so it equals and hashes as itself only."""
 
-    grad_ok: bool
-    hessian_pd: bool
-    eig_ratio_ok: bool
-    lvar_finite: bool
-    grad_inf_norm: float
-    eig_ratio: float
-    local_variances: np.ndarray | None  # present only when hessian_pd
-    note: str | None = None
+    def __init__(self, grad_ok: bool, hessian_pd: bool, eig_ratio_ok: bool, lvar_finite: bool,
+                 grad_inf_norm: float, eig_ratio: float, local_variances: np.ndarray | None,
+                 note: str | None = None):
+        self.grad_ok = grad_ok
+        self.hessian_pd = hessian_pd
+        self.eig_ratio_ok = eig_ratio_ok
+        self.lvar_finite = lvar_finite
+        self.grad_inf_norm = grad_inf_norm
+        self.eig_ratio = eig_ratio
+        self.local_variances = local_variances  # present only when hessian_pd
+        self.note = note
 
     @property
     def failed(self) -> tuple[str, ...]:

@@ -38,7 +38,6 @@ The fit itself never asks for curvature.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -81,7 +80,6 @@ def _blocks(obs) -> list[np.ndarray]:
     return blocks
 
 
-@dataclass(frozen=True, eq=False)
 class PosteriorContext:
     """A model bound to K >= 1 observation vectors.  ``obs`` is one block, a
     vector (one row) or a (K, T) array, or a list of blocks whose T may
@@ -94,20 +92,16 @@ class PosteriorContext:
     hashes by identity.
     """
 
-    model: ModelSpec
-    obs: InitVar[object]
-    horizon: np.ndarray = field(init=False)  # T per row
-    obs_mean: np.ndarray = field(init=False)  # zbar per row
-    obs_css: np.ndarray = field(init=False)  # Q = sum_t (z_t - zbar)^2 per row
-    finite: np.ndarray = field(init=False)  # whether the row is a finite vector
-
-    def __post_init__(self, obs):
+    def __init__(self, model: ModelSpec, obs):
+        self.model = model
         blocks = _blocks(obs)
         columns = zip(*[(np.full(len(b), b.shape[1]), *_statistics(b)) for b in blocks])
+        # T, zbar, Q = sum_t (z_t - zbar)^2 and whether the row is a finite
+        # vector, per row
         for name, column in zip(("horizon", "obs_mean", "obs_css", "finite"), columns):
             values = np.concatenate(column)
             values.flags.writeable = False
-            object.__setattr__(self, name, values)
+            setattr(self, name, values)
 
     def __len__(self) -> int:
         return len(self.horizon)

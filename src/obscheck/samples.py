@@ -72,17 +72,16 @@ comes out of the same node-weighted kernel sums.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import warnings
-from dataclasses import dataclass
+import zlib
 from functools import lru_cache
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from ._files import write_atomic
+from ._value import Value
 
 __all__ = [
     "LcdConfig",
@@ -103,8 +102,7 @@ class InvalidMixtureError(Exception):
     or a singular sample covariance that cannot be whitened)."""
 
 
-@dataclass(frozen=True)
-class LcdConfig:
+class LcdConfig(Value):
     """Discretization and placement settings for sample-set generation.
 
     b_max:      upper kernel-width bound of the outer integral.
@@ -116,13 +114,17 @@ class LcdConfig:
     seed:       64-bit seed for the deterministic initializer.
     """
 
-    b_max: float = 10.0
-    quad_nodes: int | None = None
-    max_iters: int = 600
-    step_tol: float = 1e-8
-    seed: int = 12345
+    b_max = 10.0
+    quad_nodes = None
+    max_iters = 600
+    step_tol = 1e-8
+    seed = 12345
+    _fields = ("b_max", "quad_nodes", "max_iters", "step_tol", "seed")
 
-    def __post_init__(self):
+    def __init__(self, b_max: float = b_max, quad_nodes: int | None = quad_nodes,
+                 max_iters: int = max_iters, step_tol: float = step_tol, seed: int = seed):
+        self.__dict__.update(b_max=b_max, quad_nodes=quad_nodes, max_iters=max_iters,
+                             step_tol=step_tol, seed=seed)
         if not self.b_max > 0.0:
             raise ValueError(f"b_max must be positive, got {self.b_max}")
         if not math.isfinite(self.b_max):
@@ -146,43 +148,35 @@ class LcdConfig:
         return 128 if d <= 3 else 64 if d <= 7 else 32
 
 
-@dataclass(frozen=True, eq=False)
 class DiracMixture:
     """M equally weighted points (weight exactly 1/M each) in d dimensions.
     It holds an array, so it equals and hashes as itself only."""
 
-    dim: int
-    count: int
-    points: np.ndarray  # (M, d), read-only
-    placement_converged: bool = True
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.shape != (self.count, self.dim):
-            raise ValueError(f"points shape {pts.shape} != ({self.count}, {self.dim})")
+    def __init__(self, dim: int, count: int, points: np.ndarray,
+                 placement_converged: bool = True):
+        pts = np.asarray(points, dtype=float)
+        if pts.shape != (count, dim):
+            raise ValueError(f"points shape {pts.shape} != ({count}, {dim})")
         pts = pts.copy()
         pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
+        self.dim = dim
+        self.count = count
+        self.points = pts  # (M, d), read-only
+        self.placement_converged = placement_converged
 
     @property
     def weight(self) -> float:
         return 1.0 / self.count
 
 
-class _Nodes(NamedTuple):
-    """Width-quadrature nodes on (0, b_max] with the per-node constants of
-    the closed-form inner integral (see the module docstring)."""
-
-    w: np.ndarray   # quadrature weights
-    b2: np.ndarray  # squared kernel widths b^2
-    c1: np.ndarray  # (pi b^2)^(d/2), the T1 prefactor
-    v: np.ndarray   # 1 + 2 b^2, the T2 width
-    c2: np.ndarray  # (b^2 sqrt(2 pi / v))^d, the T2 prefactor
-    d0: np.ndarray  # c1 - 2 c2 + T3, the inner integral with every point at 0
-
-
 @lru_cache(maxsize=64)
-def _nodes(b_max: float, quad_nodes: int, d: int) -> _Nodes:
+def _nodes(b_max: float, quad_nodes: int, d: int) -> tuple[np.ndarray, ...]:
+    """Width-quadrature nodes on (0, b_max] with the per-node constants of
+    the closed-form inner integral (see the module docstring), read-only:
+    w, the quadrature weights; b2, the squared kernel widths b^2; c1 =
+    (pi b^2)^(d/2), the T1 prefactor; v = 1 + 2 b^2, the T2 width; c2 =
+    (b^2 sqrt(2 pi / v))^d, the T2 prefactor; and d0 = c1 - 2 c2 + T3, the
+    inner integral with every point at 0."""
     x, w = np.polynomial.legendre.leggauss(quad_nodes)
     t = 0.5 * (x + 1.0)
     b = b_max * t * t
@@ -191,7 +185,7 @@ def _nodes(b_max: float, quad_nodes: int, d: int) -> _Nodes:
     c1 = (np.pi * b2) ** (0.5 * d)
     c2 = (b2 * np.sqrt(2.0 * np.pi / v)) ** d
     t3 = (b2 / (1.0 + b2)) ** d * (np.pi * (1.0 + b2)) ** (0.5 * d)
-    nodes = _Nodes(w=b_max * t * w, b2=b2, c1=c1, v=v, c2=c2, d0=c1 - 2.0 * c2 + t3)
+    nodes = (b_max * t * w, b2, c1, v, c2, c1 - 2.0 * c2 + t3)
     for arr in nodes:
         arr.flags.writeable = False
     return nodes
@@ -262,7 +256,7 @@ _PAIR_BLOCK = 4096
 
 
 def _kernel_sums(dist2: np.ndarray, mult: np.ndarray, norm2: np.ndarray, t2_mult: float,
-                 m_count: int, nodes: _Nodes) -> tuple[float, np.ndarray, np.ndarray]:
+                 m_count: int, nodes: tuple) -> tuple[float, np.ndarray, np.ndarray]:
     """D of an M-point set from its T1 pair entries (squared distances
     ``dist2``, each ``mult`` ordered pairs) and T2 points (squared norms
     ``norm2``, each ``t2_mult`` points); left-out pairs have deviation 0.
@@ -562,7 +556,7 @@ _KEY_FIELDS = {"dim": int, "count": int, "b_max": float, "quad_nodes": int, "see
 
 def _cache_key(d: int, m_count: int, cfg: LcdConfig) -> dict:
     """Everything that decides which set placement produces.  The CSV header
-    records it and the cache file name carries its digest, so a file copied
+    records it and the cache file name carries its CRC-32, so a file copied
     under another key's name fails the header check.  The node count is the
     one resolved for d, so a default and an explicit equal count share files."""
     return {"dim": d, "count": m_count, "b_max": cfg.b_max, "quad_nodes": cfg.nodes_for(d),
@@ -576,8 +570,10 @@ def _key_line(key: dict) -> str:
 
 
 def _cache_filename(d: int, m_count: int, cfg: LcdConfig) -> str:
-    digest = hashlib.sha256(_key_line(_cache_key(d, m_count, cfg)).encode()).hexdigest()[:12]
-    return f"samples_d{d}_M{m_count}_{digest}.csv"
+    # the header, not the name, decides whether a file is used: a checksum
+    # that loads no cryptographic library is enough to keep keys apart
+    crc = zlib.crc32(_key_line(_cache_key(d, m_count, cfg)).encode())
+    return f"samples_d{d}_M{m_count}_{crc:08x}.csv"
 
 
 def _load_cached(path: Path, d: int, m_count: int, cfg: LcdConfig) -> np.ndarray | None:

@@ -17,10 +17,10 @@ means not observable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._value import Value
 from .models import ModelSpec
 # check_maximum and maximize are looked up here by perfbench/child.py, which
 # traces them by name
@@ -50,18 +50,21 @@ OBSERVABLE = "OBSERVABLE"
 NOT_OBSERVABLE = "NOT_OBSERVABLE"
 
 
-@dataclass(frozen=True)
-class StudyConfig:
-    model: ModelSpec
-    T_list: tuple[int, ...] = (4, 12, 20)
-    K: int = 2000
-    lcd: LcdConfig = field(default_factory=LcdConfig)
-    opt: OptConfig = field(default_factory=OptConfig)
-    cache_dir: str | None = None
-    random_baseline: bool = False
+class StudyConfig(Value):
+    T_list = (4, 12, 20)
+    K = 2000
+    lcd = LcdConfig()
+    opt = OptConfig()
+    cache_dir = None
+    random_baseline = False
+    _fields = ("model", "T_list", "K", "lcd", "opt", "cache_dir", "random_baseline")
 
-    def __post_init__(self):
-        horizons = list(self.T_list)
+    def __init__(self, model: ModelSpec, T_list: tuple[int, ...] = T_list, K: int = K,
+                 lcd: LcdConfig = lcd, opt: OptConfig = opt, cache_dir: str | None = cache_dir,
+                 random_baseline: bool = random_baseline):
+        self.__dict__.update(model=model, T_list=T_list, K=K, lcd=lcd, opt=opt,
+                             cache_dir=cache_dir, random_baseline=random_baseline)
+        horizons = list(T_list)
         if not horizons:
             raise ValueError("at least one horizon T is needed")
         if any(t < 1 for t in horizons):
@@ -72,36 +75,39 @@ class StudyConfig:
         # fewer point-symmetric design vectors cannot have identity sample
         # covariance in T dimensions
         largest = max(horizons)
-        if self.K < 2 * largest:
-            raise ValueError(f"K = {self.K} is too small for T = {largest}: "
+        if K < 2 * largest:
+            raise ValueError(f"K = {K} is too small for T = {largest}: "
                              f"a study needs K >= 2T = {2 * largest}")
 
 
-@dataclass(frozen=True, eq=False)
 class RunRecord:
     """One maximization and its checks, equal to and hashed as itself only.
     After an infeasible start every fit field is None (``iterations`` 0) and
     ``reason`` says why."""
 
-    k: int
-    estimates: dict[str, float] | None
-    passed: bool
-    reason: str | None
-    converged: bool
-    iterations: int
-    grad_inf_norm: float | None
-    checks: CheckReport | None
-    local_variances: dict[str, float] | None
+    def __init__(self, k: int, estimates: dict[str, float] | None, passed: bool,
+                 reason: str | None, converged: bool, iterations: int,
+                 grad_inf_norm: float | None, checks: CheckReport | None,
+                 local_variances: dict[str, float] | None):
+        self.k = k
+        self.estimates = estimates
+        self.passed = passed
+        self.reason = reason
+        self.converged = converged
+        self.iterations = iterations
+        self.grad_inf_norm = grad_inf_norm
+        self.checks = checks
+        self.local_variances = local_variances
 
 
-@dataclass(frozen=True, eq=False)
 class PartIResult:
     """The Part I fit of one horizon.  It holds an array, so it equals and
     hashes as itself only."""
 
-    horizon: int
-    z_rep: np.ndarray
-    run: RunRecord
+    def __init__(self, horizon: int, z_rep: np.ndarray, run: RunRecord):
+        self.horizon = horizon
+        self.z_rep = z_rep
+        self.run = run
 
     @property
     def passed(self) -> bool:
@@ -110,32 +116,39 @@ class PartIResult:
         return self.run.passed
 
 
-@dataclass(frozen=True, eq=False)
 class PartIIResult:
     """The Part II fits of one horizon; it equals and hashes as itself only."""
 
-    horizon: int
-    records: tuple[RunRecord, ...]
-    n_passed: int
-    n_failed: int
-    empirical_mean: dict[str, float] | None
-    empirical_variance: dict[str, float] | None
-    mean_local_variance: dict[str, float] | None
-    median_grad_inf_norm: float | None
+    def __init__(self, horizon: int, records: tuple[RunRecord, ...], n_passed: int,
+                 n_failed: int, empirical_mean: dict[str, float] | None,
+                 empirical_variance: dict[str, float] | None,
+                 mean_local_variance: dict[str, float] | None,
+                 median_grad_inf_norm: float | None):
+        self.horizon = horizon
+        self.records = records
+        self.n_passed = n_passed
+        self.n_failed = n_failed
+        self.empirical_mean = empirical_mean
+        self.empirical_variance = empirical_variance
+        self.mean_local_variance = mean_local_variance
+        self.median_grad_inf_norm = median_grad_inf_norm
 
 
-@dataclass(frozen=True, eq=False)
 class StudyReport:
     """A study and its verdict; it equals and hashes as itself only."""
 
-    model: ModelSpec
-    T_list: tuple[int, ...]
-    K: int
-    seed: int
-    part1: tuple[PartIResult, ...]
-    part2: tuple[PartIIResult, ...]
-    consistency: dict[str, dict[str, bool]]
-    baseline: tuple[PartIIResult, ...] | None = None
+    def __init__(self, model: ModelSpec, T_list: tuple[int, ...], K: int, seed: int,
+                 part1: tuple[PartIResult, ...], part2: tuple[PartIIResult, ...],
+                 consistency: dict[str, dict[str, bool]],
+                 baseline: tuple[PartIIResult, ...] | None = None):
+        self.model = model
+        self.T_list = T_list
+        self.K = K
+        self.seed = seed
+        self.part1 = part1
+        self.part2 = part2
+        self.consistency = consistency
+        self.baseline = baseline
 
     @property
     def n_passing_total(self) -> int:

@@ -423,3 +423,37 @@ def test_command_line_process_equals_main(tmp_path, monkeypatch, capsys, args, w
 
 def test_exit_codes_are_distinct():
     assert len({EXIT_OBSERVABLE, EXIT_USAGE, EXIT_INTERNAL, EXIT_NOT_OBSERVABLE}) == 4
+
+
+# Run in a fresh interpreter: lists the modules among these that importing
+# the CLI loaded, and each function of an obscheck class whose code was built
+# at run time by exec or eval (its file name is "<string>" or the like).
+_IMPORT_PROBE = """
+import json, sys
+import obscheck.cli
+loaded = [m for m in ("dataclasses", "hashlib", "_hashlib", "traceback") if m in sys.modules]
+generated = []
+for module in [m for name, m in list(sys.modules.items()) if name.startswith("obscheck")]:
+    for cls in [c for c in vars(module).values() if isinstance(c, type)]:
+        if not cls.__module__.startswith("obscheck"):
+            continue
+        for name, attr in vars(cls).items():
+            for f in (attr, getattr(attr, "__func__", None), getattr(attr, "fget", None)):
+                code = getattr(f, "__code__", None)
+                if code is not None and code.co_filename.startswith("<"):
+                    generated.append(f"{cls.__qualname__}.{name}")
+print(json.dumps([loaded, sorted(set(generated))]))
+"""
+
+
+def test_import_generates_no_code():
+    # with no cached bytecode, as in a fresh checkout, the stdlib dataclass
+    # decorator exec-compiles every method it adds in every process, hashlib
+    # loads OpenSSL and traceback is needed only after an internal failure
+    src = Path(obscheck.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
+                          env={**os.environ, "PYTHONPATH": str(src),
+                               "PYTHONDONTWRITEBYTECODE": "1"},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], []]

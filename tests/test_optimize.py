@@ -123,9 +123,9 @@ class TestMaximize:
 class _CountingContext(PosteriorContext):
     """Records the points at which -2L is evaluated and counts Hessians."""
 
-    def __post_init__(self, obs):
-        super().__post_init__(obs)
-        object.__setattr__(self, "calls", {"neg2l": 0, "grad_points": [], "hessian": 0})
+    def __init__(self, model, obs):
+        super().__init__(model, obs)
+        self.calls = {"neg2l": 0, "grad_points": [], "hessian": 0}
 
     def neg2l(self, omega):
         self.calls["neg2l"] += 1

@@ -468,6 +468,30 @@ class TestDesignMatrix:
         monkeypatch.setattr(samples_module, "_PLACEMENT_REVISION", 1)
         assert samples_module._cache_filename(4, 200, CFG) != name
 
+    @pytest.mark.parametrize("field, value", [
+        ("dim", 5), ("count", 202), ("b_max", 9.0), ("quad_nodes", 32), ("seed", 12346),
+        ("max_iters", 601), ("step_tol", 2e-8), ("placement", 2),
+    ])
+    def test_cache_name_follows_every_key_field(self, monkeypatch, field, value):
+        # the name carries a CRC-32 of the key line: changing any one of the
+        # key's eight fields moves its checksum, so settings that differ
+        # rarely share a file name (the header still decides)
+        from obscheck import samples as samples_module
+
+        name = samples_module._cache_filename(4, 200, CFG)
+        key = samples_module._cache_key(4, 200, CFG)
+        assert len(key) == 8 and field in key and key[field] != value
+        args = {"d": 4, "m_count": 200, "cfg": CFG}
+        if field in ("dim", "count"):
+            args["d" if field == "dim" else "m_count"] = value
+        elif field == "placement":
+            monkeypatch.setattr(samples_module, "_PLACEMENT_REVISION", value)
+        else:
+            args["cfg"] = LcdConfig(**{field: value})
+        changed = samples_module._cache_filename(**args)
+        assert changed.rsplit("_", 1)[1] != name.rsplit("_", 1)[1]
+        assert samples_module._cache_key(**args)[field] == value
+
     def test_file_copied_under_another_settings_name_is_placed_afresh(self, tmp_path,
                                                                         monkeypatch):
         # the header carries the whole key: a set placed with another

@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 import json
 import math
 import os
@@ -16,9 +16,15 @@ from obscheck import (
     NOT_OBSERVABLE,
     OBSERVABLE,
     DiracMixture,
+    Expr,
     InfeasiblePointError,
+    LcdConfig,
+    ModelSpec,
+    OptConfig,
+    ParamSpec,
     PartIResult,
     PosteriorContext,
+    RunRecord,
     StudyConfig,
     bundled_model_names,
     load_model,
@@ -28,6 +34,7 @@ from obscheck import (
     report_to_json,
     run_study,
 )
+from obscheck.expressions import Binary, Literal, Param, Unary
 from obscheck.models import model_from_dict
 from obscheck.optimize import CheckReport, MaxResult, check_maximum, maximize
 from obscheck.study import (
@@ -210,13 +217,13 @@ def test_part2_tallies_every_design_vector(name, data):
     # vector ends as a record, none as an exception
     model = load_model(name)
     params = tuple(
-        dataclasses.replace(p, true_value=data.draw(st.floats(
+        ParamSpec(p.name, data.draw(st.floats(
             0.05 if p.lower is None else max(p.lower, 0.05),
             3.0 if p.upper is None else min(p.upper, 3.0),
-        ), label=p.name))
+        ), label=p.name), p.lower, p.upper)
         for p in model.params
     )
-    model = dataclasses.replace(model, params=params)
+    model = ModelSpec(model.name, params, model.mean_expr, model.scale_expr, model.log_prior_expr)
     horizon = data.draw(st.integers(2, 8), label="T")
     count = 2 * horizon
     cfg = StudyConfig(model=model, T_list=(horizon,), K=count, lcd=DESK_LCD)
@@ -478,21 +485,68 @@ def test_record_reasons_name_the_failed_checks():
 
 
 def test_results_that_hold_arrays_compare_and_hash_by_identity():
-    # generated methods would compare numpy arrays, which have no truth
-    # value, and hash them or dictionaries, which neither allows
-    ctx = PosteriorContext(MEAN_AND_VARIANCE, np.array([0.3, 1.1, -0.4, 0.9]))
-    fits = [maximize(ctx, [0.6, 0.4]) for _ in range(2)]
-    checks = [check_maximum(ctx, fit) for fit in fits]
+    # methods derived from the fields would compare numpy arrays, which have
+    # no truth value, and hash them or dictionaries, which neither allows
+    z = np.array([0.3, 1.1, -0.4, 0.9])
+    contexts = [PosteriorContext(MEAN_AND_VARIANCE, z) for _ in range(2)]
+    fits = [maximize(contexts[0], [0.6, 0.4]) for _ in range(2)]
+    checks = [check_maximum(contexts[0], fit) for fit in fits]
     mixtures = [DiracMixture(dim=2, count=2, points=[[1.0, 0.0], [-1.0, 0.0]])
                 for _ in range(2)]
-    (record,) = _fit_blocks(MEAN_AND_VARIANCE, [np.array([0.3, 1.1, -0.4, 0.9])],
-                            small_config(MEAN_AND_VARIANCE))[0]
-    part1 = [PartIResult(horizon=4, z_rep=np.array([0.3, 1.1, -0.4, 0.9]), run=record)
-             for _ in range(2)]
-    records = [dataclasses.replace(record) for _ in range(2)]
+    (record,) = _fit_blocks(MEAN_AND_VARIANCE, [z], small_config(MEAN_AND_VARIANCE))[0]
+    part1 = [PartIResult(horizon=4, z_rep=z, run=record) for _ in range(2)]
+    records = [RunRecord(**vars(record)) for _ in range(2)]
     part2 = [_aggregate(MEAN_AND_VARIANCE, 4, [record]) for _ in range(2)]
     reports = [StudyReport(model=MEAN_AND_VARIANCE, T_list=(4,), K=2, seed=0, part1=tuple(part1),
                            part2=tuple(part2), consistency={}) for _ in range(2)]
-    for a, b in (fits, checks, mixtures, part1, records, part2, reports):
+    for a, b in (contexts, fits, checks, mixtures, part1, records, part2, reports):
         assert a == a and a != b and not a == b
         assert {a: 1, b: 2}[a] == 1 and hash(a) == hash(a)
+
+
+# each value type: a maker of equal values from a field value, two field
+# values and the field they set
+VALUES = [
+    (lambda v: Expr(), None, None, None),
+    (Literal, 1.5, 2.5, "value"),
+    (Param, "a", "b", "name"),
+    (lambda v: Unary(v, Param("b")), "sqrt", "log", "op"),
+    (lambda v: Binary("+", v, Literal(1.0)), Param("a"), Param("b"), "left"),
+    (lambda v: ParamSpec("b", v, lower=0.0), 0.5, 0.6, "true_value"),
+    (lambda v: ModelSpec("m", (ParamSpec("b", 0.5),), Literal(0.0), v, Literal(0.0)),
+     Param("b"), Unary("sqrt", Param("b")), "scale_expr"),
+    (lambda v: OptConfig(grad_check=v), 1e-4, 1e-3, "grad_check"),
+    (lambda v: LcdConfig(max_iters=v), 150, 151, "max_iters"),
+    (lambda v: StudyConfig(VARIANCE_ONLY, T_list=(4,), K=v, lcd=LcdConfig(max_iters=150)),
+     8, 9, "K"),
+]
+
+
+@pytest.mark.parametrize("make, value, other, field", VALUES,
+                         ids=[type(make(value)).__name__ for make, value, *_ in VALUES])
+def test_value_types_compare_and_hash_by_their_fields(make, value, other, field):
+    a, b = make(value), make(value)
+    assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1 and repr(a) == repr(b)
+    assert a != Literal(0.0)
+    if field is not None:
+        changed = make(other)
+        assert a != changed and getattr(changed, field) == other
+        with pytest.raises(AttributeError):
+            setattr(a, field, other)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+        assert getattr(a, field) == value
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    # a field's default is readable on the class, as the CLI's flags read it
+    for name, param in inspect.signature(type(a)).parameters.items():
+        if param.default is not inspect.Parameter.empty:
+            assert getattr(type(a), name) == param.default
+
+
+def test_model_equality_ignores_the_compiled_closures():
+    a, b = load_model("mean_and_variance"), load_model("mean_and_variance")
+    assert a._compiled[0] is not b._compiled[0]
+    assert a == b and hash(a) == hash(b) and "_compiled" not in repr(a)
+    assert LcdConfig.seed == 12345 and OptConfig.grad_check == 1e-5
