@@ -13,8 +13,9 @@ undefined and returns, next to that mask, a function that names the reason.
 Every node is an array rule; only the scalar values of ``log``, ``exp`` and
 ``^`` run per element, through Python's ``math`` and ``**``.
 
-Precedence is ``^`` > unary minus > ``* /`` > ``+ -``; all binary
-operators associate to the left.
+Precedence is the table ``_PRECEDENCE``, which the parser and the printer
+both read: ``^`` > unary minus > ``* /`` > ``+ -``, and all binary operators
+associate to the left.
 """
 
 from __future__ import annotations
@@ -104,6 +105,13 @@ class Binary(Expr):
 
 
 _FUNCTIONS = ("sqrt", "log", "exp", "abs", "neg")
+# how tightly each operator binds, read by the parser and the printer; the
+# right operand of ^ binds at 5, as tightly as a number, name or call
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+# the deepest parenthesis nesting (a call counts) and the highest tree, in
+# operators above a leaf, that parse_expr accepts: the parser and every tree
+# walker recurse once or twice per level
+_MAX_DEPTH = 200
 
 
 # ---------------------------------------------------------------------------
@@ -169,85 +177,74 @@ class _Tokenizer:
 def parse_expr(text: str) -> Expr:
     """Parse ``text`` into an expression tree.
 
-    Raises :class:`ParseError` with the offending position on bad syntax and
-    on unknown function names.  Parameter names are not validated here; that
-    happens when the expression is bound to a model.
+    Raises :class:`ParseError` with the offending position on bad syntax, on
+    unknown function names and on nesting past ``_MAX_DEPTH``.  Parameter
+    names are not validated here; that happens when the expression is bound
+    to a model.
     """
     tok = _Tokenizer(text)
-    expr = _parse_sum(tok)
+    expr, _ = _parse(tok, 1, 0, 0)
     if tok.peek() is not None:
         raise ParseError(f"unexpected trailing input '{tok.peek()}'", tok.pos)
     return expr
 
 
-def _parse_sum(tok: _Tokenizer) -> Expr:
-    left = _parse_term(tok)
-    while tok.peek() in ("+", "-"):
-        op = tok.take()
-        right = _parse_term(tok)
-        left = Binary(op, left, right)
-    return left
+def _parse(tok: _Tokenizer, level: int, depth: int, parens: int) -> tuple[Expr, int]:
+    """Parse the operators whose ``_PRECEDENCE`` is at least ``level``; each
+    right operand takes only tighter ones, so binary operators associate to
+    the left.  ``depth`` nodes and ``parens`` parentheses enclose the result,
+    which comes back with its height."""
+    if level <= _PRECEDENCE["neg"] and tok.peek() == "-":
+        _take_nested(tok, depth + 1)
+        arg, height = _parse(tok, _PRECEDENCE["neg"], depth + 1, parens)
+        left, height = Unary("neg", arg), height + 1
+    else:
+        left, height = _parse_primary(tok, depth, parens)
+    while _PRECEDENCE.get(op := tok.peek(), 0) >= level:
+        _take_nested(tok, depth + height + 1)
+        right, right_height = _parse(tok, _PRECEDENCE[op] + 1, depth + 1, parens)
+        left, height = Binary(op, left, right), max(height, right_height) + 1
+    return left, height
 
 
-def _parse_term(tok: _Tokenizer) -> Expr:
-    left = _parse_unary(tok)
-    while tok.peek() in ("*", "/"):
-        op = tok.take()
-        right = _parse_unary(tok)
-        left = Binary(op, left, right)
-    return left
-
-
-def _parse_unary(tok: _Tokenizer) -> Expr:
-    if tok.peek() == "-":
-        tok.take()
-        return Unary("neg", _parse_unary(tok))
-    return _parse_power(tok)
-
-
-def _parse_power(tok: _Tokenizer) -> Expr:
-    left = _parse_primary(tok)
-    while tok.peek() == "^":
-        tok.take()
-        right = _parse_primary(tok)
-        left = Binary("^", left, right)
-    return left
-
-
-def _parse_primary(tok: _Tokenizer) -> Expr:
+def _parse_primary(tok: _Tokenizer, depth: int, parens: int) -> tuple[Expr, int]:
     ch = tok.peek()
     if ch is None:
         raise ParseError("unexpected end of input", tok.pos)
-    if ch == "(":
-        tok.take()
-        inner = _parse_sum(tok)
-        if tok.peek() != ")":
-            raise ParseError("expected ')'", tok.pos)
-        tok.take()
-        return inner
     if ch.isdigit() or ch == ".":
-        return Literal(tok.take_number())
+        return Literal(tok.take_number()), 0
+    name = None
     if ch.isalpha() or ch == "_":
         start = tok.pos
         name = tok.take_name()
-        if tok.peek() == "(":
-            if name not in _FUNCTIONS:
-                raise ParseError(f"unknown function '{name}'", start)
-            tok.take()
-            arg = _parse_sum(tok)
-            if tok.peek() != ")":
-                raise ParseError("expected ')'", tok.pos)
-            tok.take()
-            return Unary(name, arg)
-        return Param(name)
-    raise ParseError(f"unexpected character '{ch}'", tok.pos)
+        if tok.peek() != "(":
+            return Param(name), 0
+        if name not in _FUNCTIONS:
+            raise ParseError(f"unknown function '{name}'", start)
+        depth += 1  # the call's node encloses its argument
+    elif ch != "(":
+        raise ParseError(f"unexpected character '{ch}'", tok.pos)
+    _take_nested(tok, max(depth, parens + 1))
+    inner, height = _parse(tok, 1, depth, parens + 1)
+    if tok.peek() != ")":
+        raise ParseError("expected ')'", tok.pos)
+    tok.take()
+    if name is None:
+        return inner, height
+    return Unary(name, inner), height + 1
+
+
+def _take_nested(tok: _Tokenizer, levels: int) -> None:
+    """Take the next token, which nests the tree or the parentheses ``levels``
+    deep, or raise at it when that is past ``_MAX_DEPTH``."""
+    if levels > _MAX_DEPTH:
+        raise ParseError(f"expression nested deeper than {_MAX_DEPTH} levels", tok.pos)
+    tok.take()
 
 
 # ---------------------------------------------------------------------------
 # Printing (parse -> print -> parse is the identity on trees)
 # ---------------------------------------------------------------------------
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
 def format_expr(e: Expr) -> str:
@@ -264,7 +261,6 @@ def _format(e: Expr) -> tuple[str, int]:
     if isinstance(e, Unary):
         if e.op == "neg":
             arg, prec = _format(e.arg)
-            # unary minus binds looser than ^ and tighter than * /
             if prec < _PRECEDENCE["neg"]:
                 arg = f"({arg})"
             return f"-{arg}", _PRECEDENCE["neg"]

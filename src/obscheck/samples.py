@@ -504,7 +504,7 @@ def design_disturbance_matrix(horizon: int, count: int, cfg: LcdConfig = LcdConf
     """K design disturbance vectors as rows of a (K, T) matrix.
 
     Rows are the points of the d = T, M = K sample set.  Generation is
-    expensive, so results are memoized per (T, K, cfg) and optionally
+    expensive, so results are memoized per sample-set key and optionally
     persisted as CSV under ``cache_dir``.
     """
     if horizon < 1:
@@ -518,27 +518,23 @@ def design_disturbance_matrix(horizon: int, count: int, cfg: LcdConfig = LcdConf
 
 def _sample_set(d: int, m_count: int, cfg: LcdConfig, cache_dir) -> np.ndarray:
     """The points of the (d, M) set, read-only: from the in-process memo, else
-    from its CSV under ``cache_dir``, else placed afresh and written there.
+    from its CSV under ``cache_dir``, else placed afresh.  The memo shares the
+    file's key, and the file is written wherever it is missing or damaged.
     The origin-only set (M = 1) needs no placement and is never written."""
-    key = (d, m_count, cfg)
-    cache_path = None
+    key = _key_line(_cache_key(d, m_count, cfg))
+    path = None
     if cache_dir is not None and m_count > 1:
-        cache_path = Path(cache_dir) / _cache_filename(d, m_count, cfg)
-    memoized = _matrix_cache.get(key)
-    if memoized is not None:
-        if cache_path is not None and not cache_path.is_file():
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
-            write_sample_csv(cache_path, memoized, cfg)
-        return memoized
-    points = None
-    if cache_path is not None and cache_path.is_file():
-        points = _load_cached(cache_path, d, m_count, cfg)
+        path = Path(cache_dir) / _cache_filename(d, m_count, cfg)
+    on_disk = path is not None and path.is_file()
+    points = _matrix_cache.get(key)
+    if points is None and on_disk:
+        points = _load_cached(path, d, m_count, cfg)
+        on_disk = points is not None
     if points is None:
         points = optimize_mixture(d, m_count, cfg).points
-        if cache_path is not None:
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
-            write_sample_csv(cache_path, points, cfg)
-    points = points.copy()
+    if path is not None and not on_disk:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_sample_csv(path, points, cfg)
     points.flags.writeable = False
     _matrix_cache[key] = points
     return points
@@ -558,7 +554,8 @@ def _cache_key(d: int, m_count: int, cfg: LcdConfig) -> dict:
     """Everything that decides which set placement produces.  The CSV header
     records it and the cache file name carries its CRC-32, so a file copied
     under another key's name fails the header check.  The node count is the
-    one resolved for d, so a default and an explicit equal count share files."""
+    one resolved for d, so a default and an explicit equal count share files
+    and memo entries."""
     return {"dim": d, "count": m_count, "b_max": cfg.b_max, "quad_nodes": cfg.nodes_for(d),
             "seed": cfg.seed, "max_iters": cfg.max_iters, "step_tol": cfg.step_tol,
             "placement": _PLACEMENT_REVISION}

@@ -140,15 +140,42 @@ class TestRunCommand:
         {"parameters": [{"name": "b", "true_value": 0.8, "lower": "NaN"}],
          "mean": "0", "scale": "b"},
         {"parameters": [], "mean": "0", "scale": "1"},
+        {"parameters": [{"name": "a", "true_value": 0.6}], "mean": "a"},
+        '{"parameters": [',  # not JSON
     ])
     def test_malformed_model_file_exit_one(self, tmp_path, capsys, data):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(data))
+        bad.write_text(data if isinstance(data, str) else json.dumps(data))
         code = run_cli(["run", "--model", bad, "--T", "2", "--K", "4",
                         "--out", tmp_path / "r.json", "--cache-dir", tmp_path / "cache"])
         assert code == EXIT_USAGE
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("shape", ["({})", "abs({})", "a * ({})", "-{}", "a + {}"])
+    def test_deep_nesting_runs_to_the_bound_and_exits_one_past_it(self, tmp_path, capsys,
+                                                                   shape):
+        def model(levels):
+            mean = "a"
+            for _ in range(levels):
+                mean = shape.format(mean)
+            path = tmp_path / f"nested{levels}.json"
+            path.write_text(json.dumps({
+                "parameters": [{"name": "a", "true_value": 0.6}, {"name": "b", "true_value": 0.4}],
+                "mean": mean, "scale": "b",
+            }))
+            return path
+
+        args = ["run", "--T", "2", "--K", "4", "--out", tmp_path / "r.json",
+                "--cache-dir", tmp_path / "cache"] + DESK_FLAGS
+        code = run_cli(args + ["--model", model(200)])
+        assert code in (EXIT_OBSERVABLE, EXIT_NOT_OBSERVABLE)
+        capsys.readouterr()
+        assert run_cli(args + ["--model", model(1000)]) == EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: cannot parse mean expression: expression nested "
+                                   "deeper than 200 levels")
 
     def test_repeated_horizon_exit_one(self, tmp_path, capsys):
         code = run_cli(["run", "--model", "unknown_variance", "--T", "4,4", "--K", "8",

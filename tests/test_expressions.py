@@ -65,6 +65,36 @@ class TestParsing:
     def test_scientific_notation(self):
         assert parse_expr("1.5e-3") == Literal(1.5e-3)
 
+    @pytest.mark.parametrize("text,message,position", [
+        ("a +", "unexpected end of input", 3),
+        ("(a", "expected ')'", 2),
+        ("sqrt(a", "expected ')'", 6),
+        ("$a", "unexpected character '$'", 0),
+        ("1.2.3", "invalid number '1.2.3'", 0),
+        ("a)", "unexpected trailing input ')'", 1),
+        ("sin(a)", "unknown function 'sin'", 0),
+        ("a ^ -b", "unexpected character '-'", 4),  # ^ takes a primary on its right
+    ])
+    def test_syntax_error_message_and_offset(self, text, message, position):
+        with pytest.raises(ParseError) as err:
+            parse_expr(text)
+        assert str(err.value) == f"{message} (at offset {position})"
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("shape,position", [
+        ("({})", 200), ("abs({})", 803), ("a * ({})", 1002), ("-{}", 200), ("a + {}", 802),
+    ])
+    def test_nesting_bound(self, shape, position):
+        # 200 levels parse and print back; one more raises at the token that
+        # opens the 201st, the innermost parenthesis or the last operator
+        text = "a"
+        for _ in range(200):
+            text = shape.format(text)
+        assert parse_expr(format_expr(parse_expr(text))) == parse_expr(text)
+        with pytest.raises(ParseError, match="nested deeper than 200 levels") as err:
+            parse_expr(shape.format(text))
+        assert err.value.position == position
+
 
 class TestEval:
     def test_sqrt(self):

@@ -460,6 +460,23 @@ class TestDesignMatrix:
         assert cached.tobytes() == fresh.tobytes()
 
 
+    def test_memo_shares_the_file_key(self, monkeypatch):
+        # the default node count and the equal explicit one share a cache
+        # file, so they share the memo entry too: no second placement
+        from obscheck import samples as samples_module
+
+        cfg = LcdConfig(max_iters=40, seed=9)
+        explicit = LcdConfig(max_iters=40, seed=9, quad_nodes=128)
+        assert explicit != cfg and explicit.nodes_for(2) == cfg.nodes_for(2)
+        monkeypatch.setattr(samples_module, "_matrix_cache", {})
+        first = design_disturbance_matrix(2, 6, cfg)
+
+        def no_placement(*args):
+            raise AssertionError("placed again instead of reading the memo")
+
+        monkeypatch.setattr(samples_module, "optimize_mixture", no_placement)
+        assert design_disturbance_matrix(2, 6, explicit) is first
+
     def test_cache_name_carries_placement_revision(self, monkeypatch):
         # files placed by an older descent must count as misses
         from obscheck import samples as samples_module
@@ -513,7 +530,7 @@ class TestDesignMatrix:
         assert meta["max_iters"] == 40
 
     @pytest.mark.parametrize("damage", ["truncate", "asymmetric", "header", "garbled", "ragged",
-                                        "empty"])
+                                        "empty", "headless", "scaled"])
     def test_damaged_cache_file_is_placed_afresh(self, tmp_path, monkeypatch, damage):
         from obscheck import samples as samples_module
 
@@ -531,6 +548,11 @@ class TestDesignMatrix:
             path.write_text("\n".join(lines[:1] + ["# 2,7"] + lines[2:]) + "\n")
         elif damage == "empty":
             path.write_text("\n".join(lines[:2]) + "\n")
+        elif damage == "headless":  # the points without the two key lines
+            path.write_text("\n".join(lines[2:]) + "\n")
+        elif damage == "scaled":  # point-symmetric, but of covariance 4
+            scaled = [",".join(repr(2.0 * float(v)) for v in ln.split(",")) for ln in lines[2:]]
+            path.write_text("\n".join(lines[:2] + scaled) + "\n")
         else:  # one non-numeric field, or one row with an extra value
             lines[3] = "x" + lines[3] if damage == "garbled" else lines[3] + ",0.5"
             path.write_text("\n".join(lines) + "\n")
@@ -538,12 +560,24 @@ class TestDesignMatrix:
         with pytest.warns(UserWarning, match="placing the set afresh") as seen:
             again = design_disturbance_matrix(2, 7, cfg, cache_dir=tmp_path)
         assert not [w for w in seen if "loadtxt" in str(w.message)]  # one notice, no parser noise
+        reason = {"headless": "missing sample-set header", "scaled": "not of unit covariance"}
+        assert any(reason.get(damage, "") in str(w.message) for w in seen)
         assert again.tobytes() == fresh.tobytes()
         assert path.read_text() == text
         assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestSampleCsv:
+    def test_atomic_write_onto_a_directory_leaves_no_temp_file(self, tmp_path):
+        from obscheck._files import write_atomic
+
+        target = tmp_path / "set.csv"
+        target.mkdir()
+        with pytest.raises(OSError):
+            write_atomic(target, "0\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["set.csv"]
+        assert target.is_dir()
+
     def test_round_trip_is_lossless(self, tmp_path):
         mix = optimize_mixture(2, 5, CFG)
         path = tmp_path / "set.csv"
