@@ -2,16 +2,15 @@
 
 Supports real literals, named parameters, the unary functions
 ``sqrt``, ``log``, ``exp``, ``abs``, ``neg`` and the binary operators
-``+ - * / ^``.  Expressions are parsed into immutable trees.  The scalar
-rules (``_apply_unary``, ``_apply_binary``, ``_power_value``) define the
-language's values in IEEE double precision and its domain errors.  There is
-one evaluator: :func:`compile_expr` turns a tree into one closure over a
-(k, n) array of points that gives each point its value by those rules with
-its exact first and, when asked, second partial derivatives (second-order
-forward mode), marks the points where the value or a derivative is
-undefined and returns, next to that mask, a function that names the reason.
-Every node is an array rule; only the scalar values of ``log``, ``exp`` and
-``^`` run per element, through Python's ``math`` and ``**``.
+``+ - * / ^``.  Expressions are parsed into immutable trees.  Each operator
+is one entry of the table ``_UNARY`` or ``_BINARY``: its scalar rule, which
+defines its value in IEEE double precision and its domain errors, and its
+array rule.  There is one evaluator: :func:`compile_expr` turns a tree into
+one closure over a (k, n) array of points that gives each point its value by
+the scalar rules with its exact first and, when asked, second partial
+derivatives (second-order forward mode), marks the points where the value
+or a derivative is undefined and returns, next to that mask, a function that
+names the reason.
 
 Precedence is the table ``_PRECEDENCE``, which the parser and the printer
 both read: ``^`` > unary minus > ``* /`` > ``+ -``, and all binary operators
@@ -93,18 +92,17 @@ class Param(Expr):
 class Unary(Expr):
     _fields = ("op", "arg")
 
-    def __init__(self, op: str, arg: Expr):  # op: sqrt | log | exp | abs | neg
+    def __init__(self, op: str, arg: Expr):  # op: a key of _UNARY
         self.__dict__.update(op=op, arg=arg)
 
 
 class Binary(Expr):
     _fields = ("op", "left", "right")
 
-    def __init__(self, op: str, left: Expr, right: Expr):  # op: + - * / ^
+    def __init__(self, op: str, left: Expr, right: Expr):  # op: a key of _BINARY
         self.__dict__.update(op=op, left=left, right=right)
 
 
-_FUNCTIONS = ("sqrt", "log", "exp", "abs", "neg")
 # how tightly each operator binds, read by the parser and the printer; the
 # right operand of ^ binds at 5, as tightly as a number, name or call
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
@@ -162,6 +160,8 @@ class _Tokenizer:
             value = float(token)
         except ValueError:
             raise ParseError(f"invalid number '{token}'", start) from None
+        if not math.isfinite(value):  # format_expr would print it as a name
+            raise ParseError(f"number out of range '{token}'", start)
         self.pos = i
         return value
 
@@ -219,7 +219,7 @@ def _parse_primary(tok: _Tokenizer, depth: int, parens: int) -> tuple[Expr, int]
         name = tok.take_name()
         if tok.peek() != "(":
             return Param(name), 0
-        if name not in _FUNCTIONS:
+        if name not in _UNARY:
             raise ParseError(f"unknown function '{name}'", start)
         depth += 1  # the call's node encloses its argument
     elif ch != "(":
@@ -288,75 +288,6 @@ def collect_params(e: Expr) -> set[str]:
     if isinstance(e, Binary):
         return collect_params(e.left) | collect_params(e.right)
     return set()
-
-
-# ---------------------------------------------------------------------------
-# Scalar rules: the value of a node from its operands' values, or the
-# DomainError that says why it has none
-# ---------------------------------------------------------------------------
-
-
-def _apply_unary(e: Unary, x: float) -> float:
-    op = e.op
-    if op == "neg":
-        return -x
-    if op == "sqrt":
-        if x <= 0.0:
-            raise DomainError(f"sqrt of non-positive value {x!r}", e)
-        return math.sqrt(x)
-    if op == "log":
-        if x <= 0.0:
-            raise DomainError(f"log of non-positive value {x!r}", e)
-        return math.log(x)
-    if op == "exp":
-        return math.exp(x)
-    if op == "abs":
-        return abs(x)
-    raise ValueError(f"unknown unary op {op!r}")
-
-
-def _apply_binary(e: Binary, a: float, b: float) -> float:
-    op = e.op
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0.0:
-            raise DomainError("division by zero", e)
-        return a / b
-    if op == "^":
-        return _power_value(e, a, b)
-    raise ValueError(f"unknown binary op {op!r}")
-
-
-def _power_value(e: Binary, base: float, exponent: float) -> float:
-    if base > 0.0:
-        return base**exponent
-    if base == 0.0:
-        if exponent > 0.0:
-            return 0.0
-        if exponent == 0.0:
-            return 1.0
-        raise DomainError("zero raised to a negative power", e)
-    # negative base: only integer exponents stay real
-    if float(exponent).is_integer():
-        return base**exponent
-    raise DomainError(
-        f"negative base {base!r} with non-integer exponent {exponent!r}", e
-    )
-
-
-def _power_minus_one(e: Binary, base: float, exponent: float, exponent_varies: bool) -> float:
-    """The a^(b - 1) that the derivatives of a^b take at a base a that is not
-    positive, NaN included; raises where those derivatives are undefined."""
-    if exponent_varies:
-        raise DomainError(f"non-positive base {base!r} with parameter-dependent exponent", e)
-    if base == 0.0 and exponent < 1.0:
-        raise DomainError("derivative of power undefined at zero base", e)
-    return base ** (exponent - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +363,6 @@ def _outer(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _compile(e: Expr, index: dict[str, int], n: int) -> _NodeFn:
-    # Each rule below is a node's forward-mode rule applied to every row; the
-    # Hessian is computed only when asked (h is None otherwise).
     if isinstance(e, Literal):
         value = e.value
 
@@ -451,11 +380,25 @@ def _compile(e: Expr, index: dict[str, int], n: int) -> _NodeFn:
             return x[:, i], unit, np.zeros((len(x), n, n)) if hessian else None
 
         return param
+    if not isinstance(e, (Unary, Binary)):
+        raise TypeError(f"not an expression node: {e!r}")
+    table = _UNARY if isinstance(e, Unary) else _BINARY
+    if e.op not in table:
+        raise ValueError(f"unknown operator {e.op!r}")
+    rule = table[e.op][1]
     if isinstance(e, Unary):
-        return _compile_unary(e, _compile(e.arg, index, n))
-    if isinstance(e, Binary):
-        return _compile_binary(e, _compile(e.left, index, n), _compile(e.right, index, n))
-    raise TypeError(f"not an expression node: {e!r}")
+        arg = _compile(e.arg, index, n)
+
+        def unary(x, bad, hessian, tests):
+            return rule(e, *arg(x, bad, hessian, tests), bad, tests)
+
+        return unary
+    left, right = _compile(e.left, index, n), _compile(e.right, index, n)
+
+    def binary(x, bad, hessian, tests):
+        return rule(e, *left(x, bad, hessian, tests), *right(x, bad, hessian, tests), bad, tests)
+
+    return binary
 
 
 def _mark(bad: np.ndarray, tests: list, fails: np.ndarray, rule: Callable) -> None:
@@ -493,132 +436,169 @@ def _scalar_rows(rows: np.ndarray, bad: np.ndarray, tests: list, rule: Callable,
     return out
 
 
-def _compile_unary(e: Unary, arg: _NodeFn) -> _NodeFn:
-    op = e.op
-    if op == "neg":
-
-        def neg(x, bad, hessian, tests):
-            v, g, h = arg(x, bad, hessian, tests)
-            return -v, -g, None if h is None else -h
-
-        return neg
-    if op == "sqrt":
-
-        def sqrt(x, bad, hessian, tests):
-            v, g, h = arg(x, bad, hessian, tests)
-            _mark(bad, tests, v <= 0.0, lambda i: _apply_unary(e, v[i].item()))
-            r = np.sqrt(v)
-            d = 2.0 * r
-            dr = g / d[:, None]
-            if h is not None:
-                h = (h - 2.0 * _outer(dr, dr)) / d[:, None, None]
-            return r, dr, h
-
-        return sqrt
-    if op == "log":
-
-        def log(x, bad, hessian, tests):
-            v, g, h = arg(x, bad, hessian, tests)
-            dr = g / v[:, None]
-            if h is not None:
-                h = h / v[:, None, None] - _outer(dr, dr)
-            return _scalar_rows(~bad, bad, tests, partial(_apply_unary, e), v), dr, h
-
-        return log
-    if op == "exp":
-
-        def exp(x, bad, hessian, tests):
-            v, g, h = arg(x, bad, hessian, tests)
-            r = _scalar_rows(~bad, bad, tests, partial(_apply_unary, e), v)
-            if h is not None:
-                h = r[:, None, None] * (h + _outer(g, g))
-            return r, r[:, None] * g, h
-
-        return exp
-    if op == "abs":
-
-        def abs_(x, bad, hessian, tests):
-            v, g, h = arg(x, bad, hessian, tests)
-            sign = np.where(v == 0.0, 0.0, np.copysign(1.0, v))
-            return np.abs(v), sign[:, None] * g, None if h is None else sign[:, None, None] * h
-
-        return abs_
-    raise ValueError(f"unknown unary op {op!r}")
+# ---------------------------------------------------------------------------
+# Operators.  A scalar rule gives a node's value from its operands' values,
+# or raises the DomainError that says why it has none.  An array rule takes
+# the node, each operand's values, gradients and Hessians, the infeasible
+# mask and the tests, and gives the node's by the chain rule on every row
+# ---------------------------------------------------------------------------
 
 
-def _compile_binary(e: Binary, left: _NodeFn, right: _NodeFn) -> _NodeFn:
-    op = e.op
-    if op == "+":
+def _apply_unary(e: Unary, x: float) -> float:
+    return _UNARY[e.op][0](e, x)
 
-        def add(x, bad, hessian, tests):
-            (a, ga, ha), (b, gb, hb) = left(x, bad, hessian, tests), right(x, bad, hessian, tests)
-            return a + b, ga + gb, None if ha is None else ha + hb
 
-        return add
-    if op == "-":
+def _apply_binary(e: Binary, a: float, b: float) -> float:
+    return _BINARY[e.op][0](e, a, b)
 
-        def sub(x, bad, hessian, tests):
-            (a, ga, ha), (b, gb, hb) = left(x, bad, hessian, tests), right(x, bad, hessian, tests)
-            return a - b, ga - gb, None if ha is None else ha - hb
 
-        return sub
-    if op == "*":
+def _sqrt_value(e: Unary, x: float) -> float:
+    if x <= 0.0:
+        raise DomainError(f"sqrt of non-positive value {x!r}", e)
+    return math.sqrt(x)
 
-        def mul(x, bad, hessian, tests):
-            (a, ga, ha), (b, gb, hb) = left(x, bad, hessian, tests), right(x, bad, hessian, tests)
-            if ha is not None:
-                ha = (a[:, None, None] * hb + b[:, None, None] * ha
-                      + (_outer(ga, gb) + _outer(gb, ga)))
-            return a * b, a[:, None] * gb + b[:, None] * ga, ha
 
-        return mul
-    if op == "/":
+def _log_value(e: Unary, x: float) -> float:
+    if x <= 0.0:
+        raise DomainError(f"log of non-positive value {x!r}", e)
+    return math.log(x)
 
-        def div(x, bad, hessian, tests):
-            (a, ga, ha), (b, gb, hb) = left(x, bad, hessian, tests), right(x, bad, hessian, tests)
-            _mark(bad, tests, b == 0.0, lambda i: _apply_binary(e, a[i].item(), b[i].item()))
-            value = a / b
-            # with f = a/b: f_i = (a_i b - a b_i) / b^2, which is +-inf or nan
-            # where b^2 underflows to zero
-            den = b * b
-            num = ga * b[:, None] - a[:, None] * gb
-            grad = np.where((den == 0.0)[:, None], num * math.inf, num / den[:, None])
-            if ha is not None:
-                # f_ij = (a_ij - f b_ij - (f_i b_j + f_j b_i)) / b
-                ha = (ha - value[:, None, None] * hb
-                      - (_outer(grad, gb) + _outer(gb, grad))) / b[:, None, None]
-            return value, grad, ha
 
-        return div
-    if op == "^":
+def _divide_value(e: Binary, a: float, b: float) -> float:
+    if b == 0.0:
+        raise DomainError("division by zero", e)
+    return a / b
 
-        def power(x, bad, hessian, tests):
-            (a, ga, ha), (b, gb, hb) = left(x, bad, hessian, tests), right(x, bad, hessian, tests)
-            value = _scalar_rows(~bad, bad, tests, partial(_power_value, e), a, b)
-            pos, zero, varies = a > 0.0, a == 0.0, (gb != 0.0).any(axis=1)
-            log_a = _scalar_rows(pos, bad, tests, math.log, a)
-            # a <= 0: a^(b - 2) is taken as a^(b - 1) / a, which cannot overflow
-            # where the gradient does not
-            c = _scalar_rows(~pos, bad, tests, partial(_power_minus_one, e), a, b, varies)
-            # a > 0: a^b = exp(u), u = b log a: d(a^b) = a^b du, d2(a^b) = a^b (d2u + du du')
-            du = b[:, None] * ga / a[:, None]
-            du = np.where(varies[:, None], du + log_a[:, None] * gb, du)
-            one = (b == 1.0)[:, None]
-            grad = np.where(pos[:, None], value[:, None] * du, np.where(
-                zero[:, None], np.where(one, ga, 0.0), (b * c)[:, None] * ga))
-            if ha is not None:
-                a3, b3, c3 = a[:, None, None], b[:, None, None], c[:, None, None]
-                gg = _outer(ga, ga)
-                h_pos = value[:, None, None] * (
-                    (b3 * (ha - gg / a3) + (_outer(ga, gb) + _outer(gb, ga))) / a3
-                    + log_a[:, None, None] * hb + _outer(du, du))
-                # a = 0, b >= 1: b (b - 1) a^(b - 2) is 2 at b = 2, 0 above, unbounded below
-                k = np.where(b3 == 2.0, 2.0, np.where(b3 > 2.0, 0.0, math.inf))
-                h_zero = np.where(one[:, :, None], ha, k * gg)
-                h_neg = b3 * ((b3 - 1.0) * c3 / a3 * gg + c3 * ha)
-                ha = np.where(pos[:, None, None], h_pos,
-                              np.where(zero[:, None, None], h_zero, h_neg))
-            return value, grad, ha
 
-        return power
-    raise ValueError(f"unknown binary op {op!r}")
+def _power_value(e: Binary, base: float, exponent: float) -> float:
+    if base > 0.0:
+        return base**exponent
+    if base == 0.0:
+        if exponent > 0.0:
+            return 0.0
+        if exponent == 0.0:
+            return 1.0
+        raise DomainError("zero raised to a negative power", e)
+    # negative base: only integer exponents stay real
+    if float(exponent).is_integer():
+        return base**exponent
+    raise DomainError(f"negative base {base!r} with non-integer exponent {exponent!r}", e)
+
+
+def _power_minus_one(e: Binary, base: float, exponent: float, exponent_varies: bool) -> float:
+    """The a^(b - 1) that the derivatives of a^b take at a base a that is not
+    positive, NaN included; raises where those derivatives are undefined."""
+    if exponent_varies:
+        raise DomainError(f"non-positive base {base!r} with parameter-dependent exponent", e)
+    if base == 0.0 and exponent < 1.0:
+        raise DomainError("derivative of power undefined at zero base", e)
+    return base ** (exponent - 1.0)
+
+
+def _neg_rows(e, v, g, h, bad, tests):
+    return -v, -g, None if h is None else -h
+
+
+def _sqrt_rows(e, v, g, h, bad, tests):
+    _mark(bad, tests, v <= 0.0, lambda i: _sqrt_value(e, v[i].item()))
+    r = np.sqrt(v)
+    d = 2.0 * r
+    dr = g / d[:, None]
+    if h is not None:
+        h = (h - 2.0 * _outer(dr, dr)) / d[:, None, None]
+    return r, dr, h
+
+
+def _log_rows(e, v, g, h, bad, tests):
+    dr = g / v[:, None]
+    if h is not None:
+        h = h / v[:, None, None] - _outer(dr, dr)
+    return _scalar_rows(~bad, bad, tests, partial(_log_value, e), v), dr, h
+
+
+def _exp_rows(e, v, g, h, bad, tests):
+    r = _scalar_rows(~bad, bad, tests, math.exp, v)
+    if h is not None:
+        h = r[:, None, None] * (h + _outer(g, g))
+    return r, r[:, None] * g, h
+
+
+def _abs_rows(e, v, g, h, bad, tests):
+    sign = np.where(v == 0.0, 0.0, np.copysign(1.0, v))
+    return np.abs(v), sign[:, None] * g, None if h is None else sign[:, None, None] * h
+
+
+def _add_rows(e, a, ga, ha, b, gb, hb, bad, tests):
+    return a + b, ga + gb, None if ha is None else ha + hb
+
+
+def _subtract_rows(e, a, ga, ha, b, gb, hb, bad, tests):
+    return a - b, ga - gb, None if ha is None else ha - hb
+
+
+def _multiply_rows(e, a, ga, ha, b, gb, hb, bad, tests):
+    if ha is not None:
+        ha = (a[:, None, None] * hb + b[:, None, None] * ha
+              + (_outer(ga, gb) + _outer(gb, ga)))
+    return a * b, a[:, None] * gb + b[:, None] * ga, ha
+
+
+def _divide_rows(e, a, ga, ha, b, gb, hb, bad, tests):
+    _mark(bad, tests, b == 0.0, lambda i: _divide_value(e, a[i].item(), b[i].item()))
+    value = a / b
+    # with f = a/b: f_i = (a_i b - a b_i) / b^2, which is +-inf or nan
+    # where b^2 underflows to zero
+    den = b * b
+    num = ga * b[:, None] - a[:, None] * gb
+    grad = np.where((den == 0.0)[:, None], num * math.inf, num / den[:, None])
+    if ha is not None:
+        # f_ij = (a_ij - f b_ij - (f_i b_j + f_j b_i)) / b
+        ha = (ha - value[:, None, None] * hb
+              - (_outer(grad, gb) + _outer(gb, grad))) / b[:, None, None]
+    return value, grad, ha
+
+
+def _power_rows(e, a, ga, ha, b, gb, hb, bad, tests):
+    value = _scalar_rows(~bad, bad, tests, partial(_power_value, e), a, b)
+    pos, zero, varies = a > 0.0, a == 0.0, (gb != 0.0).any(axis=1)
+    log_a = _scalar_rows(pos, bad, tests, math.log, a)
+    # a <= 0: a^(b - 2) is taken as a^(b - 1) / a, which cannot overflow
+    # where the gradient does not
+    c = _scalar_rows(~pos, bad, tests, partial(_power_minus_one, e), a, b, varies)
+    # a > 0: a^b = exp(u), u = b log a: d(a^b) = a^b du, d2(a^b) = a^b (d2u + du du')
+    du = b[:, None] * ga / a[:, None]
+    du = np.where(varies[:, None], du + log_a[:, None] * gb, du)
+    one = (b == 1.0)[:, None]
+    grad = np.where(pos[:, None], value[:, None] * du, np.where(
+        zero[:, None], np.where(one, ga, 0.0), (b * c)[:, None] * ga))
+    if ha is not None:
+        a3, b3, c3 = a[:, None, None], b[:, None, None], c[:, None, None]
+        gg = _outer(ga, ga)
+        h_pos = value[:, None, None] * (
+            (b3 * (ha - gg / a3) + (_outer(ga, gb) + _outer(gb, ga))) / a3
+            + log_a[:, None, None] * hb + _outer(du, du))
+        # a = 0, b >= 1: b (b - 1) a^(b - 2) is 2 at b = 2, 0 above, unbounded below
+        k = np.where(b3 == 2.0, 2.0, np.where(b3 > 2.0, 0.0, math.inf))
+        h_zero = np.where(one[:, :, None], ha, k * gg)
+        h_neg = b3 * ((b3 - 1.0) * c3 / a3 * gg + c3 * ha)
+        ha = np.where(pos[:, None, None], h_pos,
+                      np.where(zero[:, None, None], h_zero, h_neg))
+    return value, grad, ha
+
+
+# each operator: (scalar rule, array rule); the parser takes the function
+# names from _UNARY, and _PRECEDENCE ranks neg and every binary operator
+_UNARY = {
+    "sqrt": (_sqrt_value, _sqrt_rows),
+    "log": (_log_value, _log_rows),
+    "exp": (lambda e, x: math.exp(x), _exp_rows),
+    "abs": (lambda e, x: abs(x), _abs_rows),
+    "neg": (lambda e, x: -x, _neg_rows),
+}
+_BINARY = {
+    "+": (lambda e, a, b: a + b, _add_rows),
+    "-": (lambda e, a, b: a - b, _subtract_rows),
+    "*": (lambda e, a, b: a * b, _multiply_rows),
+    "/": (_divide_value, _divide_rows),
+    "^": (_power_value, _power_rows),
+}

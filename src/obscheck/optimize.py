@@ -294,7 +294,8 @@ def _search_direction(history: _History, rows: np.ndarray, g: np.ndarray, grad_i
     L-BFGS direction is not a descent direction drops its history and falls
     back to steepest descent.  Fresh-start steps are normalized to unit
     length; with curvature history the natural step is 1."""
-    direction = -history.two_loop(rows, g)
+    direction = -_two_loop(g, history.s[rows], history.y[rows], history.rho[rows],
+                           history.length[rows])
     slope = _dot(direction, g)
     reset = ~np.isfinite(slope) | (slope >= 0.0)
     history.length[rows[reset]] = 0
@@ -331,16 +332,11 @@ class _History:
         self.s[rows, slot], self.y[rows, slot], self.rho[rows, slot] = s, y, 1.0 / sy
         self.length[rows] = slot + 1
 
-    def two_loop(self, rows: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """The L-BFGS inverse-Hessian product H g for each of ``rows`` by
-        Nocedal's two-loop recursion over its stored pairs, scaled by
-        s'y / y'y of the newest."""
-        return _two_loop(g, self.s[rows], self.y[rows], self.rho[rows], self.length[rows])
-
 
 def _two_loop(g, s, y, rho, length) -> np.ndarray:
-    """The two-loop recursion for each row of ``g`` over the first
-    ``length`` pairs of its row of ``s``, ``y`` and ``rho``."""
+    """The L-BFGS inverse-Hessian product H g for each row of ``g`` by
+    Nocedal's two-loop recursion over the first ``length`` pairs of its row
+    of ``s``, ``y`` and ``rho``, scaled by s'y / y'y of the newest."""
     q = g
     alphas = np.zeros_like(rho)
     deepest = int(length.max(initial=0))

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import HealthCheck, settings, strategies as st
 
 from obscheck import InfeasiblePointError, LcdConfig, PosteriorContext
-from obscheck.expressions import Binary, DomainError, Literal, Param, Unary
+from obscheck.expressions import _BINARY, _UNARY, Binary, DomainError, Literal, Param, Unary
 from obscheck.optimize import _curvatures
 
 from tree_walker import eval_expr, eval_hessian
@@ -26,7 +26,8 @@ DESK_LCD = LcdConfig(max_iters=150)
 
 
 def _expr_strategy():
-    """Expression trees in the parameters a, b and c with up to 12 leaves."""
+    """Expression trees in the parameters a, b and c with up to 12 leaves and
+    every operator of the language."""
     leaves = st.one_of(
         st.floats(0.1, 9.9).map(lambda v: Literal(float(v))),
         st.sampled_from(["a", "b", "c"]).map(Param),
@@ -34,10 +35,8 @@ def _expr_strategy():
 
     def extend(children):
         return st.one_of(
-            st.tuples(st.sampled_from(["sqrt", "log", "exp", "abs", "neg"]), children).map(
-                lambda t: Unary(*t)
-            ),
-            st.tuples(st.sampled_from(["+", "-", "*", "/", "^"]), children, children).map(
+            st.tuples(st.sampled_from(list(_UNARY)), children).map(lambda t: Unary(*t)),
+            st.tuples(st.sampled_from(list(_BINARY)), children, children).map(
                 lambda t: Binary(t[0], t[1], t[2])
             ),
         )

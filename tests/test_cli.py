@@ -177,6 +177,20 @@ class TestRunCommand:
         assert lines[0].startswith("error: cannot parse mean expression: expression nested "
                                    "deeper than 200 levels")
 
+    @pytest.mark.parametrize("mean,offset", [("a + b / 1e999", 8), ("a ^ 1e999", 4)])
+    def test_non_finite_literal_exit_one(self, tmp_path, capsys, mean, offset):
+        model = tmp_path / "overflow.json"
+        model.write_text(json.dumps({
+            "parameters": [{"name": "a", "true_value": 0.6}, {"name": "b", "true_value": 0.4}],
+            "mean": mean, "scale": "b",
+        }))
+        code = run_cli(["run", "--model", model, "--T", "2", "--K", "4",
+                        "--out", tmp_path / "r.json", "--cache-dir", tmp_path / "cache"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            "error: cannot parse mean expression: number out of range '1e999' "
+            f"(at offset {offset})"]
+
     def test_repeated_horizon_exit_one(self, tmp_path, capsys):
         code = run_cli(["run", "--model", "unknown_variance", "--T", "4,4", "--K", "8",
                         "--out", tmp_path / "r.json", "--cache-dir", tmp_path / "cache"])

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from obscheck.expressions import (
+    _BINARY,
+    _PRECEDENCE,
+    _UNARY,
     Binary,
     DomainError,
     Literal,
@@ -74,12 +77,19 @@ class TestParsing:
         ("a)", "unexpected trailing input ')'", 1),
         ("sin(a)", "unknown function 'sin'", 0),
         ("a ^ -b", "unexpected character '-'", 4),  # ^ takes a primary on its right
+        # a literal that is not finite would print as the name inf
+        ("a + b / 1e999", "number out of range '1e999'", 8),
+        ("a ^ 1e999", "number out of range '1e999'", 4),
     ])
     def test_syntax_error_message_and_offset(self, text, message, position):
         with pytest.raises(ParseError) as err:
             parse_expr(text)
         assert str(err.value) == f"{message} (at offset {position})"
         assert err.value.position == position
+
+    def test_every_operator_has_a_precedence_where_it_needs_one(self):
+        assert set(_PRECEDENCE) - {"neg"} == set(_BINARY)
+        assert "neg" in _UNARY and "neg" in _PRECEDENCE
 
     @pytest.mark.parametrize("shape,position", [
         ("({})", 200), ("abs({})", 803), ("a * ({})", 1002), ("-{}", 200), ("a + {}", 802),
