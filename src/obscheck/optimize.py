@@ -1,24 +1,36 @@
 """Numerical maximization of the log-posterior and validation of maxima.
 
-Maximization runs limited-memory BFGS on -2L with Armijo backtracking;
-infeasible trial points are rejected by the line search.  One loop,
-:func:`maximize_rows`, fits every row of a posterior context in lock-step,
-over numpy arrays with one row per fit, and gives each row the result a fit
-on its own would; :func:`maximize` is that loop on a one-row context.  The
-fit and the checks ask the context for one thing, ``neg2l_rows``: -2L and
-its gradient for many rows at once, with the reasons of the infeasible
-points next to the mask.  :func:`check_rows` checks many maxima at once: it
-asks for their Hessians as well, in one call, and decomposes the stack with
-one ``eigh``; :func:`check_maximum` is that on one maximum.
+Maximization runs a trust-region Newton method on -2L with its exact
+Hessian (Moré & Sorensen, "Computing a trust region step", SIAM J. Sci.
+Stat. Comput. 4, 1983; Nocedal & Wright, Numerical Optimization, 2nd ed.,
+ch. 4).  With H = V diag(lambda) V' at the current point, the step is
 
-Near a maximum, -2L differences fall to rounding noise and Armijo's test
-decides on that noise, so a feasible trial that Armijo rejects is accepted
-anyway when it meets the approximate Wolfe conditions of Hager & Zhang ("A
-new conjugate gradient method with guaranteed descent and an efficient line
-search", SIAM J. Optim. 16, 2005): -2L rose by at most eps * |f| and the
-slope along the step s satisfies sigma g's <= g_new's <= (2 delta - 1) g's.
-The trace of -2L may therefore rise by up to eps * |f| per step.  A
-candidate maximum then passes four checks before it counts:
+    p = -V diag(1 / (|lambda| + 1e-8 max|lambda| + mu)) V' g,
+
+where mu >= 0 is the least value with ||p|| <= Delta, the trust radius;
+Moré and Sorensen's secular iteration finds it to within 10% of Delta.  The
+absolute eigenvalues make p a descent step where H is indefinite, and the
+floor bounds it where H is singular.  The step is projected onto the box
+bounds.  A trial is accepted when -2L falls by at least 1e-4 of the fall
+that the quadratic model with those eigenvalues predicts.  Near a maximum,
+-2L differences fall to rounding noise, so a trial is also accepted when
+-2L rises by at most 1e-12 * |f| and the inf-norm of the gradient falls;
+the trace of -2L may therefore rise by that much per step.  A rejected
+trial, among them one that is infeasible or whose Hessian is infeasible or
+not finite, sets Delta to a quarter of the step's length.  Delta starts
+infinite and doubles when a step that the radius cut lowers -2L by more
+than 3/4 of the predicted fall.
+
+One loop, :func:`maximize_rows`, fits every row of a posterior context in
+lock-step, over numpy arrays with one row per fit, and gives each row the
+result a fit on its own would; :func:`maximize` is that loop on a one-row
+context.  The fit and the checks ask the context for one thing,
+``neg2l_rows``: -2L, its gradient and its Hessian for many rows at once,
+with the reasons of the infeasible points next to the mask.
+:func:`check_rows` checks many maxima at once: it asks for their Hessians
+in one call and decomposes the stack with one ``eigh``;
+:func:`check_maximum` is that on one maximum.  A candidate maximum passes
+four checks before it counts:
 
   1. the inf-norm of grad(-2L) is below ``grad_check``,
   2. the exact Hessian of -2L is positive definite,
@@ -42,17 +54,16 @@ from .posterior import InfeasiblePointError
 
 __all__ = ["OptConfig", "MaxResult", "CheckReport", "maximize_rows", "check_rows"]
 
-# L-BFGS history length, iteration cap, Armijo constant and backtracking
-# (Nocedal & Wright, Numerical Optimization, 2nd ed., sections 3.1 and 7.2)
-_MEMORY = 10
+# the iteration cap and the trust region's constants of the module docstring
+# (Nocedal & Wright, Numerical Optimization, 2nd ed., ch. 4): the share of
+# the predicted fall that accepts a trial, the rise that counts as rounding
+# noise relative to |f|, the eigenvalue floor relative to the largest
+# |eigenvalue|, and the tolerance of the secular iteration relative to Delta
 _MAX_ITERS = 500
-_ARMIJO_C1 = 1e-4
-_BACKTRACK_FACTOR = 0.5
-_MAX_BACKTRACKS = 60
-# approximate Wolfe constants eps, delta and sigma (Hager & Zhang, 2005)
-_WOLFE_EPS = 1e-12
-_WOLFE_DELTA = 0.1
-_WOLFE_SIGMA = 0.9
+_ETA = 1e-4
+_NOISE = 1e-12
+_EIG_FLOOR = 1e-8
+_RADIUS_TOL = 0.1
 
 
 class OptConfig(Value):
@@ -128,17 +139,17 @@ def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
     """Maximize the log-posterior of the one row of ``ctx`` from ``x0``:
     :func:`maximize_rows` on a one-row context.
 
-    Each line-search trial is evaluated once: the Armijo test reads its
-    value, the approximate Wolfe test its value and gradient, and an
-    accepted trial keeps its gradient.  Each entry of the returned
-    ``trace`` is at most ``eps * |previous|`` above the one before it
-    (``eps`` = 1e-12); a step Armijo accepts always lowers -2L.  Trial
-    points are projected onto the declared box bounds and rejected (treated
-    as +inf) when infeasible, including when only the gradient is undefined
-    there.  Deterministic given identical inputs.  Raises ``ValueError`` if
-    ``x0`` itself is infeasible, chained from the ``InfeasiblePointError``
-    that :func:`maximize_rows` gives for the row; a line search that
-    finds no acceptable step, or the iteration cap, ends the fit with
+    Each trust-region trial is evaluated once, with its Hessian, and an
+    accepted trial keeps its gradient and Hessian.  Each entry of the
+    returned ``trace`` is at most ``1e-12 * |previous|`` above the one
+    before it; a step accepted on its predicted fall always lowers -2L.
+    Trial points are projected onto the declared box bounds and rejected
+    when infeasible, including when only the gradient or the Hessian is
+    undefined there.  Deterministic given identical inputs.  Raises
+    ``ValueError`` if ``x0`` itself is infeasible, chained from the
+    ``InfeasiblePointError`` that :func:`maximize_rows` gives for the row;
+    a start whose Hessian is infeasible or not finite, a radius that
+    shrinks below rounding, or the iteration cap ends the fit with
     ``converged=False`` at the last accepted point.  A context with more
     than one row is a ``ValueError``: :func:`maximize_rows` fits those.
     """
@@ -152,25 +163,28 @@ def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
 
 
 def maximize_rows(ctx, x0, cfg: OptConfig = OptConfig()) -> list:
-    """Maximize the log-posterior of every row of ``ctx`` from ``x0``.
+    """Maximize the log-posterior of every row of ``ctx`` from ``x0`` by the
+    trust-region Newton method of the module docstring.
 
     This is the one fit contract.  ``ctx`` has ``len(ctx)`` rows,
     ``param_names``, ``bounds()`` and ``neg2l_rows(rows, points,
     hessian=False) -> (values, gradients, hessians or None, feasible, why)``,
     which evaluates -2L for row ``rows[i]`` at ``points[i]`` and gives the
-    function ``why(i)`` that names why point i is infeasible; the fit never
-    asks for Hessians.  :class:`~obscheck.posterior.PosteriorContext`
-    provides them.  The entry of a row is its ``MaxResult`` or, where the
-    start (``x0`` projected onto the bounds) is infeasible, an
-    ``InfeasiblePointError`` with the reason that the call at the starts
-    names.
+    function ``why(i)`` that names why point i is infeasible.
+    :class:`~obscheck.posterior.PosteriorContext` provides them.  The entry
+    of a row is its ``MaxResult`` or, where the start (``x0`` projected onto
+    the bounds) is infeasible, an ``InfeasiblePointError`` with the reason
+    that the call at the starts names.  That call asks for no Hessians, so
+    only its tests judge a start; a second call fetches the Hessians of the
+    starts that iterate, and a row whose start Hessian is infeasible or not
+    finite stays at its start.
 
     The rows advance in lock-step: in each round every unfinished row
-    evaluates exactly one trial, the first step of a new iteration or a
-    backtrack, and all of them go to ``neg2l_rows`` in one call.  Each
-    row keeps its own step, history and stopping state, and its arithmetic
-    is that of a fit on its own: dot products sum left to right from 0.0,
-    as Python's ``sum`` sums floats (through 3.11).
+    evaluates exactly one trial, and all of them go to ``neg2l_rows(...,
+    hessian=True)`` in one call, and the Hessians of the rows that step and
+    go on go to one stacked ``eigh``.  Each row keeps its own radius and
+    stopping state, and its arithmetic is that of a fit on its own: dot
+    products sum left to right from 0.0.
     """
     count = len(ctx)
     names = tuple(ctx.param_names)
@@ -185,53 +199,55 @@ def maximize_rows(ctx, x0, cfg: OptConfig = OptConfig()) -> list:
         grad_inf = _inf_norm(g)
         converged = grad_inf < cfg.grad_tol
         active = started & ~converged
-        history = _History(count, x.shape[1])
-        # per row, the line search of its current iteration; a row that has
-        # taken no trial yet starts a new iteration
-        direction, step = np.zeros_like(x), np.zeros(count)
-        tries = np.zeros(count, dtype=int)  # trials taken, evaluated or not
-        trial = np.zeros_like(x)  # the latest
+        # per row, the floored eigenvalues and the eigenvectors of the
+        # Hessian at x, and the trust radius; a row whose start Hessian is
+        # infeasible or not finite stays at its start
+        lam, vec = np.zeros_like(x), np.zeros(x.shape + x.shape[1:])
+        radius = np.full(count, np.inf)
+        rows = np.flatnonzero(active)
+        *_, hess, usable, _ = ctx.neg2l_rows(rows, x[rows], hessian=True)
+        usable &= np.isfinite(hess).all(axis=(1, 2))
+        lam[rows[usable]], vec[rows[usable]] = _eigen(hess[usable])
+        active[rows[~usable]] = False
         while True:
-            new = np.flatnonzero(active & (tries == 0))
-            if new.size:
-                direction[new], step[new] = _search_direction(history, new, g[new], grad_inf[new])
-
-            # each row's next trial that needs an evaluation; a row whose step
-            # no longer moves it, or whose backtracks run out, is done
-            pending, ready = np.flatnonzero(active), [np.zeros(0, dtype=np.intp)]
-            while pending.size:
-                exhausted = tries[pending] >= _MAX_BACKTRACKS
-                active[pending[exhausted]] = False
-                pending = pending[~exhausted]
-                tries[pending] += 1
-                t = _project(x[pending] + step[pending, None] * direction[pending], box)
-                moves = np.any(t - x[pending] != 0.0, axis=1)
-                # the halved step rounded onto the trial just taken
-                repeat = moves & (tries[pending] > 1) & np.all(t == trial[pending], axis=1)
-                trial[pending] = t
-                active[pending[~moves]] = False
-                ready.append(pending[moves & ~repeat])
-                pending = pending[repeat]
-                step[pending] *= _BACKTRACK_FACTOR
-            ready = np.concatenate(ready)
-            if not ready.size:
+            rows = np.flatnonzero(active)
+            v, v_t, eig = vec[rows], np.swapaxes(vec[rows], 1, 2), lam[rows]
+            c = _dot(v_t, g[rows, None, :])  # V'g
+            u, boundary = _secular(eig, c, radius[rows])
+            trial = _project(x[rows] - _dot(v, u[:, None, :]), box)
+            s = trial - x[rows]
+            # a row whose step no longer moves it, or not by a finite
+            # amount, is done
+            moves = np.any(s != 0.0, axis=1) & np.isfinite(s).all(axis=1)
+            if not moves.all():
+                active[rows[~moves]] = False
+                rows, v_t, eig, c, boundary, trial, s = (
+                    a[moves] for a in (rows, v_t, eig, c, boundary, trial, s))
+            if not rows.size:
                 break
 
-            f_new, g_new, _, feasible, _ = ctx.neg2l_rows(ready, trial[ready])
-            moved = trial[ready] - x[ready]
-            accept = feasible & _acceptable(f[ready], g[ready], f_new, g_new, moved)
-            step[ready[~accept]] *= _BACKTRACK_FACTOR
-            stepped = ready[accept]
-            f_new, g_new = f_new[accept], g_new[accept]
-            history.update(stepped, moved[accept], g_new - g[stepped])
-            x[stepped], f[stepped], g[stepped] = trial[stepped], f_new, g_new
-            for i, v in zip(stepped.tolist(), f_new.tolist()):
-                traces[i].append(v)
+            f_new, g_new, hess, feasible, _ = ctx.neg2l_rows(rows, trial, hessian=True)
+            # the fall that the quadratic model with the floored eigenvalues
+            # predicts for the step s, with w = V's
+            w = _dot(v_t, s[:, None, :])
+            predicted = -_dot(c + 0.5 * eig * w, w)
+            grad_inf_new = _inf_norm(g_new)
+            accept = feasible & np.isfinite(hess).all(axis=(1, 2)) & _acceptable(
+                f[rows], f_new, predicted, grad_inf[rows], grad_inf_new)
+            radius[rows[~accept]] = 0.25 * np.sqrt(_dot(s[~accept], s[~accept]))
+            # a real decrease of more than 3/4 of the predicted fall
+            good = (predicted > 0.0) & (f[rows] - f_new > 0.75 * predicted)
+            radius[rows[accept & boundary & good]] *= 2.0
+            stepped = rows[accept]
+            x[stepped], f[stepped], g[stepped] = trial[accept], f_new[accept], g_new[accept]
+            for i, value in zip(stepped.tolist(), f_new[accept].tolist()):
+                traces[i].append(value)
             iterations[stepped] += 1
-            grad_inf[stepped] = _inf_norm(g_new)
+            grad_inf[stepped] = grad_inf_new[accept]
             converged[stepped] = grad_inf[stepped] < cfg.grad_tol
-            active[stepped] = ~converged[stepped] & (iterations[stepped] < _MAX_ITERS)
-            tries[stepped] = 0
+            going = ~converged[stepped] & (iterations[stepped] < _MAX_ITERS)
+            active[stepped] = going
+            lam[stepped[going]], vec[stepped[going]] = _eigen(hess[accept][going])
 
     return [
         MaxResult(omega_hat=x[i], param_names=names, converged=bool(converged[i]),
@@ -264,11 +280,12 @@ def _project(x: np.ndarray, box) -> np.ndarray:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products summed left to right from 0.0."""
+    """Dot products over the last axis of ``a * b``, summed left to right
+    from 0.0."""
     products = a * b
-    total = np.zeros(len(a))
-    for j in range(products.shape[1]):
-        total = total + products[:, j]
+    total = np.zeros(products.shape[:-1])
+    for j in range(products.shape[-1]):
+        total = total + products[..., j]
     return total
 
 
@@ -277,82 +294,45 @@ def _inf_norm(g: np.ndarray) -> np.ndarray:
     return np.max(np.abs(g), axis=1, initial=0.0)
 
 
-def _acceptable(f, g, f_new, g_new, s) -> np.ndarray:
-    """Per row, whether the step ``s`` from (``f``, ``g``) to (``f_new``,
-    ``g_new``) meets Armijo's sufficient decrease or, failing that, the
-    approximate Wolfe conditions of the module docstring."""
-    gs = _dot(g, s)
-    gs_new = _dot(g_new, s)
-    return (f_new <= f + _ARMIJO_C1 * gs) | (
-        (f_new - f <= _WOLFE_EPS * np.abs(f))
-        & (_WOLFE_SIGMA * gs <= gs_new) & (gs_new <= (2.0 * _WOLFE_DELTA - 1.0) * gs)
-    )
+def _acceptable(f, f_new, predicted, grad_inf, grad_inf_new) -> np.ndarray:
+    """Per row, whether a trial is accepted: -2L fell from ``f`` to
+    ``f_new`` by at least ``_ETA`` of the ``predicted`` fall or, failing
+    that, rose by at most ``_NOISE * |f|`` while the gradient's inf-norm
+    fell from ``grad_inf`` to ``grad_inf_new``."""
+    fall = f - f_new
+    return (((predicted > 0.0) & (fall >= _ETA * predicted))
+            | ((-fall <= _NOISE * np.abs(f)) & (grad_inf_new < grad_inf)))
 
 
-def _search_direction(history: _History, rows: np.ndarray, g: np.ndarray, grad_inf: np.ndarray):
-    """Direction and first step of a new iteration for ``rows``.  A row whose
-    L-BFGS direction is not a descent direction drops its history and falls
-    back to steepest descent.  Fresh-start steps are normalized to unit
-    length; with curvature history the natural step is 1."""
-    direction = -_two_loop(g, history.s[rows], history.y[rows], history.rho[rows],
-                           history.length[rows])
-    slope = _dot(direction, g)
-    reset = ~np.isfinite(slope) | (slope >= 0.0)
-    history.length[rows[reset]] = 0
-    direction[reset] = -g[reset]
-    # min(1.0, 1.0 / max(grad_inf, 1e-300)) as Python takes it: 1.0 at a NaN
-    inverse = 1.0 / np.where(1e-300 > grad_inf, 1e-300, grad_inf)
-    step = np.where(history.length[rows] > 0, 1.0, np.where(inverse < 1.0, inverse, 1.0))
-    return direction, step
+def _eigen(hess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The floored eigenvalues |lambda| + 1e-8 max|lambda| and the
+    eigenvectors of each matrix of the (k, n, n) stack, from one ``eigh``."""
+    lam, vec = np.linalg.eigh(hess)
+    lam = np.abs(lam)
+    return lam + _EIG_FLOOR * lam.max(axis=1, initial=0.0, keepdims=True), vec
 
 
-class _History:
-    """Each row's L-BFGS pairs (s, y) and rho = 1 / s'y, oldest first, at
-    most ``_MEMORY`` of them."""
+def _secular(lam: np.ndarray, c: np.ndarray, radius: np.ndarray):
+    """Per row, the step u = c / (lam + mu) in eigenvector coordinates for
+    the least mu >= 0 with ||u|| <= radius, and whether mu > 0.
 
-    def __init__(self, count: int, n: int):
-        self.s = np.zeros((count, _MEMORY, n))
-        self.y = np.zeros((count, _MEMORY, n))
-        self.rho = np.zeros((count, _MEMORY))
-        self.length = np.zeros(count, dtype=int)
-
-    def update(self, rows: np.ndarray, s: np.ndarray, y: np.ndarray) -> None:
-        """Store the accepted step ``s`` and gradient change ``y`` of each of
-        ``rows`` when they meet the curvature condition; otherwise the row is
-        in a negative-curvature stretch, where the stored quadratic model is
-        stale and would shrink steps indefinitely, and its history goes."""
-        sy = _dot(s, y)
-        keep = sy > 1e-12 * np.sqrt(_dot(s, s)) * np.sqrt(_dot(y, y))
-        self.length[rows[~keep]] = 0
-        rows, s, y, sy = rows[keep], s[keep], y[keep], sy[keep]
-        full = rows[self.length[rows] == _MEMORY]
-        for pairs in (self.s, self.y, self.rho):  # drop the oldest pair
-            pairs[full, :-1] = pairs[full, 1:]
-        slot = np.minimum(self.length[rows], _MEMORY - 1)
-        self.s[rows, slot], self.y[rows, slot], self.rho[rows, slot] = s, y, 1.0 / sy
-        self.length[rows] = slot + 1
-
-
-def _two_loop(g, s, y, rho, length) -> np.ndarray:
-    """The L-BFGS inverse-Hessian product H g for each row of ``g`` by
-    Nocedal's two-loop recursion over the first ``length`` pairs of its row
-    of ``s``, ``y`` and ``rho``, scaled by s'y / y'y of the newest."""
-    q = g
-    alphas = np.zeros_like(rho)
-    deepest = int(length.max(initial=0))
-    stored = length[:, None, None] > np.arange(deepest)[:, None]  # (rows, pair, 1)
-    for j in reversed(range(deepest)):
-        a = rho[:, j] * _dot(s[:, j], q)
-        alphas[:, j] = a
-        q = np.where(stored[:, j], q - a[:, None] * y[:, j], q)
-    if deepest:
-        newest = np.arange(len(q)), np.maximum(length - 1, 0)
-        gamma = _dot(s[newest], y[newest]) / _dot(y[newest], y[newest])
-        q = np.where(stored[:, 0], q * gamma[:, None], q)
-    for j in range(deepest):
-        beta = rho[:, j] * _dot(y[:, j], q)
-        q = np.where(stored[:, j], q + (alphas[:, j] - beta)[:, None] * s[:, j], q)
-    return q
+    Moré and Sorensen's iteration, Newton's method on 1/||u(mu)|| =
+    1/radius, rises to that mu from mu = 0 and stops once ||u|| is within
+    ``_RADIUS_TOL`` of the radius.  Where it stalls (mu would not grow, as
+    when a term overflows), mu = ||c|| / radius, at which ||u|| <= radius
+    as every lam is >= 0, ends it; so no step is longer than 1.1 radius."""
+    mu = np.zeros(len(c))
+    u = c / lam
+    norm = np.sqrt(_dot(u, u))
+    todo = np.flatnonzero(norm > (1.0 + _RADIUS_TOL) * radius)
+    while todo.size:
+        d, n, r = lam[todo] + mu[todo, None], norm[todo], radius[todo]
+        new = mu[todo] + n * n / _dot(u[todo] * u[todo], 1.0 / d) * (n - r) / r
+        mu[todo] = np.where(new > mu[todo], new, np.sqrt(_dot(c[todo], c[todo])) / r)
+        u[todo] = c[todo] / (lam[todo] + mu[todo, None])
+        norm[todo] = np.sqrt(_dot(u[todo], u[todo]))
+        todo = todo[norm[todo] > (1.0 + _RADIUS_TOL) * radius[todo]]
+    return u, mu > 0.0
 
 
 # unused in the package; perfbench/child.py traces it by name as study.check_maximum

@@ -32,7 +32,6 @@ infeasible point's first failing test.  The one-shot methods
 :meth:`~PosteriorContext.hessian_neg2l` are that call on one point, so all
 three raise wherever the gradient is undefined.  They raise
 :class:`InfeasiblePointError` with that reason, and take a row index ``k``.
-The fit itself never asks for curvature.
 """
 
 from __future__ import annotations
@@ -50,8 +49,8 @@ __all__ = ["PosteriorContext", "InfeasiblePointError"]
 class InfeasiblePointError(Exception):
     """The parameter point leaves the model's admissible domain (domain error
     or float overflow in an expression, or non-positive scale), or the
-    observation vector is not finite.  Recoverable: the optimizer's line
-    search treats it as +inf."""
+    observation vector is not finite.  Recoverable: the optimizer rejects
+    such a trial point."""
 
 
 def _statistics(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

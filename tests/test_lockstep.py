@@ -1,147 +1,23 @@
-"""The lock-step fit against the one-row L-BFGS loop it replaced.
+"""The lock-step fit against one-row fits, and the work it does on a study.
 
-``_reference_maximize`` is that loop on lists of Python floats, one fit at a
-time, evaluating -2L by walking the expression trees.  Its dot products
-are written out as left-to-right sums from 0.0: ``sum()`` sums floats that
-way through Python 3.11 but compensates from 3.12 on.  Every row of a
-lock-step run must equal it bit for bit.
+Each row of a lock-step run must equal, bit for bit, the fit of a context
+that holds that row alone: the rows advance together, one ``neg2l_rows``
+call and one stacked ``eigh`` per round, but no row's arithmetic depends on
+the others.  A row whose start is infeasible fails with the reason that the
+tree walker gives for it.
 """
 
-import math
-
-import numpy as np
 import pytest
 
 from obscheck import InfeasiblePointError, bundled_model_names, load_model
+from obscheck.closed_form import mean_and_variance_oracle, unknown_variance_oracle
 from obscheck.models import model_from_dict
-from obscheck.optimize import (
-    _ARMIJO_C1, _BACKTRACK_FACTOR, _MAX_BACKTRACKS, _MAX_ITERS, _MEMORY, _WOLFE_DELTA,
-    _WOLFE_EPS, _WOLFE_SIGMA, OptConfig, maximize_rows,
-)
+from obscheck.optimize import _MAX_ITERS, OptConfig, maximize_rows
 from obscheck.posterior import PosteriorContext
-from obscheck.samples import design_disturbance_matrix
+from obscheck.samples import design_disturbance_matrix, representative_disturbances
 from obscheck.study import StudyConfig, _fit_blocks, make_design_observations
 
 from conftest import DESK_LCD, _TreeWalkerContext
-
-
-def _dot(a, b):
-    total = 0.0
-    for p, q in zip(a, b):
-        total += p * q
-    return total
-
-
-def _inf_norm(v):
-    norm = 0.0
-    for a in v:
-        a = abs(a)
-        if not a <= norm:
-            if a != a:
-                return a
-            norm = a
-    return norm
-
-
-def _project(x, lower, upper):
-    out = []
-    for v, lo, hi in zip(x, lower, upper):
-        if v <= lo:
-            v = lo
-        if v >= hi:
-            v = hi
-        out.append(v)
-    return out
-
-
-def _acceptable(f, g, f_new, g_new, s):
-    gs = _dot(g, s)
-    if f_new <= f + _ARMIJO_C1 * gs:
-        return True
-    return f_new - f <= _WOLFE_EPS * abs(f) and (
-        _WOLFE_SIGMA * gs <= _dot(g_new, s) <= (2.0 * _WOLFE_DELTA - 1.0) * gs
-    )
-
-
-def _two_loop(g, s_hist, y_hist, rho_hist):
-    q = g
-    alphas = []
-    for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
-        a = rho * _dot(s, q)
-        alphas.append(a)
-        q = [qi - a * yi for qi, yi in zip(q, y)]
-    if s_hist:
-        s, y = s_hist[-1], y_hist[-1]
-        gamma = _dot(s, y) / _dot(y, y)
-        q = [qi * gamma for qi in q]
-    for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
-        beta = rho * _dot(y, q)
-        q = [qi + (a - beta) * si for qi, si in zip(q, s)]
-    return q
-
-
-def _reference_maximize(ctx, x0, cfg):
-    """(omega_hat, iterations, converged, grad_inf_norm, trace) of one fit, or
-    the message of the infeasible start."""
-    lower = [float(lo) for lo, _ in ctx.bounds()]
-    upper = [float(hi) for _, hi in ctx.bounds()]
-    x = _project([float(v) for v in x0], lower, upper)
-    try:
-        f, g = ctx.neg2l_grad(x)
-    except InfeasiblePointError as exc:
-        return str(exc)
-    g = [float(v) for v in g]
-    s_hist, y_hist, rho_hist = [], [], []
-    trace = [f]
-    iterations = 0
-    grad_inf = _inf_norm(g)
-    converged = grad_inf < cfg.grad_tol
-    while not converged and iterations < _MAX_ITERS:
-        direction = [-a for a in _two_loop(g, s_hist, y_hist, rho_hist)]
-        slope = _dot(direction, g)
-        if not math.isfinite(slope) or slope >= 0.0:
-            s_hist.clear(); y_hist.clear(); rho_hist.clear()
-            direction = [-a for a in g]
-        step = 1.0 if s_hist else min(1.0, 1.0 / max(grad_inf, 1e-300))
-        accepted = False
-        trial = None
-        for _ in range(_MAX_BACKTRACKS):
-            previous = trial
-            trial = _project([a + step * d for a, d in zip(x, direction)], lower, upper)
-            actual = [t - a for t, a in zip(trial, x)]
-            if not any(actual):
-                break
-            if trial == previous:
-                step *= _BACKTRACK_FACTOR
-                continue
-            try:
-                f_new, g_new = ctx.neg2l_grad(trial)
-                g_new = [float(v) for v in g_new]
-                if _acceptable(f, g, f_new, g_new, actual):
-                    accepted = True
-                    break
-            except InfeasiblePointError:
-                pass
-            step *= _BACKTRACK_FACTOR
-        if not accepted:
-            break
-        s = actual
-        y = [b - a for a, b in zip(g, g_new)]
-        sy = _dot(s, y)
-        if sy > 1e-12 * math.sqrt(_dot(s, s)) * math.sqrt(_dot(y, y)):
-            s_hist.append(s)
-            y_hist.append(y)
-            rho_hist.append(1.0 / sy)
-            if len(s_hist) > _MEMORY:
-                s_hist.pop(0); y_hist.pop(0); rho_hist.pop(0)
-        else:
-            s_hist.clear(); y_hist.clear(); rho_hist.clear()
-        x, f, g = trial, f_new, g_new
-        trace.append(f)
-        iterations += 1
-        grad_inf = _inf_norm(g)
-        converged = grad_inf < cfg.grad_tol
-    return np.array(x).tobytes(), iterations, converged, grad_inf, tuple(trace)
 
 
 def _outcome(result):
@@ -151,19 +27,30 @@ def _outcome(result):
             result.grad_inf_norm, result.trace)
 
 
-def _assert_rows_equal_reference(model, eps, cfg=OptConfig()):
-    """Every design row of one lock-step run equals its reference fit, and a
-    row whose start is infeasible fails with the reference's message."""
+def _walker_start_reason(model, z, x0):
+    try:
+        _TreeWalkerContext(model, z).neg2l_grad(x0)
+    except InfeasiblePointError as exc:
+        return str(exc)
+    return None
+
+
+def _assert_rows_equal_one_row_fits(model, eps, cfg=OptConfig()):
+    """Every design row of one lock-step run equals the fit of that row on
+    its own, and a row whose start is infeasible fails with the walker's
+    reason."""
     observations = make_design_observations(model, eps)
     x0 = model.true_vector()
     results = maximize_rows(PosteriorContext(model, observations), x0, cfg)
-    want = [_reference_maximize(_TreeWalkerContext(model, z), x0, cfg) for z in observations]
-    infeasible = [k for k, w in enumerate(want) if isinstance(w, str)]
-    assert [_outcome(r) for r in results] == want
+    want = [maximize_rows(PosteriorContext(model, z), x0, cfg)[0] for z in observations]
+    assert [_outcome(r) for r in results] == [_outcome(w) for w in want]
+    infeasible = [k for k, r in enumerate(results) if isinstance(r, InfeasiblePointError)]
+    reasons = [_walker_start_reason(model, observations[k], x0) for k in infeasible]
+    assert [str(results[k]) for k in infeasible] == reasons
     if infeasible:
         study_cfg = StudyConfig(model=model, T_list=(eps.shape[1],), opt=cfg)
         (records,) = _fit_blocks(model, [observations[infeasible]], study_cfg)
-        assert [r.reason for r in records] == [f"infeasible start: {want[k]}" for k in infeasible]
+        assert [r.reason for r in records] == [f"infeasible start: {r}" for r in reasons]
     return results
 
 
@@ -178,23 +65,24 @@ README_MODEL = model_from_dict({
 @pytest.mark.parametrize("name", bundled_model_names())
 def test_bundled_designs_equal_per_row_reference(name, horizon):
     model = load_model(name)
-    _assert_rows_equal_reference(model, design_disturbance_matrix(horizon, 200, DESK_LCD))
+    _assert_rows_equal_one_row_fits(model, design_disturbance_matrix(horizon, 200, DESK_LCD))
 
 
 def test_projection_equals_per_row_reference():
     # the README's model bounds b below by 0: trial steps get projected
-    _assert_rows_equal_reference(README_MODEL, design_disturbance_matrix(4, 200, DESK_LCD))
+    _assert_rows_equal_one_row_fits(README_MODEL, design_disturbance_matrix(4, 200, DESK_LCD))
 
 
 def test_iteration_cap_rows_equal_per_row_reference():
-    # away from the bundled true values three of eight rows run into the
-    # iteration cap while the others converge within 16 iterations
+    # away from the bundled true values the posterior of three of eight rows
+    # has no maximum: they run into the iteration cap while the others
+    # converge within 9 iterations
     model = model_from_dict({
         "parameters": [{"name": "a", "true_value": 1.438}, {"name": "b", "true_value": 3.0}],
         "mean": "a/b", "scale": "sqrt(a*b)",
     })
-    results = _assert_rows_equal_reference(model, design_disturbance_matrix(4, 8, DESK_LCD))
-    assert [r.iterations for r in results] == [16, 500, 14, 12, 13, 13, 500, 500]
+    results = _assert_rows_equal_one_row_fits(model, design_disturbance_matrix(4, 8, DESK_LCD))
+    assert [r.iterations for r in results] == [9, 500, 7, 6, 7, 7, 500, 500]
 
 
 def test_infeasible_starts_equal_per_row_reference():
@@ -202,47 +90,64 @@ def test_infeasible_starts_equal_per_row_reference():
     # infeasible, the others fit
     model = model_from_dict({"parameters": [{"name": "b", "true_value": 1e154}],
                              "mean": "0", "scale": "b"})
-    results = _assert_rows_equal_reference(model, design_disturbance_matrix(4, 200, DESK_LCD))
+    results = _assert_rows_equal_one_row_fits(model, design_disturbance_matrix(4, 200, DESK_LCD))
     assert 0 < sum(isinstance(r, InfeasiblePointError) for r in results) < len(results)
 
 
-class _ClippedCliff:
-    """-2L = (x - 3)^2 + 1e-30 y with x at most 0.3, infeasible beyond x = 0.2.
-    From (0, 1) the first trials clip x to its bound while y's step is below
-    rounding, so a halved step can land on the trial just rejected.  Records
-    the points it evaluates."""
-
-    param_names = ("x", "y")
-
-    def __init__(self):
-        self.points = []
-
-    def __len__(self):
-        return 1
-
-    def bounds(self):
-        return [(-np.inf, 0.3), (-np.inf, np.inf)]
-
-    def neg2l_rows(self, rows, points, hessian=False):
-        self.points += [tuple(p) for p in points.tolist()]
-        x, y = points[:, 0], points[:, 1]
-        return ((x - 3.0) ** 2 + 1e-30 * y,
-                np.stack([2.0 * (x - 3.0), np.full(len(x), 1e-30)], axis=1), None, x <= 0.2,
-                lambda i: "beyond the cliff")
-
-    def neg2l_grad(self, omega):
-        (value,), (grad,), _, (feasible,), why = self.neg2l_rows([0], np.array([omega]))
-        if not feasible:
-            raise InfeasiblePointError(why(0))
-        return float(value), grad.tolist()
+def test_infeasible_start_hessians_equal_per_row_reference():
+    # at b = 1e-90 the scale's fourth power underflows: every start is
+    # feasible, but no row has a Hessian there, so each stays at its start
+    model = model_from_dict({"parameters": [{"name": "b", "true_value": 1e-90}],
+                             "mean": "0", "scale": "b"})
+    results = _assert_rows_equal_one_row_fits(model, design_disturbance_matrix(4, 8, DESK_LCD))
+    assert all(r.omega_hat.tolist() == [1e-90] and r.iterations == 0 and not r.converged
+               for r in results)
 
 
-def test_a_halved_step_onto_the_rejected_trial_is_not_evaluated_again():
-    ctx = _ClippedCliff()
-    (result,) = maximize_rows(ctx, [0.0, 1.0])
-    points = ctx.points
-    # the first steps, 1/6 and 1/12, both clip to (0.3, 1.0), which is
-    # evaluated once; the next trial evaluated is the step 1/24
-    assert points[:3] == [(0.0, 1.0), (0.3, 1.0), (0.25, 1.0)]
-    assert all(a != b for a, b in zip(points, points[1:]))
-    assert _outcome(result) == _reference_maximize(_ClippedCliff(), [0.0, 1.0], OptConfig())
+# per bundled model, the rounds of one lock-step fit of a study at T = 4, 20
+# (K = 200, 150 placement iterations), and those that the L-BFGS fit it
+# replaced took
+STUDY_ROUNDS = {
+    "unknown_variance": (13, 20),
+    "mean_and_variance": (21, 45),
+    "ratio_mean_scale_sqrt_a": (36, 103),
+    "ratio_mean_scale_sqrt_ab": (29, 69),
+    "additive_mean_pair": (2, 8),
+    "product_mean": (12, 12),
+    "ratio_mean_scale_sqrt_ratio": (24, 24),
+    "reciprocal_mean": (29, 40),
+}
+CLOSED_FORMS = {
+    "unknown_variance": lambda z: unknown_variance_oracle(z).estimates,
+    "mean_and_variance": lambda z: mean_and_variance_oracle(z).estimates,
+}
+
+
+@pytest.mark.parametrize("name", bundled_model_names())
+def test_study_rounds_iterations_and_closed_forms(name):
+    model = load_model(name)
+    blocks = [block for horizon in (4, 20) for block in (
+        make_design_observations(model, representative_disturbances(horizon, DESK_LCD)),
+        make_design_observations(model, design_disturbance_matrix(horizon, 200, DESK_LCD)))]
+    ctx = PosteriorContext(model, blocks)
+    calls = []
+    rows_call = ctx.neg2l_rows
+
+    def counted(rows, points, hessian=False):
+        calls.append(hessian)
+        return rows_call(rows, points, hessian)
+
+    ctx.neg2l_rows = counted
+    results = maximize_rows(ctx, model.true_vector())
+    # the starts, their Hessians, then one call per round
+    assert calls == [False] + [True] * (len(calls) - 1)
+    rounds, lbfgs_rounds = STUDY_ROUNDS[name]
+    assert len(calls) - 2 == rounds <= lbfgs_rounds
+    assert max(r.iterations for r in results) < _MAX_ITERS
+    if name in CLOSED_FORMS:
+        part2 = [*blocks[1], *blocks[3]]
+        for z, fit in zip(part2, results[1:201] + results[202:]):
+            want = CLOSED_FORMS[name](z)
+            got = fit.estimates
+            assert all(abs(got[p] - want[p]) <= 1e-9 * abs(want[p]) for p in want), (got, want)
+

@@ -286,9 +286,9 @@ def walker_reason(ctx, method, omega, k=0):
 
 def test_fit_blocks_take_every_reason_from_the_batch_calls(monkeypatch):
     # a row that is not finite, a row whose Q overflows and a row whose fit
-    # ends on the bound b = 1e-90, where the scale's fourth power underflows:
-    # each reason comes from a rows call, none from a one-point call, and
-    # equals the tree walker's
+    # runs toward the bound b = 1e-90 until the scale's fourth power
+    # underflows at every trial: each reason comes from a rows call, none
+    # from a one-point call, and equals the tree walker's
     model = model_from_dict({"parameters": [{"name": "b", "true_value": 1.0, "lower": 1e-90}],
                              "mean": "0", "scale": "b"})
     z = np.array([[1.0, np.inf, 0.0, 2.0], [1e200, -1e200, 0.0, 1.0],
@@ -313,16 +313,42 @@ def test_fit_blocks_take_every_reason_from_the_batch_calls(monkeypatch):
         "infeasible start: observation vector must be finite",
         "infeasible start: -2 log-posterior is not finite (inf)",
     ]
-    assert records[2].estimates == {"b": 1e-90}
-    assert records[2].checks.note == ("curvature evaluation failed: "
-                                      "scale 1e-90 is too small: its fourth power underflows")
+    # a trial without a Hessian is rejected, so the fit ends where the
+    # Hessian is still defined
+    assert 0.0 < records[2].estimates["b"] ** 4 < 1e-320
+    assert records[2].checks.note is None
     assert records[3].passed
+
+
+def test_a_start_whose_hessian_is_infeasible_stays_at_its_start(monkeypatch):
+    # at b = 1e-90 -2L and its gradient are defined but the scale's fourth
+    # power underflows: each row stays at its start, and its checks name the
+    # Hessian's reason, from a rows call, as the tree walker does
+    model = model_from_dict({"parameters": [{"name": "b", "true_value": 1e-90}],
+                             "mean": "0", "scale": "b"})
+    z = make_design_observations(model, np.array([[1.0, -1.0, 0.5, -0.5],
+                                                  [0.3, 1.1, -0.4, -1.0]]))
+    calls = []
+    rows_call = PosteriorContext.neg2l_rows
+
+    def counted(self, rows, points, hessian=False):
+        calls.append((len(rows), hessian))
+        return rows_call(self, rows, points, hessian)
+
+    monkeypatch.setattr(PosteriorContext, "neg2l_rows", counted)
+    (records,) = _fit_blocks(model, [z], small_config(model))
+    assert calls == [(2, False), (2, True), (2, True)]  # the starts, their Hessians, the checks
+    reason = "scale 1e-90 is too small: its fourth power underflows"
+    assert [(r.estimates, r.iterations, r.converged, r.checks.note) for r in records] == [
+        ({"b": 1e-90}, 0, False, f"curvature evaluation failed: {reason}")] * 2
+    assert [walker_reason(_TreeWalkerContext(model, row), "hessian_neg2l", [1e-90])
+            for row in z] == [reason] * 2
 
 
 def test_a_start_whose_gradient_is_not_finite_is_infeasible(monkeypatch):
     # at (a, b) = (-1e-200, 1e-200) -2L is finite but 1/b and a/b^2
     # overflow: each row's start is infeasible, so no fit spends its
-    # backtracks on trials that are all inf or NaN.  The one call at the
+    # rounds on trials that are all inf or NaN.  The one call at the
     # starts finds them and names why, with the walker's reason
     model = model_from_dict({
         "parameters": [{"name": "a", "true_value": -1e-200}, {"name": "b", "true_value": 1e-200}],
@@ -339,7 +365,8 @@ def test_a_start_whose_gradient_is_not_finite_is_infeasible(monkeypatch):
 
     monkeypatch.setattr(PosteriorContext, "neg2l_rows", counted)
     (records,) = _fit_blocks(model, [z], small_config(model))
-    assert calls == [(3, False), (0, True)]  # the starts, then the checks of no maxima
+    # the starts, then the Hessians of no starts and the checks of no maxima
+    assert calls == [(3, False), (0, True), (0, True)]
     reason = "gradient of -2 log-posterior is not finite"
     assert [r.reason for r in records] == [f"infeasible start: {reason}"] * 3
     assert [walker_reason(_TreeWalkerContext(model, row), "neg2l_grad", model.true_vector())
