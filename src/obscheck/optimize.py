@@ -137,11 +137,15 @@ class CheckReport:
 # unused in the package; perfbench/child.py traces it by name as study.maximize
 def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
     """Maximize the log-posterior of the one row of ``ctx`` from ``x0``:
-    :func:`maximize_rows` on a one-row context.
+    :func:`maximize_rows` on a one-row context, a trust-region Newton fit
+    on the exact Hessian (Moré & Sorensen, SIAM J. Sci. Stat. Comput. 1983;
+    Nocedal & Wright, Numerical Optimization, ch. 4).
 
-    Each trust-region trial is evaluated once, with its Hessian, and an
-    accepted trial keeps its gradient and Hessian.  Each entry of the
-    returned ``trace`` is at most ``1e-12 * |previous|`` above the one
+    Each trial is evaluated once, with its Hessian, and an accepted trial
+    keeps its gradient and Hessian.  A trial is accepted when -2L falls by
+    at least 1e-4 of the predicted fall or, at rounding noise, rises by at
+    most 1e-12 * |f| while the gradient's inf-norm falls, so each entry of
+    the returned ``trace`` is at most ``1e-12 * |previous|`` above the one
     before it; a step accepted on its predicted fall always lowers -2L.
     Trial points are projected onto the declared box bounds and rejected
     when infeasible, including when only the gradient or the Hessian is
@@ -164,7 +168,12 @@ def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
 
 def maximize_rows(ctx, x0, cfg: OptConfig = OptConfig()) -> list:
     """Maximize the log-posterior of every row of ``ctx`` from ``x0`` by the
-    trust-region Newton method of the module docstring.
+    trust-region Newton method of the module docstring (Moré & Sorensen,
+    SIAM J. Sci. Stat. Comput. 1983; Nocedal & Wright, Numerical
+    Optimization, ch. 4): the step -V diag(1 / (|lambda| + 1e-8 max|lambda|
+    + mu)) V' g with the least mu >= 0 that keeps it within the radius, and
+    a trial accepted on 1e-4 of its predicted fall or, at rounding noise,
+    on a rise of at most 1e-12 * |f| with a falling gradient.
 
     This is the one fit contract.  ``ctx`` has ``len(ctx)`` rows,
     ``param_names``, ``bounds()`` and ``neg2l_rows(rows, points,
