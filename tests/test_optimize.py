@@ -1,4 +1,6 @@
 import itertools
+import random
+import struct
 
 import numpy as np
 import pytest
@@ -11,7 +13,9 @@ from obscheck import (
     bundled_model_names,
     load_model,
 )
-from obscheck.optimize import _ETA, _NOISE, _acceptable, _secular, check_maximum, maximize
+from obscheck.optimize import (
+    _ETA, _NOISE, _acceptable, _eigen, _secular, check_maximum, maximize,
+)
 from obscheck.samples import design_disturbance_matrix, representative_disturbances
 from obscheck.study import make_design_observations
 
@@ -116,6 +120,90 @@ class TestMaximize:
         assert not result.converged
 
 
+class _CountingContext(PosteriorContext):
+    """Records the Hessian flag and the points of each ``neg2l_rows`` call
+    and counts one-row evaluations."""
+
+    def __init__(self, model, obs):
+        super().__init__(model, obs)
+        self.calls = {"neg2l": 0, "rows_calls": []}
+
+    def neg2l(self, omega, k=0):
+        self.calls["neg2l"] += 1
+        return super().neg2l(omega, k)
+
+    def neg2l_rows(self, rows, points, hessian=False):
+        self.calls["rows_calls"].append((hessian, list(map(tuple, points.tolist()))))
+        return super().neg2l_rows(rows, points, hessian)
+
+
+@pytest.mark.parametrize("name", bundled_model_names())
+def test_one_evaluation_per_line_search_trial(name):
+    # the start is evaluated without its Hessian, which a second call
+    # fetches; then each trial of the trust-region step is evaluated once,
+    # with its Hessian, and an accepted trial keeps that evaluation's
+    # gradient and Hessian.  A rejected trial shrinks the radius below its
+    # step, so the next trial is a new point: no point is evaluated twice in
+    # a row.  Trials from different iterates may still meet.
+    model = load_model(name)
+    eps = design_disturbance_matrix(4, 20, DESK_LCD)[0]
+    ctx = _CountingContext(model, make_design_observations(model, eps))
+    result = maximize(ctx, model.true_vector())
+    (start_call, start), (hessian_call, at_start), *trial_calls = ctx.calls["rows_calls"]
+    assert ctx.calls["neg2l"] == 0
+    assert (start_call, hessian_call, at_start) == (False, True, start)
+    assert all(hessian and len(points) == 1 for hessian, points in trial_calls)
+    points = start + [p for _, (p,) in trial_calls]
+    assert len(points) > 2  # the start and at least two trials
+    assert len(trial_calls) >= result.iterations
+    assert all(a != b for a, b in zip(points, points[1:]))
+
+
+class _JitteredQuartic:
+    """-2L = 1 + (x - 1)^4 + (y + 0.5)^2, optionally plus a value jitter of up
+    to 2e-13 drawn from the bits of the point: rounding noise in -2L, far
+    below the gradient's resolution, but above the last steps' falls, so a
+    fit that shrank its radius on the noise would not converge.  Counts its
+    evaluations."""
+
+    param_names = ("x", "y")
+
+    def __init__(self, jitter):
+        self.jitter = jitter
+        self.calls = 0
+
+    def __len__(self):
+        return 1
+
+    def bounds(self):
+        return [(-np.inf, np.inf)] * 2
+
+    def neg2l_rows(self, rows, points, hessian=False):
+        values, grads, hessians = [], [], []
+        for x, y in points.tolist():
+            self.calls += 1
+            value = 1.0 + (x - 1.0) ** 4 + (y + 0.5) ** 2
+            if self.jitter:
+                value += random.Random(struct.pack("<2d", x, y)).uniform(-2e-13, 2e-13)
+            values.append(value)
+            grads.append([4.0 * (x - 1.0) ** 3, 2.0 * (y + 0.5)])
+            hessians.append([[12.0 * (x - 1.0) ** 2, 0.0], [0.0, 2.0]])
+        return (np.array(values), np.array(grads), np.array(hessians) if hessian else None,
+                np.ones(len(points), dtype=bool), lambda i: None)
+
+
+def test_rounding_noise_in_the_value_costs_no_evaluations():
+    # once -2L differences are noise, the noise rule accepts on the falling
+    # gradient instead of shrinking the radius on the noise
+    calls = []
+    for jitter in (False, True):
+        ctx = _JitteredQuartic(jitter)
+        result = maximize(ctx, [0.3, 0.7])
+        assert result.converged
+        calls.append(ctx.calls)
+    assert calls[1] <= calls[0]
+
+
 @pytest.mark.parametrize("f", [1.0, -250.0, 3e7])
 def test_noise_rule_bounds_the_rise(f):
     # one row per case, all tested at once: a fall of 1 is predicted and the
@@ -149,6 +237,46 @@ def test_secular_steps_stay_within_the_radius():
     assert cut.tolist() == [False, True, True, True]
     assert u[0].tolist() == [0.3, 0.2]
     assert np.all(length <= 1.1 * radius) and np.all(length[1:] >= 0.9 * radius[1:])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("scale", range(11))
+def test_two_loop_matches_numpy_reference(n, scale):
+    # the trust-region step, which replaced the L-BFGS two-loop recursion as
+    # the fit's step, against a dense numpy reference: 20 symmetric Hessians
+    # with eigenvalues of both signs, one row each in one batch, at a radius
+    # of 2^(scale - 5) times the length of the step that no radius cuts
+    rng = np.random.default_rng([n, scale])
+    rows = 20
+    q = np.linalg.qr(rng.normal(size=(rows, n, n)))[0]
+    eig = rng.choice([-1.0, 1.0], size=(rows, n)) * rng.uniform(0.5, 2.0, size=(rows, n))
+    hess = q @ (eig[:, :, None] * np.swapaxes(q, 1, 2))
+    hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))
+    g = rng.normal(size=(rows, n))
+    # |H| + 1e-8 max|lambda| I from the SVD: a symmetric H's singular values
+    # are its |eigenvalues|
+    _, sv, vt = np.linalg.svd(hess)
+    floored = sv + 1e-8 * sv.max(axis=1, keepdims=True)
+    m = np.swapaxes(vt, 1, 2) @ (floored[:, :, None] * vt)
+    newton = np.linalg.solve(m, -g[:, :, None])[:, :, 0]
+    radius = 2.0 ** (scale - 5) * np.linalg.norm(newton, axis=1)
+
+    lam, vec = _eigen(hess)
+    u, cut = _secular(lam, np.einsum("rji,rj->ri", vec, g), radius)
+    step = -np.einsum("rij,rj->ri", vec, u)
+    length = np.linalg.norm(step, axis=1)
+    assert cut.tolist() == [scale < 5] * rows
+    if not cut.any():  # mu = 0: the step solves |H| p = -g
+        np.testing.assert_allclose(step, newton, rtol=1e-10, atol=1e-12)
+        return
+    # the least mu >= 0 with ||p|| <= radius, to within 10% of the radius:
+    # (|H| + mu I) p = -g for one mu > 0, and ||p|| in [radius, 1.1 radius]
+    mu = -np.einsum("ri,ri->r", step, g + np.einsum("rij,rj->ri", m, step)) / length ** 2
+    residual = np.einsum("rij,rj->ri", m, step) + mu[:, None] * step + g
+    assert np.all(mu > 0.0)
+    np.testing.assert_allclose(residual, 0.0, atol=1e-12 * np.abs(g).max())
+    assert np.all(length >= (1.0 - 1e-12) * radius)
+    assert np.all(length <= 1.1 * radius)
 
 
 @pytest.mark.parametrize("name", bundled_model_names())
