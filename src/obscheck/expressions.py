@@ -7,9 +7,9 @@ is one entry of the table ``_UNARY`` or ``_BINARY``: its scalar rule, which
 defines its value in IEEE double precision and its domain errors, and its
 array rule.  There is one evaluator: :func:`compile_expr` turns a tree into
 one closure over a (k, n) array of points that gives each point its value by
-the scalar rules with its exact first and, when asked, second partial
-derivatives (second-order forward mode), marks the points where the value
-or a derivative is undefined and returns, next to that mask, a function that
+the scalar rules with its exact first and second partial derivatives
+(second-order forward mode), marks the points where the value or a
+derivative is undefined and returns, next to that mask, a function that
 names the reason.
 
 Precedence is the table ``_PRECEDENCE``, which the parser and the printer
@@ -295,28 +295,26 @@ def collect_params(e: Expr) -> set[str]:
 # ---------------------------------------------------------------------------
 
 RowsFn = Callable[..., tuple]
-# a compiled node: (points, infeasible, hessian, tests) -> (values,
-# gradients, Hessians); it marks the rows where its value or a derivative
-# is undefined in ``infeasible``, in place, and, where some row fails,
-# appends to ``tests`` a pair: the mask of the rows it leaves feasible and a
-# function that names why row i fails; its Hessians are None unless
-# ``hessian``
-_NodeFn = Callable[[np.ndarray, np.ndarray, bool, list], tuple]
+# a compiled node: (points, infeasible, tests) -> (values, gradients,
+# Hessians); it marks the rows where its value or a derivative is undefined
+# in ``infeasible``, in place, and, where some row fails, appends to
+# ``tests`` a pair: the mask of the rows it leaves feasible and a function
+# that names why row i fails
+_NodeFn = Callable[[np.ndarray, np.ndarray, list], tuple]
 
 
 def compile_expr(e: Expr, order: Sequence[str]) -> RowsFn:
     """Compile ``e`` into one closure over many points, with gradients,
-    Hessians when asked, and the reasons why points are infeasible.
+    Hessians and the reasons why points are infeasible.
 
     The closure takes a (k, n) array, one point per row laid out like
     ``order``, and returns ``(values, gradients, hessians, feasible, why)``:
-    values (k,), gradients (k, n), the Hessians (k, n, n) with
-    ``hessian=True`` and None otherwise, a boolean mask (k,) and a function
-    ``why(i)`` that gives the message of the :class:`DomainError` or
-    ``OverflowError`` that says why row i is infeasible (None for a feasible
-    row).  A reason is worked out only when asked for, from a copy of the
-    points taken by the call.  A parameter of ``e`` missing from ``order``
-    raises ``KeyError`` at compile time.
+    values (k,), gradients (k, n), Hessians (k, n, n), a boolean mask (k,)
+    and a function ``why(i)`` that gives the message of the
+    :class:`DomainError` or ``OverflowError`` that says why row i is
+    infeasible (None for a feasible row).  A reason is worked out only when
+    asked for, from a copy of the points taken by the call.  A parameter of
+    ``e`` missing from ``order`` raises ``KeyError`` at compile time.
 
     Each row is second-order forward mode (Griewank & Walther, *Evaluating
     Derivatives*, 2nd ed., 2008): a node takes its value, gradient and
@@ -339,12 +337,12 @@ def compile_expr(e: Expr, order: Sequence[str]) -> RowsFn:
     """
     node = _compile(e, {name: i for i, name in enumerate(order)}, len(order))
 
-    def rows(points, hessian=False):
+    def rows(points):
         points = np.array(points, dtype=float)  # the reasons read this copy
         infeasible = np.zeros(len(points), dtype=bool)
         tests = []
         with np.errstate(all="ignore"):  # infeasible rows compute garbage
-            values, grads, hessians = node(points, infeasible, hessian, tests)
+            values, grads, hessians = node(points, infeasible, tests)
         return values, grads, hessians, ~infeasible, first_failure(tests)
 
     return rows
@@ -366,18 +364,18 @@ def _compile(e: Expr, index: dict[str, int], n: int) -> _NodeFn:
     if isinstance(e, Literal):
         value = e.value
 
-        def literal(x, bad, hessian, tests):
+        def literal(x, bad, tests):
             k = len(x)
-            return np.full(k, value), np.zeros((k, n)), np.zeros((k, n, n)) if hessian else None
+            return np.full(k, value), np.zeros((k, n)), np.zeros((k, n, n))
 
         return literal
     if isinstance(e, Param):
         i = index[e.name]
 
-        def param(x, bad, hessian, tests):
+        def param(x, bad, tests):
             unit = np.zeros((len(x), n))
             unit[:, i] = 1.0
-            return x[:, i], unit, np.zeros((len(x), n, n)) if hessian else None
+            return x[:, i], unit, np.zeros((len(x), n, n))
 
         return param
     if not isinstance(e, (Unary, Binary)):
@@ -389,14 +387,14 @@ def _compile(e: Expr, index: dict[str, int], n: int) -> _NodeFn:
     if isinstance(e, Unary):
         arg = _compile(e.arg, index, n)
 
-        def unary(x, bad, hessian, tests):
-            return rule(e, *arg(x, bad, hessian, tests), bad, tests)
+        def unary(x, bad, tests):
+            return rule(e, *arg(x, bad, tests), bad, tests)
 
         return unary
     left, right = _compile(e.left, index, n), _compile(e.right, index, n)
 
-    def binary(x, bad, hessian, tests):
-        return rule(e, *left(x, bad, hessian, tests), *right(x, bad, hessian, tests), bad, tests)
+    def binary(x, bad, tests):
+        return rule(e, *left(x, bad, tests), *right(x, bad, tests), bad, tests)
 
     return binary
 
@@ -496,7 +494,7 @@ def _power_minus_one(e: Binary, base: float, exponent: float, exponent_varies: b
 
 
 def _neg_rows(e, v, g, h, bad, tests):
-    return -v, -g, None if h is None else -h
+    return -v, -g, -h
 
 
 def _sqrt_rows(e, v, g, h, bad, tests):
@@ -504,43 +502,36 @@ def _sqrt_rows(e, v, g, h, bad, tests):
     r = np.sqrt(v)
     d = 2.0 * r
     dr = g / d[:, None]
-    if h is not None:
-        h = (h - 2.0 * _outer(dr, dr)) / d[:, None, None]
-    return r, dr, h
+    return r, dr, (h - 2.0 * _outer(dr, dr)) / d[:, None, None]
 
 
 def _log_rows(e, v, g, h, bad, tests):
     dr = g / v[:, None]
-    if h is not None:
-        h = h / v[:, None, None] - _outer(dr, dr)
-    return _scalar_rows(~bad, bad, tests, partial(_log_value, e), v), dr, h
+    return (_scalar_rows(~bad, bad, tests, partial(_log_value, e), v), dr,
+            h / v[:, None, None] - _outer(dr, dr))
 
 
 def _exp_rows(e, v, g, h, bad, tests):
     r = _scalar_rows(~bad, bad, tests, math.exp, v)
-    if h is not None:
-        h = r[:, None, None] * (h + _outer(g, g))
-    return r, r[:, None] * g, h
+    return r, r[:, None] * g, r[:, None, None] * (h + _outer(g, g))
 
 
 def _abs_rows(e, v, g, h, bad, tests):
     sign = np.where(v == 0.0, 0.0, np.copysign(1.0, v))
-    return np.abs(v), sign[:, None] * g, None if h is None else sign[:, None, None] * h
+    return np.abs(v), sign[:, None] * g, sign[:, None, None] * h
 
 
 def _add_rows(e, a, ga, ha, b, gb, hb, bad, tests):
-    return a + b, ga + gb, None if ha is None else ha + hb
+    return a + b, ga + gb, ha + hb
 
 
 def _subtract_rows(e, a, ga, ha, b, gb, hb, bad, tests):
-    return a - b, ga - gb, None if ha is None else ha - hb
+    return a - b, ga - gb, ha - hb
 
 
 def _multiply_rows(e, a, ga, ha, b, gb, hb, bad, tests):
-    if ha is not None:
-        ha = (a[:, None, None] * hb + b[:, None, None] * ha
-              + (_outer(ga, gb) + _outer(gb, ga)))
-    return a * b, a[:, None] * gb + b[:, None] * ga, ha
+    return (a * b, a[:, None] * gb + b[:, None] * ga,
+            a[:, None, None] * hb + b[:, None, None] * ha + (_outer(ga, gb) + _outer(gb, ga)))
 
 
 def _divide_rows(e, a, ga, ha, b, gb, hb, bad, tests):
@@ -551,11 +542,10 @@ def _divide_rows(e, a, ga, ha, b, gb, hb, bad, tests):
     den = b * b
     num = ga * b[:, None] - a[:, None] * gb
     grad = np.where((den == 0.0)[:, None], num * math.inf, num / den[:, None])
-    if ha is not None:
-        # f_ij = (a_ij - f b_ij - (f_i b_j + f_j b_i)) / b
-        ha = (ha - value[:, None, None] * hb
-              - (_outer(grad, gb) + _outer(gb, grad))) / b[:, None, None]
-    return value, grad, ha
+    # f_ij = (a_ij - f b_ij - (f_i b_j + f_j b_i)) / b
+    hess = (ha - value[:, None, None] * hb
+            - (_outer(grad, gb) + _outer(gb, grad))) / b[:, None, None]
+    return value, grad, hess
 
 
 def _power_rows(e, a, ga, ha, b, gb, hb, bad, tests):
@@ -571,19 +561,17 @@ def _power_rows(e, a, ga, ha, b, gb, hb, bad, tests):
     one = (b == 1.0)[:, None]
     grad = np.where(pos[:, None], value[:, None] * du, np.where(
         zero[:, None], np.where(one, ga, 0.0), (b * c)[:, None] * ga))
-    if ha is not None:
-        a3, b3, c3 = a[:, None, None], b[:, None, None], c[:, None, None]
-        gg = _outer(ga, ga)
-        h_pos = value[:, None, None] * (
-            (b3 * (ha - gg / a3) + (_outer(ga, gb) + _outer(gb, ga))) / a3
-            + log_a[:, None, None] * hb + _outer(du, du))
-        # a = 0, b >= 1: b (b - 1) a^(b - 2) is 2 at b = 2, 0 above, unbounded below
-        k = np.where(b3 == 2.0, 2.0, np.where(b3 > 2.0, 0.0, math.inf))
-        h_zero = np.where(one[:, :, None], ha, k * gg)
-        h_neg = b3 * ((b3 - 1.0) * c3 / a3 * gg + c3 * ha)
-        ha = np.where(pos[:, None, None], h_pos,
-                      np.where(zero[:, None, None], h_zero, h_neg))
-    return value, grad, ha
+    a3, b3, c3 = a[:, None, None], b[:, None, None], c[:, None, None]
+    gg = _outer(ga, ga)
+    h_pos = value[:, None, None] * (
+        (b3 * (ha - gg / a3) + (_outer(ga, gb) + _outer(gb, ga))) / a3
+        + log_a[:, None, None] * hb + _outer(du, du))
+    # a = 0, b >= 1: b (b - 1) a^(b - 2) is 2 at b = 2, 0 above, unbounded below
+    k = np.where(b3 == 2.0, 2.0, np.where(b3 > 2.0, 0.0, math.inf))
+    h_zero = np.where(one[:, :, None], ha, k * gg)
+    h_neg = b3 * ((b3 - 1.0) * c3 / a3 * gg + c3 * ha)
+    hess = np.where(pos[:, None, None], h_pos, np.where(zero[:, None, None], h_zero, h_neg))
+    return value, grad, hess
 
 
 # each operator: (scalar rule, array rule); the parser takes the function

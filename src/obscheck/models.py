@@ -4,9 +4,9 @@ A model declares named parameters with true values and optional box bounds,
 plus three expressions: the mean ``m``, the scale ``s`` and the log-prior,
 defining observations ``Z_t = m + s * eps_t`` with standard normal ``eps_t``.
 The three expressions compile once into closures over many points, the
-only evaluator: they give values and gradients for the fit, one point per
-design row, Hessians as well for the checks, and the values at the one true
-point for the check on load and the design observations.  The package ships
+only evaluator: they give values, gradients and Hessians for the fit and
+the checks, one point per design row, and at the one true point for the
+check on load and the design observations.  The package ships
 the study models as JSON files under ``obscheck/models``.
 """
 
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from ._value import Value
-from .expressions import Expr, ParseError, collect_params, compile_expr, parse_expr
+from .expressions import Expr, Param, ParseError, collect_params, compile_expr, parse_expr
 
 __all__ = ["ParamSpec", "ModelSpec", "ModelError", "load_model", "bundled_model_names"]
 
@@ -44,12 +44,12 @@ class ModelSpec(Value):
     The mean, scale and log-prior expressions are compiled once, here, into
     closures over a (k, n) array of points (see
     :func:`~obscheck.expressions.compile_expr`), which
-    :meth:`mean_scale_prior_grad` and :meth:`mean_scale_prior_hessian` run
-    for every posterior evaluation and, on the one true point, for the design
-    observations; the check at the true values here runs on that point too.
-    The three expressions, with their gradients, must be defined there, and
-    the scale must be positive.  Equality, hashing and repr ignore the
-    compiled closures.
+    :meth:`mean_scale_prior_grad` runs for every posterior evaluation and,
+    on the one true point, for the design observations; the check at the
+    true values here runs on that point too.  The three expressions, with
+    their gradients, must be defined there, and the scale must be
+    positive.  A parameter's name must be one that an expression can
+    reference.  Equality, hashing and repr ignore the compiled closures.
     """
 
     _fields = ("name", "params", "mean_expr", "scale_expr", "log_prior_expr")
@@ -61,6 +61,9 @@ class ModelSpec(Value):
         names = [p.name for p in self.params]
         if not names:
             raise ModelError("a model must declare at least one parameter")
+        for name in names:
+            if not _is_name(name):
+                raise ModelError(f"parameter name {name!r} cannot appear in an expression")
         if len(set(names)) != len(names):
             raise ModelError(f"duplicate parameter names in {names}")
         # every fit starts at the true values; outside the bounds it would
@@ -122,17 +125,12 @@ class ModelSpec(Value):
         ]
 
     def mean_scale_prior_grad(self, points: np.ndarray):
-        """The compiled closures' (values, gradients, None, feasible, why) for
-        mean, scale and log-prior at each row of the (k, n) array ``points``,
-        the columns laid out like :attr:`param_names`: values (k,), gradients
-        (k, n), a mask (k,) of the rows where the expression and its gradient
-        are defined and the function that names why row i is not."""
+        """The compiled closures' (values, gradients, Hessians, feasible, why)
+        for mean, scale and log-prior at each row of the (k, n) array
+        ``points``, laid out like :attr:`param_names`: shapes (k,), (k, n)
+        and (k, n, n), a mask (k,) of the rows where the expression and its
+        gradient are defined and the function that names why row i is not."""
         return tuple([f(points) for f in self._compiled])
-
-    def mean_scale_prior_hessian(self, points: np.ndarray):
-        """As :meth:`mean_scale_prior_grad`, with the Hessians (k, n, n) in
-        place of None."""
-        return tuple([f(points, hessian=True) for f in self._compiled])
 
     def to_dict(self) -> dict:
         return {
@@ -149,11 +147,22 @@ class ModelSpec(Value):
         }
 
 
+def _is_name(name) -> bool:
+    """Whether the expression parser reads ``name`` as one parameter name."""
+    try:
+        return isinstance(name, str) and parse_expr(name) == Param(name)
+    except ParseError:
+        return False
+
+
 def _param(entry) -> ParamSpec:
     """The parameter a model file's ``parameters`` entry declares."""
     if not isinstance(entry, dict) or "name" not in entry or "true_value" not in entry:
         raise ModelError(f"each parameter must be an object with a name and a true_value, "
                          f"got {entry!r}")
+    for field in ("true_value", "lower", "upper"):
+        if isinstance(entry.get(field), bool):  # float() would read it as 1.0 or 0.0
+            raise ModelError(f"parameter {entry['name']!r}: {field} must be a number, not a bool")
     try:
         return ParamSpec(
             name=str(entry["name"]),

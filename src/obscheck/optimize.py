@@ -16,8 +16,8 @@ that the quadratic model with those eigenvalues predicts.  Near a maximum,
 -2L differences fall to rounding noise, so a trial is also accepted when
 -2L rises by at most 1e-12 * |f| and the inf-norm of the gradient falls;
 the trace of -2L may therefore rise by that much per step.  A rejected
-trial, among them one that is infeasible or whose Hessian is infeasible or
-not finite, sets Delta to a quarter of the step's length.  Delta starts
+trial, among them one that is infeasible or whose Hessian is not finite,
+sets Delta to a quarter of the step's length.  Delta starts
 infinite and doubles when a step that the radius cut lowers -2L by more
 than 3/4 of the predicted fall.
 
@@ -148,11 +148,11 @@ def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
     the returned ``trace`` is at most ``1e-12 * |previous|`` above the one
     before it; a step accepted on its predicted fall always lowers -2L.
     Trial points are projected onto the declared box bounds and rejected
-    when infeasible, including when only the gradient or the Hessian is
-    undefined there.  Deterministic given identical inputs.  Raises
-    ``ValueError`` if ``x0`` itself is infeasible, chained from the
-    ``InfeasiblePointError`` that :func:`maximize_rows` gives for the row;
-    a start whose Hessian is infeasible or not finite, a radius that
+    when infeasible, including when only the gradient is undefined there,
+    or when the Hessian is not finite.  Deterministic given identical
+    inputs.  Raises ``ValueError`` if ``x0`` itself is infeasible, chained
+    from the ``InfeasiblePointError`` that :func:`maximize_rows` gives for
+    the row; a start whose Hessian is not finite, a radius that
     shrinks below rounding, or the iteration cap ends the fit with
     ``converged=False`` at the last accepted point.  A context with more
     than one row is a ``ValueError``: :func:`maximize_rows` fits those.
@@ -176,22 +176,20 @@ def maximize_rows(ctx, x0, cfg: OptConfig = OptConfig()) -> list:
     on a rise of at most 1e-12 * |f| with a falling gradient.
 
     This is the one fit contract.  ``ctx`` has ``len(ctx)`` rows,
-    ``param_names``, ``bounds()`` and ``neg2l_rows(rows, points,
-    hessian=False) -> (values, gradients, hessians or None, feasible, why)``,
-    which evaluates -2L for row ``rows[i]`` at ``points[i]`` and gives the
-    function ``why(i)`` that names why point i is infeasible.
+    ``param_names``, ``bounds()`` and ``neg2l_rows(rows, points) -> (values,
+    gradients, hessians, feasible, why)``, which evaluates -2L with its
+    derivatives for row ``rows[i]`` at ``points[i]`` and gives the function
+    ``why(i)`` that names why point i is infeasible.
     :class:`~obscheck.posterior.PosteriorContext` provides them.  The entry
     of a row is its ``MaxResult`` or, where the start (``x0`` projected onto
     the bounds) is infeasible, an ``InfeasiblePointError`` with the reason
-    that the call at the starts names.  That call asks for no Hessians, so
-    only its tests judge a start; a second call fetches the Hessians of the
-    starts that iterate, and a row whose start Hessian is infeasible or not
-    finite stays at its start.
+    that the one call at the starts names.  A row whose start Hessian is
+    not finite stays at its start.
 
     The rows advance in lock-step: in each round every unfinished row
-    evaluates exactly one trial, and all of them go to ``neg2l_rows(...,
-    hessian=True)`` in one call, and the Hessians of the rows that step and
-    go on go to one stacked ``eigh``.  Each row keeps its own radius and
+    evaluates exactly one trial, and all of them go to ``neg2l_rows`` in
+    one call, and the Hessians of the rows that step and go on go to one
+    stacked ``eigh``.  Each row keeps its own radius and
     stopping state, and its arithmetic is that of a fit on its own: dot
     products sum left to right from 0.0.
     """
@@ -200,7 +198,7 @@ def maximize_rows(ctx, x0, cfg: OptConfig = OptConfig()) -> list:
     box = _box(ctx.bounds())
     with np.errstate(all="ignore"):  # rows that are done or infeasible compute garbage
         x = _project(np.tile(np.asarray(x0, dtype=float), (count, 1)), box)
-        f, g, _, started, why = ctx.neg2l_rows(np.arange(count), x)
+        f, g, hess, started, why = ctx.neg2l_rows(np.arange(count), x)
         failed = {i: InfeasiblePointError(why(i)) for i in np.flatnonzero(~started).tolist()}
         f, g = np.array(f, dtype=float), np.array(g, dtype=float)
         traces = [[v] for v in f.tolist()]
@@ -210,14 +208,11 @@ def maximize_rows(ctx, x0, cfg: OptConfig = OptConfig()) -> list:
         active = started & ~converged
         # per row, the floored eigenvalues and the eigenvectors of the
         # Hessian at x, and the trust radius; a row whose start Hessian is
-        # infeasible or not finite stays at its start
+        # not finite stays at its start
         lam, vec = np.zeros_like(x), np.zeros(x.shape + x.shape[1:])
         radius = np.full(count, np.inf)
-        rows = np.flatnonzero(active)
-        *_, hess, usable, _ = ctx.neg2l_rows(rows, x[rows], hessian=True)
-        usable &= np.isfinite(hess).all(axis=(1, 2))
-        lam[rows[usable]], vec[rows[usable]] = _eigen(hess[usable])
-        active[rows[~usable]] = False
+        active &= np.isfinite(hess).all(axis=(1, 2))
+        lam[active], vec[active] = _eigen(hess[active])
         while True:
             rows = np.flatnonzero(active)
             v, v_t, eig = vec[rows], np.swapaxes(vec[rows], 1, 2), lam[rows]
@@ -235,7 +230,7 @@ def maximize_rows(ctx, x0, cfg: OptConfig = OptConfig()) -> list:
             if not rows.size:
                 break
 
-            f_new, g_new, hess, feasible, _ = ctx.neg2l_rows(rows, trial, hessian=True)
+            f_new, g_new, hess, feasible, _ = ctx.neg2l_rows(rows, trial)
             # the fall that the quadratic model with the floored eigenvalues
             # predicts for the step s, with w = V's
             w = _dot(v_t, s[:, None, :])
@@ -359,16 +354,16 @@ def check_rows(ctx, rows, results: list[MaxResult],
     maximum of row ``rows[i]`` of ``ctx``.
 
     The context has the fit contract of :func:`maximize_rows`; the checks
-    call ``neg2l_rows(rows, points, hessian=True)`` once, for the (k, n, n)
-    Hessians of -2L, their mask and the function ``why(i)`` that names why
-    point i is infeasible.
+    call ``neg2l_rows(rows, points)`` once, for the (k, n, n) Hessians of
+    -2L, their mask and the function ``why(i)`` that names why point i
+    fails a test.
     The gradient check reads ``grad_inf_norm``, which :func:`maximize_rows`
     computed at ``omega_hat``, so the gradient is not evaluated again.
     Positive definiteness, the eigenvalue ratio and the local variances all
     come from one symmetric eigendecomposition of each Hessian, so they
     cannot disagree: a ridge whose smallest eigenvalue rounds to a tiny
     positive number yields huge local variances, not a failed inversion.  A
-    maximum whose Hessian is infeasible or cannot be decomposed fails every
+    maximum whose Hessian fails a test or cannot be decomposed fails every
     check with a note that says why.
     """
     points = np.array([r.omega_hat for r in results], dtype=float)
@@ -380,13 +375,16 @@ def check_rows(ctx, rows, results: list[MaxResult],
 def _curvatures(ctx, rows, points: np.ndarray) -> list:
     """Per point, the ascending eigenvalues and the local variances of the
     -2L Hessian of row ``rows[i]`` at ``points[i]``, or the error that makes
-    them undefined.  The finite Hessians go to ``eigh`` as one stack; as one
-    matrix that does not converge makes the whole stack raise, the stack
-    then goes matrix by matrix, as does every feasible Hessian that is not
-    finite."""
-    *_, hess, feasible, why = ctx.neg2l_rows(rows, points, hessian=True)
-    out = [None if ok else InfeasiblePointError(why(i)) for i, ok in enumerate(feasible.tolist())]
-    stack = np.flatnonzero(feasible & np.isfinite(hess).all(axis=(1, 2)))
+    them undefined: that of the first test the point fails, the Hessian's
+    own among them.  The finite Hessians of feasible points go to ``eigh``
+    as one stack; as one matrix that does not converge makes the whole stack
+    raise, the stack then goes matrix by matrix, as does every other
+    Hessian that passes every test."""
+    *_, hess, feasible, why = ctx.neg2l_rows(rows, points)
+    usable = feasible & np.isfinite(hess).all(axis=(1, 2))
+    out = [None if ok or why(i) is None else InfeasiblePointError(why(i))
+           for i, ok in enumerate(usable.tolist())]
+    stack = np.flatnonzero(usable)
     if stack.size:
         try:
             eigvals, lvar = _curvature(hess[stack])

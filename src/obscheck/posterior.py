@@ -25,13 +25,13 @@ vector of a study.
 There is one evaluator and one feasibility rule.  The fit and the checks
 both call :meth:`~PosteriorContext.neg2l_rows`, which evaluates many rows at
 once through the model's compiled closures, the package's one expression
-evaluator, and gives the Hessians only when asked; its mask is the AND of
-one ordered list of tests, and next to it comes a function that names an
-infeasible point's first failing test.  The one-shot methods
-:meth:`~PosteriorContext.neg2l`, :meth:`~PosteriorContext.neg2l_grad` and
-:meth:`~PosteriorContext.hessian_neg2l` are that call on one point, so all
-three raise wherever the gradient is undefined.  They raise
-:class:`InfeasiblePointError` with that reason, and take a row index ``k``.
+evaluator, with Hessians; its mask is the AND of the gradient's tests, and
+next to it comes a function that names a point's first failing test, the
+Hessian's own last.  The one-shot methods :meth:`~PosteriorContext.neg2l`,
+:meth:`~PosteriorContext.neg2l_grad` and
+:meth:`~PosteriorContext.hessian_neg2l` are that call on one point, which
+raise :class:`InfeasiblePointError` with that reason, and take a row index
+``k``.
 """
 
 from __future__ import annotations
@@ -112,20 +112,19 @@ class PosteriorContext:
     def bounds(self) -> list[tuple[float, float]]:
         return self.model.bounds()
 
-    def neg2l_rows(self, rows, points: np.ndarray, hessian: bool = False):
-        """-2L, its gradient and, with ``hessian``, its Hessian at
-        ``points[i]`` given row ``rows[i]``: the compiled closures' shape,
-        values (k,), gradients (k, n), Hessians (k, n, n) or None, the mask
-        (k,) of the feasible points and the function that names why point i
-        is not (None for a feasible point).
+    def neg2l_rows(self, rows, points: np.ndarray):
+        """-2L, its gradient and its Hessian at ``points[i]`` given row
+        ``rows[i]``: the compiled closures' shape, values (k,), gradients
+        (k, n), Hessians (k, n, n), the mask (k,) of the feasible points and
+        the function that names the first test point i fails (or None).
 
-        A point is feasible where it passes every test of the one rule, and
-        its reason is the first test it fails: 1. the row is finite; 2. mean,
-        scale and log-prior and their derivatives are defined; 3. the scale
-        is positive; 4. its cube does not underflow; 5. -2L is finite (not
-        so where L is above half the largest float); 6. so is its gradient;
-        and, with ``hessian``, 7. the scale's fourth power does not
-        underflow.
+        A point is feasible where it passes tests 1-6: 1. the row is finite;
+        2. mean, scale and log-prior and their derivatives are defined; 3.
+        the scale is positive; 4. its cube does not underflow; 5. -2L is
+        finite (not so where L is above half the largest float); 6. so is
+        its gradient.  The Hessian's own test comes last: 7. the scale's
+        fourth power does not underflow; where it fails, every Hessian
+        entry holds 6 rss / s^4, +inf or NaN, so the Hessian is not finite.
 
         -2L = phi(m, s) - 2 log p(omega), where phi = 2T log s
         + (Q + T (zbar - m)^2) / s^2, so its derivatives follow by the chain
@@ -137,9 +136,8 @@ class PosteriorContext:
         rows = np.asarray(rows, dtype=np.intp)
         t = self.horizon[rows]
         model = self.model
-        exprs = (model.mean_scale_prior_hessian if hessian else model.mean_scale_prior_grad)(points)
+        exprs = model.mean_scale_prior_grad(points)
         (m, dm, hm, ok_m, _), (s, ds, hs, ok_s, _), (prior, dprior, hp, ok_p, _) = exprs
-        hess = None
         with np.errstate(all="ignore"):  # infeasible rows compute garbage
             d = self.obs_mean[rows] - m
             sum_res = t * d
@@ -155,16 +153,15 @@ class PosteriorContext:
             c_dm = sum_res / s2
             c_ds3 = rss / s3
             grad = -2.0 * (c_ds[:, None] * ds + c_dm[:, None] * dm + c_ds3[:, None] * ds + dprior)
-            if hessian:
-                s4 = s2 * s2
-                phi_m, phi_s, phi_mm, phi_ms, phi_ss = (c[:, None, None] for c in (
-                    -2.0 * t * d / s2, 2.0 * t / s - 2.0 * rss / s3,
-                    2.0 * t / s2, 4.0 * t * d / s3, 6.0 * rss / s4 - 2.0 * t / s2))
-                dm_i, dm_j = dm[:, :, None], dm[:, None, :]
-                ds_i, ds_j = ds[:, :, None], ds[:, None, :]
-                hess = (phi_m * hm + phi_s * hs + phi_mm * (dm_i * dm_j)
-                        + phi_ms * (dm_i * ds_j + ds_i * dm_j) + phi_ss * (ds_i * ds_j) - 2.0 * hp)
-                hess[np.isnan(hess)] = np.nan  # numpy's NaN sign bit varies with the rows a call holds
+            s4 = s2 * s2
+            phi_m, phi_s, phi_mm, phi_ms, phi_ss = (c[:, None, None] for c in (
+                -2.0 * t * d / s2, 2.0 * t / s - 2.0 * rss / s3,
+                2.0 * t / s2, 4.0 * t * d / s3, 6.0 * rss / s4 - 2.0 * t / s2))
+            dm_i, dm_j = dm[:, :, None], dm[:, None, :]
+            ds_i, ds_j = ds[:, :, None], ds[:, None, :]
+            hess = (phi_m * hm + phi_s * hs + phi_mm * (dm_i * dm_j)
+                    + phi_ms * (dm_i * ds_j + ds_i * dm_j) + phi_ss * (ds_i * ds_j) - 2.0 * hp)
+            hess[np.isnan(hess)] = np.nan  # numpy's NaN sign bit varies with the rows a call holds
         tests = [
             (self.finite[rows], lambda i: "observation vector must be finite"),
             (ok_m & ok_s & ok_p, lambda i: next(why(i) for *_, ok, why in exprs if not ok[i])),
@@ -173,10 +170,9 @@ class PosteriorContext:
             (np.isfinite(value), lambda i: f"-2 log-posterior is not finite ({float(value[i])})"),
             (np.isfinite(grad).all(axis=1), lambda i: "gradient of -2 log-posterior is not finite"),
         ]
-        if hessian:
-            tests.append((s4 != 0.0, lambda i: f"scale {float(s[i])} is too small: "
-                                               f"its fourth power underflows"))
         feasible = np.logical_and.reduce([mask for mask, _ in tests])
+        tests.append((s4 != 0.0, lambda i: f"scale {float(s[i])} is too small: "
+                                           f"its fourth power underflows"))
         return value, grad, hess, feasible, first_failure(tests)
 
     # the three one-row shells are unused in the package; perfbench/child.py
@@ -184,25 +180,22 @@ class PosteriorContext:
     def neg2l(self, omega: np.ndarray, k: int = 0) -> float:
         """-2L for row ``k``, which raises wherever the gradient is
         undefined."""
-        return float(self._at(omega, k)[0])
+        return self.neg2l_grad(omega, k)[0]
 
     def neg2l_grad(self, omega: np.ndarray, k: int = 0) -> tuple[float, list[float]]:
-        """Value and exact gradient of -2L for row ``k``; the gradient is a
-        list of floats laid out like :attr:`param_names`."""
-        value, grad, _ = self._at(omega, k)
-        return float(value), grad.tolist()
-
-    def hessian_neg2l(self, omega: np.ndarray, k: int = 0) -> np.ndarray:
-        """Exact Hessian of -2L for row ``k``."""
-        return self._at(omega, k, hessian=True)[2]
-
-    def _at(self, omega: np.ndarray, k: int, hessian: bool = False):
-        """Value, gradient and Hessian (or None) of -2L for row ``k`` at the
-        one point ``omega``, bit for bit what a :meth:`neg2l_rows` call of
-        any size gives for it; an infeasible point raises
+        """Value and exact gradient of -2L for row ``k``, the gradient a list
+        of floats laid out like :attr:`param_names`, bit for bit what a
+        :meth:`neg2l_rows` call of any size gives; an infeasible point raises
         :class:`InfeasiblePointError` with its reason."""
-        point = np.asarray(omega, dtype=float).reshape(1, -1)
-        value, grad, hess, ok, why = self.neg2l_rows([k], point, hessian)
+        value, grad, _, ok, why = self.neg2l_rows([k], np.array(omega, dtype=float, ndmin=2))
         if not ok[0]:
             raise InfeasiblePointError(why(0))
-        return value[0], grad[0], None if hess is None else hess[0]
+        return float(value[0]), grad[0].tolist()
+
+    def hessian_neg2l(self, omega: np.ndarray, k: int = 0) -> np.ndarray:
+        """Exact Hessian of -2L for row ``k``, which raises also where the
+        scale's fourth power underflows."""
+        *_, hess, _, why = self.neg2l_rows([k], np.array(omega, dtype=float, ndmin=2))
+        if why(0) is not None:
+            raise InfeasiblePointError(why(0))
+        return hess[0]

@@ -84,12 +84,12 @@ def _hessian_or_error(fn):
 
 
 def _assert_hessians_equal_reference(ctx, rows, points):
-    *_, hess, feasible, _ = ctx.neg2l_rows(rows, points, hessian=True)
+    *_, hess, _, why = ctx.neg2l_rows(rows, points)
     assert hess.shape == (len(rows),) + (len(ctx.param_names),) * 2
     for i, (k, omega) in enumerate(zip(rows, points)):
         want = _hessian_or_error(lambda: reference_hessian(ctx, omega, k))
-        assert feasible[i] == (not isinstance(want, tuple))
-        if feasible[i]:
+        assert (why(i) is None) == (not isinstance(want, tuple))
+        if why(i) is None:
             assert hess[i].tobytes() == want
         assert _hessian_or_error(lambda: ctx.hessian_neg2l(omega, k)) == want
 
@@ -187,13 +187,13 @@ def test_check_rows_keep_the_one_row_records_of_failing_rows(monkeypatch):
     calls = []
     rows_call = PosteriorContext.neg2l_rows
 
-    def counted(self, rows, points, hessian=False):
-        calls.append((len(rows), hessian))
-        return rows_call(self, rows, points, hessian)
+    def counted(self, rows, points):
+        calls.append(len(rows))
+        return rows_call(self, rows, points)
 
     monkeypatch.setattr(PosteriorContext, "neg2l_rows", counted)
     reports = check_rows(ctx, rows, results)
-    assert calls == [(25, True)]
+    assert calls == [25]
     assert [_check_key(r) for r in reports] == [
         _reference_check(ctx, result, k) for k, result in zip(rows, results)]
     notes = [r.note for r in reports[20:]]
@@ -220,10 +220,9 @@ class _Stack:
     def bounds(self):
         return [(-np.inf, np.inf)] * 2
 
-    def neg2l_rows(self, rows, points, hessian=False):
-        return (np.zeros(len(rows)), np.zeros((len(rows), 2)),
-                self.matrices[rows] if hessian else None, np.ones(len(rows), dtype=bool),
-                lambda i: None)
+    def neg2l_rows(self, rows, points):
+        return (np.zeros(len(rows)), np.zeros((len(rows), 2)), self.matrices[rows],
+                np.ones(len(rows), dtype=bool), lambda i: None)
 
 
 def _results(count):

@@ -142,6 +142,15 @@ class TestRunCommand:
         {"parameters": [], "mean": "0", "scale": "1"},
         {"parameters": [{"name": "a", "true_value": 0.6}], "mean": "a"},
         '{"parameters": [',  # not JSON
+        # names that no expression can reference
+        *[{"parameters": [{"name": name, "true_value": 0.6}], "mean": "0", "scale": "1"}
+          for name in ("", "a b", 5)],
+        # JSON booleans as numbers
+        {"parameters": [{"name": "a", "true_value": True}], "mean": "a", "scale": "1"},
+        {"parameters": [{"name": "a", "true_value": 0.6, "lower": False}],
+         "mean": "a", "scale": "1"},
+        {"parameters": [{"name": "a", "true_value": 0.6, "upper": True}],
+         "mean": "a", "scale": "1"},
     ])
     def test_malformed_model_file_exit_one(self, tmp_path, capsys, data):
         bad = tmp_path / "bad.json"

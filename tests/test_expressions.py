@@ -141,8 +141,7 @@ def _at_one_point(text, params, order):
     """Value, gradient and Hessian that the compiled closure of ``text``
     gives at the one point ``params``, as Python floats and lists."""
     point = np.array([[params[name] for name in order]])
-    values, grads, hessians, feasible, _ = compile_expr(parse_expr(text), order)(
-        point, hessian=True)
+    values, grads, hessians, feasible, _ = compile_expr(parse_expr(text), order)(point)
     assert feasible[0]
     return values[0].item(), grads[0].tolist(), hessians[0].tolist()
 
@@ -240,7 +239,6 @@ def _compiled_outcomes(expr, points, order):
     points = np.array(points, dtype=float)
     values, grads, hessians, feasible, why = compiled(points)
     assert values.shape == (len(points),) and grads.shape == (len(points), len(order))
-    assert hessians is None
     return [
         (values[i].tobytes(), grads[i].tobytes()) if feasible[i] else ("infeasible", why(i))
         for i in range(len(points))
@@ -261,12 +259,11 @@ def test_compiled_closures_bit_equal_tree_walkers(expr, points):
 @given(_expr_strategy(), st.lists(st.tuples(_POINTS, _POINTS, _POINTS), min_size=1, max_size=4))
 @settings(max_examples=400)
 def test_compiled_hessians_bit_equal_tree_walkers(expr, points):
-    # the closure asked for Hessians gives the walker's value, gradient,
-    # Hessian and reason, and the value, gradient, mask and reason of the
-    # closure not asked
+    # the closure gives the walker's Hessian and reason, and the value,
+    # gradient, mask and reason of another call on the same points
     order = ("a", "b", "c")
     values, grads, hessians, feasible, why = compile_expr(expr, order)(
-        np.array(points, dtype=float), hessian=True)
+        np.array(points, dtype=float))
     assert hessians.shape == (len(points), 3, 3)
     want = []
     for point in points:
@@ -306,8 +303,7 @@ def test_hessian_matches_central_differences(text, a, b):
 
 @given(_expr_strategy(), st.tuples(_POINTS, _POINTS, _POINTS))
 def test_hessian_is_exactly_symmetric(expr, point):
-    _, _, hessians, feasible, _ = compile_expr(expr, ("a", "b", "c"))(
-        np.array([point]), hessian=True)
+    _, _, hessians, feasible, _ = compile_expr(expr, ("a", "b", "c"))(np.array([point]))
     if feasible[0]:
         assert hessians[0].tobytes() == hessians[0].T.tobytes()
 
@@ -335,8 +331,7 @@ def test_power_at_its_branch_edges_equals_tree_walker(text, point):
     # the hypothesis draws above rarely reach a zero, negative or NaN base
     # with each kind of exponent
     expr, order = parse_expr(text), ("a", "b")
-    values, grads, hessians, feasible, why = compile_expr(expr, order)(
-        np.array([point]), hessian=True)
+    values, grads, hessians, feasible, why = compile_expr(expr, order)(np.array([point]))
     try:
         want = eval_hessian(expr, dict(zip(order, point)), order)
     except (DomainError, OverflowError) as exc:

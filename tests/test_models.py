@@ -128,6 +128,19 @@ _VALID = {"parameters": [{"name": "a", "true_value": 0.6}], "mean": "a", "scale"
      "parameter 'a': could not convert string to float: 'abc'"),
     ({**_VALID, "mean": 5}, "mean must be an expression string, got int"),
     ({**_VALID, "parameters": [], "mean": "0"}, "a model must declare at least one parameter"),
+    # names that no expression can reference, so a typo could not read as a
+    # model whose mean ignores the parameter
+    *[({**_VALID, "parameters": [{"name": name, "true_value": 0.6}], "mean": "0"},
+       f"parameter name {text} cannot appear in an expression")
+      for name, text in (("", "''"), ("a b", "'a b'"), (5, "'5'"), ("1a", "'1a'"),
+                         ("a-b", "'a-b'"), (" a", "' a'"))],
+    # JSON booleans, which float() would read as 1.0 and 0.0
+    ({**_VALID, "parameters": [{"name": "a", "true_value": True}]},
+     "parameter 'a': true_value must be a number, not a bool"),
+    ({**_VALID, "parameters": [{"name": "a", "true_value": 0.6, "lower": False}]},
+     "parameter 'a': lower must be a number, not a bool"),
+    ({**_VALID, "parameters": [{"name": "a", "true_value": 0.6, "upper": True}]},
+     "parameter 'a': upper must be a number, not a bool"),
 ])
 def test_malformed_model_file_raises_model_error(tmp_path, data, message):
     path = tmp_path / "model.json"

@@ -41,10 +41,10 @@ class QuadraticContext:
     def bounds(self):
         return self._bounds
 
-    def neg2l_rows(self, rows, points, hessian=False):
+    def neg2l_rows(self, rows, points):
         d = points - self.center
         n = self.center.size
-        hess = np.broadcast_to(2.0 * np.eye(n), (len(points), n, n)) if hessian else None
+        hess = np.broadcast_to(2.0 * np.eye(n), (len(points), n, n))
         return (np.sum(d * d, axis=1), 2.0 * d, hess, np.ones(len(points), dtype=bool),
                 lambda i: None)
 
@@ -110,8 +110,8 @@ class TestMaximize:
         # -2L is finite beyond x = 2.5 but its gradient is not: the line
         # search must treat those trial points as infeasible, not crash
         class Cliff(QuadraticContext):
-            def neg2l_rows(self, rows, points, hessian=False):
-                values, grads, hess, feasible, _ = super().neg2l_rows(rows, points, hessian)
+            def neg2l_rows(self, rows, points):
+                values, grads, hess, feasible, _ = super().neg2l_rows(rows, points)
                 return (values, grads, hess, feasible & (points[:, 0] <= 2.5),
                         lambda i: "beyond the cliff")
 
@@ -121,8 +121,8 @@ class TestMaximize:
 
 
 class _CountingContext(PosteriorContext):
-    """Records the Hessian flag and the points of each ``neg2l_rows`` call
-    and counts one-row evaluations."""
+    """Records the points of each ``neg2l_rows`` call and counts one-row
+    evaluations."""
 
     def __init__(self, model, obs):
         super().__init__(model, obs)
@@ -132,28 +132,28 @@ class _CountingContext(PosteriorContext):
         self.calls["neg2l"] += 1
         return super().neg2l(omega, k)
 
-    def neg2l_rows(self, rows, points, hessian=False):
-        self.calls["rows_calls"].append((hessian, list(map(tuple, points.tolist()))))
-        return super().neg2l_rows(rows, points, hessian)
+    def neg2l_rows(self, rows, points):
+        self.calls["rows_calls"].append(list(map(tuple, points.tolist())))
+        return super().neg2l_rows(rows, points)
 
 
 @pytest.mark.parametrize("name", bundled_model_names())
 def test_one_evaluation_per_line_search_trial(name):
-    # the start is evaluated without its Hessian, which a second call
-    # fetches; then each trial of the trust-region step is evaluated once,
-    # with its Hessian, and an accepted trial keeps that evaluation's
-    # gradient and Hessian.  A rejected trial shrinks the radius below its
-    # step, so the next trial is a new point: no point is evaluated twice in
-    # a row.  Trials from different iterates may still meet.
+    # the start is evaluated once, with its Hessian; then each trial of the
+    # trust-region step is evaluated once, and an accepted trial keeps that
+    # evaluation's gradient and Hessian.  A rejected trial shrinks the
+    # radius below its step, so the next trial is a new point: no point is
+    # evaluated twice in a row.  Trials from different iterates may still
+    # meet.
     model = load_model(name)
     eps = design_disturbance_matrix(4, 20, DESK_LCD)[0]
     ctx = _CountingContext(model, make_design_observations(model, eps))
     result = maximize(ctx, model.true_vector())
-    (start_call, start), (hessian_call, at_start), *trial_calls = ctx.calls["rows_calls"]
+    start, *trial_calls = ctx.calls["rows_calls"]
     assert ctx.calls["neg2l"] == 0
-    assert (start_call, hessian_call, at_start) == (False, True, start)
-    assert all(hessian and len(points) == 1 for hessian, points in trial_calls)
-    points = start + [p for _, (p,) in trial_calls]
+    assert len(start) == 1
+    assert all(len(points) == 1 for points in trial_calls)
+    points = start + [p for (p,) in trial_calls]
     assert len(points) > 2  # the start and at least two trials
     assert len(trial_calls) >= result.iterations
     assert all(a != b for a, b in zip(points, points[1:]))
@@ -178,7 +178,7 @@ class _JitteredQuartic:
     def bounds(self):
         return [(-np.inf, np.inf)] * 2
 
-    def neg2l_rows(self, rows, points, hessian=False):
+    def neg2l_rows(self, rows, points):
         values, grads, hessians = [], [], []
         for x, y in points.tolist():
             self.calls += 1
@@ -188,7 +188,7 @@ class _JitteredQuartic:
             values.append(value)
             grads.append([4.0 * (x - 1.0) ** 3, 2.0 * (y + 0.5)])
             hessians.append([[12.0 * (x - 1.0) ** 2, 0.0], [0.0, 2.0]])
-        return (np.array(values), np.array(grads), np.array(hessians) if hessian else None,
+        return (np.array(values), np.array(grads), np.array(hessians),
                 np.ones(len(points), dtype=bool), lambda i: None)
 
 
@@ -409,10 +409,10 @@ class TestLocalVariance:
             def bounds(self):
                 return [(-np.inf, np.inf)]
 
-            def neg2l_rows(self, rows, points, hessian=False):
+            def neg2l_rows(self, rows, points):
                 return (np.zeros(len(points)), np.zeros((len(points), 1)),
-                        np.zeros((len(points), 1, 1)) if hessian else None,
-                        np.ones(len(points), dtype=bool), lambda i: None)
+                        np.zeros((len(points), 1, 1)), np.ones(len(points), dtype=bool),
+                        lambda i: None)
 
         assert np.isinf(local_variances_at(Flat(), [0.0])[0])
 

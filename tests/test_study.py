@@ -331,13 +331,13 @@ def test_a_start_whose_hessian_is_infeasible_stays_at_its_start(monkeypatch):
     calls = []
     rows_call = PosteriorContext.neg2l_rows
 
-    def counted(self, rows, points, hessian=False):
-        calls.append((len(rows), hessian))
-        return rows_call(self, rows, points, hessian)
+    def counted(self, rows, points):
+        calls.append(len(rows))
+        return rows_call(self, rows, points)
 
     monkeypatch.setattr(PosteriorContext, "neg2l_rows", counted)
     (records,) = _fit_blocks(model, [z], small_config(model))
-    assert calls == [(2, False), (2, True), (2, True)]  # the starts, their Hessians, the checks
+    assert calls == [2, 2]  # the starts, the checks
     reason = "scale 1e-90 is too small: its fourth power underflows"
     assert [(r.estimates, r.iterations, r.converged, r.checks.note) for r in records] == [
         ({"b": 1e-90}, 0, False, f"curvature evaluation failed: {reason}")] * 2
@@ -359,14 +359,14 @@ def test_a_start_whose_gradient_is_not_finite_is_infeasible(monkeypatch):
     calls = []
     rows_call = PosteriorContext.neg2l_rows
 
-    def counted(self, rows, points, hessian=False):
-        calls.append((len(rows), hessian))
-        return rows_call(self, rows, points, hessian)
+    def counted(self, rows, points):
+        calls.append(len(rows))
+        return rows_call(self, rows, points)
 
     monkeypatch.setattr(PosteriorContext, "neg2l_rows", counted)
     (records,) = _fit_blocks(model, [z], small_config(model))
-    # the starts, then the Hessians of no starts and the checks of no maxima
-    assert calls == [(3, False), (0, True), (0, True)]
+    # the starts, then the checks of no maxima
+    assert calls == [3, 0]
     reason = "gradient of -2 log-posterior is not finite"
     assert [r.reason for r in records] == [f"infeasible start: {reason}"] * 3
     assert [walker_reason(_TreeWalkerContext(model, row), "neg2l_grad", model.true_vector())

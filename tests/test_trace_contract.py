@@ -1,26 +1,37 @@
 """The benchmark's traced run patches obscheck callables by name; a renamed
 or moved one would only show when that run crashes, so the names are
-checked here, and so are the ``obscheck run`` flags it passes and every
-obscheck name that the benchmark and the scripts import."""
+checked here, and so are the ``obscheck run`` flags it passes, every
+obscheck name that the benchmark and the scripts import, and that a traced
+name still sees the calls it counts."""
 
 import argparse
 import ast
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from obscheck import ModelSpec, PosteriorContext, StudyConfig, load_model
 from obscheck.cli import _build_parser
+from obscheck.samples import design_disturbance_matrix
+from obscheck.study import _fit_blocks, make_design_observations
+
+from conftest import DESK_LCD
 
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 
 
-def _traced():
+def _child():
     spec = importlib.util.spec_from_file_location("perfbench_child", CHILD)
     child = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(child)
-    return child.TRACED
+    return child
+
+
+def _traced():
+    return _child().TRACED
 
 
 @pytest.mark.parametrize("name,where,attr", [entry[:3] for entry in _traced()])
@@ -79,3 +90,20 @@ def test_imported_name_resolves(where, module_name, name):
     assert (hasattr(module, name)
             or importlib.util.find_spec(f"{module_name}.{name}") is not None), (
         f"{where}: from {module_name} import {name} fails")
+
+
+def test_traced_model_evaluations_follow_every_posterior_call(monkeypatch):
+    # the traced run reads the fit's expression evaluations from the spans
+    # of models.mean_scale_prior_grad: every neg2l_rows call of the fit and
+    # of its checks evaluates the expressions through it exactly once
+    model = load_model("mean_and_variance")
+    z = make_design_observations(model, design_disturbance_matrix(4, 20, DESK_LCD))
+    tracer = _child().Tracer()
+    for owner, attr in ((ModelSpec, "mean_scale_prior_grad"), (PosteriorContext, "neg2l_rows")):
+        monkeypatch.setattr(owner, attr, tracer.wrap(attr, getattr(owner, attr)))
+    _fit_blocks(model, [z], StudyConfig(model=model, T_list=(4,), K=20, lcd=DESK_LCD))
+    names = [tracer.names[span[0]] for span in tracer.spans]
+    counts = Counter(names)
+    assert counts["mean_scale_prior_grad"] == counts["neg2l_rows"] > 2
+    assert all(names[span[3]] == "neg2l_rows"
+               for name, span in zip(names, tracer.spans) if name == "mean_scale_prior_grad")
