@@ -73,8 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run an observability study on a model file")
     p_run.add_argument("--model", required=True, help="model JSON file or bundled name")
-    p_run.add_argument("--T", default="4,12,20", help="comma-separated horizons")
-    p_run.add_argument("--K", type=int, default=2000, help="number of design vectors")
+    p_run.add_argument("--T", default=",".join(map(str, StudyConfig.T_list)),
+                       help="comma-separated horizons")
+    p_run.add_argument("--K", type=int, default=StudyConfig.K, help="number of design vectors")
     p_run.add_argument("--out", type=Path, default=Path("report.json"))
     p_run.add_argument("--plot", type=Path, default=None, help="CSV of per-run estimates")
     p_run.add_argument("--threads", type=int, default=1,

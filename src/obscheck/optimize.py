@@ -24,13 +24,14 @@ than 3/4 of the predicted fall.
 One loop, :func:`maximize_rows`, fits every row of a posterior context in
 lock-step, over numpy arrays with one row per fit, and gives each row the
 result a fit on its own would; :func:`maximize` is that loop on a one-row
-context.  The fit and the checks ask the context for one thing,
-``neg2l_rows``: -2L, its gradient and its Hessian for many rows at once,
-with the reasons of the infeasible points next to the mask.
-:func:`check_rows` checks many maxima at once: it asks for their Hessians
-in one call and decomposes the stack with one ``eigh``;
-:func:`check_maximum` is that on one maximum.  A candidate maximum passes
-four checks before it counts:
+context.  The fit asks the context for one thing, ``neg2l_rows``: -2L, its
+gradient and its Hessian for many rows at once, with the reasons of the
+infeasible points next to the mask.  It keeps each row's Hessian at the
+row's current point, and when it ends it decomposes the Hessians at the
+maxima with one ``eigh``: each result carries its curvature.
+:func:`check_maximum` checks one maximum from its curvature and gradient
+norm alone, with no evaluation, and :func:`check_rows` checks many.  A
+candidate maximum passes four checks before it counts:
 
   1. the inf-norm of grad(-2L) is below ``grad_check``,
   2. the exact Hessian of -2L is positive definite,
@@ -86,11 +87,14 @@ class OptConfig(Value):
 
 
 class MaxResult:
-    """Outcome of one maximization.  It holds an array, so it equals and
-    hashes as itself only."""
+    """Outcome of one maximization.  ``curvature`` holds the ascending
+    eigenvalues and the local variances of the -2L Hessian at ``omega_hat``,
+    or the error that leaves them undefined.  It holds arrays, so it equals
+    and hashes as itself only."""
 
     def __init__(self, omega_hat: np.ndarray, param_names: tuple[str, ...], converged: bool,
-                 iterations: int, grad_inf_norm: float, trace: tuple[float, ...]):
+                 iterations: int, grad_inf_norm: float, trace: tuple[float, ...],
+                 curvature: tuple[np.ndarray, np.ndarray] | Exception):
         omega = np.asarray(omega_hat, dtype=float).copy()
         omega.flags.writeable = False
         self.omega_hat = omega
@@ -99,6 +103,7 @@ class MaxResult:
         self.iterations = iterations
         self.grad_inf_norm = grad_inf_norm
         self.trace = trace  # -2L at the start and after each accepted step
+        self.curvature = curvature
 
     @property
     def estimates(self) -> dict[str, float]:
@@ -184,7 +189,11 @@ def maximize_rows(ctx, x0, cfg: OptConfig = OptConfig()) -> list:
     of a row is its ``MaxResult`` or, where the start (``x0`` projected onto
     the bounds) is infeasible, an ``InfeasiblePointError`` with the reason
     that the one call at the starts names.  A row whose start Hessian is
-    not finite stays at its start.
+    not finite stays at its start.  Each row keeps the Hessian of the call
+    that gave its point, and when the loop ends the Hessians at the maxima
+    go to :func:`_curvatures` in one stack, so each ``MaxResult`` carries
+    its ``curvature``; a row still at such a start carries the reason that
+    the start call names.
 
     The rows advance in lock-step: in each round every unfinished row
     evaluates exactly one trial, and all of them go to ``neg2l_rows`` in
@@ -199,20 +208,20 @@ def maximize_rows(ctx, x0, cfg: OptConfig = OptConfig()) -> list:
     with np.errstate(all="ignore"):  # rows that are done or infeasible compute garbage
         x = _project(np.tile(np.asarray(x0, dtype=float), (count, 1)), box)
         f, g, hess, started, why = ctx.neg2l_rows(np.arange(count), x)
-        failed = {i: InfeasiblePointError(why(i)) for i in np.flatnonzero(~started).tolist()}
-        f, g = np.array(f, dtype=float), np.array(g, dtype=float)
+        f, g, held = (np.array(a, dtype=float) for a in (f, g, hess))
         traces = [[v] for v in f.tolist()]
         iterations = np.zeros(count, dtype=int)
         grad_inf = _inf_norm(g)
         converged = grad_inf < cfg.grad_tol
-        active = started & ~converged
-        # per row, the floored eigenvalues and the eigenvectors of the
-        # Hessian at x, and the trust radius; a row whose start Hessian is
-        # not finite stays at its start
+        # per row, the Hessian at x, its floored eigenvalues and its
+        # eigenvectors, and the trust radius.  A row whose start Hessian is
+        # not finite stays at its start, and an accepted trial's Hessian is
+        # finite, so ``usable`` marks the rows with a Hessian at x throughout
+        usable = started & np.isfinite(held).all(axis=(1, 2))
+        active = usable & ~converged
         lam, vec = np.zeros_like(x), np.zeros(x.shape + x.shape[1:])
         radius = np.full(count, np.inf)
-        active &= np.isfinite(hess).all(axis=(1, 2))
-        lam[active], vec[active] = _eigen(hess[active])
+        lam[active], vec[active] = _eigen(held[active])
         while True:
             rows = np.flatnonzero(active)
             v, v_t, eig = vec[rows], np.swapaxes(vec[rows], 1, 2), lam[rows]
@@ -244,6 +253,7 @@ def maximize_rows(ctx, x0, cfg: OptConfig = OptConfig()) -> list:
             radius[rows[accept & boundary & good]] *= 2.0
             stepped = rows[accept]
             x[stepped], f[stepped], g[stepped] = trial[accept], f_new[accept], g_new[accept]
+            held[stepped] = hess[accept]
             for i, value in zip(stepped.tolist(), f_new[accept].tolist()):
                 traces[i].append(value)
             iterations[stepped] += 1
@@ -251,14 +261,15 @@ def maximize_rows(ctx, x0, cfg: OptConfig = OptConfig()) -> list:
             converged[stepped] = grad_inf[stepped] < cfg.grad_tol
             going = ~converged[stepped] & (iterations[stepped] < _MAX_ITERS)
             active[stepped] = going
-            lam[stepped[going]], vec[stepped[going]] = _eigen(hess[accept][going])
+            lam[stepped[going]], vec[stepped[going]] = _eigen(held[stepped[going]])
 
+    # an infeasible start's entry is the error that _curvatures gives it
     return [
         MaxResult(omega_hat=x[i], param_names=names, converged=bool(converged[i]),
                   iterations=int(iterations[i]), grad_inf_norm=float(grad_inf[i]),
-                  trace=tuple(traces[i]))
-        if started[i] else failed[i]
-        for i in range(count)
+                  trace=tuple(traces[i]), curvature=curvature)
+        if started[i] else curvature
+        for i, curvature in enumerate(_curvatures(held, usable, why))
     ]
 
 
@@ -339,79 +350,27 @@ def _secular(lam: np.ndarray, c: np.ndarray, radius: np.ndarray):
     return u, mu > 0.0
 
 
-# unused in the package; perfbench/child.py traces it by name as study.check_maximum
-def check_maximum(ctx, result: MaxResult, cfg: OptConfig = OptConfig(),
-                  k: int = 0) -> CheckReport:
-    """Run the four validity checks at ``result.omega_hat``, the maximum of
-    row ``k`` of ``ctx``: :func:`check_rows` on that one maximum."""
-    (report,) = check_rows(ctx, [k], [result], cfg)
-    return report
+# perfbench/child.py traces it by name as study.check_maximum
+def check_maximum(result: MaxResult, cfg: OptConfig = OptConfig()) -> CheckReport:
+    """Run the four validity checks at ``result.omega_hat`` from the
+    maximum's ``curvature`` and ``grad_inf_norm`` alone, which
+    :func:`maximize_rows` computed there, so nothing is evaluated again.
 
-
-def check_rows(ctx, rows, results: list[MaxResult],
-               cfg: OptConfig = OptConfig()) -> list[CheckReport]:
-    """Run the four validity checks at each ``results[i].omega_hat``, the
-    maximum of row ``rows[i]`` of ``ctx``.
-
-    The context has the fit contract of :func:`maximize_rows`; the checks
-    call ``neg2l_rows(rows, points)`` once, for the (k, n, n) Hessians of
-    -2L, their mask and the function ``why(i)`` that names why point i
-    fails a test.
-    The gradient check reads ``grad_inf_norm``, which :func:`maximize_rows`
-    computed at ``omega_hat``, so the gradient is not evaluated again.
     Positive definiteness, the eigenvalue ratio and the local variances all
-    come from one symmetric eigendecomposition of each Hessian, so they
+    come from one symmetric eigendecomposition of the Hessian, so they
     cannot disagree: a ridge whose smallest eigenvalue rounds to a tiny
     positive number yields huge local variances, not a failed inversion.  A
     maximum whose Hessian fails a test or cannot be decomposed fails every
     check with a note that says why.
     """
-    points = np.array([r.omega_hat for r in results], dtype=float)
-    points = points.reshape(len(results), len(ctx.param_names))
-    return [_report(result, curvature, cfg)
-            for result, curvature in zip(results, _curvatures(ctx, rows, points))]
-
-
-def _curvatures(ctx, rows, points: np.ndarray) -> list:
-    """Per point, the ascending eigenvalues and the local variances of the
-    -2L Hessian of row ``rows[i]`` at ``points[i]``, or the error that makes
-    them undefined: that of the first test the point fails, the Hessian's
-    own among them.  The finite Hessians of feasible points go to ``eigh``
-    as one stack; as one matrix that does not converge makes the whole stack
-    raise, the stack then goes matrix by matrix, as does every other
-    Hessian that passes every test."""
-    *_, hess, feasible, why = ctx.neg2l_rows(rows, points)
-    usable = feasible & np.isfinite(hess).all(axis=(1, 2))
-    out = [None if ok or why(i) is None else InfeasiblePointError(why(i))
-           for i, ok in enumerate(usable.tolist())]
-    stack = np.flatnonzero(usable)
-    if stack.size:
-        try:
-            eigvals, lvar = _curvature(hess[stack])
-            for i, e, v in zip(stack.tolist(), eigvals, lvar):
-                out[i] = e, v
-        except np.linalg.LinAlgError:
-            pass
-    for i in [i for i, c in enumerate(out) if c is None]:
-        try:
-            eigvals, lvar = _curvature(hess[i:i + 1])
-            out[i] = eigvals[0], lvar[0]
-        except np.linalg.LinAlgError as exc:
-            out[i] = exc
-    return out
-
-
-def _report(result: MaxResult, curvature, cfg: OptConfig) -> CheckReport:
-    """The checks of ``result`` from its (eigenvalues, local variances) or
-    from the error that left them undefined."""
     grad_inf = float(result.grad_inf_norm)
-    if isinstance(curvature, Exception):
+    if isinstance(result.curvature, Exception):
         return CheckReport(
             grad_ok=False, hessian_pd=False, eig_ratio_ok=False, lvar_finite=False,
             grad_inf_norm=grad_inf, eig_ratio=float("nan"),
-            local_variances=None, note=f"curvature evaluation failed: {curvature}",
+            local_variances=None, note=f"curvature evaluation failed: {result.curvature}",
         )
-    eigvals, lvar = curvature
+    eigvals, lvar = result.curvature
     lam_min = float(eigvals[0])
     lam_max = float(eigvals[-1])
     hessian_pd = lam_min > 0.0
@@ -428,6 +387,38 @@ def _report(result: MaxResult, curvature, cfg: OptConfig) -> CheckReport:
         eig_ratio=eig_ratio,
         local_variances=lvar if hessian_pd else None,
     )
+
+
+def check_rows(results: list[MaxResult], cfg: OptConfig = OptConfig()) -> list[CheckReport]:
+    """:func:`check_maximum` on each of ``results``."""
+    return [check_maximum(result, cfg) for result in results]
+
+
+def _curvatures(hess: np.ndarray, usable: np.ndarray, why) -> list:
+    """Per matrix of the (k, n, n) stack ``hess``, its ascending eigenvalues
+    and local variances, or the error that makes them undefined: where
+    ``usable`` is False and ``why(i)`` names a failed test, an
+    ``InfeasiblePointError`` with that reason.  The usable matrices go to
+    ``eigh`` as one stack; as one matrix that does not converge makes the
+    whole stack raise, the stack then goes matrix by matrix, as does every
+    other matrix for which ``why`` names no test."""
+    out = [None if ok or (reason := why(i)) is None else InfeasiblePointError(reason)
+           for i, ok in enumerate(usable.tolist())]
+    stack = np.flatnonzero(usable)
+    if stack.size:
+        try:
+            eigvals, lvar = _curvature(hess[stack])
+            for i, e, v in zip(stack.tolist(), eigvals, lvar):
+                out[i] = e, v
+        except np.linalg.LinAlgError:
+            pass
+    for i in [i for i, c in enumerate(out) if c is None]:
+        try:
+            eigvals, lvar = _curvature(hess[i:i + 1])
+            out[i] = eigvals[0], lvar[0]
+        except np.linalg.LinAlgError as exc:
+            out[i] = exc
+    return out
 
 
 def _curvature(hess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

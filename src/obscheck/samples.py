@@ -176,16 +176,22 @@ def _nodes(b_max: float, quad_nodes: int, d: int) -> tuple[np.ndarray, ...]:
     w, the quadrature weights; b2, the squared kernel widths b^2; c1 =
     (pi b^2)^(d/2), the T1 prefactor; v = 1 + 2 b^2, the T2 width; c2 =
     (b^2 sqrt(2 pi / v))^d, the T2 prefactor; and d0 = c1 - 2 c2 + T3, the
-    inner integral with every point at 0."""
+    inner integral with every point at 0.  A ``b_max`` so small that a
+    squared width underflows to 0, or so large that a constant is not
+    finite, raises :class:`InvalidMixtureError`."""
     x, w = np.polynomial.legendre.leggauss(quad_nodes)
-    t = 0.5 * (x + 1.0)
-    b = b_max * t * t
-    b2 = b * b
-    v = 1.0 + 2.0 * b2
-    c1 = (np.pi * b2) ** (0.5 * d)
-    c2 = (b2 * np.sqrt(2.0 * np.pi / v)) ** d
-    t3 = (b2 / (1.0 + b2)) ** d * (np.pi * (1.0 + b2)) ** (0.5 * d)
-    nodes = (b_max * t * w, b2, c1, v, c2, c1 - 2.0 * c2 + t3)
+    with np.errstate(all="ignore"):  # checked below
+        t = 0.5 * (x + 1.0)
+        b = b_max * t * t
+        b2 = b * b
+        v = 1.0 + 2.0 * b2
+        c1 = (np.pi * b2) ** (0.5 * d)
+        c2 = (b2 * np.sqrt(2.0 * np.pi / v)) ** d
+        t3 = (b2 / (1.0 + b2)) ** d * (np.pi * (1.0 + b2)) ** (0.5 * d)
+        nodes = (b_max * t * w, b2, c1, v, c2, c1 - 2.0 * c2 + t3)
+    if not (b2 > 0.0).all() or not all(np.isfinite(arr).all() for arr in nodes):
+        raise InvalidMixtureError(f"b_max = {b_max!r} is out of range in d = {d}: the "
+                                  f"width quadrature's constants under- or overflow")
     for arr in nodes:
         arr.flags.writeable = False
     return nodes

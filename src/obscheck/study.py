@@ -7,9 +7,9 @@ observation vectors built from the rows of the (T, K) sample matrix and
 aggregates estimator statistics over the runs that pass all checks.  A study
 is one batch: every vector it fits, Part I's and Part II's (and the random
 baseline's) at every horizon, goes into one posterior context, all fits run
-in one lock-step pass and all maxima are checked in one batched pass; one
-record builder serves every part.  :func:`run_part1` and :func:`run_part2`
-run the same block fitter on their one block.  A model is judged observable
+in one lock-step pass and each maximum is checked from the curvature that
+its fit holds; one record builder serves every part.  :func:`run_part1` and
+:func:`run_part2` run the same block fitter on their one block.  A model is judged observable
 when at least one run anywhere passes; zero passing runs across both parts
 means not observable.
 """
@@ -237,13 +237,14 @@ def _baseline(model: ModelSpec, horizon: int, cfg: StudyConfig) -> np.ndarray:
 def _fit_blocks(model: ModelSpec, blocks: list[np.ndarray],
                 cfg: StudyConfig) -> list[list[RunRecord]]:
     """Fit every row of every block of observation vectors (a vector is one
-    row) in one lock-step run and check every maximum in one batched pass;
-    the records of each block, in row order.  A row whose start is
-    infeasible fails with the error :func:`maximize_rows` returns for it."""
+    row) in one lock-step run and check every maximum from its fit's
+    curvature; the records of each block, in row order.  A row whose start
+    is infeasible fails with the error :func:`maximize_rows` returns for
+    it."""
     ctx = PosteriorContext(model, blocks)
     fits = maximize_rows(ctx, model.true_vector(), cfg.opt)
     fitted = [i for i, r in enumerate(fits) if isinstance(r, MaxResult)]
-    checks = dict(zip(fitted, check_rows(ctx, fitted, [fits[i] for i in fitted], cfg.opt)))
+    checks = dict(zip(fitted, check_rows([fits[i] for i in fitted], cfg.opt)))
     records, start = [], 0
     for block in blocks:
         count = 1 if np.ndim(block) == 1 else len(block)

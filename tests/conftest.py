@@ -66,10 +66,18 @@ def central_difference_hessian(grad, x):
 
 
 def local_variances_at(ctx, omega, k=0):
-    """The local variances 2 diag(H^{-1}) the checks compute from the -2L
+    """The local variances 2 diag(H^{-1}) the fit computes from the -2L
     Hessian of row ``k`` at ``omega``, a feasible point."""
-    ((_, lvar),) = _curvatures(ctx, [k], np.array([omega], dtype=float))
+    *_, hess, feasible, why = ctx.neg2l_rows([k], np.array([omega], dtype=float))
+    ((_, lvar),) = _curvatures(hess, feasible & np.isfinite(hess).all(axis=(1, 2)), why)
     return lvar
+
+
+def curvature_key(curvature):
+    """A maximum's ``curvature`` as bytes, or its error's type and message."""
+    if isinstance(curvature, Exception):
+        return type(curvature).__name__, str(curvature)
+    return tuple(np.asarray(a, dtype=float).tobytes() for a in curvature)
 
 
 def _walker_row(ctx, k):

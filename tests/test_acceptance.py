@@ -196,7 +196,7 @@ def test_criterion_7_oracle_equivalence():
         oracle = unknown_variance_oracle(z)
         ctx = PosteriorContext(VARIANCE_ONLY, z)
         result = maximize(ctx, np.array([0.8]))
-        lvar = check_maximum(ctx, result).local_variances
+        lvar = check_maximum(result).local_variances
         err_est = abs(result.omega_hat[0] - oracle.estimates["b"])
         err_lvar = abs(lvar[0] - oracle.local_variances["b"]) / max(
             1.0, oracle.local_variances["b"]
@@ -210,7 +210,7 @@ def test_criterion_7_oracle_equivalence():
         oracle = mean_and_variance_oracle(z)
         ctx = PosteriorContext(MEAN_AND_VARIANCE, z)
         result = maximize(ctx, np.array([0.6, 0.4]))
-        lvar = check_maximum(ctx, result).local_variances
+        lvar = check_maximum(result).local_variances
         for j, name in enumerate(("a", "b")):
             err_est = abs(result.estimates[name] - oracle.estimates[name])
             err_lvar = abs(lvar[j] - oracle.local_variances[name]) / max(

@@ -4,9 +4,9 @@
 chain rule through the tree walker ``tree_walker.eval_hessian``, and
 ``_reference_check`` the four checks of one maximum from one ``eigh`` of
 that matrix.  Every row of
-:meth:`PosteriorContext.neg2l_rows` and :func:`check_rows` must equal
-them bit for bit, notes and error messages included; both give every NaN
-entry as ``np.nan``.
+:meth:`PosteriorContext.neg2l_rows` and every check of a fitted maximum,
+which reads the curvature its fit holds, must equal them bit for bit, notes
+and error messages included; both give every NaN entry as ``np.nan``.
 """
 
 import math
@@ -18,7 +18,9 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 from obscheck import InfeasiblePointError, bundled_model_names, load_model
 from obscheck.expressions import parse_expr
 from obscheck.models import ModelError, ModelSpec, ParamSpec, model_from_dict
-from obscheck.optimize import MaxResult, OptConfig, check_maximum, check_rows, maximize_rows
+from obscheck.optimize import (
+    MaxResult, OptConfig, _curvatures, check_maximum, check_rows, maximize_rows,
+)
 from obscheck.posterior import PosteriorContext
 from obscheck.samples import design_disturbance_matrix
 from obscheck.study import (
@@ -26,7 +28,7 @@ from obscheck.study import (
     run_part2, run_study,
 )
 
-from conftest import DESK_LCD, local_variances_at, reference_hessian
+from conftest import DESK_LCD, curvature_key, local_variances_at, reference_hessian
 from test_expressions import _POINTS, _expr_strategy
 
 THREE_PARAMETERS = model_from_dict({
@@ -150,10 +152,10 @@ def test_hessian_rows_equal_reference_on_expression_trees(mean, scale, prior, po
 def test_check_rows_equal_reference_over_a_design(name):
     model = THREE_PARAMETERS if name == "three_parameters" else load_model(name)
     ctx, rows, results = _fitted_design(model, 4)
-    reports = check_rows(ctx, rows, results)
+    reports = check_rows(results)
     assert [_check_key(r) for r in reports] == [
         _reference_check(ctx, result, k) for k, result in zip(rows, results)]
-    assert [_check_key(check_maximum(ctx, result, k=k)) for k, result in zip(rows, results)] \
+    assert [_check_key(check_maximum(result)) for result in results] \
         == [_check_key(r) for r in reports]
     if name == "additive_mean_pair":
         # a straight ridge: every Hessian has an exact zero eigenvalue, and
@@ -166,8 +168,9 @@ def test_check_rows_keep_the_one_row_records_of_failing_rows(monkeypatch):
     # fitted rows, a row that is not finite, a row whose Q overflows (so
     # does -2L), a point where the gradient overflows before the scale's
     # fourth power underflows, one on a row of zeros where only the fourth
-    # power underflows, and a point off the domain; the one call that gives
-    # the Hessians also names why the infeasible ones are
+    # power underflows, and a point off the domain; one call gives their
+    # Hessians and names why the infeasible ones are, as the fit's call at
+    # its starts does, and the checks read the curvatures alone
     model = load_model("unknown_variance")
     design = make_design_observations(model, design_disturbance_matrix(4, 20, DESK_LCD))
     blocks = [design, np.array([1.0, np.inf, 0.0, 2.0]), np.array([1e200, -1e200, 0.0, 1.0]),
@@ -178,12 +181,8 @@ def test_check_rows_keep_the_one_row_records_of_failing_rows(monkeypatch):
     rows = [k for k, r in enumerate(fitted) if isinstance(r, MaxResult)]
     assert rows == list(range(20))
 
-    def at(omega):
-        return MaxResult(omega_hat=[omega], param_names=("b",), converged=False, iterations=0,
-                         grad_inf_norm=1e-3, trace=(0.0,))
-
     rows += [20, 21, 3, 22, 4]
-    results += [at(0.8), at(0.8), at(1e-180), at(1e-180), at(-1.0)]
+    points = np.array([r.omega_hat for r in results] + [[0.8], [0.8], [1e-180], [1e-180], [-1.0]])
     calls = []
     rows_call = PosteriorContext.neg2l_rows
 
@@ -192,8 +191,17 @@ def test_check_rows_keep_the_one_row_records_of_failing_rows(monkeypatch):
         return rows_call(self, rows, points)
 
     monkeypatch.setattr(PosteriorContext, "neg2l_rows", counted)
-    reports = check_rows(ctx, rows, results)
-    assert calls == [25]
+    *_, hess, feasible, why = ctx.neg2l_rows(rows, points)
+    curvatures = _curvatures(hess, feasible & np.isfinite(hess).all(axis=(1, 2)), why)
+    # the curvatures that the fitted rows hold are those of one call at
+    # their maxima
+    assert [curvature_key(c) for c in curvatures[:20]] == [
+        curvature_key(r.curvature) for r in results]
+    results += [MaxResult(omega_hat=omega, param_names=("b",), converged=False, iterations=0,
+                          grad_inf_norm=1e-3, trace=(0.0,), curvature=curvature)
+                for omega, curvature in zip(points[20:], curvatures[20:])]
+    reports = check_rows(results)
+    assert calls == [25]  # the one call above: the checks make none
     assert [_check_key(r) for r in reports] == [
         _reference_check(ctx, result, k) for k, result in zip(rows, results)]
     notes = [r.note for r in reports[20:]]
@@ -206,28 +214,15 @@ def test_check_rows_keep_the_one_row_records_of_failing_rows(monkeypatch):
     assert all(r.note is None for r in reports[:20]) and all(r.passed for r in reports[:20])
 
 
-class _Stack:
-    """A synthetic two-parameter context whose Hessians are given matrices."""
-
-    param_names = ("x", "y")
-
-    def __init__(self, matrices):
-        self.matrices = np.array(matrices, dtype=float)
-
-    def __len__(self):
-        return len(self.matrices)
-
-    def bounds(self):
-        return [(-np.inf, np.inf)] * 2
-
-    def neg2l_rows(self, rows, points):
-        return (np.zeros(len(rows)), np.zeros((len(rows), 2)), self.matrices[rows],
-                np.ones(len(rows), dtype=bool), lambda i: None)
-
-
-def _results(count):
+def _results(matrices):
+    """Two-parameter maxima whose curvatures come from the given Hessians,
+    as the fit hands them to ``_curvatures``: with the mask of the finite
+    ones, and no failed test to name."""
+    hess = np.array(matrices, dtype=float)
+    curvatures = _curvatures(hess, np.isfinite(hess).all(axis=(1, 2)), lambda i: None)
     return [MaxResult(omega_hat=[0.0, 0.0], param_names=("x", "y"), converged=True,
-                      iterations=1, grad_inf_norm=1e-7, trace=(0.0,)) for _ in range(count)]
+                      iterations=1, grad_inf_norm=1e-7, trace=(0.0,), curvature=curvature)
+            for curvature in curvatures]
 
 
 MATRICES = [[[2.0, 0.5], [0.5, 1.0]], [[np.nan, 0.0], [0.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]],
@@ -235,10 +230,10 @@ MATRICES = [[[2.0, 0.5], [0.5, 1.0]], [[np.nan, 0.0], [0.0, 1.0]], [[1.0, 1.0], 
 
 
 def test_a_stack_with_one_nan_matrix_checks_every_other_row():
-    ctx = _Stack(MATRICES)
-    reports = check_rows(ctx, list(range(len(MATRICES))), _results(len(MATRICES)))
+    results = _results(MATRICES)
+    reports = check_rows(results)
     assert [_check_key(r) for r in reports] == [
-        _reference_check_of(np.array(h), r) for h, r in zip(MATRICES, _results(len(MATRICES)))]
+        _reference_check_of(np.array(h), r) for h, r in zip(MATRICES, results)]
     assert reports[0].passed and not reports[1].passed
 
 
@@ -251,11 +246,10 @@ def test_a_stack_that_fails_to_converge_goes_matrix_by_matrix(monkeypatch):
         return eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", fails_on_stacks)
-    ctx = _Stack(MATRICES)
-    reports = check_rows(ctx, list(range(len(MATRICES))), _results(len(MATRICES)))
+    results = _results(MATRICES)
     monkeypatch.undo()
-    assert [_check_key(r) for r in reports] == [
-        _reference_check_of(np.array(h), r) for h, r in zip(MATRICES, _results(len(MATRICES)))]
+    assert [_check_key(r) for r in check_rows(results)] == [
+        _reference_check_of(np.array(h), r) for h, r in zip(MATRICES, results)]
 
 
 def _record_key(record):

@@ -14,11 +14,12 @@ from obscheck.cli import (
     EXIT_NOT_OBSERVABLE,
     EXIT_OBSERVABLE,
     EXIT_USAGE,
+    _build_parser,
     main,
 )
 from obscheck import samples
 from obscheck.samples import read_sample_csv
-from obscheck.study import render_report
+from obscheck.study import StudyConfig, render_report
 
 DESK_FLAGS = ["--placement-iters", "150"]
 
@@ -59,6 +60,12 @@ class TestSamplesCommand:
         ("--seed", "-1", "seed must be >= 0, got -1"),
         ("--placement-iters", "-5", "max_iters must be >= 0, got -5"),
         ("--step-tol", "nan", "step_tol must be finite and positive, got nan"),
+        # the squared kernel widths underflow to 0 or overflow: one error
+        # that blames b_max, not numpy's warnings or the points
+        ("--b-max", "1e-300", "b_max = 1e-300 is out of range in d = 2: the width "
+                              "quadrature's constants under- or overflow"),
+        ("--b-max", "1e200", "b_max = 1e+200 is out of range in d = 2: the width "
+                             "quadrature's constants under- or overflow"),
     ])
     def test_invalid_placement_setting_is_usage_error(self, tmp_path, capsys, flag, value,
                                                       message):
@@ -469,6 +476,19 @@ def test_command_line_process_equals_main(tmp_path, monkeypatch, capsys, args, w
             assert side_lines.pop() == f"report written to {tmp_path / side / 'report.json'}"
     assert lines == main_lines
     assert lines or code == EXIT_USAGE
+
+
+def test_run_defaults_come_from_the_study_config(monkeypatch):
+    # StudyConfig owns the horizons and K; the parser reads them there
+    assert _parse_run().T == "4,12,20" and _parse_run().K == 2000
+    monkeypatch.setattr(StudyConfig, "T_list", (5, 9))
+    monkeypatch.setattr(StudyConfig, "K", 300)
+    args = _parse_run()
+    assert (args.T, args.K) == ("5,9", 300)
+
+
+def _parse_run():
+    return _build_parser().parse_args(["run", "--model", "unknown_variance"])
 
 
 def test_exit_codes_are_distinct():

@@ -94,7 +94,7 @@ def test_numeric_maximization_matches_variance_oracle(seed, horizon):
     ctx = PosteriorContext(VARIANCE_ONLY, z)
     result = maximize(ctx, np.array([0.8]))
     assert result.omega_hat[0] == pytest.approx(oracle.estimates["b"], abs=1e-6)
-    lvar = check_maximum(ctx, result).local_variances
+    lvar = check_maximum(result).local_variances
     assert lvar[0] == pytest.approx(oracle.local_variances["b"], rel=1e-6)
 
 
@@ -108,7 +108,7 @@ def test_numeric_maximization_matches_mean_variance_oracle(seed, horizon):
     result = maximize(ctx, np.array([0.6, 0.4]))
     assert result.estimates["a"] == pytest.approx(oracle.estimates["a"], abs=1e-6)
     assert result.estimates["b"] == pytest.approx(oracle.estimates["b"], abs=1e-6)
-    lvar = check_maximum(ctx, result).local_variances
+    lvar = check_maximum(result).local_variances
     assert lvar[0] == pytest.approx(oracle.local_variances["a"], rel=1e-6)
     assert lvar[1] == pytest.approx(oracle.local_variances["b"], rel=1e-6)
 
@@ -124,7 +124,7 @@ def test_numeric_maximization_matches_reciprocal_mean_oracle(seed, horizon):
     oracle = reciprocal_mean_oracle(z)
     ctx = PosteriorContext(RECIPROCAL_MEAN, z)
     result = maximize(ctx, RECIPROCAL_MEAN.true_vector())
-    report = check_maximum(ctx, result)
+    report = check_maximum(result)
     assume(report.passed)
     assert result.omega_hat[0] == pytest.approx(oracle.estimates["w"], rel=1e-6)
     assert report.local_variances[0] == pytest.approx(oracle.local_variances["w"], rel=1e-6)

@@ -1,10 +1,10 @@
 """The lock-step fit against one-row fits, and the work it does on a study.
 
 Each row of a lock-step run must equal, bit for bit, the fit of a context
-that holds that row alone: the rows advance together, one ``neg2l_rows``
-call and one stacked ``eigh`` per round, but no row's arithmetic depends on
-the others.  A row whose start is infeasible fails with the reason that the
-tree walker gives for it.
+that holds that row alone, the curvature at its maximum included: the rows
+advance together, one ``neg2l_rows`` call and one stacked ``eigh`` per
+round, but no row's arithmetic depends on the others.  A row whose start
+is infeasible fails with the reason that the tree walker gives for it.
 """
 
 import pytest
@@ -17,14 +17,14 @@ from obscheck.posterior import PosteriorContext
 from obscheck.samples import design_disturbance_matrix, representative_disturbances
 from obscheck.study import StudyConfig, _fit_blocks, make_design_observations
 
-from conftest import DESK_LCD, _TreeWalkerContext
+from conftest import DESK_LCD, _TreeWalkerContext, curvature_key
 
 
 def _outcome(result):
     if isinstance(result, InfeasiblePointError):
         return str(result)
     return (result.omega_hat.tobytes(), result.iterations, result.converged,
-            result.grad_inf_norm, result.trace)
+            result.grad_inf_norm, result.trace, curvature_key(result.curvature))
 
 
 def _walker_start_reason(model, z, x0):
@@ -123,12 +123,17 @@ CLOSED_FORMS = {
 }
 
 
+def _study_blocks(model):
+    """Part I's vector and Part II's 200 design vectors at T = 4 and 20."""
+    return [block for horizon in (4, 20) for block in (
+        make_design_observations(model, representative_disturbances(horizon, DESK_LCD)),
+        make_design_observations(model, design_disturbance_matrix(horizon, 200, DESK_LCD)))]
+
+
 @pytest.mark.parametrize("name", bundled_model_names())
 def test_study_rounds_iterations_and_closed_forms(name):
     model = load_model(name)
-    blocks = [block for horizon in (4, 20) for block in (
-        make_design_observations(model, representative_disturbances(horizon, DESK_LCD)),
-        make_design_observations(model, design_disturbance_matrix(horizon, 200, DESK_LCD)))]
+    blocks = _study_blocks(model)
     ctx = PosteriorContext(model, blocks)
     calls = []
     rows_call = ctx.neg2l_rows
@@ -151,3 +156,23 @@ def test_study_rounds_iterations_and_closed_forms(name):
             got = fit.estimates
             assert all(abs(got[p] - want[p]) <= 1e-9 * abs(want[p]) for p in want), (got, want)
 
+
+@pytest.mark.parametrize("name", bundled_model_names())
+def test_a_study_evaluates_once_at_the_starts_and_once_per_round(name, monkeypatch):
+    # the checks read the curvature that each fit holds: fitting and
+    # checking a study takes the call at the starts and one call per round,
+    # and no call at the maxima
+    model = load_model(name)
+    calls = []
+    rows_call = PosteriorContext.neg2l_rows
+
+    def counted(self, rows, points):
+        calls.append(len(rows))
+        return rows_call(self, rows, points)
+
+    monkeypatch.setattr(PosteriorContext, "neg2l_rows", counted)
+    records = _fit_blocks(model, _study_blocks(model), StudyConfig(model=model, T_list=(4, 20)))
+    rounds, _ = STUDY_ROUNDS[name]
+    assert len(calls) == 1 + rounds
+    assert calls[0] == sum(len(block) for block in records) == 402
+    assert all(r.checks is not None for block in records for r in block)

@@ -298,7 +298,7 @@ class TestCheckMaximum:
             z = make_design_observations(VARIANCE_ONLY, eps)
             ctx = PosteriorContext(VARIANCE_ONLY, z)
             result = self._converged_result(ctx, np.array([0.8]))
-            report = check_maximum(ctx, result)
+            report = check_maximum(result)
             assert report.passed
             assert report.grad_ok and report.hessian_pd
             assert report.eig_ratio_ok and report.lvar_finite
@@ -308,7 +308,7 @@ class TestCheckMaximum:
         z = make_design_observations(RATIO_RIDGE, eps)
         ctx = PosteriorContext(RATIO_RIDGE, z)
         result = self._converged_result(ctx, np.array([0.6, 0.4]))
-        report = check_maximum(ctx, result)
+        report = check_maximum(result)
         assert not report.eig_ratio_ok
         assert not report.passed
 
@@ -318,14 +318,16 @@ class TestCheckMaximum:
         model = load_model("additive_mean_pair")
         for eps in design_disturbance_matrix(4, 200, DESK_LCD):
             ctx = PosteriorContext(model, make_design_observations(model, eps))
-            assert not check_maximum(ctx, maximize(ctx, model.true_vector())).hessian_pd
+            assert not check_maximum(maximize(ctx, model.true_vector())).hessian_pd
 
     def test_gradient_threshold_boundary(self):
         ctx = QuadraticContext([0.0])
-        # a candidate held off the optimum, as an unconverged fit hands it over
+        # a candidate held off the optimum, as an unconverged fit hands it
+        # over, with the curvature that the fit holds there
         result = MaxResult(omega_hat=[0.0], param_names=ctx.param_names, converged=False,
-                           iterations=0, grad_inf_norm=2e-5, trace=(0.0,))
-        report = check_maximum(ctx, result)
+                           iterations=0, grad_inf_norm=2e-5, trace=(0.0,),
+                           curvature=maximize(ctx, [0.0]).curvature)
+        report = check_maximum(result)
         assert not report.grad_ok
 
     def test_passed_is_conjunction_of_flags(self):
@@ -333,7 +335,7 @@ class TestCheckMaximum:
         z = make_design_observations(VARIANCE_ONLY, eps)
         ctx = PosteriorContext(VARIANCE_ONLY, z)
         result = self._converged_result(ctx, np.array([0.8]))
-        report = check_maximum(ctx, result)
+        report = check_maximum(result)
         assert report.passed == (
             report.grad_ok and report.hessian_pd and report.eig_ratio_ok and report.lvar_finite
         )
@@ -351,8 +353,8 @@ class TestCheckMaximum:
         z = make_design_observations(MEAN_AND_VARIANCE, eps)
         ctx = PosteriorContext(MEAN_AND_VARIANCE, z)
         result = maximize(ctx, np.array([0.6, 0.4]))
-        loose = check_maximum(ctx, result, OptConfig(grad_check=1e-2, eig_ratio_min=1e-2))
-        tight = check_maximum(ctx, result, OptConfig(grad_check=1e-8, eig_ratio_min=0.5))
+        loose = check_maximum(result, OptConfig(grad_check=1e-2, eig_ratio_min=1e-2))
+        tight = check_maximum(result, OptConfig(grad_check=1e-8, eig_ratio_min=0.5))
         assert result.omega_hat.tobytes() == result.omega_hat.tobytes()
         assert loose.grad_inf_norm == tight.grad_inf_norm
 
@@ -365,14 +367,14 @@ class TestCheckMaximum:
         ctx = PosteriorContext(model, make_design_observations(model, eps))
         result = maximize(ctx, model.true_vector())
         _, grad = ctx.neg2l_grad(result.omega_hat)
-        assert check_maximum(ctx, result).grad_inf_norm == float(np.max(np.abs(grad)))
+        assert check_maximum(result).grad_inf_norm == float(np.max(np.abs(grad)))
 
     def test_second_order_sufficiency_on_pass(self):
         eps = representative_disturbances(12, DESK_LCD)
         z = make_design_observations(MEAN_AND_VARIANCE, eps)
         ctx = PosteriorContext(MEAN_AND_VARIANCE, z)
         result = maximize(ctx, np.array([0.6, 0.4]))
-        report = check_maximum(ctx, result)
+        report = check_maximum(result)
         assert report.passed
         eigvals = np.linalg.eigvalsh(ctx.hessian_neg2l(result.omega_hat))
         assert eigvals[0] > 0.0

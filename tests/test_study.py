@@ -323,7 +323,7 @@ def test_fit_blocks_take_every_reason_from_the_batch_calls(monkeypatch):
 def test_a_start_whose_hessian_is_infeasible_stays_at_its_start(monkeypatch):
     # at b = 1e-90 -2L and its gradient are defined but the scale's fourth
     # power underflows: each row stays at its start, and its checks name the
-    # Hessian's reason, from a rows call, as the tree walker does
+    # Hessian's reason, from the call at the starts, as the tree walker does
     model = model_from_dict({"parameters": [{"name": "b", "true_value": 1e-90}],
                              "mean": "0", "scale": "b"})
     z = make_design_observations(model, np.array([[1.0, -1.0, 0.5, -0.5],
@@ -337,7 +337,7 @@ def test_a_start_whose_hessian_is_infeasible_stays_at_its_start(monkeypatch):
 
     monkeypatch.setattr(PosteriorContext, "neg2l_rows", counted)
     (records,) = _fit_blocks(model, [z], small_config(model))
-    assert calls == [2, 2]  # the starts, the checks
+    assert calls == [2]  # the starts; the checks make no call
     reason = "scale 1e-90 is too small: its fourth power underflows"
     assert [(r.estimates, r.iterations, r.converged, r.checks.note) for r in records] == [
         ({"b": 1e-90}, 0, False, f"curvature evaluation failed: {reason}")] * 2
@@ -365,8 +365,8 @@ def test_a_start_whose_gradient_is_not_finite_is_infeasible(monkeypatch):
 
     monkeypatch.setattr(PosteriorContext, "neg2l_rows", counted)
     (records,) = _fit_blocks(model, [z], small_config(model))
-    # the starts, then the checks of no maxima
-    assert calls == [3, 0]
+    # the starts; no maximum is left to check, and the checks make no call
+    assert calls == [3]
     reason = "gradient of -2 log-posterior is not finite"
     assert [r.reason for r in records] == [f"infeasible start: {reason}"] * 3
     assert [walker_reason(_TreeWalkerContext(model, row), "neg2l_grad", model.true_vector())
@@ -493,8 +493,9 @@ def test_record_reasons_name_the_failed_checks():
     names = VARIANCE_ONLY.param_names
 
     def fit(converged):
+        # _record reads the checks, not the curvature they came from
         return MaxResult(omega_hat=[0.8], param_names=names, converged=converged,
-                         iterations=3, grad_inf_norm=1e-3, trace=(1.0,))
+                         iterations=3, grad_inf_norm=1e-3, trace=(1.0,), curvature=None)
 
     check = CheckReport(grad_ok=False, hessian_pd=True, eig_ratio_ok=True, lvar_finite=False,
                         grad_inf_norm=1e-3, eig_ratio=1.0, local_variances=np.array([1e9]))
@@ -517,7 +518,7 @@ def test_results_that_hold_arrays_compare_and_hash_by_identity():
     z = np.array([0.3, 1.1, -0.4, 0.9])
     contexts = [PosteriorContext(MEAN_AND_VARIANCE, z) for _ in range(2)]
     fits = [maximize(contexts[0], [0.6, 0.4]) for _ in range(2)]
-    checks = [check_maximum(contexts[0], fit) for fit in fits]
+    checks = [check_maximum(fit) for fit in fits]
     mixtures = [DiracMixture(dim=2, count=2, points=[[1.0, 0.0], [-1.0, 0.0]])
                 for _ in range(2)]
     (record,) = _fit_blocks(MEAN_AND_VARIANCE, [z], small_config(MEAN_AND_VARIANCE))[0]
