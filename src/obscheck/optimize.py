@@ -26,12 +26,12 @@ lock-step, over numpy arrays with one row per fit, and gives each row the
 result a fit on its own would; :func:`maximize` is that loop on a one-row
 context.  The fit asks the context for one thing, ``neg2l_rows``: -2L, its
 gradient and its Hessian for many rows at once, with the reasons of the
-infeasible points next to the mask.  It keeps each row's Hessian at the
-row's current point, and when it ends it decomposes the Hessians at the
-maxima with one ``eigh``: each result carries its curvature.
-:func:`check_maximum` checks one maximum from its curvature and gradient
-norm alone, with no evaluation, and :func:`check_rows` checks many.  A
-candidate maximum passes four checks before it counts:
+infeasible points next to the mask.  It decomposes the Hessian at each
+row's point once, at the start and in the round that accepts a step, and
+keeps the eigenvalues and eigenvectors; when it ends, each result carries
+the curvature that they give.  :func:`check_maximum` checks one maximum from
+its curvature and gradient norm alone, with no evaluation.  A candidate
+maximum passes four checks before it counts:
 
   1. the inf-norm of grad(-2L) is below ``grad_check``,
   2. the exact Hessian of -2L is positive definite,
@@ -53,7 +53,7 @@ import numpy as np
 from ._value import Value
 from .posterior import InfeasiblePointError
 
-__all__ = ["OptConfig", "MaxResult", "CheckReport", "maximize_rows", "check_rows"]
+__all__ = ["OptConfig", "MaxResult", "CheckReport", "maximize_rows", "check_maximum"]
 
 # the iteration cap and the trust region's constants of the module docstring
 # (Nocedal & Wright, Numerical Optimization, 2nd ed., ch. 4): the share of
@@ -69,7 +69,7 @@ _RADIUS_TOL = 0.1
 
 class OptConfig(Value):
     """The convergence target of :func:`maximize_rows` and the three
-    thresholds of :func:`check_rows`."""
+    thresholds of :func:`check_maximum`."""
 
     grad_tol = 1e-9
     grad_check = 1e-5
@@ -189,18 +189,18 @@ def maximize_rows(ctx, x0, cfg: OptConfig = OptConfig()) -> list:
     of a row is its ``MaxResult`` or, where the start (``x0`` projected onto
     the bounds) is infeasible, an ``InfeasiblePointError`` with the reason
     that the one call at the starts names.  A row whose start Hessian is
-    not finite stays at its start.  Each row keeps the Hessian of the call
-    that gave its point, and when the loop ends the Hessians at the maxima
-    go to :func:`_curvatures` in one stack, so each ``MaxResult`` carries
-    its ``curvature``; a row still at such a start carries the reason that
-    the start call names.
+    not finite stays at its start, with that reason as its ``curvature``.
+    Every other row keeps the eigendecomposition of the Hessian at its point,
+    from the call that gave it, and its ``curvature`` holds those eigenvalues
+    and their local variances; a Hessian that ``eigh`` cannot decompose stops
+    its row, and the error is its ``curvature``.
 
     The rows advance in lock-step: in each round every unfinished row
     evaluates exactly one trial, and all of them go to ``neg2l_rows`` in
-    one call, and the Hessians of the rows that step and go on go to one
-    stacked ``eigh``.  Each row keeps its own radius and
-    stopping state, and its arithmetic is that of a fit on its own: dot
-    products sum left to right from 0.0.
+    one call, and the Hessians of the rows that step go to one stacked
+    ``eigh``.  Each row keeps its own radius and stopping state, and its
+    arithmetic is that of a fit on its own: dot products sum left to right
+    from 0.0.
     """
     count = len(ctx)
     names = tuple(ctx.param_names)
@@ -208,23 +208,26 @@ def maximize_rows(ctx, x0, cfg: OptConfig = OptConfig()) -> list:
     with np.errstate(all="ignore"):  # rows that are done or infeasible compute garbage
         x = _project(np.tile(np.asarray(x0, dtype=float), (count, 1)), box)
         f, g, hess, started, why = ctx.neg2l_rows(np.arange(count), x)
-        f, g, held = (np.array(a, dtype=float) for a in (f, g, hess))
+        f, g = (np.array(a, dtype=float) for a in (f, g))
         traces = [[v] for v in f.tolist()]
         iterations = np.zeros(count, dtype=int)
         grad_inf = _inf_norm(g)
         converged = grad_inf < cfg.grad_tol
-        # per row, the Hessian at x, its floored eigenvalues and its
-        # eigenvectors, and the trust radius.  A row whose start Hessian is
-        # not finite stays at its start, and an accepted trial's Hessian is
-        # finite, so ``usable`` marks the rows with a Hessian at x throughout
-        usable = started & np.isfinite(held).all(axis=(1, 2))
-        active = usable & ~converged
+        # per row, the eigenvalues and eigenvectors of the Hessian at x or in
+        # ``errors`` why they are undefined, and the trust radius.  An accepted
+        # trial's Hessian is finite, so ``usable`` rows have one throughout
+        usable = started & np.isfinite(hess).all(axis=(1, 2))
+        errors = {i: InfeasiblePointError(reason) for i, ok in enumerate(usable.tolist())
+                  if not ok and (reason := why(i)) is not None}
+        kept = np.array([i for i in range(count) if i not in errors], dtype=int)
         lam, vec = np.zeros_like(x), np.zeros(x.shape + x.shape[1:])
+        active = usable & ~converged
+        active[_eigh(hess[kept], kept, lam, vec, errors)] = False
         radius = np.full(count, np.inf)
-        lam[active], vec[active] = _eigen(held[active])
         while True:
             rows = np.flatnonzero(active)
-            v, v_t, eig = vec[rows], np.swapaxes(vec[rows], 1, 2), lam[rows]
+            v, v_t, eig = vec[rows], np.swapaxes(vec[rows], 1, 2), np.abs(lam[rows])
+            eig += _EIG_FLOOR * eig.max(axis=1, initial=0.0, keepdims=True)
             c = _dot(v_t, g[rows, None, :])  # V'g
             u, boundary = _secular(eig, c, radius[rows])
             trial = _project(x[rows] - _dot(v, u[:, None, :]), box)
@@ -253,23 +256,26 @@ def maximize_rows(ctx, x0, cfg: OptConfig = OptConfig()) -> list:
             radius[rows[accept & boundary & good]] *= 2.0
             stepped = rows[accept]
             x[stepped], f[stepped], g[stepped] = trial[accept], f_new[accept], g_new[accept]
-            held[stepped] = hess[accept]
             for i, value in zip(stepped.tolist(), f_new[accept].tolist()):
                 traces[i].append(value)
             iterations[stepped] += 1
             grad_inf[stepped] = grad_inf_new[accept]
             converged[stepped] = grad_inf[stepped] < cfg.grad_tol
-            going = ~converged[stepped] & (iterations[stepped] < _MAX_ITERS)
-            active[stepped] = going
-            lam[stepped[going]], vec[stepped[going]] = _eigen(held[stepped[going]])
+            active[stepped] = ~converged[stepped] & (iterations[stepped] < _MAX_ITERS)
+            active[_eigh(hess[accept], stepped, lam, vec, errors)] = False
 
-    # an infeasible start's entry is the error that _curvatures gives it
+    # the local variances 2 diag(H^{-1}) = 2 (V o V)(1 / lambda), +inf where
+    # an eigenvalue is zero (a plateau).  An infeasible start's entry is its error
+    plateau = np.any(lam == 0.0, axis=1)
+    inverse = 1.0 / np.where(plateau[:, None], 1.0, lam)
+    lvar = np.matmul(2.0 * (vec * vec), inverse[:, :, None])[:, :, 0]
+    lvar[plateau] = np.inf
     return [
         MaxResult(omega_hat=x[i], param_names=names, converged=bool(converged[i]),
                   iterations=int(iterations[i]), grad_inf_norm=float(grad_inf[i]),
-                  trace=tuple(traces[i]), curvature=curvature)
-        if started[i] else curvature
-        for i, curvature in enumerate(_curvatures(held, usable, why))
+                  trace=tuple(traces[i]), curvature=errors.get(i, (lam[i], lvar[i])))
+        if started[i] else errors[i]
+        for i in range(count)
     ]
 
 
@@ -319,12 +325,25 @@ def _acceptable(f, f_new, predicted, grad_inf, grad_inf_new) -> np.ndarray:
             | ((-fall <= _NOISE * np.abs(f)) & (grad_inf_new < grad_inf)))
 
 
-def _eigen(hess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The floored eigenvalues |lambda| + 1e-8 max|lambda| and the
-    eigenvectors of each matrix of the (k, n, n) stack, from one ``eigh``."""
-    lam, vec = np.linalg.eigh(hess)
-    lam = np.abs(lam)
-    return lam + _EIG_FLOOR * lam.max(axis=1, initial=0.0, keepdims=True), vec
+def _eigh(hess: np.ndarray, rows: np.ndarray, lam: np.ndarray, vec: np.ndarray,
+          errors: dict) -> list[int]:
+    """Keep in ``lam[rows]`` and ``vec[rows]`` the ascending eigenvalues and
+    the eigenvectors of the matrices of the (k, n, n) stack ``hess``, from
+    one ``eigh``.  As one matrix that does not converge makes the whole stack
+    raise, the stack then goes matrix by matrix, and the error of a matrix
+    that still fails goes to ``errors`` under its row.  Returns those rows."""
+    try:
+        lam[rows], vec[rows] = np.linalg.eigh(hess)
+        return []
+    except np.linalg.LinAlgError:
+        failed = []
+    for row, matrix in zip(rows.tolist(), hess):
+        try:
+            lam[row], vec[row] = np.linalg.eigh(matrix)
+        except np.linalg.LinAlgError as exc:
+            errors[row] = exc
+            failed.append(row)
+    return failed
 
 
 def _secular(lam: np.ndarray, c: np.ndarray, radius: np.ndarray):
@@ -387,49 +406,4 @@ def check_maximum(result: MaxResult, cfg: OptConfig = OptConfig()) -> CheckRepor
         eig_ratio=eig_ratio,
         local_variances=lvar if hessian_pd else None,
     )
-
-
-def check_rows(results: list[MaxResult], cfg: OptConfig = OptConfig()) -> list[CheckReport]:
-    """:func:`check_maximum` on each of ``results``."""
-    return [check_maximum(result, cfg) for result in results]
-
-
-def _curvatures(hess: np.ndarray, usable: np.ndarray, why) -> list:
-    """Per matrix of the (k, n, n) stack ``hess``, its ascending eigenvalues
-    and local variances, or the error that makes them undefined: where
-    ``usable`` is False and ``why(i)`` names a failed test, an
-    ``InfeasiblePointError`` with that reason.  The usable matrices go to
-    ``eigh`` as one stack; as one matrix that does not converge makes the
-    whole stack raise, the stack then goes matrix by matrix, as does every
-    other matrix for which ``why`` names no test."""
-    out = [None if ok or (reason := why(i)) is None else InfeasiblePointError(reason)
-           for i, ok in enumerate(usable.tolist())]
-    stack = np.flatnonzero(usable)
-    if stack.size:
-        try:
-            eigvals, lvar = _curvature(hess[stack])
-            for i, e, v in zip(stack.tolist(), eigvals, lvar):
-                out[i] = e, v
-        except np.linalg.LinAlgError:
-            pass
-    for i in [i for i, c in enumerate(out) if c is None]:
-        try:
-            eigvals, lvar = _curvature(hess[i:i + 1])
-            out[i] = eigvals[0], lvar[0]
-        except np.linalg.LinAlgError as exc:
-            out[i] = exc
-    return out
-
-
-def _curvature(hess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of each -2L Hessian of the (k, n, n) stack and
-    its local variances 2 * diag(H^{-1}) = 2 * sum_j V_ij^2 / lambda_j, from
-    one ``eigh``; a zero eigenvalue (a plateau) makes every local variance of
-    its matrix +inf."""
-    eigvals, eigvecs = np.linalg.eigh(hess)
-    plateau = np.any(eigvals == 0.0, axis=1)
-    inverse = 1.0 / np.where(plateau[:, None], 1.0, eigvals)
-    lvar = np.matmul(2.0 * (eigvecs * eigvecs), inverse[:, :, None])[:, :, 0]
-    lvar[plateau] = np.inf
-    return eigvals, lvar
 

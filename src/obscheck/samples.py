@@ -525,7 +525,8 @@ def design_disturbance_matrix(horizon: int, count: int, cfg: LcdConfig = LcdConf
 def _sample_set(d: int, m_count: int, cfg: LcdConfig, cache_dir) -> np.ndarray:
     """The points of the (d, M) set, read-only: from the in-process memo, else
     from its CSV under ``cache_dir``, else placed afresh.  The memo shares the
-    file's key, and the file is written wherever it is missing or damaged.
+    file's key, and the file is written wherever it is missing or damaged;
+    a file that cannot be written is a warning, and the set placed is used.
     The origin-only set (M = 1) needs no placement and is never written."""
     key = _key_line(_cache_key(d, m_count, cfg))
     path = None
@@ -539,8 +540,12 @@ def _sample_set(d: int, m_count: int, cfg: LcdConfig, cache_dir) -> np.ndarray:
     if points is None:
         points = optimize_mixture(d, m_count, cfg).points
     if path is not None and not on_disk:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_sample_csv(path, points, cfg)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            write_sample_csv(path, points, cfg)
+        except OSError as exc:
+            warnings.warn(f"sample-set cache file {path} cannot be written "
+                          f"({exc.strerror or exc}); using the set placed", stacklevel=3)
     points.flags.writeable = False
     _matrix_cache[key] = points
     return points

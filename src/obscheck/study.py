@@ -25,7 +25,7 @@ from .models import ModelSpec
 # check_maximum and maximize are looked up here by perfbench/child.py, which
 # traces them by name
 from .optimize import (  # noqa: F401
-    CheckReport, MaxResult, OptConfig, check_maximum, check_rows, maximize, maximize_rows,
+    CheckReport, MaxResult, OptConfig, check_maximum, maximize, maximize_rows,
 )
 from .posterior import InfeasiblePointError, PosteriorContext
 from .samples import LcdConfig, design_disturbance_matrix, representative_disturbances
@@ -243,8 +243,8 @@ def _fit_blocks(model: ModelSpec, blocks: list[np.ndarray],
     it."""
     ctx = PosteriorContext(model, blocks)
     fits = maximize_rows(ctx, model.true_vector(), cfg.opt)
-    fitted = [i for i, r in enumerate(fits) if isinstance(r, MaxResult)]
-    checks = dict(zip(fitted, check_rows([fits[i] for i in fitted], cfg.opt)))
+    checks = {i: check_maximum(fit, cfg.opt) for i, fit in enumerate(fits)
+              if isinstance(fit, MaxResult)}
     records, start = [], 0
     for block in blocks:
         count = 1 if np.ndim(block) == 1 else len(block)

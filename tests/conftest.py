@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, settings, strategies as st
 
 from obscheck import InfeasiblePointError, LcdConfig, PosteriorContext
 from obscheck.expressions import _BINARY, _UNARY, Binary, DomainError, Literal, Param, Unary
-from obscheck.optimize import _curvatures
+from obscheck.optimize import MaxResult, OptConfig, maximize_rows
 
 from tree_walker import eval_expr, eval_hessian
 
@@ -65,11 +65,38 @@ def central_difference_hessian(grad, x):
     return np.array(columns).T
 
 
+class _AtPoints:
+    """A context whose row i is row ``rows[i]`` of ``ctx`` held at
+    ``points[i]``: it evaluates there whatever point it is asked for."""
+
+    def __init__(self, ctx, rows, points):
+        self.ctx, self.rows = ctx, np.asarray(rows, dtype=np.intp)
+        self.points = np.array(points, dtype=float, ndmin=2)
+        self.param_names = ctx.param_names
+
+    def __len__(self):
+        return len(self.rows)
+
+    def bounds(self):
+        return [(-math.inf, math.inf)] * len(self.param_names)
+
+    def neg2l_rows(self, rows, points):
+        return self.ctx.neg2l_rows(self.rows[rows], self.points[rows])
+
+
+def curvatures_at(ctx, rows, points):
+    """The ``curvature`` that the fit holds for row ``rows[i]`` of ``ctx``
+    at ``points[i]``, or the error of an infeasible point, from one
+    ``neg2l_rows`` call: a fit that counts every gradient as converged takes
+    no step, so each row keeps the decomposition of its start."""
+    fits = maximize_rows(_AtPoints(ctx, rows, points), points[0], OptConfig(grad_tol=math.inf))
+    return [fit.curvature if isinstance(fit, MaxResult) else fit for fit in fits]
+
+
 def local_variances_at(ctx, omega, k=0):
     """The local variances 2 diag(H^{-1}) the fit computes from the -2L
     Hessian of row ``k`` at ``omega``, a feasible point."""
-    *_, hess, feasible, why = ctx.neg2l_rows([k], np.array([omega], dtype=float))
-    ((_, lvar),) = _curvatures(hess, feasible & np.isfinite(hess).all(axis=(1, 2)), why)
+    ((_, lvar),) = curvatures_at(ctx, [k], [omega])
     return lvar
 
 

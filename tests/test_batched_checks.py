@@ -18,9 +18,7 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 from obscheck import InfeasiblePointError, bundled_model_names, load_model
 from obscheck.expressions import parse_expr
 from obscheck.models import ModelError, ModelSpec, ParamSpec, model_from_dict
-from obscheck.optimize import (
-    MaxResult, OptConfig, _curvatures, check_maximum, check_rows, maximize_rows,
-)
+from obscheck.optimize import MaxResult, OptConfig, check_maximum, maximize_rows
 from obscheck.posterior import PosteriorContext
 from obscheck.samples import design_disturbance_matrix
 from obscheck.study import (
@@ -28,7 +26,7 @@ from obscheck.study import (
     run_part2, run_study,
 )
 
-from conftest import DESK_LCD, curvature_key, local_variances_at, reference_hessian
+from conftest import DESK_LCD, curvature_key, curvatures_at, local_variances_at, reference_hessian
 from test_expressions import _POINTS, _expr_strategy
 
 THREE_PARAMETERS = model_from_dict({
@@ -152,11 +150,9 @@ def test_hessian_rows_equal_reference_on_expression_trees(mean, scale, prior, po
 def test_check_rows_equal_reference_over_a_design(name):
     model = THREE_PARAMETERS if name == "three_parameters" else load_model(name)
     ctx, rows, results = _fitted_design(model, 4)
-    reports = check_rows(results)
+    reports = [check_maximum(result) for result in results]
     assert [_check_key(r) for r in reports] == [
         _reference_check(ctx, result, k) for k, result in zip(rows, results)]
-    assert [_check_key(check_maximum(result)) for result in results] \
-        == [_check_key(r) for r in reports]
     if name == "additive_mean_pair":
         # a straight ridge: every Hessian has an exact zero eigenvalue, and
         # every local variance is infinite
@@ -168,9 +164,9 @@ def test_check_rows_keep_the_one_row_records_of_failing_rows(monkeypatch):
     # fitted rows, a row that is not finite, a row whose Q overflows (so
     # does -2L), a point where the gradient overflows before the scale's
     # fourth power underflows, one on a row of zeros where only the fourth
-    # power underflows, and a point off the domain; one call gives their
-    # Hessians and names why the infeasible ones are, as the fit's call at
-    # its starts does, and the checks read the curvatures alone
+    # power underflows, and a point off the domain; a fit held at those
+    # points makes one call, which gives their Hessians and names why the
+    # infeasible ones are, and the checks read the curvatures alone
     model = load_model("unknown_variance")
     design = make_design_observations(model, design_disturbance_matrix(4, 20, DESK_LCD))
     blocks = [design, np.array([1.0, np.inf, 0.0, 2.0]), np.array([1e200, -1e200, 0.0, 1.0]),
@@ -191,8 +187,7 @@ def test_check_rows_keep_the_one_row_records_of_failing_rows(monkeypatch):
         return rows_call(self, rows, points)
 
     monkeypatch.setattr(PosteriorContext, "neg2l_rows", counted)
-    *_, hess, feasible, why = ctx.neg2l_rows(rows, points)
-    curvatures = _curvatures(hess, feasible & np.isfinite(hess).all(axis=(1, 2)), why)
+    curvatures = curvatures_at(ctx, rows, points)
     # the curvatures that the fitted rows hold are those of one call at
     # their maxima
     assert [curvature_key(c) for c in curvatures[:20]] == [
@@ -200,7 +195,7 @@ def test_check_rows_keep_the_one_row_records_of_failing_rows(monkeypatch):
     results += [MaxResult(omega_hat=omega, param_names=("b",), converged=False, iterations=0,
                           grad_inf_norm=1e-3, trace=(0.0,), curvature=curvature)
                 for omega, curvature in zip(points[20:], curvatures[20:])]
-    reports = check_rows(results)
+    reports = [check_maximum(result) for result in results]
     assert calls == [25]  # the one call above: the checks make none
     assert [_check_key(r) for r in reports] == [
         _reference_check(ctx, result, k) for k, result in zip(rows, results)]
@@ -214,15 +209,32 @@ def test_check_rows_keep_the_one_row_records_of_failing_rows(monkeypatch):
     assert all(r.note is None for r in reports[:20]) and all(r.passed for r in reports[:20])
 
 
+class _HessianContext:
+    """Two-parameter rows whose -2L Hessians are the given matrices at every
+    point, with a zero gradient and no failed test to name."""
+
+    param_names = ("x", "y")
+
+    def __init__(self, matrices):
+        self.hess = np.array(matrices, dtype=float)
+
+    def __len__(self):
+        return len(self.hess)
+
+    def bounds(self):
+        return [(-math.inf, math.inf)] * 2
+
+    def neg2l_rows(self, rows, points):
+        k = len(rows)
+        return np.zeros(k), np.zeros((k, 2)), self.hess[rows], np.ones(k, dtype=bool), \
+            lambda i: None
+
+
 def _results(matrices):
-    """Two-parameter maxima whose curvatures come from the given Hessians,
-    as the fit hands them to ``_curvatures``: with the mask of the finite
-    ones, and no failed test to name."""
-    hess = np.array(matrices, dtype=float)
-    curvatures = _curvatures(hess, np.isfinite(hess).all(axis=(1, 2)), lambda i: None)
-    return [MaxResult(omega_hat=[0.0, 0.0], param_names=("x", "y"), converged=True,
-                      iterations=1, grad_inf_norm=1e-7, trace=(0.0,), curvature=curvature)
-            for curvature in curvatures]
+    """The maxima that the fit gives rows whose Hessians are ``matrices``:
+    each stays at its start, where the fit decomposes its Hessian, the
+    matrices that are not finite among them."""
+    return maximize_rows(_HessianContext(matrices), [0.0, 0.0])
 
 
 MATRICES = [[[2.0, 0.5], [0.5, 1.0]], [[np.nan, 0.0], [0.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]],
@@ -231,7 +243,7 @@ MATRICES = [[[2.0, 0.5], [0.5, 1.0]], [[np.nan, 0.0], [0.0, 1.0]], [[1.0, 1.0], 
 
 def test_a_stack_with_one_nan_matrix_checks_every_other_row():
     results = _results(MATRICES)
-    reports = check_rows(results)
+    reports = [check_maximum(result) for result in results]
     assert [_check_key(r) for r in reports] == [
         _reference_check_of(np.array(h), r) for h, r in zip(MATRICES, results)]
     assert reports[0].passed and not reports[1].passed
@@ -248,8 +260,59 @@ def test_a_stack_that_fails_to_converge_goes_matrix_by_matrix(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", fails_on_stacks)
     results = _results(MATRICES)
     monkeypatch.undo()
-    assert [_check_key(r) for r in check_rows(results)] == [
+    assert [_check_key(check_maximum(r)) for r in results] == [
         _reference_check_of(np.array(h), r) for h, r in zip(MATRICES, results)]
+
+
+def _design_block(name, horizon=4, count=20):
+    model = load_model(name)
+    z = make_design_observations(model, design_disturbance_matrix(horizon, count, DESK_LCD))
+    return model, z, StudyConfig(model=model, T_list=(horizon,), K=count, lcd=DESK_LCD)
+
+
+def test_a_stack_that_fails_during_the_fit_ends_no_study(monkeypatch):
+    # eigh fails on every stack of more than one matrix, at the starts and
+    # in the rounds that accept steps: the fit goes matrix by matrix and
+    # every record is what it is without the failures
+    model, z, cfg = _design_block("mean_and_variance")
+    want = _fit_blocks(model, [z], cfg)
+    eigh, stacks = np.linalg.eigh, []
+
+    def fails_on_stacks(a):
+        if a.ndim == 3 and len(a) > 1:
+            stacks.append(len(a))
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", fails_on_stacks)
+    got = _fit_blocks(model, [z], cfg)
+    monkeypatch.undo()
+    assert stacks[0] == 20 and len(stacks) > 1
+    assert [[_record_key(r) for r in block] for block in got] \
+        == [[_record_key(r) for r in block] for block in want]
+
+
+def test_a_hessian_that_eigh_cannot_decompose_stops_its_row(monkeypatch):
+    # eigh decomposes the start Hessians one by one and then fails on every
+    # matrix: each row stops at the first step it accepts, and its checks
+    # carry eigh's error
+    model, z, cfg = _design_block("mean_and_variance")
+    eigh, stacks = np.linalg.eigh, []
+
+    def fails_after_the_starts(a):
+        if a.ndim == 3:
+            stacks.append(len(a))
+        if a.ndim == 3 or len(stacks) > 1:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", fails_after_the_starts)
+    (records,) = _fit_blocks(model, [z], cfg)
+    monkeypatch.undo()
+    every_check = ("gradient", "hessian_pd", "eig_ratio", "local_variance")
+    note = "curvature evaluation failed: Eigenvalues did not converge"
+    assert [(r.iterations, r.converged, r.passed, r.checks.failed, r.checks.note)
+            for r in records] == [(1, False, False, every_check, note)] * 20
 
 
 def _record_key(record):

@@ -309,6 +309,31 @@ class TestRunCommand:
         assert cached.read_text() == text  # the damaged file was replaced
 
 
+    @pytest.mark.parametrize("layout", ["file_at_representative", "directory_at_a_set"])
+    def test_cache_file_that_cannot_be_written_is_a_warning(self, tmp_path, monkeypatch, layout):
+        # the set placed is used, as when no cache is given
+        args = ["run", "--model", "unknown_variance", "--T", "2", "--K", "8"] + DESK_FLAGS
+        assert run_cli(args + ["--no-cache", "--out", tmp_path / "uncached.json"]) == 0
+        cache = tmp_path / "cache"
+        if layout == "file_at_representative":
+            cache.mkdir()
+            blocked = cache / "representative"
+            blocked.write_text("")
+        else:
+            assert run_cli(args + ["--cache-dir", cache, "--out", tmp_path / "fill.json"]) == 0
+            (blocked,) = cache.glob("samples_d2_M8_*.csv")
+            blocked.unlink()
+            blocked.mkdir()
+        monkeypatch.setattr(samples, "_matrix_cache", {})
+        with pytest.warns(UserWarning) as caught:
+            code = run_cli(args + ["--cache-dir", cache, "--out", tmp_path / "cached.json"])
+        assert code == 0
+        (message,) = [str(w.message) for w in caught]
+        assert str(blocked) in message and "cannot be written" in message
+        assert message.endswith(("(File exists); using the set placed",
+                                 "(Is a directory); using the set placed"))
+        assert (tmp_path / "cached.json").read_bytes() == (tmp_path / "uncached.json").read_bytes()
+
 class TestReportCommand:
     def test_renders_written_report(self, tmp_path, capsys):
         out = tmp_path / "report.json"

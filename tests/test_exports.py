@@ -46,6 +46,6 @@ def test_package_root_imports_only_exported_names():
 
 
 def test_package_root_has_no_one_point_helpers():
-    # the batch path (maximize_rows, check_rows, run_study) replaced them
+    # the batch path (maximize_rows, run_study) replaced them
     for name in ("maximize", "check_maximum", "local_variance", "run_part1", "run_part2"):
         assert not hasattr(obscheck, name), name

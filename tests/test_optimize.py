@@ -14,7 +14,7 @@ from obscheck import (
     load_model,
 )
 from obscheck.optimize import (
-    _ETA, _NOISE, _acceptable, _eigen, _secular, check_maximum, maximize,
+    _EIG_FLOOR, _ETA, _NOISE, _acceptable, _secular, check_maximum, maximize,
 )
 from obscheck.samples import design_disturbance_matrix, representative_disturbances
 from obscheck.study import make_design_observations
@@ -261,7 +261,10 @@ def test_two_loop_matches_numpy_reference(n, scale):
     newton = np.linalg.solve(m, -g[:, :, None])[:, :, 0]
     radius = 2.0 ** (scale - 5) * np.linalg.norm(newton, axis=1)
 
-    lam, vec = _eigen(hess)
+    # the floored eigenvalues, as the fit forms the step from them
+    lam, vec = np.linalg.eigh(hess)
+    lam = np.abs(lam)
+    lam += _EIG_FLOOR * lam.max(axis=1, keepdims=True)
     u, cut = _secular(lam, np.einsum("rji,rj->ri", vec, g), radius)
     step = -np.einsum("rij,rj->ri", vec, u)
     length = np.linalg.norm(step, axis=1)

@@ -11,6 +11,7 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from obscheck import ModelSpec, PosteriorContext, StudyConfig, load_model
@@ -107,3 +108,24 @@ def test_traced_model_evaluations_follow_every_posterior_call(monkeypatch):
     assert counts["mean_scale_prior_grad"] == counts["neg2l_rows"] > 2
     assert all(names[span[3]] == "neg2l_rows"
                for name, span in zip(names, tracer.spans) if name == "mean_scale_prior_grad")
+
+
+def test_traced_checks_see_every_fitted_row(monkeypatch):
+    # the traced run reads the check metrics from the spans of
+    # optimize.check_maximum, patched where TRACED names it: the study
+    # checks each fitted maximum through that name once
+    child = _child()
+    (where, attr, attrs), = [entry[1:] for entry in child.TRACED
+                             if entry[0] == "optimize.check_maximum"]
+    owner = importlib.import_module(where)
+    tracer = child.Tracer()
+    monkeypatch.setattr(owner, attr, tracer.wrap("check_maximum", getattr(owner, attr), attrs))
+    model = load_model("mean_and_variance")
+    z = make_design_observations(model, design_disturbance_matrix(4, 20, DESK_LCD))
+    # and a row whose start is infeasible, which has no maximum to check
+    records, (infeasible,) = _fit_blocks(
+        model, [z, np.array([1.0, np.inf, 0.0, 2.0])],
+        StudyConfig(model=model, T_list=(4,), K=20, lcd=DESK_LCD))
+    assert infeasible.checks is None
+    assert [span[5]["passed"] for span in tracer.spans] == [r.passed for r in records]
+    assert len(records) == 20 and all(r.passed for r in records)
