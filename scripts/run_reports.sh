@@ -3,14 +3,14 @@
 # and keep what each run leaves in OUTDIR: MODEL.json (the report),
 # MODEL.csv (--plot), MODEL.stdout, MODEL.stderr, MODEL.exit and the
 # sample-set cache cache-MODEL/.  Run it once per side of a change, into two
-# directories, and compare them as the job does.
+# directories, and compare them as the job does: the job's compare steps
+# take the model names from the MODEL.exit files written here.
 #
 #     scripts/run_reports.sh ROOT OUTDIR
 #
-# The model lists come from the environment when it sets them, as the CI job
-# does, and are the job's lists otherwise.  The models that are not bundled
-# are written to OUTDIR/models; a report names a model file by its stem, so
-# the directory does not show in the outputs.
+# The models that are not bundled are written to OUTDIR/models; a report
+# names a model file by its stem, so the directory does not show in the
+# outputs.
 set -eo pipefail
 
 if [ $# -ne 2 ]; then
@@ -18,28 +18,39 @@ if [ $# -ne 2 ]; then
   exit 2
 fi
 root=$1 dir=$2
-OBSERVABLE=${OBSERVABLE-unknown_variance mean_and_variance ratio_mean_scale_sqrt_a ratio_mean_scale_sqrt_ab}
-OTHERS=${OTHERS-additive_mean_pair product_mean ratio_mean_scale_sqrt_ratio reciprocal_mean}
-INFEASIBLE=${INFEASIBLE-neg2l_not_finite scale_cube_underflows observations_overflow scale_fourth_power_underflows}
-OPERATORS=${OPERATORS-power_scale log_exp_scale power_mean precedence_mix abs_neg_call}
-CAPPED=${CAPPED-ratio_ab_no_maximum}
-BASELINE=${BASELINE-mean_and_variance ratio_mean_scale_sqrt_ab}
+# the 8 bundled models, then the written ones
+OBSERVABLE="unknown_variance mean_and_variance ratio_mean_scale_sqrt_a ratio_mean_scale_sqrt_ab"
+OTHERS="additive_mean_pair product_mean ratio_mean_scale_sqrt_ratio reciprocal_mean"
+INFEASIBLE="neg2l_not_finite scale_cube_underflows observations_overflow scale_fourth_power_underflows"
+OPERATORS="power_scale log_exp_scale power_mean precedence_mix abs_neg_call"
+CAPPED="ratio_ab_no_maximum"
+# two observable models run with --random-baseline, so the baseline's
+# records, whose checks come from the same fit as the others, are compared
+# too
+BASELINE="mean_and_variance ratio_mean_scale_sqrt_ab"
 models=$dir/models
 
-# the models with infeasible starts or Hessians, those that use ^, log, exp,
-# abs, neg and every precedence level, and the one without a maximum on some
-# rows
 mkdir -p "$models"
 (
   cd "$models"
+  # No bundled model starts infeasible anywhere, so these three do,
+  # everywhere, as in test_infeasible_start_everywhere_exit_three: their
+  # reports hold the failure reasons of the posterior's feasibility rule.
   echo '{"parameters": [{"name": "b", "true_value": 1e200}], "mean": "0", "scale": "b"}' \
     > neg2l_not_finite.json
   echo '{"parameters": [{"name": "b", "true_value": 1e-120}], "mean": "0", "scale": "b"}' \
     > scale_cube_underflows.json
   echo '{"parameters": [{"name": "b", "true_value": 1e308}], "mean": "0", "scale": "b * 1.6"}' \
     > observations_overflow.json
+  # No bundled maximum has an infeasible Hessian either, so this one fits to
+  # a scale whose fourth power underflows: its checks carry the reason that
+  # only the Hessian's test gives.
   echo '{"parameters": [{"name": "b", "true_value": 1e-90}], "mean": "0", "scale": "b"}' \
     > scale_fourth_power_underflows.json
+  # No bundled model uses ^, log or exp, so the first three here do.  The
+  # fourth mixes every precedence level with unary minus: its report prints
+  # the parsed expressions, so equal reports show the parse trees unchanged
+  # end to end.  No bundled model calls abs or neg(...), so the fifth does.
   parameters='[{"name": "a", "true_value": 0.6}, {"name": "b", "true_value": 0.4}]'
   echo "{\"parameters\": $parameters, \"mean\": \"a / b\", \"scale\": \"a ^ 0.5\"}" \
     > power_scale.json
@@ -51,6 +62,10 @@ mkdir -p "$models"
     > precedence_mix.json
   echo "{\"parameters\": $parameters, \"mean\": \"abs(a - 1) * b + neg(a) / 3\", \"scale\": \"sqrt(abs(b))\", \"log_prior\": \"-abs(a)\"}" \
     > abs_neg_call.json
+  # Every bundled fit converges, so this one, ratio_mean_scale_sqrt_ab at
+  # other true values, has three rows of eight whose posterior has no
+  # maximum: their fits run to the iteration cap, so the reports cover the
+  # cap path end to end.
   echo '{"parameters": [{"name": "a", "true_value": 1.438}, {"name": "b", "true_value": 3.0}], "mean": "a / b", "scale": "sqrt(a * b)"}' \
     > ratio_ab_no_maximum.json
 )

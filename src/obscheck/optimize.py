@@ -219,10 +219,15 @@ def maximize_rows(ctx, x0, cfg: OptConfig = OptConfig()) -> list:
         usable = started & np.isfinite(hess).all(axis=(1, 2))
         errors = {i: InfeasiblePointError(reason) for i, ok in enumerate(usable.tolist())
                   if not ok and (reason := why(i)) is not None}
-        kept = np.array([i for i in range(count) if i not in errors], dtype=int)
         lam, vec = np.zeros_like(x), np.zeros(x.shape + x.shape[1:])
         active = usable & ~converged
+        kept = np.flatnonzero(usable)
         active[_eigh(hess[kept], kept, lam, vec, errors)] = False
+        # a start Hessian not finite for no reason ``why`` names goes apart, lest the stack raise
+        unnamed = ~usable
+        unnamed[list(errors)] = False
+        if (odd := np.flatnonzero(unnamed)).size:
+            _eigh(hess[odd], odd, lam, vec, errors)
         radius = np.full(count, np.inf)
         while True:
             rows = np.flatnonzero(active)

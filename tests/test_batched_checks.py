@@ -264,6 +264,28 @@ def test_a_stack_that_fails_to_converge_goes_matrix_by_matrix(monkeypatch):
         _reference_check_of(np.array(h), r) for h, r in zip(MATRICES, results)]
 
 
+def test_a_start_hessian_that_is_not_finite_stays_out_of_the_stack(monkeypatch):
+    # where eigh raises on a matrix that is not finite, the four finite
+    # start Hessians still go in one stack; only the two others go matrix
+    # by matrix, and their rows carry eigh's error
+    eigh, calls = np.linalg.eigh, []
+
+    def fails_on_non_finite(a):
+        calls.append(len(a) if a.ndim == 3 else 1)
+        if not np.isfinite(a).all():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", fails_on_non_finite)
+    results = _results(MATRICES)
+    monkeypatch.undo()
+    assert calls == [4, 2, 1, 1]
+    assert [isinstance(r.curvature, np.linalg.LinAlgError) for r in results] \
+        == [False, True, False, False, False, True]
+    assert [_check_key(check_maximum(results[i])) for i in (0, 2, 3, 4)] \
+        == [_reference_check_of(np.array(MATRICES[i]), results[i]) for i in (0, 2, 3, 4)]
+
+
 def _design_block(name, horizon=4, count=20):
     model = load_model(name)
     z = make_design_observations(model, design_disturbance_matrix(horizon, count, DESK_LCD))
