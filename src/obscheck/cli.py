@@ -58,11 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=LcdConfig.seed,
                        help="seed for the deterministic sample initializer")
         p.add_argument("--b-max", type=float, default=LcdConfig.b_max)
-        p.add_argument("--quad-nodes", type=int, default=LcdConfig.quad_nodes,
-                       help="width-quadrature nodes for every dimension (default: 128 "
-                            "for d <= 3, 64 for 4 <= d <= 7, 32 for d >= 8)")
         p.add_argument("--placement-iters", type=int, default=LcdConfig.max_iters)
-        p.add_argument("--step-tol", type=float, default=LcdConfig.step_tol)
 
     p_samples = sub.add_parser("samples", help="generate a deterministic sample set")
     p_samples.add_argument("--dim", type=int, required=True)
@@ -88,7 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--grad-check", type=float, default=OptConfig.grad_check)
     p_run.add_argument("--eig-ratio-min", type=float, default=OptConfig.eig_ratio_min)
     p_run.add_argument("--lvar-max", type=float, default=OptConfig.lvar_max)
-    p_run.add_argument("--grad-tol", type=float, default=OptConfig.grad_tol)
     add_lcd_flags(p_run)
 
     p_report = sub.add_parser("report", help="render a report file as text tables")
@@ -98,13 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _lcd_from_args(args) -> LcdConfig:
     try:
-        return LcdConfig(
-            b_max=args.b_max,
-            quad_nodes=args.quad_nodes,
-            max_iters=args.placement_iters,
-            step_tol=args.step_tol,
-            seed=args.seed,
-        )
+        return LcdConfig(b_max=args.b_max, max_iters=args.placement_iters, seed=args.seed)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
 
@@ -158,12 +147,8 @@ def _cmd_run(args) -> int:
             T_list=horizons,
             K=args.K,
             lcd=_lcd_from_args(args),
-            opt=OptConfig(
-                grad_tol=args.grad_tol,
-                grad_check=args.grad_check,
-                eig_ratio_min=args.eig_ratio_min,
-                lvar_max=args.lvar_max,
-            ),
+            opt=OptConfig(grad_check=args.grad_check, eig_ratio_min=args.eig_ratio_min,
+                          lvar_max=args.lvar_max),
             cache_dir=str(cache_dir) if cache_dir is not None else None,
             random_baseline=args.random_baseline,
         )

@@ -442,14 +442,6 @@ def _scalar_rows(rows: np.ndarray, bad: np.ndarray, tests: list, rule: Callable,
 # ---------------------------------------------------------------------------
 
 
-def _apply_unary(e: Unary, x: float) -> float:
-    return _UNARY[e.op][0](e, x)
-
-
-def _apply_binary(e: Binary, a: float, b: float) -> float:
-    return _BINARY[e.op][0](e, a, b)
-
-
 def _sqrt_value(e: Unary, x: float) -> float:
     if x <= 0.0:
         raise DomainError(f"sqrt of non-positive value {x!r}", e)

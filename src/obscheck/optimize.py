@@ -55,11 +55,13 @@ from .posterior import InfeasiblePointError
 
 __all__ = ["OptConfig", "MaxResult", "CheckReport", "maximize_rows", "check_maximum"]
 
-# the iteration cap and the trust region's constants of the module docstring
-# (Nocedal & Wright, Numerical Optimization, 2nd ed., ch. 4): the share of
-# the predicted fall that accepts a trial, the rise that counts as rounding
-# noise relative to |f|, the eigenvalue floor relative to the largest
-# |eigenvalue|, and the tolerance of the secular iteration relative to Delta
+# the stop on the gradient's inf-norm, the iteration cap and the trust
+# region's constants of the module docstring (Nocedal & Wright, Numerical
+# Optimization, 2nd ed., ch. 4): the share of the predicted fall that accepts
+# a trial, the rise that counts as rounding noise relative to |f|, the
+# eigenvalue floor relative to the largest |eigenvalue|, and the tolerance of
+# the secular iteration relative to Delta
+_GRAD_TOL = 1e-9
 _MAX_ITERS = 500
 _ETA = 1e-4
 _NOISE = 1e-12
@@ -68,19 +70,17 @@ _RADIUS_TOL = 0.1
 
 
 class OptConfig(Value):
-    """The convergence target of :func:`maximize_rows` and the three
-    thresholds of :func:`check_maximum`."""
+    """The three thresholds of :func:`check_maximum`."""
 
-    grad_tol = 1e-9
     grad_check = 1e-5
     eig_ratio_min = 1e-5
     lvar_max = 1e8
-    _fields = ("grad_tol", "grad_check", "eig_ratio_min", "lvar_max")
+    _fields = ("grad_check", "eig_ratio_min", "lvar_max")
 
-    def __init__(self, grad_tol: float = grad_tol, grad_check: float = grad_check,
-                 eig_ratio_min: float = eig_ratio_min, lvar_max: float = lvar_max):
-        self.__dict__.update(grad_tol=grad_tol, grad_check=grad_check,
-                             eig_ratio_min=eig_ratio_min, lvar_max=lvar_max)
+    def __init__(self, grad_check: float = grad_check, eig_ratio_min: float = eig_ratio_min,
+                 lvar_max: float = lvar_max):
+        self.__dict__.update(grad_check=grad_check, eig_ratio_min=eig_ratio_min,
+                             lvar_max=lvar_max)
         for name in self._fields:
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -140,7 +140,7 @@ class CheckReport:
 
 
 # unused in the package; perfbench/child.py traces it by name as study.maximize
-def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
+def maximize(ctx, x0) -> MaxResult:
     """Maximize the log-posterior of the one row of ``ctx`` from ``x0``:
     :func:`maximize_rows` on a one-row context, a trust-region Newton fit
     on the exact Hessian (Moré & Sorensen, SIAM J. Sci. Stat. Comput. 1983;
@@ -165,13 +165,13 @@ def maximize(ctx, x0, cfg: OptConfig = OptConfig()) -> MaxResult:
     if len(ctx) != 1:
         raise ValueError(f"maximize fits a one-row context, not {len(ctx)} rows; "
                          f"fit them with maximize_rows")
-    (result,) = maximize_rows(ctx, x0, cfg)
+    (result,) = maximize_rows(ctx, x0)
     if isinstance(result, InfeasiblePointError):
         raise ValueError(f"infeasible starting point: {result}") from result
     return result
 
 
-def maximize_rows(ctx, x0, cfg: OptConfig = OptConfig()) -> list:
+def maximize_rows(ctx, x0) -> list:
     """Maximize the log-posterior of every row of ``ctx`` from ``x0`` by the
     trust-region Newton method of the module docstring (Moré & Sorensen,
     SIAM J. Sci. Stat. Comput. 1983; Nocedal & Wright, Numerical
@@ -179,6 +179,9 @@ def maximize_rows(ctx, x0, cfg: OptConfig = OptConfig()) -> list:
     + mu)) V' g with the least mu >= 0 that keeps it within the radius, and
     a trial accepted on 1e-4 of its predicted fall or, at rounding noise,
     on a rise of at most 1e-12 * |f| with a falling gradient.
+
+    ``x0`` is one start of shape (n,) for every row, or one start per row,
+    of shape (len(ctx), n); any other shape is a ``ValueError``.
 
     This is the one fit contract.  ``ctx`` has ``len(ctx)`` rows,
     ``param_names``, ``bounds()`` and ``neg2l_rows(rows, points) -> (values,
@@ -205,14 +208,18 @@ def maximize_rows(ctx, x0, cfg: OptConfig = OptConfig()) -> list:
     count = len(ctx)
     names = tuple(ctx.param_names)
     box = _box(ctx.bounds())
+    x0, shape = np.asarray(x0, dtype=float), (count, len(names))
+    if x0.shape not in (shape[1:], shape):
+        raise ValueError(f"x0 has shape {x0.shape}, not {shape[1:]} for one start of every "
+                         f"row or {shape} for one start per row")
     with np.errstate(all="ignore"):  # rows that are done or infeasible compute garbage
-        x = _project(np.tile(np.asarray(x0, dtype=float), (count, 1)), box)
+        x = _project(np.broadcast_to(x0, shape).copy(), box)
         f, g, hess, started, why = ctx.neg2l_rows(np.arange(count), x)
         f, g = (np.array(a, dtype=float) for a in (f, g))
         traces = [[v] for v in f.tolist()]
         iterations = np.zeros(count, dtype=int)
         grad_inf = _inf_norm(g)
-        converged = grad_inf < cfg.grad_tol
+        converged = grad_inf < _GRAD_TOL
         # per row, the eigenvalues and eigenvectors of the Hessian at x or in
         # ``errors`` why they are undefined, and the trust radius.  An accepted
         # trial's Hessian is finite, so ``usable`` rows have one throughout
@@ -265,7 +272,7 @@ def maximize_rows(ctx, x0, cfg: OptConfig = OptConfig()) -> list:
                 traces[i].append(value)
             iterations[stepped] += 1
             grad_inf[stepped] = grad_inf_new[accept]
-            converged[stepped] = grad_inf[stepped] < cfg.grad_tol
+            converged[stepped] = grad_inf[stepped] < _GRAD_TOL
             active[stepped] = ~converged[stepped] & (iterations[stepped] < _MAX_ITERS)
             active[_eigh(hess[accept], stepped, lam, vec, errors)] = False
 

@@ -28,7 +28,7 @@ The outer integral over b is Gauss-Legendre quadrature in t on (0, 1] with
 b = b_max t^2, so db = 2 b_max t dt and node j carries the weight
 b_max t_j w_j (w_j the Legendre weight on [-1, 1]).  The map crowds nodes
 towards small widths, where the kernel of a close pair changes fastest.
-The node count depends on d (:meth:`LcdConfig.nodes_for`).
+The node count depends on d (:func:`_node_count`).
 
 The constants c1 = (pi b^2)^(d/2), c2 = (b^2 sqrt(2 pi/(1+2 b^2)))^d and
 T3 depend only on the node and d; they are computed once per configuration.
@@ -106,46 +106,37 @@ class LcdConfig(Value):
     """Discretization and placement settings for sample-set generation.
 
     b_max:      upper kernel-width bound of the outer integral.
-    quad_nodes: Gauss-Legendre node count of the width integral; None picks
-                it per dimension (see :meth:`nodes_for`).
     max_iters:  iteration cap for the placement descent.
-    step_tol:   convergence tolerance; placement stops once the inf-norm of
-                the free-coordinate gradient falls below it.
     seed:       64-bit seed for the deterministic initializer.
     """
 
     b_max = 10.0
-    quad_nodes = None
     max_iters = 600
-    step_tol = 1e-8
     seed = 12345
-    _fields = ("b_max", "quad_nodes", "max_iters", "step_tol", "seed")
+    _fields = ("b_max", "max_iters", "seed")
 
-    def __init__(self, b_max: float = b_max, quad_nodes: int | None = quad_nodes,
-                 max_iters: int = max_iters, step_tol: float = step_tol, seed: int = seed):
-        self.__dict__.update(b_max=b_max, quad_nodes=quad_nodes, max_iters=max_iters,
-                             step_tol=step_tol, seed=seed)
+    def __init__(self, b_max: float = b_max, max_iters: int = max_iters, seed: int = seed):
+        self.__dict__.update(b_max=b_max, max_iters=max_iters, seed=seed)
         if not self.b_max > 0.0:
             raise ValueError(f"b_max must be positive, got {self.b_max}")
         if not math.isfinite(self.b_max):
             raise ValueError(f"b_max must be finite, got {self.b_max}")
-        if self.quad_nodes is not None and self.quad_nodes < 2:
-            raise ValueError(f"quad_nodes must be >= 2, got {self.quad_nodes}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if not (math.isfinite(self.step_tol) and self.step_tol > 0.0):
-            raise ValueError(f"step_tol must be finite and positive, got {self.step_tol}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
-    def nodes_for(self, d: int) -> int:
-        """The width-quadrature node count in d dimensions: ``quad_nodes``
-        when set, else 128 for d <= 3, 64 for 4 <= d <= 7 and 32 for d >= 8.
-        On placed sets each tier keeps the placement gradient within 1e-9
-        relative of a 1024-node reference."""
-        if self.quad_nodes is not None:
-            return self.quad_nodes
-        return 128 if d <= 3 else 64 if d <= 7 else 32
+
+# placement stops once the inf-norm of the free-coordinate gradient falls
+# below this, relative to the distance where that exceeds 1
+_STEP_TOL = 1e-8
+
+
+def _node_count(d: int) -> int:
+    """The width-quadrature node count in d dimensions: 128 for d <= 3, 64
+    for 4 <= d <= 7 and 32 for d >= 8.  On placed sets each tier keeps the
+    placement gradient within 1e-9 relative of a 1024-node reference."""
+    return 128 if d <= 3 else 64 if d <= 7 else 32
 
 
 class DiracMixture:
@@ -217,7 +208,9 @@ def lcd_distance(mix, cfg: LcdConfig = LcdConfig()) -> float:
     Accepts a :class:`DiracMixture` or a plain (M, d) array; a 1-D array is
     treated as M points in one dimension.
     """
-    value, _ = _distance_impl(_points_of(mix), cfg)
+    points = _points_of(mix)
+    d = points.shape[1]
+    value, _ = _distance_impl(points, _nodes(cfg.b_max, _node_count(d), d))
     return value
 
 
@@ -229,13 +222,16 @@ def lcd_gradient(mix, cfg: LcdConfig = LcdConfig()) -> np.ndarray:
     over the i < j pairs; placement differentiates the free block of its
     point-symmetric layout with :func:`_free_kernel` instead.
     """
-    _, grad = _distance_impl(_points_of(mix), cfg)
+    points = _points_of(mix)
+    d = points.shape[1]
+    _, grad = _distance_impl(points, _nodes(cfg.b_max, _node_count(d), d))
     return grad
 
 
-def _distance_impl(points: np.ndarray, cfg: LcdConfig) -> tuple[float, np.ndarray]:
+def _distance_impl(points: np.ndarray, nodes: tuple) -> tuple[float, np.ndarray]:
     """Distance of an arbitrary (M, d) point set and its raw per-point
-    gradient.  Placement uses :func:`_free_kernel` instead."""
+    gradient, on the width quadrature ``nodes`` of :func:`_nodes`.
+    Placement uses :func:`_free_kernel` instead."""
     _check_finite(points)
     m_count, d = points.shape
     if m_count < 1 or d < 1:
@@ -246,8 +242,7 @@ def _distance_impl(points: np.ndarray, cfg: LcdConfig) -> tuple[float, np.ndarra
     dist2 = np.concatenate([np.einsum("jk,jk->j", diff, diff)
                             for diff in (points[i + 1 :] - points[i] for i in range(m_count))])
     norm2 = np.einsum("ik,ik->i", points, points)
-    total, wk, we2 = _kernel_sums(dist2, np.full(len(dist2), 2.0), norm2, 1.0, m_count,
-                                  _nodes(cfg.b_max, cfg.nodes_for(d), d))
+    total, wk, we2 = _kernel_sums(dist2, np.full(len(dist2), 2.0), norm2, 1.0, m_count, nodes)
 
     # dD/dx_i = sum_j W_ij (x_j - x_i) + 2 we2_i x_i, W the symmetric coupling
     coupling = np.zeros((m_count, m_count))
@@ -306,9 +301,10 @@ def _pair_layout(n: int, origin: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return layout
 
 
-def _free_kernel(free: np.ndarray, m_count: int, cfg: LcdConfig) -> tuple[float, np.ndarray]:
+def _free_kernel(free: np.ndarray, m_count: int, nodes: tuple) -> tuple[float, np.ndarray]:
     """Distance of the symmetric set [free; -free; origin?] and its gradient
-    with respect to the free block, computed from the free block alone.
+    with respect to the free block, computed from the free block alone, on
+    the width quadrature ``nodes`` of :func:`_nodes`.
 
     Every pair of the full set falls into one of the classes listed in the
     module docstring, so T1 needs the kernel only on the i < j pairs of
@@ -329,8 +325,7 @@ def _free_kernel(free: np.ndarray, m_count: int, cfg: LcdConfig) -> tuple[float,
     dist2 = [np.maximum(sums - cross, 0.0), sums + cross, 4.0 * norm2]
     if origin:
         dist2.append(norm2)
-    total, wk, we2 = _kernel_sums(np.concatenate(dist2), mult, norm2, 2.0, m_count,
-                                  _nodes(cfg.b_max, cfg.nodes_for(d), d))
+    total, wk, we2 = _kernel_sums(np.concatenate(dist2), mult, norm2, 2.0, m_count, nodes)
 
     # d/df_k of the T1 sum: -2 [f_k (sum_j A_kj + B_kj + 2 B_kk + C_k)
     #                          + sum_j (B_kj - A_kj) f_j], j != k
@@ -401,7 +396,7 @@ def optimize_mixture(d: int, m_count: int, cfg: LcdConfig = LcdConfig()) -> Dira
     Free points start from seeded standard-normal draws scaled to unit sample
     variance, descend on :func:`lcd_distance` (steepest descent, adaptive
     Barzilai-Borwein trial step, Armijo backtracking) until the free-gradient
-    inf-norm drops below ``step_tol`` or ``max_iters`` is hit, then the set
+    inf-norm drops below ``_STEP_TOL`` or ``max_iters`` is hit, then the set
     is whitened to exact unit covariance.  Deterministic: identical inputs
     produce bit-identical output.
 
@@ -419,6 +414,7 @@ def optimize_mixture(d: int, m_count: int, cfg: LcdConfig = LcdConfig()) -> Dira
     free, converged = _descend(d, m_count, cfg)
     free = _whiten(free, m_count, d)
     if not converged:
+        # step_tol is _STEP_TOL's name in the cache key
         warnings.warn(
             f"sample placement (d={d}, M={m_count}) stopped at max_iters="
             f"{cfg.max_iters} before reaching step_tol",
@@ -435,12 +431,13 @@ def optimize_mixture(d: int, m_count: int, cfg: LcdConfig = LcdConfig()) -> Dira
 def _descend(d: int, m_count: int, cfg: LcdConfig) -> tuple[np.ndarray, bool]:
     """Gradient descent on the free block; returns the pre-whitening solution."""
     free = _initial_free_points(d, m_count, cfg)
-    f, g = _free_kernel(free, m_count, cfg)
+    nodes = _nodes(cfg.b_max, _node_count(d), d)
+    f, g = _free_kernel(free, m_count, nodes)
 
     def small_enough(grad_inf: float, value: float) -> bool:
         # first-order optimality relative to the objective's scale, which
         # grows like b_max^d; for O(1) objectives this is an absolute test
-        return grad_inf < cfg.step_tol * max(1.0, abs(value))
+        return grad_inf < _STEP_TOL * max(1.0, abs(value))
 
     converged = small_enough(float(np.max(np.abs(g))), f)
     # trial steps start from the Barzilai-Borwein estimate, safeguarded
@@ -459,7 +456,7 @@ def _descend(d: int, m_count: int, cfg: LcdConfig) -> tuple[np.ndarray, bool]:
             trial = free - t * g
             # the gradient comes with every trial, so the accepted one needs
             # no second evaluation
-            f_new, g_new = _free_kernel(trial, m_count, cfg)
+            f_new, g_new = _free_kernel(trial, m_count, nodes)
             if f_new <= f - 1e-4 * t * g2:
                 accepted = True
                 break
@@ -564,11 +561,11 @@ _KEY_FIELDS = {"dim": int, "count": int, "b_max": float, "quad_nodes": int, "see
 def _cache_key(d: int, m_count: int, cfg: LcdConfig) -> dict:
     """Everything that decides which set placement produces.  The CSV header
     records it and the cache file name carries its CRC-32, so a file copied
-    under another key's name fails the header check.  The node count is the
-    one resolved for d, so a default and an explicit equal count share files
-    and memo entries."""
-    return {"dim": d, "count": m_count, "b_max": cfg.b_max, "quad_nodes": cfg.nodes_for(d),
-            "seed": cfg.seed, "max_iters": cfg.max_iters, "step_tol": cfg.step_tol,
+    under another key's name fails the header check.  The node count and the
+    step tolerance are fixed, and stay in the key so that the files of
+    earlier releases, which recorded them, keep their names and headers."""
+    return {"dim": d, "count": m_count, "b_max": cfg.b_max, "quad_nodes": _node_count(d),
+            "seed": cfg.seed, "max_iters": cfg.max_iters, "step_tol": _STEP_TOL,
             "placement": _PLACEMENT_REVISION}
 
 

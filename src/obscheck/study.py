@@ -242,7 +242,7 @@ def _fit_blocks(model: ModelSpec, blocks: list[np.ndarray],
     is infeasible fails with the error :func:`maximize_rows` returns for
     it."""
     ctx = PosteriorContext(model, blocks)
-    fits = maximize_rows(ctx, model.true_vector(), cfg.opt)
+    fits = maximize_rows(ctx, model.true_vector())
     checks = {i: check_maximum(fit, cfg.opt) for i, fit in enumerate(fits)
               if isinstance(fit, MaxResult)}
     records, start = [], 0

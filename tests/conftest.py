@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, settings, strategies as st
 
 from obscheck import InfeasiblePointError, LcdConfig, PosteriorContext
 from obscheck.expressions import _BINARY, _UNARY, Binary, DomainError, Literal, Param, Unary
-from obscheck.optimize import MaxResult, OptConfig, maximize_rows
+from obscheck.optimize import MaxResult, maximize_rows
 
 from tree_walker import eval_expr, eval_hessian
 
@@ -65,13 +65,13 @@ def central_difference_hessian(grad, x):
     return np.array(columns).T
 
 
-class _AtPoints:
-    """A context whose row i is row ``rows[i]`` of ``ctx`` held at
-    ``points[i]``: it evaluates there whatever point it is asked for."""
+class _AtStarts:
+    """A context whose row i is row ``rows[i]`` of ``ctx``, with every
+    gradient given as zero: a fit on it counts each row as converged at its
+    start, so it takes no step."""
 
-    def __init__(self, ctx, rows, points):
+    def __init__(self, ctx, rows):
         self.ctx, self.rows = ctx, np.asarray(rows, dtype=np.intp)
-        self.points = np.array(points, dtype=float, ndmin=2)
         self.param_names = ctx.param_names
 
     def __len__(self):
@@ -81,15 +81,16 @@ class _AtPoints:
         return [(-math.inf, math.inf)] * len(self.param_names)
 
     def neg2l_rows(self, rows, points):
-        return self.ctx.neg2l_rows(self.rows[rows], self.points[rows])
+        values, gradients, hessians, feasible, why = self.ctx.neg2l_rows(self.rows[rows], points)
+        return values, np.zeros_like(gradients), hessians, feasible, why
 
 
 def curvatures_at(ctx, rows, points):
     """The ``curvature`` that the fit holds for row ``rows[i]`` of ``ctx``
     at ``points[i]``, or the error of an infeasible point, from one
-    ``neg2l_rows`` call: a fit that counts every gradient as converged takes
-    no step, so each row keeps the decomposition of its start."""
-    fits = maximize_rows(_AtPoints(ctx, rows, points), points[0], OptConfig(grad_tol=math.inf))
+    ``neg2l_rows`` call: a fit started at ``points[i]`` on row i that takes
+    no step keeps the decomposition of its start."""
+    fits = maximize_rows(_AtStarts(ctx, rows), np.array(points, dtype=float, ndmin=2))
     return [fit.curvature if isinstance(fit, MaxResult) else fit for fit in fits]
 
 

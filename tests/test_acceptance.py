@@ -25,6 +25,7 @@ from obscheck import (
 )
 from obscheck.closed_form import mean_and_variance_oracle, unknown_variance_oracle
 from obscheck.optimize import check_maximum, maximize
+from obscheck.samples import _distance_impl, _nodes
 
 from conftest import DESK_LCD
 
@@ -263,7 +264,7 @@ def test_criterion_8_sampling_properties():
     details.append(f"gradient-vs-FD {'ok' if grad_ok else 'FAIL'}")
 
     base = lcd_distance(np.array([-1.0, 1.0]), LcdConfig())
-    doubled = lcd_distance(np.array([-1.0, 1.0]), LcdConfig(quad_nodes=256))
+    doubled, _ = _distance_impl(np.array([[-1.0], [1.0]]), _nodes(LcdConfig.b_max, 256, 1))
     quad_ok = abs(base - doubled) < 1e-9
     ok &= quad_ok
     details.append(f"quadrature stability {abs(base - doubled):.1e}")

@@ -54,12 +54,10 @@ class TestSamplesCommand:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value,message", [
-        ("--quad-nodes", "1", "quad_nodes must be >= 2, got 1"),
         ("--b-max", "0", "b_max must be positive, got 0.0"),
         ("--b-max", "inf", "b_max must be finite, got inf"),
         ("--seed", "-1", "seed must be >= 0, got -1"),
         ("--placement-iters", "-5", "max_iters must be >= 0, got -5"),
-        ("--step-tol", "nan", "step_tol must be finite and positive, got nan"),
         # the squared kernel widths underflow to 0 or overflow: one error
         # that blames b_max, not numpy's warnings or the points
         ("--b-max", "1e-300", "b_max = 1e-300 is out of range in d = 2: the width "
@@ -552,3 +550,52 @@ def test_import_generates_no_code():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[], []]
+
+
+# Run in a fresh interpreter on a cache that a first run filled: lists the
+# modules among these that the second run loaded.
+_WARM_PROBE = """
+import json, sys
+from obscheck.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code] + [m for m in ("numpy.random", "hashlib", "_hashlib", "numpy.polynomial")
+                           if m in sys.modules]))
+"""
+
+
+def test_warm_run_loads_no_placement_modules(tmp_path):
+    # numpy.random (the seeded initializer) and numpy.polynomial (the
+    # quadrature nodes) serve placement alone, and hashlib loads OpenSSL: a
+    # run whose designs and Part I sets are cached loads none of them
+    src = Path(obscheck.__file__).resolve().parent.parent
+    argv = [a.format(dir=tmp_path) for a in RUN_DESK] + ["--model", "unknown_variance"]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    outputs = []
+    for _ in range(2):
+        proc = subprocess.run([sys.executable, "-c", _WARM_PROBE, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(json.loads(proc.stdout.splitlines()[-1]))
+    assert outputs[0][0] == outputs[1][0] == EXIT_OBSERVABLE
+    assert "numpy.random" in outputs[0]  # the first run placed the sets
+    assert outputs[1] == [EXIT_OBSERVABLE]
+
+
+SAMPLES_DESK = ["samples", "--dim", "2", "--count", "4", "--out", "{dir}/x.csv"]
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    (RUN_DESK + ["--model", "unknown_variance"], "--grad-tol", "1e-9"),
+    (RUN_DESK + ["--model", "unknown_variance"], "--step-tol", "1e-8"),
+    (RUN_DESK + ["--model", "unknown_variance"], "--quad-nodes", "64"),
+    (SAMPLES_DESK, "--step-tol", "1e-8"),
+    (SAMPLES_DESK, "--quad-nodes", "64"),
+], ids=["run-grad-tol", "run-step-tol", "run-quad-nodes", "samples-step-tol",
+        "samples-quad-nodes"])
+def test_fixed_tolerance_flags_are_usage_errors(tmp_path, capsys, command, flag, value):
+    # the fit's and placement's stops and the node rule are fixed: the
+    # flags that once set them are unknown options
+    code = main([a.format(dir=tmp_path) for a in command] + [flag, value])
+    assert code == EXIT_USAGE
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

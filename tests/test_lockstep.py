@@ -7,12 +7,15 @@ round, but no row's arithmetic depends on the others.  A row whose start
 is infeasible fails with the reason that the tree walker gives for it.
 """
 
+import re
+
+import numpy as np
 import pytest
 
 from obscheck import InfeasiblePointError, bundled_model_names, load_model
 from obscheck.closed_form import mean_and_variance_oracle, unknown_variance_oracle
 from obscheck.models import model_from_dict
-from obscheck.optimize import _MAX_ITERS, OptConfig, maximize_rows
+from obscheck.optimize import _MAX_ITERS, maximize_rows
 from obscheck.posterior import PosteriorContext
 from obscheck.samples import design_disturbance_matrix, representative_disturbances
 from obscheck.study import StudyConfig, _fit_blocks, make_design_observations
@@ -35,20 +38,20 @@ def _walker_start_reason(model, z, x0):
     return None
 
 
-def _assert_rows_equal_one_row_fits(model, eps, cfg=OptConfig()):
+def _assert_rows_equal_one_row_fits(model, eps):
     """Every design row of one lock-step run equals the fit of that row on
     its own, and a row whose start is infeasible fails with the walker's
     reason."""
     observations = make_design_observations(model, eps)
     x0 = model.true_vector()
-    results = maximize_rows(PosteriorContext(model, observations), x0, cfg)
-    want = [maximize_rows(PosteriorContext(model, z), x0, cfg)[0] for z in observations]
+    results = maximize_rows(PosteriorContext(model, observations), x0)
+    want = [maximize_rows(PosteriorContext(model, z), x0)[0] for z in observations]
     assert [_outcome(r) for r in results] == [_outcome(w) for w in want]
     infeasible = [k for k, r in enumerate(results) if isinstance(r, InfeasiblePointError)]
     reasons = [_walker_start_reason(model, observations[k], x0) for k in infeasible]
     assert [str(results[k]) for k in infeasible] == reasons
     if infeasible:
-        study_cfg = StudyConfig(model=model, T_list=(eps.shape[1],), opt=cfg)
+        study_cfg = StudyConfig(model=model, T_list=(eps.shape[1],))
         (records,) = _fit_blocks(model, [observations[infeasible]], study_cfg)
         assert [r.reason for r in records] == [f"infeasible start: {r}" for r in reasons]
     return results
@@ -102,6 +105,46 @@ def test_infeasible_start_hessians_equal_per_row_reference():
     results = _assert_rows_equal_one_row_fits(model, design_disturbance_matrix(4, 8, DESK_LCD))
     assert all(r.omega_hat.tolist() == [1e-90] and r.iterations == 0 and not r.converged
                for r in results)
+
+
+def test_per_row_starts_equal_one_row_fits_from_each_start():
+    # one start per row: each row's fit is the one-row fit from its own
+    # start, projected onto b >= 0, and a start that is infeasible there
+    # fails with the one-row error
+    eps = design_disturbance_matrix(4, 8, DESK_LCD)
+    observations = make_design_observations(README_MODEL, eps)
+    starts = np.array([[0.6, 0.4], [0.0, 1.0], [-2.0, 0.1], [0.6, -1.0],
+                       [3.0, 5.0], [0.6, 0.4], [1e3, 1e-3], [0.5, 0.0]])
+    results = maximize_rows(PosteriorContext(README_MODEL, observations), starts)
+    want = [maximize_rows(PosteriorContext(README_MODEL, z), x0)[0]
+            for z, x0 in zip(observations, starts)]
+    assert [_outcome(r) for r in results] == [_outcome(w) for w in want]
+    infeasible = [k for k, r in enumerate(results) if isinstance(r, InfeasiblePointError)]
+    assert infeasible == [3, 7]
+    # the starts matter: a fit of every row from omega* takes other paths
+    shared = maximize_rows(PosteriorContext(README_MODEL, observations),
+                           README_MODEL.true_vector())
+    assert [_outcome(r) for r in results] != [_outcome(r) for r in shared]
+
+
+def test_per_row_starts_of_a_three_row_context():
+    # a (3, n) start is one start per row, not three starts for each row
+    model = load_model("mean_and_variance")
+    observations = make_design_observations(model, design_disturbance_matrix(4, 8, DESK_LCD))
+    ctx = PosteriorContext(model, observations[:3])
+    per_row = maximize_rows(ctx, np.tile(model.true_vector(), (3, 1)))
+    assert [_outcome(r) for r in per_row] == [
+        _outcome(r) for r in maximize_rows(ctx, model.true_vector())]
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (1, 2), (2, 2), (3, 3), (3, 2, 1)])
+def test_start_of_another_shape_is_value_error(shape):
+    model = load_model("mean_and_variance")
+    observations = make_design_observations(model, design_disturbance_matrix(4, 8, DESK_LCD))
+    message = (f"x0 has shape {shape}, not (2,) for one start of every row or (3, 2) "
+               f"for one start per row")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        maximize_rows(PosteriorContext(model, observations[:3]), np.ones(shape))
 
 
 # per bundled model, the rounds of one lock-step fit of a study at T = 4, 20

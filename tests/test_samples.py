@@ -8,6 +8,9 @@ from scipy.integrate import quad
 from obscheck.samples import (
     InvalidMixtureError,
     LcdConfig,
+    _distance_impl,
+    _node_count,
+    _nodes,
     design_disturbance_matrix,
     lcd_distance,
     lcd_gradient,
@@ -20,6 +23,12 @@ from obscheck.samples import (
 from conftest import DESK_LCD
 
 CFG = LcdConfig()
+
+
+def _default_nodes(d: int) -> tuple:
+    """The width quadrature that ``CFG`` places and measures with in d
+    dimensions."""
+    return _nodes(CFG.b_max, _node_count(d), d)
 
 
 def lcd_distance_bruteforce(points: np.ndarray, b_max: float = 10.0) -> float:
@@ -94,7 +103,7 @@ class TestDistance:
 
     def test_quadrature_convergence(self):
         base = lcd_distance(np.array([-1.0, 1.0]), CFG)
-        doubled = lcd_distance(np.array([-1.0, 1.0]), LcdConfig(quad_nodes=256))
+        doubled, _ = _distance_impl(np.array([[-1.0], [1.0]]), _nodes(CFG.b_max, 256, 1))
         assert abs(base - doubled) < 1e-9
 
 
@@ -145,12 +154,12 @@ class TestGradient:
                 assert grad[i, k] == pytest.approx(fd, rel=1e-4, abs=1e-10)
 
     def test_converged_pair_has_tiny_free_gradient(self):
-        from obscheck.samples import _descend, _free_kernel
+        from obscheck.samples import _STEP_TOL, _descend, _free_kernel
 
         free, converged = _descend(1, 2, CFG)
         assert converged
-        _, grad = _free_kernel(free, 2, CFG)
-        assert np.max(np.abs(grad)) < CFG.step_tol
+        _, grad = _free_kernel(free, 2, _default_nodes(1))
+        assert np.max(np.abs(grad)) < _STEP_TOL
 
 
 class TestFreeKernel:
@@ -163,12 +172,12 @@ class TestFreeKernel:
          (4, 200)],
     )
     def test_matches_general_kernel(self, d, m_count):
-        from obscheck.samples import _assemble, _distance_impl, _free_kernel
+        from obscheck.samples import _assemble, _free_kernel
 
         n_free = m_count // 2
         free = np.random.default_rng(d * 1000 + m_count).standard_normal((n_free, d))
-        value, grad = _free_kernel(free, m_count, CFG)
-        ref_value, raw = _distance_impl(_assemble(free, m_count, d), CFG)
+        value, grad = _free_kernel(free, m_count, _default_nodes(d))
+        ref_value, raw = _distance_impl(_assemble(free, m_count, d), _default_nodes(d))
         ref_grad = raw[:n_free] - raw[n_free : 2 * n_free]
         # odd M: the origin's T2 term exp(0) = 1 moves the value but not the
         # gradient, so the value is compared on its own
@@ -181,9 +190,9 @@ class TestFreeKernel:
         calls = []
         kernel = samples_module._free_kernel
 
-        def counting(free, m_count, cfg):
+        def counting(free, m_count, nodes):
             calls.append(free.tobytes())
-            return kernel(free, m_count, cfg)
+            return kernel(free, m_count, nodes)
 
         def general(*args, **kwargs):
             raise AssertionError("placement must not use the general kernel")
@@ -202,10 +211,8 @@ def _dense_reference(points: np.ndarray, cfg: LcdConfig) -> tuple[float, np.ndar
     """The distance and raw gradient with expm1 over the full (M, M) matrix
     of every node at once, the arithmetic of the reference kernel before it
     shared the pair-block walk with placement."""
-    from obscheck.samples import _nodes
-
     m_count, d = points.shape
-    w, b2, c1, v, c2, d0 = _nodes(cfg.b_max, cfg.nodes_for(d), d)
+    w, b2, c1, v, c2, d0 = _nodes(cfg.b_max, _node_count(d), d)
     diff = points[:, None, :] - points[None, :, :]
     dist2 = np.einsum("ijk,ijk->ij", diff, diff)
     norm2 = np.einsum("ik,ik->i", points, points)
@@ -246,13 +253,12 @@ class TestReferenceKernel:
 
 
 class TestNodeRule:
-    """Without ``quad_nodes`` the width quadrature takes 128 nodes for
-    d <= 3, 64 for 4 <= d <= 7 and 32 for d >= 8."""
+    """The width quadrature takes 128 nodes for d <= 3, 64 for
+    4 <= d <= 7 and 32 for d >= 8."""
 
     def test_tiers_and_override(self):
         dims = (1, 3, 4, 7, 8, 20)
-        assert [CFG.nodes_for(d) for d in dims] == [128, 128, 64, 64, 32, 32]
-        assert [LcdConfig(quad_nodes=40).nodes_for(d) for d in dims] == [40] * len(dims)
+        assert [_node_count(d) for d in dims] == [128, 128, 64, 64, 32, 32]
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 6, 8, 20])
     def test_gradient_matches_fine_reference(self, d):
@@ -261,17 +267,16 @@ class TestNodeRule:
         m_count = 2 * d + 8
         free = optimize_mixture(d, m_count, LcdConfig(max_iters=40, seed=d)).points
         free = free[: m_count // 2]
-        _, grad = _free_kernel(free, m_count, CFG)
-        _, ref = _free_kernel(free, m_count, LcdConfig(quad_nodes=1024))
+        _, grad = _free_kernel(free, m_count, _default_nodes(d))
+        _, ref = _free_kernel(free, m_count, _nodes(CFG.b_max, 1024, d))
         assert np.max(np.abs(grad - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     def test_cache_key_holds_resolved_count(self):
         from obscheck import samples as samples_module
 
-        assert samples_module._cache_key(4, 200, CFG)["quad_nodes"] == 64
-        name = samples_module._cache_filename(4, 200, CFG)
-        assert name == samples_module._cache_filename(4, 200, LcdConfig(quad_nodes=64))
-        assert name != samples_module._cache_filename(4, 200, LcdConfig(quad_nodes=128))
+        dims = (1, 3, 4, 7, 8, 20)
+        assert [samples_module._cache_key(d, 200, CFG)["quad_nodes"] for d in dims] == [
+            128, 128, 64, 64, 32, 32]
 
     def test_revision_two_file_is_a_miss(self, tmp_path, monkeypatch):
         from obscheck import samples as samples_module
@@ -460,23 +465,6 @@ class TestDesignMatrix:
         assert cached.tobytes() == fresh.tobytes()
 
 
-    def test_memo_shares_the_file_key(self, monkeypatch):
-        # the default node count and the equal explicit one share a cache
-        # file, so they share the memo entry too: no second placement
-        from obscheck import samples as samples_module
-
-        cfg = LcdConfig(max_iters=40, seed=9)
-        explicit = LcdConfig(max_iters=40, seed=9, quad_nodes=128)
-        assert explicit != cfg and explicit.nodes_for(2) == cfg.nodes_for(2)
-        monkeypatch.setattr(samples_module, "_matrix_cache", {})
-        first = design_disturbance_matrix(2, 6, cfg)
-
-        def no_placement(*args):
-            raise AssertionError("placed again instead of reading the memo")
-
-        monkeypatch.setattr(samples_module, "optimize_mixture", no_placement)
-        assert design_disturbance_matrix(2, 6, explicit) is first
-
     def test_cache_name_carries_placement_revision(self, monkeypatch):
         # files placed by an older descent must count as misses
         from obscheck import samples as samples_module
@@ -503,6 +491,10 @@ class TestDesignMatrix:
             args["d" if field == "dim" else "m_count"] = value
         elif field == "placement":
             monkeypatch.setattr(samples_module, "_PLACEMENT_REVISION", value)
+        elif field == "step_tol":
+            monkeypatch.setattr(samples_module, "_STEP_TOL", value)
+        elif field == "quad_nodes":
+            monkeypatch.setattr(samples_module, "_node_count", lambda d: value)
         else:
             args["cfg"] = LcdConfig(**{field: value})
         changed = samples_module._cache_filename(**args)
@@ -588,10 +580,10 @@ class TestSampleCsv:
             "dim": 2,
             "count": 5,
             "b_max": CFG.b_max,
-            "quad_nodes": CFG.nodes_for(2),
+            "quad_nodes": 128,
             "seed": CFG.seed,
             "max_iters": CFG.max_iters,
-            "step_tol": CFG.step_tol,
+            "step_tol": 1e-8,
             "placement": 3,
         }
 

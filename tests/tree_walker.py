@@ -6,24 +6,16 @@ Derivatives*, 2nd ed., 2008), one rule per node on Python floats.  The
 compiled closures must give each point its value, gradient and Hessian bit
 for bit, and must mark a point infeasible exactly where this raises, with
 the message it raises.  :func:`eval_expr` is its value alone.  It shares
-only the scalar values of :mod:`obscheck.expressions` (``_apply_unary``,
-``_apply_binary``) with the compiled closures; its derivative rules, the
-second-order rule for ``^`` (``_power_rule``) among them, are its own.
+only the scalar rules of :mod:`obscheck.expressions`, the first entry of
+each operator in ``_UNARY`` and ``_BINARY``, with the compiled closures; its
+derivative rules, the second-order rule for ``^`` (``_power_rule``) among
+them, are its own.
 """
 
 import math
 from typing import Callable, Sequence
 
-from obscheck.expressions import (
-    Binary,
-    DomainError,
-    Expr,
-    Literal,
-    Param,
-    Unary,
-    _apply_binary,
-    _apply_unary,
-)
+from obscheck.expressions import _BINARY, _UNARY, Binary, DomainError, Expr, Literal, Param, Unary
 
 
 def eval_hessian(
@@ -53,7 +45,7 @@ def _jet(e: Expr, params: dict[str, float], index: dict[str, int], n: int):
         return params[e.name], unit, _sym(n, lambda i, j: 0.0)
     if isinstance(e, Unary):
         v, g, h = _jet(e.arg, params, index, n)
-        r = _apply_unary(e, v)
+        r = _UNARY[e.op][0](e, v)
         op = e.op
         if op == "neg":
             return r, tuple([-p for p in g]), _sym(n, lambda i, j: -h[i][j])
@@ -73,7 +65,7 @@ def _jet(e: Expr, params: dict[str, float], index: dict[str, int], n: int):
     if isinstance(e, Binary):
         a, ga, ha = _jet(e.left, params, index, n)
         b, gb, hb = _jet(e.right, params, index, n)
-        value = _apply_binary(e, a, b)
+        value = _BINARY[e.op][0](e, a, b)
         op = e.op
         if op == "+":
             grad = tuple([p + q for p, q in zip(ga, gb)])
