@@ -22,8 +22,8 @@ from obscheck.study import StudyConfig, make_design_observations, run_study
 
 from conftest import DESK_LCD
 
-# the flat-prior models of the CI reports job whose J has rank 2 at every
-# estimate: three bundled ones and two written ones
+# flat-prior models whose J has rank 2 at every estimate: three bundled ones
+# and two of this test's own that use ^
 _A_B = [{"name": "a", "true_value": 0.6}, {"name": "b", "true_value": 0.4}]
 MODELS = {
     "mean_and_variance": lambda: load_model("mean_and_variance"),
