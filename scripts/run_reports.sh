@@ -2,9 +2,12 @@
 # Run the models of the CI `reports` job with the obscheck source under ROOT
 # and keep what each run leaves in OUTDIR: MODEL.json (the report),
 # MODEL.csv (--plot), MODEL.stdout, MODEL.stderr, MODEL.exit and the
-# sample-set cache cache-MODEL/.  Run it once per side of a change, into two
-# directories, and compare them as the job does: the job's compare steps
-# take the model names from the MODEL.exit files written here.
+# sample-set cache cache-MODEL/.  It also runs `obscheck samples` twice and
+# keeps SET.csv, SET.stdout, SET.stderr and SET.exit of each in
+# OUTDIR/samples/, apart from the models.  Run it once per side of a change,
+# into two directories, and compare them as the job does: the job's compare
+# steps take the model names from the MODEL.exit files written here, and the
+# set names from samples/SET.exit.
 #
 #     scripts/run_reports.sh ROOT OUTDIR
 #
@@ -87,4 +90,20 @@ for model in $OBSERVABLE $OTHERS $INFEASIBLE $OPERATORS $CAPPED; do
   sed -i 's|^report written to .*|report written to OUT|' "$dir/$model.stdout"
   # exit 3 is the verdict NOT_OBSERVABLE, not a failure
   case $code in 0|3) ;; *) echo "$root $model exited $code"; exit 1 ;; esac
+done
+
+# two sets of `obscheck samples`, one of odd M, which pins a point at the
+# origin, and one of even M; each run prints its set's lcd_distance, which
+# the reference kernel samples._distance_impl computes
+mkdir -p "$dir/samples"
+for dim_count in 2:5 3:8; do
+  dim=${dim_count%:*} count=${dim_count#*:}
+  out=$dir/samples/d${dim}_M$count
+  code=0
+  PYTHONPATH=$root/src python -m obscheck samples --dim "$dim" --count "$count" \
+    --out "$out.csv" > "$out.stdout" 2> "$out.stderr" || code=$?
+  echo "$code" > "$out.exit"
+  # the path differs between the sides
+  sed -i 's|^\(wrote .* points to \).*|\1OUT|' "$out.stdout"
+  case $code in 0) ;; *) echo "$root samples d${dim}_M$count exited $code"; exit 1 ;; esac
 done

@@ -10,7 +10,7 @@ into an observability verdict.
 
 from .expressions import DomainError, Expr, ExprError, ParseError, format_expr, parse_expr
 from .models import ModelError, ModelSpec, ParamSpec, bundled_model_names, load_model
-from .optimize import CheckReport, MaxResult, OptConfig
+from .optimize import CheckReport, MaxResult
 from .posterior import InfeasiblePointError, PosteriorContext
 from .samples import (
     DiracMixture,

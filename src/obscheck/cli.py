@@ -19,7 +19,6 @@ from pathlib import Path
 
 from ._files import write_atomic
 from .models import ModelError, load_model
-from .optimize import OptConfig
 from .samples import (
     InvalidMixtureError,
     LcdConfig,
@@ -81,9 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--cache-dir", type=Path, default=None,
                        help="sample-set cache (default OBSCHECK_CACHE_DIR or ~/.cache/obscheck)")
     p_run.add_argument("--no-cache", action="store_true")
-    p_run.add_argument("--grad-check", type=float, default=OptConfig.grad_check)
-    p_run.add_argument("--eig-ratio-min", type=float, default=OptConfig.eig_ratio_min)
-    p_run.add_argument("--lvar-max", type=float, default=OptConfig.lvar_max)
     add_lcd_flags(p_run)
 
     p_report = sub.add_parser("report", help="render a report file as text tables")
@@ -128,7 +124,12 @@ def _resolve_cache_dir(args) -> Path | None:
     env = os.environ.get("OBSCHECK_CACHE_DIR")
     if env:
         return Path(env)
-    return Path.home() / ".cache" / "obscheck"
+    try:
+        home = Path.home()
+    except RuntimeError:  # HOME is unset and the user has no passwd entry
+        raise _CliError("cannot find the home directory for the default sample-set cache; "
+                        "give --cache-dir, set OBSCHECK_CACHE_DIR or pass --no-cache") from None
+    return home / ".cache" / "obscheck"
 
 
 def _cmd_run(args) -> int:
@@ -147,8 +148,6 @@ def _cmd_run(args) -> int:
             T_list=horizons,
             K=args.K,
             lcd=_lcd_from_args(args),
-            opt=OptConfig(grad_check=args.grad_check, eig_ratio_min=args.eig_ratio_min,
-                          lvar_max=args.lvar_max),
             cache_dir=str(cache_dir) if cache_dir is not None else None,
             random_baseline=args.random_baseline,
         )

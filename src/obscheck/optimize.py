@@ -33,12 +33,14 @@ the curvature that they give.  :func:`check_maximum` checks one maximum from
 its curvature and gradient norm alone, with no evaluation.  A candidate
 maximum passes four checks before it counts:
 
-  1. the inf-norm of grad(-2L) is below ``grad_check``,
+  1. the inf-norm of grad(-2L) is below ``_GRAD_CHECK`` = 1e-5,
   2. the exact Hessian of -2L is positive definite,
-  3. the eigenvalue ratio lambda_min/lambda_max exceeds ``eig_ratio_min``
-     (a tiny ratio means a ridge),
-  4. all local variances are finite and below ``lvar_max``
+  3. the eigenvalue ratio lambda_min/lambda_max exceeds ``_EIG_RATIO_MIN``
+     = 1e-5 (a tiny ratio means a ridge),
+  4. all local variances are finite and below ``_LVAR_MAX`` = 1e8
      (an infinite local variance means a plateau).
+
+The thresholds are absolute, in the units of each parameter.
 
 Local variances are the diagonal of the inverted curvature, 2 * diag(H^{-1})
 for the Hessian H of -2L (no step size), equal to -1/L'' in one dimension.
@@ -50,10 +52,9 @@ import math
 
 import numpy as np
 
-from ._value import Value
 from .posterior import InfeasiblePointError
 
-__all__ = ["OptConfig", "MaxResult", "CheckReport", "maximize_rows", "check_maximum"]
+__all__ = ["MaxResult", "CheckReport", "maximize_rows", "check_maximum"]
 
 # the stop on the gradient's inf-norm, the iteration cap and the trust
 # region's constants of the module docstring (Nocedal & Wright, Numerical
@@ -67,23 +68,10 @@ _ETA = 1e-4
 _NOISE = 1e-12
 _EIG_FLOOR = 1e-8
 _RADIUS_TOL = 0.1
-
-
-class OptConfig(Value):
-    """The three thresholds of :func:`check_maximum`."""
-
-    grad_check = 1e-5
-    eig_ratio_min = 1e-5
-    lvar_max = 1e8
-    _fields = ("grad_check", "eig_ratio_min", "lvar_max")
-
-    def __init__(self, grad_check: float = grad_check, eig_ratio_min: float = eig_ratio_min,
-                 lvar_max: float = lvar_max):
-        self.__dict__.update(grad_check=grad_check, eig_ratio_min=eig_ratio_min,
-                             lvar_max=lvar_max)
-        for name in self._fields:
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+# the thresholds of the four checks of the module docstring
+_GRAD_CHECK = 1e-5
+_EIG_RATIO_MIN = 1e-5
+_LVAR_MAX = 1e8
 
 
 class MaxResult:
@@ -382,7 +370,7 @@ def _secular(lam: np.ndarray, c: np.ndarray, radius: np.ndarray):
 
 
 # perfbench/child.py traces it by name as study.check_maximum
-def check_maximum(result: MaxResult, cfg: OptConfig = OptConfig()) -> CheckReport:
+def check_maximum(result: MaxResult) -> CheckReport:
     """Run the four validity checks at ``result.omega_hat`` from the
     maximum's ``curvature`` and ``grad_inf_norm`` alone, which
     :func:`maximize_rows` computed there, so nothing is evaluated again.
@@ -407,12 +395,12 @@ def check_maximum(result: MaxResult, cfg: OptConfig = OptConfig()) -> CheckRepor
     hessian_pd = lam_min > 0.0
     eig_ratio = lam_min / lam_max if lam_max != 0.0 else float("nan")
     lvar_finite = hessian_pd and all(
-        math.isfinite(v) and v < cfg.lvar_max for v in lvar.tolist()
+        math.isfinite(v) and v < _LVAR_MAX for v in lvar.tolist()
     )
     return CheckReport(
-        grad_ok=grad_inf < cfg.grad_check,
+        grad_ok=grad_inf < _GRAD_CHECK,
         hessian_pd=hessian_pd,
-        eig_ratio_ok=math.isfinite(eig_ratio) and eig_ratio > cfg.eig_ratio_min,
+        eig_ratio_ok=math.isfinite(eig_ratio) and eig_ratio > _EIG_RATIO_MIN,
         lvar_finite=lvar_finite,
         grad_inf_norm=grad_inf,
         eig_ratio=eig_ratio,

@@ -414,10 +414,10 @@ def optimize_mixture(d: int, m_count: int, cfg: LcdConfig = LcdConfig()) -> Dira
     free, converged = _descend(d, m_count, cfg)
     free = _whiten(free, m_count, d)
     if not converged:
-        # step_tol is _STEP_TOL's name in the cache key
         warnings.warn(
             f"sample placement (d={d}, M={m_count}) stopped at max_iters="
-            f"{cfg.max_iters} before reaching step_tol",
+            f"{cfg.max_iters} before its gradient's inf-norm fell below the fixed "
+            f"tolerance {_STEP_TOL} * max(1, distance)",
             stacklevel=2,
         )
     return DiracMixture(

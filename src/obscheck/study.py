@@ -25,7 +25,7 @@ from .models import ModelSpec
 # check_maximum and maximize are looked up here by perfbench/child.py, which
 # traces them by name
 from .optimize import (  # noqa: F401
-    CheckReport, MaxResult, OptConfig, check_maximum, maximize, maximize_rows,
+    CheckReport, MaxResult, check_maximum, maximize, maximize_rows,
 )
 from .posterior import InfeasiblePointError, PosteriorContext
 from .samples import LcdConfig, design_disturbance_matrix, representative_disturbances
@@ -54,16 +54,15 @@ class StudyConfig(Value):
     T_list = (4, 12, 20)
     K = 2000
     lcd = LcdConfig()
-    opt = OptConfig()
     cache_dir = None
     random_baseline = False
-    _fields = ("model", "T_list", "K", "lcd", "opt", "cache_dir", "random_baseline")
+    _fields = ("model", "T_list", "K", "lcd", "cache_dir", "random_baseline")
 
     def __init__(self, model: ModelSpec, T_list: tuple[int, ...] = T_list, K: int = K,
-                 lcd: LcdConfig = lcd, opt: OptConfig = opt, cache_dir: str | None = cache_dir,
+                 lcd: LcdConfig = lcd, cache_dir: str | None = cache_dir,
                  random_baseline: bool = random_baseline):
-        self.__dict__.update(model=model, T_list=T_list, K=K, lcd=lcd, opt=opt,
-                             cache_dir=cache_dir, random_baseline=random_baseline)
+        self.__dict__.update(model=model, T_list=T_list, K=K, lcd=lcd, cache_dir=cache_dir,
+                             random_baseline=random_baseline)
         horizons = list(T_list)
         if not horizons:
             raise ValueError("at least one horizon T is needed")
@@ -172,7 +171,7 @@ def make_design_observations(model: ModelSpec, disturbances: np.ndarray) -> np.n
 def run_part1(model: ModelSpec, horizon: int, cfg: StudyConfig) -> PartIResult:
     """Maximize against the representative design observation vector."""
     z_rep = _representative(model, horizon, cfg)
-    ((run,),) = _fit_blocks(model, [z_rep], cfg)
+    ((run,),) = _fit_blocks(model, [z_rep])
     return PartIResult(horizon=horizon, z_rep=z_rep, run=run)
 
 
@@ -184,7 +183,7 @@ def run_part2(model: ModelSpec, horizon: int, count: int, cfg: StudyConfig) -> P
     for a realization) are tallied, never fatal.  Records and aggregation
     follow k order.
     """
-    (records,) = _fit_blocks(model, [_design(model, horizon, count, cfg)], cfg)
+    (records,) = _fit_blocks(model, [_design(model, horizon, count, cfg)])
     return _aggregate(model, horizon, records)
 
 
@@ -198,7 +197,7 @@ def run_study(cfg: StudyConfig) -> StudyReport:
         + ([_baseline(model, horizon, cfg)] if cfg.random_baseline else [])
         for horizon in cfg.T_list
     ]
-    records = iter(_fit_blocks(model, [block for group in groups for block in group], cfg))
+    records = iter(_fit_blocks(model, [block for group in groups for block in group]))
     part1, part2, baseline = [], [], []
     for horizon, (z_rep, *_) in zip(cfg.T_list, groups):
         (run,) = next(records)
@@ -234,8 +233,7 @@ def _baseline(model: ModelSpec, horizon: int, cfg: StudyConfig) -> np.ndarray:
     return make_design_observations(model, rng.standard_normal((cfg.K, horizon)))
 
 
-def _fit_blocks(model: ModelSpec, blocks: list[np.ndarray],
-                cfg: StudyConfig) -> list[list[RunRecord]]:
+def _fit_blocks(model: ModelSpec, blocks: list[np.ndarray]) -> list[list[RunRecord]]:
     """Fit every row of every block of observation vectors (a vector is one
     row) in one lock-step run and check every maximum from its fit's
     curvature; the records of each block, in row order.  A row whose start
@@ -243,8 +241,7 @@ def _fit_blocks(model: ModelSpec, blocks: list[np.ndarray],
     it."""
     ctx = PosteriorContext(model, blocks)
     fits = maximize_rows(ctx, model.true_vector())
-    checks = {i: check_maximum(fit, cfg.opt) for i, fit in enumerate(fits)
-              if isinstance(fit, MaxResult)}
+    checks = {i: check_maximum(fit) for i, fit in enumerate(fits) if isinstance(fit, MaxResult)}
     records, start = [], 0
     for block in blocks:
         count = 1 if np.ndim(block) == 1 else len(block)

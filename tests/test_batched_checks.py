@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from obscheck import InfeasiblePointError, bundled_model_names, load_model
+from obscheck import InfeasiblePointError, bundled_model_names, load_model, optimize
 from obscheck.expressions import parse_expr
 from obscheck.models import ModelError, ModelSpec, ParamSpec, model_from_dict
-from obscheck.optimize import MaxResult, OptConfig, check_maximum, maximize_rows
+from obscheck.optimize import MaxResult, check_maximum, maximize_rows
 from obscheck.posterior import PosteriorContext
 from obscheck.samples import design_disturbance_matrix
 from obscheck.study import (
@@ -36,7 +36,7 @@ THREE_PARAMETERS = model_from_dict({
 }, name="three_parameters")
 
 
-def _reference_check_of(hessian, result, cfg=OptConfig()):
+def _reference_check_of(hessian, result):
     """The checks of ``result`` from its Hessian, or from the error raised
     in its place, by one ``eigh`` of that one matrix."""
     grad_inf = float(result.grad_inf_norm)
@@ -54,19 +54,20 @@ def _reference_check_of(hessian, result, cfg=OptConfig()):
     lam_min, lam_max = float(eigvals[0]), float(eigvals[-1])
     hessian_pd = lam_min > 0.0
     eig_ratio = lam_min / lam_max if lam_max != 0.0 else float("nan")
-    lvar_finite = hessian_pd and all(math.isfinite(v) and v < cfg.lvar_max for v in lvar.tolist())
-    return (grad_inf < cfg.grad_check, hessian_pd,
-            math.isfinite(eig_ratio) and eig_ratio > cfg.eig_ratio_min, lvar_finite,
+    lvar_finite = hessian_pd and all(math.isfinite(v) and v < optimize._LVAR_MAX
+                                     for v in lvar.tolist())
+    return (grad_inf < optimize._GRAD_CHECK, hessian_pd,
+            math.isfinite(eig_ratio) and eig_ratio > optimize._EIG_RATIO_MIN, lvar_finite,
             np.float64(grad_inf).tobytes(), np.float64(eig_ratio).tobytes(),
             lvar.tobytes() if hessian_pd else None, None)
 
 
-def _reference_check(ctx, result, k, cfg=OptConfig()):
+def _reference_check(ctx, result, k):
     try:
         hessian = reference_hessian(ctx, result.omega_hat, k)
     except InfeasiblePointError as exc:
         hessian = exc
-    return _reference_check_of(hessian, result, cfg)
+    return _reference_check_of(hessian, result)
 
 
 def _check_key(report):
@@ -289,15 +290,15 @@ def test_a_start_hessian_that_is_not_finite_stays_out_of_the_stack(monkeypatch):
 def _design_block(name, horizon=4, count=20):
     model = load_model(name)
     z = make_design_observations(model, design_disturbance_matrix(horizon, count, DESK_LCD))
-    return model, z, StudyConfig(model=model, T_list=(horizon,), K=count, lcd=DESK_LCD)
+    return model, z
 
 
 def test_a_stack_that_fails_during_the_fit_ends_no_study(monkeypatch):
     # eigh fails on every stack of more than one matrix, at the starts and
     # in the rounds that accept steps: the fit goes matrix by matrix and
     # every record is what it is without the failures
-    model, z, cfg = _design_block("mean_and_variance")
-    want = _fit_blocks(model, [z], cfg)
+    model, z = _design_block("mean_and_variance")
+    want = _fit_blocks(model, [z])
     eigh, stacks = np.linalg.eigh, []
 
     def fails_on_stacks(a):
@@ -307,7 +308,7 @@ def test_a_stack_that_fails_during_the_fit_ends_no_study(monkeypatch):
         return eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", fails_on_stacks)
-    got = _fit_blocks(model, [z], cfg)
+    got = _fit_blocks(model, [z])
     monkeypatch.undo()
     assert stacks[0] == 20 and len(stacks) > 1
     assert [[_record_key(r) for r in block] for block in got] \
@@ -318,7 +319,7 @@ def test_a_hessian_that_eigh_cannot_decompose_stops_its_row(monkeypatch):
     # eigh decomposes the start Hessians one by one and then fails on every
     # matrix: each row stops at the first step it accepts, and its checks
     # carry eigh's error
-    model, z, cfg = _design_block("mean_and_variance")
+    model, z = _design_block("mean_and_variance")
     eigh, stacks = np.linalg.eigh, []
 
     def fails_after_the_starts(a):
@@ -329,7 +330,7 @@ def test_a_hessian_that_eigh_cannot_decompose_stops_its_row(monkeypatch):
         return eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", fails_after_the_starts)
-    (records,) = _fit_blocks(model, [z], cfg)
+    (records,) = _fit_blocks(model, [z])
     monkeypatch.undo()
     every_check = ("gradient", "hessian_pd", "eig_ratio", "local_variance")
     note = "curvature evaluation failed: Eigenvalues did not converge"
@@ -367,7 +368,7 @@ def test_study_equals_its_parts_run_one_by_one(name, random_baseline):
         assert _part2_key(part2) == _part2_key(run_part2(model, horizon, cfg.K, cfg))
     if random_baseline:
         for horizon, part in zip(cfg.T_list, report.baseline):
-            (records,) = _fit_blocks(model, [_baseline(model, horizon, cfg)], cfg)
+            (records,) = _fit_blocks(model, [_baseline(model, horizon, cfg)])
             assert _part2_key(part) == _part2_key(_aggregate(model, horizon, records))
     else:
         assert report.baseline is None

@@ -381,6 +381,30 @@ def test_internal_failure_exit_two(tmp_path, monkeypatch, capsys):
 RUN_SMALL = ["run", "--model", "unknown_variance", "--T", "4", "--K", "8"]
 
 
+def test_no_home_directory_is_usage_error(tmp_path, monkeypatch, capsys):
+    # Path.home raises RuntimeError when HOME is unset and the user has no
+    # passwd entry; the default cache then has no place to go
+    import obscheck.cli as cli_module
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the cache directory is resolved before any placement or study")
+
+    def no_home(cls):
+        raise RuntimeError("Could not determine home directory.")
+
+    monkeypatch.setattr(cli_module, "run_study", unreachable)
+    monkeypatch.setattr(cli_module, "optimize_mixture", unreachable)
+    monkeypatch.setattr(Path, "home", classmethod(no_home))
+    monkeypatch.delenv("OBSCHECK_CACHE_DIR", raising=False)
+    code = run_cli(RUN_SMALL + ["--out", tmp_path / "r.json"])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == EXIT_USAGE
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    for named in ("--cache-dir", "OBSCHECK_CACHE_DIR", "--no-cache"):
+        assert named in lines[0]
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("args,given", [
     (RUN_SMALL + ["--out", "{missing}/r.json", "--no-cache"], "{missing}/r.json"),
     (RUN_SMALL + ["--out", "{tmp}/r.json", "--plot", "{missing}/p.csv", "--no-cache"],
@@ -593,13 +617,16 @@ SAMPLES_DESK = ["samples", "--dim", "2", "--count", "4", "--out", "{dir}/x.csv"]
     (RUN_DESK + ["--model", "unknown_variance"], "--grad-tol", "1e-9"),
     (RUN_DESK + ["--model", "unknown_variance"], "--step-tol", "1e-8"),
     (RUN_DESK + ["--model", "unknown_variance"], "--quad-nodes", "64"),
+    (RUN_DESK + ["--model", "unknown_variance"], "--grad-check", "1e-5"),
+    (RUN_DESK + ["--model", "unknown_variance"], "--eig-ratio-min", "1e-5"),
+    (RUN_DESK + ["--model", "unknown_variance"], "--lvar-max", "1e8"),
     (SAMPLES_DESK, "--step-tol", "1e-8"),
     (SAMPLES_DESK, "--quad-nodes", "64"),
-], ids=["run-grad-tol", "run-step-tol", "run-quad-nodes", "samples-step-tol",
-        "samples-quad-nodes"])
+], ids=["run-grad-tol", "run-step-tol", "run-quad-nodes", "run-grad-check",
+        "run-eig-ratio-min", "run-lvar-max", "samples-step-tol", "samples-quad-nodes"])
 def test_fixed_tolerance_flags_are_usage_errors(tmp_path, capsys, command, flag, value):
-    # the fit's and placement's stops and the node rule are fixed: the
-    # flags that once set them are unknown options
+    # the fit's and placement's stops, the node rule and the checks'
+    # thresholds are fixed: the flags that once set them are unknown options
     code = main([a.format(dir=tmp_path) for a in command] + [flag, value])
     assert code == EXIT_USAGE
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err

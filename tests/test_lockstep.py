@@ -18,7 +18,7 @@ from obscheck.models import model_from_dict
 from obscheck.optimize import _MAX_ITERS, maximize_rows
 from obscheck.posterior import PosteriorContext
 from obscheck.samples import design_disturbance_matrix, representative_disturbances
-from obscheck.study import StudyConfig, _fit_blocks, make_design_observations
+from obscheck.study import _fit_blocks, make_design_observations
 
 from conftest import DESK_LCD, _TreeWalkerContext, curvature_key
 
@@ -51,8 +51,7 @@ def _assert_rows_equal_one_row_fits(model, eps):
     reasons = [_walker_start_reason(model, observations[k], x0) for k in infeasible]
     assert [str(results[k]) for k in infeasible] == reasons
     if infeasible:
-        study_cfg = StudyConfig(model=model, T_list=(eps.shape[1],))
-        (records,) = _fit_blocks(model, [observations[infeasible]], study_cfg)
+        (records,) = _fit_blocks(model, [observations[infeasible]])
         assert [r.reason for r in records] == [f"infeasible start: {r}" for r in reasons]
     return results
 
@@ -214,7 +213,7 @@ def test_a_study_evaluates_once_at_the_starts_and_once_per_round(name, monkeypat
         return rows_call(self, rows, points)
 
     monkeypatch.setattr(PosteriorContext, "neg2l_rows", counted)
-    records = _fit_blocks(model, _study_blocks(model), StudyConfig(model=model, T_list=(4, 20)))
+    records = _fit_blocks(model, _study_blocks(model))
     rounds, _ = STUDY_ROUNDS[name]
     assert len(calls) == 1 + rounds
     assert calls[0] == sum(len(block) for block in records) == 402

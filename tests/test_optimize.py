@@ -8,10 +8,10 @@ import pytest
 from obscheck import (
     CheckReport,
     MaxResult,
-    OptConfig,
     PosteriorContext,
     bundled_model_names,
     load_model,
+    optimize,
 )
 from obscheck.optimize import (
     _EIG_FLOOR, _ETA, _NOISE, _acceptable, _secular, check_maximum, maximize,
@@ -351,13 +351,17 @@ class TestCheckMaximum:
             assert report.passed is (report.failed == ())
             assert report.passed == all(flags)
 
-    def test_threshold_scaling_never_changes_estimate(self):
+    def test_threshold_scaling_never_changes_estimate(self, monkeypatch):
         eps = representative_disturbances(4, DESK_LCD)
         z = make_design_observations(MEAN_AND_VARIANCE, eps)
         ctx = PosteriorContext(MEAN_AND_VARIANCE, z)
         result = maximize(ctx, np.array([0.6, 0.4]))
-        loose = check_maximum(result, OptConfig(grad_check=1e-2, eig_ratio_min=1e-2))
-        tight = check_maximum(result, OptConfig(grad_check=1e-8, eig_ratio_min=0.5))
+        monkeypatch.setattr(optimize, "_GRAD_CHECK", 1e-2)
+        monkeypatch.setattr(optimize, "_EIG_RATIO_MIN", 1e-2)
+        loose = check_maximum(result)
+        monkeypatch.setattr(optimize, "_GRAD_CHECK", 1e-8)
+        monkeypatch.setattr(optimize, "_EIG_RATIO_MIN", 0.5)
+        tight = check_maximum(result)
         assert result.omega_hat.tobytes() == result.omega_hat.tobytes()
         assert loose.grad_inf_norm == tight.grad_inf_norm
 
@@ -426,8 +430,3 @@ def test_maximize_refuses_a_context_of_several_rows():
     ctx = PosteriorContext(VARIANCE_ONLY, np.ones((2, 3)))
     with pytest.raises(ValueError, match="not 2 rows; fit them with maximize_rows"):
         maximize(ctx, [0.8])
-
-
-def test_opt_config_rejects_nonpositive_thresholds():
-    with pytest.raises(ValueError):
-        OptConfig(grad_check=0.0)

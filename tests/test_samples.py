@@ -256,7 +256,7 @@ class TestNodeRule:
     """The width quadrature takes 128 nodes for d <= 3, 64 for
     4 <= d <= 7 and 32 for d >= 8."""
 
-    def test_tiers_and_override(self):
+    def test_node_count_tiers(self):
         dims = (1, 3, 4, 7, 8, 20)
         assert [_node_count(d) for d in dims] == [128, 128, 64, 64, 32, 32]
 

@@ -20,7 +20,6 @@ from obscheck import (
     InfeasiblePointError,
     LcdConfig,
     ModelSpec,
-    OptConfig,
     ParamSpec,
     PartIResult,
     PosteriorContext,
@@ -264,8 +263,7 @@ def test_infeasible_rows_are_not_fitted_again(monkeypatch):
 
     monkeypatch.setattr(obscheck.study, "maximize", refit)
     eps = np.array([[1.0, -1.0], [np.inf, 0.0], [1e200, -1e200], [0.5, -0.5]])
-    cfg = small_config(VARIANCE_ONLY, T_list=(2,), K=4)
-    (records,) = _fit_blocks(VARIANCE_ONLY, [make_design_observations(VARIANCE_ONLY, eps)], cfg)
+    (records,) = _fit_blocks(VARIANCE_ONLY, [make_design_observations(VARIANCE_ONLY, eps)])
     assert [r.passed for r in records] == [True, False, False, True]
     assert [r.reason for r in records[1:3]] == [
         "infeasible start: observation vector must be finite",
@@ -300,7 +298,7 @@ def test_fit_blocks_take_every_reason_from_the_batch_calls(monkeypatch):
 
     for name in ("neg2l", "neg2l_grad", "hessian_neg2l"):
         monkeypatch.setattr(PosteriorContext, name, one_point)
-    (records,) = _fit_blocks(model, [z], small_config(model))
+    (records,) = _fit_blocks(model, [z])
     for walker, record in zip(walkers, records):
         start = walker_reason(walker, "neg2l_grad", model.true_vector())
         if start is not None:
@@ -336,7 +334,7 @@ def test_a_start_whose_hessian_is_infeasible_stays_at_its_start(monkeypatch):
         return rows_call(self, rows, points)
 
     monkeypatch.setattr(PosteriorContext, "neg2l_rows", counted)
-    (records,) = _fit_blocks(model, [z], small_config(model))
+    (records,) = _fit_blocks(model, [z])
     assert calls == [2]  # the starts; the checks make no call
     reason = "scale 1e-90 is too small: its fourth power underflows"
     assert [(r.estimates, r.iterations, r.converged, r.checks.note) for r in records] == [
@@ -364,7 +362,7 @@ def test_a_start_whose_gradient_is_not_finite_is_infeasible(monkeypatch):
         return rows_call(self, rows, points)
 
     monkeypatch.setattr(PosteriorContext, "neg2l_rows", counted)
-    (records,) = _fit_blocks(model, [z], small_config(model))
+    (records,) = _fit_blocks(model, [z])
     # the starts; no maximum is left to check, and the checks make no call
     assert calls == [3]
     reason = "gradient of -2 log-posterior is not finite"
@@ -521,7 +519,7 @@ def test_results_that_hold_arrays_compare_and_hash_by_identity():
     checks = [check_maximum(fit) for fit in fits]
     mixtures = [DiracMixture(dim=2, count=2, points=[[1.0, 0.0], [-1.0, 0.0]])
                 for _ in range(2)]
-    (record,) = _fit_blocks(MEAN_AND_VARIANCE, [z], small_config(MEAN_AND_VARIANCE))[0]
+    (record,) = _fit_blocks(MEAN_AND_VARIANCE, [z])[0]
     part1 = [PartIResult(horizon=4, z_rep=z, run=record) for _ in range(2)]
     records = [RunRecord(**vars(record)) for _ in range(2)]
     part2 = [_aggregate(MEAN_AND_VARIANCE, 4, [record]) for _ in range(2)]
@@ -543,7 +541,6 @@ VALUES = [
     (lambda v: ParamSpec("b", v, lower=0.0), 0.5, 0.6, "true_value"),
     (lambda v: ModelSpec("m", (ParamSpec("b", 0.5),), Literal(0.0), v, Literal(0.0)),
      Param("b"), Unary("sqrt", Param("b")), "scale_expr"),
-    (lambda v: OptConfig(grad_check=v), 1e-4, 1e-3, "grad_check"),
     (lambda v: LcdConfig(max_iters=v), 150, 151, "max_iters"),
     (lambda v: StudyConfig(VARIANCE_ONLY, T_list=(4,), K=v, lcd=LcdConfig(max_iters=150)),
      8, 9, "K"),
@@ -577,4 +574,4 @@ def test_model_equality_ignores_the_compiled_closures():
     a, b = load_model("mean_and_variance"), load_model("mean_and_variance")
     assert a._compiled[0] is not b._compiled[0]
     assert a == b and hash(a) == hash(b) and "_compiled" not in repr(a)
-    assert LcdConfig.seed == 12345 and OptConfig.grad_check == 1e-5
+    assert LcdConfig.seed == 12345 and obscheck.optimize._GRAD_CHECK == 1e-5

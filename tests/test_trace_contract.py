@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from obscheck import ModelSpec, PosteriorContext, StudyConfig, load_model
+from obscheck import ModelSpec, PosteriorContext, load_model
 from obscheck.cli import _build_parser
 from obscheck.samples import design_disturbance_matrix
 from obscheck.study import _fit_blocks, make_design_observations
@@ -102,7 +102,7 @@ def test_traced_model_evaluations_follow_every_posterior_call(monkeypatch):
     tracer = _child().Tracer()
     for owner, attr in ((ModelSpec, "mean_scale_prior_grad"), (PosteriorContext, "neg2l_rows")):
         monkeypatch.setattr(owner, attr, tracer.wrap(attr, getattr(owner, attr)))
-    _fit_blocks(model, [z], StudyConfig(model=model, T_list=(4,), K=20, lcd=DESK_LCD))
+    _fit_blocks(model, [z])
     names = [tracer.names[span[0]] for span in tracer.spans]
     counts = Counter(names)
     assert counts["mean_scale_prior_grad"] == counts["neg2l_rows"] > 2
@@ -124,8 +124,7 @@ def test_traced_checks_see_every_fitted_row(monkeypatch):
     z = make_design_observations(model, design_disturbance_matrix(4, 20, DESK_LCD))
     # and a row whose start is infeasible, which has no maximum to check
     records, (infeasible,) = _fit_blocks(
-        model, [z, np.array([1.0, np.inf, 0.0, 2.0])],
-        StudyConfig(model=model, T_list=(4,), K=20, lcd=DESK_LCD))
+        model, [z, np.array([1.0, np.inf, 0.0, 2.0])])
     assert infeasible.checks is None
     assert [span[5]["passed"] for span in tracer.spans] == [r.passed for r in records]
     assert len(records) == 20 and all(r.passed for r in records)
