@@ -4,16 +4,19 @@
 # MODEL.csv (--plot), MODEL.stdout, MODEL.stderr, MODEL.exit and the
 # sample-set cache cache-MODEL/.  It also runs `obscheck samples` twice and
 # keeps SET.csv, SET.stdout, SET.stderr and SET.exit of each in
-# OUTDIR/samples/, apart from the models.  Run it once per side of a change,
-# into two directories, and compare them as the job does: the job's compare
-# steps take the model names from the MODEL.exit files written here, and the
-# set names from samples/SET.exit.
+# OUTDIR/samples/.  Run it once per side of a change, into two directories,
+# and compare them as the job does, with `diff -r OUTDIR_BASE OUTDIR_HEAD`:
+# the one line of each stdout that names a path is masked, so the trees match
+# file for file.  Only the job's render step reads model names, from the
+# MODEL.exit files written here.
 #
 #     scripts/run_reports.sh ROOT OUTDIR
 #
-# The models that are not bundled are written to OUTDIR/models; a report
-# names a model file by its stem, so the directory does not show in the
-# outputs.
+# OUTDIR must be missing or empty: a run into a used one would start on warm
+# caches, place nothing and print no placement warnings, so the script exits 2
+# before it writes anything.  The models that are not bundled are written to
+# OUTDIR/models; a report names a model file by its stem, so the directory
+# does not show in the outputs.
 set -eo pipefail
 
 if [ $# -ne 2 ]; then
@@ -21,6 +24,10 @@ if [ $# -ne 2 ]; then
   exit 2
 fi
 root=$1 dir=$2
+if [ -d "$dir" ] && [ -n "$(ls -A "$dir")" ]; then
+  echo "$0: OUTDIR $dir is not empty" >&2
+  exit 2
+fi
 # the 8 bundled models, then the written ones
 OBSERVABLE="unknown_variance mean_and_variance ratio_mean_scale_sqrt_a ratio_mean_scale_sqrt_ab"
 OTHERS="additive_mean_pair product_mean ratio_mean_scale_sqrt_ratio reciprocal_mean"

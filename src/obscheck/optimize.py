@@ -180,7 +180,11 @@ def maximize_rows(ctx, x0) -> list:
     of a row is its ``MaxResult`` or, where the start (``x0`` projected onto
     the bounds) is infeasible, an ``InfeasiblePointError`` with the reason
     that the one call at the starts names.  A row whose start Hessian is
-    not finite stays at its start, with that reason as its ``curvature``.
+    not finite stays at its start.  Its ``curvature`` is the
+    ``InfeasiblePointError`` of the reason ``why`` names for it; where
+    ``why`` names none, that Hessian is decomposed on its own, and the
+    ``curvature`` holds its eigenvalues and local variances, NaN where the
+    entries are, or the ``LinAlgError`` that ``eigh`` raises on it.
     Every other row keeps the eigendecomposition of the Hessian at its point,
     from the call that gave it, and its ``curvature`` holds those eigenvalues
     and their local variances; a Hessian that ``eigh`` cannot decompose stops

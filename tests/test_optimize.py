@@ -356,14 +356,16 @@ class TestCheckMaximum:
         z = make_design_observations(MEAN_AND_VARIANCE, eps)
         ctx = PosteriorContext(MEAN_AND_VARIANCE, z)
         result = maximize(ctx, np.array([0.6, 0.4]))
+        estimate = result.omega_hat.tobytes()
         monkeypatch.setattr(optimize, "_GRAD_CHECK", 1e-2)
         monkeypatch.setattr(optimize, "_EIG_RATIO_MIN", 1e-2)
         loose = check_maximum(result)
         monkeypatch.setattr(optimize, "_GRAD_CHECK", 1e-8)
-        monkeypatch.setattr(optimize, "_EIG_RATIO_MIN", 0.5)
+        monkeypatch.setattr(optimize, "_EIG_RATIO_MIN", 0.9)
         tight = check_maximum(result)
-        assert result.omega_hat.tobytes() == result.omega_hat.tobytes()
+        assert result.omega_hat.tobytes() == estimate
         assert loose.grad_inf_norm == tight.grad_inf_norm
+        assert loose.eig_ratio_ok and not tight.eig_ratio_ok
 
     @pytest.mark.parametrize("name", bundled_model_names())
     def test_gradient_check_reuses_the_fit_gradient(self, name):
