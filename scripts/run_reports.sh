@@ -89,7 +89,7 @@ for model in $OBSERVABLE $OTHERS $INFEASIBLE $OPERATORS $CAPPED; do
   case " $BASELINE " in *" $model "*) baseline=--random-baseline ;; esac
   code=0
   PYTHONPATH=$root/src python -m obscheck run --model "$source" --T "$horizons" \
-    --K "$count" --placement-iters 150 --threads 1 $baseline \
+    --K "$count" --placement-iters 150 $baseline \
     --cache-dir "$dir/cache-$model" --out "$dir/$model.json" \
     --plot "$dir/$model.csv" > "$dir/$model.stdout" 2> "$dir/$model.stderr" || code=$?
   echo "$code" > "$dir/$model.exit"

@@ -39,7 +39,7 @@ def main() -> int:
         var_s = float(np.var(s, ddof=1))
         print(
             f"{m_count:>6} {m4:>10.4f} {var_s:>16.4f} "
-            f"{lcd_distance(mix, cfg):>12.5g} {time.time() - start:>6.1f}s"
+            f"{lcd_distance(mix):>12.5g} {time.time() - start:>6.1f}s"
         )
     return 0
 

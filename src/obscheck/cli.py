@@ -56,7 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_lcd_flags(p):
         p.add_argument("--seed", type=int, default=LcdConfig.seed,
                        help="seed for the deterministic sample initializer")
-        p.add_argument("--b-max", type=float, default=LcdConfig.b_max)
         p.add_argument("--placement-iters", type=int, default=LcdConfig.max_iters)
 
     p_samples = sub.add_parser("samples", help="generate a deterministic sample set")
@@ -89,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _lcd_from_args(args) -> LcdConfig:
     try:
-        return LcdConfig(b_max=args.b_max, max_iters=args.placement_iters, seed=args.seed)
+        return LcdConfig(max_iters=args.placement_iters, seed=args.seed)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
 
@@ -112,7 +111,7 @@ def _cmd_samples(args) -> int:
     mix = optimize_mixture(args.dim, args.count, cfg)
     write_sample_csv(out, mix, cfg)
     print(f"wrote {mix.count} points to {out}")
-    print(f"lcd_distance = {lcd_distance(mix, cfg):.12g}")
+    print(f"lcd_distance = {lcd_distance(mix):.12g}")
     return EXIT_OBSERVABLE
 
 

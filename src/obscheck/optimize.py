@@ -284,21 +284,17 @@ def maximize_rows(ctx, x0) -> list:
 
 
 def _box(bounds):
-    """(lower, upper) arrays of ``bounds``, or None when every bound is
-    infinite."""
+    """(lower, upper) arrays of ``bounds``, -inf or +inf on an open side."""
     lower = np.array([float(lo) for lo, _ in bounds])
     upper = np.array([float(hi) for _, hi in bounds])
-    if np.all(lower == -np.inf) and np.all(upper == np.inf):
-        return None
     return lower, upper
 
 
 def _project(x: np.ndarray, box) -> np.ndarray:
     """Each row of ``x`` clipped to ``box``: an entry at or below its lower
     bound becomes that bound, then one at or above its upper bound becomes
-    that (a NaN passes through, -0.0 at a bound 0.0 becomes 0.0)."""
-    if box is None:
-        return x
+    that (a NaN passes through, -0.0 at a bound 0.0 becomes 0.0).  At
+    infinite bounds every entry, +-inf included, is returned unchanged."""
     lower, upper = box
     x = np.where(x <= lower, lower, x)
     return np.where(x >= upper, upper, x)

@@ -10,7 +10,7 @@ K(x - m, b) = exp(-||x - m||^2 / (2 b^2)), both distributions are smoothed to
     F(m, b)      = (b^2/(1+b^2))^(d/2) * exp(-||m||^2 / (2 (1+b^2)))
 
 and the distance is the squared L2 gap integrated over kernel locations m
-and widths b in (0, b_max]:
+and widths b in (0, b_max], with the fixed bound b_max = 10:
 
     D(X) = int_0^bmax int (Ftilde - F)^2 dm db.
 
@@ -31,7 +31,8 @@ towards small widths, where the kernel of a close pair changes fastest.
 The node count depends on d (:func:`_node_count`).
 
 The constants c1 = (pi b^2)^(d/2), c2 = (b^2 sqrt(2 pi/(1+2 b^2)))^d and
-T3 depend only on the node and d; they are computed once per configuration.
+T3 depend only on the node and d; they are computed once per dimension.
+They are finite for d <= 246; a larger d raises :class:`InvalidMixtureError`.
 At wide kernels every exponential is close to 1 and T1, 2 T2 and T3 nearly
 cancel, so the kernels sum deviations from 1 instead.  With the M^2 ordered
 pairs of T1 and the M points of T2, per node
@@ -72,7 +73,6 @@ comes out of the same node-weighted kernel sums.
 
 from __future__ import annotations
 
-import math
 import warnings
 import zlib
 from functools import lru_cache
@@ -103,29 +103,27 @@ class InvalidMixtureError(Exception):
 
 
 class LcdConfig(Value):
-    """Discretization and placement settings for sample-set generation.
+    """Placement settings for sample-set generation; the kernel-width bound
+    ``_B_MAX``, the node rule and the stop are fixed.
 
-    b_max:      upper kernel-width bound of the outer integral.
     max_iters:  iteration cap for the placement descent.
     seed:       64-bit seed for the deterministic initializer.
     """
 
-    b_max = 10.0
     max_iters = 600
     seed = 12345
-    _fields = ("b_max", "max_iters", "seed")
+    _fields = ("max_iters", "seed")
 
-    def __init__(self, b_max: float = b_max, max_iters: int = max_iters, seed: int = seed):
-        self.__dict__.update(b_max=b_max, max_iters=max_iters, seed=seed)
-        if not self.b_max > 0.0:
-            raise ValueError(f"b_max must be positive, got {self.b_max}")
-        if not math.isfinite(self.b_max):
-            raise ValueError(f"b_max must be finite, got {self.b_max}")
+    def __init__(self, max_iters: int = max_iters, seed: int = seed):
+        self.__dict__.update(max_iters=max_iters, seed=seed)
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
+
+# upper bound of the kernel widths b of the outer integral
+_B_MAX = 10.0
 
 # placement stops once the inf-norm of the free-coordinate gradient falls
 # below this, relative to the distance where that exceeds 1
@@ -161,28 +159,27 @@ class DiracMixture:
 
 
 @lru_cache(maxsize=64)
-def _nodes(b_max: float, quad_nodes: int, d: int) -> tuple[np.ndarray, ...]:
-    """Width-quadrature nodes on (0, b_max] with the per-node constants of
+def _nodes(quad_nodes: int, d: int) -> tuple[np.ndarray, ...]:
+    """Width-quadrature nodes on (0, _B_MAX] with the per-node constants of
     the closed-form inner integral (see the module docstring), read-only:
     w, the quadrature weights; b2, the squared kernel widths b^2; c1 =
     (pi b^2)^(d/2), the T1 prefactor; v = 1 + 2 b^2, the T2 width; c2 =
     (b^2 sqrt(2 pi / v))^d, the T2 prefactor; and d0 = c1 - 2 c2 + T3, the
-    inner integral with every point at 0.  A ``b_max`` so small that a
-    squared width underflows to 0, or so large that a constant is not
-    finite, raises :class:`InvalidMixtureError`."""
+    inner integral with every point at 0.  A d so large that a constant
+    is not finite (d >= 247) raises :class:`InvalidMixtureError`."""
     x, w = np.polynomial.legendre.leggauss(quad_nodes)
     with np.errstate(all="ignore"):  # checked below
         t = 0.5 * (x + 1.0)
-        b = b_max * t * t
+        b = _B_MAX * t * t
         b2 = b * b
         v = 1.0 + 2.0 * b2
         c1 = (np.pi * b2) ** (0.5 * d)
         c2 = (b2 * np.sqrt(2.0 * np.pi / v)) ** d
         t3 = (b2 / (1.0 + b2)) ** d * (np.pi * (1.0 + b2)) ** (0.5 * d)
-        nodes = (b_max * t * w, b2, c1, v, c2, c1 - 2.0 * c2 + t3)
-    if not (b2 > 0.0).all() or not all(np.isfinite(arr).all() for arr in nodes):
-        raise InvalidMixtureError(f"b_max = {b_max!r} is out of range in d = {d}: the "
-                                  f"width quadrature's constants under- or overflow")
+        nodes = (_B_MAX * t * w, b2, c1, v, c2, c1 - 2.0 * c2 + t3)
+    if not all(np.isfinite(arr).all() for arr in nodes):
+        raise InvalidMixtureError(f"d = {d} is out of range: the width quadrature's "
+                                  f"constants overflow")
     for arr in nodes:
         arr.flags.writeable = False
     return nodes
@@ -206,11 +203,12 @@ def lcd_distance(mix, cfg: LcdConfig = LcdConfig()) -> float:
     """Kernel distance between the point set and N(0, I_d).
 
     Accepts a :class:`DiracMixture` or a plain (M, d) array; a 1-D array is
-    treated as M points in one dimension.
+    treated as M points in one dimension.  ``cfg`` is accepted and unused:
+    the distance has no setting.
     """
     points = _points_of(mix)
     d = points.shape[1]
-    value, _ = _distance_impl(points, _nodes(cfg.b_max, _node_count(d), d))
+    value, _ = _distance_impl(points, _nodes(_node_count(d), d))
     return value
 
 
@@ -220,11 +218,12 @@ def lcd_gradient(mix, cfg: LcdConfig = LcdConfig()) -> np.ndarray:
 
     These are raw per-point partials, computed with the distance in one walk
     over the i < j pairs; placement differentiates the free block of its
-    point-symmetric layout with :func:`_free_kernel` instead.
+    point-symmetric layout with :func:`_free_kernel` instead.  ``cfg`` is
+    accepted and unused, as in :func:`lcd_distance`.
     """
     points = _points_of(mix)
     d = points.shape[1]
-    _, grad = _distance_impl(points, _nodes(cfg.b_max, _node_count(d), d))
+    _, grad = _distance_impl(points, _nodes(_node_count(d), d))
     return grad
 
 
@@ -431,7 +430,7 @@ def optimize_mixture(d: int, m_count: int, cfg: LcdConfig = LcdConfig()) -> Dira
 def _descend(d: int, m_count: int, cfg: LcdConfig) -> tuple[np.ndarray, bool]:
     """Gradient descent on the free block; returns the pre-whitening solution."""
     free = _initial_free_points(d, m_count, cfg)
-    nodes = _nodes(cfg.b_max, _node_count(d), d)
+    nodes = _nodes(_node_count(d), d)
     f, g = _free_kernel(free, m_count, nodes)
 
     def small_enough(grad_inf: float, value: float) -> bool:
@@ -561,10 +560,11 @@ _KEY_FIELDS = {"dim": int, "count": int, "b_max": float, "quad_nodes": int, "see
 def _cache_key(d: int, m_count: int, cfg: LcdConfig) -> dict:
     """Everything that decides which set placement produces.  The CSV header
     records it and the cache file name carries its CRC-32, so a file copied
-    under another key's name fails the header check.  The node count and the
-    step tolerance are fixed, and stay in the key so that the files of
-    earlier releases, which recorded them, keep their names and headers."""
-    return {"dim": d, "count": m_count, "b_max": cfg.b_max, "quad_nodes": _node_count(d),
+    under another key's name fails the header check.  The width bound, the
+    node count and the step tolerance are fixed, and stay in the key so that
+    the files of earlier releases, which recorded them, keep their names and
+    headers."""
+    return {"dim": d, "count": m_count, "b_max": _B_MAX, "quad_nodes": _node_count(d),
             "seed": cfg.seed, "max_iters": cfg.max_iters, "step_tol": _STEP_TOL,
             "placement": _PLACEMENT_REVISION}
 

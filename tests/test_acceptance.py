@@ -118,6 +118,17 @@ def test_criterion_3_part2_statistics(variance_study):
     )
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "the paper's d = T designs understate the Part II variance from T = 12 on: "
+    "var(b) reads about 0.65 of 2b^2/T at T = 12 and 0.575 at T = 20 (CHANGES.md, the "
+    "first FOUND line; ROADMAP, 'The defect that drives items 3, 4 and 6')"))
+@pytest.mark.parametrize("horizon", [12, 20])
+def test_part2_variance_within_criterion_3_band_at_long_horizons(variance_study, horizon):
+    part2 = next(p for p in variance_study.part2 if p.horizon == horizon)
+    var_anchor = 2 * 0.64 / horizon
+    assert abs(part2.empirical_variance["b"] - var_anchor) < 0.25 * var_anchor
+
+
 def test_criterion_4_bias_reproduction(mean_variance_study):
     ok = True
     details = []
@@ -264,7 +275,7 @@ def test_criterion_8_sampling_properties():
     details.append(f"gradient-vs-FD {'ok' if grad_ok else 'FAIL'}")
 
     base = lcd_distance(np.array([-1.0, 1.0]), LcdConfig())
-    doubled, _ = _distance_impl(np.array([[-1.0], [1.0]]), _nodes(LcdConfig.b_max, 256, 1))
+    doubled, _ = _distance_impl(np.array([[-1.0], [1.0]]), _nodes(256, 1))
     quad_ok = abs(base - doubled) < 1e-9
     ok &= quad_ok
     details.append(f"quadrature stability {abs(base - doubled):.1e}")

@@ -54,16 +54,8 @@ class TestSamplesCommand:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value,message", [
-        ("--b-max", "0", "b_max must be positive, got 0.0"),
-        ("--b-max", "inf", "b_max must be finite, got inf"),
         ("--seed", "-1", "seed must be >= 0, got -1"),
         ("--placement-iters", "-5", "max_iters must be >= 0, got -5"),
-        # the squared kernel widths underflow to 0 or overflow: one error
-        # that blames b_max, not numpy's warnings or the points
-        ("--b-max", "1e-300", "b_max = 1e-300 is out of range in d = 2: the width "
-                              "quadrature's constants under- or overflow"),
-        ("--b-max", "1e200", "b_max = 1e+200 is out of range in d = 2: the width "
-                             "quadrature's constants under- or overflow"),
     ])
     def test_invalid_placement_setting_is_usage_error(self, tmp_path, capsys, flag, value,
                                                       message):
@@ -71,6 +63,16 @@ class TestSamplesCommand:
         code = run_cli(["samples", "--dim", 2, "--count", 4, flag, value, "--out", out])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    def test_dimension_whose_width_quadrature_overflows_is_usage_error(self, tmp_path, capsys):
+        # with b up to 10 the quadrature's constants overflow from d = 247 on:
+        # one error that names d, not numpy's warnings or the points
+        out = tmp_path / "x.csv"
+        code = run_cli(["samples", "--dim", 247, "--count", 494, "--out", out])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            "error: d = 247 is out of range: the width quadrature's constants overflow"]
         assert not out.exists()
 
 
@@ -622,11 +624,15 @@ SAMPLES_DESK = ["samples", "--dim", "2", "--count", "4", "--out", "{dir}/x.csv"]
     (RUN_DESK + ["--model", "unknown_variance"], "--lvar-max", "1e8"),
     (SAMPLES_DESK, "--step-tol", "1e-8"),
     (SAMPLES_DESK, "--quad-nodes", "64"),
+    (RUN_DESK + ["--model", "unknown_variance"], "--b-max", "10"),
+    (SAMPLES_DESK, "--b-max", "10"),
 ], ids=["run-grad-tol", "run-step-tol", "run-quad-nodes", "run-grad-check",
-        "run-eig-ratio-min", "run-lvar-max", "samples-step-tol", "samples-quad-nodes"])
+        "run-eig-ratio-min", "run-lvar-max", "samples-step-tol", "samples-quad-nodes",
+        "run-b-max", "samples-b-max"])
 def test_fixed_tolerance_flags_are_usage_errors(tmp_path, capsys, command, flag, value):
-    # the fit's and placement's stops, the node rule and the checks'
-    # thresholds are fixed: the flags that once set them are unknown options
+    # the fit's and placement's stops, the node rule, the kernel-width bound
+    # and the checks' thresholds are fixed: the flags that once set them are
+    # unknown options
     code = main([a.format(dir=tmp_path) for a in command] + [flag, value])
     assert code == EXIT_USAGE
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err

@@ -14,7 +14,7 @@ from obscheck import (
     optimize,
 )
 from obscheck.optimize import (
-    _EIG_FLOOR, _ETA, _NOISE, _acceptable, _secular, check_maximum, maximize,
+    _EIG_FLOOR, _ETA, _NOISE, _acceptable, _box, _project, _secular, check_maximum, maximize,
 )
 from obscheck.samples import design_disturbance_matrix, representative_disturbances
 from obscheck.study import make_design_observations
@@ -237,6 +237,15 @@ def test_secular_steps_stay_within_the_radius():
     assert cut.tolist() == [False, True, True, True]
     assert u[0].tolist() == [0.3, 0.2]
     assert np.all(length <= 1.1 * radius) and np.all(length[1:] >= 0.9 * radius[1:])
+
+
+def test_infinite_bounds_project_every_entry_unchanged():
+    # the unbounded box goes through the same two clips as a declared one
+    x = np.array([[-np.inf, np.inf, np.nan, -0.0], [0.0, 1e308, -5e-324, 2.5]])
+    box = _box([(-np.inf, np.inf)] * 4)
+    assert _project(x, box).tobytes() == x.tobytes()
+    assert _project(x, _box([(0.0, 1.0)] * 4)).tobytes() == np.array(
+        [[0.0, 1.0, np.nan, 0.0], [0.0, 1.0, 0.0, 1.0]]).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])

@@ -28,7 +28,7 @@ CFG = LcdConfig()
 def _default_nodes(d: int) -> tuple:
     """The width quadrature that ``CFG`` places and measures with in d
     dimensions."""
-    return _nodes(CFG.b_max, _node_count(d), d)
+    return _nodes(_node_count(d), d)
 
 
 def lcd_distance_bruteforce(points: np.ndarray, b_max: float = 10.0) -> float:
@@ -103,7 +103,7 @@ class TestDistance:
 
     def test_quadrature_convergence(self):
         base = lcd_distance(np.array([-1.0, 1.0]), CFG)
-        doubled, _ = _distance_impl(np.array([[-1.0], [1.0]]), _nodes(CFG.b_max, 256, 1))
+        doubled, _ = _distance_impl(np.array([[-1.0], [1.0]]), _nodes(256, 1))
         assert abs(base - doubled) < 1e-9
 
 
@@ -207,12 +207,12 @@ class TestFreeKernel:
         assert free.tobytes() in calls
 
 
-def _dense_reference(points: np.ndarray, cfg: LcdConfig) -> tuple[float, np.ndarray]:
+def _dense_reference(points: np.ndarray) -> tuple[float, np.ndarray]:
     """The distance and raw gradient with expm1 over the full (M, M) matrix
     of every node at once, the arithmetic of the reference kernel before it
     shared the pair-block walk with placement."""
     m_count, d = points.shape
-    w, b2, c1, v, c2, d0 = _nodes(cfg.b_max, _node_count(d), d)
+    w, b2, c1, v, c2, d0 = _nodes(_node_count(d), d)
     diff = points[:, None, :] - points[None, :, :]
     dist2 = np.einsum("ijk,ijk->ij", diff, diff)
     norm2 = np.einsum("ik,ik->i", points, points)
@@ -235,7 +235,7 @@ class TestReferenceKernel:
     def test_matches_dense_evaluation_over_two_blocks(self):
         # 7,140 pairs: one full 4096-entry block and a partial one
         points = np.random.default_rng(2120).standard_normal((120, 2))
-        ref_value, ref_grad = _dense_reference(points, CFG)
+        ref_value, ref_grad = _dense_reference(points)
         assert lcd_distance(points, CFG) == pytest.approx(ref_value, rel=1e-12, abs=0.0)
         grad = lcd_gradient(points, CFG)
         assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
@@ -260,6 +260,12 @@ class TestNodeRule:
         dims = (1, 3, 4, 7, 8, 20)
         assert [_node_count(d) for d in dims] == [128, 128, 64, 64, 32, 32]
 
+    def test_constants_are_finite_up_to_246_dimensions(self):
+        # with b up to 10, T3's factor (pi (1 + b^2))^(d/2) overflows first at d = 247
+        assert all(np.isfinite(arr).all() for arr in _nodes(_node_count(246), 246))
+        with pytest.raises(InvalidMixtureError, match="d = 247 is out of range"):
+            _nodes(_node_count(247), 247)
+
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 6, 8, 20])
     def test_gradient_matches_fine_reference(self, d):
         from obscheck.samples import _free_kernel
@@ -268,7 +274,7 @@ class TestNodeRule:
         free = optimize_mixture(d, m_count, LcdConfig(max_iters=40, seed=d)).points
         free = free[: m_count // 2]
         _, grad = _free_kernel(free, m_count, _default_nodes(d))
-        _, ref = _free_kernel(free, m_count, _nodes(CFG.b_max, 1024, d))
+        _, ref = _free_kernel(free, m_count, _nodes(1024, d))
         assert np.max(np.abs(grad - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     def test_cache_key_holds_resolved_count(self):
@@ -493,6 +499,8 @@ class TestDesignMatrix:
             monkeypatch.setattr(samples_module, "_PLACEMENT_REVISION", value)
         elif field == "step_tol":
             monkeypatch.setattr(samples_module, "_STEP_TOL", value)
+        elif field == "b_max":
+            monkeypatch.setattr(samples_module, "_B_MAX", value)
         elif field == "quad_nodes":
             monkeypatch.setattr(samples_module, "_node_count", lambda d: value)
         else:
@@ -579,7 +587,7 @@ class TestSampleCsv:
         assert meta == {
             "dim": 2,
             "count": 5,
-            "b_max": CFG.b_max,
+            "b_max": 10.0,
             "quad_nodes": 128,
             "seed": CFG.seed,
             "max_iters": CFG.max_iters,
