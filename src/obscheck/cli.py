@@ -102,6 +102,23 @@ def _check_output(path: Path | None) -> None:
         raise _CliError(f"cannot write {path}: it is a directory")
 
 
+def _check_distinct(args) -> None:
+    """Reject a run whose --out, --plot and model file (a bundled name is
+    not a path) are not three different files, before one write replaces
+    another or the model file."""
+    named = [("--out", args.out), ("--plot", args.plot)]
+    if Path(args.model).is_file():
+        named.append(("the model file", Path(args.model)))
+    seen: dict[str, str] = {}
+    for label, path in named:
+        if path is None:
+            continue
+        real = os.path.realpath(path)  # as Path.resolve(), but a symlink loop does not raise
+        if real in seen:
+            raise _CliError(f"{seen[real]} and {label} name the same file {path}")
+        seen[real] = label
+
+
 def _cmd_samples(args) -> int:
     if args.dim < 1 or args.count < 1:
         raise _CliError("--dim and --count must be positive")
@@ -154,6 +171,7 @@ def _cmd_run(args) -> int:
         raise _CliError(str(exc)) from exc
     _check_output(args.out)
     _check_output(args.plot)
+    _check_distinct(args)
     if cache_dir is not None:
         try:
             cache_dir.mkdir(parents=True, exist_ok=True)
@@ -175,7 +193,7 @@ def _cmd_report(args) -> int:
         text = render_report(report_from_json(Path(args.path).read_text()))
     except (OSError, ValueError) as exc:
         raise _CliError(f"cannot read report: {exc}") from exc
-    except (KeyError, TypeError, AttributeError) as exc:  # a malformed nested field
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:  # a malformed nested field
         raise _CliError(f"cannot read report: {type(exc).__name__}: {exc}") from exc
     print(text, end="")
     return EXIT_OBSERVABLE

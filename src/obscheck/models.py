@@ -170,7 +170,7 @@ def _param(entry) -> ParamSpec:
             lower=float(entry["lower"]) if entry.get("lower") is not None else None,
             upper=float(entry["upper"]) if entry.get("upper") is not None else None,
         )
-    except (TypeError, ValueError) as exc:  # a value that is not a number
+    except (TypeError, ValueError, OverflowError) as exc:  # not a number, or one too large
         raise ModelError(f"parameter {entry['name']!r}: {exc}") from exc
 
 

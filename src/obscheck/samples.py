@@ -107,7 +107,7 @@ class LcdConfig(Value):
     ``_B_MAX``, the node rule and the stop are fixed.
 
     max_iters:  iteration cap for the placement descent.
-    seed:       64-bit seed for the deterministic initializer.
+    seed:       seed for the deterministic initializer, any non-negative integer.
     """
 
     max_iters = 600

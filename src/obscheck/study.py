@@ -318,12 +318,9 @@ def _consistency_trend(model: ModelSpec, part2: list[PartIIResult]) -> dict[str,
     """Non-increasing empirical variance and mean local variance over T,
     reported as flags (a consistent estimator should show both)."""
     out: dict[str, dict[str, bool]] = {"empirical_variance": {}, "mean_local_variance": {}}
-    for key, getter in (
-        ("empirical_variance", lambda p: p.empirical_variance),
-        ("mean_local_variance", lambda p: p.mean_local_variance),
-    ):
+    for key in out:
         for name in model.param_names:
-            series = [getter(p)[name] for p in part2 if getter(p) is not None]
+            series = [getattr(p, key)[name] for p in part2 if getattr(p, key) is not None]
             out[key][name] = bool(
                 len(series) >= 2
                 and all(b <= a * (1.0 + 1e-9) for a, b in zip(series, series[1:]))

@@ -158,6 +158,8 @@ class TestRunCommand:
          "mean": "a", "scale": "1"},
         {"parameters": [{"name": "a", "true_value": 0.6, "upper": True}],
          "mean": "a", "scale": "1"},
+        # a JSON integer too large for a float
+        {"parameters": [{"name": "a", "true_value": 10**400}], "mean": "a", "scale": "1"},
     ])
     def test_malformed_model_file_exit_one(self, tmp_path, capsys, data):
         bad = tmp_path / "bad.json"
@@ -351,6 +353,11 @@ class TestReportCommand:
         ' "part1": [], "part2": []}',
         '{"schema": "obscheck-report/1", "model": {"parameters": []}, "verdict": "x",'
         ' "n_passing_total": 0, "part1": [1], "part2": []}',
+        pytest.param(
+            '{"schema": "obscheck-report/1", "model": {"parameters": [{"name": "a"}]},'
+            ' "verdict": "x", "n_passing_total": 1, "part1": [{"T": 4, "estimate": {"a": '
+            + str(10**400) + '}, "local_variance": null, "passed": true}], "part2": []}',
+            id="estimate-too-large-for-a-float"),
     ])
     def test_malformed_report_file(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
@@ -414,7 +421,15 @@ def test_no_home_directory_is_usage_error(tmp_path, monkeypatch, capsys):
     (["samples", "--dim", "1", "--count", "2", "--out", "{missing}/s.csv"], "{missing}/s.csv"),
     (RUN_SMALL + ["--out", "{tmp}/r.json", "--cache-dir", "{tmp}/a_file"], "{tmp}/a_file"),
     (RUN_SMALL + ["--out", "{tmp}", "--no-cache"], "{tmp}"),
-], ids=["run-out", "run-plot", "samples-out", "run-cache-dir-is-file", "run-out-is-dir"])
+    # --out, --plot and the model file must be three different files
+    (RUN_SMALL + ["--out", "{tmp}/r.json", "--plot", "{tmp}/r.json", "--no-cache"],
+     "{tmp}/r.json"),
+    (["run", "--model", "{tmp}/m.json", "--T", "4", "--K", "8", "--out", "{tmp}/m.json",
+      "--no-cache"], "{tmp}/m.json"),
+    (["run", "--model", "{tmp}/m.json", "--T", "4", "--K", "8", "--out", "{tmp}/r.json",
+      "--plot", "{tmp}/link.csv", "--no-cache"], "{tmp}/m.json"),
+], ids=["run-out", "run-plot", "samples-out", "run-cache-dir-is-file", "run-out-is-dir",
+        "run-out-is-plot", "run-out-is-model", "run-plot-links-to-model"])
 def test_unwritable_path_is_usage_error(tmp_path, monkeypatch, capsys, args, given):
     import obscheck.cli as cli_module
 
@@ -424,12 +439,17 @@ def test_unwritable_path_is_usage_error(tmp_path, monkeypatch, capsys, args, giv
     monkeypatch.setattr(cli_module, "run_study", unreachable)
     monkeypatch.setattr(cli_module, "optimize_mixture", unreachable)
     (tmp_path / "a_file").write_text("")
+    (tmp_path / "m.json").write_text(json.dumps(
+        {"parameters": [{"name": "b", "true_value": 0.8}], "mean": "0", "scale": "sqrt(b)"}))
+    (tmp_path / "link.csv").symlink_to(tmp_path / "m.json")
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
     fill = {"tmp": tmp_path, "missing": tmp_path / "missing_dir"}
     code = run_cli([a.format(**fill) for a in args])
     lines = capsys.readouterr().err.splitlines()
     assert code == EXIT_USAGE
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert given.format(**fill) in lines[0]
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_too_few_design_vectors_is_usage_error(tmp_path, monkeypatch, capsys):

@@ -141,6 +141,10 @@ _VALID = {"parameters": [{"name": "a", "true_value": 0.6}], "mean": "a", "scale"
      "parameter 'a': lower must be a number, not a bool"),
     ({**_VALID, "parameters": [{"name": "a", "true_value": 0.6, "upper": True}]},
      "parameter 'a': upper must be a number, not a bool"),
+    # JSON integers too large for a float
+    *[({**_VALID, "parameters": [{"name": "a", "true_value": 0.6, field: 10**400}]},
+       "parameter 'a': int too large to convert to float")
+      for field in ("true_value", "lower", "upper")],
 ])
 def test_malformed_model_file_raises_model_error(tmp_path, data, message):
     path = tmp_path / "model.json"
