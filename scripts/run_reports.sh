@@ -7,8 +7,9 @@
 # OUTDIR/samples/.  Run it once per side of a change, into two directories,
 # and compare them as the job does, with `diff -r OUTDIR_BASE OUTDIR_HEAD`:
 # the one line of each stdout that names a path is masked, so the trees match
-# file for file.  Only the job's render step reads model names, from the
-# MODEL.exit files written here.
+# file for file.  After each model run it also renders MODEL.json with
+# `obscheck report` from ROOT's source, and exits 1, naming the model, when
+# that text differs from the run's stdout without its last line.
 #
 #     scripts/run_reports.sh ROOT OUTDIR
 #
@@ -97,6 +98,13 @@ for model in $OBSERVABLE $OTHERS $INFEASIBLE $OPERATORS $CAPPED; do
   sed -i 's|^report written to .*|report written to OUT|' "$dir/$model.stdout"
   # exit 3 is the verdict NOT_OBSERVABLE, not a failure
   case $code in 0|3) ;; *) echo "$root $model exited $code"; exit 1 ;; esac
+  # the report renders to what its run printed, but for the last line,
+  # which names the report's path
+  if ! diff <(head -n -1 "$dir/$model.stdout") \
+      <(PYTHONPATH=$root/src python -m obscheck report "$dir/$model.json"); then
+    echo "$root $model: obscheck report differs from its run's output"
+    exit 1
+  fi
 done
 
 # two sets of `obscheck samples`, one of odd M, which pins a point at the

@@ -102,20 +102,20 @@ def _check_output(path: Path | None) -> None:
         raise _CliError(f"cannot write {path}: it is a directory")
 
 
-def _check_distinct(args) -> None:
-    """Reject a run whose --out, --plot and model file (a bundled name is
-    not a path) are not three different files, before one write replaces
-    another or the model file."""
-    named = [("--out", args.out), ("--plot", args.plot)]
-    if Path(args.model).is_file():
-        named.append(("the model file", Path(args.model)))
+def _check_distinct(args, cache_dir: Path | None) -> None:
+    """Reject a run whose --out, --plot, --model and cache directory are not
+    four different paths, before one write replaces another, the model file
+    or the cache.  --model is compared as the path it spells, a bundled
+    name included."""
+    named = [("--out", args.out), ("--plot", args.plot), ("--model", Path(args.model)),
+             ("the cache directory", cache_dir)]
     seen: dict[str, str] = {}
     for label, path in named:
         if path is None:
             continue
         real = os.path.realpath(path)  # as Path.resolve(), but a symlink loop does not raise
         if real in seen:
-            raise _CliError(f"{seen[real]} and {label} name the same file {path}")
+            raise _CliError(f"{seen[real]} and {label} name the same path {path}")
         seen[real] = label
 
 
@@ -171,7 +171,7 @@ def _cmd_run(args) -> int:
         raise _CliError(str(exc)) from exc
     _check_output(args.out)
     _check_output(args.plot)
-    _check_distinct(args)
+    _check_distinct(args, cache_dir)
     if cache_dir is not None:
         try:
             cache_dir.mkdir(parents=True, exist_ok=True)
@@ -226,9 +226,7 @@ def _main(argv: list[str] | None) -> int:
             return _cmd_samples(args)
         if args.command == "run":
             return _cmd_run(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        raise _CliError(f"unknown command {args.command!r}")
+        return _cmd_report(args)
     except (_CliError, InvalidMixtureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -132,12 +132,9 @@ class _Tokenizer:
             return None
         return self.text[self.pos]
 
-    def take(self) -> str:
-        ch = self.peek()
-        if ch is None:
-            raise ParseError("unexpected end of input", self.pos)
+    def take(self) -> None:
+        """Step past the character that :meth:`peek` just returned."""
         self.pos += 1
-        return ch
 
     def take_number(self) -> float:
         self._skip_ws()

@@ -206,29 +206,30 @@ def model_from_dict(data: dict, name: str = "") -> ModelSpec:
 
 
 def load_model(source: str | Path) -> ModelSpec:
-    """Load a model from a JSON file path or a bundled model name.
+    """Load a bundled model by its name or a model from a JSON file path.
 
-    Bundled names resolve against the packaged ``models/`` directory, with or
-    without the ``.json`` suffix.
+    A source with no directory part that names a file of the packaged
+    ``models/`` directory, with ``.json`` added if it lacks one, is that
+    bundled model, whatever the working directory holds.  Any other source
+    is a path, and raises :class:`ModelError` when it names no file, so a
+    working-directory file named like a bundled model needs a directory
+    part, as in ``./unknown_variance.json``.
     """
     path = Path(source)
-    if path.exists():
-        text = path.read_text()
-        default_name = path.stem
-    else:
+    if path.name == str(source):
         pkg_name = path.name if path.name.endswith(".json") else path.name + ".json"
         res = resources.files("obscheck").joinpath("models", pkg_name)
-        if not res.is_file():
-            raise ModelError(f"model file not found: {source}")
-        text = res.read_text()
-        default_name = pkg_name[: -len(".json")]
+        if res.is_file():
+            path = res
+    if not path.is_file():
+        raise ModelError(f"model file not found: {source}")
     try:
-        data = json.loads(text)
+        data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ModelError(f"invalid JSON in model file {source}: {exc}") from exc
     if not isinstance(data, dict):
         raise ModelError(f"model file {source} must hold a JSON object, got {type(data).__name__}")
-    return model_from_dict(data, name=data.get("name", default_name))
+    return model_from_dict(data, name=data.get("name", Path(path.name).stem))
 
 
 def bundled_model_names() -> list[str]:

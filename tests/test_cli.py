@@ -230,6 +230,16 @@ class TestRunCommand:
         assert code == EXIT_OBSERVABLE
         assert list(cache.glob("samples_*.csv"))
 
+    def test_home_cache_dir(self, tmp_path, monkeypatch):
+        # with neither --cache-dir nor OBSCHECK_CACHE_DIR the sets go under
+        # ~/.cache/obscheck
+        monkeypatch.delenv("OBSCHECK_CACHE_DIR", raising=False)
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        code = run_cli(["run", "--model", "unknown_variance", "--T", "2", "--K", "4",
+                        "--out", tmp_path / "report.json"] + DESK_FLAGS)
+        assert code == EXIT_OBSERVABLE
+        assert list((tmp_path / "home" / ".cache" / "obscheck").glob("samples_*.csv"))
+
     def test_byte_identical_across_thread_counts(self, tmp_path):
         outs = []
         for threads in (1, 4):
@@ -421,15 +431,18 @@ def test_no_home_directory_is_usage_error(tmp_path, monkeypatch, capsys):
     (["samples", "--dim", "1", "--count", "2", "--out", "{missing}/s.csv"], "{missing}/s.csv"),
     (RUN_SMALL + ["--out", "{tmp}/r.json", "--cache-dir", "{tmp}/a_file"], "{tmp}/a_file"),
     (RUN_SMALL + ["--out", "{tmp}", "--no-cache"], "{tmp}"),
-    # --out, --plot and the model file must be three different files
+    # --out, --plot, --model and the cache directory must be four different
+    # paths
     (RUN_SMALL + ["--out", "{tmp}/r.json", "--plot", "{tmp}/r.json", "--no-cache"],
      "{tmp}/r.json"),
     (["run", "--model", "{tmp}/m.json", "--T", "4", "--K", "8", "--out", "{tmp}/m.json",
       "--no-cache"], "{tmp}/m.json"),
     (["run", "--model", "{tmp}/m.json", "--T", "4", "--K", "8", "--out", "{tmp}/r.json",
       "--plot", "{tmp}/link.csv", "--no-cache"], "{tmp}/m.json"),
+    (RUN_SMALL + ["--out", "{tmp}/x", "--cache-dir", "{tmp}/x"], "{tmp}/x"),
 ], ids=["run-out", "run-plot", "samples-out", "run-cache-dir-is-file", "run-out-is-dir",
-        "run-out-is-plot", "run-out-is-model", "run-plot-links-to-model"])
+        "run-out-is-plot", "run-out-is-model", "run-plot-links-to-model",
+        "run-out-is-cache-dir"])
 def test_unwritable_path_is_usage_error(tmp_path, monkeypatch, capsys, args, given):
     import obscheck.cli as cli_module
 
@@ -450,6 +463,22 @@ def test_unwritable_path_is_usage_error(tmp_path, monkeypatch, capsys, args, giv
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert given.format(**fill) in lines[0]
     assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_a_bundled_name_is_compared_as_the_path_it_spells(tmp_path, monkeypatch, capsys):
+    # a run may not write its report where the next run's --model spells it,
+    # and a file of that name, put there by other means, is not read
+    monkeypatch.chdir(tmp_path)
+    run = RUN_SMALL + ["--cache-dir", "cache"] + DESK_FLAGS
+    code = run_cli(run + ["--out", "unknown_variance"])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == EXIT_USAGE
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert not any(tmp_path.iterdir())
+    assert run_cli(run + ["--out", "first.json"]) == EXIT_OBSERVABLE
+    (tmp_path / "unknown_variance").write_bytes((tmp_path / "first.json").read_bytes())
+    assert run_cli(run + ["--out", "r.json"]) == EXIT_OBSERVABLE
+    assert (tmp_path / "r.json").read_bytes() == (tmp_path / "first.json").read_bytes()
 
 
 def test_too_few_design_vectors_is_usage_error(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,7 @@
 import json
 import math
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +60,45 @@ def test_load_from_path(tmp_path):
 def test_missing_model_file():
     with pytest.raises(ModelError, match="not found"):
         load_model("no_such_model")
+
+
+_MINE = json.dumps({"parameters": [{"name": "c", "true_value": 2.0}], "mean": "c", "scale": "1"})
+
+
+@pytest.mark.parametrize("made,source,loads", [
+    # a bare bundled name, with or without .json, is the bundled model
+    # whatever the working directory holds
+    ("unknown_variance", "unknown_variance", "bundled"),
+    ("unknown_variance/", "unknown_variance", "bundled"),
+    ("unknown_variance.json", "unknown_variance", "bundled"),
+    ("unknown_variance.json", "unknown_variance.json", "bundled"),
+    # any other source is a path
+    ("unknown_variance.json", "./unknown_variance.json", "file"),
+    ("unknown_variance.json", "no/such/dir/unknown_variance.json", "missing"),
+    ("unknown_variance.json", "{tmp}/unknown_variance", "missing"),
+    ("mine.json", "mine.json", "file"),
+    ("mine", "mine", "file"),
+], ids=["file-named-like-bundled", "dir-named-like-bundled", "json-file-named-like-bundled",
+        "json-file-named-like-bundled-json", "dot-slash-path", "mistyped-relative-path",
+        "mistyped-absolute-path", "unbundled-name", "unbundled-name-without-json"])
+def test_a_bare_bundled_name_never_reads_the_working_directory(tmp_path, monkeypatch, made,
+                                                               source, loads):
+    monkeypatch.chdir(tmp_path)
+    if made.endswith("/"):
+        (tmp_path / made).mkdir()
+    else:
+        (tmp_path / made).write_text(_MINE)
+    source = source.format(tmp=tmp_path)
+    if loads == "missing":
+        with pytest.raises(ModelError) as info:
+            load_model(source)
+        assert str(info.value) == f"model file not found: {source}"
+    elif loads == "bundled":
+        bundled = resources.files("obscheck").joinpath("models", "unknown_variance.json")
+        assert load_model(source) == load_model(str(bundled))
+    else:
+        model = load_model(source)
+        assert model.name == Path(made).stem and model.param_names == ("c",)
 
 
 def test_duplicate_parameter_names_rejected():

@@ -433,6 +433,14 @@ class TestSerialization:
         assert first[0] == "0" and first[1] == "b"
         assert float(first[2]) > 0.0
 
+    def test_plot_csv_skips_records_without_estimates(self):
+        # the scale's square overflows at the true value, so every fit starts
+        # infeasible and no record has estimates
+        model = model_from_dict({"parameters": [{"name": "b", "true_value": 1e200}],
+                                 "mean": "0", "scale": "b"}, name="overflow")
+        report = run_study(small_config(model, T_list=(4,), K=8))
+        assert plot_csv(report) == "k,param,estimate\n# T=4\n"
+
     def test_render_report_shows_tables(self):
         report = run_study(small_config(VARIANCE_ONLY, T_list=(4,), K=10))
         text = render_report(report_to_dict(report))
